@@ -1,8 +1,8 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test validate check lint advise autoformat bench chaos soak \
-	profile kernel-fusion overhead serve
+.PHONY: test validate check lint advise autoformat bench bench-e2e \
+	bench-smoke chaos soak profile kernel-fusion overhead serve
 
 test:
 	python -m pytest -x -q
@@ -37,6 +37,20 @@ autoformat:
 kernel-fusion:
 	python examples/kernel_fusion_demo.py
 	python -m repro.analysis advise examples/advisor_demo.py -- --maxiter 2
+
+# THE benchmark (BENCHMARK.json): four workloads, both clocks, medians
+# over 5 fresh processes x 3 repeats.  Every performance claim is a
+# (metric, workload) pair from here -- `python3 bench/run.py compare
+# A.json B.json` between two commits, `--trace` for the per-layer split.
+# Results go to bench/out/ (ignored).  See bench/README.md.
+bench-e2e:
+	python3 bench/run.py
+
+# The same harness at tiny sizes with every check on (< 30 s), then its
+# own self-test.  Writes only under bench/out/.
+bench-smoke:
+	python3 bench/run.py --smoke
+	python3 bench/run.py --selftest
 
 # Fusion benchmark: merged vs replay vs unfused CG + GMG, writes
 # BENCH_fusion.json and fails if fusion saves < 30% of launches, if no

@@ -30,6 +30,14 @@ REPRO_VALIDATE=1 python -m pytest -x -q \
     tests/legion/test_fusion.py \
     tests/integration
 
+echo "== end-to-end bench smoke (bench/run.py: four workloads, every check on) =="
+# bench/run.py is the harness for performance claims (BENCHMARK.json);
+# the smoke run and the self-test write only under the ignored
+# bench/out/ and exit non-zero on a failed correctness check, a digest
+# or modeled-time mismatch across processes, or a broken tracer.
+python3 bench/run.py --smoke > /dev/null
+python3 bench/run.py --selftest > /dev/null
+
 echo "== fusion bench smoke (fused vs unfused, writes BENCH_fusion.json) =="
 python scripts/bench.py --output BENCH_fusion.json > /dev/null
 

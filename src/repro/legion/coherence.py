@@ -15,7 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.geometry import Rect, RectSet
+
+# The hull of a memory that holds nothing: it overlaps no query.
+_NO_LO = np.iinfo(np.int64).max
+_NO_HI = np.iinfo(np.int64).min
+# A fresh index's slots, copied per region: a node's worth of memories
+# fits without growing, and most regions never see more.
+_FRESH_LO = np.full(8, _NO_LO)
+_FRESH_HI = np.full(8, _NO_HI)
 
 
 def _disjoint(a: Rect, b: Rect) -> bool:
@@ -28,11 +38,100 @@ def _disjoint(a: Rect, b: Rect) -> bool:
     return bhi[1] <= alo[1] or ahi[1] <= blo[1]
 
 
+def _covers(a: Rect, b: Rect) -> bool:
+    """Allocation-free containment check: every point of ``b`` is in ``a``."""
+    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
+    if blo[0] < alo[0] or ahi[0] < bhi[0]:
+        return False
+    return len(alo) == 1 or (alo[1] <= blo[1] and bhi[1] <= ahi[1])
+
+
 @dataclass
 class ValidPiece:
     """One valid rect with its availability time."""
     rect: Rect
     ready_time: float
+
+
+class _HullIndex:
+    """Leading-dimension hull ``[lo, hi)`` of each memory's valid pieces.
+
+    One slot per memory, handed out in the order memories enter
+    :attr:`RegionCoherence.valid`; a dropped memory's slot is left
+    behind empty until the next growth squeezes it out, and a memory
+    that comes back takes a fresh slot at the end.  Ascending slot
+    order is therefore ``valid``'s insertion order, so one vectorised
+    comparison answers "which memories can hold a piece overlapping
+    this rect, in the order a full scan would visit them".  Every slot
+    no live memory owns carries the empty hull.
+    """
+
+    __slots__ = ("slot", "uids", "lo", "hi")
+
+    def __init__(self) -> None:
+        self.slot: Dict[int, int] = {}  # live memory uid -> slot
+        self.uids: List[int] = []  # slot -> memory uid
+        self.lo = _FRESH_LO.copy()  # int64 per slot
+        self.hi = _FRESH_HI.copy()
+
+    def add(self, uid: int) -> None:
+        """Give a memory entering ``valid`` the next slot (empty hull)."""
+        if len(self.uids) == len(self.lo):
+            self._grow()
+        self.slot[uid] = len(self.uids)
+        self.uids.append(uid)
+
+    def _grow(self) -> None:
+        # ``slot`` is in ``valid``'s order: renumbering the live
+        # memories 0..n-1 keeps their relative rank.
+        live = np.fromiter(self.slot.values(), np.int64, len(self.slot))
+        lo = np.empty(max(len(self.lo), 2 * len(live)), np.int64)
+        hi = np.empty(len(lo), np.int64)
+        lo.fill(_NO_LO)
+        hi.fill(_NO_HI)
+        lo[: len(live)] = self.lo[live]
+        hi[: len(live)] = self.hi[live]
+        self.lo, self.hi = lo, hi
+        self.uids = list(self.slot)
+        self.slot = {uid: s for s, uid in enumerate(self.uids)}
+
+    def drop(self, uid: int) -> None:
+        """A memory left ``valid``: vacate its slot."""
+        slot = self.slot.pop(uid)
+        self.lo[slot] = _NO_LO
+        self.hi[slot] = _NO_HI
+
+    def set(self, uid: int, pieces: List[ValidPiece]) -> None:
+        """Re-derive a memory's hull from its (replaced) piece list."""
+        lo, hi = _NO_LO, _NO_HI
+        for piece in pieces:
+            rect = piece.rect
+            if rect.lo[0] < lo:
+                lo = rect.lo[0]
+            if rect.hi[0] > hi:
+                hi = rect.hi[0]
+        slot = self.slot[uid]
+        self.lo[slot] = lo
+        self.hi[slot] = hi
+
+    def widen(self, uid: int, rect: Rect) -> None:
+        """A piece was appended to a memory's list."""
+        slot = self.slot[uid]
+        if rect.lo[0] < self.lo[slot]:
+            self.lo[slot] = rect.lo[0]
+        if rect.hi[0] > self.hi[slot]:
+            self.hi[slot] = rect.hi[0]
+
+    def reset(self) -> None:
+        """Every memory's list was emptied (ranks stay)."""
+        self.lo[:] = _NO_LO
+        self.hi[:] = _NO_HI
+
+    def overlapping(self, rect: Rect) -> List[int]:
+        """Memories whose hull meets ``rect``'s, in ``valid``'s order."""
+        hits = (self.lo < rect.hi[0]) & (self.hi > rect.lo[0])
+        uids = self.uids
+        return [uids[s] for s in hits.nonzero()[0].tolist()]
 
 
 @dataclass
@@ -45,11 +144,42 @@ class RegionCoherence:
     # is not valid in the reading memory are *stale* — the independent
     # assertion validation mode checks after staging (repro.analysis).
     written: RectSet = field(default_factory=RectSet)
+    # Pruning filter over ``valid`` for the queries that would otherwise
+    # visit every memory; the piece lists stay the source of truth.
+    # Kept in step at every point that adds or drops a ``valid`` key or
+    # replaces a piece list.
+    _index: _HullIndex = field(
+        default_factory=_HullIndex, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     def pieces(self, memory_uid: int) -> List[ValidPiece]:
-        """A memory's valid pieces (created on demand)."""
-        return self.valid.setdefault(memory_uid, [])
+        """A memory's valid pieces (created on demand).
+
+        Creating the entry on a mere read is load-bearing: it fixes the
+        memory's rank in ``valid`` -- the order sources are tried in --
+        at its first touch rather than at its first write.
+        """
+        lst = self.valid.get(memory_uid)
+        if lst is None:
+            lst = self.valid[memory_uid] = []
+            self._index.add(memory_uid)
+        return lst
+
+    def _store(self, memory_uid: int, pieces: List[ValidPiece]) -> None:
+        """Replace a present memory's piece list; re-derive its hull."""
+        self.valid[memory_uid] = pieces
+        self._index.set(memory_uid, pieces)
+
+    def holders(self, rect: Rect) -> List[int]:
+        """Memories that may hold a piece overlapping ``rect``.
+
+        In ``valid``'s insertion order.  Every piece of a memory left
+        out is disjoint from ``rect`` (in the leading dimension
+        already), so a scan of ``valid`` that skips such pieces may
+        visit these memories alone.
+        """
+        return self._index.overlapping(rect)
 
     def valid_set(self, memory_uid: int) -> RectSet:
         """A memory's valid rects as a RectSet."""
@@ -59,8 +189,15 @@ class RegionCoherence:
         """Sub-rects of ``needed`` that are not valid in ``memory_uid``."""
         if needed.is_empty():
             return []
+        pieces = self.pieces(memory_uid)
+        # The steady state: one piece (the memory's own tile) holds all
+        # of ``needed``, and the subtraction below would whittle it to
+        # nothing one allocated remainder at a time.
+        for piece in pieces:
+            if _covers(piece.rect, needed):
+                return []
         remaining = [needed]
-        for piece in self.pieces(memory_uid):
+        for piece in pieces:
             # Pieces disjoint from ``needed`` cannot intersect any
             # remainder of it; skipping them leaves ``remaining``
             # identical (subtract would return each rect unchanged).
@@ -92,10 +229,12 @@ class RegionCoherence:
         """
         remaining = [rect]
         fragments: List[Tuple[int, Rect, float]] = []
-        for mem_uid, pieces in self.valid.items():
-            if mem_uid == exclude or not remaining:
+        for mem_uid in self.holders(rect):
+            if mem_uid == exclude:
                 continue
-            for piece in pieces:
+            if not remaining:
+                break
+            for piece in self.valid[mem_uid]:
                 # Every remainder is inside ``rect``: a piece disjoint
                 # from it contributes no fragment and leaves
                 # ``remaining`` unchanged.
@@ -128,7 +267,7 @@ class RegionCoherence:
             for leftover in piece.rect.subtract(rect):
                 out.append(ValidPiece(leftover, piece.ready_time))
         out.append(ValidPiece(rect, time))
-        self.valid[memory_uid] = out
+        self._store(memory_uid, out)
 
     def stale(self, memory_uid: int, rect: Rect) -> List[Rect]:
         """Pieces of ``rect`` written somewhere but not valid here.
@@ -146,7 +285,7 @@ class RegionCoherence:
         if rect.is_empty():
             return
         self.written.add(rect)
-        for mem_uid in list(self.valid.keys()):
+        for mem_uid in self.holders(rect):
             if mem_uid == memory_uid:
                 continue
             pieces = self.valid[mem_uid]
@@ -164,7 +303,7 @@ class RegionCoherence:
                 for leftover in piece.rect.subtract(rect):
                     out.append(ValidPiece(leftover, piece.ready_time))
             if out is not None:
-                self.valid[mem_uid] = out
+                self._store(mem_uid, out)
         self.mark_valid(memory_uid, rect, time)
 
     def write_complete(self, writes: List[Tuple[int, Rect, float]]) -> None:
@@ -185,6 +324,7 @@ class RegionCoherence:
         valid = self.valid
         for mem_uid in valid:
             valid[mem_uid] = []
+        self._index.reset()
         # Tiles of one disjoint partition: the batched written-set union
         # skips tile-vs-tile subtracts (identical outcome, O(n) not
         # O(n^2) — fresh regions pay the full scan on every first write
@@ -193,8 +333,9 @@ class RegionCoherence:
         for mem_uid, rect, t in writes:
             lst = valid.get(mem_uid)
             if lst is None:
-                lst = valid[mem_uid] = []
+                lst = self.pieces(mem_uid)
             lst.append(ValidPiece(rect, t))
+            self._index.widen(mem_uid, rect)
 
     def invalidate(self, memory_uid: int, rect: Optional[Rect] = None) -> None:
         """Drop one memory's validity (all of it, or just ``rect``).
@@ -205,7 +346,8 @@ class RegionCoherence:
         be re-justified by copies (or flagged stale).
         """
         if rect is None:
-            self.valid.pop(memory_uid, None)
+            if self.valid.pop(memory_uid, None) is not None:
+                self._index.drop(memory_uid)
             return
         pieces = self.valid.get(memory_uid)
         if not pieces:
@@ -217,7 +359,7 @@ class RegionCoherence:
                 continue
             for leftover in piece.rect.subtract(rect):
                 out.append(ValidPiece(leftover, piece.ready_time))
-        self.valid[memory_uid] = out
+        self._store(memory_uid, out)
 
     def only_copy(self, memory_uid: int, rect: Rect) -> RectSet:
         """Written pieces of ``rect`` whose *only* valid copy is here.
@@ -229,12 +371,16 @@ class RegionCoherence:
         dirty = self.written.intersect_rect(rect).intersect(
             self.valid_set(memory_uid)
         )
-        for mem_uid in self.valid:
-            if mem_uid == memory_uid or dirty.is_empty():
-                continue
-            dirty = dirty.subtract(self.valid_set(mem_uid))
+        # ``dirty`` lies inside ``rect``: a memory holding nothing that
+        # overlaps ``rect`` would subtract nothing.
+        for mem_uid in self.holders(rect):
+            if dirty.is_empty():
+                break
+            if mem_uid != memory_uid:
+                dirty = dirty.subtract(self.valid_set(mem_uid))
         return dirty
 
     def invalidate_all(self) -> None:
         """Forget all placement (data stays exact)."""
         self.valid.clear()
+        self._index = _HullIndex()

@@ -219,16 +219,16 @@ def _cover_from_cheapest(
     itemsize: int,
 ) -> List[RestoreStep]:
     """Cover ``rect`` at ``store`` from surviving copies, cheapest first."""
-    # Rank every memory holding any validity by the modeled cost of one
-    # element's transfer to the store; the greedy cover then prefers
-    # e.g. an intra-node sysmem or NVLink-reachable framebuffer over a
-    # NIC hop to a remote replica.
+    # Rank every memory that may hold part of ``rect`` by the modeled
+    # cost of one element's transfer to the store; the greedy cover
+    # then prefers e.g. an intra-node sysmem or NVLink-reachable
+    # framebuffer over a NIC hop to a remote replica.
     candidates = []
-    for mem_uid, pieces in coh.valid.items():
-        if mem_uid == store.uid or not pieces:
+    for mem_uid in coh.holders(rect):
+        if mem_uid == store.uid:
             continue
         cost = transfer_cost(machine, memory_by_uid(mem_uid), store, itemsize)
-        candidates.append((cost, mem_uid, pieces))
+        candidates.append((cost, mem_uid, coh.valid[mem_uid]))
     candidates.sort(key=lambda c: (c[0], c[1]))
     remaining = [rect]
     steps: List[RestoreStep] = []

@@ -271,6 +271,7 @@ class Runtime:
             inflight_window=self.config.inflight_pool_window,
         )
         self._coherence: Dict[int, RegionCoherence] = {}
+        self._memories = {mem.uid: mem for mem in self.machine.memories}
         # Advisor capture (repro.analysis.plan.PlanTrace): when set, task
         # launches, fills, region creates/frees and library notes are
         # recorded; in deferred mode launches are skipped entirely.
@@ -1713,10 +1714,7 @@ class Runtime:
         return self.mem_scale_by_extent.get(region.shape[0])
 
     def _memory_by_uid(self, uid: int) -> Memory:
-        for mem in self.machine.memories:
-            if mem.uid == uid:
-                return mem
-        raise KeyError(uid)
+        return self._memories[uid]
 
     # ------------------------------------------------------------------
     # Scalar allreduce

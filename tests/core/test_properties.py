@@ -13,9 +13,13 @@ from repro.legion import Runtime, RuntimeConfig
 from repro.legion.runtime import runtime_scope
 from repro.machine import ProcessorKind, laptop
 
+# derandomize: examples are a function of the test body alone, and the
+# ``.hypothesis/`` example database is neither read nor written, so a
+# tier-1 run gives the same verdict in every checkout.
 _SETTINGS = dict(
     max_examples=25,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
@@ -201,7 +205,16 @@ class TestRuntimeInvariants:
             with runtime_scope(runtime):
                 A = sp.csr_matrix(mat)
                 results.append((A @ rnp.array(x)).to_numpy())
-        np.testing.assert_allclose(results[0], results[1], rtol=1e-12)
+        # The generated CSR kernel takes row sums as differences of one
+        # running sum per tile, so a row's rounding error scales with
+        # the running total up to it (which moves with the tile offset),
+        # not with |y|: a cancelling row defeats any relative tolerance.
+        # Bound the difference norm-wise instead -- k terms of running
+        # magnitude S carry at most ~k*eps*S of error per run.
+        absrow = abs(mat) @ np.abs(x)
+        terms = 2 * np.cumsum(np.diff(mat.indptr)) + 1
+        bound = terms * np.finfo(np.float64).eps * np.cumsum(absrow)
+        assert (np.abs(results[0] - results[1]) <= bound).all()
 
     @settings(**_SETTINGS)
     @given(mat=scipy_matrices(max_n=16), rt=runtimes())
