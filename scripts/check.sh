@@ -11,6 +11,10 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
 
+# Driver payloads land in the ignored artifacts/ directory (CI uploads
+# them from there): the gate never rewrites a committed BENCH_*.json.
+mkdir -p artifacts
+
 echo "== ruff =="
 if command -v ruff >/dev/null 2>&1; then
     ruff check src tests
@@ -38,10 +42,10 @@ echo "== end-to-end bench smoke (bench/run.py: four workloads, every check on) =
 python3 bench/run.py --smoke > /dev/null
 python3 bench/run.py --selftest > /dev/null
 
-echo "== fusion bench smoke (fused vs unfused, writes BENCH_fusion.json) =="
-python scripts/bench.py --output BENCH_fusion.json > /dev/null
+echo "== fusion bench smoke (fused vs unfused, writes artifacts/BENCH_fusion.json) =="
+python scripts/bench.py --output artifacts/BENCH_fusion.json > /dev/null
 
-echo "== kernel fusion smoke (merge verdicts + BENCH_fusion.json payload) =="
+echo "== kernel fusion smoke (merge verdicts + artifacts/BENCH_fusion.json payload) =="
 # The demo proves at least one merge-safe group executes as one loop
 # nest with bitwise-identical results (it exits non-zero otherwise).
 python examples/kernel_fusion_demo.py --k 12 --maxiter 2 > /dev/null
@@ -58,7 +62,7 @@ printf '%s\n' "$advise_out" | grep -q "kernel-merge-applied" || {
 # on modeled compute, bitwise-identically, for both figures.
 python - <<'PYEOF'
 import json
-with open("BENCH_fusion.json") as fh:
+with open("artifacts/BENCH_fusion.json") as fh:
     payload = json.load(fh)
 for key in ("fig9_cg", "fig10_gmg"):
     pair = payload[key]
@@ -78,8 +82,8 @@ echo "== host-overhead smoke (fast path on vs off at summit:64) =="
 python scripts/overhead.py --smoke \
     --output BENCH_runtime_overhead.smoke.json > /dev/null
 
-echo "== chaos bench smoke (fault schedules vs baseline, writes BENCH_chaos.json) =="
-python scripts/chaos.py --output BENCH_chaos.json > /dev/null
+echo "== chaos bench smoke (fault schedules vs baseline, writes artifacts/BENCH_chaos.json) =="
+python scripts/chaos.py --output artifacts/BENCH_chaos.json > /dev/null
 
 echo "== chaos soak smoke (seeded multi-fault schedules, writes BENCH_soak.smoke.json) =="
 # A small seeded soak: the driver exits non-zero if any scenario breaks
@@ -105,14 +109,14 @@ print(
 )
 PYEOF
 
-echo "== serve bench smoke (multi-tenant serving, writes BENCH_serve.json) =="
+echo "== serve bench smoke (multi-tenant serving, writes artifacts/BENCH_serve.json) =="
 # Small tenant counts; the driver exits non-zero unless batched results
 # are bitwise-identical to per-request execution, batching strictly
 # reduces modeled launch overhead, and backends agree on served bits.
-python scripts/serve.py --smoke --output BENCH_serve.json > /dev/null
+python scripts/serve.py --smoke --output artifacts/BENCH_serve.json > /dev/null
 python - <<'PYEOF'
 import json
-with open("BENCH_serve.json") as fh:
+with open("artifacts/BENCH_serve.json") as fh:
     payload = json.load(fh)
 assert len(payload["scaling"]) >= 3, "serve: fewer than 3 tenant counts"
 bat = payload["batching"]
@@ -128,11 +132,10 @@ print(
 )
 PYEOF
 
-echo "== format bench smoke (CSR vs advised format, writes BENCH_format.json) =="
-python scripts/format.py --output BENCH_format.json > /dev/null
+echo "== format bench smoke (CSR vs advised format, writes artifacts/BENCH_format.json) =="
+python scripts/format.py --output artifacts/BENCH_format.json > /dev/null
 
 echo "== profile smoke (fig9 CG under REPRO_PROFILE=1, trace artifacts) =="
-mkdir -p artifacts
 REPRO_PROFILE=1 python -m repro.harness.experiments.fig9_cg \
     --columns 2 --profile artifacts/fig9_cg.trace.json > /dev/null
 # The exported Chrome trace must be well-formed JSON in the trace-event

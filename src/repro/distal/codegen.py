@@ -88,6 +88,33 @@ def clear_compile_cache() -> None:
     _COMPILE_STATS["misses"] = 0
 
 
+def segment_sums(
+    contrib: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Per-row sums along the last axis of ``contrib`` — the one row
+    reduction every generated gather kernel shares (injected into the
+    exec'd namespace, like ``_OPS`` for nests).
+
+    Row ``r`` owns ``contrib[..., starts[r] : starts[r] + counts[r]]`` and
+    rows tile the axis back to back, so the non-empty rows' starts are
+    exactly ``np.add.reduceat``'s boundaries; empty rows come back zero.
+    ``reduceat`` sums each segment on its own, ``seg[0] +
+    pairwise(seg[1:])``, lane by lane over any leading axis, hence: a
+    row's error is at most ``nnz_row * eps * (|A||x|)_row``; its bits
+    depend on that row alone (``procs=1 == procs=N``, ELL/SELL/HYB ==
+    CSR); and a stacked SpMM column is bit-for-bit the lone SpMV.
+    """
+    live = counts > 0
+    sums = np.add.reduceat(
+        contrib, starts.compress(live), axis=-1, dtype=contrib.dtype
+    )
+    if sums.shape[-1] == counts.shape[0]:
+        return sums
+    out = np.zeros(contrib.shape[:-1] + counts.shape, dtype=contrib.dtype)
+    out[..., live] = sums
+    return out
+
+
 def _flop_factor() -> str:
     """Complex arithmetic costs ~4x real (expression used inside costs)."""
     return "(4.0 if np.iscomplexobj(vals) else 1.0)"
@@ -112,14 +139,8 @@ def kernel(ctx):
     lo = pos[rlo:rhi, 0]
     hi = pos[rlo:rhi, 1]
     jlo = int(lo[0]); jhi = int(hi[-1])
-    if jhi <= jlo:
-        y[rlo:rhi] = 0
-        return
-    contrib = vals[jlo:jhi] * x[crd[jlo:jhi]]
-    csum = np.empty(contrib.shape[0] + 1, dtype=contrib.dtype)
-    csum[0] = 0
-    np.cumsum(contrib, out=csum[1:])
-    y[rlo:rhi] = csum[hi - jlo] - csum[lo - jlo]
+    contrib = vals[jlo:jhi] * x.take(crd[jlo:jhi])
+    y[rlo:rhi] = segment_sums(contrib, lo - jlo, hi - lo)
 
 
 def cost(ctx):
@@ -189,7 +210,12 @@ def _template_csr_spmm(kind: ProcessorKind) -> Tuple[str, list, list]:
     reshape = "rows * 8.0 if ctx.config.local_reshape_penalty else 0.0"
     source = f'''
 def kernel(ctx):
-    """Y(i,k) = A(i,j) * X(j,k) with A in CSR; row-split."""
+    """Y(i,k) = A(i,j) * X(j,k) with A in CSR; row-split.
+
+    Contributions are laid out (k, nnz) so each column reduces along
+    the contiguous non-zero axis; only the shard's image of X (its
+    ctx rect) is transposed, never the global array.
+    """
     pos = ctx.arrays["pos"]; crd = ctx.arrays["crd"]
     vals = ctx.arrays["vals"]; X = ctx.arrays["X"]; Y = ctx.arrays["Y"]
     pr = ctx.rects["pos"]
@@ -199,14 +225,10 @@ def kernel(ctx):
     lo = pos[rlo:rhi, 0]
     hi = pos[rlo:rhi, 1]
     jlo = int(lo[0]); jhi = int(hi[-1])
-    if jhi <= jlo:
-        Y[rlo:rhi, :] = 0
-        return
-    contrib = vals[jlo:jhi, None] * X[crd[jlo:jhi], :]
-    csum = np.empty((contrib.shape[0] + 1, contrib.shape[1]), dtype=contrib.dtype)
-    csum[0] = 0
-    np.cumsum(contrib, axis=0, out=csum[1:])
-    Y[rlo:rhi, :] = csum[hi - jlo] - csum[lo - jlo]
+    xr = ctx.rects["X"]
+    xlo = xr.lo[0]
+    contrib = vals[jlo:jhi] * X[xlo : xr.hi[0]].T.take(crd[jlo:jhi] - xlo, axis=1)
+    Y[rlo:rhi, :] = segment_sums(contrib, lo - jlo, hi - lo).T
 
 
 def cost(ctx):
@@ -247,9 +269,13 @@ def kernel(ctx):
     jlo = int(lo[0]); jhi = int(hi[-1])
     if jhi <= jlo:
         return
+    k = X.shape[1]
     rows = np.repeat(np.arange(rlo, rhi), hi - lo)
-    contrib = vals[jlo:jhi, None] * X[rows, :]
-    np.add.at(Y, crd[jlo:jhi], contrib)
+    contrib = vals[jlo:jhi, None] * X.take(rows, axis=0)
+    # Flat 1-D scatter (ufunc.at's fast path); per output element the
+    # additions happen in the same non-zero order as a 2-D add.at.
+    flat = crd[jlo:jhi, None] * k + np.arange(k)
+    np.add.at(Y.reshape(-1), flat.reshape(-1), contrib.reshape(-1))
 
 
 def cost(ctx):
@@ -294,7 +320,7 @@ def kernel(ctx):
     rows = np.repeat(np.arange(rlo, rhi), hi - lo)
     cols = crd[jlo:jhi]
     out[jlo:jhi] = vals[jlo:jhi] * np.einsum(
-        "nk,nk->n", C[rows, :], D[cols, :]
+        "nk,nk->n", C.take(rows, axis=0), D.take(cols, axis=0)
     )
 
 
@@ -337,13 +363,7 @@ def kernel(ctx):
     lo = pos[rlo:rhi, 0]
     hi = pos[rlo:rhi, 1]
     jlo = int(lo[0]); jhi = int(hi[-1])
-    if jhi <= jlo:
-        y[rlo:rhi] = 0
-        return
-    csum = np.empty(jhi - jlo + 1, dtype=vals.dtype)
-    csum[0] = 0
-    np.cumsum(vals[jlo:jhi], out=csum[1:])
-    y[rlo:rhi] = csum[hi - jlo] - csum[lo - jlo]
+    y[rlo:rhi] = segment_sums(vals[jlo:jhi], lo - jlo, hi - lo)
 
 
 def cost(ctx):
@@ -524,16 +544,10 @@ def kernel(ctx):
     lo = pos[rlo:rhi, 0]
     hi = pos[rlo:rhi, 1]
     jlo = int(lo[0]); jhi = int(hi[-1])
-    if jhi <= jlo:
-        y[rlo * R : rhi * R] = 0
-        return
     blocks = vals[jlo:jhi].reshape(-1, R, C)
-    xblk = x.reshape(-1, C)[crd[jlo:jhi]]
-    contrib = np.einsum("bij,bj->bi", blocks, xblk)
-    csum = np.empty((contrib.shape[0] + 1, R), dtype=contrib.dtype)
-    csum[0] = 0
-    np.cumsum(contrib, axis=0, out=csum[1:])
-    y[rlo * R : rhi * R] = (csum[hi - jlo] - csum[lo - jlo]).reshape(-1)
+    xblk = x.reshape(-1, C).take(crd[jlo:jhi], axis=0)
+    contrib = np.einsum("bij,bj->ib", blocks, xblk)
+    y[rlo * R : rhi * R] = segment_sums(contrib, lo - jlo, hi - lo).T.reshape(-1)
 
 
 def cost(ctx):
@@ -562,8 +576,8 @@ def kernel(ctx):
 
     Rebuilds the shard's CSR-ordered contribution stream from the
     padded lanes (row-major masking preserves ascending-column order)
-    and applies the same prefix-sum reduction as the CSR kernel, so
-    results are bitwise identical to CSR execution.
+    and reduces it with the CSR kernel's segment_sums, whose bits
+    depend on a row's contributions alone: bitwise identical to CSR.
     """
     data = ctx.arrays["data"]; cols = ctx.arrays["cols"]
     rowlen = ctx.arrays["rowlen"]; x = ctx.arrays["x"]; y = ctx.arrays["y"]
@@ -572,14 +586,9 @@ def kernel(ctx):
     if rhi <= rlo:
         return
     rl = rowlen[rlo:rhi]
-    prod = data[rlo:rhi] * x[cols[rlo:rhi]]
-    mask = np.arange(prod.shape[1])[None, :] < rl[:, None]
-    contrib = prod[mask]
-    csum = np.empty(contrib.shape[0] + 1, dtype=prod.dtype)
-    csum[0] = 0
-    np.cumsum(contrib, out=csum[1:])
-    hi = np.cumsum(rl)
-    y[rlo:rhi] = csum[hi] - csum[hi - rl]
+    prod = data[rlo:rhi] * x.take(cols[rlo:rhi])
+    contrib = prod[np.arange(prod.shape[1]) < rl[:, None]]
+    y[rlo:rhi] = segment_sums(contrib, np.cumsum(rl) - rl, rl)
 
 
 def cost(ctx):
@@ -617,7 +626,7 @@ def kernel(ctx):
     lane stream (start + k*stride).  Sigma windows and slices never
     cross row-tile boundaries, so each shard re-sorts its slots back to
     ascending original row, rebuilds the exact CSR contribution order,
-    and reduces with the same prefix-sum trick — bitwise identical to
+    and reduces it with the same segment_sums — bitwise identical to
     CSR execution.
     """
     data = ctx.arrays["data"]; cols = ctx.arrays["cols"]
@@ -632,19 +641,12 @@ def kernel(ctx):
     rl = rowlen[rlo:rhi][order]
     st = start[rlo:rhi][order]
     sd = stride[rlo:rhi][order]
-    total = int(rl.sum())
-    if total == 0:
-        y[rlo:rhi] = 0
-        return
     hi = np.cumsum(rl)
     lo = hi - rl
-    k_within = np.arange(total) - np.repeat(lo, rl)
+    k_within = np.arange(int(hi[-1])) - np.repeat(lo, rl)
     idx = np.repeat(st, rl) + k_within * np.repeat(sd, rl)
-    contrib = data[idx] * x[cols[idx]]
-    csum = np.empty(total + 1, dtype=contrib.dtype)
-    csum[0] = 0
-    np.cumsum(contrib, out=csum[1:])
-    y[rlo:rhi] = csum[hi] - csum[lo]
+    contrib = data.take(idx) * x.take(cols.take(idx))
+    y[rlo:rhi] = segment_sums(contrib, lo, rl)
 
 
 def cost(ctx):
@@ -689,7 +691,8 @@ def kernel(ctx):
     Each row's first min(len, K) entries live in the padded ELL part,
     the overflow in compressed spill ranges; both halves are stored in
     ascending-column order, so interleaving them per row rebuilds the
-    exact CSR contribution stream — bitwise identical to CSR execution.
+    exact CSR contribution stream for the same segment_sums — bitwise
+    identical to CSR execution.
     """
     data = ctx.arrays["data"]; cols = ctx.arrays["cols"]
     rowlen = ctx.arrays["rowlen"]; spos = ctx.arrays["spill_pos"]
@@ -703,14 +706,10 @@ def kernel(ctx):
     rl = rowlen[rlo:rhi]
     ell_n = np.minimum(rl, K)
     sp_n = rl - ell_n
-    total = int(rl.sum())
-    if total == 0:
-        y[rlo:rhi] = 0
-        return
     hi = np.cumsum(rl)
     lo = hi - rl
-    prod = data[rlo:rhi] * x[cols[rlo:rhi]]
-    contrib = np.empty(total, dtype=prod.dtype)
+    prod = data[rlo:rhi] * x.take(cols[rlo:rhi])
+    contrib = np.empty(int(hi[-1]), dtype=prod.dtype)
     lanes = np.arange(K)[None, :]
     mask = lanes < ell_n[:, None]
     contrib[(lo[:, None] + lanes)[mask]] = prod[mask]
@@ -719,12 +718,9 @@ def kernel(ctx):
         k_within = np.arange(nsp) - np.repeat(np.cumsum(sp_n) - sp_n, sp_n)
         idx = np.repeat(spos[rlo:rhi, 0], sp_n) + k_within
         contrib[np.repeat(lo + ell_n, sp_n) + k_within] = (
-            svals[idx] * x[scrd[idx]]
+            svals.take(idx) * x.take(scrd.take(idx))
         )
-    csum = np.empty(total + 1, dtype=contrib.dtype)
-    csum[0] = 0
-    np.cumsum(contrib, out=csum[1:])
-    y[rlo:rhi] = csum[hi] - csum[lo]
+    y[rlo:rhi] = segment_sums(contrib, lo, rl)
 
 
 def cost(ctx):
@@ -824,7 +820,7 @@ def generate(
         issues = lint_all(statement, schedule, spec)
         if issues:
             raise DistalLintError(issues)
-    namespace = _compile(name, source)
+    namespace = _compile(name, source, env={"segment_sums": segment_sums})
     spec.kernel = namespace["kernel"]
     spec.cost = namespace["cost"]
     return spec

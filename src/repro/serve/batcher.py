@@ -7,15 +7,19 @@ right-hand sides into one ``(n, k)`` operand and issues a single
 multi-vector launch — ``Y(i,k) = A(i,j) * X(j,k)`` — then splits the
 result columns back per request.  One launch overhead instead of ``k``.
 
-**Bitwise identity.**  The CSR SpMM kernel accumulates each output
-column with exactly the sequential per-row segmented sum the SpMV
-kernel uses (``np.cumsum`` along the nonzero axis, independent per
-column), over the same row-split shard boundaries (both align the
-output with ``pos``).  Column ``k`` of the batched result is therefore
-bit-for-bit the vector the per-request launch would have produced —
-enforced by property tests over random request mixes
-(``tests/serve/test_batcher.py``) and by the serve bench's sha256
-comparison.
+**Bitwise identity.**  The CSR SpMM kernel reduces each output column
+through the same per-row segmented sum the SpMV kernel calls
+(:func:`repro.distal.codegen.segment_sums`: ``np.add.reduceat`` along
+the non-zero axis of a ``(k, nnz)`` contribution block).  Per (row,
+column) that is ``seg[0] + pairwise(seg[1:])`` over exactly the products
+the lone SpMV forms, and a row's bits depend on that row alone — not on
+the stacked width, not on the shard boundaries.  Column ``k`` of the
+batched result is therefore bit-for-bit the vector the per-request
+launch would have produced, with a per-row error of at most
+``nnz_row * eps * (|A||x|)_row`` either way — enforced by property tests
+over random request mixes (``tests/serve/test_batcher.py``), by
+``tests/distal/test_segment_sums.py`` for k in {2, 4, 8}, and by the
+serve bench's sha256 comparison.
 
 **Legality.**  Requests batch only when every column means the same
 thing to the kernel:

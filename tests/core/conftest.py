@@ -27,3 +27,8 @@ def random_scipy_csr(n, m, density=0.2, seed=0, dtype=np.float64):
         mat = mat.astype(np.complex128)
         mat.data = mat.data * (1 + 0.5j)
     return mat
+
+
+def tiling_blocksize(shape):
+    """The largest BSR (R, C) with R, C <= 3 that tiles ``shape``."""
+    return tuple(next(b for b in (3, 2, 1) if n % b == 0) for n in shape)

@@ -75,7 +75,7 @@ class TestCodegen:
             "y(i)=A(i,j)*x(j)", CSR, ProcessorKind.GPU
         )
         assert "def kernel" in spec.source
-        assert "cumsum" in spec.source
+        assert "segment_sums(contrib" in spec.source
 
     def test_unsupported_statement_raises(self):
         i = IndexVar("i")
