@@ -2,7 +2,7 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: test validate check lint advise autoformat bench bench-e2e \
-	bench-smoke chaos soak profile kernel-fusion overhead serve
+	bench-smoke bench-pairs chaos soak profile kernel-fusion overhead serve
 
 test:
 	python -m pytest -x -q
@@ -51,6 +51,17 @@ bench-e2e:
 bench-smoke:
 	python3 bench/run.py --smoke
 	python3 bench/run.py --selftest
+
+# The evidence for a host-time claim: PAIRS alternating runs of one
+# workload on the PARENT commit (git-archived into artifacts/parent/)
+# and on the working tree, with the median / quartiles / wins table of
+# choosing-metrics section 8.  Ten pairs of cg_wide take about 8 minutes.
+PARENT ?= HEAD~1
+WORKLOAD ?= cg_wide
+PAIRS ?= 10
+SEED ?= 0
+bench-pairs:
+	sh scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # Fusion benchmark: merged vs replay vs unfused CG + GMG, writes
 # BENCH_fusion.json and fails if fusion saves < 30% of launches, if no

@@ -436,11 +436,8 @@ def _image_cached(con: Image, src_part: Partition, exact: bool, cache):
         img.crd_partition = src_part
         img.exact = bool(exact)
         img._rects = list(rects)
-        img._pieces = [list(p) for p in pieces]
+        img._pieces = pieces
         return img
     img = ImageByCoordinate(source, src_part, dest, exact=exact)
-    cache.put(
-        key,
-        (tuple(img._rects), tuple(tuple(p) for p in img._pieces)),
-    )
+    cache.put(key, (tuple(img._rects), tuple(img._pieces)))
     return img

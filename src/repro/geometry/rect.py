@@ -8,32 +8,61 @@ at most ``2 * ndim`` disjoint pieces (guillotine decomposition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.geometry.interval import Interval
 
 
-@dataclass(frozen=True)
 class Rect:
-    """Half-open axis-aligned box ``[lo[d], hi[d])`` per dimension."""
+    """Half-open axis-aligned box ``[lo[d], hi[d])`` per dimension.
+
+    Immutable and hashable: equal to another ``Rect`` with the same
+    bounds, hashed as the tuple ``(lo, hi)``.  Emptiness and volume are
+    fixed at construction -- both are asked far more often than rects
+    are built (every coherence scan and instance lookup probes them).
+    """
+
+    __slots__ = ("lo", "hi", "_volume")
 
     lo: Tuple[int, ...]
     hi: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        lo, hi = self.lo, self.hi
-        if len(lo) != len(hi):
+    def __init__(self, lo: Tuple[int, ...], hi: Tuple[int, ...]) -> None:
+        ndim = len(lo)
+        if ndim != len(hi):
             raise ValueError("lo/hi dimensionality mismatch")
-        # Emptiness is queried far more often than rects are built
-        # (every coherence scan probes it); precompute once.  Not a
-        # dataclass field, so eq/hash/repr still use lo/hi only.
-        empty = False
-        for l, h in zip(lo, hi):
-            if h <= l:
-                empty = True
-                break
-        object.__setattr__(self, "_empty", empty)
+        if ndim == 1:
+            vol = hi[0] - lo[0]
+            if vol < 0:
+                vol = 0
+        else:
+            vol = 1
+            for l, h in zip(lo, hi):
+                if h <= l:
+                    vol = 0
+                    break
+                vol *= h - l
+        # The slot descriptors write past the __setattr__ guard below.
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_volume(self, vol)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: Rect is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: Rect is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.lo == other.lo and self.hi == other.hi
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __reduce__(self):
+        return (Rect, (self.lo, self.hi))
 
     @classmethod
     def from_shape(cls, shape: Tuple[int, ...]) -> "Rect":
@@ -62,16 +91,11 @@ class Rect:
 
     def is_empty(self) -> bool:
         """True when any dimension has no extent."""
-        return self._empty
+        return self._volume == 0
 
     def volume(self) -> int:
         """Number of points covered."""
-        vol = 1
-        for l, h in zip(self.lo, self.hi):
-            if h <= l:
-                return 0
-            vol *= h - l
-        return vol
+        return self._volume
 
     def axis(self, dim: int) -> Interval:
         """One dimension as an Interval."""
@@ -79,12 +103,13 @@ class Rect:
 
     def contains(self, other: "Rect") -> bool:
         """True when the other rect lies inside this one."""
-        if other.is_empty():
+        if other._volume == 0:
             return True
-        return all(
-            sl <= ol and oh <= sh
-            for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi)
-        )
+        slo, shi, olo, ohi = self.lo, self.hi, other.lo, other.hi
+        for d in range(len(slo)):
+            if olo[d] < slo[d] or shi[d] < ohi[d]:
+                return False
+        return True
 
     def contains_point(self, point: Tuple[int, ...]) -> bool:
         """True when the point lies inside."""
@@ -135,7 +160,7 @@ class Rect:
 
     def slices(self) -> Tuple[slice, ...]:
         """NumPy basic-indexing view of this rect in the parent array."""
-        return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))
+        return tuple(map(slice, self.lo, self.hi))
 
     def shift(self, offsets: Tuple[int, ...]) -> "Rect":
         """The rect translated by per-dimension offsets."""
@@ -147,6 +172,11 @@ class Rect:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dims = ",".join(f"[{l},{h})" for l, h in zip(self.lo, self.hi))
         return f"Rect({dims})"
+
+
+_set_lo = Rect.lo.__set__
+_set_hi = Rect.hi.__set__
+_set_volume = Rect._volume.__set__
 
 
 class RectSet:
@@ -161,7 +191,7 @@ class RectSet:
 
     def __init__(self, rects: Optional[Iterable[Rect]] = None):
         self._rects: List[Rect] = []
-        # Lazy membership index over _rects (Rect is frozen/hashable).
+        # Lazy membership index over _rects (Rect is immutable/hashable).
         # Re-adding a rect that is literally a member is a no-op, and
         # runtimes re-mark the same written tiles every launch — the
         # O(1) hash probe replaces an O(n) subtract scan.  Built on

@@ -46,11 +46,69 @@ def _covers(a: Rect, b: Rect) -> bool:
     return len(alo) == 1 or (alo[1] <= blo[1] and bhi[1] <= ahi[1])
 
 
+def _cut(spans, lo: int, hi: int) -> List[Tuple[int, int]]:
+    """1-D ``(lo, hi)`` spans minus the non-empty interval ``[lo, hi)``.
+
+    The integer engine: :meth:`Rect.subtract` for 1-D rects on bare
+    ints, in its order -- spans stay in sequence and a cut span's left
+    remainder comes before its right one.  Every 1-D subtraction of the
+    coherence state goes through here; a ``Rect`` is built only for a
+    remainder that is stored or returned.
+    """
+    out: List[Tuple[int, int]] = []
+    for a, b in spans:
+        if hi <= a or b <= lo:
+            out.append((a, b))
+            continue
+        if a < lo:
+            out.append((a, lo))
+        if hi < b:
+            out.append((hi, b))
+    return out
+
+
+def _span_rect(span: Tuple[int, int], whole: Rect) -> Rect:
+    """The 1-D rect of a span; ``whole`` itself when the span is all of it."""
+    if span[0] == whole.lo[0] and span[1] == whole.hi[0]:
+        return whole
+    return Rect((span[0],), (span[1],))
+
+
 @dataclass
 class ValidPiece:
     """One valid rect with its availability time."""
     rect: Rect
     ready_time: float
+
+
+def _carve(pieces: List[ValidPiece], rect: Rect) -> Optional[List[ValidPiece]]:
+    """``pieces`` with the non-empty ``rect`` cut out of each of them.
+
+    ``None`` when no piece overlaps ``rect`` (the copy would equal
+    ``pieces`` element for element).  A cut piece is replaced, at its
+    place in the order, by its remainders in :meth:`Rect.subtract`'s
+    order.
+    """
+    one_d = len(rect.lo) == 1
+    lo, hi = rect.lo[0], rect.hi[0]
+    out: Optional[List[ValidPiece]] = None
+    for idx, piece in enumerate(pieces):
+        prect = piece.rect
+        plo, phi = prect.lo[0], prect.hi[0]
+        if phi <= lo or hi <= plo or (not one_d and _disjoint(prect, rect)):
+            if out is not None:
+                out.append(piece)
+            continue
+        if out is None:
+            out = pieces[:idx]
+        t = piece.ready_time
+        if one_d:
+            for a, b in _cut(((plo, phi),), lo, hi):
+                out.append(ValidPiece(Rect((a,), (b,)), t))
+        else:
+            for leftover in prect.subtract(rect):
+                out.append(ValidPiece(leftover, t))
+    return out
 
 
 class _HullIndex:
@@ -190,9 +248,21 @@ class RegionCoherence:
         if needed.is_empty():
             return []
         pieces = self.pieces(memory_uid)
-        # The steady state: one piece (the memory's own tile) holds all
-        # of ``needed``, and the subtraction below would whittle it to
-        # nothing one allocated remainder at a time.
+        if len(needed.lo) == 1:
+            lo, hi = needed.lo[0], needed.hi[0]
+            spans = [(lo, hi)]
+            for piece in pieces:
+                prect = piece.rect
+                plo, phi = prect.lo[0], prect.hi[0]
+                if phi <= lo or hi <= plo:
+                    continue
+                spans = _cut(spans, plo, phi)
+                if not spans:
+                    break
+            return [_span_rect(span, needed) for span in spans]
+        # One piece holding all of ``needed`` is the common case, and
+        # the subtraction below would whittle it to nothing one
+        # allocated remainder at a time.
         for piece in pieces:
             if _covers(piece.rect, needed):
                 return []
@@ -219,6 +289,31 @@ class RegionCoherence:
                 t = piece.ready_time
         return t
 
+    def covered_ready(self, memory_uid: int, needed: Rect) -> Optional[float]:
+        """:meth:`ready_time`, if one valid piece holds all of ``needed``.
+
+        ``None`` otherwise (and for an empty ``needed``).  A memory's
+        pieces are pairwise disjoint, so a piece that covers ``needed``
+        is the only one overlapping it: the answer is then exactly
+        ``ready_time(memory_uid, needed)`` with ``missing(memory_uid,
+        needed) == []`` -- the steady state of section 4.3, settled in
+        one pass.  Like both, it gives ``memory_uid`` its rank in
+        ``valid`` on first touch.
+        """
+        pieces = self.pieces(memory_uid)
+        if needed.is_empty():
+            return None
+        one_d = len(needed.lo) == 1
+        lo, hi = needed.lo[0], needed.hi[0]
+        for piece in pieces:
+            prect = piece.rect
+            if prect.lo[0] <= lo and hi <= prect.hi[0] and (
+                one_d or _covers(prect, needed)
+            ):
+                t = piece.ready_time
+                return t if t > 0.0 else 0.0
+        return None
+
     def find_source(self, rect: Rect, exclude: int) -> List[Tuple[int, Rect, float]]:
         """Cover ``rect`` with valid pieces from other memories.
 
@@ -227,28 +322,45 @@ class RegionCoherence:
         data) are silently dropped — reading uninitialized data is legal
         and transfers nothing.
         """
-        remaining = [rect]
         fragments: List[Tuple[int, Rect, float]] = []
+        if rect.is_empty():
+            return fragments
+        one_d = len(rect.lo) == 1
+        lo, hi = rect.lo[0], rect.hi[0]
+        # What is still wanted: (lo, hi) spans of a 1-D rect, rects
+        # otherwise.
+        remaining: list = [(lo, hi)] if one_d else [rect]
         for mem_uid in self.holders(rect):
             if mem_uid == exclude:
                 continue
             if not remaining:
                 break
             for piece in self.valid[mem_uid]:
+                prect = piece.rect
+                plo, phi = prect.lo[0], prect.hi[0]
                 # Every remainder is inside ``rect``: a piece disjoint
                 # from it contributes no fragment and leaves
                 # ``remaining`` unchanged.
-                if _disjoint(piece.rect, rect):
+                if phi <= lo or hi <= plo:
                     continue
-                nxt: List[Rect] = []
-                for want in remaining:
-                    part = want.intersect(piece.rect)
-                    if part.is_empty():
-                        nxt.append(want)
-                    else:
-                        fragments.append((mem_uid, part, piece.ready_time))
-                        nxt.extend(want.subtract(part))
-                remaining = nxt
+                if one_d:
+                    for a, b in remaining:
+                        part = (a if a > plo else plo, b if b < phi else phi)
+                        if part[0] < part[1]:
+                            fragments.append(
+                                (mem_uid, _span_rect(part, rect), piece.ready_time)
+                            )
+                    remaining = _cut(remaining, plo, phi)
+                elif not _disjoint(prect, rect):
+                    nxt: List[Rect] = []
+                    for want in remaining:
+                        part = want.intersect(prect)
+                        if part.is_empty():
+                            nxt.append(want)
+                        else:
+                            fragments.append((mem_uid, part, piece.ready_time))
+                            nxt.extend(want.subtract(part))
+                    remaining = nxt
                 if not remaining:
                     break
         return fragments
@@ -259,15 +371,15 @@ class RegionCoherence:
         if rect.is_empty():
             return
         pieces = self.pieces(memory_uid)
-        out: List[ValidPiece] = []
-        for piece in pieces:
-            if _disjoint(piece.rect, rect):
-                out.append(piece)
-                continue
-            for leftover in piece.rect.subtract(rect):
-                out.append(ValidPiece(leftover, piece.ready_time))
-        out.append(ValidPiece(rect, time))
-        self._store(memory_uid, out)
+        out = _carve(pieces, rect)
+        if out is None:
+            # Nothing to cut (staged data is by definition not yet
+            # valid here): the list grows in place.
+            pieces.append(ValidPiece(rect, time))
+            self._index.widen(memory_uid, rect)
+        else:
+            out.append(ValidPiece(rect, time))
+            self._store(memory_uid, out)
 
     def stale(self, memory_uid: int, rect: Rect) -> List[Rect]:
         """Pieces of ``rect`` written somewhere but not valid here.
@@ -288,20 +400,9 @@ class RegionCoherence:
         for mem_uid in self.holders(rect):
             if mem_uid == memory_uid:
                 continue
-            pieces = self.valid[mem_uid]
-            # Rebuild lazily: a list no piece of which overlaps the
-            # written rect is kept as-is (the rebuild would reproduce
-            # it element for element).
-            out: Optional[List[ValidPiece]] = None
-            for idx, piece in enumerate(pieces):
-                if _disjoint(piece.rect, rect):
-                    if out is not None:
-                        out.append(piece)
-                    continue
-                if out is None:
-                    out = pieces[:idx]
-                for leftover in piece.rect.subtract(rect):
-                    out.append(ValidPiece(leftover, piece.ready_time))
+            # A list no piece of which overlaps the written rect is
+            # kept as-is.
+            out = _carve(self.valid[mem_uid], rect)
             if out is not None:
                 self._store(mem_uid, out)
         self.mark_valid(memory_uid, rect, time)
@@ -350,16 +451,11 @@ class RegionCoherence:
                 self._index.drop(memory_uid)
             return
         pieces = self.valid.get(memory_uid)
-        if not pieces:
+        if not pieces or rect.is_empty():
             return
-        out: List[ValidPiece] = []
-        for piece in pieces:
-            if _disjoint(piece.rect, rect):
-                out.append(piece)
-                continue
-            for leftover in piece.rect.subtract(rect):
-                out.append(ValidPiece(leftover, piece.ready_time))
-        self._store(memory_uid, out)
+        out = _carve(pieces, rect)
+        if out is not None:
+            self._store(memory_uid, out)
 
     def only_copy(self, memory_uid: int, rect: Rect) -> RectSet:
         """Written pieces of ``rect`` whose *only* valid copy is here.

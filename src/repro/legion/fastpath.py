@@ -1,17 +1,11 @@
 """Host-side fast path: caches and batched analyses for the runtime.
 
 The simulated runtime is numerically exact but pays real host CPU for
-every launch: per-color coherence rebuilds, instance-store scans and
-constraint solves are Python loops whose cost dwarfs the *modeled* time
-at scale (BENCH_runtime_overhead.json measures the gap).  This module
-holds the machinery ``RuntimeConfig.fastpath`` turns on:
+every launch: per-color coherence rebuilds and constraint solves are
+Python loops whose cost dwarfs the *modeled* time at scale
+(BENCH_runtime_overhead.json measures the gap).  This module holds the
+machinery ``RuntimeConfig.fastpath`` turns on:
 
-* :class:`InstanceLookupCache` — a version-checked memo of
-  ``(memory, region, rect) -> Instance`` resolutions, so steady-state
-  mapping skips the allocation-store scan.  Every mutation that could
-  change a scan's outcome bumps :attr:`MemoryState.version`
-  (allocation, coalescing growth, eviction, spill, region free, chaos
-  memory loss), which invalidates stale entries for free.
 * :func:`eligible_write_reqs` — the batched-write legality check: a
   launch whose write requirement tiles its region disjointly (and whose
   region no other requirement touches) may defer all per-color
@@ -21,71 +15,27 @@ holds the machinery ``RuntimeConfig.fastpath`` turns on:
 * :class:`SolveMemo` — bounded container for constraint-solve
   memoization keyed by structural signature
   (:func:`repro.constraints.solver.solve_signature`).
+* :class:`ImagePartitionCache` — image-partition geometry keyed by the
+  source region's write epoch.
+
+The per-shard mapping itself is not here and has no switch: the
+runtime's requirement-major loop (plan rows, the steady-state lane) and
+coherence's integer interval engine are the one path, flag on or off
+(docs/ARCHITECTURE.md, "Host fast path").
 
 Everything here is bitwise-neutral by construction: with
-``fastpath=False`` the runtime takes the original per-requirement
-paths, and the fast path must produce identical modeled times, event
+``fastpath=False`` the runtime writes coherence per color, solves
+afresh and recomputes images, and the fast path must produce identical modeled times, event
 logs and numerics (``tests/legion/test_fastpath.py`` proves it across
 spill, eviction, chaos loss and journal replay).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.geometry import Rect
-from repro.legion.instance import Instance
 from repro.legion.partition import Tiling
 from repro.legion.privilege import Privilege
-
-
-class InstanceLookupCache:
-    """Version-checked memo of instance resolutions per memory.
-
-    Keys are ``(memory_uid, region_uid, rect)``; values pair the
-    resolved :class:`Instance` with the owning store's version at the
-    time of resolution.  A hit whose stored version no longer matches
-    the store's current version is stale and ignored — the store's
-    contents may have changed in a way that alters the scan result
-    (a grown instance now containing the rect, a dropped instance,
-    a wiped memory).
-    """
-
-    __slots__ = ("_entries",)
-
-    # Steady-state working sets are (requirements x colors) entries; a
-    # CG iteration at 1024 colors needs a few thousand.  On overflow
-    # the cache is cleared wholesale — refill is one miss per key.
-    MAX_ENTRIES = 1 << 16
-
-    def __init__(self) -> None:
-        self._entries: Dict[
-            Tuple[int, int, Rect], Tuple[Instance, int]
-        ] = {}
-
-    def get(
-        self, key: Tuple[int, int, Rect], version: int
-    ) -> Optional[Instance]:
-        """The cached instance, or None on miss / version mismatch."""
-        entry = self._entries.get(key)
-        if entry is not None and entry[1] == version:
-            return entry[0]
-        return None
-
-    def put(
-        self, key: Tuple[int, int, Rect], inst: Instance, version: int
-    ) -> None:
-        """Record a resolution at the store's current version."""
-        if len(self._entries) >= self.MAX_ENTRIES:
-            self._entries.clear()
-        self._entries[key] = (inst, version)
-
-    def clear(self) -> None:
-        """Drop every entry (chaos memory wipes clear wholesale)."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class SolveMemo:

@@ -86,11 +86,6 @@ class MemoryState:
         self.inflight_window = int(inflight_window)
         # Logical clock stamped onto instances for LRU eviction.
         self._use_tick = 0
-        # Structural version: bumped by every mutation that could
-        # change a :meth:`find` scan's outcome (allocation, coalescing
-        # growth, drop, free, loss).  The runtime's instance lookup
-        # cache (repro.legion.fastpath) validates entries against it.
-        self.version = 0
 
     # ------------------------------------------------------------------
     @property
@@ -119,21 +114,19 @@ class MemoryState:
         assert self.used_bytes >= -1e-6
 
     # ------------------------------------------------------------------
-    def find(self, region_uid: int, rect: Rect) -> Optional[Instance]:
-        """An existing instance of the region containing ``rect``."""
-        for inst in self.instances.get(region_uid, []):
+    def use(self, region_uid: int, rect: Rect) -> Optional[Instance]:
+        """An existing instance of the region containing ``rect``.
+
+        A hit is stamped as the memory's most recent use -- the whole
+        of :meth:`ensure` when an instance already holds ``rect``; a
+        miss (``None``) leaves the LRU clock alone.
+        """
+        for inst in self.instances.get(region_uid, ()):
             if inst.rect.contains(rect):
+                self._use_tick += 1
+                inst.last_use = self._use_tick
                 return inst
         return None
-
-    def touch(self, inst: Instance) -> None:
-        """Re-stamp an instance's LRU clock, exactly as a find hit does.
-
-        The runtime's lookup cache calls this on a cache hit so the
-        eviction order matches the uncached path tick for tick.
-        """
-        self._use_tick += 1
-        inst.last_use = self._use_tick
 
     def ensure(
         self,
@@ -153,11 +146,10 @@ class MemoryState:
         scale = self.data_scale if scale is None else float(scale)
         if rect.is_empty():
             return Instance(next(_instance_uid), region_uid, rect, itemsize, scale=scale), 0, False
-        self._use_tick += 1
-        existing = self.find(region_uid, rect)
+        existing = self.use(region_uid, rect)
         if existing is not None:
-            existing.last_use = self._use_tick
             return existing, 0, False
+        self._use_tick += 1
 
         insts = self.instances.setdefault(region_uid, [])
         if self.coalescing and insts:
@@ -182,7 +174,6 @@ class MemoryState:
                     # grows in place with no data movement.
                     best.rect = hull
                     best.last_use = self._use_tick
-                    self.version += 1
                     return best, 0, False
                 grow = max(0, new_bytes - best.alloc_bytes)
                 try:
@@ -199,7 +190,6 @@ class MemoryState:
                 best.rect = hull
                 best.alloc_bytes = new_bytes
                 best.last_use = self._use_tick
-                self.version += 1
                 return best, move, False
 
         try:
@@ -207,7 +197,6 @@ class MemoryState:
         except OutOfMemoryError as exc:
             raise exc.annotate(region_uid=region_uid, rect=rect) from None
         insts.append(inst)
-        self.version += 1
         # The caller must populate a brand-new instance: any bytes of the
         # needed rect already valid in this memory (in other instances)
         # are duplicated with an intra-memory copy.
@@ -257,10 +246,7 @@ class MemoryState:
     def free_region(self, region_uid: int) -> int:
         """Recycle a region's allocations into the pool (scaled sizes)."""
         freed = 0
-        popped = self.instances.pop(region_uid, [])
-        if popped:
-            self.version += 1
-        for inst in popped:
+        for inst in self.instances.pop(region_uid, ()):
             if inst.alloc_bytes > 0:
                 self.pool.append(inst.alloc_bytes * inst.scale)
                 freed += inst.alloc_bytes
@@ -298,7 +284,6 @@ class MemoryState:
         insts.remove(inst)
         if not insts:
             del self.instances[inst.region_uid]
-        self.version += 1
         freed = inst.alloc_bytes * inst.scale
         if inst.alloc_bytes > 0:
             self._release(inst.alloc_bytes, inst.scale)
@@ -327,7 +312,6 @@ class MemoryState:
         self.instances.clear()
         self.pool.clear()
         self.used_bytes = 0.0
-        self.version += 1
 
 
 class InstanceManager:

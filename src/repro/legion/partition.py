@@ -31,19 +31,27 @@ class Partition:
     def __init__(self, region: Region, color_count: int):
         self.region = region
         self.color_count = int(color_count)
+        # Per-color pieces tuples, built on first use and handed out
+        # shared (rects are immutable; callers only iterate).
+        self._pieces_cache: dict = {}
 
     def rect(self, color: int) -> Rect:
         """The (bounding) sub-rectangle assigned to ``color``."""
         raise NotImplementedError
 
-    def pieces(self, color: int) -> List[Rect]:
+    def pieces(self, color: int) -> Tuple[Rect, ...]:
         """Disjoint sub-rects of the color (default: the bounding rect).
 
         Exact images override this so the copy engine moves only the
         referenced data, like Legion's precise image partitions.
         """
-        rect = self.rect(color)
-        return [] if rect.is_empty() else [rect]
+        cached = self._pieces_cache.get(color)
+        if cached is None:
+            rect = self.rect(color)
+            cached = self._pieces_cache[color] = (
+                () if rect.is_empty() else (rect,)
+            )
+        return cached
 
     def rects(self) -> List[Rect]:
         """All colors' rects, in color order."""
@@ -94,7 +102,7 @@ class Tiling(Partition):
         # Per-color tile rects, built on first use.  Tilings are shared
         # across launches (key-partition reuse), so memoizing here turns
         # the per-shard rect construction into a dict hit; Rect is
-        # frozen, so sharing one object per color is safe.
+        # immutable, so sharing one object per color is safe.
         self._rect_cache: dict = {}
 
     @classmethod
@@ -238,22 +246,22 @@ class ImageByCoordinate(Partition):
         self.crd_partition = crd_partition
         self.exact = exact
         self._rects = []
-        self._pieces: List[List[Rect]] = []
+        self._pieces: List[Tuple[Rect, ...]] = []
         for c in range(self.color_count):
             src = crd_partition.rect(c)
             lo, hi = src.lo[0], src.hi[0]
             vals = crd.data[lo:hi] if hi > lo else np.empty(0, np.int64)
             if vals.size == 0:
                 self._rects.append(_empty_rect(dest))
-                self._pieces.append([])
+                self._pieces.append(())
                 continue
             dlo = int(vals.min())
             dhi = int(vals.max()) + 1
             self._rects.append(_extend_rows(dest, dlo, dhi))
             if exact:
-                self._pieces.append(self._runs(vals, dest))
+                self._pieces.append(tuple(self._runs(vals, dest)))
             else:
-                self._pieces.append([self._rects[-1]])
+                self._pieces.append((self._rects[-1],))
 
     @classmethod
     def _runs(cls, vals: np.ndarray, dest: Region) -> List[Rect]:
@@ -273,9 +281,9 @@ class ImageByCoordinate(Partition):
         """The color's bounding image rect."""
         return self._rects[color]
 
-    def pieces(self, color: int) -> List[Rect]:
+    def pieces(self, color: int) -> Tuple[Rect, ...]:
         """Exact runs (or the bounding rect)."""
-        return list(self._pieces[color])
+        return self._pieces[color]
 
 
 def _empty_rect(dest: Region) -> Rect:

@@ -85,10 +85,8 @@ class Profiler:
     # Host fast path (repro.legion.fastpath): wall-clock seconds the
     # host process spent per runtime phase ("window-flush",
     # "dependence", "constraint-solve", "mapping", "event-advance") and
-    # cache hit/miss counters (lookup_hits/lookup_misses for the
-    # instance lookup cache, solve_hits/solve_misses for the
-    # constraint-solve memo, batched_writes for coherence writes
-    # applied via write_complete).  Host phases measure real time on
+    # counters (solve_hits/solve_misses for the constraint-solve memo,
+    # batched_writes for coherence writes applied via write_complete).  Host phases measure real time on
     # the machine running the simulation, not simulated time.
     host_phase_seconds: Dict[str, float] = field(
         default_factory=lambda: defaultdict(float)

@@ -47,7 +47,7 @@ from repro.legion.chaos import ChaosConfig, ChaosInjector, LossSchedule, chaos_d
 from repro.legion.coherence import RegionCoherence
 from repro.legion.exceptions import FaultError, OutOfMemoryError
 from repro.legion.future import Future
-from repro.legion.instance import Instance, InstanceManager
+from repro.legion.instance import InstanceManager
 from repro.legion.partition import Partition, Replicate, Tiling
 from repro.legion.privilege import Privilege
 from repro.legion.profiler import Profiler
@@ -150,9 +150,9 @@ class RuntimeConfig:
     # Fig. 11/12 OOM outcomes are the published result.
     spill: bool = True
     # Host-side fast path (repro.legion.fastpath): batched coherence
-    # write analysis, a version-checked instance lookup cache, memoized
-    # constraint solving by structural signature, and the deferred
-    # window's reference counts.  This trades host CPU for nothing
+    # write analysis, memoized constraint solving by structural
+    # signature, cached image geometry, and the deferred window's
+    # reference counts.  This trades host CPU for nothing
     # simulated: modeled times, event logs and numerics are
     # bitwise-identical with the flag off (the overhead bench and
     # tests/legion/test_fastpath.py enforce it).  On by default; pinned
@@ -242,6 +242,61 @@ class RuntimeConfig:
         )
         defaults.update(overrides)
         return cls(**defaults)
+
+
+class _PlanRow:
+    """One requirement of a launch, resolved once for all its colors.
+
+    The color loop of :meth:`Runtime._execute_task` visits every
+    (color, requirement) pair; whatever of a pair does not depend on
+    the color is worked out here, per launch.
+    """
+
+    __slots__ = (
+        "name", "region", "uid", "data", "rect_of", "pieces_of",
+        "privilege", "reads", "writes", "elide", "skipped", "poison",
+        "itemsize", "mem_scale", "coh",
+    )
+
+    def __init__(
+        self,
+        req: Requirement,
+        skipped: bool,
+        mem_scale: Optional[float],
+        sanitize: bool,
+        poison_discards: bool,
+    ) -> None:
+        region = req.region
+        privilege = req.privilege
+        self.name = req.name
+        self.region = region
+        self.uid = region.uid
+        self.rect_of = req.partition.rect
+        self.pieces_of = req.partition.pieces
+        self.privilege = privilege
+        self.reads = privilege.reads
+        self.writes = privilege.writes
+        self.elide = req.elide
+        # Replay of a launch journaled before the region was freed: its
+        # coherence and instances are gone and nothing downstream can
+        # read it, so the requirement is skipped physically and in the
+        # event log.
+        self.skipped = skipped
+        # Privilege sanitizer (validation): a READ argument is handed
+        # out read-only, so that writing it fails loudly instead of
+        # corrupting other shards' data, and WRITE_DISCARD rects are
+        # poisoned before the kernel runs.
+        self.data = (
+            _readonly_view(region.data)
+            if sanitize and not privilege.writes and not skipped
+            else region.data
+        )
+        self.poison = poison_discards and privilege is Privilege.WRITE_DISCARD
+        self.itemsize = region.itemsize
+        self.mem_scale = mem_scale
+        # The region's RegionCoherence, fetched by the first shard that
+        # needs it (a lookup creates the entry).
+        self.coh: Optional[RegionCoherence] = None
 
 
 class Runtime:
@@ -376,22 +431,25 @@ class Runtime:
         # (uid -> (name, itemsize)); dropped on free.
         self._region_meta: Dict[int, Tuple[str, int]] = {}
         # Host fast path (repro.legion.fastpath, RuntimeConfig.fastpath):
-        # the version-checked instance lookup cache, the constraint-solve
-        # memo consulted by AutoTask.execute, per-region-uid reference
-        # counts over the deferred window (replacing free_region's
-        # window scan), and the in-flight batched-write map (region
-        # name -> (coherence, [(mem_uid, rect, t)])) that _execute
-        # defers per-color mark_written calls into.  All None/empty
-        # when the fast path is off.
-        self._lookup_cache = (
-            _fastpath.InstanceLookupCache() if self.config.fastpath else None
-        )
+        # the image-geometry cache, the constraint-solve memo consulted
+        # by AutoTask.execute, per-region-uid reference counts over the
+        # deferred window (replacing free_region's window scan), and
+        # the in-flight batched-write map (region name -> (coherence,
+        # [(mem_uid, rect, t)])) that _execute defers per-color
+        # mark_written calls into.  All None/empty when the fast path
+        # is off.
         self._image_cache = (
             _fastpath.ImagePartitionCache() if self.config.fastpath else None
         )
         self._solve_memo = _fastpath.SolveMemo()
         self._window_refs: Dict[int, int] = {}
         self._pending_writes: Optional[dict] = None
+        # (src uid, dst uid) -> (channels, summed latency, narrowest
+        # bandwidth): a machine's channel objects and rates are fixed,
+        # so the copy engine resolves each route once.
+        self._routes: Dict[
+            Tuple[int, int], Tuple[Tuple[Any, ...], float, float]
+        ] = {}
         if self.timeline is not None:
             # Live references: save() then serializes the totals as of
             # export time without extra plumbing.
@@ -450,10 +508,10 @@ class Runtime:
         clears the journal) instead of discarding coverage.
 
         ``clear_caches=True`` additionally drops the structural caches
-        (fusion plans, generated nests, solve memo, instance/image
-        lookups).  They are keyed structurally and never leak numerics,
-        so a shared-model server keeps them warm across tenants by
-        default; a strict-isolation tenant can clear them.
+        (fusion plans, generated nests, solve memo, image geometry).
+        They are keyed structurally and never leak numerics, so a
+        shared-model server keeps them warm across tenants by default;
+        a strict-isolation tenant can clear them.
 
         Profiler counters are deliberately *not* reset — they are
         cumulative observability state; callers wanting per-program
@@ -474,8 +532,6 @@ class Runtime:
             self._fusion_cache.clear()
             self._nest_cache.clear()
             self._solve_memo.clear()
-            if self._lookup_cache is not None:
-                self._lookup_cache.clear()
             if self._image_cache is not None:
                 self._image_cache.clear()
 
@@ -617,10 +673,11 @@ class Runtime:
         (category "copy", or "spill"/"checkpoint" for those paths).
         """
         nbytes = int(nbytes * self.config.effective_comm_scale)
-        channels = self.machine.channels_between(src, dst)
-        start = max([ready] + [c.busy_until for c in channels])
-        latency = sum(c.latency for c in channels)
-        bandwidth = min(c.bandwidth for c in channels)
+        channels, latency, bandwidth = self._route(src, dst)
+        start = ready
+        for chan in channels:
+            if chan.busy_until > start:
+                start = chan.busy_until
         tl = self.timeline
         chaos = self._chaos
         if chaos is not None:
@@ -667,17 +724,35 @@ class Runtime:
                 )
         return finish
 
+    def _route(
+        self, src: Memory, dst: Memory
+    ) -> Tuple[Tuple[Any, ...], float, float]:
+        """The channels a copy occupies, their summed latency and the
+        narrowest bandwidth among them (memoized per memory pair)."""
+        key = (src.uid, dst.uid)
+        route = self._routes.get(key)
+        if route is None:
+            channels = tuple(self.machine.channels_between(src, dst))
+            route = self._routes[key] = (
+                channels,
+                sum(c.latency for c in channels),
+                min(c.bandwidth for c in channels),
+            )
+        return route
+
     def _intra_copy(
-        self, memory: Memory, nbytes: int, ready: float, label: str = "resize"
+        self, memory: Memory, nbytes: int, ready: float, kind: str, row: _PlanRow
     ) -> float:
+        """Charge a within-memory migration (``kind``: resize or dup)."""
         nbytes = int(nbytes * self.config.data_scale)
-        chan = self.machine.channels_between(memory, memory)[0]
+        chan = self._route(memory, memory)[0][0]
         start = max(ready, chan.busy_until)
         finish = start + nbytes / chan.bandwidth
         chan.busy_until = finish
         if self.timeline is not None:
             self.timeline.record(
-                "resize", chan.name, label, start, finish, nbytes=nbytes
+                "resize", chan.name, f"{kind}:{row.region.name or row.name}",
+                start, finish, nbytes=nbytes,
             )
         return finish
 
@@ -925,103 +1000,131 @@ class Runtime:
         map_s = 0.0
         event_s = 0.0
 
+        # Requirement-major mapping: everything a requirement needs that
+        # does not depend on the color is resolved once, here; the color
+        # loop below then pays per shard only for what differs per shard.
+        freed = self._freed_uids
+        rows = [
+            _PlanRow(
+                req,
+                skipped=replay and req.region.uid in freed,
+                mem_scale=self._mem_scale(req.region),
+                sanitize=validate,
+                # Replay keeps the real results intact.
+                poison_discards=validate and not replay,
+            )
+            for req in task.requirements
+        ]
+        write_rows = [row for row in rows if row.writes and not row.skipped]
+        config = self.config
+        shard_overhead = config.shard_overhead
+        scale = config.data_scale
+        pressure_slowdown = config.memory_pressure_slowdown
+        issue_time = self.issue_time
+        proc_busy = self._proc_busy
+        state_of = self.instances.state
+        record_event = self.profiler.record_event
+
         for color in range(colors):
             proc = procs[color % len(procs)]
             memory = proc.memory
+            mem_uid = memory.uid
             t_input = max(
-                self.issue_time,
-                scalar_ready,
-                self._proc_busy[proc.uid] + self.config.shard_overhead,
+                issue_time, scalar_ready, proc_busy[proc.uid] + shard_overhead
             )
 
             arrays: Dict[str, np.ndarray] = {}
             rects: Dict[str, Rect] = {}
-            skipped: set = set()
+            state = None  # the memory's allocation store, on first need
             t_map = _perf()
-            for req in task.requirements:
-                if replay and req.region.uid in self._freed_uids:
-                    # The region was freed after this journaled launch:
-                    # its coherence and instances are gone, and nothing
-                    # downstream can read it — skip it physically and
-                    # (below) in the event log.
-                    skipped.add(req.name)
-                    rects[req.name] = req.partition.rect(color)
-                    arrays[req.name] = req.region.data
+            for row in rows:
+                name = row.name
+                rect = rects[name] = row.rect_of(color)
+                arrays[name] = row.data
+                if row.skipped or rect.is_empty():
                     continue
-                rect = req.partition.rect(color)
-                data = req.region.data
-                if validate and not req.privilege.writes:
-                    # Privilege sanitizer: writing a READ argument must
-                    # fail loudly, not corrupt other shards' data.
-                    data = _readonly_view(data)
-                arrays[req.name] = data
-                rects[req.name] = rect
-                if rect.is_empty():
-                    continue
-                if validate and not replay and req.privilege is Privilege.WRITE_DISCARD:
+                if row.poison:
                     # Discarded contents must never be observed: poison
                     # them so reads of undefined data propagate NaNs.
-                    # (Replay keeps the real results intact.)
-                    _poison(req.region.data, rect)
-                if req.elide:
+                    _poison(row.data, rect)
+                if row.elide:
                     # Elided temporary (produced and consumed inside
                     # this fused task): no instance allocation, no
                     # staging.  Coherence is still marked on write so a
                     # read escaping the group stays correct.
                     continue
-                inst, resize_bytes, fresh, t_input = self._map_instance(
-                    memory, req, rect, task, t_input
-                )
-                if resize_bytes:
-                    self.profiler.record_resize(resize_bytes)
-                    t_input = self._intra_copy(
-                        memory, resize_bytes, t_input,
-                        label=f"resize:{req.region.name or req.name}",
+                # The steady-state lane, first half: an instance that
+                # already holds the rect is found and stamped as used,
+                # which is all ensure() would do.  A chaos injector
+                # draws an allocation fault per mapping, so with one
+                # attached every mapping takes the full path.
+                if state is None:
+                    state = state_of(memory)
+                if chaos is None and state.use(row.uid, rect) is not None:
+                    fresh = False
+                else:
+                    resize_bytes, fresh, t_input = self._map_instance(
+                        memory, row, rect, task, t_input
                     )
-                if req.privilege.reads:
-                    pieces = req.partition.pieces(color)
-                    if fresh:
-                        # Populate the new instance with whatever part of
-                        # the rect is already valid in this memory (held
-                        # by other instances of the region).
-                        coh = self.coherence(req.region)
-                        missing = sum(
-                            piece.volume()
-                            for piece in coh.missing(memory.uid, rect)
+                    if resize_bytes:
+                        self.profiler.record_resize(resize_bytes)
+                        t_input = self._intra_copy(
+                            memory, resize_bytes, t_input, "resize", row
                         )
-                        dup = (rect.volume() - missing) * req.region.itemsize
-                        if dup > 0:
-                            self.profiler.record_resize(dup)
-                            t_input = self._intra_copy(
-                                memory, dup, t_input,
-                                label=f"dup:{req.region.name or req.name}",
-                            )
-                    for piece in pieces:
-                        t_input = self._stage_reads(
-                            req.region, memory, piece, t_input, replay=replay
+                if not row.reads:
+                    continue
+                coh = row.coh
+                if coh is None:
+                    coh = row.coh = self.coherence(row.region)
+                if fresh:
+                    # Populate the new instance with whatever part of
+                    # the rect is already valid in this memory (held
+                    # by other instances of the region).
+                    missing = sum(
+                        piece.volume() for piece in coh.missing(mem_uid, rect)
+                    )
+                    dup = (rect.volume() - missing) * row.itemsize
+                    if dup > 0:
+                        self.profiler.record_resize(dup)
+                        t_input = self._intra_copy(
+                            memory, dup, t_input, "dup", row
                         )
+                for piece in row.pieces_of(color):
+                    # The lane's second half: one valid piece holding
+                    # all that is read means nothing is missing, and
+                    # its time is the ready time.  Anything else -- and
+                    # every read under validation, whose stale-read
+                    # assertion lives there -- goes to the copy path.
+                    if not validate:
+                        ready = coh.covered_ready(mem_uid, piece)
+                        if ready is not None:
+                            if ready > t_input:
+                                t_input = ready
+                            continue
+                    t_input = self._stage_reads(
+                        row.region, memory, piece, t_input, replay=replay
+                    )
             map_s += _perf() - t_map
 
             ctx = ShardContext(
-                color, colors, arrays, rects, scalar_values, self.config,
+                color, colors, arrays, rects, scalar_values, config,
                 privileges,
             )
             flops, nbytes = task.cost_fn(ctx)
-            scale = self.config.data_scale
             exec_time = proc.kernel_time(float(flops) * scale, float(nbytes) * scale)
-            if self.config.memory_pressure_slowdown != 1.0:
-                state = self.instances.state(memory)
-                budget = memory.capacity - state.reserved_bytes
+            if pressure_slowdown != 1.0:
+                store = state_of(memory)
+                budget = memory.capacity - store.reserved_bytes
                 if budget > 0 and (
-                    state.used_bytes / budget
-                    > self.config.memory_pressure_threshold
+                    store.used_bytes / budget
+                    > config.memory_pressure_threshold
                 ):
-                    exec_time *= self.config.memory_pressure_slowdown
+                    exec_time *= pressure_slowdown
             self.profiler.kernel_seconds += exec_time
             start = t_input
             finish = start + exec_time
-            self._proc_busy[proc.uid] = finish
-            self.profiler.record_event(task.name, start, finish)
+            proc_busy[proc.uid] = finish
+            record_event(task.name, start, finish)
             if tl is not None:
                 tl.record(
                     "task", self._proc_label[proc.uid],
@@ -1038,44 +1141,42 @@ class Runtime:
                     partial_times.append(finish)
 
             t_event = _perf()
-            for req in task.requirements:
-                if req.name in skipped:
+            # Read once per shard, after mapping: pressure relief
+            # mid-launch flushes the batch and later writes go direct.
+            pending_writes = self._pending_writes
+            for row in write_rows:
+                rect = rects[row.name]
+                if rect.is_empty():
                     continue
-                rect = rects[req.name]
-                if rect.is_empty() or not req.privilege.writes:
-                    continue
-                if req.privilege == Privilege.REDUCE:
-                    reduce_writes.setdefault(req.name, []).append(
+                if row.privilege is Privilege.REDUCE:
+                    reduce_writes.setdefault(row.name, []).append(
                         (rect, memory, finish)
                     )
+                    continue
+                pending = (
+                    None if pending_writes is None
+                    else pending_writes.get(row.name)
+                )
+                if pending is not None:
+                    pending[1].append((mem_uid, rect, finish))
                 else:
-                    # Re-read _pending_writes each iteration: pressure
-                    # relief mid-launch flushes it and later writes must
-                    # go direct.
-                    pending = (
-                        None if self._pending_writes is None
-                        else self._pending_writes.get(req.name)
-                    )
-                    if pending is not None:
-                        pending[1].append((memory.uid, rect, finish))
-                    else:
-                        self.coherence(req.region).mark_written(
-                            memory.uid, rect, finish
-                        )
+                    coh = row.coh
+                    if coh is None:
+                        coh = row.coh = self.coherence(row.region)
+                    coh.mark_written(mem_uid, rect, finish)
             event_s += _perf() - t_event
 
             if log is not None:
                 log.record_shard(
-                    launch_id, task.name, color, proc.uid, memory.uid,
+                    launch_id, task.name, color, proc.uid, mem_uid,
                     [
                         ReqAccess(
-                            req.name, req.region.uid, req.region.name,
-                            rects[req.name], req.privilege.value,
-                            tuple(req.partition.pieces(color))
-                            if req.privilege.reads else (),
+                            row.name, row.uid, row.region.name,
+                            rects[row.name], row.privilege.value,
+                            tuple(row.pieces_of(color)) if row.reads else (),
                         )
-                        for req in task.requirements
-                        if req.name not in skipped
+                        for row in rows
+                        if not row.skipped
                     ],
                     start, finish, replay=replay,
                 )
@@ -1139,7 +1240,11 @@ class Runtime:
                 nbytes = frag.volume() * region.itemsize
                 finish = self._copy(
                     src_mem, memory, nbytes, t_src,
-                    label=f"stage:{region.name}" if region.name else "stage",
+                    label=(
+                        "" if self.timeline is None
+                        else f"stage:{region.name}" if region.name
+                        else "stage"
+                    ),
                 )
                 if self.event_log is not None:
                     self.event_log.record_copy(
@@ -1163,19 +1268,21 @@ class Runtime:
     def _map_instance(
         self,
         memory: Memory,
-        req: Requirement,
+        row: _PlanRow,
         rect: Rect,
         task: TaskLaunch,
         t_input: float,
-    ) -> Tuple[Instance, int, bool, float]:
+    ) -> Tuple[int, bool, float]:
         """Find-or-create the shard's instance, resiliently.
 
-        Transient allocation faults (chaos) retry with exponential
-        backoff on the simulated clock.  On :class:`OutOfMemoryError`
-        with spilling enabled, the runtime relieves pressure (drain the
-        recycled pool, evict clean LRU instances, spill dirty pieces to
-        system memory over the modeled channels) and retries; when
-        relief frees nothing, the annotated error propagates.
+        Returns ``(resize_bytes, fresh, t_input)`` -- the first two as
+        :meth:`MemoryState.ensure` reports them.  Transient allocation
+        faults (chaos) retry with exponential backoff on the simulated
+        clock.  On :class:`OutOfMemoryError` with spilling enabled, the
+        runtime relieves pressure (drain the recycled pool, evict clean
+        LRU instances, spill dirty pieces to system memory over the
+        modeled channels) and retries; when relief frees nothing, the
+        annotated error propagates.
         """
         chaos = self._chaos
         attempt = 0
@@ -1204,32 +1311,15 @@ class Runtime:
                     )
                 t_input += pause
                 continue
-            cache = self._lookup_cache
-            if cache is not None:
-                # Version-checked hit: the memory's instance set has not
-                # changed since this (memory, region, rect) resolved, so
-                # ensure() would find-hit the same instance.  Replicate
-                # its LRU side effect and skip the search.
-                st = self.instances.state(memory)
-                key = (memory.uid, req.region.uid, rect)
-                inst = cache.get(key, st.version)
-                if inst is not None:
-                    st.touch(inst)
-                    self.profiler.fastpath_counters["lookup_hits"] += 1
-                    return inst, 0, False, t_input
             try:
-                inst, resize_bytes, fresh = self.instances.ensure(
-                    memory, req.region.uid, rect, req.region.itemsize,
-                    scale=self._mem_scale(req.region),
+                _, resize_bytes, fresh = self.instances.ensure(
+                    memory, row.uid, rect, row.itemsize, scale=row.mem_scale
                 )
-                if cache is not None:
-                    cache.put(key, inst, st.version)
-                    self.profiler.fastpath_counters["lookup_misses"] += 1
-                return inst, resize_bytes, fresh, t_input
+                return resize_bytes, fresh, t_input
             except OutOfMemoryError as exc:
                 if not self.config.spill:
                     raise exc.annotate(
-                        region_name=req.region.name, task=task.name
+                        region_name=row.region.name, task=task.name
                     ) from None
                 pinned = {r.region.uid for r in task.requirements}
                 t_relief, freed = self._relieve_pressure(
@@ -1238,7 +1328,7 @@ class Runtime:
                 if freed <= 0:
                     # Nothing left to evict or spill: a genuine OOM.
                     raise exc.annotate(
-                        region_name=req.region.name, task=task.name
+                        region_name=row.region.name, task=task.name
                     ) from None
                 t_input = max(t_input, t_relief)
 

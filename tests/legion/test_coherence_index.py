@@ -313,20 +313,31 @@ def test_vacated_slots_are_reclaimed():
 # Count test
 # ----------------------------------------------------------------------
 def _halo_lookup_counts(memories: int, monkeypatch) -> List[int]:
-    """``_disjoint`` calls per halo lookup over two CG-like iterations."""
+    """Pieces examined per halo lookup over two CG-like iterations.
+
+    Counted as reads of ``ValidPiece.rect``: the 1-D interval engine
+    compares bare ints inline, so there is no helper call to count, but
+    it cannot judge a piece without fetching its rect.
+    """
     tile = 8
     n = memories * tile
     counts: List[int] = []
-    calls = [0]
+    reads = [0]
 
-    def counting(a, b):
-        calls[0] += 1
-        return _disjoint(a, b)
+    class CountedPiece(ValidPiece):
+        @property
+        def rect(self):
+            reads[0] += 1
+            return self.__dict__["rect"]
+
+        @rect.setter
+        def rect(self, value):
+            self.__dict__["rect"] = value
 
     coh = RegionCoherence()
     coh.mark_valid(memories, Rect.interval1d(0, n), 0.0)  # attached host data
     with monkeypatch.context() as patch:
-        patch.setattr(coherence_module, "_disjoint", counting)
+        patch.setattr(coherence_module, "ValidPiece", CountedPiece)
         for it in range(2):
             coh.write_complete(
                 [(m, Rect.interval1d(m * tile, (m + 1) * tile), float(it))
@@ -337,9 +348,9 @@ def _halo_lookup_counts(memories: int, monkeypatch) -> List[int]:
                     if not 0 <= halo < n:
                         continue
                     want = Rect.interval1d(halo, halo + 1)
-                    before = calls[0]
+                    before = reads[0]
                     frags = coh.find_source(want, exclude=m)
-                    counts.append(calls[0] - before)
+                    counts.append(reads[0] - before)
                     assert [(src, rect) for src, rect, _ in frags] == [
                         (halo // tile, want)
                     ]

@@ -20,7 +20,7 @@ class TestExactImagePieces:
         x = Region((10,), np.float64)
         img = ImageByCoordinate(crd, Tiling.create(crd, 1), x, exact=True)
         pieces = img.pieces(0)
-        assert pieces == [Rect((0,), (2,)), Rect((5,), (7,))]
+        assert pieces == (Rect((0,), (2,)), Rect((5,), (7,)))
         # The bounding rect is still the hull.
         assert img.rect(0) == Rect((0,), (7,))
 
@@ -28,14 +28,14 @@ class TestExactImagePieces:
         crd = Region((4,), np.int64, data=np.array([0, 9, 0, 9]))
         x = Region((10,), np.float64)
         img = ImageByCoordinate(crd, Tiling.create(crd, 1), x)
-        assert img.pieces(0) == [Rect((0,), (10,))]
+        assert img.pieces(0) == (Rect((0,), (10,)),)
 
     def test_too_many_runs_falls_back(self):
         coords = np.arange(0, 300, 2)  # 150 separate runs
         crd = Region((len(coords),), np.int64, data=coords)
         x = Region((400,), np.float64)
         img = ImageByCoordinate(crd, Tiling.create(crd, 1), x, exact=True)
-        assert img.pieces(0) == [Rect((0,), (299,))]
+        assert img.pieces(0) == (Rect((0,), (299,)),)
 
     def test_pieces_cover_all_references(self):
         rng = np.random.default_rng(0)

@@ -1,17 +1,16 @@
 """Host fast path: bitwise neutrality + cache invalidation proofs.
 
 ``RuntimeConfig.fastpath`` (see ``repro.legion.fastpath``) is pure
-host-side mechanism — batched coherence writes, a version-checked
-instance lookup cache, a positional constraint-solve memo and an
-epoch-keyed image-partition cache.  Everything here pins down the two
+host-side mechanism — batched coherence writes, a positional
+constraint-solve memo and an epoch-keyed image-partition cache.  Everything here pins down the two
 properties the design hangs on:
 
 * **bitwise neutrality** — identical numerics, modeled times and
   event-log shapes with the fast path on vs off, including under
   spill, eviction, chaos loss + journal replay and validation mode;
 * **invalidation** — every cache observes the mutations that could
-  make it stale (memory version bumps, write epochs, key-partition
-  changes) and never pins region lifetimes.
+  make it stale (write epochs, key-partition changes) and never pins
+  region lifetimes.
 """
 
 import gc
@@ -34,9 +33,8 @@ from repro.legion import Replicate, Runtime, RuntimeConfig, Tiling
 from repro.legion.chaos import ChaosConfig, LossSchedule
 from repro.legion.coherence import RegionCoherence
 from repro.legion.fastpath import (
-    ImagePartitionCache, InstanceLookupCache, SolveMemo, eligible_write_reqs,
+    ImagePartitionCache, SolveMemo, eligible_write_reqs,
 )
-from repro.legion.instance import MemoryState
 from repro.legion.privilege import Privilege
 from repro.legion.runtime import runtime_scope
 from repro.legion.task import Requirement
@@ -119,70 +117,6 @@ class TestWriteComplete:
         covered = RectSet([Rect((0,), (10,))])
         assert covered.subtract(coh.written).is_empty()
         assert coh.written.subtract(covered).is_empty()
-
-
-# ----------------------------------------------------------------------
-# Instance lookup cache + MemoryState versioning
-# ----------------------------------------------------------------------
-def _mem_state(capacity=1 << 20):
-    class _FakeMemory:
-        uid = 0
-        capacity = 0
-        kind = type("K", (), {"value": "fb"})()
-
-    mem = _FakeMemory()
-    mem.capacity = capacity
-    return MemoryState(mem)
-
-
-class TestInstanceLookupCache:
-    def test_hit_requires_matching_version(self):
-        cache = InstanceLookupCache()
-        key = (0, 7, Rect((0,), (4,)))
-        sentinel = object()
-        cache.put(key, sentinel, version=3)
-        assert cache.get(key, 3) is sentinel
-        assert cache.get(key, 4) is None  # store mutated since
-        assert cache.get((0, 8, Rect((0,), (4,))), 3) is None
-
-    def test_overflow_clears_wholesale(self):
-        cache = InstanceLookupCache()
-        for i in range(InstanceLookupCache.MAX_ENTRIES):
-            cache.put((0, i, Rect((0,), (1,))), object(), 0)
-        assert len(cache) == InstanceLookupCache.MAX_ENTRIES
-        cache.put((1, 0, Rect((0,), (1,))), object(), 0)
-        assert len(cache) == 1
-
-    def test_version_bumps_on_alloc_growth_drop_free_lose(self):
-        st = _mem_state()
-        v0 = st.version
-        inst, _, fresh = st.ensure(1, Rect((0,), (8,)), 8)
-        assert fresh and st.version > v0
-
-        v1 = st.version
-        grown, moved, _ = st.ensure(1, Rect((4,), (16,)), 8)
-        assert grown is inst and st.version > v1  # coalesced growth
-
-        v2 = st.version
-        st.drop_instance(inst)
-        assert st.version > v2
-
-        inst2, _, _ = st.ensure(2, Rect((0,), (4,)), 8)
-        v3 = st.version
-        st.free_region(2)
-        assert st.version > v3
-
-        v4 = st.version
-        st.lose()
-        assert st.version > v4
-
-    def test_find_hit_does_not_bump(self):
-        st = _mem_state()
-        st.ensure(1, Rect((0,), (8,)), 8)
-        v = st.version
-        again, moved, fresh = st.ensure(1, Rect((2,), (6,)), 8)
-        assert not fresh and moved == 0
-        assert st.version == v  # pure find hit: scan outcome unchanged
 
 
 # ----------------------------------------------------------------------
