@@ -63,6 +63,9 @@ SEED ?= 0
 bench-pairs:
 	sh scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
 
+# The drivers below are correctness gates, not perf evidence (that is
+# bench-e2e); each writes its payload under the ignored artifacts/.
+#
 # Fusion benchmark: merged vs replay vs unfused CG + GMG, writes
 # BENCH_fusion.json and fails if fusion saves < 30% of launches, if no
 # merge-safe group runs as a single loop nest with strictly lower
@@ -74,11 +77,10 @@ bench:
 	python scripts/bench.py
 	python scripts/format.py
 
-# Host-overhead benchmark: CG at summit:64 and summit:1024 with the
-# host fast path on vs off, writes BENCH_runtime_overhead.json and
-# fails unless the fast path is strictly faster (host seconds per 1k
-# launches) at both scales with bitwise-identical solutions, modeled
-# times and checker-clean validated identity runs.
+# Host-runtime scale probe: CG at summit:64 and summit:1024, host
+# seconds per 1k launches with host phases and cache counters, writes
+# BENCH_runtime_overhead.json.  Enforces nothing — the number ROADMAP
+# item 2 tracks until bench/ has a workload this wide.
 overhead:
 	python scripts/overhead.py
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Fusion benchmark driver: writes ``BENCH_fusion.json``.
+"""Fusion benchmark driver: writes ``artifacts/BENCH_fusion.json``.
 
 Runs the Fig. 9 CG and Fig. 10 GMG solver loops in three modes —
 merged (window + kernel fusion), replay (window only) and unfused
 (``repro.harness.fusion_bench``) — prints a summary table, writes the
-full payload to ``BENCH_fusion.json`` (repo root, or ``--output``),
-and exits non-zero if any acceptance bar fails:
+full payload to ``artifacts/BENCH_fusion.json`` (or ``--output``), and
+exits non-zero if any acceptance bar fails:
 
 * >= 30 % fewer launches with fusion on, per workload;
 * strictly lower modeled issue-clock launch overhead;
@@ -66,11 +66,12 @@ def main(argv=None) -> int:
         "--output",
         type=pathlib.Path,
         default=pathlib.Path(__file__).resolve().parent.parent
-        / "BENCH_fusion.json",
+        / "artifacts" / "BENCH_fusion.json",
     )
     args = parser.parse_args(argv)
 
     payload = run_all(procs=args.procs)
+    args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
 
     failures = []

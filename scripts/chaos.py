@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Chaos benchmark driver: writes ``BENCH_chaos.json``.
+"""Chaos benchmark driver: writes ``artifacts/BENCH_chaos.json``.
 
 Runs the Fig. 9 CG loop fault-free and under three deterministic fault
 schedules — transient copy faults, flaky allocations, and a whole-GPU
 loss recovered by checkpoint/journal replay
 (``repro.harness.chaos_bench``) — prints a summary table, writes the
-full payload to ``BENCH_chaos.json`` (repo root, or ``--output``), and
+full payload to ``artifacts/BENCH_chaos.json`` (or ``--output``), and
 exits non-zero if any acceptance bar fails:
 
 * at least one fault injected per schedule (the schedule actually bit);
@@ -54,11 +54,12 @@ def main(argv=None) -> int:
         "--output",
         type=pathlib.Path,
         default=pathlib.Path(__file__).resolve().parent.parent
-        / "BENCH_chaos.json",
+        / "artifacts" / "BENCH_chaos.json",
     )
     args = parser.parse_args(argv)
 
     payload = run_all(procs=args.procs)
+    args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
 
     baseline = payload["baseline"]

@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
 
 # Driver payloads land in the ignored artifacts/ directory (CI uploads
-# them from there): the gate never rewrites a committed BENCH_*.json.
+# them from there); the gate leaves `git status` clean.
 mkdir -p artifacts
 
 echo "== ruff =="
@@ -73,28 +73,20 @@ for key in ("fig9_cg", "fig10_gmg"):
 print("BENCH_fusion kernel-fusion payload OK")
 PYEOF
 
-echo "== host-overhead smoke (fast path on vs off at summit:64) =="
-# --smoke runs the first scale point only (the summit:1024 slow-path
-# run takes minutes) plus both validated identity workloads; the
-# driver exits non-zero unless fastpath-on is strictly below
-# fastpath-off in host seconds per 1k launches, bitwise-identically
-# and checker-clean.
-python scripts/overhead.py --smoke \
-    --output BENCH_runtime_overhead.smoke.json > /dev/null
-
 echo "== chaos bench smoke (fault schedules vs baseline, writes artifacts/BENCH_chaos.json) =="
 python scripts/chaos.py --output artifacts/BENCH_chaos.json > /dev/null
 
-echo "== chaos soak smoke (seeded multi-fault schedules, writes BENCH_soak.smoke.json) =="
+echo "== chaos soak smoke (seeded multi-fault schedules, writes artifacts/BENCH_soak.smoke.json) =="
 # A small seeded soak: the driver exits non-zero if any scenario breaks
 # the invariant (bitwise + checker-clean, or a clean FaultError), and
 # the payload must show the pinned replicas=2 schedule surviving the
 # loss of node 0 — the primary checkpoint store.  The full ≥20-scenario
-# payload is BENCH_soak.json (make soak).
-python scripts/soak.py --scenarios 6 --output BENCH_soak.smoke.json > /dev/null
+# payload is artifacts/BENCH_soak.json (make soak).
+python scripts/soak.py --scenarios 6 \
+    --output artifacts/BENCH_soak.smoke.json > /dev/null
 python - <<'PYEOF'
 import json
-with open("BENCH_soak.smoke.json") as fh:
+with open("artifacts/BENCH_soak.smoke.json") as fh:
     payload = json.load(fh)
 s = payload["summary"]
 assert s["silent_corruptions"] == 0, "soak produced a silent wrong answer"

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Auto-format benchmark driver: writes ``BENCH_format.json``.
+"""Auto-format benchmark driver: writes ``artifacts/BENCH_format.json``.
 
 Runs the power-law-skew SpMV loop with plain CSR and with
 ``RuntimeConfig.autoformat`` enabled (``repro.harness.format_bench``),
-prints a summary table, writes the full payload to ``BENCH_format.json``
-(repo root, or ``--output``), and exits non-zero if any acceptance bar
-fails:
+prints a summary table, writes the full payload to
+``artifacts/BENCH_format.json`` (or ``--output``), and exits non-zero if
+any acceptance bar fails:
 
 * the static selector recommends a non-CSR format on the skew matrix;
 * the runtime converts to exactly that format (advisor agreement);
@@ -65,11 +65,12 @@ def main(argv=None) -> int:
         "--output",
         type=pathlib.Path,
         default=pathlib.Path(__file__).resolve().parent.parent
-        / "BENCH_format.json",
+        / "artifacts" / "BENCH_format.json",
     )
     args = parser.parse_args(argv)
 
     payload = run_all(procs=args.procs)
+    args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(format_payload(payload))
 

@@ -1,22 +1,13 @@
 #!/usr/bin/env python
-"""Host-overhead benchmark driver: writes ``BENCH_runtime_overhead.json``.
+"""Host-runtime scale probe: writes ``artifacts/BENCH_runtime_overhead.json``.
 
-Measures the host-runtime fast path (``RuntimeConfig.fastpath`` —
-batched dependence analysis, mapping/solve/image caches and the
-vectorized event queue; see ``repro.legion.fastpath``) with
-``repro.harness.overhead_bench``: the Fig. 9 CG inner loop at
-summit:64 and summit:1024 simulated GPUs, fast path on vs off, in
-host wall-clock seconds per 1 000 task launches, plus validated fig9
-CG + fig10 GMG identity runs in both modes.
-
-Prints a summary table, writes the full payload to
-``BENCH_runtime_overhead.json`` (repo root, or ``--output``), and
-exits non-zero if any acceptance bar fails:
-
-* fast path strictly faster (host s / 1k launches) at every scale;
-* bitwise-identical solutions and modeled times, fast path on vs off,
-  at every scale and on both identity workloads;
-* offline checker clean on every validated identity run.
+Runs ``repro.harness.overhead_bench``: the Fig. 9 CG inner loop at
+summit:64 and summit:1024 simulated GPUs, in host wall-clock seconds
+per 1 000 task launches, with the profiler's host phases and the
+batched-write / solve-memo counters.  Prints a summary table and writes
+the full payload to ``artifacts/BENCH_runtime_overhead.json`` (or
+``--output``).  A probe, not a gate: it enforces nothing — performance
+claims go through ``bench/run.py``.
 
 Usage::
 
@@ -30,44 +21,33 @@ import json
 import pathlib
 import sys
 
-from repro.harness.overhead_bench import SCALES, run_all
+from repro.harness.overhead_bench import run_all
 
 
-def format_scale(key: str, pair: dict) -> str:
-    on, off = pair["on"], pair["off"]
-    phases = on["host_phases_s"]
-    counters = on["fastpath_counters"]
+def format_scale(key: str, run: dict) -> str:
     lines = [
-        f"{key} ({on['tasks_launched']} launches, "
-        f"{on['iters']} CG iterations):",
-        f"  host s / 1k launches: off {off['host_s_per_1k_launches']:.4f}s"
-        f" -> on {on['host_s_per_1k_launches']:.4f}s"
-        f" (x{pair['speedup']:.2f})",
-        f"  host wall clock:      off {off['host_wall_clock_s']:.3f}s"
-        f" -> on {on['host_wall_clock_s']:.3f}s",
-        f"  modeled time:         {on['modeled_time_s']:.6f}s (both modes)",
-        f"  bitwise match:        {pair['bitwise_identical']}",
+        f"{key} ({run['tasks_launched']} launches, "
+        f"{run['iters']} CG iterations):",
+        f"  host s / 1k launches: {run['host_s_per_1k_launches']:.4f}s",
+        f"  host wall clock:      {run['host_wall_clock_s']:.3f}s",
+        f"  modeled time:         {run['modeled_time_s']:.6f}s",
     ]
+    phases = run["host_phases_s"]
     if phases:
-        top = max(phases.items(), key=lambda kv: kv[1])
         lines.append(
-            f"  top host phase (on):  {top[0]} {top[1]:.4f}s"
+            "  host phases:          "
+            + ", ".join(
+                f"{k} {v:.4f}s"
+                for k, v in sorted(phases.items(), key=lambda kv: -kv[1])
+            )
         )
+    counters = run["fastpath_counters"]
     if counters:
         lines.append(
-            "  fast-path counters:   "
+            "  counters:             "
             + ", ".join(f"{k}={v}" for k, v in sorted(counters.items()))
         )
     return "\n".join(lines)
-
-
-def format_identity(key: str, pair: dict) -> str:
-    return (
-        f"{key}: bitwise identical {pair['bitwise_identical']}, "
-        f"checker clean {pair['checker_clean']} "
-        f"(modeled {pair['on']['modeled_time_s']:.6f}s, "
-        f"sha {pair['on']['solution_sha256'][:12]}...)"
-    )
 
 
 def main(argv=None) -> int:
@@ -76,42 +56,18 @@ def main(argv=None) -> int:
         "--output",
         type=pathlib.Path,
         default=pathlib.Path(__file__).resolve().parent.parent
-        / "BENCH_runtime_overhead.json",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="first scale point only (the summit:1024 slow-path run "
-        "takes minutes); still enforces every bar it measures",
+        / "artifacts" / "BENCH_runtime_overhead.json",
     )
     args = parser.parse_args(argv)
 
-    scales = SCALES[:1] if args.smoke else SCALES
-    payload = run_all(scales=scales)
+    payload = run_all()
+    args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
-
-    failures = []
-    for key, pair in payload["scales"].items():
-        print(format_scale(key, pair))
-        if pair["speedup"] <= 1.0:
-            failures.append(
-                f"{key}: fast path not strictly faster "
-                f"(x{pair['speedup']:.3f})"
-            )
-        if not pair["bitwise_identical"]:
-            failures.append(f"{key}: fast path changed the bits")
-    for key, pair in payload["identity"].items():
-        print(format_identity(key, pair))
-        if not pair["bitwise_identical"]:
-            failures.append(f"{key}: identity run not bitwise identical")
-        if not pair["checker_clean"]:
-            failures.append(f"{key}: event-log checker found violations")
+    for key, run in payload["scales"].items():
+        print(format_scale(key, run))
     print(f"wrote {args.output}")
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
     return 0
 
 

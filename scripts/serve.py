@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Serve bench driver: writes ``BENCH_serve.json``.
+"""Serve bench driver: writes ``artifacts/BENCH_serve.json``.
 
 Runs the seeded load generator against the multi-tenant serving layer
 (``repro.harness.serve_bench``): throughput and p50/p99 modeled latency
 at several tenant counts, cross-request batching on vs off, result
 caching, version churn, chaos isolation and execution-backend
 equivalence.  Prints a summary table, writes the payload to
-``BENCH_serve.json`` (repo root, or ``--output``), and exits non-zero
+``artifacts/BENCH_serve.json`` (or ``--output``), and exits non-zero
 unless:
 
 * batched results are bitwise-identical (sha256 per request) to
@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         "--output",
         type=pathlib.Path,
         default=pathlib.Path(__file__).resolve().parent.parent
-        / "BENCH_serve.json",
+        / "artifacts" / "BENCH_serve.json",
     )
     args = parser.parse_args(argv)
     tenants = [2, 3, 4] if args.smoke else args.tenants
@@ -57,6 +57,7 @@ def main(argv=None) -> int:
     payload = run_all(
         tenant_counts=tenants, requests_per_tenant=requests, seed=args.seed
     )
+    args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
 
     print(f"model: {payload['model']['dataset']} nnz={payload['model']['nnz']}")

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Chaos soak driver: writes ``BENCH_soak.json``.
+"""Chaos soak driver: writes ``artifacts/BENCH_soak.json``.
 
 Runs the Fig. 9 CG loop against a seeded stream of randomized
 multi-fault schedules (``repro.harness.soak_bench``) — concurrent
 node+GPU losses, losses during checkpoint drains and journal replays,
 fault storms at varying replica counts — prints a per-scenario table,
-writes the full payload to ``BENCH_soak.json`` (repo root, or
+writes the full payload to ``artifacts/BENCH_soak.json`` (or
 ``--output``), and exits non-zero if any scenario breaks the soak
 invariant:
 
@@ -63,11 +63,12 @@ def main(argv=None) -> int:
         "--output",
         type=pathlib.Path,
         default=pathlib.Path(__file__).resolve().parent.parent
-        / "BENCH_soak.json",
+        / "artifacts" / "BENCH_soak.json",
     )
     args = parser.parse_args(argv)
 
     payload = run_soak(scenarios=args.scenarios, seed=args.seed)
+    args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
 
     baseline = payload["baseline"]

@@ -183,22 +183,21 @@ class AutoTask:
         stores = [store for _, store, _ in self._args]
         rt = self.runtime
         t0 = _perf()
-        solution = sig = None
-        if rt.config.fastpath:
-            # Memoized solve: iterative solvers re-launch structurally
-            # identical tasks every step; the signature embeds key
-            # partitions, so repartitions miss instead of going stale.
-            sig = solve_signature(
-                stores,
-                self._constraints,
-                colors,
-                reuse_partitions=rt.config.reuse_partitions,
-                exact_images=rt.config.exact_images,
-            )
-            if sig is not None:
-                plan_entry = rt._solve_memo.get(sig)
-                if plan_entry is not None:
-                    solution = rebuild_solution(plan_entry, stores, colors)
+        solution = None
+        # Memoized solve: iterative solvers re-launch structurally
+        # identical tasks every step; the signature embeds key
+        # partitions, so repartitions miss instead of going stale.
+        sig = solve_signature(
+            stores,
+            self._constraints,
+            colors,
+            reuse_partitions=rt.config.reuse_partitions,
+            exact_images=rt.config.exact_images,
+        )
+        if sig is not None:
+            plan_entry = rt._solve_memo.get(sig)
+            if plan_entry is not None:
+                solution = rebuild_solution(plan_entry, stores, colors)
         if solution is None:
             solution = solve_partitions(
                 stores,

@@ -66,13 +66,6 @@ def paper_legate(**kwargs):
     kwargs.setdefault("fusion", False)
     kwargs.setdefault("spill", False)
     kwargs.setdefault("kernel_fusion", False)
-    # The host fast path is bitwise-neutral (identical modeled times,
-    # event logs and numerics) but is still a reproduction-side
-    # mechanism the published system never ran; figure regeneration
-    # pins it off so the paper configuration exercises the original
-    # per-launch code paths.  Its win is measured separately
-    # (:mod:`repro.harness.overhead_bench`).
-    kwargs.setdefault("fastpath", False)
     # The paper's system speaks CSR/COO only; auto-format selection is
     # this reproduction's extension and must not touch published figures.
     kwargs["autoformat"] = False

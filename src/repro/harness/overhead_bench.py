@@ -1,97 +1,64 @@
-"""Host-runtime overhead measurement (the fast path's acceptance bench).
+"""Host-runtime scale probe: what a launch costs the host at width.
 
 The simulated runtime's *modeled* time is the paper's subject, but the
 host process pays real Python seconds to produce it — per-launch
-dependence analysis, mapping scans and coherence rebuilds whose cost
-grows with the color count.  ``RuntimeConfig.fastpath`` (see
-:mod:`repro.legion.fastpath`) attacks exactly that cost, and this
-harness measures it:
+dependence analysis, mapping and coherence updates whose cost grows
+with the color count.  This harness runs the Fig. 9 CG inner loop at
+summit:64 and summit:1024 simulated GPUs and reports host wall-clock
+seconds per 1 000 launches plus the profiler's host-phase breakdown
+(window flush, dependence, constraint solve, mapping, event advance)
+and the batched-write / solve-memo counters.
 
-* **scale runs** — the Fig. 9 CG inner loop at summit:64 and
-  summit:1024 simulated GPUs, fast path on vs off, reporting host
-  wall-clock seconds per 1 000 launches plus the profiler's host-phase
-  breakdown (window flush, dependence, constraint solve, mapping,
-  event advance) and cache hit/miss counters;
-* **identity runs** — fig9 CG and fig10 GMG with ``validate=True`` in
-  both modes: solution sha256, modeled time and offline-checker
-  verdict must be identical, proving the fast path is bitwise-neutral.
-
-``scripts/overhead.py`` writes the payload to
-``BENCH_runtime_overhead.json`` and enforces the acceptance bars
-(fast path strictly faster at both scales, identity runs clean).
+It is a probe, not a gate: ``bench/run.py`` is the harness for
+performance claims and has no workload this wide yet (ROADMAP item 2).
+``scripts/overhead.py`` prints the table and writes the payload under
+the ignored ``artifacts/``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 import repro.numeric as rnp
 import repro.sparse as sp
-from repro.analysis.checker import check_log
 from repro.apps.poisson import poisson2d_scipy
 from repro.legion.runtime import Runtime, RuntimeConfig, runtime_scope
-from repro.machine import Machine, ProcessorKind, summit
+from repro.machine import ProcessorKind, summit
 
 CG_GRID = 64
-CG_ITERS = 6
-GMG_GRID = 63
-GMG_ITERS = 4
 
 # summit nodes carry 6 GPUs; round up so the scope can take `procs`.
 GPUS_PER_NODE = 6
 
-# Scale points: (procs, CG iterations).  The slow path's per-launch
-# cost grows ~quadratically with colors, so the 1024-GPU point uses
-# few iterations to keep the off-mode measurement affordable.
+# Scale points: (procs, CG iterations).
 SCALES = ((64, 4), (1024, 2))
 
 
-def _digest(arr) -> str:
-    data = arr.to_numpy()
-    return hashlib.sha256(data.tobytes()).hexdigest()
-
-
-def _machine_for(procs: int) -> Machine:
-    return summit(nodes=math.ceil(procs / GPUS_PER_NODE))
-
-
-def _cg_state(grid: int):
-    A = sp.csr_matrix(poisson2d_scipy(grid))
-    b = rnp.ones(grid * grid)
-    return A, b
-
-
-def measure_scale(
-    procs: int,
-    fastpath: bool,
-    iters: int,
-    grid: int = CG_GRID,
-) -> Dict:
+def measure_scale(procs: int, iters: int, grid: int = CG_GRID) -> Dict:
     """Host seconds per 1k launches for CG at one machine scale."""
     rt = Runtime(
-        _machine_for(procs).scope(ProcessorKind.GPU, procs),
-        RuntimeConfig.legate(fastpath=fastpath),
+        summit(nodes=math.ceil(procs / GPUS_PER_NODE)).scope(
+            ProcessorKind.GPU, procs
+        ),
+        RuntimeConfig.legate(),
     )
     with runtime_scope(rt):
-        A, b = _cg_state(grid)
+        A = sp.csr_matrix(poisson2d_scipy(grid))
+        b = rnp.ones(grid * grid)
         sp.linalg.cg(A, b, rtol=0.0, maxiter=1)  # warm-up
         rt.barrier()
         snap = rt.profiler.snapshot()
         wall0 = time.perf_counter()
-        x, _info = sp.linalg.cg(A, b, rtol=0.0, maxiter=iters)
+        sp.linalg.cg(A, b, rtol=0.0, maxiter=iters)
         t_model = rt.barrier()
-        wall1 = time.perf_counter()
+        wall = time.perf_counter() - wall0
         delta = rt.profiler.since(snap)
-        digest = _digest(x)
-    wall = wall1 - wall0
     launches = delta.tasks_launched
     return {
         "machine": f"summit:{procs}",
         "procs": procs,
-        "fastpath": fastpath,
         "iters": iters,
         "tasks_launched": launches,
         "host_wall_clock_s": wall,
@@ -103,121 +70,16 @@ def measure_scale(
         "fastpath_counters": {
             k: int(v) for k, v in sorted(delta.fastpath_counters.items()) if v
         },
-        "solution_sha256": digest,
-    }
-
-
-def _scale_pair(procs: int, iters: int) -> Dict:
-    on = measure_scale(procs, True, iters)
-    off = measure_scale(procs, False, iters)
-    return {
-        "on": on,
-        "off": off,
-        "speedup": (
-            off["host_s_per_1k_launches"] / on["host_s_per_1k_launches"]
-            if on["host_s_per_1k_launches"]
-            else float("inf")
-        ),
-        "bitwise_identical": (
-            on["solution_sha256"] == off["solution_sha256"]
-            and on["modeled_time_s"] == off["modeled_time_s"]
-        ),
-    }
-
-
-def measure_identity(
-    workload: str,
-    fastpath: bool,
-    procs: int = 2,
-) -> Dict:
-    """One validated fig9-CG or fig10-GMG run; checker must be clean."""
-    rt = Runtime(
-        summit(nodes=1).scope(ProcessorKind.GPU, procs),
-        RuntimeConfig.legate(fastpath=fastpath, validate=True),
-    )
-    with runtime_scope(rt):
-        if workload == "fig9_cg":
-            A, b = _cg_state(CG_GRID)
-            state: tuple = (A, b, None)
-            iters = CG_ITERS
-        elif workload == "fig10_gmg":
-            from repro.apps.multigrid import TwoLevelGMG
-
-            A = sp.csr_matrix(poisson2d_scipy(GMG_GRID))
-            b = rnp.ones(GMG_GRID * GMG_GRID)
-            gmg = TwoLevelGMG(A, GMG_GRID, coarse_rtol=0.0, coarse_maxiter=8)
-            state = (A, b, gmg.as_preconditioner())
-            iters = GMG_ITERS
-        else:  # pragma: no cover - caller error
-            raise ValueError(f"unknown workload {workload!r}")
-        A, b, M = state
-        sp.linalg.cg(A, b, rtol=0.0, maxiter=1, M=M)  # warm-up
-        t0 = rt.barrier()
-        x, _info = sp.linalg.cg(A, b, rtol=0.0, maxiter=iters, M=M)
-        t1 = rt.barrier()
-        digest = _digest(x)
-    violations = check_log(rt.event_log)
-    return {
-        "workload": workload,
-        "fastpath": fastpath,
-        "iters": iters,
-        "modeled_time_s": t1 - t0,
-        "solution_sha256": digest,
-        "checker_violations": [str(v) for v in violations],
-        "checker_clean": not violations,
-    }
-
-
-def _identity_pair(workload: str) -> Dict:
-    on = measure_identity(workload, True)
-    off = measure_identity(workload, False)
-    return {
-        "on": on,
-        "off": off,
-        "bitwise_identical": (
-            on["solution_sha256"] == off["solution_sha256"]
-            and on["modeled_time_s"] == off["modeled_time_s"]
-        ),
-        "checker_clean": on["checker_clean"] and off["checker_clean"],
     }
 
 
 def run_all(scales=SCALES) -> Dict:
-    """The full BENCH_runtime_overhead payload."""
-    payload: Dict = {
-        "benchmark": "host-runtime fast path (batched analysis + caches)",
+    """The scale-probe payload: one entry per machine size."""
+    return {
+        "benchmark": "host-runtime scale probe (fig9 CG inner loop)",
         "metric": "host wall-clock seconds per 1000 task launches",
-        "scales": {},
-        "identity": {},
+        "scales": {
+            f"summit:{procs}": measure_scale(procs, iters)
+            for procs, iters in scales
+        },
     }
-    for procs, iters in scales:
-        payload["scales"][f"summit:{procs}"] = _scale_pair(procs, iters)
-    for workload in ("fig9_cg", "fig10_gmg"):
-        payload["identity"][workload] = _identity_pair(workload)
-    payload["all_faster"] = all(
-        pair["speedup"] > 1.0 for pair in payload["scales"].values()
-    )
-    payload["all_identical"] = all(
-        pair["bitwise_identical"] for pair in payload["scales"].values()
-    ) and all(
-        pair["bitwise_identical"] and pair["checker_clean"]
-        for pair in payload["identity"].values()
-    )
-    return payload
-
-
-def main(output: Optional[str] = None) -> Dict:  # pragma: no cover - CLI
-    import json
-
-    payload = run_all()
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return payload
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -412,10 +412,10 @@ class RegionCoherence:
 
         ``writes`` is ``(memory_uid, rect, time)`` per color, in color
         order, empty rects omitted, where the rects are the tiles of a
-        disjoint partition covering the whole region (the fast path's
+        disjoint partition covering the whole region (the runtime's
         eligibility check, :func:`repro.legion.fastpath
         .eligible_write_reqs`, guarantees this).  Under that geometry
-        the sequential slow path converges to a state independent of
+        the sequential calls converge to a state independent of
         prior validity — every pre-existing piece is subtracted away
         tile by tile, each written memory ends holding exactly its own
         tiles in color order, and ``written`` receives the same

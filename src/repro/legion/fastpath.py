@@ -1,33 +1,37 @@
-"""Host-side fast path: caches and batched analyses for the runtime.
+"""Host-side analysis machinery: caches and batched writes for the runtime.
 
 The simulated runtime is numerically exact but pays real host CPU for
 every launch: per-color coherence rebuilds and constraint solves are
 Python loops whose cost dwarfs the *modeled* time at scale
-(BENCH_runtime_overhead.json measures the gap).  This module holds the
-machinery ``RuntimeConfig.fastpath`` turns on:
+(``scripts/overhead.py`` probes it at summit:64 and summit:1024).  This
+module holds what the runtime always uses to keep that cost down —
+there is no switch and no other path:
 
 * :func:`eligible_write_reqs` — the batched-write legality check: a
   launch whose write requirement tiles its region disjointly (and whose
-  region no other requirement touches) may defer all per-color
-  ``mark_written`` calls and apply them in one
+  region no other requirement touches) defers all per-color
+  ``mark_written`` calls and applies them in one
   :meth:`RegionCoherence.write_complete` pass, because the final
-  coherence state is independent of the interleaving.
+  coherence state is independent of the interleaving.  Requirements it
+  rejects write per color.
 * :class:`SolveMemo` — bounded container for constraint-solve
   memoization keyed by structural signature
   (:func:`repro.constraints.solver.solve_signature`).
 * :class:`ImagePartitionCache` — image-partition geometry keyed by the
   source region's write epoch.
 
-The per-shard mapping itself is not here and has no switch: the
-runtime's requirement-major loop (plan rows, the steady-state lane) and
-coherence's integer interval engine are the one path, flag on or off
-(docs/ARCHITECTURE.md, "Host fast path").
+The per-shard mapping itself is not here: the runtime's
+requirement-major loop (plan rows, the steady-state lane) and
+coherence's integer interval engine (docs/ARCHITECTURE.md, "Host-side
+analysis").
 
-Everything here is bitwise-neutral by construction: with
-``fastpath=False`` the runtime writes coherence per color, solves
-afresh and recomputes images, and the fast path must produce identical modeled times, event
-logs and numerics (``tests/legion/test_fastpath.py`` proves it across
-spill, eviction, chaos loss and journal replay).
+Everything here is bitwise-neutral by construction — modeled times,
+event logs and numerics equal those of per-color writes, fresh solves
+and recomputed images.  ``tests/legion/test_fastpath.py`` holds each
+mechanism against that unit-level reference; the end-to-end goldens in
+``tests/legion/test_coherence_index.py`` and
+``tests/legion/test_mapping_lane.py`` were recorded from a runtime
+without any of it (CG, spill/eviction, GPU- and node-loss replay).
 """
 
 from __future__ import annotations
@@ -129,7 +133,7 @@ def eligible_write_reqs(task, replay: bool, freed_uids) -> dict:
 
     A write requirement is eligible when deferring its ``mark_written``
     calls to one end-of-launch :meth:`RegionCoherence.write_complete`
-    is provably identical to the sequential slow path:
+    is provably identical to the sequential per-color calls:
 
     * exclusive write privilege (WRITE / WRITE_DISCARD — REDUCE folds
       interleave with copies and are batched separately by the fold

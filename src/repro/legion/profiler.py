@@ -82,12 +82,13 @@ class Profiler:
     copy_count: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     copy_bytes: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     task_counts: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    # Host fast path (repro.legion.fastpath): wall-clock seconds the
-    # host process spent per runtime phase ("window-flush",
+    # Host-side analysis (repro.legion.fastpath): wall-clock seconds
+    # the host process spent per runtime phase ("window-flush",
     # "dependence", "constraint-solve", "mapping", "event-advance") and
     # counters (solve_hits/solve_misses for the constraint-solve memo,
-    # batched_writes for coherence writes applied via write_complete).  Host phases measure real time on
-    # the machine running the simulation, not simulated time.
+    # batched_writes for coherence writes applied via write_complete).
+    # Host phases measure real time on the machine running the
+    # simulation, not simulated time.
     host_phase_seconds: Dict[str, float] = field(
         default_factory=lambda: defaultdict(float)
     )

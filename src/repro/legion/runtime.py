@@ -149,16 +149,6 @@ class RuntimeConfig:
     # comparison systems and under harness.config.paper_legate, whose
     # Fig. 11/12 OOM outcomes are the published result.
     spill: bool = True
-    # Host-side fast path (repro.legion.fastpath): batched coherence
-    # write analysis, memoized constraint solving by structural
-    # signature, cached image geometry, and the deferred window's
-    # reference counts.  This trades host CPU for nothing
-    # simulated: modeled times, event logs and numerics are
-    # bitwise-identical with the flag off (the overhead bench and
-    # tests/legion/test_fastpath.py enforce it).  On by default; pinned
-    # off under harness.config.paper_legate so the published figure
-    # paths exercise the original per-requirement analyses.
-    fastpath: bool = True
     # Deterministic fault injection (repro.legion.chaos): None means no
     # injection; defaults from the REPRO_CHAOS environment variable.
     chaos: Optional[ChaosConfig] = field(default_factory=chaos_default)
@@ -430,17 +420,14 @@ class Runtime:
         # Region metadata the spill/checkpoint paths need after mapping
         # (uid -> (name, itemsize)); dropped on free.
         self._region_meta: Dict[int, Tuple[str, int]] = {}
-        # Host fast path (repro.legion.fastpath, RuntimeConfig.fastpath):
-        # the image-geometry cache, the constraint-solve memo consulted
-        # by AutoTask.execute, per-region-uid reference counts over the
-        # deferred window (replacing free_region's window scan), and
-        # the in-flight batched-write map (region name -> (coherence,
-        # [(mem_uid, rect, t)])) that _execute defers per-color
-        # mark_written calls into.  All None/empty when the fast path
-        # is off.
-        self._image_cache = (
-            _fastpath.ImagePartitionCache() if self.config.fastpath else None
-        )
+        # Host-side analysis state (repro.legion.fastpath): the
+        # image-geometry cache, the constraint-solve memo consulted by
+        # AutoTask.execute, per-region-uid reference counts over the
+        # deferred window (what free_region checks), and the in-flight
+        # batched-write map (requirement name -> (coherence,
+        # [(mem_uid, rect, t)])) that _execute_task defers per-color
+        # mark_written calls into.
+        self._image_cache = _fastpath.ImagePartitionCache()
         self._solve_memo = _fastpath.SolveMemo()
         self._window_refs: Dict[int, int] = {}
         self._pending_writes: Optional[dict] = None
@@ -453,7 +440,6 @@ class Runtime:
         if self.timeline is not None:
             # Live references: save() then serializes the totals as of
             # export time without extra plumbing.
-            self.timeline.meta["fastpath"] = self.config.fastpath
             self.timeline.meta["host_phases"] = (
                 self.profiler.host_phase_seconds
             )
@@ -532,8 +518,7 @@ class Runtime:
             self._fusion_cache.clear()
             self._nest_cache.clear()
             self._solve_memo.clear()
-            if self._image_cache is not None:
-                self._image_cache.clear()
+            self._image_cache.clear()
 
     # ------------------------------------------------------------------
     # Region management
@@ -581,18 +566,9 @@ class Runtime:
         are unaffected)."""
         if self._journaling:
             self._freed_uids.add(region.uid)
-        if self.config.fastpath:
-            # O(1) window-reference check: launch() counts each pending
-            # launch's region uids into _window_refs (cleared when the
-            # window swaps out for flushing).
-            referenced = self._window_refs.get(region.uid, 0) > 0
-        else:
-            referenced = any(
-                req.region.uid == region.uid
-                for task in self._window
-                for req in task.requirements
-            )
-        if referenced:
+        # launch() counts each pending launch's region uids into
+        # _window_refs (cleared when the window swaps out for flushing).
+        if self._window_refs.get(region.uid, 0) > 0:
             self._deferred_frees.append(region.uid)
         else:
             self._coherence.pop(region.uid, None)
@@ -788,11 +764,10 @@ class Runtime:
             self.flush_window()
             return self._execute(task)
         self._window.append(task)
-        if self.config.fastpath:
-            refs = self._window_refs
-            for req in task.requirements:
-                uid = req.region.uid
-                refs[uid] = refs.get(uid, 0) + 1
+        refs = self._window_refs
+        for req in task.requirements:
+            uid = req.region.uid
+            refs[uid] = refs.get(uid, 0) + 1
         if len(self._window) >= self.config.fusion_window:
             self.flush_window()
         return None
@@ -912,19 +887,20 @@ class Runtime:
         except BaseException:
             # A shard failure mid-launch must not leave batched
             # coherence writes dangling: replay them sequentially so
-            # the region tree holds the exact slow-path partial state.
+            # the region tree holds the partial state per-color
+            # mark_written calls would have left.
             self._flush_pending_writes()
             raise
 
     def _flush_pending_writes(self) -> None:
-        """Apply deferred coherence writes sequentially (slow-path order).
+        """Apply deferred coherence writes sequentially, in issue order.
 
         Called when something needs the region tree mid-launch — memory
         pressure relief scans every region's coherence, and an exception
         abandons the launch with writes already performed.  Replaying
         the deferred ``(memory, rect, time)`` triples through
         ``mark_written`` in issue order reproduces the exact partial
-        state the slow path would hold at this point.
+        state unbatched per-color writes would hold at this point.
         """
         pending = self._pending_writes
         if pending is None:
@@ -977,26 +953,25 @@ class Runtime:
         partial_times: List[float] = []
         reduce_writes: Dict[str, List[Tuple[Rect, Memory, float]]] = {}
 
-        # Host fast path: requirements whose final coherence state is
-        # independent of per-color write order (sole toucher of its
-        # region, disjoint Tiling over that region) defer their writes
-        # and apply them in one batch after the color loop — turning the
-        # O(colors^2) incremental invalidation into one linear pass.
-        if self.config.fastpath:
-            # Any task write to a region invalidates cached images of
-            # it (images read region data at solve time).
-            image_cache = self._image_cache
-            for req in task.requirements:
-                if req.privilege.writes:
-                    image_cache.bump(req.region.uid)
-            eligible = _fastpath.eligible_write_reqs(
-                task, replay, self._freed_uids
-            )
-            if eligible:
-                self._pending_writes = {
-                    name: (self.coherence(req.region), [])
-                    for name, req in eligible.items()
-                }
+        # Any task write to a region invalidates cached images of it
+        # (images read region data at solve time).
+        image_cache = self._image_cache
+        for req in task.requirements:
+            if req.privilege.writes:
+                image_cache.bump(req.region.uid)
+        # Requirements whose final coherence state is independent of
+        # per-color write order (sole writer of its region, disjoint
+        # Tiling over that region) defer their writes and apply them in
+        # one batch after the color loop — turning the O(colors^2)
+        # incremental invalidation into one linear pass.
+        eligible = _fastpath.eligible_write_reqs(
+            task, replay, self._freed_uids
+        )
+        if eligible:
+            self._pending_writes = {
+                name: (self.coherence(req.region), [])
+                for name, req in eligible.items()
+            }
         map_s = 0.0
         event_s = 0.0
 
@@ -1716,15 +1691,11 @@ class Runtime:
         owner = task.fold_partition or Tiling.create(req.region, colors)
         coh = self.coherence(req.region)
         procs = self.scope.processors
-        # Host fast path: the fold loop reads no coherence, and a Tiling
-        # owner covers the region with disjoint tiles, so the per-color
-        # mark_written calls can be batched into one write_complete.
+        # The fold loop reads no coherence, and a Tiling owner covers
+        # the region with disjoint tiles, so the per-color mark_written
+        # calls can be batched into one write_complete.
         batch: Optional[List[Tuple[int, Rect, float]]] = None
-        if (
-            self.config.fastpath
-            and type(owner) is Tiling
-            and owner.region.uid == req.region.uid
-        ):
+        if type(owner) is Tiling and owner.region.uid == req.region.uid:
             batch = []
         try:
             self._fold_loop(

@@ -16,9 +16,10 @@ Four properties pin that down:
   ``covered_ready`` that does not insert on read, and a lane hit that
   skips the LRU tick each break every walk;
 * **golden** — a spill/eviction run (where LRU order decides what is
-  dropped) and a GPU-loss replay run reproduce, event for event, the
-  logs recorded at the commit before the lane (80a31a5), with the fast
-  path on or off and with the lane's second half in play or not;
+  dropped) and GPU- and node-loss replay runs reproduce, event for
+  event, logs recorded at earlier commits from a runtime that wrote
+  coherence per color and solved afresh every launch, with the lane's
+  second half in play or not;
 * **budget** — Python calls per shard of a warm CG iteration do not
   depend on the machine size and stay under a recorded ceiling.
 """
@@ -29,10 +30,12 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
 import pytest
 
 import repro.numeric as rnp
 import repro.sparse as sp
+from repro.analysis.checker import check_log
 from repro.analysis.events import EventLog
 from repro.apps.poisson import poisson2d_scipy
 from repro.geometry import Rect
@@ -588,27 +591,29 @@ def test_lane_hit_without_the_lru_tick_fails_every_walk(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Goldens, recorded at the parent commit (80a31a5)
+# Goldens, recorded from the runtime before batched writes and memos
 # ----------------------------------------------------------------------
 # sha256 over the canonical event log + modeled seconds.  One digest per
-# run serves all four variants: fast path on/off, and the log taken
-# under validation (every read goes through _stage_reads) or attached
-# to a non-validating runtime (reads take the lane).
+# run serves both variants: the log taken under validation (every read
+# goes through _stage_reads) or attached to a non-validating runtime
+# (reads take the lane).  GOLDEN_SPILL and GOLDEN_GPU_LOSS were recorded
+# at 80a31a5 and asserted there and at 2e6c65e with the since-deleted
+# ``RuntimeConfig.fastpath`` both off (per-color coherence writes, fresh
+# constraint solves, recomputed images) and on.  GOLDEN_NODE_LOSS was
+# recorded at 2e6c65e with that flag off; with it on the same commit
+# gave the same digest, validated and not.
 GOLDEN_SPILL = "e53588cbe18d1fc71ea5991dae5a194a888a6f4166da79a081d660f0ee64c18d"
 GOLDEN_GPU_LOSS = "bdf307ee4bf5fb6880e74a3fe62a4078f08c39e69b77082f6e03532251c13a46"
+GOLDEN_NODE_LOSS = "6be4409f7f1fb8d92c5605211d0d7f3009456e983a43b73f66d0fda158eab79a"
 
 VARIANTS = [
-    pytest.param(fastpath, validate, id=f"{path}-{reads}")
-    for fastpath, path in ((True, "fastpath"), (False, "slowpath"))
-    for validate, reads in ((True, "validated"), (False, "lane"))
+    pytest.param(True, id="validated"),
+    pytest.param(False, id="lane"),
 ]
 
 
-def _logging_runtime(scope, fastpath, validate, chaos=None) -> Runtime:
-    rt = Runtime(
-        scope,
-        RuntimeConfig.legate(fastpath=fastpath, validate=validate, chaos=chaos),
-    )
+def _logging_runtime(scope, validate, chaos=None) -> Runtime:
+    rt = Runtime(scope, RuntimeConfig.legate(validate=validate, chaos=chaos))
     if rt.event_log is None:
         rt.event_log = EventLog(name="lane")
     return rt
@@ -622,15 +627,15 @@ def _digest(rt: Runtime, modeled: float) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("fastpath, validate", VARIANTS)
-def test_spill_and_eviction_log_matches_golden(fastpath, validate):
+@pytest.mark.parametrize("validate", VARIANTS)
+def test_spill_and_eviction_log_matches_golden(validate):
     """Over capacity on one GPU: what is evicted and what is spilled,
     and when, is decided by the LRU stamps the lane has to keep."""
     machine = Machine(MachineConfig(
         nodes=1, sockets_per_node=1, gpus_per_node=2,
         gpu_memory=1 << 20, sysmem_per_node=2 << 30,
     ))
-    rt = _logging_runtime(machine.scope(ProcessorKind.GPU, 1), fastpath, validate)
+    rt = _logging_runtime(machine.scope(ProcessorKind.GPU, 1), validate)
     with runtime_scope(rt):
         n = 30_000
         arrays = []
@@ -647,32 +652,46 @@ def test_spill_and_eviction_log_matches_golden(fastpath, validate):
     assert _digest(rt, modeled) == GOLDEN_SPILL
 
 
-def _cg(fastpath, validate, chaos=None) -> Tuple[Runtime, float, float]:
+def _cg(nodes, validate, chaos=None) -> Tuple[Runtime, float, float, np.ndarray]:
     rt = _logging_runtime(
-        summit(nodes=1).scope(ProcessorKind.GPU, 2, per_node=2),
-        fastpath, validate, chaos,
+        summit(nodes=nodes).scope(ProcessorKind.GPU, 2, per_node=2),
+        validate, chaos,
     )
     with runtime_scope(rt):
         A = sp.csr_matrix(poisson2d_scipy(16))
         b = rnp.ones(256)
         sp.linalg.cg(A, b, rtol=0.0, maxiter=1)  # warm-up
         t0 = rt.barrier()
-        sp.linalg.cg(A, b, rtol=0.0, maxiter=4)
+        x, _ = sp.linalg.cg(A, b, rtol=0.0, maxiter=4)
         t1 = rt.barrier()
-    return rt, t1 - t0, t1
+        solution = x.to_numpy().copy()
+    return rt, t1 - t0, t1, solution
 
 
-@pytest.mark.parametrize("fastpath, validate", VARIANTS)
-def test_gpu_loss_replay_log_matches_golden(fastpath, validate):
-    """A GPU lost mid-solve: wipe, restore, journal replay.  With a
-    chaos injector attached every mapping takes _map_instance."""
-    _, solve_s, _ = _cg(True, False)
+def _assert_loss_replay_matches(kind, nodes, golden, validate):
+    """A GPU or a node lost mid-solve: wipe, restore, journal replay.
+    With a chaos injector attached every mapping takes _map_instance."""
+    _, solve_s, _, fault_free = _cg(nodes, False)
     chaos = ChaosConfig(
-        checkpoint_every=16, losses=(LossSchedule("gpu", 1, solve_s / 2),)
+        checkpoint_every=16, losses=(LossSchedule(kind, 1, solve_s / 2),)
     )
-    rt, _, end = _cg(fastpath, validate, chaos)
+    rt, _, end, recovered = _cg(nodes, validate, chaos)
+    assert rt.profiler.faults_injected[f"{kind}-loss"] == 1
     assert rt.profiler.tasks_reexecuted == 6
-    assert _digest(rt, end) == GOLDEN_GPU_LOSS
+    assert np.array_equal(recovered, fault_free)
+    if validate:
+        assert check_log(rt.event_log) == []
+    assert _digest(rt, end) == golden
+
+
+@pytest.mark.parametrize("validate", VARIANTS)
+def test_gpu_loss_replay_log_matches_golden(validate):
+    _assert_loss_replay_matches("gpu", 1, GOLDEN_GPU_LOSS, validate)
+
+
+@pytest.mark.parametrize("validate", VARIANTS)
+def test_node_loss_replay_log_matches_golden(validate):
+    _assert_loss_replay_matches("node", 2, GOLDEN_NODE_LOSS, validate)
 
 
 # ----------------------------------------------------------------------
