@@ -12,7 +12,7 @@ import repro.numeric as rnp
 import repro.sparse as sp
 from repro.apps.rydberg import rydberg_hamiltonian_scipy
 from repro.integrate import solve_ivp
-from repro.legion import Runtime, RuntimeConfig, Trace
+from repro.legion import Runtime, RuntimeConfig
 from repro.legion.runtime import runtime_scope
 from repro.machine import ProcessorKind, summit
 
@@ -37,8 +37,8 @@ def quantum_step_time(traced: bool) -> float:
         def one_step(state):
             return solve_ivp(rhs, (0.0, 0.01), state, method="GBS8", step=0.01).y
 
-        y = one_step(y)  # warm-up (also the capture iteration when traced)
-        trace = Trace(rt, "gbs8-step")
+        y = one_step(y)  # warm-up
+        trace = rt.trace("gbs8-step")  # the runtime owns its traces
         if traced:
             with trace:
                 y = one_step(y)

@@ -104,15 +104,21 @@ class TwoLevelGMG:
         return e
 
     def vcycle(self, r: ndarray) -> ndarray:
-        """One V-cycle: returns e with A e ≈ r."""
-        e = self.smooth(r, None, self.pre_smooth)
-        rc = self.R @ (r - self.A @ e)
-        ec, _ = sp.linalg.cg(
-            self.Ac, rc, rtol=self.coarse_rtol, maxiter=self.coarse_maxiter
-        )
-        e = e + self.P @ ec
-        e = self.smooth(r, e, self.post_smooth)
-        return e
+        """One V-cycle: returns e with A e ≈ r.
+
+        A trace body of its own (:mod:`repro.legion.tracing`) when
+        applied stand-alone; as a CG preconditioner its scope -- and
+        the coarse CG's inside it -- joins the outer iteration's.
+        """
+        with r.runtime.trace("gmg-vcycle", key=(self.A.shape, self.Ac.shape)):
+            e = self.smooth(r, None, self.pre_smooth)
+            rc = self.R @ (r - self.A @ e)
+            ec, _ = sp.linalg.cg(
+                self.Ac, rc, rtol=self.coarse_rtol, maxiter=self.coarse_maxiter
+            )
+            e = e + self.P @ ec
+            e = self.smooth(r, e, self.post_smooth)
+            return e
 
     def as_preconditioner(self) -> LinearOperator:
         """The V-cycle wrapped as a LinearOperator."""
@@ -188,8 +194,11 @@ class MultiLevelGMG:
         return self._smooth(A, dinv, r, e, self.post_smooth)
 
     def vcycle(self, r: ndarray) -> ndarray:
-        """One full V-cycle from the finest level."""
-        return self._vcycle(0, r)
+        """One full V-cycle from the finest level (one trace body; see
+        :meth:`TwoLevelGMG.vcycle`)."""
+        shapes = tuple(level[0].shape for level in self.levels)
+        with r.runtime.trace("gmg-vcycle", key=shapes):
+            return self._vcycle(0, r)
 
     def as_preconditioner(self) -> LinearOperator:
         """The V-cycle wrapped as a LinearOperator."""

@@ -424,10 +424,11 @@ def _image_cached(con: Image, src_part: Partition, exact: bool, cache):
             Partition.__init__(img, dest, src_part.color_count)
             img.pos = source
             img.pos_partition = src_part
-            img._rects = list(cached)
+            img._rects = cached[0]
+            img._tables = cached
             return img
         img = ImageByRange(source, src_part, dest)
-        cache.put(key, tuple(img._rects))
+        cache.put(key, img.tables())
         return img
     if cached is not None:
         rects, pieces = cached
@@ -436,9 +437,9 @@ def _image_cached(con: Image, src_part: Partition, exact: bool, cache):
         img.crd = source
         img.crd_partition = src_part
         img.exact = bool(exact)
-        img._rects = list(rects)
+        img._rects = rects
         img._pieces = pieces
         return img
     img = ImageByCoordinate(source, src_part, dest, exact=exact)
-    cache.put(key, (tuple(img._rects), tuple(img._pieces)))
+    cache.put(key, img.tables())
     return img

@@ -153,12 +153,107 @@ class AutoTask:
                     f"shards would race on region {store.region.name!r}"
                 )
 
+    def _fingerprint(self, colors: int, ids: Dict[int, int]) -> Optional[tuple]:
+        """The launch's trace fingerprint, taken *before* the solve.
+
+        Everything the solver consults (what
+        :func:`~repro.constraints.solver.solve_signature` encodes: shapes,
+        sizes, key partitions, alignment and broadcast structure) plus
+        what the launch adds to it (name, privileges, body IR), with
+        regions numbered by first use within the trace body (``ids``)
+        -- so a match pins the solve plan, the solved partitions and
+        the dataflow from earlier launches of the body at once.  None
+        when the solve reads region data or caller partitions (Image,
+        Explicit), a key partition is no tiling, or a constraint names
+        a store that is no argument: such launches are matched after
+        the solve, by :func:`repro.legion.tracing.launch_fingerprint`.
+        """
+        rows = []
+        own = set()
+        for name, store, privilege in self._args:
+            region = store.region
+            uid = region.uid
+            own.add(uid)
+            lid = ids.get(uid)
+            if lid is None:
+                lid = ids[uid] = len(ids)
+            key = store.key_partition
+            if key is not None:
+                if type(key) is not Tiling:
+                    return None
+                key = (
+                    key.boundaries if key.region is region
+                    else (key.region.uid, key.boundaries)
+                )
+            rows.append((name, privilege, lid, region.shape, region.dtype, key))
+        constraints = []
+        for con in self._constraints:
+            kind = type(con)
+            if kind is Align:
+                left, right = con.left.region.uid, con.right.region.uid
+                if left not in own or right not in own:
+                    return None
+                constraints.append((ids[left], ids[right]))
+            elif kind is Broadcast:
+                uid = con.store.region.uid
+                if uid not in own:
+                    return None
+                constraints.append((ids[uid],))
+            else:
+                return None
+        return (
+            self.name, self._pointwise, self._scalar_reduction, colors,
+            tuple(rows), tuple(constraints),
+        )
+
+    def _solve(
+        self, stores, colors: int, slot, images: bool
+    ) -> Dict[int, object]:
+        """Partitions for the stores, through the solve memo.
+
+        Iterative solvers re-launch structurally identical tasks every
+        step; the signature embeds key partitions, so repartitions miss
+        instead of going stale.  Image constraints read region data and
+        are never memoizable.  The plan found or made is left on the
+        trace ``slot`` (if any) for the position's replays.
+        """
+        rt = self.runtime
+        sig = None if images else solve_signature(
+            stores,
+            self._constraints,
+            colors,
+            reuse_partitions=rt.config.reuse_partitions,
+            exact_images=rt.config.exact_images,
+        )
+        if sig is not None:
+            plan_entry = rt._solve_memo.get(sig)
+            if plan_entry is not None:
+                if slot is not None:
+                    slot.solve_plan = plan_entry
+                rt.profiler.fastpath_counters["solve_hits"] += 1
+                return rebuild_solution(plan_entry, stores, colors)
+        solution = solve_partitions(
+            stores,
+            self._constraints,
+            colors,
+            reuse_partitions=rt.config.reuse_partitions,
+            exact_images=rt.config.exact_images,
+            image_cache=rt._image_cache,
+        )
+        if sig is not None:
+            splan = solution_plan(solution, stores)
+            if splan is not None:
+                rt._solve_memo.put(sig, splan)
+                if slot is not None:
+                    slot.solve_plan = splan
+            rt.profiler.fastpath_counters["solve_misses"] += 1
+        return solution
+
     def execute(self) -> Optional[Future]:
         """Solve constraints, launch, update key partitions."""
         colors = self.colors if self.colors is not None else self.runtime.num_procs
-        if self._pointwise is None or any(
-            isinstance(c, Image) for c in self._constraints
-        ):
+        images = any(isinstance(c, Image) for c in self._constraints)
+        if self._pointwise is None or images:
             # Non-pointwise (or image-constrained) tasks flush the
             # deferred window *before* solving: image partitions read
             # region data host-side at solve time, and pending fused
@@ -183,37 +278,20 @@ class AutoTask:
         stores = [store for _, store, _ in self._args]
         rt = self.runtime
         t0 = _perf()
-        solution = None
-        # Memoized solve: iterative solvers re-launch structurally
-        # identical tasks every step; the signature embeds key
-        # partitions, so repartitions miss instead of going stale.
-        sig = solve_signature(
-            stores,
-            self._constraints,
-            colors,
-            reuse_partitions=rt.config.reuse_partitions,
-            exact_images=rt.config.exact_images,
-        )
-        if sig is not None:
-            plan_entry = rt._solve_memo.get(sig)
-            if plan_entry is not None:
-                solution = rebuild_solution(plan_entry, stores, colors)
-        if solution is None:
-            solution = solve_partitions(
-                stores,
-                self._constraints,
-                colors,
-                reuse_partitions=rt.config.reuse_partitions,
-                exact_images=rt.config.exact_images,
-                image_cache=rt._image_cache,
-            )
-            if sig is not None:
-                splan = solution_plan(solution, stores)
-                if splan is not None:
-                    rt._solve_memo.put(sig, splan)
-                rt.profiler.fastpath_counters["solve_misses"] += 1
-        else:
+        # Inside a trace scope the launch is matched against the
+        # captured body before its solve; a replayed position hands
+        # back the capture's solve plan.
+        trace = rt._trace
+        slot = None
+        if trace is not None and trace.recording and not images:
+            fingerprint = self._fingerprint(colors, trace.ids)
+            if fingerprint is not None:
+                slot = trace.advance(fingerprint)
+        if slot is not None and slot.solve_plan is not None:
+            solution = rebuild_solution(slot.solve_plan, stores, colors)
             rt.profiler.fastpath_counters["solve_hits"] += 1
+        else:
+            solution = self._solve(stores, colors, slot, images)
         rt.profiler.record_host_phase("constraint-solve", _perf() - t0)
         if self.runtime.config.validate:
             self._check_write_disjointness(solution)
@@ -242,6 +320,8 @@ class AutoTask:
             fold_partition=fold_partition,
             pointwise=self._pointwise,
         )
+        if slot is not None:
+            trace.tag(launch, slot)
         result = self.runtime.launch(launch)
 
         for _name, store, privilege in self._args:

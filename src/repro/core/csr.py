@@ -24,20 +24,36 @@ def _indptr_to_pos(indptr: np.ndarray) -> np.ndarray:
 def _canonicalize_coo(
     row: np.ndarray, col: np.ndarray, data: np.ndarray, shape: Tuple[int, int]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Host-side assembly: sort by (row, col) and sum duplicates."""
-    order = np.lexsort((col, row))
+    """Host-side assembly: sort by (row, col) and sum duplicates.
+
+    One stable sort on the fused key ``row * ncols + col`` orders the
+    entries exactly as ``lexsort((col, row))`` does (indices are bounds-
+    checked before they get here) and lets duplicates be found by
+    comparing one array; shapes whose key would overflow int64 take the
+    two-key sort.
+    """
+    nrows, ncols = int(shape[0]), int(shape[1])
+    fused = nrows * ncols < 2**63
+    if fused:
+        key = np.multiply(row, ncols, dtype=np.int64) + col
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+    else:
+        order = np.lexsort((col, row))
     row, col, data = row[order], col[order], data[order]
     if len(row):
         fresh = np.empty(len(row), dtype=bool)
         fresh[0] = True
-        fresh[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+        if fused:
+            np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        else:
+            fresh[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
         if not fresh.all():
             starts = np.flatnonzero(fresh)
             data = np.add.reduceat(data, starts)
             row, col = row[starts], col[starts]
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.add.at(indptr, row + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=nrows), out=indptr[1:])
     return indptr, col.astype(np.int64), data
 
 

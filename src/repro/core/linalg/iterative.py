@@ -51,29 +51,41 @@ def cg(
     M=None,
     callback: Optional[Callable] = None,
 ) -> Tuple[ndarray, int]:
-    """Conjugate Gradient for SPD (or HPD) systems."""
+    """Conjugate Gradient for SPD (or HPD) systems.
+
+    Each iteration is one trace body (:mod:`repro.legion.tracing`): the
+    runtime captures its launches once per system and replays them --
+    across calls too -- so the per-launch overhead the paper blames for
+    its small-task losses (§6.1) is paid by the first iteration only.
+    The convergence check sits inside the scope, so the scope adds no
+    synchronization of its own.
+    """
     x, maxiter, tol = _setup(A, b, x0, rtol, atol, maxiter)
     r = b - A @ x
     z = _apply(M, r)
     p = z.copy()
     rz = rnp.vdot(r, z)
+    # Keyed by system, so a fine solve whose preconditioner runs a
+    # coarse solve (GMG) keeps one trace for each.
+    trace = x.runtime.trace("cg", key=(A.shape, x.dtype.str, M is None))
     for _it in range(maxiter):
-        if float(rnp.linalg.norm(r)) <= tol:
-            return x, 0
-        q = A @ p
-        pq = rnp.vdot(p, q)
-        if complex(pq) == 0:
-            return x, -1
-        alpha = rz / pq
-        x += p * alpha
-        r -= q * alpha
-        z = _apply(M, r)
-        rz_next = rnp.vdot(r, z)
-        beta = rz_next / rz
-        p = z + p * beta
-        rz = rz_next
-        if callback is not None:
-            callback(x)
+        with trace:
+            if float(rnp.linalg.norm(r)) <= tol:
+                return x, 0
+            q = A @ p
+            pq = rnp.vdot(p, q)
+            if complex(pq) == 0:
+                return x, -1
+            alpha = rz / pq
+            x += p * alpha
+            r -= q * alpha
+            z = _apply(M, r)
+            rz_next = rnp.vdot(r, z)
+            beta = rz_next / rz
+            p = z + p * beta
+            rz = rz_next
+            if callback is not None:
+                callback(x)
     if float(rnp.linalg.norm(r)) <= tol:
         return x, 0
     return x, maxiter

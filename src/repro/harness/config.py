@@ -41,7 +41,8 @@ def nodes_needed(columns=WEAK_SCALING_COLUMNS) -> int:
 
 
 def paper_legate(**kwargs):
-    """Legate config as the paper measured it: no fusion, no spilling.
+    """Legate config as the paper measured it: no fusion, no spilling,
+    no trace replay discount.
 
     The published system predates the deferred fusion window (§6.1
     names fusion as future work), and several figure shapes depend on
@@ -60,12 +61,21 @@ def paper_legate(**kwargs):
     groups executing as one generated loop nest) is pinned off with
     fusion: it rides on the deferred window and further changes modeled
     compute; its win is measured in the same separate fusion benchmark.
+
+    Trace replay is charged in full (``trace_replay_fraction=1.0``):
+    dynamic tracing is the paper's other cited future work (§6.1), so
+    the published system pays the whole launch overhead on every
+    iteration.  The solvers still open their trace scopes and the host
+    still replays the templates -- at 1.0 that changes no modeled
+    second; the tracing win is measured by ``benchmarks/test_tracing.py``
+    and the ``gmg_small_tasks`` workload of ``bench/``.
     """
     from repro.legion.runtime import RuntimeConfig
 
     kwargs.setdefault("fusion", False)
     kwargs.setdefault("spill", False)
     kwargs.setdefault("kernel_fusion", False)
+    kwargs.setdefault("trace_replay_fraction", 1.0)
     # The paper's system speaks CSR/COO only; auto-format selection is
     # this reproduction's extension and must not touch published figures.
     kwargs["autoformat"] = False

@@ -57,7 +57,12 @@ def _measure(
 ) -> Dict:
     rt = Runtime(
         machine.scope(ProcessorKind.GPU, procs),
-        RuntimeConfig.legate(fusion=fusion, kernel_fusion=kernel_fusion),
+        # Fusion measured alone: trace replays (CG and the V-cycle open
+        # scopes themselves) are charged in full on every side.
+        RuntimeConfig.legate(
+            fusion=fusion, kernel_fusion=kernel_fusion,
+            trace_replay_fraction=1.0,
+        ),
     )
     with runtime_scope(rt):
         state = setup()

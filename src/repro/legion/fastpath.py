@@ -23,7 +23,9 @@ there is no switch and no other path:
 The per-shard mapping itself is not here: the runtime's
 requirement-major loop (plan rows, the steady-state lane) and
 coherence's integer interval engine (docs/ARCHITECTURE.md, "Host-side
-analysis").
+analysis").  Nor are traces (:mod:`repro.legion.tracing`): a launch a
+trace replays takes its solve plan and batched-write verdict from the
+capture and reaches neither the memo nor :func:`eligible_write_reqs`.
 
 Everything here is bitwise-neutral by construction — modeled times,
 event logs and numerics equal those of per-color writes, fresh solves

@@ -42,8 +42,9 @@ Everything here is deterministic and depends only on window *structure*
 (names, colors, privileges, partition boundaries, and which arguments
 share a region), so plans are memoizable: :func:`signature` renumbers
 regions by first occurrence, and two windows with equal signatures get
-byte-identical plans — how fusion decisions are memoized per captured
-trace (:mod:`repro.legion.tracing`).
+byte-identical plans.  A window whose launches one trace body issued
+skips even the signature: its planned groups are kept on the trace
+(:mod:`repro.legion.tracing`, ``Runtime._flush``).
 """
 
 from __future__ import annotations

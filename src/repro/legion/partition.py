@@ -17,12 +17,15 @@ quantum Hamiltonian — reproducing the paper's Fig. 11 falloff).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry import Rect
 from repro.legion.region import Region
+
+# Every color's rect, and every color's pieces, each indexable by color.
+Tables = Tuple[Sequence[Rect], Sequence[Tuple[Rect, ...]]]
 
 
 class Partition:
@@ -31,9 +34,9 @@ class Partition:
     def __init__(self, region: Region, color_count: int):
         self.region = region
         self.color_count = int(color_count)
-        # Per-color pieces tuples, built on first use and handed out
-        # shared (rects are immutable; callers only iterate).
-        self._pieces_cache: dict = {}
+        # (rects, pieces) of every color, built on first use and handed
+        # out shared (rects are immutable; callers only index).
+        self._tables: Optional[Tables] = None
 
     def rect(self, color: int) -> Rect:
         """The (bounding) sub-rectangle assigned to ``color``."""
@@ -45,13 +48,20 @@ class Partition:
         Exact images override this so the copy engine moves only the
         referenced data, like Legion's precise image partitions.
         """
-        cached = self._pieces_cache.get(color)
-        if cached is None:
-            rect = self.rect(color)
-            cached = self._pieces_cache[color] = (
-                () if rect.is_empty() else (rect,)
-            )
-        return cached
+        return self.tables()[1][color]
+
+    def tables(self) -> Tables:
+        """``(rects, pieces)`` of every color, each indexable by color.
+
+        The runtime's mapping loop resolves a requirement through this
+        once per launch instead of calling :meth:`rect` and
+        :meth:`pieces` once per shard.
+        """
+        tables = self._tables
+        if tables is None:
+            rects = tuple(self.rect(c) for c in range(self.color_count))
+            tables = self._tables = (rects, _whole_pieces(rects))
+        return tables
 
     def rects(self) -> List[Rect]:
         """All colors' rects, in color order."""
@@ -99,11 +109,6 @@ class Tiling(Partition):
             for i in range(len(self.boundaries) - 1)
         ):
             raise ValueError("tile boundaries must be non-decreasing")
-        # Per-color tile rects, built on first use.  Tilings are shared
-        # across launches (key-partition reuse), so memoizing here turns
-        # the per-shard rect construction into a dict hit; Rect is
-        # immutable, so sharing one object per color is safe.
-        self._rect_cache: dict = {}
 
     @classmethod
     def trusted(cls, region: Region, boundaries: Tuple[int, ...]) -> "Tiling":
@@ -116,7 +121,6 @@ class Tiling(Partition):
         self = cls.__new__(cls)
         Partition.__init__(self, region, len(boundaries) - 1)
         self.boundaries = tuple(boundaries)
-        self._rect_cache = {}
         return self
 
     @staticmethod
@@ -136,16 +140,35 @@ class Tiling(Partition):
 
     def rect(self, color: int) -> Rect:
         """The tile rect of a color."""
-        cached = self._rect_cache.get(color)
-        if cached is None:
-            lo = self.boundaries[color]
-            hi = self.boundaries[color + 1]
-            if self.region.ndim == 1:
-                cached = Rect((lo,), (hi,))
-            else:
-                cached = Rect((lo, 0), (hi, self.region.shape[1]))
-            self._rect_cache[color] = cached
-        return cached
+        return self.tables()[0][color]
+
+    def tables(self) -> Tables:
+        """The tile tables, shared by every tiling with these boundaries
+        over a region of this trailing shape: a solver iteration's fresh
+        temporaries are tiled like the last iteration's, and their
+        tilings find the rects already built."""
+        tables = self._tables
+        if tables is None:
+            trailing = self.region.shape[1:]
+            key = (self.boundaries, trailing)
+            tables = _TILE_TABLES.get(key)
+            if tables is None:
+                bounds = self.boundaries
+                if trailing:
+                    width = trailing[0]
+                    rects = tuple(
+                        Rect((lo, 0), (hi, width))
+                        for lo, hi in zip(bounds, bounds[1:])
+                    )
+                else:
+                    rects = tuple(
+                        Rect((lo,), (hi,)) for lo, hi in zip(bounds, bounds[1:])
+                    )
+                if len(_TILE_TABLES) >= MAX_TILE_TABLES:
+                    _TILE_TABLES.clear()
+                tables = _TILE_TABLES[key] = (rects, _whole_pieces(rects))
+            self._tables = tables
+        return tables
 
     def aligned_with(self, other: Partition) -> bool:
         """Same boundaries: composing costs no movement."""
@@ -161,6 +184,15 @@ class Replicate(Partition):
     def rect(self, color: int) -> Rect:
         """The whole region, for every color."""
         return self.region.rect
+
+    def tables(self) -> Tables:
+        """The whole region ``color_count`` times over."""
+        tables = self._tables
+        if tables is None:
+            colors = self.color_count
+            whole = (self.region.rect,)
+            tables = self._tables = (whole * colors, _whole_pieces(whole) * colors)
+        return tables
 
     def aligned_with(self, other: Partition) -> bool:
         """Replicas of same-shape regions align."""
@@ -194,10 +226,10 @@ class ImageByRange(Partition):
             raise ValueError("pos region must have shape (n, 2)")
         self.pos = pos
         self.pos_partition = pos_partition
-        self._rects = [
+        self._rects = tuple(
             self._compute(pos_partition.rect(c), dest)
             for c in range(self.color_count)
-        ]
+        )
 
     def _compute(self, pos_rect: Rect, dest: Region) -> Rect:
         lo, hi = pos_rect.lo[0], pos_rect.hi[0]
@@ -245,23 +277,25 @@ class ImageByCoordinate(Partition):
         self.crd = crd
         self.crd_partition = crd_partition
         self.exact = exact
-        self._rects = []
-        self._pieces: List[Tuple[Rect, ...]] = []
+        rects: List[Rect] = []
+        pieces: List[Tuple[Rect, ...]] = []
         for c in range(self.color_count):
             src = crd_partition.rect(c)
             lo, hi = src.lo[0], src.hi[0]
             vals = crd.data[lo:hi] if hi > lo else np.empty(0, np.int64)
             if vals.size == 0:
-                self._rects.append(_empty_rect(dest))
-                self._pieces.append(())
+                rects.append(_empty_rect(dest))
+                pieces.append(())
                 continue
             dlo = int(vals.min())
             dhi = int(vals.max()) + 1
-            self._rects.append(_extend_rows(dest, dlo, dhi))
+            rects.append(_extend_rows(dest, dlo, dhi))
             if exact:
-                self._pieces.append(tuple(self._runs(vals, dest)))
+                pieces.append(tuple(self._runs(vals, dest)))
             else:
-                self._pieces.append((self._rects[-1],))
+                pieces.append((rects[-1],))
+        self._rects = tuple(rects)
+        self._pieces = tuple(pieces)
 
     @classmethod
     def _runs(cls, vals: np.ndarray, dest: Region) -> List[Rect]:
@@ -284,6 +318,21 @@ class ImageByCoordinate(Partition):
     def pieces(self, color: int) -> Tuple[Rect, ...]:
         """Exact runs (or the bounding rect)."""
         return self._pieces[color]
+
+    def tables(self) -> Tables:
+        """The image rects and their exact runs."""
+        return self._rects, self._pieces
+
+
+# (boundaries, trailing shape) -> (tile rects, their pieces); see
+# Tiling.tables.  Bounded: cleared when full.
+_TILE_TABLES: Dict[tuple, Tables] = {}
+MAX_TILE_TABLES = 512
+
+
+def _whole_pieces(rects: Sequence[Rect]) -> Tuple[Tuple[Rect, ...], ...]:
+    """Per color, the rect as its own single piece (none when empty)."""
+    return tuple(() if rect.is_empty() else (rect,) for rect in rects)
 
 
 def _empty_rect(dest: Region) -> Rect:

@@ -56,6 +56,7 @@ from repro.legion.task import Pointwise, Requirement, ShardContext, TaskLaunch
 from repro.legion.timeline import Timeline
 from repro.legion.timeline import profile_default as _profile_default
 from repro.legion.timeline import register as _register_timeline
+from repro.legion.tracing import Trace
 from repro.machine import MachineScope, Memory, MemoryKind, Processor
 
 
@@ -67,6 +68,14 @@ class RuntimeConfig:
     # Python-side cost of launching one task (constraint solving, metadata
     # management, Legion dispatch).
     launch_overhead: float = 1.3e-4
+    # Share of launch_overhead a launch replayed from a captured trace
+    # (repro.legion.tracing) pays: Legion replays the memoized
+    # dependence analysis instead of redoing it.  A model parameter,
+    # not a switch: the host replays templates identically at any
+    # value, and at 1.0 a traced run is bit-for-bit the untraced one.
+    # The published system has no tracing (its cited future work), so
+    # harness.config.paper_legate and the comparison systems pin 1.0.
+    trace_replay_fraction: float = 0.15
     # Extra per-shard mapping cost charged on each shard's start.
     shard_overhead: float = 2.0e-6
     # Scalar allreduce: fixed overhead plus per-tree-hop overhead on top
@@ -192,6 +201,7 @@ class RuntimeConfig:
             memory_pressure_slowdown=6.0,
             fusion=False,
             spill=False,
+            trace_replay_fraction=1.0,
         )
         defaults.update(overrides)
         return cls(**defaults)
@@ -210,6 +220,7 @@ class RuntimeConfig:
             local_reshape_penalty=False,
             fusion=False,
             spill=False,
+            trace_replay_fraction=1.0,
         )
         defaults.update(overrides)
         return cls(**defaults)
@@ -229,9 +240,74 @@ class RuntimeConfig:
             local_reshape_penalty=False,
             fusion=False,
             spill=False,
+            trace_replay_fraction=1.0,
         )
         defaults.update(overrides)
         return cls(**defaults)
+
+
+class _RowShape:
+    """What of a requirement is the same for every launch with its
+    fingerprint: names, privilege flags and the geometry of every color.
+
+    Holds no region, so a trace slot may keep it (see
+    :mod:`repro.legion.tracing`).
+    """
+
+    __slots__ = (
+        "name", "privilege", "reads", "writes", "elide", "readonly",
+        "poison", "rects", "pieces",
+    )
+
+    def __init__(
+        self, req: Requirement, sanitize: bool, poison_discards: bool
+    ) -> None:
+        privilege = req.privilege
+        self.name = req.name
+        self.privilege = privilege
+        self.reads = privilege.reads
+        self.writes = privilege.writes
+        self.elide = req.elide
+        # Privilege sanitizer (validation): a READ argument is handed
+        # out read-only, so that writing it fails loudly instead of
+        # corrupting other shards' data, and WRITE_DISCARD rects are
+        # poisoned before the kernel runs.
+        self.readonly = sanitize and not privilege.writes
+        self.poison = poison_discards and privilege is Privilege.WRITE_DISCARD
+        self.rects, self.pieces = req.partition.tables()
+
+
+class _LaunchShape:
+    """The execution template of a launch: its row shapes, the
+    privileges handed to every shard, which requirements write and
+    which of those batch their coherence writes
+    (:func:`repro.legion.fastpath.eligible_write_reqs`).  Derived once
+    per launch -- or, for a launch a trace replays, once per capture."""
+
+    __slots__ = ("shapes", "privileges", "writers", "eligible", "validate")
+
+    def __init__(
+        self, task: TaskLaunch, validate: bool, replay: bool, freed_uids
+    ) -> None:
+        reqs = task.requirements
+        self.validate = validate
+        # Replay keeps the real results intact: nothing is poisoned.
+        poison = validate and not replay
+        self.shapes = tuple(_RowShape(req, validate, poison) for req in reqs)
+        self.privileges = {req.name: req.privilege for req in reqs}
+        self.writers = tuple(
+            i for i, shape in enumerate(self.shapes) if shape.writes
+        )
+        # Requirements whose final coherence state is independent of
+        # per-color write order (sole writer of its region, disjoint
+        # Tiling over that region) defer their writes and apply them in
+        # one batch after the color loop -- turning the O(colors^2)
+        # incremental invalidation into one linear pass.
+        eligible = _fastpath.eligible_write_reqs(task, replay, freed_uids)
+        self.eligible = tuple(
+            i for req in eligible.values()
+            for i in self.writers if reqs[i] is req
+        )
 
 
 class _PlanRow:
@@ -239,54 +315,75 @@ class _PlanRow:
 
     The color loop of :meth:`Runtime._execute_task` visits every
     (color, requirement) pair; whatever of a pair does not depend on
-    the color is worked out here, per launch.
+    the color is worked out here, per launch: the structural part comes
+    from the :class:`_RowShape`, the rest binds this launch's region.
     """
 
     __slots__ = (
-        "name", "region", "uid", "data", "rect_of", "pieces_of",
+        "name", "region", "uid", "data", "rects", "pieces",
         "privilege", "reads", "writes", "elide", "skipped", "poison",
         "itemsize", "mem_scale", "coh",
     )
 
     def __init__(
         self,
-        req: Requirement,
+        shape: _RowShape,
+        region: Region,
         skipped: bool,
         mem_scale: Optional[float],
-        sanitize: bool,
-        poison_discards: bool,
     ) -> None:
-        region = req.region
-        privilege = req.privilege
-        self.name = req.name
+        self.name = shape.name
+        self.rects = shape.rects
+        self.pieces = shape.pieces
+        self.privilege = shape.privilege
+        self.reads = shape.reads
+        self.writes = shape.writes
+        self.elide = shape.elide
+        self.poison = shape.poison
         self.region = region
         self.uid = region.uid
-        self.rect_of = req.partition.rect
-        self.pieces_of = req.partition.pieces
-        self.privilege = privilege
-        self.reads = privilege.reads
-        self.writes = privilege.writes
-        self.elide = req.elide
         # Replay of a launch journaled before the region was freed: its
         # coherence and instances are gone and nothing downstream can
         # read it, so the requirement is skipped physically and in the
         # event log.
         self.skipped = skipped
-        # Privilege sanitizer (validation): a READ argument is handed
-        # out read-only, so that writing it fails loudly instead of
-        # corrupting other shards' data, and WRITE_DISCARD rects are
-        # poisoned before the kernel runs.
         self.data = (
             _readonly_view(region.data)
-            if sanitize and not privilege.writes and not skipped
+            if shape.readonly and not skipped
             else region.data
         )
-        self.poison = poison_discards and privilege is Privilege.WRITE_DISCARD
         self.itemsize = region.itemsize
         self.mem_scale = mem_scale
         # The region's RegionCoherence, fetched by the first shard that
         # needs it (a lookup creates the entry).
         self.coh: Optional[RegionCoherence] = None
+
+
+class _Group:
+    """One planned group of a deferred window, as ``_flush`` runs it.
+
+    Region-free: elided temporaries are named by (window index,
+    requirement index), so the groups of a window a trace replays are
+    kept on its first slot and the analysis is not redone.
+    """
+
+    __slots__ = (
+        "indices", "names", "label", "elide", "nest_key", "nests", "exec",
+    )
+
+    def __init__(self, indices, names, label, elide, nest_key) -> None:
+        self.indices = indices
+        self.names = names
+        # depend.verdict_label: "single", "merged" or "replay:<reason>".
+        self.label = label
+        self.elide = elide
+        # Merged groups: the structural half of the nest-cache key, and
+        # the nests generated so far by which elided temporaries (as
+        # positions in ``elide``) were already dead at the flush.
+        self.nest_key = nest_key
+        self.nests: Dict[frozenset, "object"] = {}
+        # The fused launch's execution template (kept windows only).
+        self.exec: Optional[_LaunchShape] = None
 
 
 class Runtime:
@@ -345,9 +442,13 @@ class Runtime:
         # Memory-magnification overrides keyed by region dim-0 extent;
         # see Region.mem_scale.
         self.mem_scale_by_extent: Dict[int, float] = {}
-        # Optional tracing hook (repro.legion.tracing): called with the
-        # task name per launch; returns a launch-overhead multiplier.
-        self._trace_hook = None
+        # Traces (repro.legion.tracing): the registry behind trace(),
+        # the outermost open scope (inner scopes join it) and the epoch
+        # a captured body must have been recorded under to replay.
+        self._traces: Dict[tuple, Trace] = {}
+        self._trace: Optional[Trace] = None
+        self._trace_depth = 0
+        self._template_epoch = 0
         # Deferred launch window (automatic task fusion, see
         # repro.legion.fusion): fusible launches buffer here; flush
         # plans groups and executes.  The plan cache memoizes grouping
@@ -485,7 +586,10 @@ class Runtime:
         * **``fusion_log`` / ``autoformat_log``** — unbounded growth,
           and one tenant's op-stream shape visible to the next
           (a cross-tenant information leak in a serving context);
-        * **the tracing hook and any in-flight batched writes**.
+        * **traces** — the registry, any open scope and the template
+          epoch (one program's captured bodies must not discount the
+          next program's launches) — **and any in-flight batched
+          writes**.
 
         When chaos journaling is active the journal cannot simply be
         dropped — recovery replays from the last checkpoint epoch, so a
@@ -505,7 +609,10 @@ class Runtime:
         """
         self._sync("reset-for-program")
         self._pending_writes = None
-        self._trace_hook = None
+        self._traces.clear()
+        self._trace = None
+        self._trace_depth = 0
+        self._template_epoch += 1
         if self._journaling and (self._journal or self._freed_uids):
             # Program boundary == checkpoint epoch boundary (see above).
             self.checkpoint()
@@ -519,6 +626,35 @@ class Runtime:
             self._nest_cache.clear()
             self._solve_memo.clear()
             self._image_cache.clear()
+
+    # ------------------------------------------------------------------
+    # Traces
+    # ------------------------------------------------------------------
+    MAX_TRACES = 64
+
+    def trace(self, name: str, key: tuple = ()) -> Trace:
+        """The runtime's trace with this id, created on first use.
+
+        ``key`` tells apart the bodies one call site runs for different
+        operands (``cg`` on a fine and on a coarse system), so that
+        alternating between them does not re-capture each time.  The
+        registry is bounded (oldest id dropped) and emptied by
+        :meth:`reset_for_program`.
+        """
+        ident = (name, key)
+        trace = self._traces.get(ident)
+        if trace is None:
+            if len(self._traces) >= self.MAX_TRACES:
+                del self._traces[next(iter(self._traces))]
+            trace = self._traces[ident] = Trace(self, name)
+        return trace
+
+    def _invalidate_templates(self) -> None:
+        """Recovery, memory loss or pressure relief: bodies captured so
+        far re-capture, and the open one runs on dynamically."""
+        self._template_epoch += 1
+        if self._trace is not None:
+            self._trace.diverge()
 
     # ------------------------------------------------------------------
     # Region management
@@ -756,11 +892,21 @@ class Runtime:
             if self._launches_since_ckpt >= chaos.config.checkpoint_every:
                 self._launches_since_ckpt = 0
                 self.checkpoint()
-        if (
-            not self.config.fusion
-            or task.reduction is not None
-            or not fusion.fusible(task)
-        ):
+        slot = task.slot
+        if slot is None and self._trace is not None:
+            self._trace.issue(task)
+            slot = task.slot
+        if not self.config.fusion or task.reduction is not None:
+            fusible = False
+        elif slot is None:
+            fusible = fusion.fusible(task)
+        else:
+            # A traced position admits its launch to the window the
+            # way the capture did.
+            fusible = slot.fusible
+            if fusible is None:
+                fusible = slot.fusible = fusion.fusible(task)
+        if not fusible:
             self.flush_window()
             return self._execute(task)
         self._window.append(task)
@@ -793,12 +939,64 @@ class Runtime:
             self.profiler.record_host_phase("window-flush", _perf() - t0)
 
     def _flush(self, window: List[TaskLaunch], frees: Sequence[int] = ()) -> None:
-        # Lazy imports: the analyzer/codegen reach repro.numeric, whose
-        # package import comes back through this module.
-        from repro.analysis import depend
-        from repro.distal import codegen
-
         t0 = _perf()
+        # A window whose launches one trace body issued at matched or
+        # captured positions is planned once per capture: its groups
+        # are kept on the first position's slot.
+        kept = _window_key(window)
+        freed = frozenset(frees)
+        if kept is None:
+            groups = self._plan_window(window)
+        else:
+            first = window[0].slot
+            groups = first.windows.get(kept) if first.windows else None
+            if groups is None:
+                # A slot outlives re-captures of the positions after
+                # it, whose windows it would otherwise keep for ever.
+                if first.windows is None or len(first.windows) >= 8:
+                    first.windows = {}
+                groups = first.windows[kept] = self._plan_window(window)
+        self.profiler.record_host_phase("dependence", _perf() - t0)
+        for group in groups:
+            indices = group.indices
+            self.fusion_log.append((group.names, len(group.elide), group.label))
+            if len(indices) == 1:
+                self._execute(window[indices[0]])
+                continue
+            tasks = [window[i] for i in indices]
+            uids = [window[i].requirements[j].region.uid for i, j in group.elide]
+            elide_uids = frozenset(uids)
+            nest = None
+            if group.label == "merged":
+                # Elided temporaries already freed by the host are
+                # provably dead: their stores are unobservable, so
+                # the nest keeps them as values only.
+                dead = frozenset(k for k, uid in enumerate(uids) if uid in freed)
+                nest = group.nests.get(dead)
+                if nest is None:
+                    nest = group.nests[dead] = self._nest(
+                        group, dead, tasks, uids
+                    )
+                self.profiler.record_kernel_merge(
+                    len(indices), nest.temps_eliminated
+                )
+            merged = fusion.fuse(tasks, elide_uids, nest=nest)
+            if kept is not None:
+                merged.slot = group
+            trace = tasks[0].replayed_in
+            if trace is not None and all(
+                task.replayed_in is trace for task in tasks
+            ):
+                merged.replayed_in = trace
+            self.profiler.record_fusion(len(indices), len(group.elide))
+            self._execute(merged)
+
+    def _plan_window(self, window: List[TaskLaunch]) -> List[_Group]:
+        """Group a window's launches: the structural analysis of a flush."""
+        # Lazy import: the analyzer reaches repro.numeric, whose package
+        # import comes back through this module.
+        from repro.analysis import depend
+
         summaries = [fusion.summarize_launch(task) for task in window]
         key = fusion.signature(summaries)
         local = fusion.local_ids(summaries)
@@ -811,55 +1009,62 @@ class Runtime:
             cached = (plans, verdicts)
             self._fusion_cache[key] = cached
         plans, verdicts = cached
-        self.profiler.record_host_phase("dependence", _perf() - t0)
-        uid_of = {lid: uid for uid, lid in local.items()}
-        freed = frozenset(frees)
+        ref_of: Optional[Dict[int, Tuple[int, int]]] = None
+        groups = []
         for plan, verdict in zip(plans, verdicts):
-            names = tuple(window[i].name for i in plan.indices)
+            indices = plan.indices
             label = depend.verdict_label(
                 plan, verdict, self.config.kernel_fusion
             )
-            self.fusion_log.append((names, len(plan.elide), label))
-            if plan.fused:
-                group = [window[i] for i in plan.indices]
-                elide_uids = frozenset(uid_of[lid] for lid in plan.elide)
-                nest = None
-                if label == "merged":
-                    # Elided temporaries already freed by the host are
-                    # provably dead: their stores are unobservable, so
-                    # the nest keeps them as values only.
-                    dead = frozenset(u for u in elide_uids if u in freed)
-                    nest_key = (
-                        key,
-                        plan.indices,
-                        plan.elide,
-                        frozenset(local[u] for u in dead),
-                        tuple(
-                            str(
-                                next(
-                                    r.region.data.dtype
-                                    for r in t.requirements
-                                    if r.name == t.pointwise.out
-                                )
+            elide: tuple = ()
+            if plan.elide:
+                if ref_of is None:
+                    # Local region id -> where the window first names it.
+                    ref_of = {}
+                    for i, summary in enumerate(summaries):
+                        for j, acc in enumerate(summary.accesses):
+                            ref_of.setdefault(local[acc.region.uid], (i, j))
+                elide = tuple(ref_of[lid] for lid in sorted(plan.elide))
+            nest_key = None
+            if label == "merged":
+                # The window signature does not carry dtypes and each
+                # step's cast target is baked into the nest source.
+                nest_key = (
+                    key,
+                    indices,
+                    plan.elide,
+                    tuple(
+                        str(
+                            next(
+                                r.region.data.dtype
+                                for r in window[i].requirements
+                                if r.name == window[i].pointwise.out
                             )
-                            for t in group
-                        ),
-                    )
-                    nest = self._nest_cache.get(nest_key)
-                    if nest is None:
-                        nplan = depend.build_nest_plan(
-                            group, elide_uids, dead
                         )
-                        nest = codegen.generate_nest(nplan)
-                        self._nest_cache[nest_key] = nest
-                    self.profiler.record_kernel_merge(
-                        len(plan.indices), nest.temps_eliminated
-                    )
-                merged = fusion.fuse(group, elide_uids, nest=nest)
-                self.profiler.record_fusion(len(plan.indices), len(plan.elide))
-                self._execute(merged)
-            else:
-                self._execute(window[plan.indices[0]])
+                        for i in indices
+                    ),
+                )
+            groups.append(
+                _Group(
+                    indices, tuple(window[i].name for i in indices),
+                    label, elide, nest_key,
+                )
+            )
+        return groups
+
+    def _nest(self, group: _Group, dead, tasks, uids):
+        """The generated loop nest of a merged group, through the cache."""
+        nest_key = (group.nest_key, dead)
+        nest = self._nest_cache.get(nest_key)
+        if nest is None:
+            from repro.analysis import depend
+            from repro.distal import codegen
+
+            nplan = depend.build_nest_plan(
+                tasks, frozenset(uids), frozenset(uids[k] for k in dead)
+            )
+            nest = self._nest_cache[nest_key] = codegen.generate_nest(nplan)
+        return nest
 
     def _sync(self, why: str) -> None:
         """A synchronization point: flush the window, note it in the plan.
@@ -922,23 +1127,26 @@ class Runtime:
         procs = self.scope.processors
         self.profiler.record_task(task.name, colors)
         log = self.event_log
-        validate = self.config.validate
+        config = self.config
+        validate = config.validate
         launch_id = log.record_task(task.name, colors) if log is not None else 0
-        privileges = {req.name: req.privilege for req in task.requirements}
-        overhead = self.config.launch_overhead
-        if self._trace_hook is not None:
-            overhead *= self._trace_hook(task.name)
-        self.issue_time += overhead
+        overhead = config.launch_overhead
+        # Journal replay after a loss is no trace replay: it pays the
+        # full overhead and re-derives everything below.
+        recovering = replay or self._in_recovery
+        trace = task.replayed_in
+        if trace is not None and not recovering:
+            overhead *= config.trace_replay_fraction
+            trace.replayed_launches += 1
+        issued = self.issue_time
+        self.issue_time = issued + overhead
         self.profiler.record_launch_overhead(overhead)
         tl = self.timeline
         if tl is not None:
             # One issue span per launch: a fused group shows as a single
             # span for the whole merged launch — the overhead saving
             # fusion buys is directly visible on the "issue" row.
-            tl.record(
-                "issue", "issue", task.name,
-                self.issue_time - overhead, self.issue_time,
-            )
+            tl.record("issue", "issue", task.name, issued, self.issue_time)
 
         scalar_ready = 0.0
         scalar_values: Dict[str, Any] = {}
@@ -953,24 +1161,26 @@ class Runtime:
         partial_times: List[float] = []
         reduce_writes: Dict[str, List[Tuple[Rect, Memory, float]]] = {}
 
+        # The launch's shape: what a launch a trace replays took from
+        # its requirements the first time is taken from the slot now.
+        reqs = task.requirements
+        freed = self._freed_uids
+        slot = None if recovering else task.slot
+        shape = None if slot is None else slot.exec
+        if shape is None or shape.validate is not validate:
+            shape = _LaunchShape(task, validate, replay, freed)
+            if slot is not None:
+                slot.exec = shape
+        privileges = shape.privileges
         # Any task write to a region invalidates cached images of it
         # (images read region data at solve time).
         image_cache = self._image_cache
-        for req in task.requirements:
-            if req.privilege.writes:
-                image_cache.bump(req.region.uid)
-        # Requirements whose final coherence state is independent of
-        # per-color write order (sole writer of its region, disjoint
-        # Tiling over that region) defer their writes and apply them in
-        # one batch after the color loop — turning the O(colors^2)
-        # incremental invalidation into one linear pass.
-        eligible = _fastpath.eligible_write_reqs(
-            task, replay, self._freed_uids
-        )
-        if eligible:
+        for i in shape.writers:
+            image_cache.bump(reqs[i].region.uid)
+        if shape.eligible:
             self._pending_writes = {
-                name: (self.coherence(req.region), [])
-                for name, req in eligible.items()
+                reqs[i].name: (self.coherence(reqs[i].region), [])
+                for i in shape.eligible
             }
         map_s = 0.0
         event_s = 0.0
@@ -978,20 +1188,18 @@ class Runtime:
         # Requirement-major mapping: everything a requirement needs that
         # does not depend on the color is resolved once, here; the color
         # loop below then pays per shard only for what differs per shard.
-        freed = self._freed_uids
         rows = [
             _PlanRow(
-                req,
-                skipped=replay and req.region.uid in freed,
-                mem_scale=self._mem_scale(req.region),
-                sanitize=validate,
-                # Replay keeps the real results intact.
-                poison_discards=validate and not replay,
+                row_shape,
+                req.region,
+                replay and req.region.uid in freed,
+                self._mem_scale(req.region),
             )
-            for req in task.requirements
+            for row_shape, req in zip(shape.shapes, reqs)
         ]
-        write_rows = [row for row in rows if row.writes and not row.skipped]
-        config = self.config
+        write_rows = [
+            rows[i] for i in shape.writers if not rows[i].skipped
+        ]
         shard_overhead = config.shard_overhead
         scale = config.data_scale
         pressure_slowdown = config.memory_pressure_slowdown
@@ -1014,7 +1222,7 @@ class Runtime:
             t_map = _perf()
             for row in rows:
                 name = row.name
-                rect = rects[name] = row.rect_of(color)
+                rect = rects[name] = row.rects[color]
                 arrays[name] = row.data
                 if row.skipped or rect.is_empty():
                     continue
@@ -1064,7 +1272,7 @@ class Runtime:
                         t_input = self._intra_copy(
                             memory, dup, t_input, "dup", row
                         )
-                for piece in row.pieces_of(color):
+                for piece in row.pieces[color]:
                     # The lane's second half: one valid piece holding
                     # all that is read means nothing is missing, and
                     # its time is the ready time.  Anything else -- and
@@ -1148,7 +1356,7 @@ class Runtime:
                         ReqAccess(
                             row.name, row.uid, row.region.name,
                             rects[row.name], row.privilege.value,
-                            tuple(row.pieces_of(color)) if row.reads else (),
+                            row.pieces[color] if row.reads else (),
                         )
                         for row in rows
                         if not row.skipped
@@ -1333,6 +1541,7 @@ class Runtime:
         # Spill decisions read every region's coherence (only_copy):
         # batched writes must land first so dirtiness is current.
         self._flush_pending_writes()
+        self._invalidate_templates()
         st = self.instances.state(memory)
         before = st.available
         st.drain_pool()
@@ -1508,6 +1717,9 @@ class Runtime:
         the epoch is safe.
         """
         assert self._chaos is not None
+        # Lost memories and re-executed launches: no captured body
+        # describes the machine any more.
+        self._invalidate_templates()
         journal, self._journal = self._journal, []
         # Pieces the replay itself re-writes need no restore from a
         # replica (the coverage never over-approximates; see
@@ -1864,6 +2076,21 @@ class Runtime:
                 pointwise=pointwise,
             )
         )
+
+
+def _window_key(window: List[TaskLaunch]) -> Optional[tuple]:
+    """Slot uids of a window one trace body issued, else None."""
+    first = window[0]
+    if first.slot is None:
+        return None
+    body = first.body
+    key = []
+    for task in window:
+        slot = task.slot
+        if slot is None or task.body != body:
+            return None
+        key.append(slot.uid)
+    return tuple(key)
 
 
 def _tree_sum(values: List[Any]):

@@ -162,6 +162,14 @@ class TaskLaunch:
     # Element-wise marker: set on launches eligible for the deferred
     # fusion window (repro.legion.fusion); None means execute eagerly.
     pointwise: Optional[Pointwise] = None
+    # Trace tags (repro.legion.tracing), set when the launch is issued
+    # inside a trace scope: the trace position's slot (where the
+    # launch's host templates live), the serial of the body that issued
+    # it, and -- when the position matched the captured body -- the
+    # trace this launch is a replay of.
+    slot: Optional[Any] = None
+    body: int = 0
+    replayed_in: Optional[Any] = None
 
     @property
     def color_count(self) -> int:

@@ -238,23 +238,26 @@ class Timeline:
         for resource, spans in by_resource.items():
             spans.sort(key=lambda s: (s.start, s.finish))
             usage = ResourceUsage(
-                busy_sum=sum(s.duration for s in spans),
                 spans=len(spans),
                 nbytes=sum(s.nbytes for s in spans),
                 first_start=spans[0].start,
                 last_finish=max(s.finish for s in spans),
             )
-            # Merge into a union, collecting the idle gaps between
-            # occupied intervals.
-            cur_start, cur_finish = spans[0].start, spans[0].finish
-            for span in spans[1:]:
-                if span.start > cur_finish:
-                    usage.gaps.append((cur_finish, span.start))
-                    usage.busy += cur_finish - cur_start
-                    cur_start, cur_finish = span.start, span.finish
-                else:
-                    cur_finish = max(cur_finish, span.finish)
-            usage.busy += cur_finish - cur_start
+            # The union adds each span's duration less what an earlier
+            # span already covers -- the very terms of the plain sum
+            # when nothing overlaps, so the two are then equal to the
+            # bit -- and collects the idle gaps between intervals.
+            cur_finish = spans[0].start
+            for span in spans:
+                usage.busy_sum += span.duration
+                if span.start >= cur_finish:
+                    if span.start > cur_finish:
+                        usage.gaps.append((cur_finish, span.start))
+                    usage.busy += span.duration
+                    cur_finish = span.finish
+                elif span.finish > cur_finish:
+                    usage.busy += span.finish - cur_finish
+                    cur_finish = span.finish
             usage.gaps.sort(key=lambda g: g[0] - g[1])  # largest first
             out[resource] = usage
         return out

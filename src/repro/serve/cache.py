@@ -27,9 +27,14 @@ CacheKey = Tuple[int, str]  # (matrix version, input digest)
 def input_digest(x: np.ndarray) -> str:
     """sha256 over the RHS bytes, dtype and shape."""
     h = hashlib.sha256()
-    h.update(str(x.dtype).encode())
+    dtype = x.dtype
+    # A native numeric dtype's name is its str() without the call
+    # chain; anything else (byte-swapped, strings) keeps str().
+    numeric = dtype.isnative and dtype.kind in "biufc"
+    h.update((dtype.name if numeric else str(dtype)).encode())
     h.update(str(x.shape).encode())
-    h.update(np.ascontiguousarray(x).tobytes())
+    # hashlib reads the contiguous buffer in place: no bytes copy.
+    h.update(np.ascontiguousarray(x))
     return h.hexdigest()
 
 

@@ -60,6 +60,9 @@ class Request:
     # admission and execution must not silently change what this
     # request computes (and version mismatch splits batches).
     version: int = 0
+    # repro.serve.cache.input_digest(x), computed at the cache lookup
+    # and reused when the result is inserted: one hash per request.
+    digest: str = ""
 
 
 @dataclass

@@ -277,6 +277,7 @@ class SparseService:
         by_domain: Dict[str, List[Request]] = {}
         for req in window:
             key = self.cache.key(req.version, req.x)
+            req.digest = key[1]
             cached = self.cache.get(key)
             rt.profiler.record_serve_cache(cached is not None)
             if cached is not None:
@@ -330,7 +331,7 @@ class SparseService:
                     # another program's state.
                     drt.reset_for_program()
             for req, y in results:
-                self.cache.put(self.cache.key(req.version, req.x), y)
+                self.cache.put((req.version, req.digest), y)
                 self.responses[req.rid] = Response(
                     req.rid, req.tenant, True, y,
                     req.arrival, start, finish,

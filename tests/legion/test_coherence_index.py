@@ -414,7 +414,9 @@ def _canonical_log(log) -> List[str]:
 def test_fig9_cg_event_log_matches_golden():
     rt = Runtime(
         summit(nodes=4).scope(ProcessorKind.GPU, GPUS),
-        RuntimeConfig.legate(validate=True),
+        # Recorded before traces replayed at a discount: the scopes CG
+        # opens and the host templates are on, charged in full.
+        RuntimeConfig.legate(validate=True, trace_replay_fraction=1.0),
     )
     with runtime_scope(rt):
         A = sp.csr_matrix(poisson2d_scipy(GRID))

@@ -405,8 +405,9 @@ class TestBitwiseEquivalence:
 
 class TestTraceComposition:
     def test_fused_window_replays(self, rt):
-        """Fused launches record deterministic names, so a fused loop
-        body still captures once and replays thereafter."""
+        """Launches are matched when issued, so a fused loop body still
+        captures once and replays thereafter -- and a scope boundary
+        never flushes: the four bodies fuse as the untraced loop does."""
         x = rnp.ones(64)
         rt.barrier()
         trace = Trace(rt, "axpy-loop")
@@ -415,4 +416,7 @@ class TestTraceComposition:
                 x = x * 0.5 + 1.0
         assert trace.captures == 1
         assert trace.replays == 3
-        assert rt.profiler.fused_tasks >= 4
+        assert rt.profiler.fused_tasks == 0  # all eight still deferred
+        rt.barrier()
+        assert rt.profiler.fused_tasks == 1
+        assert rt.profiler.tasks_fused_away == 7

@@ -124,11 +124,18 @@ def test_reused_runtime_matches_fresh_runtime_bitwise():
         assert y.tobytes() == fresh.tobytes()
 
 
-def test_reset_clears_trace_hook():
+def test_reset_drops_traces():
+    """The registry, an open scope and the template epoch: one
+    program's captured bodies never discount the next program's."""
     rt = _runtime()
-    rt._trace_hook = lambda *a: None
-    rt.reset_for_program()
-    assert rt._trace_hook is None
+    trace = rt.trace("loop", key=(1,))
+    assert rt.trace("loop", key=(1,)) is trace
+    epoch = rt._template_epoch
+    with trace:
+        rt.reset_for_program()
+        assert rt._trace is None
+    assert rt.trace("loop", key=(1,)) is not trace
+    assert rt._template_epoch > epoch
 
 
 def test_profiler_counters_survive_reset():

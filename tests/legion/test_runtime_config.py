@@ -40,8 +40,15 @@ def test_fastpath_is_not_a_field():
         RuntimeConfig.legate(**{"fastpath": False})
 
 
-def test_paper_legate_pins_exactly_three_fields():
+def test_paper_legate_pins_exactly_these_fields():
+    """The published system: no fusion, no spilling, and no tracing --
+    a model parameter (replays charged in full), not a host switch."""
     paper = dataclasses.asdict(paper_legate())
     default = dataclasses.asdict(RuntimeConfig.legate())
     differing = {name for name in default if paper[name] != default[name]}
-    assert differing == {"fusion", "kernel_fusion", "spill"}
+    assert differing == {
+        "fusion", "kernel_fusion", "spill", "trace_replay_fraction",
+    }
+    assert paper["trace_replay_fraction"] == 1.0
+    for preset in (RuntimeConfig.cupy, RuntimeConfig.scipy, RuntimeConfig.petsc):
+        assert preset().trace_replay_fraction == 1.0

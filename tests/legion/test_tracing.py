@@ -116,10 +116,50 @@ class TestTrace:
         assert trace.replays == iters - 2 + 2
         assert np.isfinite(x.to_numpy()).all()
 
-    def test_nesting_rejected(self, rt):
-        trace = Trace(rt, "t")
-        with trace.__class__(rt, "outer") as outer, pytest.raises(RuntimeError):
-            outer.__enter__()
+    def test_nesting_joins(self, rt):
+        """A scope opened inside another joins it: one body, the
+        outermost trace's, whatever the inner scope's trace is."""
+        A = sp.eye(64, format="csr")
+        x = rnp.ones(64)
+        outer, inner = Trace(rt, "outer"), Trace(rt, "inner")
+        for _ in range(3):
+            with outer:
+                y = A @ x
+                with inner, outer:  # another trace, and re-entry
+                    x = y / rnp.linalg.norm(y)
+                assert rt._trace is outer
+        assert rt._trace is None
+        assert (outer.captures, outer.replays) == (1, 2)
+        assert (inner.captures, inner.replays) == (0, 0)
+        assert not inner.is_captured
+
+    def test_runtime_owns_its_traces(self, rt):
+        trace = rt.trace("cg", key=(64, "float64"))
+        assert rt.trace("cg", key=(64, "float64")) is trace
+        assert rt.trace("cg", key=(32, "float64")) is not trace
+        assert rt.trace("vcycle", key=(64, "float64")) is not trace
+        assert Trace(rt, "cg") is not trace  # the private constructor
+        for i in range(2 * rt.MAX_TRACES):  # bounded: oldest ids go
+            rt.trace("many", key=(i,))
+        assert len(rt._traces) == rt.MAX_TRACES
+        assert rt.trace("cg", key=(64, "float64")) is not trace
+
+    def test_reset_for_program_clears_the_registry(self, rt):
+        A = sp.eye(64, format="csr")
+        x = rnp.ones(64)
+        trace = rt.trace("loop")
+        for _ in range(2):
+            with trace:
+                x = loop_body(A, x)
+        assert trace.replays == 1
+        rt.reset_for_program()
+        fresh = rt.trace("loop")
+        assert fresh is not trace and not fresh.is_captured
+        # The old handle still works, but captured under another epoch
+        # it starts over.
+        with trace:
+            x = loop_body(A, x)
+        assert (trace.captures, trace.replays) == (2, 1)
 
     def test_exception_inside_trace_does_not_capture_garbage(self, rt):
         A = sp.eye(16, format="csr")

@@ -109,6 +109,48 @@ def test_identical_requests_hit_the_cache_bitwise():
     assert svc.runtime.profiler.serve_cache_hits == 1
 
 
+def test_input_digests_are_the_recorded_ones():
+    """sha256 over dtype text, shape text and the C-contiguous bytes:
+    the strings below were produced by the implementation that built a
+    ``tobytes()`` copy and called ``str(dtype)`` (fb01e37)."""
+    from repro.serve.cache import input_digest
+
+    known = [
+        (np.arange(8, dtype=np.float64),
+         "f359c9e50849347a90ee33dfbd77a1de6b1216d2bd62e4c794fcdbc772b0ba24"),
+        (np.linspace(0, 1, 5, dtype=np.float32),
+         "1ec663722aba04c40e137a5d9a62fd5a51282aaea68129e9354a0f7f3b7626e9"),
+        (np.arange(12, dtype=np.int64).reshape(3, 4)[:, ::2],  # strided
+         "aa5c6185e02c0ad89fe86533961681dfb5c7ba52e74052cfb87a6519d7957c09"),
+        (np.arange(4, dtype=">f8"),  # byte-swapped: str(dtype), not name
+         "2a6446c9686b4a1a709ccddec1dd085bc0f41a1ea9744bde1ff1de2c32c43589"),
+    ]
+    for x, digest in known:
+        assert input_digest(x) == digest
+
+
+def test_each_request_is_hashed_once(monkeypatch):
+    """Lookup and insert share the digest carried on the request."""
+    from repro.serve import cache as cache_module
+
+    hashed = []
+    real = cache_module.input_digest
+    monkeypatch.setattr(
+        cache_module, "input_digest", lambda x: hashed.append(1) or real(x)
+    )
+    svc = _service([TenantConfig("a"), TenantConfig("b")])
+    x = np.random.default_rng(4).standard_normal(N)
+    svc.submit("a", x, 0.0)
+    svc.submit("b", x + 1.0, 0.0)
+    svc.run()
+    svc.submit("b", x.copy(), 1.0)  # a hit: looked up, never inserted
+    svc.run()
+    assert len(hashed) == 3
+    stats = svc.stats().cache
+    assert (stats.hits, stats.misses, stats.inserts) == (1, 2, 2)
+    assert all(r.ok for r in svc.responses.values())
+
+
 def test_model_update_invalidates_cached_results():
     A0, A1 = _matrix(0), _matrix(7)
     svc = SparseService(
