@@ -32,6 +32,7 @@ REPRO_VALIDATE=1 python -m pytest -x -q \
     tests/legion/test_coherence.py \
     tests/legion/test_exact_images.py \
     tests/legion/test_fusion.py \
+    tests/legion/test_reduction_fusion.py \
     tests/integration
 
 echo "== end-to-end bench smoke (bench/run.py: four workloads, every check on) =="

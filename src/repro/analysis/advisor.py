@@ -429,6 +429,9 @@ class _Predictor:
         # plus its "sync" notes, so predicted groups agree exactly with
         # Runtime.fusion_log.
         self._sim_window: List[fusion.LaunchSummary] = []
+        # Future of each reduction in the simulated window -> its
+        # window position (Runtime._window_roots, by identity).
+        self._sim_roots: Dict[Any, int] = {}
         self.fusion_groups: List[Tuple[Tuple[str, ...], int, str]] = []
         # One record per *fused* predicted group, for the kernel-merge
         # lints: names, verdict label, replay-only reason/detail, and
@@ -533,18 +536,24 @@ class _Predictor:
 
         Mirrors :meth:`Runtime.launch` exactly: fusible launches buffer
         (overflow flushes), everything else flushes and runs eagerly
-        (and does not appear in the fusion log).
+        (and does not appear in the fusion log).  A launch's ``after``
+        edges name the reductions it awaited when recorded that are
+        still in the simulated window.
         """
+        roots = self._sim_roots
         summary = fusion.summarize(
             op.name,
             launch_colors,
             requirements,
             pointwise=op.pointwise,
             reduction=op.reduction,
+            after=tuple(sorted({roots[f] for f in op.awaits if f in roots})),
         )
-        if op.reduction is not None or not summary.fusible:
+        if not summary.fusible:
             self._close_sim_window()
             return
+        if op.reduction is not None:
+            roots[op.future] = len(self._sim_window)
         self._sim_window.append(summary)
         if len(self._sim_window) >= self.config.fusion_window:
             self._close_sim_window()
@@ -553,6 +562,7 @@ class _Predictor:
         if not self._sim_window:
             return
         window, self._sim_window = self._sim_window, []
+        self._sim_roots.clear()
         local = fusion.local_ids(window)
         kernel_fusion = bool(getattr(self.config, "kernel_fusion", False))
         for group in fusion.plan_window(window):
@@ -587,6 +597,10 @@ class _Predictor:
                     acc.region.rect.volume() * acc.region.data.dtype.itemsize
                 )
                 replay_bytes += nbytes
+                if summary.reduction is not None:
+                    # The nest's epilogue: charged as on its own.
+                    merged_bytes += nbytes
+                    continue
                 uid = acc.region.uid
                 if (
                     acc.privilege.reads

@@ -55,6 +55,17 @@ Legality rules (all must hold for merge-safe):
     value becomes an in-nest variable.  WAR and WAW need no edge
     restrictions: nest statements execute in issue order over whole
     shard rects, exactly like replay.
+6.  *Reductions run as the nest's epilogue.*  A scalar reduction in the
+    group (:mod:`repro.legion.fusion` admits read-only ones) is no nest
+    statement: the nest runs the element-wise members, then each
+    reduction's per-shard partial (``optable.PARTIALS``) over views of
+    what the nest stored, in issue order.  That is the issue-order
+    result only when no element-wise member issued *after* a reduction
+    writes a region it reads: ``write-after-reduction``.  Rules 2-5
+    apply to the element-wise members alone (a reduction reading an
+    in-group write reads it from the region, so it is no rule-5 edge,
+    and a temporary it reads is always stored); rule 1 applies to the
+    reductions as well.
 
 The analysis is purely structural — it reads only summaries, never the
 runtime — so the runtime's flush path and the static advisor's window
@@ -111,6 +122,11 @@ REASONS: Dict[str, str] = {
         "a value flows between sub-launches through a region that "
         "stays mapped (not elided) — externally visible between the "
         "two kernels"
+    ),
+    "write-after-reduction": (
+        "an element-wise sub-launch issued after an in-group scalar "
+        "reduction writes a region the reduction reads, so the "
+        "reduction cannot run as the nest's epilogue"
     ),
 }
 
@@ -177,24 +193,43 @@ def kernel_ir(
     IR is well-formed (``problem == ""``): every step kind is known,
     loads name declared accesses, un/bin ops resolve through the op
     table, stack discipline yields exactly one value, and ``out``
-    names a written access.  Otherwise ``(None, None, problem)`` with
-    a description — the launch is an opaque kernel.
+    names a written access.  A scalar reduction's program is its
+    operand loads followed by ``("part", name)`` with ``name`` in
+    ``optable.PARTIALS``, and its ``out`` is None.  Otherwise
+    ``(None, None, problem)`` with a description — the launch is an
+    opaque kernel.
     """
     pw = summary.pointwise
     if pw is None:
         return None, None, f"launch {summary.name!r} has no Pointwise marker"
-    if pw.expr is None or pw.out is None:
+    if pw.expr is None or (pw.out is None and summary.reduction is None):
         ops = "+".join(pw.ops) or summary.name
         return None, None, f"kernel {ops!r} exposes no body IR"
     by_name = {acc.name: acc for acc in summary.accesses}
-    out_acc = by_name.get(pw.out)
-    if out_acc is None or not out_acc.privilege.writes:
-        return None, None, (
-            f"launch {summary.name!r}: IR output {pw.out!r} is not a "
-            f"written region argument"
-        )
+    program = pw.expr
+    part = None
+    if summary.reduction is not None:
+        # A reduction's program ends in its per-shard partial and
+        # stores nothing.
+        if not program or program[-1][0] != "part" or pw.out is not None:
+            return None, None, (
+                f"reduction {summary.name!r}: IR does not end in a partial"
+            )
+        part = program[-1][1]
+        if part not in optable.PARTIALS:
+            return None, None, (
+                f"reduction {summary.name!r}: unknown partial {part!r}"
+            )
+        program = program[:-1]
+    else:
+        out_acc = by_name.get(pw.out)
+        if out_acc is None or not out_acc.privilege.writes:
+            return None, None, (
+                f"launch {summary.name!r}: IR output {pw.out!r} is not a "
+                f"written region argument"
+            )
     depth = 0
-    for step in pw.expr:
+    for step in program:
         if (
             not isinstance(step, tuple)
             or len(step) != 2
@@ -226,6 +261,14 @@ def kernel_ir(
                     f"binary op {arg!r}"
                 )
             depth -= 1
+    if part is not None:
+        # The partial consumes every loaded view.
+        if depth < 1 or any(kind != "load" for kind, _ in program):
+            return None, None, (
+                f"reduction {summary.name!r}: partial {part!r} takes "
+                f"operand views only"
+            )
+        return pw.expr, None, ""
     if depth != 1:
         return None, None, (
             f"launch {summary.name!r}: IR leaves {depth} values on the "
@@ -343,6 +386,24 @@ def classify(
         if problem:
             return Verdict(False, "opaque-kernel", problem)
 
+    # Rule 6: scalar reductions run after the nest's statements.
+    statements = tuple(i for i in indices if summaries[i].reduction is None)
+    for red in indices:
+        if summaries[red].reduction is not None:
+            reads = {ids[acc.region.uid] for acc in summaries[red].accesses}
+            for index in statements:
+                if index < red:
+                    continue
+                for acc in summaries[index].accesses:
+                    if acc.privilege.writes and ids[acc.region.uid] in reads:
+                        return Verdict(
+                            False, "write-after-reduction",
+                            f"launch {summaries[index].name!r} writes "
+                            f"{acc.region.name or acc.name or 'a region'!r} "
+                            f"after reduction {summaries[red].name!r} "
+                            f"read it",
+                        )
+
     # Rule 3: no replicated operands.
     for index in indices:
         summary = summaries[index]
@@ -375,7 +436,7 @@ def classify(
             e.kind, e.lid, e.region, e.producer, e.consumer,
             e.lid in plan.elide,
         )
-        for e in def_use(summaries, ids, indices)
+        for e in def_use(summaries, ids, statements)
     )
     for edge in edges:
         if edge.kind == "raw" and not edge.elided:
@@ -459,6 +520,18 @@ class NestStep:
 
 
 @dataclass(frozen=True)
+class NestTail:
+    """One scalar reduction of a nest's epilogue: the per-shard partial
+    ``optable.PARTIALS[part]`` over views of the (mangled) operands,
+    taken after every statement has stored."""
+
+    index: int
+    name: str
+    part: str
+    operands: Tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class NestPlan:
     """A merge-safe group lowered for code generation.
 
@@ -474,6 +547,9 @@ class NestPlan:
     steps: Tuple[NestStep, ...]
     reads: Tuple[str, ...]
     charged_writes: Tuple[str, ...]
+    # The group's scalar reductions, in issue order: the nest's kernel
+    # returns their partials (charged like the reductions run alone).
+    tails: Tuple[NestTail, ...] = ()
 
     @property
     def temps_eliminated(self) -> int:
@@ -491,6 +567,7 @@ class NestPlan:
             ),
             self.reads,
             self.charged_writes,
+            self.tails,
         )
 
 
@@ -518,13 +595,32 @@ def build_nest_plan(
     seen_reads: set = set()
     charged: List[str] = []
     seen_writes: set = set()
+    # Member reductions are no nest statements: they run as the
+    # epilogue, on views of what the statements stored -- so whatever
+    # they read is stored, dead temporary or not.
+    tails: List[NestTail] = []
+    kept: set = set()
     for i, task in enumerate(group):
         pw = task.pointwise
-        if pw is None or pw.expr is None or pw.out is None:
+        if pw is None or pw.expr is None or (
+            pw.out is None and task.reduction is None
+        ):
             raise ValueError(
                 f"build_nest_plan: sub-launch {task.name!r} has no body "
                 f"IR (classify the group first)"
             )
+        if task.reduction is not None:
+            kept.update(req.region.uid for req in task.requirements)
+            tails.append(
+                NestTail(
+                    i, task.name, pw.expr[-1][1],
+                    tuple(f"{i}.{arg}" for _kind, arg in pw.expr[:-1]),
+                )
+            )
+    for i, task in enumerate(group):
+        if task.reduction is not None:
+            continue
+        pw = task.pointwise
         by_name = {req.name: req for req in task.requirements}
         out_req = by_name[pw.out]
         program: List[Tuple[str, object]] = []
@@ -547,7 +643,7 @@ def build_nest_plan(
                 program.append((kind, optable.canonical(arg)))
         out_uid = out_req.region.uid
         elided = out_uid in elide_uids
-        store = not (elided and out_uid in dead_uids)
+        store = out_uid in kept or not (elided and out_uid in dead_uids)
         # Per-element flops mirroring the sub cost models exactly: a
         # fill moves bytes but computes nothing; everything else is
         # charged one flop per op per element, floored at one pass.
@@ -569,4 +665,4 @@ def build_nest_plan(
         if store and out_uid not in seen_writes:
             seen_writes.add(out_uid)
             charged.append(f"{i}.{pw.out}")
-    return NestPlan(tuple(steps), tuple(reads), tuple(charged))
+    return NestPlan(tuple(steps), tuple(reads), tuple(charged), tuple(tails))

@@ -48,7 +48,7 @@ class PlanOp:
 
     __slots__ = (
         "name", "args", "constraints", "scalars", "reduction", "colors",
-        "cost_fn", "requirements", "pointwise", "index",
+        "cost_fn", "requirements", "pointwise", "index", "future", "awaits",
     )
 
     def __init__(
@@ -63,6 +63,7 @@ class PlanOp:
         requirements: Optional[List[tuple]] = None,
         pointwise=None,
         index: int = 0,
+        awaits: tuple = (),
     ):
         self.name = name
         self.colors = int(colors)
@@ -77,6 +78,12 @@ class PlanOp:
         # opaquely: the advisor's fusion-window simulation keys off it.
         self.pointwise = pointwise
         self.index = index
+        # Scalar reductions and the deferred window (stored opaquely,
+        # compared by identity): the future this op's reduction hands
+        # out (set once launched), and the reductions still pending in
+        # the window whose futures its scalars derive from.
+        self.future = None
+        self.awaits = awaits
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlanOp({self.name!r}, colors={self.colors})"
@@ -160,12 +167,13 @@ class PlanTrace:
         colors: int,
         cost_fn,
         pointwise=None,
+        awaits: tuple = (),
     ) -> PlanOp:
         """Record an AutoTask launch (stores + privileges + constraints)."""
         op = PlanOp(
             name, colors, args=list(args), constraints=list(constraints),
             scalars=dict(scalars), reduction=reduction, cost_fn=cost_fn,
-            pointwise=pointwise,
+            pointwise=pointwise, awaits=awaits,
         )
         self._append(op)
         return op

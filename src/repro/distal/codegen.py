@@ -850,7 +850,7 @@ class NestSpec:
 _MAX_NEST_NAME = 96
 
 
-def _nest_ops() -> Dict[str, Callable]:
+def _nest_env() -> Dict[str, Dict[str, Callable]]:
     # Lazy: repro.numeric's package import reaches back into the
     # runtime, which imports this module during a flush.
     from repro.numeric import optable
@@ -858,7 +858,7 @@ def _nest_ops() -> Dict[str, Callable]:
     ops: Dict[str, Callable] = {}
     ops.update(optable.UNOPS)
     ops.update(optable.BINOPS)
-    return ops
+    return {"_OPS": ops, "_PARTS": optable.PARTIALS}
 
 
 def generate_nest(plan) -> NestSpec:
@@ -876,9 +876,14 @@ def generate_nest(plan) -> NestSpec:
     flops identical to replay, bytes deduplicated to external reads
     plus surviving writes — one cost entry for the whole group.
 
-    Op callables are injected as the ``_OPS`` environment (the shared
-    :mod:`repro.numeric.optable`), so the nest runs the exact same
-    NumPy functions in the exact same order the replay path would.
+    The group's scalar reductions (``plan.tails``) form the epilogue:
+    after the last store, each one's per-shard partial over views of
+    its operands; the kernel returns the partials, in issue order.
+
+    Op callables are injected as the ``_OPS`` environment and reduction
+    partials as ``_PARTS`` (the shared :mod:`repro.numeric.optable`),
+    so the nest runs the exact same NumPy functions in the exact same
+    order the replay path would.
     Compilation is memoized (:func:`_compile`): recurring window
     shapes re-exec nothing.
     """
@@ -913,6 +918,18 @@ def generate_nest(plan) -> NestSpec:
         )
         if step.store:
             kernel_lines.append(f"    ctx.view({step.out!r})[...] = v{step.index}")
+    # Epilogue: the group's scalar reductions, each the partial its own
+    # kernel computes, over views of the stored regions (never over
+    # nest values: same memory, same call, same bits).
+    for tail in plan.tails:
+        views = ", ".join(f"ctx.view({name!r})" for name in tail.operands)
+        kernel_lines.append(f"    # [{tail.index}] {tail.name}  [reduction]")
+        kernel_lines.append(
+            f"    p{tail.index} = _PARTS[{tail.part!r}]({views})"
+        )
+    if plan.tails:
+        partials = ", ".join(f"p{tail.index}" for tail in plan.tails)
+        kernel_lines.append(f"    return [{partials}]")
 
     cost_lines: List[str] = ["def cost(ctx):", "    flops = 0.0"]
     for step in plan.steps:
@@ -927,14 +944,25 @@ def generate_nest(plan) -> NestSpec:
             f"    nbytes += ctx.rects[{name!r}].volume() * "
             f"ctx.arrays[{name!r}].dtype.itemsize"
         )
+    # Reductions are charged as on their own: every operand read once,
+    # one flop per element.
+    for tail in plan.tails:
+        for name in tail.operands:
+            cost_lines.append(f"    vol = ctx.rects[{name!r}].volume()")
+            cost_lines.append("    flops += vol")
+            cost_lines.append(
+                f"    nbytes += vol * ctx.arrays[{name!r}].dtype.itemsize"
+            )
     cost_lines.append("    return flops, nbytes")
 
     source = "\n".join(kernel_lines) + "\n\n\n" + "\n".join(cost_lines) + "\n"
-    joined = "+".join(step.name for step in plan.steps)
+    names = [step.name for step in plan.steps]
+    names.extend(tail.name for tail in plan.tails)
+    joined = "+".join(names)
     if len(joined) > _MAX_NEST_NAME:
         joined = joined[: _MAX_NEST_NAME - 3] + "..."
-    name = f"nest{{{len(plan.steps)}}}:{joined}"
-    namespace = _compile(name, source, env={"_OPS": _nest_ops()})
+    name = f"nest{{{len(names)}}}:{joined}"
+    namespace = _compile(name, source, env=_nest_env())
     return NestSpec(
         name=name,
         kernel=namespace["kernel"],

@@ -121,15 +121,28 @@ BEYOND_THE_PAPER = [
     "launch overhead and predicts that task fusion and dynamic tracing "
     "close it.  Measured CuPy/Legate-GPU on the Fig. 10 point "
     "(`fig10_gmg._legate_gmg`, 1 GPU): 1.37 under `paper_legate` "
-    "(28.5 vs 39.2 it/s, the published shape), 1.13 with the deferred "
-    "fusion window alone (`legate(trace_replay_fraction=1.0)`, 34.6 "
-    "it/s), 1.08 with traces alone "
-    "(`paper_legate(trace_replay_fraction=0.15)`, 36.4 it/s) and 1.00 "
+    "(28.5 vs 39.2 it/s, the published shape), 1.06 with the deferred "
+    "fusion window alone (`legate(trace_replay_fraction=1.0)`, 37.1 "
+    "it/s; 1.13 and 34.6 before scalar reductions joined the window), "
+    "1.08 with traces alone "
+    "(`paper_legate(trace_replay_fraction=0.15)`, 36.4 it/s) and 0.98 "
     "under `RuntimeConfig.legate()` defaults — fusion plus the traces "
     "`cg` and the V-cycle open themselves, replayed launches charged "
-    "0.15 of the launch overhead (39.2 it/s): the gap closes, as "
+    "0.15 of the launch overhead (39.9 it/s): the gap closes, as "
     "predicted.  `benchmarks/test_tracing.py` shows the same on the "
     "GBS8 quantum step (2.1x).",
+    "Fig. 9, 192 GPUs: the paper blames the CG falloff at scale on "
+    "Legion's scalar-allreduce cost.  Under `RuntimeConfig.legate()` "
+    "defaults a CG iteration issues 2 allreduces where it issued 3 — "
+    "`norm(r)` joins the fused group of `vdot(r, z)` and shares its "
+    "tree — and none of them waits behind the `p` update: "
+    "`fig9_cg._legate_cg` at 192 GPUs 46.9 -> 48.5 it/s (1 GPU: 93.5 "
+    "-> 93.9; `paper_legate`, which pins fusion off, 44.7 before and "
+    "after).  At the paper's problem size the kernels dominate the "
+    "iteration, so the gain is small there; where launches are small "
+    "it is not (`benchmarks/test_reduction_fusion.py`: CG 1.45-1.56x, "
+    "two-level GMG 1.44-1.57x at 6 and 48 GPUs against `fusion=False`; "
+    "`gmg_small_tasks` of `bench/`: modeled seconds -30 %).",
 ]
 
 

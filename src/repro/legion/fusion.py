@@ -17,8 +17,11 @@ This module is that mechanism, shared by two consumers:
 
 Legality rules (checked structurally, per window):
 
-1. Only launches tagged :class:`~repro.legion.task.Pointwise` with no
-   scalar reduction participate; everything else flushes the window.
+1. Launches tagged :class:`~repro.legion.task.Pointwise` participate:
+   element-wise ones, and scalar reductions whose operands are all
+   read-only tilings (the marker says the kernel touches exactly its
+   shard's rects; ``numeric.reductions`` sets it).  Everything else
+   flushes the window.
 2. Within a group, every tiled requirement shares identical tile
    boundaries (alignment-compatible partitions: shard *i* of every
    sub-launch touches the same rows) and every launch has the same
@@ -27,7 +30,23 @@ Legality rules (checked structurally, per window):
    admitted only for regions no launch in the group writes — otherwise
    per-shard sub-launch ordering would observe partial updates and the
    fused result would not be bitwise identical to the unfused chain.
-4. No REDUCE privileges (folds have cross-shard structure).
+4. No REDUCE privileges (folds have cross-shard structure).  Scalar
+   reductions have none: a group's shards return one partial per member
+   reduction, and the runtime folds each value on its own, by its own
+   op, in color order -- the value the launch run alone would give --
+   over ONE allreduce tree for the group.
+5. *The reduction constraint.*  A reduction in the window hands out a
+   pending future.  A launch that takes such a future as a scalar --
+   directly or through lazy ``Future.combine``/``map`` arithmetic; its
+   ``after`` edges name the producers by window position -- sits in a
+   strictly later group than each of them.
+6. *Hoisting.*  A reduction writes nothing, so it may run earlier than
+   issued: it joins the latest group *before* the current one that
+   admits it, provided no launch in between writes a region it reads
+   and rule 5 allows it; else the current group; else a new one.
+   ``[x+=, r-=, vdot(r,z), p=z+p*beta, norm(r)]`` plans as
+   ``{x+=, r-=, vdot, norm} | {p=}``: the norm shares the vdot's
+   allreduce and no longer waits behind the p update.
 
 The fused kernel replays each sub-launch's kernel, in issue order, on
 per-shard sub-contexts — the same NumPy ops in the same order per
@@ -39,8 +58,9 @@ instance allocation and staging for them (no coherence traffic, no halo
 staging; the temporary never exists as a mapped instance).
 
 Everything here is deterministic and depends only on window *structure*
-(names, colors, privileges, partition boundaries, and which arguments
-share a region), so plans are memoizable: :func:`signature` renumbers
+(names, colors, privileges, partition boundaries, which arguments
+share a region, reduction ops and future-dependence edges), so plans
+are memoizable: :func:`signature` renumbers
 regions by first occurrence, and two windows with equal signatures get
 byte-identical plans.  A window whose launches one trace body issued
 skips even the signature: its planned groups are kept on the trace
@@ -88,6 +108,11 @@ class LaunchSummary:
     # dependence analyzer classifies).  None on hand-built summaries —
     # treated as an opaque kernel (task-fusible, never body-merged).
     pointwise: Optional[Pointwise] = None
+    # The cross-shard op of a scalar reduction, else None.
+    reduction: Optional[str] = None
+    # Window positions of the reductions whose pending futures the
+    # launch takes as scalars (directly or through lazy arithmetic).
+    after: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -108,24 +133,31 @@ def summarize(
     accesses: Iterable[Tuple[object, object, object, Privilege]],
     pointwise: Optional[Pointwise] = None,
     reduction: Optional[str] = None,
+    after: Tuple[int, ...] = (),
 ) -> LaunchSummary:
     """Summarize a launch from ``(req_name, region, partition,
     privilege)`` tuples."""
     out: List[Access] = []
-    ok = pointwise is not None and reduction is None
+    # A reduction is admitted over read-only tiles alone.
+    reducing = reduction is not None
+    ok = pointwise is not None
     for req_name, region, partition, privilege in accesses:
         if isinstance(partition, Tiling):
             out.append(
                 Access(region, "tile", partition.boundaries, privilege, req_name)
             )
+            if reducing and privilege.writes:
+                ok = False
         elif isinstance(partition, Replicate):
             out.append(Access(region, "rep", None, privilege, req_name))
-            if privilege.writes:
+            if reducing or privilege.writes:
                 ok = False
         else:
             out.append(Access(region, "other", None, privilege, req_name))
             ok = False
-    return LaunchSummary(name, int(colors), ok, tuple(out), pointwise)
+    return LaunchSummary(
+        name, int(colors), ok, tuple(out), pointwise, reduction, after
+    )
 
 
 def summarize_launch(task: TaskLaunch) -> LaunchSummary:
@@ -136,6 +168,7 @@ def summarize_launch(task: TaskLaunch) -> LaunchSummary:
         ((r.name, r.region, r.partition, r.privilege) for r in task.requirements),
         pointwise=task.pointwise,
         reduction=task.reduction,
+        after=task.after,
     )
 
 
@@ -183,6 +216,8 @@ def signature(summaries: Sequence[LaunchSummary]) -> tuple:
             s.colors,
             s.fusible,
             ir_key(s.pointwise),
+            s.reduction,
+            s.after,
             tuple(
                 (
                     ids[a.region.uid], a.part_kind, a.boundaries,
@@ -196,16 +231,21 @@ def signature(summaries: Sequence[LaunchSummary]) -> tuple:
 
 
 class _GroupState:
-    """Mutable legality state of the group currently being grown."""
+    """Mutable legality state of one group while the window is planned."""
 
     def __init__(self) -> None:
         self.indices: List[int] = []
+        # A group that takes no further member: a launch that is not
+        # fusible, run on its own.
+        self.sealed = False
         self.colors: Optional[int] = None
         self.boundaries: Optional[Tuple[int, ...]] = None
         self.written: set = set()  # local region ids written in group
         self.rep_read: set = set()  # local region ids replicate-read
 
     def admits(self, summary: LaunchSummary, ids: Dict[int, int]) -> bool:
+        if self.sealed:
+            return False
         if self.colors is not None and summary.colors != self.colors:
             return False
         boundaries = self.boundaries
@@ -269,38 +309,70 @@ def _elided(
     )
 
 
+def _hoist_target(
+    groups: List[_GroupState],
+    summary: LaunchSummary,
+    ids: Dict[int, int],
+    floor: int,
+) -> Optional[int]:
+    """The latest group before the last one that admits a reduction.
+
+    A reduction writes nothing, so moving it ahead of launches that do
+    not write what it reads changes no value: the walk goes back from
+    the last group, stops at the first group in between that writes a
+    region the reduction reads, and never passes ``floor`` (the group
+    after its latest future producer).
+    """
+    reads = {ids[acc.region.uid] for acc in summary.accesses}
+    for position in range(len(groups) - 2, floor - 1, -1):
+        if not reads.isdisjoint(groups[position + 1].written):
+            return None
+        if groups[position].admits(summary, ids):
+            return position
+    return None
+
+
 def plan_window(summaries: Sequence[LaunchSummary]) -> List[GroupPlan]:
-    """Partition a window into maximal runs of compatible launches.
+    """Partition a window into groups of compatible launches.
+
+    Element-wise launches form maximal runs, as issued.  A reduction
+    joins the latest earlier group it may hoist into
+    (:func:`_hoist_target`), else the current run.  No launch sits in
+    or before the group of a reduction whose future it takes.
 
     Deterministic and purely structural (see module docs), so callers
     may cache the result keyed by :func:`signature`.
     """
     ids = local_ids(summaries)
-    plans: List[GroupPlan] = []
-    state = _GroupState()
-
-    def close() -> None:
-        nonlocal state
-        if state.indices:
-            indices = tuple(state.indices)
-            plans.append(GroupPlan(indices, _elided(indices, summaries, ids)))
-        state = _GroupState()
-
+    groups: List[_GroupState] = []
+    group_of: List[int] = []  # window index -> position in groups
     for index, summary in enumerate(summaries):
-        if not summary.fusible:
-            close()
-            plans.append(GroupPlan((index,), frozenset()))
-            continue
-        if not state.admits(summary, ids):
-            close()
-        if state.admits(summary, ids):
-            state.add(index, summary, ids)
-        else:
-            # Internally inconsistent launch (mixed boundaries within
-            # one launch): emit unfused rather than reject the window.
-            close()
-            plans.append(GroupPlan((index,), frozenset()))
-    close()
+        floor = max((group_of[j] + 1 for j in summary.after), default=0)
+        last = len(groups) - 1
+        target = None
+        if summary.fusible:
+            if summary.reduction is not None:
+                target = _hoist_target(groups, summary, ids, floor)
+            if (
+                target is None
+                and last >= floor
+                and groups[last].admits(summary, ids)
+            ):
+                target = last
+        if target is None:
+            target = last + 1
+            state = _GroupState()
+            groups.append(state)
+            # Not fusible, or internally inconsistent (mixed boundaries
+            # within one launch): emitted on its own rather than
+            # rejecting the window.
+            state.sealed = not (summary.fusible and state.admits(summary, ids))
+        groups[target].add(index, summary, ids)
+        group_of.append(target)
+    plans = []
+    for state in groups:
+        indices = tuple(state.indices)
+        plans.append(GroupPlan(indices, _elided(indices, summaries, ids)))
     return plans
 
 
@@ -320,9 +392,12 @@ def fuse(
     """Merge a planned group into one launch.
 
     Requirement and scalar names are mangled ``"<i>.<name>"`` by
-    sub-launch position; the fused kernel rebuilds each sub-launch's
-    :class:`ShardContext` and runs the sub-kernels in issue order per
-    shard, so the arithmetic is the exact unfused sequence.
+    sub-launch position; the fused kernel points each sub-launch's own
+    :class:`ShardContext` at the shard and runs the sub-kernels in
+    issue order, so the arithmetic is the exact unfused sequence.  It
+    returns the partials of the member reductions, in issue order; the
+    launch carries their ops and pending futures as tuples
+    (``Runtime._reduce`` folds each value on its own).
 
     With ``nest`` (a :class:`repro.distal.codegen.NestSpec` generated
     for a merge-safe group — see :mod:`repro.analysis.depend`), the
@@ -334,54 +409,76 @@ def fuse(
     if len(group) == 1 and not elide_uids:
         return group[0]
     requirements: List[Requirement] = []
-    subs: List[Tuple[TaskLaunch, Dict[str, str]]] = []
     scalars: Dict[str, object] = {}
     for i, task in enumerate(group):
-        name_map: Dict[str, str] = {}
         for req in task.requirements:
-            mangled = f"{i}.{req.name}"
-            name_map[req.name] = mangled
             requirements.append(
                 Requirement(
-                    mangled, req.region, req.partition, req.privilege,
-                    elide=req.region.uid in elide_uids,
+                    f"{i}.{req.name}", req.region, req.partition,
+                    req.privilege, elide=req.region.uid in elide_uids,
                 )
             )
         for key, value in task.scalars.items():
             scalars[f"{i}.{key}"] = value
-        subs.append((task, name_map))
+    if nest is not None:
+        kernel, cost = nest.kernel, nest.cost
+    else:
+        kernel, cost = _replay(group)
+    ops: List[str] = []
+    for task in group:
+        ops.extend(task.pointwise.ops if task.pointwise else (task.name,))
+    reducing = [task for task in group if task.reduction is not None]
+    return TaskLaunch(
+        name=fused_name([task.name for task in group]),
+        requirements=requirements,
+        kernel=kernel,
+        cost_fn=cost,
+        scalars=scalars,
+        reduction=tuple(task.reduction for task in reducing) or None,
+        pointwise=Pointwise(tuple(ops)),
+        future=tuple(task.future for task in reducing) or None,
+    )
 
-    def sub_context(ctx: ShardContext, i: int, task: TaskLaunch, name_map):
-        arrays = {orig: ctx.arrays[m] for orig, m in name_map.items()}
-        rects = {orig: ctx.rects[m] for orig, m in name_map.items()}
-        sub_scalars = {key: ctx.scalars[f"{i}.{key}"] for key in task.scalars}
-        privileges = {req.name: req.privilege for req in task.requirements}
-        return ShardContext(
-            ctx.color, ctx.colors, arrays, rects, sub_scalars, ctx.config,
-            privileges,
+
+def _replay(group: Sequence[TaskLaunch]):
+    """The (kernel, cost) pair that replays sub-launches in issue order,
+    each on a :class:`ShardContext` under its own names."""
+    subs = [
+        (
+            task,
+            [(req.name, f"{i}.{req.name}") for req in task.requirements],
+            [(key, f"{i}.{key}") for key in task.scalars],
+            {req.name: req.privilege for req in task.requirements},
         )
+        for i, task in enumerate(group)
+    ]
 
-    def kernel(ctx: ShardContext) -> None:
-        for i, (task, name_map) in enumerate(subs):
-            task.kernel(sub_context(ctx, i, task, name_map))
+    def sub_contexts(ctx: ShardContext):
+        arrays, rects, values = ctx.arrays, ctx.rects, ctx.scalars
+        for task, names, keys, privileges in subs:
+            yield task, ShardContext(
+                ctx.color, ctx.colors,
+                {own: arrays[m] for own, m in names},
+                {own: rects[m] for own, m in names},
+                {own: values[m] for own, m in keys},
+                ctx.config, privileges,
+            )
+
+    def kernel(ctx: ShardContext) -> list:
+        partials = []
+        for task, sub in sub_contexts(ctx):
+            partial = task.kernel(sub)
+            if task.reduction is not None:
+                partials.append(partial)
+        return partials
 
     def cost(ctx: ShardContext) -> tuple:
         flops = 0.0
         nbytes = 0.0
-        for i, (task, name_map) in enumerate(subs):
-            f, b = task.cost_fn(sub_context(ctx, i, task, name_map))
+        for task, sub in sub_contexts(ctx):
+            f, b = task.cost_fn(sub)
             flops += float(f)
             nbytes += float(b)
         return flops, nbytes
 
-    ops: List[str] = []
-    for task in group:
-        ops.extend(task.pointwise.ops if task.pointwise else (task.name,))
-    return TaskLaunch(
-        name=fused_name([task.name for task in group]),
-        requirements=requirements,
-        kernel=nest.kernel if nest is not None else kernel,
-        cost_fn=nest.cost if nest is not None else cost,
-        scalars=scalars,
-        pointwise=Pointwise(tuple(ops)),
-    )
+    return kernel, cost

@@ -46,7 +46,7 @@ from repro.legion import resilience as _resilience
 from repro.legion.chaos import ChaosConfig, ChaosInjector, LossSchedule, chaos_default
 from repro.legion.coherence import RegionCoherence
 from repro.legion.exceptions import FaultError, OutOfMemoryError
-from repro.legion.future import Future
+from repro.legion.future import Future, pending_roots
 from repro.legion.instance import InstanceManager
 from repro.legion.partition import Partition, Replicate, Tiling
 from repro.legion.privilege import Privilege
@@ -456,6 +456,12 @@ class Runtime:
         # pays the planning cost once per distinct window shape.
         self._window: List[TaskLaunch] = []
         self._deferred_frees: List[int] = []
+        # Pending future of each reduction in the window -> its window
+        # position (what a later launch's ``after`` edges name), and the
+        # placeholder results of a deferred plan capture, which resolve
+        # at the next flush like the window's would.
+        self._window_roots: Dict[Future, int] = {}
+        self._plan_roots: List[Tuple[Future, Any]] = []
         # Plans plus kernel-fusion verdicts, memoized per structural
         # window signature (the signature includes each launch's body
         # IR, so distinct programs can never share a cached verdict).
@@ -731,10 +737,28 @@ class Runtime:
     # Clocks
     # ------------------------------------------------------------------
     def wait(self, future: Future) -> Any:
-        """Block the issuing program on a future (control-flow sync)."""
+        """Block the issuing program on a future (control-flow sync).
+
+        The flush executes the window, which resolves every reduction
+        pending in it -- and, through them, every lazy scalar expression
+        built on top."""
         self._sync("wait")
+        if future.roots is not None:
+            self._force(future)
         self.issue_time = max(self.issue_time, future.ready_time)
         return future.value
+
+    def _force(self, future: Future) -> None:
+        """Resolve a future this runtime's flush left pending: one that
+        another runtime's window owes, or nobody does any more."""
+        for root in future.roots:
+            if root.owner is not self and root.owner is not None:
+                root.owner.flush_window()
+        if future.roots is not None:
+            raise RuntimeError(
+                "future never resolved: the reduction that produces it "
+                "was abandoned with its window (an earlier launch raised)"
+            )
 
     def barrier(self) -> float:
         """Wait for all outstanding work; returns the simulated time.
@@ -874,13 +898,16 @@ class Runtime:
     def launch(self, task: TaskLaunch) -> Optional[Future]:
         """Issue a task launch.
 
-        Fusible launches (element-wise, aligned tilings, no reduction —
-        see :func:`repro.legion.fusion.fusible`) enter the deferred
-        window; everything else flushes the window and executes
-        eagerly.  Numerics are unaffected by the deferral: anything
-        that could observe a pending result — future waits, barriers,
-        host reads of store data, non-fusible launches (whose solve may
-        read region data for image partitions) — flushes first.
+        Fusible launches -- element-wise ones and scalar reductions over
+        read-only aligned tilings, see :func:`repro.legion.fusion.fusible`
+        -- enter the deferred window; everything else flushes the window
+        and executes eagerly.  A reduction issued into the window
+        returns a *pending* future, which the flush resolves.  Numerics
+        are unaffected by the deferral: anything that could observe a
+        pending result — future waits, barriers, host reads of store
+        data, non-fusible launches (whose solve may read region data for
+        image partitions) — flushes first.  With ``fusion`` off nothing
+        is deferred and every returned future is resolved.
         """
         chaos = self._chaos
         if (
@@ -896,7 +923,7 @@ class Runtime:
         if slot is None and self._trace is not None:
             self._trace.issue(task)
             slot = task.slot
-        if not self.config.fusion or task.reduction is not None:
+        if not self.config.fusion:
             fusible = False
         elif slot is None:
             fusible = fusion.fusible(task)
@@ -909,23 +936,42 @@ class Runtime:
         if not fusible:
             self.flush_window()
             return self._execute(task)
-        self._window.append(task)
+        window = self._window
+        roots = self._window_roots
+        if roots and task.scalars:
+            # The reduction constraint's edges: which reductions of this
+            # window the launch's scalars are still waiting for.
+            task.after = tuple(sorted({
+                roots[root] for root in pending_roots(task.scalars)
+                if root in roots
+            }))
+        future = None
+        if task.reduction is not None:
+            future = task.future = Future.pending(self)
+            roots[future] = len(window)
+        window.append(task)
         refs = self._window_refs
         for req in task.requirements:
             uid = req.region.uid
             refs[uid] = refs.get(uid, 0) + 1
-        if len(self._window) >= self.config.fusion_window:
+        if len(window) >= self.config.fusion_window:
             self.flush_window()
-        return None
+        return future
 
     def flush_window(self) -> None:
         """Plan and execute every launch buffered in the window."""
+        if self._plan_roots:
+            placeholders, self._plan_roots = self._plan_roots, []
+            for future, value in placeholders:
+                future.resolve(value, 0.0)
         if not self._window:
             return
         window, self._window = self._window, []
         frees, self._deferred_frees = self._deferred_frees, []
         if self._window_refs:
             self._window_refs.clear()
+        if self._window_roots:
+            self._window_roots.clear()
         t0 = _perf()
         try:
             self._flush(window, frees)
@@ -1042,6 +1088,7 @@ class Runtime:
                             )
                         )
                         for i in indices
+                        if window[i].reduction is None
                     ),
                 )
             groups.append(
@@ -1152,6 +1199,11 @@ class Runtime:
         scalar_values: Dict[str, Any] = {}
         for key, val in task.scalars.items():
             if isinstance(val, Future):
+                # Plain attributes: a consumer's group runs after its
+                # producer's, so only a future owed from outside this
+                # window can still be pending here.
+                if val.roots is not None:
+                    self._force(val)
                 scalar_ready = max(scalar_ready, val.ready_time)
                 scalar_values[key] = val.value
             else:
@@ -1393,9 +1445,38 @@ class Runtime:
         if task.reduction is not None:
             if replay:
                 # Replay skips kernels, so there are no partials to
-                # reduce; the original future already carries the value.
+                # reduce; the original futures already carry the values.
                 return None
-            return self.allreduce(partials, partial_times, op=task.reduction)
+            return self._reduce(task, partials, partial_times)
+        return None
+
+    def _reduce(
+        self, task: TaskLaunch, partials: List[Any], times: List[float]
+    ) -> Optional[Future]:
+        """Fold a launch's scalar partials and resolve its futures.
+
+        A fused group with k member reductions returned k partials per
+        shard: each value is folded on its own by its own op, in color
+        order -- bitwise what the launch run alone would produce -- and
+        the k values share ONE allreduce tree carrying ``8 * k`` bytes.
+        """
+        ops = task.reduction
+        if type(ops) is str:
+            result = self.allreduce(partials, times, op=ops)
+            future = task.future
+            if future is None:
+                return result
+            future.resolve(result.value, result.ready_time)
+            return future
+        values = [
+            _fold(op, [shard[k] for shard in partials])
+            for k, op in enumerate(ops)
+        ]
+        ready = self._allreduce_ready(
+            len(partials), times, "+".join(ops), 8 * len(ops)
+        )
+        for future, value in zip(task.future, values):
+            future.resolve(value, ready)
         return None
 
     def _stage_reads(
@@ -2000,20 +2081,17 @@ class Runtime:
         nbytes: int = 8,
     ) -> Future:
         """Fold per-shard scalar partials with the tree + overhead model."""
-        if op == "sum":
-            value = _tree_sum(partials)
-        elif op == "max":
-            value = max(partials)
-        elif op == "min":
-            value = min(partials)
-        elif op == "prod":
-            value = partials[0]
-            for part in partials[1:]:
-                value = value * part
-        else:
-            raise ValueError(f"unknown reduction op {op!r}")
+        value = _fold(op, partials)
+        return Future(
+            value,
+            self._allreduce_ready(len(partials), ready_times, op, nbytes),
+        )
+
+    def _allreduce_ready(
+        self, p: int, ready_times: List[float], op: str, nbytes: int
+    ) -> float:
+        """Charge one allreduce tree over ``p`` shards; its finish time."""
         t0 = max(ready_times) if ready_times else self.issue_time
-        p = len(partials)
         self.profiler.record_allreduce()
         if self.event_log is not None:
             self.event_log.record_allreduce(op, p)
@@ -2039,7 +2117,7 @@ class Runtime:
             self.timeline.record(
                 "allreduce", "network", f"allreduce:{op}", t0, t, nbytes=nbytes
             )
-        return Future(value, t)
+        return t
 
     # ------------------------------------------------------------------
     # Fill
@@ -2089,8 +2167,26 @@ def _window_key(window: List[TaskLaunch]) -> Optional[tuple]:
         slot = task.slot
         if slot is None or task.body != body:
             return None
-        key.append(slot.uid)
+        # The future-dependence edges are no part of a position's
+        # fingerprint, and the plan depends on them.
+        key.append((slot.uid, task.after) if task.after else slot.uid)
     return tuple(key)
+
+
+def _fold(op: str, partials: List[Any]):
+    """One reduction's value from its per-shard partials, in color order."""
+    if op == "sum":
+        return _tree_sum(partials)
+    if op == "max":
+        return max(partials)
+    if op == "min":
+        return min(partials)
+    if op == "prod":
+        value = partials[0]
+        for part in partials[1:]:
+            value = value * part
+        return value
+    raise ValueError(f"unknown reduction op {op!r}")
 
 
 def _tree_sum(values: List[Any]):

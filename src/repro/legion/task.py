@@ -41,6 +41,12 @@ class Pointwise:
     ``expr is None`` marks the kernel *opaque*: it still enters the
     task-fusion window, but its group is never body-merged into one
     loop nest (classified ``replay:opaque-kernel``).
+
+    A scalar reduction over aligned read-only operands carries the
+    marker too (it touches exactly its shard's rects): its program ends
+    in ``("part", name)`` -- the per-shard partial
+    ``optable.PARTIALS[name]`` over the loaded views, which the kernel
+    returns -- and it has no ``out``.
     """
 
     ops: Tuple[str, ...] = ()
@@ -153,9 +159,11 @@ class TaskLaunch:
     kernel: KernelFn
     cost_fn: CostFn = default_cost
     scalars: Dict[str, Any] = field(default_factory=dict)
-    # 'sum' / 'max' / 'min' cross-shard reduction of kernel return values
-    # into a Future, or None when kernels return nothing.
-    reduction: Optional[str] = None
+    # 'sum' / 'max' / 'min' / 'prod' cross-shard reduction of kernel
+    # return values into a Future, or None when kernels return nothing.
+    # A fused group (repro.legion.fusion.fuse) carries one op per member
+    # reduction, as a tuple; its kernel returns as many partials.
+    reduction: Optional[Any] = None
     # Owner partition used to fold REDUCE-privilege outputs; defaults to
     # an even tiling of the output region.
     fold_partition: Optional[Partition] = None
@@ -170,6 +178,12 @@ class TaskLaunch:
     slot: Optional[Any] = None
     body: int = 0
     replayed_in: Optional[Any] = None
+    # Deferred-window tags of a reduction (repro.legion.fusion): the
+    # pending future Runtime.launch handed out for it (one per member
+    # reduction on a fused group), and the window positions of the
+    # reductions whose pending futures this launch takes as scalars.
+    future: Optional[Any] = None
+    after: Tuple[int, ...] = ()
 
     @property
     def color_count(self) -> int:

@@ -18,10 +18,15 @@ class Scalar:
     """A deferred scalar: the result of a distributed reduction.
 
     Arithmetic between scalars (and Python numbers) is free and lazy —
-    ready times propagate through :class:`Future` combinators.  Consuming
-    the value (``float()``, comparisons, ``bool()``) synchronizes the
-    issuing program with the reduction, putting allreduce latency on the
-    critical path exactly when SciPy-style control flow demands it.
+    ready times propagate through :class:`Future` combinators, and while
+    the reduction is still pending in the runtime's deferred window the
+    arithmetic itself is deferred with it.  Consuming the value
+    (``.value``, ``float()``, ``format()``, comparisons, ``bool()``)
+    flushes that window and synchronizes the issuing program with the
+    reduction, putting allreduce latency on the critical path exactly
+    when SciPy-style control flow demands it.  Nothing else
+    synchronizes: passing a scalar to an array operation hands the
+    future to the launch.
     """
 
     __slots__ = ("future", "runtime")
@@ -95,6 +100,21 @@ class Scalar:
     def __pow__(self, other):
         return self._combine(other, lambda a, b: a**b)
 
+    def __rpow__(self, other):
+        return self._combine(other, lambda a, b: b**a)
+
+    def __floordiv__(self, other):
+        return self._combine(other, lambda a, b: a // b)
+
+    def __rfloordiv__(self, other):
+        return self._combine(other, lambda a, b: b // a)
+
+    def __mod__(self, other):
+        return self._combine(other, lambda a, b: a % b)
+
+    def __rmod__(self, other):
+        return self._combine(other, lambda a, b: b % a)
+
     def __neg__(self):
         return Scalar(self.future.map(lambda v: -v), self.runtime)
 
@@ -108,6 +128,16 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         """Deferred complex conjugate."""
         return Scalar(self.future.map(np.conjugate), self.runtime)
+
+    @property
+    def real(self) -> "Scalar":
+        """Deferred real part."""
+        return Scalar(self.future.map(np.real), self.runtime)
+
+    @property
+    def imag(self) -> "Scalar":
+        """Deferred imaginary part."""
+        return Scalar(self.future.map(np.imag), self.runtime)
 
     # -- synchronizing comparisons --------------------------------------
     def __lt__(self, other):

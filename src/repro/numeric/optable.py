@@ -63,6 +63,57 @@ UNOPS: Dict[str, Callable] = {
     "copy": np.positive,
 }
 
+
+
+def _sum_part(v):
+    return v.sum()
+
+
+def _prod_part(v):
+    return v.prod() if v.size else v.dtype.type(1)
+
+
+def _amax_part(v):
+    return v.max() if v.size else -np.inf
+
+
+def _amin_part(v):
+    return v.min() if v.size else np.inf
+
+
+def _dot_part(va, vb):
+    return np.dot(va, vb) if va.size else 0.0
+
+
+def _vdot_part(va, vb):
+    return np.vdot(va, vb) if va.size else 0.0
+
+
+def _norm2_part(v):
+    if not v.size:
+        return 0.0
+    return float(np.real(np.vdot(v, v)))
+
+
+def _count_nonzero_part(v):
+    return int(np.count_nonzero(v))
+
+
+#: Per-shard partials of the scalar reductions, by task name: what one
+#: shard computes over its operand views before the cross-shard fold.
+#: A reduction launch's body IR ends in ``("part", name)``; its own
+#: kernel and a generated nest's epilogue call the same entry.
+PARTIALS: Dict[str, Callable] = {
+    "sum": _sum_part,
+    "prod": _prod_part,
+    "amax": _amax_part,
+    "amin": _amin_part,
+    "dot": _dot_part,
+    "vdot": _vdot_part,
+    "norm2": _norm2_part,
+    "count_nonzero": _count_nonzero_part,
+}
+
 #: Short spellings used by the lazy expression tree.
 ALIASES: Dict[str, str] = {
     "sub": "subtract",

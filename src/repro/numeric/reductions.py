@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.constraints import AutoTask
+from repro.numeric import optable
 from repro.numeric.array import Scalar, ndarray
 
 
@@ -18,8 +21,31 @@ def _reduction_cost(ctx):
     return flops, nbytes
 
 
-def _launch_reduction(name, a: ndarray, kernel, op: str, b: ndarray = None) -> Scalar:
+def _launch_reduction(
+    name, a: ndarray, op: str, b: ndarray = None, kernel=None
+) -> Scalar:
+    """One scalar reduction: per-shard partials folded across shards by
+    ``op``.  The partial is ``optable.PARTIALS[name]`` over the shard's
+    operand views -- exposed as the launch's body IR, so that a fused
+    group's generated nest can run it as an epilogue -- unless a
+    ``kernel`` is given, which stays opaque (fused, never merged).
+    Either way the kernel touches exactly its shard's rect of every
+    operand, which is what admits it to the deferred window.
+    """
     rt = a.store.runtime
+    expr = None
+    if kernel is None:
+        part = optable.PARTIALS[name]
+        if b is None:
+            expr = (("load", "a"), ("part", name))
+
+            def kernel(ctx):
+                return part(ctx.view("a"))
+        else:
+            expr = (("load", "a"), ("load", "b"), ("part", name))
+
+            def kernel(ctx):
+                return part(ctx.view("a"), ctx.view("b"))
     task = AutoTask(rt, name, kernel, _reduction_cost)
     task.add_input("a", a.store)
     if b is not None:
@@ -28,6 +54,7 @@ def _launch_reduction(name, a: ndarray, kernel, op: str, b: ndarray = None) -> S
         task.add_input("b", b.store)
         task.add_alignment_constraint(a.store, b.store)
     task.set_scalar_reduction(op)
+    task.set_pointwise(name, expr=expr)
     future = task.execute()
     return Scalar(future, rt)
 
@@ -36,11 +63,7 @@ def sum(a: ndarray, axis=None):
     """Full or per-axis sum; 2-D axis sums return distributed vectors."""
     if axis is not None:
         return _axis_sum(a, axis)
-
-    def kernel(ctx):
-        return ctx.view("a").sum()
-
-    return _launch_reduction("sum", a, kernel, "sum")
+    return _launch_reduction("sum", a, "sum")
 
 
 def _axis_sum(a: ndarray, axis: int) -> ndarray:
@@ -98,64 +121,43 @@ def _axis_sum(a: ndarray, axis: int) -> ndarray:
 
 def prod(a: ndarray) -> Scalar:
     """Product of all elements."""
-
-    def kernel(ctx):
-        v = ctx.view("a")
-        return v.prod() if v.size else a.dtype.type(1)
-
-    return _launch_reduction("prod", a, kernel, "prod")
+    return _launch_reduction("prod", a, "prod")
 
 
 def mean(a: ndarray, axis=None):
     """Mean over all elements or per axis."""
     total = sum(a, axis=axis)
     if axis is None:
+        if a.size == 0:
+            # numpy.mean's value for an empty array, without the
+            # RuntimeWarning a 0/0 inside the future would emit.
+            return total * math.nan
         return total / a.size
     return total / a.shape[1 if axis in (1, -1) else 0]
 
 
 def amax(a: ndarray) -> Scalar:
     """Maximum element (a deferred Scalar)."""
-
-    def kernel(ctx):
-        v = ctx.view("a")
-        return v.max() if v.size else -np.inf
-
-    return _launch_reduction("amax", a, kernel, "max")
+    return _launch_reduction("amax", a, "max")
 
 
 def amin(a: ndarray) -> Scalar:
     """Minimum element (a deferred Scalar)."""
-
-    def kernel(ctx):
-        v = ctx.view("a")
-        return v.min() if v.size else np.inf
-
-    return _launch_reduction("amin", a, kernel, "min")
+    return _launch_reduction("amin", a, "min")
 
 
 def dot(a: ndarray, b: ndarray) -> Scalar:
     """Plain (non-conjugating) inner product of two 1-D arrays."""
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError("dot expects 1-D operands; use matmul for matrices")
-
-    def kernel(ctx):
-        va, vb = ctx.view("a"), ctx.view("b")
-        return np.dot(va, vb) if va.size else 0.0
-
-    return _launch_reduction("dot", a, kernel, "sum", b=b)
+    return _launch_reduction("dot", a, "sum", b=b)
 
 
 def vdot(a: ndarray, b: ndarray) -> Scalar:
     """Conjugating inner product (what iterative solvers need)."""
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError("vdot expects 1-D operands")
-
-    def kernel(ctx):
-        va, vb = ctx.view("a"), ctx.view("b")
-        return np.vdot(va, vb) if va.size else 0.0
-
-    return _launch_reduction("vdot", a, kernel, "sum", b=b)
+    return _launch_reduction("vdot", a, "sum", b=b)
 
 
 def argmax(a: ndarray) -> Scalar:
@@ -168,7 +170,7 @@ def argmax(a: ndarray) -> Scalar:
         local = int(np.argmax(v))
         return (float(v[local]), -(ctx.rect("a").lo[0] + local))
 
-    partial = _launch_reduction("argmax", a, kernel, "max")
+    partial = _launch_reduction("argmax", a, "max", kernel=kernel)
     return Scalar(partial.future.map(lambda t: -t[1]), partial.runtime)
 
 
@@ -182,17 +184,13 @@ def argmin(a: ndarray) -> Scalar:
         local = int(np.argmin(v))
         return (float(v[local]), ctx.rect("a").lo[0] + local)
 
-    partial = _launch_reduction("argmin", a, kernel, "min")
+    partial = _launch_reduction("argmin", a, "min", kernel=kernel)
     return Scalar(partial.future.map(lambda t: t[1]), partial.runtime)
 
 
 def count_nonzero(a: ndarray) -> Scalar:
     """Number of non-zero elements (a deferred Scalar)."""
-
-    def kernel(ctx):
-        return int(np.count_nonzero(ctx.view("a")))
-
-    return _launch_reduction("count_nonzero", a, kernel, "sum")
+    return _launch_reduction("count_nonzero", a, "sum")
 
 
 def allclose(a: ndarray, b: ndarray, rtol: float = 1e-5, atol: float = 1e-8) -> bool:
@@ -201,7 +199,7 @@ def allclose(a: ndarray, b: ndarray, rtol: float = 1e-5, atol: float = 1e-8) -> 
     def kernel(ctx):
         return bool(np.allclose(ctx.view("a"), ctx.view("b"), rtol=rtol, atol=atol))
 
-    result = _launch_reduction("allclose", a, kernel, "min", b=b)
+    result = _launch_reduction("allclose", a, "min", b=b, kernel=kernel)
     return bool(result.value)
 
 
@@ -213,17 +211,10 @@ def array_equal(a: ndarray, b: ndarray) -> bool:
     def kernel(ctx):
         return bool(np.array_equal(ctx.view("a"), ctx.view("b")))
 
-    result = _launch_reduction("array_equal", a, kernel, "min", b=b)
+    result = _launch_reduction("array_equal", a, "min", b=b, kernel=kernel)
     return bool(result.value)
 
 
 def sum_abs_squared(a: ndarray) -> Scalar:
     """sum(|a|^2): the partial under a 2-norm; always real."""
-
-    def kernel(ctx):
-        v = ctx.view("a")
-        if not v.size:
-            return 0.0
-        return float(np.real(np.vdot(v, v)))
-
-    return _launch_reduction("norm2", a, kernel, "sum")
+    return _launch_reduction("norm2", a, "sum")

@@ -26,8 +26,19 @@ def acc(uid, kind="tile", priv=Privilege.READ, boundaries=(0, 4, 8), name=""):
     )
 
 
-def summ(name, *accesses, colors=2, fusible=True, pointwise=None):
-    return fusion.LaunchSummary(name, colors, fusible, tuple(accesses), pointwise)
+def summ(
+    name, *accesses, colors=2, fusible=True, pointwise=None, reduction=None
+):
+    return fusion.LaunchSummary(
+        name, colors, fusible, tuple(accesses), pointwise, reduction
+    )
+
+
+def pw_part(name, *operands):
+    """A scalar reduction's body IR: operand loads, then its partial."""
+    return Pointwise(
+        (name,), expr=tuple(("load", o) for o in operands) + (("part", name),)
+    )
 
 
 def pw_fill():
@@ -253,14 +264,103 @@ class TestReplayOnlyReasons:
             "disabled", "opaque-kernel", "reduction-reorder",
             "replicated-operand", "iteration-space-mismatch",
             "raw-through-unelided-region",
+            "write-after-reduction",
         }
         assert produced == set(depend.REASONS)
 
 
+class TestReductionEpilogue:
+    """Rule 6: a group's scalar reductions run after the nest."""
+
+    def _update(self, uid, src):
+        return summ(
+            "subtract",
+            acc(uid, priv=Privilege.WRITE, name="out"),
+            acc(uid, name="a"), acc(src, name="b"),
+            pointwise=pw_binary("subtract", b_load=True),
+        )
+
+    def test_reductions_merge_as_the_epilogue(self):
+        # r -= q; vdot(r, z); norm(r): RAW on r into the reductions is
+        # no rule-5 edge -- they read the region the nest stored.
+        window = [
+            self._update(2, 5),
+            summ("vdot", acc(2, name="a"), acc(4, name="b"),
+                 pointwise=pw_part("vdot", "a", "b"), reduction="sum"),
+            summ("norm2", acc(2, name="a"),
+                 pointwise=pw_part("norm2", "a"), reduction="sum"),
+        ]
+        (verdict,), (plan,) = classify(window)
+        assert plan.indices == (0, 1, 2)
+        assert verdict.merge_safe and verdict.reason is None
+        assert "3 statements" in verdict.detail
+        assert depend.verdict_label(plan, verdict, True) == "merged"
+
+    def test_reductions_alone_merge_too(self):
+        window = [
+            summ("vdot", acc(2, name="a"), acc(4, name="b"),
+                 pointwise=pw_part("vdot", "a", "b"), reduction="sum"),
+            summ("amax", acc(4, name="a"),
+                 pointwise=pw_part("amax", "a"), reduction="max"),
+        ]
+        (verdict,), (plan,) = classify(window)
+        assert plan.fused and verdict.merge_safe
+
+    def test_a_write_after_the_reduction_blocks_the_epilogue(self):
+        # sum(r) is issued BEFORE r is rewritten in the same group: run
+        # after the nest it would see the new r.
+        window = [
+            summ("sum", acc(2, name="a"),
+                 pointwise=pw_part("sum", "a"), reduction="sum"),
+            self._update(2, 5),
+        ]
+        (verdict,), (plan,) = classify(window)
+        assert plan.indices == (0, 1)
+        assert verdict.reason == "write-after-reduction"
+        assert "'subtract'" in verdict.detail and "'sum'" in verdict.detail
+        assert depend.verdict_label(plan, verdict, True) == (
+            "replay:write-after-reduction"
+        )
+
+    def test_an_opaque_reduction_keeps_the_group_on_replay(self):
+        window = [
+            self._update(2, 5),
+            summ("argmin", acc(2, name="a"),
+                 pointwise=Pointwise(("argmin",)), reduction="min"),
+        ]
+        (verdict,), (plan,) = classify(window)
+        assert plan.fused
+        assert verdict.reason == "opaque-kernel"
+
+    @pytest.mark.parametrize("expr, problem", [
+        ((("load", "a"),), "does not end in a partial"),
+        ((("load", "a"), ("part", "median")), "unknown partial"),
+        ((("scalar", "s"), ("part", "sum")), "operand views only"),
+        ((("load", "nope"), ("part", "sum")), "unknown argument"),
+    ])
+    def test_malformed_reduction_ir_is_opaque(self, expr, problem):
+        summary = summ(
+            "sum", acc(2, name="a"),
+            pointwise=Pointwise(("sum",), expr=expr), reduction="sum",
+        )
+        program, out, why = depend.kernel_ir(summary)
+        assert program is None and out is None and problem in why
+
+    def test_well_formed_reduction_ir(self):
+        summary = summ(
+            "vdot", acc(2, name="a"), acc(4, name="b"),
+            pointwise=pw_part("vdot", "a", "b"), reduction="sum",
+        )
+        program, out, why = depend.kernel_ir(summary)
+        assert why == "" and out is None
+        assert program[-1] == ("part", "vdot")
+
+
 class TestNestPlan:
-    def _task(self, name, pointwise, *reqs):
+    def _task(self, name, pointwise, *reqs, reduction=None):
         return SimpleNamespace(
-            name=name, pointwise=pointwise, requirements=list(reqs)
+            name=name, pointwise=pointwise, requirements=list(reqs),
+            reduction=reduction,
         )
 
     def _req(self, name, uid, priv, dtype=np.float64):
@@ -327,3 +427,60 @@ class TestNestPlan:
         )
         with pytest.raises(ValueError, match="no body IR"):
             depend.build_nest_plan([bad], elide_uids=frozenset())
+
+    def test_reductions_lower_to_tails_and_keep_what_they_read(self):
+        from repro.distal import codegen
+        from repro.legion.task import ShardContext
+        from repro.geometry import Rect
+        from repro.numeric import optable
+
+        sub = self._task(
+            "subtract", pw_binary("subtract", b_load=True),
+            self._req("out", 6, Privilege.WRITE_DISCARD),
+            self._req("a", 1, Privilege.READ),
+            self._req("b", 2, Privilege.READ),
+        )
+        norm = self._task(
+            "norm2", pw_part("norm2", "a"),
+            self._req("a", 6, Privilege.READ), reduction="sum",
+        )
+        vdot = self._task(
+            "vdot", pw_part("vdot", "a", "b"),
+            self._req("a", 6, Privilege.READ),
+            self._req("b", 1, Privilege.READ), reduction="sum",
+        )
+        # The difference is elided AND already freed by the host: a
+        # dead temporary -- which the reductions still have to read.
+        plan = depend.build_nest_plan(
+            [sub, norm, vdot],
+            elide_uids=frozenset({6}), dead_uids=frozenset({6}),
+        )
+        assert [step.name for step in plan.steps] == ["subtract"]
+        assert plan.steps[0].store and plan.temps_eliminated == 0
+        assert [(t.index, t.part, t.operands) for t in plan.tails] == [
+            (1, "norm2", ("1.a",)), (2, "vdot", ("2.a", "2.b")),
+        ]
+        nest = codegen.generate_nest(plan)
+        assert "_PARTS['norm2'](ctx.view('1.a'))" in nest.source
+        assert nest.source.index("ctx.view('0.out')[...]") < nest.source.index(
+            "_PARTS"
+        )
+        # Run it: the partials are the standalone kernels' bits.
+        rng = np.random.default_rng(0)
+        a, b, out = rng.normal(size=8), rng.normal(size=8), np.zeros(8)
+        rect = Rect((2,), (7,))
+        names = {"0.out": out, "0.a": a, "0.b": b, "1.a": out, "2.a": out, "2.b": a}
+        ctx = ShardContext(
+            0, 1, names, {name: rect for name in names}, {}, None
+        )
+        partials = nest.kernel(ctx)
+        diff = (a - b)[2:7]
+        assert np.array_equal(out[2:7], diff)
+        assert partials == [
+            optable.PARTIALS["norm2"](diff),
+            optable.PARTIALS["vdot"](diff, a[2:7]),
+        ]
+        flops, nbytes = nest.cost(ctx)
+        # subtract: 1 flop/elt, reads a and b, writes out; the tails
+        # read their three operands and charge one flop per element.
+        assert (flops, nbytes) == (5 + 15, (3 + 3) * 5 * 8)

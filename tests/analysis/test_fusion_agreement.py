@@ -13,7 +13,7 @@ import numpy as np
 
 import repro.numeric as rnp
 import repro.sparse as sp
-from repro.analysis.advisor import analyze
+from repro.analysis.advisor import advise, analyze
 from repro.analysis.plan import PlanTrace
 from repro.apps.poisson import poisson2d_scipy
 from repro.legion import Runtime, RuntimeConfig
@@ -76,6 +76,72 @@ def test_fig9_cg_agreement():
     # SpMV (image-constrained) never enters the window on either side.
     for names, _, _ in advice.fusion_groups:
         assert not any("A(i,j)" in n for n in names)
+
+
+REDUCTIONS = {"vdot", "norm2"}
+
+
+def _groups_with_reductions(groups):
+    return [names for names, _, _ in groups if REDUCTIONS & set(names)]
+
+
+def test_cg_reduction_groups_agreement():
+    """Windows that hold reductions: the advisor places each vdot and
+    norm in the group the runtime does -- the norm hoisted beside the
+    vdot, the p update (which takes the vdot's future) in the next --
+    and gives every group the runtime's verdict."""
+    def workload():
+        A = sp.csr_matrix(poisson2d_scipy(14))
+        b = rnp.ones(A.shape[0])
+        sp.linalg.cg(A, b, rtol=0.0, maxiter=3)
+
+    plan, runtime = capture_fused(workload)
+    advice = assert_fusion_agreement(plan, runtime)
+    tail = ("multiply", "add", "multiply", "subtract", "vdot", "norm2")
+    assert _groups_with_reductions(advice.fusion_groups).count(tail) == 3
+    assert (tail, 2, "merged") in advice.fusion_groups
+    # Never the consumer of a future beside its producer.
+    follows = [
+        advice.fusion_groups[i + 1][0]
+        for i, group in enumerate(advice.fusion_groups[:-1])
+        if group[0] == tail
+    ]
+    assert follows == [("multiply", "add")] * 3
+    assert runtime.profiler.allreduces == 2 + 2 * 3
+
+
+def test_pcg_reduction_groups_agreement():
+    """With a preconditioner between the r update and vdot(r, z)."""
+    def workload():
+        from repro.core.linalg.preconditioners import jacobi
+
+        A = sp.csr_matrix(poisson2d_scipy(14))
+        b = rnp.ones(A.shape[0])
+        sp.linalg.cg(A, b, rtol=0.0, maxiter=3, M=jacobi(A))
+
+    plan, runtime = capture_fused(workload)
+    advice = assert_fusion_agreement(plan, runtime)
+    with_reductions = _groups_with_reductions(advice.fusion_groups)
+    assert any({"vdot", "norm2"} <= set(names) for names in with_reductions)
+    assert runtime.profiler.allreduces == 2 + 2 * 3
+
+
+def test_deferred_trace_predicts_the_reduction_groups():
+    """``advise`` runs no kernel: reductions hand out placeholders that
+    stay pending until the next sync, so the plan records the same
+    future-dependence edges and the predicted groups are the ones a
+    real run of the same fixed-length program logs."""
+    def workload():
+        A = sp.csr_matrix(poisson2d_scipy(14))
+        b = rnp.ones(A.shape[0])
+        sp.linalg.cg(A, b, rtol=0.0, maxiter=3)
+
+    _, runtime = capture_fused(workload)
+    advice = advise(
+        workload, machine=laptop(), procs=2,
+        config=RuntimeConfig.legate(fusion=True),
+    )
+    assert advice.fusion_groups == runtime.fusion_log
 
 
 def test_fig10_gmg_agreement():

@@ -294,6 +294,7 @@ class TestCompileCache:
 
         mul = SimpleNamespace(
             name="multiply",
+            reduction=None,
             pointwise=Pointwise(
                 ("multiply",),
                 expr=(("load", "a"), ("scalar", "c"), ("bin", "multiply")),
@@ -306,6 +307,7 @@ class TestCompileCache:
         )
         add = SimpleNamespace(
             name="add",
+            reduction=None,
             pointwise=Pointwise(
                 ("add",),
                 expr=(("load", "a"), ("load", "b"), ("bin", "add")),

@@ -47,8 +47,10 @@ def acc(uid, kind="tile", priv=Privilege.READ, boundaries=(0, 4, 8)):
     )
 
 
-def summ(name, *accesses, colors=2, fusible=True):
-    return fusion.LaunchSummary(name, colors, fusible, tuple(accesses))
+def summ(name, *accesses, colors=2, fusible=True, reduction=None, after=()):
+    return fusion.LaunchSummary(
+        name, colors, fusible, tuple(accesses), None, reduction, after
+    )
 
 
 class TestPlanner:
@@ -147,6 +149,115 @@ class TestPlanner:
         name = fusion.fused_name(["x" * 200, "y"])
         assert name.startswith("fused{2}:")
         assert len(name) <= len("fused{2}:") + fusion.MAX_FUSED_NAME
+
+
+W, R = Privilege.WRITE, Privilege.READ
+
+
+def groups(window):
+    return [plan.indices for plan in fusion.plan_window(window)]
+
+
+class TestReductionPlanning:
+    """Rules 5 and 6 of the planner: the reduction constraint and the
+    hoist.  Regions: x=1, r=2, p=3, z=4, q=5."""
+
+    def test_a_reduction_joins_the_run_it_reads_from(self):
+        window = [
+            summ("r-=", acc(2, priv=W), acc(5)),
+            summ("vdot", acc(2), acc(4), reduction="sum"),
+        ]
+        assert groups(window) == [(0, 1)]
+
+    def test_a_consumer_never_shares_its_producers_group(self):
+        window = [
+            summ("vdot", acc(2), acc(4), reduction="sum"),
+            summ("p=", acc(3, priv=W), acc(4), after=(0,)),
+            summ("q=", acc(5, priv=W), acc(3)),  # no edge: joins the consumer
+        ]
+        assert groups(window) == [(0,), (1, 2)]
+
+    def test_the_cg_tail_hoists_the_norm_beside_the_vdot(self):
+        window = [
+            summ("x+=", acc(1, priv=W), acc(3)),
+            summ("r-=", acc(2, priv=W), acc(5)),
+            summ("vdot", acc(2), acc(4), reduction="sum"),
+            summ("p=", acc(3, priv=W), acc(4), after=(2,)),
+            summ("norm", acc(2), reduction="sum"),
+        ]
+        assert groups(window) == [(0, 1, 2, 4), (3,)]
+
+    def test_a_writer_in_between_blocks_the_hoist(self):
+        window = [
+            summ("r-=", acc(2, priv=W), acc(5)),
+            summ("vdot", acc(2), acc(4), reduction="sum"),
+            summ("r*=", acc(2, priv=W), after=(1,)),  # rewrites r
+            summ("norm", acc(2), reduction="sum"),
+        ]
+        assert groups(window) == [(0, 1), (2, 3)]
+
+    def test_a_reduction_taking_a_future_stays_behind_its_producer(self):
+        window = [
+            summ("x+=", acc(1, priv=W), acc(3)),
+            summ("vdot", acc(2), acc(4), reduction="sum"),
+            summ("p=", acc(3, priv=W), acc(4), after=(1,)),
+            summ("scaled-sum", acc(2), reduction="sum", after=(1,)),
+        ]
+        assert groups(window) == [(0, 1), (2, 3)]
+
+    def test_the_hoist_passes_a_group_it_cannot_join(self):
+        other = (0, 3, 8)
+        window = [
+            summ("x+=", acc(1, priv=W), acc(3)),
+            summ("y=", acc(7, priv=W, boundaries=other)),
+            summ("sum(x)", acc(1), reduction="sum"),
+            summ("sum(y)", acc(7, boundaries=other), reduction="max"),
+        ]
+        assert groups(window) == [(0, 2), (1, 3)]
+
+    def test_the_latest_earlier_group_wins(self):
+        window = [
+            summ("a", acc(1, priv=W)),
+            summ("s0", acc(1), reduction="sum"),
+            summ("b", acc(3, priv=W), after=(1,)),
+            summ("s1", acc(3), reduction="sum"),
+            summ("c", acc(5, priv=W), after=(3,)),
+            summ("norm(q)", acc(9), reduction="sum"),  # reads nothing written
+        ]
+        # Groups {a, s0} | {b, s1} | {c}: the norm joins the middle one.
+        assert groups(window) == [(0, 1), (2, 3, 5), (4,)]
+
+    def test_a_reduction_that_writes_or_replicates_is_not_admitted(self):
+        tiling = fusion.Tiling.__new__(fusion.Tiling)
+        tiling.boundaries = (0, 4, 8)
+        replicate = fusion.Replicate.__new__(fusion.Replicate)
+        marker = object()
+        for access in (
+            ("out", region(1), tiling, W),
+            ("a", region(1), replicate, R),
+        ):
+            summary = fusion.summarize(
+                "red", 2, [access], pointwise=marker, reduction="sum"
+            )
+            assert not summary.fusible
+        ok = fusion.summarize(
+            "red", 2, [("a", region(1), tiling, R)],
+            pointwise=marker, reduction="sum",
+        )
+        assert ok.fusible and ok.reduction == "sum"
+        assert not fusion.summarize(
+            "red", 2, [("a", region(1), tiling, R)], reduction="sum"
+        ).fusible  # no Pointwise marker: stays eager (scan_local)
+
+    def test_signature_carries_ops_and_edges(self):
+        base = [
+            summ("vdot", acc(2), acc(4), reduction="sum"),
+            summ("p=", acc(3, priv=W), acc(4), after=(0,)),
+        ]
+        no_edge = [base[0], summ("p=", acc(3, priv=W), acc(4))]
+        other_op = [summ("vdot", acc(2), acc(4), reduction="max"), base[1]]
+        keys = {fusion.signature(w) for w in (base, no_edge, other_op)}
+        assert len(keys) == 3
 
 
 class TestWindowMechanics:
@@ -388,12 +499,14 @@ class TestBitwiseEquivalence:
         assert sum(e.nbytes for e in fused_copies) <= sum(
             e.nbytes for e in eager_copies
         )
-        # The scalar allreduce sequence (CG's dots and norms) is
-        # untouched by fusion.
+        # Every scalar reduction (CG's dots and norms) is still
+        # reduced, over the same shards; the ones that share a fused
+        # group share one allreduce ("sum+sum").
         fused_all = [
-            (e.op, e.participants)
+            (op, e.participants)
             for e in rt_f.event_log.events
             if isinstance(e, AllreduceEvent)
+            for op in e.op.split("+")
         ]
         eager_all = [
             (e.op, e.participants)
@@ -401,6 +514,7 @@ class TestBitwiseEquivalence:
             if isinstance(e, AllreduceEvent)
         ]
         assert fused_all == eager_all
+        assert rt_f.profiler.allreduces < rt_e.profiler.allreduces
 
 
 class TestTraceComposition:

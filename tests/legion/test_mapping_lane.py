@@ -604,9 +604,25 @@ def test_lane_hit_without_the_lru_tick_fails_every_walk(monkeypatch):
 # constraint solves, recomputed images) and on.  GOLDEN_NODE_LOSS was
 # recorded at 2e6c65e with that flag off; with it on the same commit
 # gave the same digest, validated and not.
+#
+# The two loss goldens are ``fusion=True`` runs and were re-recorded
+# once, when scalar reductions joined the deferred window (GPU loss was
+# bdf307ee...3a46, node loss 6be4409f...b79a up to 0a10023): the
+# journal a loss replays now holds 3 launches -- fused groups with
+# their reductions inside -- where it held 6, and every later time
+# moves with the allreduces that merged.  Their ``_UNFUSED`` twins are
+# the same runs with ``fusion=False`` (9 launches re-executed),
+# recorded at 0a10023 before that change touched ``src/``: the eager
+# path they pin must never move.  GOLDEN_SPILL has no reduction in it.
 GOLDEN_SPILL = "e53588cbe18d1fc71ea5991dae5a194a888a6f4166da79a081d660f0ee64c18d"
-GOLDEN_GPU_LOSS = "bdf307ee4bf5fb6880e74a3fe62a4078f08c39e69b77082f6e03532251c13a46"
-GOLDEN_NODE_LOSS = "6be4409f7f1fb8d92c5605211d0d7f3009456e983a43b73f66d0fda158eab79a"
+GOLDEN_GPU_LOSS = "ef098fd2f551c285724be4d60aff4687f4d522974cbc6eda630ab32eeb44bf64"
+GOLDEN_NODE_LOSS = "59bb590663dd67ee97fd5834a01a8d9490f7c4f5db28f137b53116d72fc036a9"
+GOLDEN_GPU_LOSS_UNFUSED = (
+    "b29ac4be7c24e2d4bf8666052d0e002c53d552b409671cc56c5cdd6ef7787fba"
+)
+GOLDEN_NODE_LOSS_UNFUSED = (
+    "3aeaf2849ebdea059f5846081db6091bf77a0b1a7bb815a283d83f555ae666d2"
+)
 
 VARIANTS = [
     pytest.param(True, id="validated"),
@@ -614,13 +630,14 @@ VARIANTS = [
 ]
 
 
-def _logging_runtime(scope, validate, chaos=None) -> Runtime:
+def _logging_runtime(scope, validate, chaos=None, fusion=True) -> Runtime:
     # Recorded before traces replayed at a discount: CG opens its trace
     # scopes and the host replays its templates, charged in full.
     rt = Runtime(
         scope,
         RuntimeConfig.legate(
-            validate=validate, chaos=chaos, trace_replay_fraction=1.0
+            validate=validate, chaos=chaos, trace_replay_fraction=1.0,
+            fusion=fusion,
         ),
     )
     if rt.event_log is None:
@@ -661,10 +678,12 @@ def test_spill_and_eviction_log_matches_golden(validate):
     assert _digest(rt, modeled) == GOLDEN_SPILL
 
 
-def _cg(nodes, validate, chaos=None) -> Tuple[Runtime, float, float, np.ndarray]:
+def _cg(
+    nodes, validate, chaos=None, fusion=True
+) -> Tuple[Runtime, float, float, np.ndarray]:
     rt = _logging_runtime(
         summit(nodes=nodes).scope(ProcessorKind.GPU, 2, per_node=2),
-        validate, chaos,
+        validate, chaos, fusion,
     )
     with runtime_scope(rt):
         A = sp.csr_matrix(poisson2d_scipy(16))
@@ -677,16 +696,16 @@ def _cg(nodes, validate, chaos=None) -> Tuple[Runtime, float, float, np.ndarray]
     return rt, t1 - t0, t1, solution
 
 
-def _assert_loss_replay_matches(kind, nodes, golden, validate):
+def _assert_loss_replay_matches(kind, nodes, golden, validate, fusion=True):
     """A GPU or a node lost mid-solve: wipe, restore, journal replay.
     With a chaos injector attached every mapping takes _map_instance."""
-    _, solve_s, _, fault_free = _cg(nodes, False)
+    _, solve_s, _, fault_free = _cg(nodes, False, fusion=fusion)
     chaos = ChaosConfig(
         checkpoint_every=16, losses=(LossSchedule(kind, 1, solve_s / 2),)
     )
-    rt, _, end, recovered = _cg(nodes, validate, chaos)
+    rt, _, end, recovered = _cg(nodes, validate, chaos, fusion)
     assert rt.profiler.faults_injected[f"{kind}-loss"] == 1
-    assert rt.profiler.tasks_reexecuted == 6
+    assert rt.profiler.tasks_reexecuted == (3 if fusion else 9)
     assert np.array_equal(recovered, fault_free)
     if validate:
         assert check_log(rt.event_log) == []
@@ -703,25 +722,56 @@ def test_node_loss_replay_log_matches_golden(validate):
     _assert_loss_replay_matches("node", 2, GOLDEN_NODE_LOSS, validate)
 
 
+@pytest.mark.parametrize("validate", VARIANTS)
+def test_gpu_loss_replay_log_matches_unfused_golden(validate):
+    _assert_loss_replay_matches(
+        "gpu", 1, GOLDEN_GPU_LOSS_UNFUSED, validate, fusion=False
+    )
+
+
+@pytest.mark.parametrize("validate", VARIANTS)
+def test_node_loss_replay_log_matches_unfused_golden(validate):
+    _assert_loss_replay_matches(
+        "node", 2, GOLDEN_NODE_LOSS_UNFUSED, validate, fusion=False
+    )
+
+
 # ----------------------------------------------------------------------
 # Host-cost budget (deterministic: a count of calls, no clock)
 # ----------------------------------------------------------------------
 # Python-level calls (functions and C builtins alike) made inside
-# Runtime._execute_task per shard of one warm fig9 CG iteration (12
-# launches), as counted at this change: 108.8 at 24 GPUs, 106.5 at 96
-# (fb01e37, before rect tables and launch shapes: 128.6 and 126.4;
-# 80a31a5: 208.4 and 207.2).  The ceiling leaves under a tenth of slack
-# for interpreter differences; a mapping path that regrows a per-pair
+# Runtime._execute_task during one warm fig9 CG iteration, per shard of
+# an *issued* launch (17 per iteration: how many of them share an
+# executed shard is the window's business -- 7 executed launches since
+# reductions joined it, 12 before).  As counted at this change: 71.0 at
+# 24 GPUs, 69.3 at 96; at 0a10023, per issued shard: 76.8 and 75.2
+# (its budget of 118 per executed shard is 83.3 here); at fb01e37
+# 90.8 and 89.2.  The ceiling leaves under a tenth of slack for
+# interpreter differences; a mapping path that regrows a per-pair
 # helper chain does not fit under it.
-CALLS_PER_SHARD_BUDGET = 118
+CALLS_PER_SHARD_BUDGET = 78
 
-# Python-level calls inside AutoTask.execute -- solve, window, mapping,
-# kernels -- per issued launch of a GMG-preconditioned CG solve on 6
-# GPUs whose iterations a trace replays: 637.6 as counted at this change
-# (fb01e37, no replay: 797.8).  A replay that goes back to deriving what
-# the capture derived (solve signature, window summaries, row shapes)
-# does not fit.
-CALLS_PER_REPLAYED_LAUNCH_BUDGET = 690
+# Launches and allreduces of one warm fig9 CG iteration (M=None), as
+# executed.  Fused: SpMV, vdot(p, q), {x += , r -= , vdot(r, z),
+# norm(r)} and {p = z + p * beta}, the second and the third each
+# ending in one allreduce.  ``fusion=False``: what it has always been
+# (each ``x += p * alpha`` is a multiply and an add).
+CG_ITERATION_LAUNCHES = {True: 4, False: 10}
+CG_ITERATION_ALLREDUCES = {True: 2, False: 3}
+
+# Python-level calls inside AutoTask.execute and Runtime.flush_window
+# -- solve, window, mapping, kernels -- per issued launch of a
+# GMG-preconditioned CG solve on 6 GPUs whose iterations a trace
+# replays: 617.6 as counted at this change (0a10023: 636.1, or 637.6
+# inside AutoTask.execute alone, where every flush then began; fb01e37,
+# no replay: 797.8).  Flushes count on their own since a reduction in
+# the window is flushed by the wait on its value, outside any execute.
+# A replay that goes back to deriving what the capture derived (solve
+# signature, window summaries, row shapes) does not fit.  May only go
+# down.
+CALLS_PER_REPLAYED_LAUNCH_BUDGET = 660
+
+ISSUED_PER_CG_CALL = 17  # one warm sp.linalg.cg(maxiter=1), M=None
 
 
 def _calls_per_shard(gpus: int) -> float:
@@ -754,8 +804,8 @@ def _calls_per_shard(gpus: int) -> float:
         finally:
             sys.setprofile(None)
         shards = rt.profiler.shards_executed - shards
-    assert shards == 12 * gpus
-    return calls[0] / shards
+    assert shards == 7 * gpus
+    return calls[0] / (ISSUED_PER_CG_CALL * gpus)
 
 
 def test_calls_per_shard_fit_the_budget_at_any_machine_size():
@@ -764,22 +814,66 @@ def test_calls_per_shard_fit_the_budget_at_any_machine_size():
     assert max(small, large) <= CALLS_PER_SHARD_BUDGET, (small, large)
 
 
+def _cg_iteration_counts(fusion: bool, M=None):
+    """(launches, allreduces) one more warm CG iteration executes."""
+    rt = Runtime(
+        summit(nodes=1).scope(ProcessorKind.GPU, 6),
+        RuntimeConfig.legate(fusion=fusion),
+    )
+    counts = []
+    with runtime_scope(rt):
+        A = sp.csr_matrix(poisson2d_scipy(24))
+        b = rnp.ones(24 * 24)
+        if M is not None:
+            M = M(A)
+        for iters in (3, 3, 4):  # warm-up, then a solve and one longer
+            before = (rt.profiler.tasks_launched, rt.profiler.allreduces)
+            sp.linalg.cg(A, b, rtol=0.0, maxiter=iters, M=M)
+            rt.barrier()
+            counts.append((
+                rt.profiler.tasks_launched - before[0],
+                rt.profiler.allreduces - before[1],
+            ))
+    (_, short, long) = counts
+    return long[0] - short[0], long[1] - short[1]
+
+
+@pytest.mark.parametrize("fusion", [True, False])
+def test_cg_iteration_launch_and_allreduce_counts(fusion):
+    launches, allreduces = _cg_iteration_counts(fusion)
+    assert allreduces == CG_ITERATION_ALLREDUCES[fusion]
+    assert launches == CG_ITERATION_LAUNCHES[fusion]
+
+
+def test_preconditioned_cg_iteration_keeps_two_allreduces():
+    """z = M r sits between the r update and vdot(r, z): the norm still
+    hoists to the vdot's group, so the outer iteration keeps two."""
+    from repro.core.linalg.preconditioners import jacobi
+
+    assert _cg_iteration_counts(True, M=jacobi) == (4, 2)
+    assert _cg_iteration_counts(False, M=jacobi) == (11, 3)
+
+
 def test_calls_per_replayed_launch_fit_the_budget():
     rt = Runtime(
         summit(nodes=1).scope(ProcessorKind.GPU, 6), RuntimeConfig.legate()
     )
     calls = [0]
     issued = [0]
-    depth = [0]  # AutoTask.execute frames on the stack
+    depth = [0]  # AutoTask.execute / flush_window frames on the stack
 
     def count(frame, event, arg):
         code = frame.f_code
-        if code.co_name == "execute" and code.co_filename.endswith(
+        execute = code.co_name == "execute" and code.co_filename.endswith(
             "constraints/task.py"
+        )
+        if execute or (
+            code.co_name == "flush_window"
+            and code.co_filename.endswith("legion/runtime.py")
         ):
             if event == "call":
                 depth[0] += 1
-                issued[0] += 1
+                issued[0] += execute
             elif event == "return":
                 depth[0] -= 1
         elif depth[0] and (event == "call" or event == "c_call"):
@@ -805,7 +899,7 @@ def test_calls_per_replayed_launch_fit_the_budget():
         replayed = (
             sum(t.replayed_launches for t in rt._traces.values()) - replayed
         )
-    assert (issued[0], launched) == (313, 188)
+    assert (issued[0], launched) == (313, 135)
     assert replayed >= 0.95 * launched, (replayed, launched)
     per_launch = calls[0] / issued[0]
     assert per_launch <= CALLS_PER_REPLAYED_LAUNCH_BUDGET, per_launch

@@ -227,6 +227,10 @@ class TestClockFix:
             A = sp.csr_matrix(poisson2d_scipy(GRID))
             b = rnp.ones(GRID * GRID)
             sp.linalg.cg(A, b, rtol=0.0, maxiter=ITERS)
+            # CG's last p-update (fused apart from the final norm, which
+            # hoists ahead of it) outlasts the wait on that norm: drain
+            # the processors so that the snapshot is what ends the run.
+            rt.barrier()
             rt.checkpoint()  # final operation: snapshot drains on channels
             legacy = max(rt.issue_time, max(rt._proc_busy.values()))
             elapsed = rt.elapsed()

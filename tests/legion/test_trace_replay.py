@@ -45,7 +45,8 @@ from repro.machine import Machine, ProcessorKind, laptop, summit
 from repro.machine.model import MachineConfig
 
 from tests.legion.test_coherence_index import (
-    GOLDEN_LOG, GOLDEN_SOLUTION, GPUS, GRID, _canonical_log,
+    GOLDEN_LOG, GOLDEN_LOG_UNFUSED, GOLDEN_SOLUTION, GPUS, GRID,
+    _canonical_log,
 )
 from tests.legion.test_mapping_lane import GOLDEN_SPILL
 
@@ -54,9 +55,19 @@ from tests.legion.test_mapping_lane import GOLDEN_SPILL
 GOLDEN_LRU = "beb915e252f32fa018eaf4b09aaf0940b9a0ca16901d5b140ddcf9c001cae400"
 
 # sha256 over the canonical event log + modeled seconds (and over the
-# solution bytes) of _gmg_pcg below, recorded at fb01e37: no scope in
-# cg or vcycle, no template anywhere, validated or not.
-GOLDEN_GMG = "d535fb33f00f3edd44a459e0ad0f550097712ecbf8648235752834c548207d42"
+# solution bytes) of _gmg_pcg below, validated or not.  GOLDEN_GMG is
+# the ``fusion=True`` run and was re-recorded once, when scalar
+# reductions joined the deferred window (it was d535fb33...7d42 from
+# fb01e37 -- no scope in cg or vcycle, no template anywhere -- to
+# 0a10023): 133 launches and 42 allreduces where there were 178 and 62.
+# GOLDEN_GMG_UNFUSED is the run with ``fusion=False`` (288 launches, 62
+# allreduces), recorded at 0a10023 before that change touched ``src/``:
+# the eager path it pins must never move.  The solution bytes are one
+# digest for all of them.
+GOLDEN_GMG = "c5cb220550d7e4c7df1f40333f287b383b5d2dec0cccef6aa4d5d20e2c9d697b"
+GOLDEN_GMG_UNFUSED = (
+    "c9c546c90eee1df29036524b6aca9b13cc437517aa34e025c63508e39451b292"
+)
 GOLDEN_GMG_SOLUTION = (
     "02f52a2bb9037fd30bdd145ea6ad0b9b21edaaf231cba52dd23a882f25ecdab1"
 )
@@ -216,10 +227,10 @@ def test_recovery_launches_bypass_the_trace():
 # ----------------------------------------------------------------------
 # Neutrality at 1.0 and the discount at 0.15
 # ----------------------------------------------------------------------
-def test_fig9_cg_replays_and_matches_golden():
+def _assert_fig9_cg_replays_and_matches(golden: str, fusion: bool) -> None:
     rt = _runtime(
         summit(nodes=4).scope(ProcessorKind.GPU, GPUS),
-        validate=True, trace_replay_fraction=1.0,
+        validate=True, trace_replay_fraction=1.0, fusion=fusion,
     )
     with runtime_scope(rt):
         A = sp.csr_matrix(poisson2d_scipy(GRID))
@@ -231,8 +242,16 @@ def test_fig9_cg_replays_and_matches_golden():
     assert (trace.captures, trace.replays) == (1, 3)
     assert trace.replayed_launches > 0
     assert check_log(rt.event_log) == []
-    assert _digest(rt, modeled) == GOLDEN_LOG
+    assert _digest(rt, modeled) == golden
     assert _sha(solution) == GOLDEN_SOLUTION
+
+
+def test_fig9_cg_replays_and_matches_golden():
+    _assert_fig9_cg_replays_and_matches(GOLDEN_LOG, fusion=True)
+
+
+def test_fig9_cg_replays_and_matches_unfused_golden():
+    _assert_fig9_cg_replays_and_matches(GOLDEN_LOG_UNFUSED, fusion=False)
 
 
 def _spill_program(rt: Runtime) -> float:
@@ -309,10 +328,10 @@ def test_pressure_relief_recaptures():
     _assert_overhead_is_full_plus_discounted(rt)
 
 
-def _gmg_pcg(fraction: float, validate: bool = False):
+def _gmg_pcg(fraction: float, validate: bool = False, fusion: bool = True):
     rt = _runtime(
         summit(nodes=1).scope(ProcessorKind.GPU, 3),
-        validate=validate, trace_replay_fraction=fraction,
+        validate=validate, trace_replay_fraction=fraction, fusion=fusion,
     )
     with runtime_scope(rt):
         k = 15
@@ -327,17 +346,26 @@ def _gmg_pcg(fraction: float, validate: bool = False):
     return rt, modeled, solution
 
 
-@pytest.mark.parametrize("validate", [False, True])
-def test_gmg_pcg_is_neutral_at_full_charge(validate):
-    rt, modeled, solution = _gmg_pcg(1.0, validate)
+def _assert_gmg_pcg_is_neutral(golden: str, validate: bool, fusion: bool):
+    rt, modeled, solution = _gmg_pcg(1.0, validate, fusion)
     outer = rt.trace("cg", key=((225, 225), "<f8", False))
     assert (outer.captures, outer.replays) == (1, 2)
     # cg -> vcycle -> coarse cg is one body: the inner scopes joined.
     assert not rt.trace("cg", key=((49, 49), "<f8", True)).is_captured
     if validate:
         assert check_log(rt.event_log) == []
-    assert _digest(rt, modeled) == GOLDEN_GMG
+    assert _digest(rt, modeled) == golden
     assert _sha(solution) == GOLDEN_GMG_SOLUTION
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_gmg_pcg_is_neutral_at_full_charge(validate):
+    _assert_gmg_pcg_is_neutral(GOLDEN_GMG, validate, fusion=True)
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_gmg_pcg_is_neutral_at_full_charge_unfused(validate):
+    _assert_gmg_pcg_is_neutral(GOLDEN_GMG_UNFUSED, validate, fusion=False)
 
 
 def test_discount_moves_times_only():

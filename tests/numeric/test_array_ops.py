@@ -180,6 +180,40 @@ class TestScalar:
     def test_item(self, rt):
         assert rnp.sum(rnp.ones(3)).item() == pytest.approx(3.0)
 
+    def test_reflected_pow_floordiv_mod(self, rt):
+        s = rnp.sum(rnp.array(np.arange(1.0, 6.0)))  # 15.0
+        assert float(2 ** s) == 2.0 ** 15
+        assert float(s // 2) == 7.0 and float(s % 2) == 1.0
+        assert float(31 // s) == 2.0 and float(31 % s) == 1.0
+        assert float(s // s) == 1.0 and float(s % s) == 0.0
+
+    def test_real_imag(self, rt):
+        z = rnp.sum(rnp.array(np.array([1 + 2j, 3 - 1j])))
+        assert complex(z.real) == 4.0 and complex(z.imag) == 1.0
+        s = rnp.sum(rnp.ones(3))
+        assert float(s.real) == 3.0 and float(s.imag) == 0.0
+
+    def test_new_combinators_stay_lazy(self, rt):
+        """None of them waits: the reduction is still in the window."""
+        a = rnp.array(np.arange(1.0, 6.0))
+        rt.barrier()
+        syncs = rt.profiler.allreduces
+        s = rnp.sum(a)
+        lazy = [2 ** s, s // 2, s % 2, 7 // s, 7 % s, s.real, s.imag]
+        assert rt.profiler.allreduces == syncs  # nothing ran yet
+        assert all(v.future.roots is not None for v in lazy)
+        assert [float(v) for v in lazy] == [
+            2.0 ** 15, 7.0, 1.0, 0.0, 7.0, 15.0, 0.0
+        ]
+
+    def test_mean_of_empty_is_a_silent_nan(self, rt):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = float(rnp.mean(rnp.zeros(0)))
+        assert np.isnan(value)
+
 
 class TestRandom:
     def test_deterministic_given_seed(self, rt):
