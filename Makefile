@@ -19,8 +19,8 @@ lint:
 check:
 	sh scripts/check.sh
 
-# Static advisor on the demo program: predicted partitions, traffic and
-# footprint on a 4-node summit, no kernels executed.
+# Advisor on the demo program: a dry run's partitions, traffic, footprint
+# and modeled time on a 4-node summit, no kernels executed.
 advise:
 	python -m repro.analysis advise examples/advisor_demo.py --machine summit:4
 
@@ -32,8 +32,8 @@ autoformat:
 
 # Kernel-fusion demo: runs a CG solve with merged loop nests on and off
 # (bitwise-identical by construction) and prints the per-group merge
-# verdicts from the dependence analyzer, then the static advisor, whose
-# window simulation carries the same verdicts as kernel-merge findings.
+# verdicts from the dependence analyzer, then the advisor, whose dry run
+# carries the same verdicts as kernel-merge findings.
 kernel-fusion:
 	python examples/kernel_fusion_demo.py
 	python -m repro.analysis advise examples/advisor_demo.py -- --maxiter 2

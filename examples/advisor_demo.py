@@ -4,9 +4,10 @@ Run it directly (executes on the ambient runtime):
 
     python examples/advisor_demo.py [--k 32] [--maxiter 8]
 
-or statically, without executing any kernels, through the advisor —
-which predicts partition choices, communication volume per channel
-class and per-memory peak footprint on the requested machine:
+or, without executing any kernels, through the advisor — a dry run of
+the real runtime that reports partition choices, communication volume
+per channel class, per-memory peak footprint and modeled time on the
+requested machine:
 
     python -m repro.analysis advise examples/advisor_demo.py \\
         --machine summit:4

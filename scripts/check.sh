@@ -50,7 +50,7 @@ echo "== kernel fusion smoke (merge verdicts + artifacts/BENCH_fusion.json paylo
 # The demo proves at least one merge-safe group executes as one loop
 # nest with bitwise-identical results (it exits non-zero otherwise).
 python examples/kernel_fusion_demo.py --k 12 --maxiter 2 > /dev/null
-# The static advisor must carry the same merge verdicts.  Capture the
+# The advisor's dry run must carry the same merge verdicts.  Capture the
 # output first: POSIX sh has no pipefail, so `python ... | grep -q`
 # would report grep's status and silently swallow a python failure.
 advise_out=$(python -m repro.analysis advise examples/advisor_demo.py \
@@ -148,9 +148,21 @@ print(f"chrome trace OK: {len(events)} events")
 PYEOF
 python -m repro.analysis profile artifacts/fig9_cg.spans.json > /dev/null
 
-echo "== advisor smoke (static trace, no kernels) =="
+echo "== advisor smoke (dry run of the real runtime, no kernels) =="
 python -m repro.analysis advise examples/advisor_demo.py \
     --machine summit:4 -- --maxiter 2 > /dev/null
+# The report's clock and groups are the dry run's own: an elapsed time
+# and a non-empty fusion log must reach the JSON.  (The traced
+# program's prints precede the report: parse from the first brace.)
+advise_json=$(python -m repro.analysis advise --json \
+    examples/advisor_demo.py -- --maxiter 2)
+printf '%s\n' "$advise_json" | python -c '
+import json, sys
+out = sys.stdin.read()
+report = json.loads(out[out.index("{"):])
+assert report["modeled_elapsed_seconds"] > 0, "no modeled elapsed time"
+assert report["fusion_groups"], "empty fusion_groups"
+'
 # The auto-format pass must recommend a non-CSR format for the skewed
 # demo (and exit zero: its conversions amortize over the demo's loop).
 # Captured, not piped — a python failure must fail the gate, not vanish

@@ -17,12 +17,12 @@ statement, schedule and emitted kernel before registering it.
 
 This package deliberately imports nothing from :mod:`repro.legion` or
 :mod:`repro.distal` so the runtime can import it without cycles.  The
-one exception is the *static advisor* (:mod:`repro.analysis.advisor`),
-which replays plans through the real solver and machine model and so
-sits above those layers — it is therefore exposed lazily (module
+one exception is the *advisor* (:mod:`repro.analysis.advisor`), which
+starts dry runs of the real runtime and so sits above those layers — it
+is therefore exposed lazily (module
 ``__getattr__``) rather than imported here, and reached via
 ``python -m repro.analysis advise`` or ``from repro.analysis import
-advisor``.  The plan-capture types (:mod:`repro.analysis.plan`) and the
+advisor``.  The dry-run capture types (:mod:`repro.analysis.plan`) and the
 kernel cost models (:mod:`repro.analysis.costmodel`) keep the no-cycle
 rule and are imported eagerly.
 """
@@ -58,7 +58,7 @@ from repro.analysis.lint import (
     lint_schedule,
     lint_statement,
 )
-from repro.analysis.plan import PlanNote, PlanOp, PlanRegion, PlanTrace
+from repro.analysis.plan import PlanGroup, PlanNote, PlanOp, PlanTrace
 from repro.analysis.recorder import (
     active_logs,
     drain_logs,
@@ -105,9 +105,9 @@ __all__ = [
     "FormatProfile",
     "KernelModel",
     "LintIssue",
+    "PlanGroup",
     "PlanNote",
     "PlanOp",
-    "PlanRegion",
     "PlanTrace",
     "ReqAccess",
     "ShardEvent",

@@ -5,11 +5,11 @@ Three subcommands share ``python -m repro.analysis``:
 * ``python -m repro.analysis <run.jsonl>`` — the PR-1 checker: replay a
   recorded event log and report races, stale reads, invalid copies.
 * ``python -m repro.analysis advise <prog.py> [--machine summit:4]`` —
-  the static advisor: run the program in deferred-trace mode (no
-  kernels execute), predict partitions, communication and footprint on
-  the requested machine, lint the plan, and print the report.  Exits 1
+  the advisor: dry-run the program on the requested machine (the real
+  runtime with kernels skipped), report its partitions, communication,
+  footprint and modeled time, lint it, and print the report.  Exits 1
   when the lint battery finds errors (densification over threshold,
-  capacity overflow, unsolvable constraints).
+  capacity overflow).
 * ``python -m repro.analysis profile <run.spans.json>`` — the timeline
   analyzer: load a span log written by ``Timeline.save`` (see
   ``RuntimeConfig.profile`` / ``REPRO_PROFILE`` and the harness
@@ -55,11 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
 def build_advise_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis advise",
-        description="Statically analyze a sparse program: trace it in "
-        "deferred mode (kernels are skipped), predict partition choices, "
-        "communication volume per channel class and per-memory peak "
-        "footprint on a machine model, and lint for densification, "
-        "conversion churn, broadcasts and capacity overflow.",
+        description="Analyze a sparse program ahead of execution: dry-run "
+        "it (kernels are skipped), report partition choices, communication "
+        "volume per channel class, per-memory peak footprint and modeled "
+        "time on a machine model, and lint for densification, conversion "
+        "churn, broadcasts and capacity overflow.",
     )
     parser.add_argument("program", help="Python program to trace")
     parser.add_argument(
@@ -210,11 +210,11 @@ def _advise_main(argv: List[str]) -> int:
     from repro.analysis.advisor import (
         AdvisorConfig,
         analyze,
+        dry_run,
         parse_machine,
         _make_scope,
     )
-    from repro.analysis.plan import PlanTrace
-    from repro.legion.runtime import Runtime, RuntimeConfig, runtime_scope
+    from repro.legion.runtime import RuntimeConfig
 
     try:
         machine = parse_machine(args.machine)
@@ -223,33 +223,32 @@ def _advise_main(argv: List[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    def program() -> None:
+        try:
+            runpy.run_path(args.program, run_name="__main__")
+        except SystemExit as exc:  # traced programs may call sys.exit(0)
+            if exc.code not in (None, 0):
+                raise
+
     config = RuntimeConfig.legate(validate=False, data_scale=args.data_scale)
-    runtime = Runtime(scope, config)
-    plan = PlanTrace(name=args.program, deferred=True)
-    plan.bind(runtime)
-    runtime.plan_trace = plan
     saved_argv = sys.argv
     sys.argv = [args.program] + list(args.args)
     try:
-        with runtime_scope(runtime):
-            runpy.run_path(args.program, run_name="__main__")
-    except SystemExit as exc:  # traced programs may call sys.exit(0)
-        if exc.code not in (None, 0):
-            print(
-                f"error: traced program exited with {exc.code}",
-                file=sys.stderr,
-            )
-            return 2
+        plan = dry_run(program, scope, config, name=args.program)
+    except SystemExit as exc:
+        print(
+            f"error: traced program exited with {exc.code}", file=sys.stderr
+        )
+        return 2
     except Exception:
         traceback.print_exc()
         print(
             f"error: traced program {args.program!r} raised during the "
-            f"deferred trace", file=sys.stderr,
+            f"dry run", file=sys.stderr,
         )
         return 2
     finally:
         sys.argv = saved_argv
-        runtime.plan_trace = None
 
     advice = analyze(plan, options=AdvisorConfig(autoformat=args.autoformat))
     if args.json:

@@ -68,10 +68,10 @@ Legality rules (all must hold for merge-safe):
     reductions as well.
 
 The analysis is purely structural — it reads only summaries, never the
-runtime — so the runtime's flush path and the static advisor's window
-simulation call the *same* :func:`classify` on the *same* summary
-streams and agree verdict-for-verdict (``Advice.fusion_groups`` vs
-``Runtime.fusion_log``; see ``tests/analysis/test_fusion_agreement``).
+runtime — so its verdicts are cached per window signature.  The advisor
+does not re-run it: ``Advice.fusion_groups`` is the ``fusion_log`` of a
+dry run, and its merge lints quote the verdicts that run's flushes kept
+on their groups.
 
 For merge-safe groups executed by the runtime,
 :func:`build_nest_plan` lowers the concrete
@@ -358,9 +358,8 @@ def classify(
     """Classify one planned group: merge-safe or replay-only.
 
     Checks the legality rules in a deterministic order (module docs);
-    the first violated rule names the verdict, so the runtime and the
-    advisor — which call this on identical summary streams — report
-    identical reasons.  Single-launch groups return a non-blocked,
+    the first violated rule names the verdict, so a reason is stable
+    across runs.  Single-launch groups return a non-blocked,
     non-merge-safe verdict (``reason is None``): there is nothing to
     merge.
     """
@@ -473,9 +472,8 @@ def verdict_label(plan: GroupPlan, verdict: Verdict, kernel_fusion: bool) -> str
 
     ``"single"`` for one-launch groups, ``"merged"`` for merge-safe
     groups under ``RuntimeConfig.kernel_fusion``, else
-    ``"replay:<reason>"``.  Both ``Runtime.fusion_log`` and
-    ``Advice.fusion_groups`` record exactly this string, which is what
-    makes their entries comparable group-for-group.
+    ``"replay:<reason>"``.  ``Runtime.fusion_log`` (and with it
+    ``Advice.fusion_groups``) records exactly this string.
     """
     if not plan.fused:
         return "single"

@@ -474,6 +474,17 @@ _ROWLEN_SOURCES = {
 _SPMV_STATEMENT = "y(i)=A(i,j)*x(j)"
 
 
+def rowlen_source(task_name: str):
+    """``(format, metadata argument, reducer)`` when ``task_name`` is an
+    SpMV over a format the pass ranks (the reducer turns the metadata
+    array into per-row lengths), else None."""
+    model = costmodel.for_task_name(task_name)
+    if model is None or model.statement != _SPMV_STATEMENT:
+        return None
+    source = _ROWLEN_SOURCES.get(model.fmt)
+    return None if source is None else (model.fmt,) + source
+
+
 def advise_formats(
     plan,
     scope,
@@ -496,32 +507,24 @@ def advise_formats(
     """
     groups: Dict[int, Dict[str, object]] = {}
     for op in plan.ops:
-        model = costmodel.for_task_name(op.name)
-        if model is None or model.statement != _SPMV_STATEMENT:
-            continue
-        source = _ROWLEN_SOURCES.get(model.fmt)
+        source = rowlen_source(op.name)
         if source is None:
             continue
-        meta_name, reduce_fn = source
-        stores = {name: store for name, store, _priv in op.args}
-        meta = stores.get(meta_name)
-        x = stores.get("x")
-        vals = stores.get("vals")
-        if vals is None:
-            vals = stores.get("data")
+        fmt, meta_name, _reduce_fn = source
+        meta = op.arg(meta_name)
+        x = op.arg("x")
+        vals = op.arg("vals") or op.arg("data")
         if meta is None or x is None or vals is None:
             continue
-        key = meta.region.uid
         group = groups.setdefault(
-            key,
+            meta.uid,
             {
-                "fmt": model.fmt,
-                "row_lengths": np.asarray(
-                    reduce_fn(meta.region.data), dtype=np.int64
-                ),
-                "cols": int(x.region.shape[0]),
-                "itemsize": int(np.dtype(vals.region.dtype).itemsize),
-                "label": meta.region.name or f"region{key}",
+                "fmt": fmt,
+                # Taken when the launch was recorded (PlanTrace).
+                "row_lengths": plan.row_lengths[meta.uid],
+                "cols": int(x.shape[0]),
+                "itemsize": vals.itemsize,
+                "label": meta.region,
                 "count": 0,
             },
         )

@@ -1,32 +1,37 @@
-"""Plan capture: the advisor's symbolic trace of a sparse program.
+"""Dry-run capture: what the advisor keeps of a kernel-free run.
 
-The advisor (:mod:`repro.analysis.advisor`) works ahead of execution: it
-needs the *sequence of task launches* a program would issue — each with
-its stores, privileges, constraints and color count — without the cost
-of actually running kernels.  This module is the recording half: a
-:class:`PlanTrace` attached to a runtime (``runtime.plan_trace``)
-receives one event per region creation, task launch, fill, free and
-library annotation ("this op densified", "this op converted formats").
+Attaching a :class:`PlanTrace` to a runtime (:meth:`PlanTrace.bind`)
+makes that runtime a **dry run**: constraints are solved, the deferred
+window plans and fuses, launches map, stage, fold, allreduce, checkpoint,
+spill and charge both clocks exactly as always — only ``task.kernel`` is
+never called.  Scalar reductions fold *placeholder* partials
+(:meth:`PlanTrace.deferred_scalar`: NaN for norms/dots so convergence
+loops run to ``maxiter``; 0 for counting reductions so sizing code stays
+well-defined) and their futures resolve at the real modeled time.
 
-Two capture modes share the same hooks:
+The advisor (:mod:`repro.analysis.advisor`) then reads the run's own
+event log, profiler, instance manager, coherence and ``fusion_log``.
+What those do not keep, the trace records as the run goes:
 
-* **deferred** (``deferred=True``): :meth:`AutoTask.execute
-  <repro.constraints.task.AutoTask.execute>` records the op and returns
-  *without* solving constraints or launching.  Kernels never run, so
-  scalar results are policy values (NaN for norms/dots so convergence
-  loops run to ``maxiter``; 0 for counting reductions so sizing code
-  stays well-defined).  This is the ``python -m repro.analysis advise``
-  mode: the program is interpreted abstractly at trace time and the
-  predictor replays the plan against a machine model afterwards.
-* **alongside** (``deferred=False``): ops are recorded *and* executed
-  normally.  Used by the agreement tests, which compare the advisor's
-  predicted copies against the event log of the very same run.
+* one :class:`PlanOp` per issued launch, taken in ``Runtime.launch``
+  where requirements are concrete — op name, colors and per argument
+  the region's identity and size, the privilege and the partition
+  choice;
+* one :class:`PlanGroup` per fused group the window flushes, with the
+  dependence pass's verdict for the kernel-merge lints;
+* library annotations (:class:`PlanNote`: "this op densified", "this op
+  converted formats");
+* the row lengths of every SpMV operand, once per structure region,
+  for the auto-format pass.
 
-This module deliberately imports nothing from :mod:`repro.legion`,
-:mod:`repro.constraints` or :mod:`repro.distal`: callers pass their
-region/store/privilege objects in and the trace stores them opaquely,
-so the runtime can import this module without cycles (the same rule as
-the rest of :mod:`repro.analysis`).
+None of these holds a ``Store`` or a ``Region``, so a traced program
+frees its temporaries exactly as an untraced one does.
+
+This module imports nothing from :mod:`repro.legion`,
+:mod:`repro.constraints` or :mod:`repro.distal`: the runtime passes its
+launch/group objects in and the trace reads them by attribute, so the
+runtime can import this module without cycles (the same rule as the
+rest of :mod:`repro.analysis`).
 """
 
 from __future__ import annotations
@@ -34,177 +39,172 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
 
-class PlanOp:
-    """One recorded task launch (or fill) in program order.
+from repro.analysis.events import EventLog
+from repro.analysis.formatsel import rowlen_source
 
-    Either ``args``/``constraints`` are set (an AutoTask: the predictor
-    re-runs the constraint solver over the stores) or ``requirements``
-    is set (a fill: the concrete ``(name, region, partition, privilege)``
-    list the runtime would have used directly).
-    """
+_PARTITION_LABELS = {
+    "Replicate": "replicate",
+    "Tiling": "tile",
+    "ImageByRange": "image(range)",
+    "ImageByCoordinate": "image(coord)",
+    "ExplicitPartition": "explicit",
+}
 
-    kind = "op"
+
+def describe_partition(partition) -> str:
+    """A short human-readable label for a partition choice."""
+    kind = type(partition).__name__
+    label = _PARTITION_LABELS.get(kind)
+    if label is None:
+        return kind
+    return f"{label} x{partition.color_count}"
+
+
+class PlanArg:
+    """One requirement of a recorded launch, without its region."""
 
     __slots__ = (
-        "name", "args", "constraints", "scalars", "reduction", "colors",
-        "cost_fn", "requirements", "pointwise", "index", "future", "awaits",
+        "name", "uid", "region", "shape", "itemsize", "privilege", "partition",
     )
 
-    def __init__(
-        self,
-        name: str,
-        colors: int,
-        args: Optional[List[tuple]] = None,
-        constraints: Optional[List[object]] = None,
-        scalars: Optional[Dict[str, Any]] = None,
-        reduction: Optional[str] = None,
-        cost_fn=None,
-        requirements: Optional[List[tuple]] = None,
-        pointwise=None,
-        index: int = 0,
-        awaits: tuple = (),
-    ):
-        self.name = name
-        self.colors = int(colors)
-        self.args = args or []  # [(arg_name, Store, Privilege)]
-        self.constraints = constraints or []
-        self.scalars = scalars or {}
-        self.reduction = reduction
-        self.cost_fn = cost_fn
-        # Fill path: [(arg_name, Region, Partition, Privilege)].
-        self.requirements = requirements
-        # Element-wise marker (repro.legion.task.Pointwise), stored
-        # opaquely: the advisor's fusion-window simulation keys off it.
-        self.pointwise = pointwise
-        self.index = index
-        # Scalar reductions and the deferred window (stored opaquely,
-        # compared by identity): the future this op's reduction hands
-        # out (set once launched), and the reductions still pending in
-        # the window whose futures its scalars derive from.
-        self.future = None
-        self.awaits = awaits
+    def __init__(self, req):
+        region = req.region
+        self.name: str = req.name
+        self.uid: int = region.uid
+        self.region: str = region.name
+        self.shape: Tuple[int, ...] = region.shape
+        self.itemsize: int = region.itemsize
+        self.privilege = req.privilege
+        self.partition: str = describe_partition(req.partition)
+
+    @property
+    def nbytes(self) -> int:
+        """Logical size of the whole region in bytes."""
+        return math.prod(self.shape) * self.itemsize
+
+
+class PlanOp:
+    """One launch as issued (before the window fuses it)."""
+
+    __slots__ = ("name", "colors", "args", "reduction")
+
+    def __init__(self, task):
+        self.name: str = task.name
+        self.colors: int = task.color_count
+        self.args: List[PlanArg] = [PlanArg(req) for req in task.requirements]
+        self.reduction: Optional[str] = task.reduction
+
+    def arg(self, name: str) -> Optional[PlanArg]:
+        """The argument registered under a kernel name, if any."""
+        for arg in self.args:
+            if arg.name == name:
+                return arg
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlanOp({self.name!r}, colors={self.colors})"
 
 
-class PlanRegion:
-    """A region created during the trace (with attach information)."""
+class PlanGroup:
+    """One fused group a window flush executed, with the dependence
+    pass's verdict: ``label`` is the fusion-log label, ``reason`` and
+    ``detail`` say what blocked a body merge (``reason`` None when the
+    group merged)."""
 
-    kind = "region"
+    __slots__ = ("members", "label", "reason", "detail")
 
-    __slots__ = ("region", "attached", "index")
+    def __init__(self, group, tasks):
+        self.members: List[PlanOp] = [PlanOp(task) for task in tasks]
+        self.label: str = group.label
+        self.reason: Optional[str] = group.verdict.reason
+        self.detail: str = group.verdict.detail
 
-    def __init__(self, region, attached: bool, index: int = 0):
-        self.region = region
-        self.attached = bool(attached)
-        self.index = index
-
-
-class PlanFree:
-    """A region freed (instances recycled) during the trace."""
-
-    kind = "free"
-
-    __slots__ = ("region_uid", "index")
-
-    def __init__(self, region_uid: int, index: int = 0):
-        self.region_uid = int(region_uid)
-        self.index = index
+    @property
+    def names(self) -> Tuple[str, ...]:
+        return tuple(op.name for op in self.members)
 
 
 class PlanNote:
     """A library annotation: densification, format conversion, etc."""
 
-    kind = "note"
+    __slots__ = ("category", "info")
 
-    __slots__ = ("category", "info", "index")
-
-    def __init__(self, category: str, info: Dict[str, Any], index: int = 0):
+    def __init__(self, category: str, info: Dict[str, Any]):
         self.category = category
         self.info = info
-        self.index = index
 
 
 class PlanTrace:
-    """The recorded plan of one traced program."""
+    """What one dry run recorded beside its runtime's own logs."""
 
-    def __init__(self, name: str = "trace", deferred: bool = False):
+    def __init__(self, name: str = "trace"):
         self.name = name
-        self.deferred = bool(deferred)
-        self.events: List[object] = []
-        # Bound from the tracing runtime (bind()): the predictor replays
-        # against the same configuration and machine scope by default.
-        self.config = None
-        self.scope = None
-        self.mem_scale_by_extent: Dict[int, float] = {}
-        # The traced function's return value (set by advisor.trace).
+        self.ops: List[PlanOp] = []
+        self.groups: List[PlanGroup] = []
+        self.notes: List[PlanNote] = []
+        # Structure-region uid -> per-row lengths of an SpMV operand.
+        self.row_lengths: Dict[int, np.ndarray] = {}
+        # The dry run itself (bind()).
+        self.runtime = None
+        # What the traced program returned, or the OutOfMemoryError
+        # that ended it (advisor.dry_run).
         self.result: Any = None
+        self.error: Optional[Exception] = None
 
     # ------------------------------------------------------------------
     def bind(self, runtime) -> "PlanTrace":
-        """Adopt a runtime's config/scope as the default analysis target."""
-        self.config = runtime.config
-        self.scope = runtime.scope
-        self.mem_scale_by_extent = runtime.mem_scale_by_extent
+        """Make ``runtime`` a dry run recorded by this trace.
+
+        The run keeps an event log for the advisor's copy lints; its
+        ``config.validate`` stays as given, so nothing is poisoned and
+        no stale-read assertion runs unless asked for.
+        """
+        self.runtime = runtime
+        runtime.plan_trace = self
+        if runtime.event_log is None:
+            runtime.event_log = EventLog(name=f"advise:{self.name}")
         return self
 
+    @property
+    def config(self):
+        """The dry run's :class:`~repro.legion.runtime.RuntimeConfig`."""
+        return self.runtime.config
+
+    @property
+    def scope(self):
+        """The dry run's machine scope."""
+        return self.runtime.scope
+
     # ------------------------------------------------------------------
-    # Recording (called from runtime/AutoTask hooks; each is O(1))
+    # Recording (called from the runtime and the format classes)
     # ------------------------------------------------------------------
-    def _append(self, event) -> None:
-        event.index = len(self.events)
-        self.events.append(event)
+    def record_launch(self, task) -> None:
+        """Record a launch as ``Runtime.launch`` receives it."""
+        self.ops.append(PlanOp(task))
+        source = rowlen_source(task.name)
+        if source is None:
+            return
+        _fmt, meta_name, reduce_fn = source
+        for req in task.requirements:
+            uid = req.region.uid
+            if req.name == meta_name and uid not in self.row_lengths:
+                # A copy: the trace must not pin the region's array.
+                self.row_lengths[uid] = np.array(
+                    reduce_fn(req.region.data), dtype=np.int64
+                )
 
-    def record_task_op(
-        self,
-        name: str,
-        args: List[tuple],
-        constraints: List[object],
-        scalars: Dict[str, Any],
-        reduction: Optional[str],
-        colors: int,
-        cost_fn,
-        pointwise=None,
-        awaits: tuple = (),
-    ) -> PlanOp:
-        """Record an AutoTask launch (stores + privileges + constraints)."""
-        op = PlanOp(
-            name, colors, args=list(args), constraints=list(constraints),
-            scalars=dict(scalars), reduction=reduction, cost_fn=cost_fn,
-            pointwise=pointwise, awaits=awaits,
-        )
-        self._append(op)
-        return op
-
-    def record_fill(
-        self, region, partition, privilege, value, pointwise=None
-    ) -> PlanOp:
-        """Record a direct runtime fill (concrete partition, no solve)."""
-        op = PlanOp(
-            "fill", partition.color_count,
-            scalars={"value": value},
-            requirements=[("out", region, partition, privilege)],
-            pointwise=pointwise,
-        )
-        self._append(op)
-        return op
-
-    def record_region(self, region, attached: bool) -> None:
-        """Record a region creation (attached = host data provided)."""
-        self._append(PlanRegion(region, attached))
-
-    def record_free(self, region_uid: int) -> None:
-        """Record a region's instances being recycled."""
-        self._append(PlanFree(region_uid))
+    def record_group(self, group, tasks) -> None:
+        """Record a fused group as ``Runtime._flush`` executes it."""
+        self.groups.append(PlanGroup(group, tasks))
 
     def record_note(self, category: str, **info) -> None:
         """Record a library annotation (densify, convert, ...)."""
-        self._append(PlanNote(category, info))
+        self.notes.append(PlanNote(category, info))
 
     # ------------------------------------------------------------------
-    # Deferred-execution policy
+    # Placeholder policy for skipped scalar reductions
     # ------------------------------------------------------------------
     def deferred_scalar(self, task_name: str) -> float:
         """The placeholder value a skipped scalar reduction returns.
@@ -219,35 +219,17 @@ class PlanTrace:
             return 0.0
         return math.nan
 
-    # ------------------------------------------------------------------
-    @property
-    def ops(self) -> List[PlanOp]:
-        """The recorded launches, in program order."""
-        return [e for e in self.events if isinstance(e, PlanOp)]
-
-    @property
-    def notes(self) -> List[PlanNote]:
-        """The recorded library annotations, in program order."""
-        return [e for e in self.events if isinstance(e, PlanNote)]
-
-    def stores(self) -> List[object]:
-        """Every distinct store appearing in the plan (by identity)."""
-        seen: Dict[int, object] = {}
-        for op in self.ops:
-            for _, store, _ in op.args:
-                seen.setdefault(id(store), store)
-        return list(seen.values())
-
-    def stats(self) -> Dict[str, int]:
-        """Event counts by kind."""
-        out: Dict[str, int] = {}
-        for ev in self.events:
-            out[ev.kind] = out.get(ev.kind, 0) + 1
-        return out
-
-    def __len__(self) -> int:
-        return len(self.events)
+    def placeholder(self, task):
+        """What every shard of a skipped reducing launch "returns": one
+        placeholder, or for a fused group one per member reduction —
+        the values ``Runtime.launch`` put on the members' pending
+        futures."""
+        if type(task.reduction) is str:
+            return self.deferred_scalar(task.name)
+        return [future.value for future in task.future]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "deferred" if self.deferred else "alongside"
-        return f"PlanTrace({self.name!r}, {mode}, {self.stats()})"
+        return (
+            f"PlanTrace({self.name!r}, {len(self.ops)} ops, "
+            f"{len(self.groups)} fused groups, {len(self.notes)} notes)"
+        )

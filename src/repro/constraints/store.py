@@ -76,7 +76,7 @@ class Store:
         runtime's deferred fusion window may still owe writes, so the
         window flushes first.
         """
-        self.runtime._sync("store-data")
+        self.runtime.flush_window()
         return self.region.data
 
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.constraints.solver import (
     rebuild_solution, solution_plan, solve_partitions, solve_signature,
 )
 from repro.constraints.store import Store
-from repro.legion.future import Future, pending_roots
+from repro.legion.future import Future
 from repro.legion.partition import Tiling
 from repro.legion.privilege import Privilege
 from repro.legion.runtime import Runtime
@@ -259,31 +259,6 @@ class AutoTask:
             # region data host-side at solve time, and pending fused
             # launches may still owe writes to those regions.
             self.runtime.flush_window()
-        plan = self.runtime.plan_trace
-        op = None
-        if plan is not None:
-            # Advisor capture (repro.analysis.plan): record the launch —
-            # stores, privileges, constraints, resolved color count, and
-            # which pending reductions its scalars wait for — so the
-            # static predictor can replay the solver, the mapper and the
-            # deferred window.
-            op = plan.record_task_op(
-                self.name, self._args, self._constraints, self._scalars,
-                self._scalar_reduction, colors, self.cost_fn,
-                pointwise=self._pointwise,
-                awaits=pending_roots(self._scalars),
-            )
-            if plan.deferred:
-                # Deferred trace: skip solve/launch entirely; scalar
-                # reductions resolve, at the next flush like a windowed
-                # one, to the plan's policy placeholder.
-                if self._scalar_reduction is not None:
-                    op.future = Future.pending(self.runtime)
-                    self.runtime._plan_roots.append(
-                        (op.future, plan.deferred_scalar(self.name))
-                    )
-                    return op.future
-                return None
         stores = [store for _, store, _ in self._args]
         rt = self.runtime
         t0 = _perf()
@@ -332,8 +307,6 @@ class AutoTask:
         if slot is not None:
             trace.tag(launch, slot)
         result = self.runtime.launch(launch)
-        if op is not None:
-            op.future = result
 
         for _name, store, privilege in self._args:
             if not privilege.writes:

@@ -4,16 +4,13 @@ The paper attributes Legate Sparse's single-GPU losses on GMG and the
 quantum workload to per-task launch overhead and names task fusion as
 the fix (§6.1); the Diffuse follow-up shows the mechanism: buffer
 launches in a *deferred window* and merge compatible runs into one task.
-This module is that mechanism, shared by two consumers:
-
-* :class:`repro.legion.runtime.Runtime` buffers fusible
-  :class:`~repro.legion.task.TaskLaunch` objects and, at each flush,
-  calls :func:`plan_window` to partition the window into groups and
-  :func:`fuse` to merge each multi-launch group;
-* the static advisor (:mod:`repro.analysis.advisor`) simulates the same
-  window over a recorded plan and calls the same :func:`plan_window`, so
-  its "fusible" predictions agree *exactly* with what the runtime does
-  (``tests/analysis/test_fusion_agreement.py``).
+This module is that mechanism:
+:class:`repro.legion.runtime.Runtime` buffers fusible
+:class:`~repro.legion.task.TaskLaunch` objects and, at each flush, calls
+:func:`plan_window` to partition the window into groups and :func:`fuse`
+to merge each multi-launch group.  (The advisor,
+:mod:`repro.analysis.advisor`, reports the groups of a kernel-free dry
+run of that same runtime — it has no window of its own.)
 
 Legality rules (checked structurally, per window):
 

@@ -294,8 +294,7 @@ class MemoryState:
         are freed (or nothing is left); returns the scaled bytes freed.
 
         Cleanliness-blind — the runtime's spill policy filters for
-        clean-vs-dirty via coherence before dropping; this raw form is
-        what the static advisor uses to *estimate* spill traffic.
+        clean-vs-dirty via coherence before dropping.
         """
         freed = 0.0
         for inst in self.lru_instances():

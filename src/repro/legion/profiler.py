@@ -41,7 +41,7 @@ class Profiler:
     launch_overhead_seconds: float = 0.0
     # Modeled kernel execution time summed over every shard (the format
     # selector's ``total_seconds`` replays exactly this accumulation;
-    # the agreement test in tests/analysis diffs the two).
+    # tests/analysis/test_formatsel.py diffs the two).
     kernel_seconds: float = 0.0
     # Resilience (repro.legion.chaos): injected faults by kind
     # ("copy", "alloc", "gpu-loss", "node-loss"), retries performed,

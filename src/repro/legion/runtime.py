@@ -368,13 +368,16 @@ class _Group:
     """
 
     __slots__ = (
-        "indices", "names", "label", "elide", "nest_key", "nests", "exec",
+        "indices", "names", "verdict", "label", "elide", "nest_key", "nests",
+        "exec",
     )
 
-    def __init__(self, indices, names, label, elide, nest_key) -> None:
+    def __init__(self, indices, names, verdict, label, elide, nest_key) -> None:
         self.indices = indices
         self.names = names
+        # The dependence pass's classification (depend.Verdict) and its
         # depend.verdict_label: "single", "merged" or "replay:<reason>".
+        self.verdict = verdict
         self.label = label
         self.elide = elide
         # Merged groups: the structural half of the nest-cache key, and
@@ -414,9 +417,10 @@ class Runtime:
         )
         self._coherence: Dict[int, RegionCoherence] = {}
         self._memories = {mem.uid: mem for mem in self.machine.memories}
-        # Advisor capture (repro.analysis.plan.PlanTrace): when set, task
-        # launches, fills, region creates/frees and library notes are
-        # recorded; in deferred mode launches are skipped entirely.
+        # Advisor capture (repro.analysis.plan.PlanTrace): when set this
+        # runtime is a *dry run* -- launches and fused groups are
+        # recorded and everything runs as always, except that no kernel
+        # is called and scalar reductions fold the plan's placeholders.
         self.plan_trace = None
         # Validation mode: the structured event log the offline checker
         # (python -m repro.analysis) replays.  None when not validating.
@@ -457,11 +461,8 @@ class Runtime:
         self._window: List[TaskLaunch] = []
         self._deferred_frees: List[int] = []
         # Pending future of each reduction in the window -> its window
-        # position (what a later launch's ``after`` edges name), and the
-        # placeholder results of a deferred plan capture, which resolve
-        # at the next flush like the window's would.
+        # position (what a later launch's ``after`` edges name).
         self._window_roots: Dict[Future, int] = {}
-        self._plan_roots: List[Tuple[Future, Any]] = []
         # Plans plus kernel-fusion verdicts, memoized per structural
         # window signature (the signature includes each launch's body
         # IR, so distinct programs can never share a cached verdict).
@@ -478,13 +479,12 @@ class Runtime:
         # Every executed window group, in order: (sub-launch names,
         # number of elided temporaries, verdict label) where the label
         # is depend.verdict_label — "single", "merged" or
-        # "replay:<reason>".  The advisor's capture-alongside agreement
-        # test compares its predictions to this, group for group.
+        # "replay:<reason>".  The advisor reports a dry run's log as is.
         self.fusion_log: List[Tuple[Tuple[str, ...], int, str]] = []
         # Every runtime auto-format conversion, in order (see
-        # RuntimeConfig.autoformat and csr_matrix._autoformat_alt).
-        # The advisor agreement test compares its (rows, nnz, dst_fmt)
-        # entries against ``advise --autoformat`` predictions.
+        # RuntimeConfig.autoformat and csr_matrix._autoformat_alt);
+        # tests/analysis/test_formatsel.py compares its (rows, nnz,
+        # dst_fmt) entries against ``advise --autoformat``.
         self.autoformat_log: List[dict] = []
         self.machine.reset_channels()
         # Host staging memory: node-0 system memory.
@@ -613,7 +613,7 @@ class Runtime:
         cumulative observability state; callers wanting per-program
         deltas use :meth:`Profiler.snapshot` / :meth:`Profiler.since`.
         """
-        self._sync("reset-for-program")
+        self.flush_window()
         self._pending_writes = None
         self._traces.clear()
         self._trace = None
@@ -684,8 +684,6 @@ class Runtime:
             # distributed (capacity accounting applies to the instances
             # tasks map, like Legion attach).
             coh.mark_valid(self._host_memory.uid, region.rect, self.issue_time)
-        if self.plan_trace is not None:
-            self.plan_trace.record_region(region, attached=data is not None)
         return region
 
     def coherence(self, region: Region) -> RegionCoherence:
@@ -716,8 +714,6 @@ class Runtime:
             self._coherence.pop(region.uid, None)
             self._region_meta.pop(region.uid, None)
             self.instances.free_region(region.uid)
-        if self.plan_trace is not None:
-            self.plan_trace.record_free(region.uid)
 
     @property
     def num_procs(self) -> int:
@@ -742,7 +738,7 @@ class Runtime:
         The flush executes the window, which resolves every reduction
         pending in it -- and, through them, every lazy scalar expression
         built on top."""
-        self._sync("wait")
+        self.flush_window()
         if future.roots is not None:
             self._force(future)
         self.issue_time = max(self.issue_time, future.ready_time)
@@ -770,7 +766,7 @@ class Runtime:
         pre-fix formula took only ``max(issue, procs)`` and silently
         under-reported runs ending in a copy.)
         """
-        self._sync("barrier")
+        self.flush_window()
         self.issue_time = self.backend.horizon(self.machine)
         if self.timeline is not None:
             self.timeline.note_horizon(self.issue_time)
@@ -778,7 +774,7 @@ class Runtime:
 
     def elapsed(self) -> float:
         """Latest simulated time across issue, processors and channels."""
-        self._sync("elapsed")
+        self.flush_window()
         horizon = self.backend.horizon(self.machine)
         if self.timeline is not None:
             self.timeline.note_horizon(horizon)
@@ -909,6 +905,9 @@ class Runtime:
         image partitions) — flushes first.  With ``fusion`` off nothing
         is deferred and every returned future is resolved.
         """
+        plan = self.plan_trace
+        if plan is not None:
+            plan.record_launch(task)
         chaos = self._chaos
         if (
             chaos is not None
@@ -948,6 +947,11 @@ class Runtime:
         future = None
         if task.reduction is not None:
             future = task.future = Future.pending(self)
+            if plan is not None:
+                # A fused group folds its members' placeholders; the
+                # flush resolves this future to the same value, at the
+                # modeled time.
+                future.value = plan.deferred_scalar(task.name)
             roots[future] = len(window)
         window.append(task)
         refs = self._window_refs
@@ -960,10 +964,6 @@ class Runtime:
 
     def flush_window(self) -> None:
         """Plan and execute every launch buffered in the window."""
-        if self._plan_roots:
-            placeholders, self._plan_roots = self._plan_roots, []
-            for future, value in placeholders:
-                future.resolve(value, 0.0)
         if not self._window:
             return
         window, self._window = self._window, []
@@ -1010,6 +1010,8 @@ class Runtime:
                 self._execute(window[indices[0]])
                 continue
             tasks = [window[i] for i in indices]
+            if self.plan_trace is not None:
+                self.plan_trace.record_group(group, tasks)
             uids = [window[i].requirements[j].region.uid for i, j in group.elide]
             elide_uids = frozenset(uids)
             nest = None
@@ -1094,7 +1096,7 @@ class Runtime:
             groups.append(
                 _Group(
                     indices, tuple(window[i].name for i in indices),
-                    label, elide, nest_key,
+                    verdict, label, elide, nest_key,
                 )
             )
         return groups
@@ -1112,17 +1114,6 @@ class Runtime:
             )
             nest = self._nest_cache[nest_key] = codegen.generate_nest(nplan)
         return nest
-
-    def _sync(self, why: str) -> None:
-        """A synchronization point: flush the window, note it in the plan.
-
-        The plan note lets the advisor's window simulation split its
-        groups exactly where the runtime does — sync points are control
-        flow the op stream alone cannot reveal.
-        """
-        if self.plan_trace is not None:
-            self.plan_trace.record_note("sync", why=why)
-        self.flush_window()
 
     def _execute(self, task: TaskLaunch, replay: bool = False) -> Optional[Future]:
         """Execute a task launch: map, copy, run, time (see module docs).
@@ -1209,6 +1200,16 @@ class Runtime:
             else:
                 scalar_values[key] = val
 
+        # Journal replay skips the kernel because the arrays already
+        # hold its results, a dry run (an attached PlanTrace) because
+        # nothing is to be computed: there a scalar reduction folds the
+        # plan's placeholder partials, at the modeled times.
+        plan = self.plan_trace
+        run_kernel = not replay and plan is None
+        reducing = not replay and task.reduction is not None
+        partial = (
+            plan.placeholder(task) if reducing and plan is not None else None
+        )
         partials: List[Any] = []
         partial_times: List[float] = []
         reduce_writes: Dict[str, List[Tuple[Rect, Memory, float]]] = {}
@@ -1369,11 +1370,11 @@ class Runtime:
                     flops=float(flops) * scale,
                 )
 
-            if not replay:
+            if run_kernel:
                 partial = task.kernel(ctx)
-                if task.reduction is not None:
-                    partials.append(partial)
-                    partial_times.append(finish)
+            if reducing:
+                partials.append(partial)
+                partial_times.append(finish)
 
             t_event = _perf()
             # Read once per shard, after mapping: pressure relief
@@ -1442,12 +1443,10 @@ class Runtime:
 
         if self._journaling:
             self._journal.append(task)
-        if task.reduction is not None:
-            if replay:
-                # Replay skips kernels, so there are no partials to
-                # reduce; the original futures already carry the values.
-                return None
+        if reducing:
             return self._reduce(task, partials, partial_times)
+        # Journal replay has no partials to reduce: the original
+        # futures already carry the values.
         return None
 
     def _reduce(
@@ -1713,7 +1712,7 @@ class Runtime:
         channel occupancy remembers the traffic — which is exactly what
         the sync-point clocks (:meth:`elapsed`/:meth:`barrier`) fold in.
         """
-        self._sync("checkpoint")
+        self.flush_window()
         chaos = self._chaos
         if chaos is not None and not self._in_recovery:
             # A loss already due must recover *before* the snapshot: a
@@ -2126,13 +2125,6 @@ class Runtime:
         """Distributed fill of a region with a constant."""
         part = partition or Tiling.create(region, self.num_procs)
         pointwise = Pointwise(("fill",), expr=(("scalar", "value"),), out="out")
-        if self.plan_trace is not None:
-            self.plan_trace.record_fill(
-                region, part, Privilege.WRITE_DISCARD, value,
-                pointwise=pointwise,
-            )
-            if self.plan_trace.deferred:
-                return
         self.profiler.record_fill()
 
         def kernel(ctx: ShardContext) -> None:
@@ -2241,6 +2233,6 @@ def runtime_scope(runtime: Runtime):
         # Scope exit is a synchronization point: pending deferred
         # launches execute before the runtime is uninstalled.
         try:
-            runtime._sync("scope-exit")
+            runtime.flush_window()
         finally:
             set_runtime(previous)

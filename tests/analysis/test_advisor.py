@@ -7,10 +7,12 @@ import pytest
 import scipy.sparse as sps
 
 import repro.sparse as sp
-from repro.analysis import advise, analyze, trace
-from repro.analysis.advisor import AdvisorConfig, parse_machine
-from repro.legion import RuntimeConfig
-from repro.machine import laptop, summit
+from repro.analysis import advise
+from repro.analysis.advisor import AdvisorConfig, _fmt_bytes, parse_machine
+from repro.legion import Runtime, RuntimeConfig
+from repro.legion.exceptions import OutOfMemoryError
+from repro.legion.runtime import runtime_scope
+from repro.machine import ProcessorKind, laptop, summit
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -82,7 +84,9 @@ def test_capacity_overflow_is_error():
 
 
 def test_spill_downgrades_capacity_to_warning():
-    """With config.spill, relievable overflow becomes spill traffic."""
+    """With config.spill, relievable overflow becomes spill traffic —
+    the bytes the dry run's profiler measured, which are the real
+    run's."""
 
     def workload():
         import repro.numeric as rnp
@@ -94,28 +98,53 @@ def test_spill_downgrades_capacity_to_warning():
             total = total + a
         return total
 
-    def run(spill):
-        return advise(
-            workload,
-            machine=laptop(),
-            procs=2,
-            config=RuntimeConfig.legate(data_scale=40.0, spill=spill),
-        )
+    def config(spill):
+        # Unfused: the default window elides the temporaries and the
+        # program fits (84 % of the framebuffer).
+        return RuntimeConfig.legate(data_scale=40.0, spill=spill, fusion=False)
 
-    degraded = run(spill=True)
+    degraded = advise(workload, machine=laptop(), procs=2, config=config(True))
     spills = [f for f in degraded.findings if f.rule == "spill"]
     assert spills and all(f.severity == "warning" for f in spills)
-    assert "evicts/spills an estimated" in spills[0].message
     assert "capacity" not in rules(degraded)
     assert not degraded.errors
 
-    hard = run(spill=False)
-    assert any(
-        f.rule == "capacity" and f.severity == "error" for f in hard.findings
-    )
-    assert "config.spill would degrade" in next(
-        f.message for f in hard.findings if f.rule == "capacity"
-    )
+    real = Runtime(laptop().scope(ProcessorKind.GPU, 2), config(True))
+    with runtime_scope(real):
+        workload()
+    assert real.profiler.spill_bytes > 0
+    assert f"spilled {_fmt_bytes(real.profiler.spill_bytes)}" in spills[0].message
+    assert degraded.modeled_elapsed_seconds == real.elapsed()
+
+    hard = advise(workload, machine=laptop(), procs=2, config=config(False))
+    capacity = [f for f in hard.findings if f.rule == "capacity"]
+    assert [f.severity for f in capacity] == ["error"]
+    assert "config.spill would degrade" in capacity[0].message
+
+
+def test_oom_is_the_runtimes_error_and_keeps_earlier_findings():
+    """A dry run dies where a real run would: the capacity finding is
+    the runtime's own message (task, region, memory), and what was
+    gathered before that launch still prints."""
+
+    def workload():
+        import repro.numeric as rnp
+
+        A = sp.csr_matrix(tridiag(1000))
+        A.toarray()  # densify note, before the launch that overflows
+        return A @ rnp.ones(A.shape[0])
+
+    config = RuntimeConfig.legate(data_scale=1e5, spill=False)
+    advice = advise(workload, machine=laptop(), procs=2, config=config)
+    real = Runtime(laptop().scope(ProcessorKind.GPU, 2), config)
+    with pytest.raises(OutOfMemoryError) as raised, runtime_scope(real):
+        workload()
+    (capacity,) = [f for f in advice.findings if f.rule == "capacity"]
+    assert capacity.severity == "error"
+    assert f"while mapping task {raised.value.task!r}" in capacity.message
+    assert raised.value.memory_name in capacity.message
+    assert "densify" in rules(advice)
+    assert advice.launches > 0
 
 
 def test_spill_cannot_relieve_single_oversized_region():
@@ -209,7 +238,8 @@ def test_report_structure_and_json():
 
 
 def test_trace_then_analyze_on_other_machine():
-    """A plan traced once can be analyzed against different machines."""
+    """The same program advised on two machines: each report is the dry
+    run on *that* machine, colour counts included."""
 
     def workload():
         import repro.numeric as rnp
@@ -217,21 +247,16 @@ def test_trace_then_analyze_on_other_machine():
         A = sp.csr_matrix(tridiag(128))
         return A @ rnp.ones(A.shape[0])
 
-    from repro.machine import ProcessorKind
-
-    plan = trace(workload, machine=laptop(), procs=2)
-    local = analyze(plan)
-    remote = analyze(
-        plan, scope=summit(nodes=2).scope(ProcessorKind.GPU, 12)
-    )
+    local = advise(workload, machine=laptop(), procs=2)
+    remote = advise(workload, machine=summit(nodes=2), procs=12)
     assert local.launches == remote.launches
-    # The plan's launch structure is fixed at trace time; only the
-    # machine mapping changes, so event counts agree while the memory
-    # landscape differs (summit framebuffers, not the laptop's).
-    assert remote.predicted.stats() == local.predicted.stats()
+    assert {op.colors for op in local.ops} == {2}
+    assert {op.colors for op in remote.ops} == {12}
+    assert remote.predicted.stats()["shard"] == 6 * local.predicted.stats()["shard"]
     assert {m.memory for m in remote.memories} != {
         m.memory for m in local.memories
     }
+    assert "nic" in remote.traffic and "nic" not in local.traffic
 
 
 # ----------------------------------------------------------------------
