@@ -177,6 +177,11 @@ class Advice:
     fusion_groups: List[Tuple[Tuple[str, ...], int, str]] = field(
         default_factory=list
     )
+    # Why its windows ended, or did not (``Runtime.pass_window``):
+    # non-fusible launches that ran ahead of a non-empty window, and
+    # those that flushed it because they depend on a member.
+    launches_passed: int = 0
+    hazard_flushes: int = 0
     # Ranked per-operand format recommendations from the static
     # auto-format pass (empty unless AdvisorConfig.autoformat is on).
     format_advice: List[FormatAdvice] = field(default_factory=list)
@@ -236,6 +241,8 @@ class Advice:
                 {"names": list(names), "elided": elided, "verdict": verdict}
                 for names, elided, verdict in self.fusion_groups
             ],
+            "launches_passed": self.launches_passed,
+            "hazard_flushes": self.hazard_flushes,
             "format_advice": [fa.to_dict() for fa in self.format_advice],
             "caches": self.caches,
             "errors": len(self.errors),
@@ -307,6 +314,12 @@ class Advice:
                 f"task fusion: {len(merged)} fused group(s) predicted "
                 f"({away} launches merged away, {elided} temporaries "
                 f"elided; {nests} merge into a single loop nest)"
+            )
+        if self.fusion_groups:
+            lines.append(
+                f"deferred window: {self.launches_passed} non-fusible "
+                f"launch(es) passed it, {self.hazard_flushes} flushed it "
+                f"on a hazard"
             )
             lines.append("")
         if self.format_advice:
@@ -937,6 +950,8 @@ def analyze(
         comm_scale=config.effective_comm_scale,
         predicted=report.log,
         fusion_groups=list(runtime.fusion_log),
+        launches_passed=runtime.profiler.launches_passed,
+        hazard_flushes=runtime.profiler.hazard_flushes,
         format_advice=format_advice,
         caches={"compile": _compile_cache_stats()},
     )

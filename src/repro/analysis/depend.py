@@ -40,12 +40,20 @@ Legality rules (all must hold for merge-safe):
 3.  *No replicated operands.*  A broadcast (whole-region) operand is
     shape-incompatible with a tile-sized nest variable:
     ``replicated-operand``.
-4.  *Compatible iteration spaces.*  Every tiled access shares the same
-    tile boundaries and every launch the same color count, so one nest
-    iterates all statements' shards together:
+4.  *Compatible iteration spaces.*  Every launch has the same color
+    count, so one fused shard runs every member's shard:
     ``iteration-space-mismatch``.  (The window planner already
     enforces this for its own groups; direct callers may classify
-    hand-built ones.)
+    hand-built ones.)  Tile boundaries need not agree across the group:
+    the planner aligns a group per region, and :func:`classify` splits
+    it into *segments* by boundary set
+    (:func:`repro.legion.fusion.segments`), applies rules 1-3, 5 and 6
+    to each segment on its own, and reports them on
+    :attr:`Verdict.segments`.  Segments share no tiled region, so each
+    merge-safe one becomes a nest of its own and the fused kernel runs
+    nests and replays one after the other, in order of first member.
+    A group none of whose segments has two members has no body to
+    merge: ``one-launch-segments``.
 5.  *No read-after-write through a non-elided region.*  A value
     flowing between sub-launches through a region that stays mapped
     (not elided) is externally visible between the two kernels; the
@@ -90,7 +98,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.legion.fusion import GroupPlan, LaunchSummary
+from repro.legion.fusion import GroupPlan, LaunchSummary, segments
 from repro.legion.privilege import Privilege
 from repro.legion.task import Pointwise, TaskLaunch
 from repro.numeric import optable
@@ -115,8 +123,13 @@ REASONS: Dict[str, str] = {
         "is shape-incompatible with a tile-sized nest variable"
     ),
     "iteration-space-mismatch": (
-        "sub-launches disagree on tile boundaries or color counts, so "
-        "no single loop nest iterates all of them"
+        "sub-launches disagree on color counts, so no fused shard runs "
+        "one shard of each"
+    ),
+    "one-launch-segments": (
+        "every sub-launch iterates tile boundaries of its own (the group "
+        "aligns per region, over disjoint regions), so no two bodies "
+        "share a loop nest"
     ),
     "raw-through-unelided-region": (
         "a value flows between sub-launches through a region that "
@@ -177,6 +190,12 @@ class Verdict:
     reason: Optional[str]
     detail: str
     edges: Tuple[DependEdge, ...] = ()
+    # A group over several tile-boundary sets: the window indices of
+    # each segment with the segment's own verdict, in order of first
+    # member.  The group is then merge-safe when a segment is and none
+    # is blocked; a blocked group still runs its merge-safe segments as
+    # nests.  Empty for a group of one segment (the verdict is its own).
+    segments: Tuple[Tuple[Tuple[int, ...], "Verdict"], ...] = ()
 
     @property
     def blocked(self) -> bool:
@@ -361,8 +380,60 @@ def classify(
     the first violated rule names the verdict, so a reason is stable
     across runs.  Single-launch groups return a non-blocked,
     non-merge-safe verdict (``reason is None``): there is nothing to
-    merge.
+    merge.  A group over several tile-boundary sets is classified
+    segment by segment (rule 4).
     """
+    indices = plan.indices
+    if len(indices) <= 1:
+        return Verdict(False, None, "single launch; nothing to merge")
+
+    # Rule 4: one color count.
+    colors = {summaries[i].colors for i in indices}
+    if len(colors) > 1:
+        return Verdict(
+            False, "iteration-space-mismatch",
+            f"group spans {len(colors)} color counts",
+        )
+    parts = segments(summaries, indices)
+    if len(parts) == 1:
+        return _classify_segment(summaries, ids, plan)
+    verdicts = tuple(
+        _classify_segment(
+            summaries, ids,
+            GroupPlan(
+                part,
+                plan.elide & {
+                    ids[acc.region.uid]
+                    for i in part for acc in summaries[i].accesses
+                },
+            ),
+        )
+        for part in parts
+    )
+    edges = tuple(edge for verdict in verdicts for edge in verdict.edges)
+    blocked = next((v for v in verdicts if v.blocked), None)
+    if blocked is not None:
+        reason, detail = blocked.reason, blocked.detail
+    elif any(v.merge_safe for v in verdicts):
+        reason = None
+        detail = "; ".join(v.detail for v in verdicts if v.merge_safe)
+    else:
+        reason = "one-launch-segments"
+        detail = (
+            f"{len(parts)} launches over {len(parts)} distinct tile "
+            f"boundary sets"
+        )
+    return Verdict(
+        reason is None, reason, detail, edges, tuple(zip(parts, verdicts))
+    )
+
+
+def _classify_segment(
+    summaries: Sequence[LaunchSummary],
+    ids: Dict[int, int],
+    plan: GroupPlan,
+) -> Verdict:
+    """Rules 1-3, 5 and 6 over the members of one segment."""
     indices = plan.indices
     if len(indices) <= 1:
         return Verdict(False, None, "single launch; nothing to merge")
@@ -413,21 +484,6 @@ def classify(
                     f"launch {summary.name!r} replicates "
                     f"{acc.region.name or acc.name or 'an operand'!r}",
                 )
-
-    # Rule 4: one iteration space.
-    colors = {summaries[i].colors for i in indices}
-    boundaries = {
-        acc.boundaries
-        for i in indices
-        for acc in summaries[i].accesses
-        if acc.part_kind == "tile"
-    }
-    if len(colors) > 1 or len(boundaries) > 1:
-        return Verdict(
-            False, "iteration-space-mismatch",
-            f"group spans {len(colors)} color count(s) and "
-            f"{len(boundaries)} distinct tile boundary set(s)",
-        )
 
     # Rule 5: RAW only through elided temporaries.
     edges = tuple(
@@ -573,11 +629,15 @@ def build_nest_plan(
     group: Sequence[TaskLaunch],
     elide_uids: frozenset,
     dead_uids: frozenset = frozenset(),
+    positions: Optional[Sequence[int]] = None,
 ) -> NestPlan:
     """Lower a merge-safe group of concrete launches to a nest plan.
 
     Callers must have classified the group merge-safe first (the
-    runtime does; see ``Runtime._flush``).  ``elide_uids`` are the
+    runtime does; see ``Runtime._flush``).  For one segment of a group
+    aligned per region, ``group`` holds the segment's launches and
+    ``positions`` where each sits in the fused group (what its names
+    are mangled by); by default the group is the whole fused group.  ``elide_uids`` are the
     region uids the fusion plan elides; ``dead_uids`` the subset also
     freed before the flush — their stores are provably unobservable
     (no instance *and* no later host read), so the nest skips them
@@ -598,7 +658,8 @@ def build_nest_plan(
     # they read is stored, dead temporary or not.
     tails: List[NestTail] = []
     kept: set = set()
-    for i, task in enumerate(group):
+    members = list(zip(positions or range(len(group)), group))
+    for i, task in members:
         pw = task.pointwise
         if pw is None or pw.expr is None or (
             pw.out is None and task.reduction is None
@@ -615,7 +676,7 @@ def build_nest_plan(
                     tuple(f"{i}.{arg}" for _kind, arg in pw.expr[:-1]),
                 )
             )
-    for i, task in enumerate(group):
+    for i, task in members:
         if task.reduction is not None:
             continue
         pw = task.pointwise

@@ -252,13 +252,22 @@ class AutoTask:
     def execute(self) -> Optional[Future]:
         """Solve constraints, launch, update key partitions."""
         colors = self.colors if self.colors is not None else self.runtime.num_procs
-        images = any(isinstance(c, Image) for c in self._constraints)
-        if self._pointwise is None or images:
-            # Non-pointwise (or image-constrained) tasks flush the
-            # deferred window *before* solving: image partitions read
-            # region data host-side at solve time, and pending fused
-            # launches may still owe writes to those regions.
-            self.runtime.flush_window()
+        images = [c for c in self._constraints if isinstance(c, Image)]
+        ordered = self._pointwise is None or bool(images)
+        if ordered and self.runtime._window:
+            # A launch that cannot join the deferred window is ordered
+            # against it *before* solving: image partitions read region
+            # data host-side at solve time, and pending fused launches
+            # may still owe writes to those regions.  The window is
+            # flushed only on such a dependence (Runtime.pass_window).
+            accesses = [
+                (store.region.uid, privilege.writes)
+                for _, store, privilege in self._args
+            ]
+            for image in images:
+                accesses.append((image.source.region.uid, False))
+                accesses.append((image.dest.region.uid, False))
+            self.runtime.pass_window(accesses, self._scalars)
         stores = [store for _, store, _ in self._args]
         rt = self.runtime
         t0 = _perf()
@@ -275,7 +284,7 @@ class AutoTask:
             solution = rebuild_solution(slot.solve_plan, stores, colors)
             rt.profiler.fastpath_counters["solve_hits"] += 1
         else:
-            solution = self._solve(stores, colors, slot, images)
+            solution = self._solve(stores, colors, slot, bool(images))
         rt.profiler.record_host_phase("constraint-solve", _perf() - t0)
         if self.runtime.config.validate:
             self._check_write_disjointness(solution)
@@ -303,6 +312,7 @@ class AutoTask:
             reduction=self._scalar_reduction,
             fold_partition=fold_partition,
             pointwise=self._pointwise,
+            ordered=ordered,
         )
         if slot is not None:
             trace.tag(launch, slot)

@@ -831,10 +831,13 @@ def generate(
 # ----------------------------------------------------------------------
 @dataclass
 class NestSpec:
-    """A combined loop nest for one merge-safe fused group.
+    """A combined loop nest for one merge-safe fused group -- or for
+    one merge-safe segment of a group aligned per region, whose other
+    segments run beside it (:func:`repro.legion.fusion.fuse`).
 
     ``kernel``/``cost`` run against the *fused* launch context (mangled
-    ``"<i>.<name>"`` requirement and scalar names, exactly as
+    ``"<i>.<name>"`` requirement and scalar names, ``i`` the launch's
+    position in the whole group, exactly as
     :func:`repro.legion.fusion.fuse` builds it), so the fused launch
     swaps them in for its replay closures unchanged.  ``source`` is the
     exec'd text, kept for inspection like :class:`KernelSpec`.

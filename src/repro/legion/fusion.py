@@ -17,12 +17,21 @@ Legality rules (checked structurally, per window):
 1. Launches tagged :class:`~repro.legion.task.Pointwise` participate:
    element-wise ones, and scalar reductions whose operands are all
    read-only tilings (the marker says the kernel touches exactly its
-   shard's rects; ``numeric.reductions`` sets it).  Everything else
-   flushes the window.
-2. Within a group, every tiled requirement shares identical tile
-   boundaries (alignment-compatible partitions: shard *i* of every
-   sub-launch touches the same rows) and every launch has the same
-   color count.
+   shard's rects; ``numeric.reductions`` sets it).  Any other launch
+   runs at once, ordered against the window by a *hazard test*
+   (``Runtime.pass_window``): the window is flushed first only if the
+   launch touches a region a member writes, writes (REDUCE included) a
+   region a member touches, or takes a scalar a member reduction still
+   owes.  Otherwise it *passes*: it runs ahead of the members, which
+   stay deferred -- independent launches reordered, so no value moves.
+2. Within a group every launch has the same color count, and alignment
+   is *per region*: a launch joins when each tiled region it shares
+   with the group has the tile boundaries the group already uses for
+   it (its own tiled requirements agreeing among themselves: shard *i*
+   touches the same rows of each).  Members over different boundary
+   sets therefore share no tiled region; they are the group's
+   *segments* (:func:`segments`), which the fused kernel runs one
+   after the other, in order of first member.
 3. Writes go through tilings only, and a replicated (broadcast) read is
    admitted only for regions no launch in the group writes — otherwise
    per-shard sub-launch ordering would observe partial updates and the
@@ -45,9 +54,10 @@ Legality rules (checked structurally, per window):
    ``{x+=, r-=, vdot, norm} | {p=}``: the norm shares the vdot's
    allreduce and no longer waits behind the p update.
 
-The fused kernel replays each sub-launch's kernel, in issue order, on
-per-shard sub-contexts — the same NumPy ops in the same order per
-shard, so numerics are bitwise identical.  Temporaries whose first
+The fused kernel replays each sub-launch's kernel, in issue order
+within its segment, on per-shard sub-contexts — the same NumPy ops in
+the same order per region and shard, so numerics are bitwise
+identical.  Temporaries whose first
 access in the group is WRITE_DISCARD and that are read again inside the
 group are *elided*: their requirements are marked
 :attr:`~repro.legion.task.Requirement.elide` and the runtime skips
@@ -236,7 +246,8 @@ class _GroupState:
         # fusible, run on its own.
         self.sealed = False
         self.colors: Optional[int] = None
-        self.boundaries: Optional[Tuple[int, ...]] = None
+        # Local region id -> the tile boundaries the group uses for it.
+        self.boundaries: Dict[int, Tuple[int, ...]] = {}
         self.written: set = set()  # local region ids written in group
         self.rep_read: set = set()  # local region ids replicate-read
 
@@ -245,13 +256,13 @@ class _GroupState:
             return False
         if self.colors is not None and summary.colors != self.colors:
             return False
-        boundaries = self.boundaries
+        own = None  # the one boundary set of the launch's own tiles
         for acc in summary.accesses:
             lid = ids[acc.region.uid]
             if acc.part_kind == "tile":
-                if boundaries is None:
-                    boundaries = acc.boundaries
-                elif acc.boundaries != boundaries:
+                if own is None:
+                    own = acc.boundaries
+                if acc.boundaries != own or self.boundaries.get(lid, own) != own:
                     return False
             elif acc.part_kind == "rep":
                 if lid in self.written:
@@ -267,9 +278,9 @@ class _GroupState:
         self.colors = summary.colors
         for acc in summary.accesses:
             lid = ids[acc.region.uid]
-            if acc.part_kind == "tile" and self.boundaries is None:
-                self.boundaries = acc.boundaries
-            if acc.part_kind == "rep":
+            if acc.part_kind == "tile":
+                self.boundaries[lid] = acc.boundaries
+            elif acc.part_kind == "rep":
                 self.rep_read.add(lid)
             if acc.privilege.writes:
                 self.written.add(lid)
@@ -373,6 +384,29 @@ def plan_window(summaries: Sequence[LaunchSummary]) -> List[GroupPlan]:
     return plans
 
 
+def segments(
+    summaries: Sequence[LaunchSummary], indices: Sequence[int]
+) -> List[Tuple[int, ...]]:
+    """A group's members by tile-boundary set, in order of first member.
+
+    A planned group aligns per region (rule 2), so two segments share
+    no tiled region -- only replicated operands, which nothing in the
+    group writes (rule 3): running the segments one after the other
+    instead of interleaved as issued reorders independent launches.
+    """
+    by_boundaries: Dict[Optional[Tuple[int, ...]], List[int]] = {}
+    for index in indices:
+        boundaries = next(
+            (
+                acc.boundaries for acc in summaries[index].accesses
+                if acc.part_kind == "tile"
+            ),
+            None,
+        )
+        by_boundaries.setdefault(boundaries, []).append(index)
+    return [tuple(members) for members in by_boundaries.values()]
+
+
 def fused_name(names: Sequence[str]) -> str:
     """The deterministic display name of a fused group."""
     joined = "+".join(names)
@@ -384,7 +418,7 @@ def fused_name(names: Sequence[str]) -> str:
 def fuse(
     group: Sequence[TaskLaunch],
     elide_uids: frozenset = frozenset(),
-    nest=None,
+    parts: Sequence[Tuple[Sequence[int], object]] = (),
 ) -> TaskLaunch:
     """Merge a planned group into one launch.
 
@@ -396,12 +430,15 @@ def fuse(
     launch carries their ops and pending futures as tuples
     (``Runtime._reduce`` folds each value on its own).
 
-    With ``nest`` (a :class:`repro.distal.codegen.NestSpec` generated
-    for a merge-safe group — see :mod:`repro.analysis.depend`), the
-    replay kernel and summed per-sub cost are swapped for the nest's
-    single generated kernel and one combined cost entry; requirements,
-    scalars and the fused name are identical either way, so mapping,
-    coherence and the event log cannot tell the two apart.
+    ``parts`` says how the kernel runs when not as one replay: one
+    ``(positions, nest)`` per segment of the group (:func:`segments`,
+    as positions in ``group``), in order.  A segment with a ``nest`` (a
+    :class:`repro.distal.codegen.NestSpec` generated for a merge-safe
+    segment — see :mod:`repro.analysis.depend`) runs the nest's single
+    generated kernel under one combined cost entry; one without
+    replays its members.  Requirements, scalars and the fused name are
+    identical either way, so mapping, coherence and the event log
+    cannot tell the forms apart.
     """
     if len(group) == 1 and not elide_uids:
         return group[0]
@@ -417,10 +454,12 @@ def fuse(
             )
         for key, value in task.scalars.items():
             scalars[f"{i}.{key}"] = value
-    if nest is not None:
-        kernel, cost = nest.kernel, nest.cost
-    else:
-        kernel, cost = _replay(group)
+    runs = [
+        (nest.kernel, nest.cost) if nest is not None
+        else _replay(group, positions)
+        for positions, nest in parts or [(range(len(group)), None)]
+    ]
+    kernel, cost = runs[0] if len(runs) == 1 else _chain(group, parts, runs)
     ops: List[str] = []
     for task in group:
         ops.extend(task.pointwise.ops if task.pointwise else (task.name,))
@@ -437,9 +476,10 @@ def fuse(
     )
 
 
-def _replay(group: Sequence[TaskLaunch]):
-    """The (kernel, cost) pair that replays sub-launches in issue order,
-    each on a :class:`ShardContext` under its own names."""
+def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
+    """The (kernel, cost) pair that replays the sub-launches at
+    ``positions`` in issue order, each on a :class:`ShardContext` under
+    its own names."""
     subs = [
         (
             task,
@@ -447,7 +487,7 @@ def _replay(group: Sequence[TaskLaunch]):
             [(key, f"{i}.{key}") for key in task.scalars],
             {req.name: req.privilege for req in task.requirements},
         )
-        for i, task in enumerate(group)
+        for i, task in ((i, group[i]) for i in positions)
     ]
 
     def sub_contexts(ctx: ShardContext):
@@ -474,6 +514,35 @@ def _replay(group: Sequence[TaskLaunch]):
         nbytes = 0.0
         for task, sub in sub_contexts(ctx):
             f, b = task.cost_fn(sub)
+            flops += float(f)
+            nbytes += float(b)
+        return flops, nbytes
+
+    return kernel, cost
+
+
+def _chain(group: Sequence[TaskLaunch], parts, runs):
+    """The (kernel, cost) pair of a group of several segments: their
+    ``runs`` one after the other, costs summed.  Each run returns its
+    own reductions' partials; the group's go back in issue order."""
+    reducing = [i for i, task in enumerate(group) if task.reduction is not None]
+    slot = {position: k for k, position in enumerate(reducing)}
+    slots = [
+        [slot[i] for i in positions if i in slot] for positions, _nest in parts
+    ]
+
+    def kernel(ctx: ShardContext) -> list:
+        partials = [None] * len(reducing)
+        for (run, _cost), where in zip(runs, slots):
+            for k, partial in zip(where, run(ctx) or ()):
+                partials[k] = partial
+        return partials
+
+    def cost(ctx: ShardContext) -> tuple:
+        flops = 0.0
+        nbytes = 0.0
+        for _run, part_cost in runs:
+            f, b = part_cost(ctx)
             flops += float(f)
             nbytes += float(b)
         return flops, nbytes

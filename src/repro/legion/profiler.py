@@ -32,6 +32,11 @@ class Profiler:
     fused_tasks: int = 0
     tasks_fused_away: int = 0
     regions_elided: int = 0
+    # Why a window ended, or did not (Runtime.pass_window): non-fusible
+    # launches that ran ahead of a non-empty window, and those that
+    # flushed it because they depend on a member.
+    launches_passed: int = 0
+    hazard_flushes: int = 0
     # Kernel fusion (repro.analysis.depend): fused groups the dependence
     # analyzer proved merge-safe and executed as one generated loop
     # nest, and elided temporaries whose backing stores were skipped
@@ -237,6 +242,11 @@ class Profiler:
                 f"fusion:           {self.fused_tasks} fused groups "
                 f"({self.tasks_fused_away} launches merged away, "
                 f"{self.regions_elided} temporaries elided)"
+            )
+        if self.launches_passed or self.hazard_flushes:
+            lines.append(
+                f"deferred window:  {self.launches_passed} launches passed "
+                f"it, {self.hazard_flushes} flushed it on a hazard"
             )
         if self.kernel_merges:
             lines.append(

@@ -113,7 +113,8 @@ class RuntimeConfig:
     # systems, which have no such runtime.
     fusion: bool = True
     # Deferred window capacity: the window flushes when full (and on
-    # future waits, non-fusible launches, barriers and scope exits).
+    # future waits, non-fusible launches that depend on a member,
+    # barriers and scope exits).
     fusion_window: int = 16
     # Kernel fusion (repro.analysis.depend + distal.codegen): fused
     # groups the dependence analyzer proves merge-safe execute as ONE
@@ -368,11 +369,13 @@ class _Group:
     """
 
     __slots__ = (
-        "indices", "names", "verdict", "label", "elide", "nest_key", "nests",
-        "exec",
+        "indices", "names", "verdict", "label", "elide", "segments",
+        "nest_key", "nests", "exec",
     )
 
-    def __init__(self, indices, names, verdict, label, elide, nest_key) -> None:
+    def __init__(
+        self, indices, names, verdict, label, elide, segments, nest_key
+    ) -> None:
         self.indices = indices
         self.names = names
         # The dependence pass's classification (depend.Verdict) and its
@@ -380,11 +383,16 @@ class _Group:
         self.verdict = verdict
         self.label = label
         self.elide = elide
-        # Merged groups: the structural half of the nest-cache key, and
-        # the nests generated so far by which elided temporaries (as
-        # positions in ``elide``) were already dead at the flush.
+        # The group's segments (fusion.segments) in run order: each
+        # one's positions in the group and whether it runs as a
+        # generated nest.
+        self.segments = segments
+        # Groups with a nest: the structural half of the nest-cache
+        # key, and the ``parts`` of fusion.fuse generated so far by
+        # which elided temporaries (as positions in ``elide``) were
+        # already dead at the flush.
         self.nest_key = nest_key
-        self.nests: Dict[frozenset, "object"] = {}
+        self.nests: Dict[frozenset, list] = {}
         # The fused launch's execution template (kept windows only).
         self.exec: Optional[_LaunchShape] = None
 
@@ -529,14 +537,15 @@ class Runtime:
         self._region_meta: Dict[int, Tuple[str, int]] = {}
         # Host-side analysis state (repro.legion.fastpath): the
         # image-geometry cache, the constraint-solve memo consulted by
-        # AutoTask.execute, per-region-uid reference counts over the
-        # deferred window (what free_region checks), and the in-flight
-        # batched-write map (requirement name -> (coherence,
-        # [(mem_uid, rect, t)])) that _execute_task defers per-color
-        # mark_written calls into.
+        # AutoTask.execute, per-region-uid reference and writer counts
+        # over the deferred window (what free_region and pass_window
+        # check), and the in-flight batched-write map (requirement name
+        # -> (coherence, [(mem_uid, rect, t)])) that _execute_task
+        # defers per-color mark_written calls into.
         self._image_cache = _fastpath.ImagePartitionCache()
         self._solve_memo = _fastpath.SolveMemo()
         self._window_refs: Dict[int, int] = {}
+        self._window_writers: Dict[int, int] = {}
         self._pending_writes: Optional[dict] = None
         # (src uid, dst uid) -> (channels, summed latency, narrowest
         # bandwidth): a machine's channel objects and rates are fixed,
@@ -896,14 +905,17 @@ class Runtime:
 
         Fusible launches -- element-wise ones and scalar reductions over
         read-only aligned tilings, see :func:`repro.legion.fusion.fusible`
-        -- enter the deferred window; everything else flushes the window
-        and executes eagerly.  A reduction issued into the window
+        -- enter the deferred window.  Any other launch executes at
+        once, after :meth:`pass_window` has ordered it against the
+        window: flushed first if the two are dependent, left deferred
+        behind the launch if not.  A reduction issued into the window
         returns a *pending* future, which the flush resolves.  Numerics
         are unaffected by the deferral: anything that could observe a
         pending result — future waits, barriers, host reads of store
-        data, non-fusible launches (whose solve may read region data for
-        image partitions) — flushes first.  With ``fusion`` off nothing
-        is deferred and every returned future is resolved.
+        data, a non-fusible launch that touches what the window writes
+        (or whose solve reads it for an image partition) — flushes
+        first.  With ``fusion`` off nothing is deferred and every
+        returned future is resolved.
         """
         plan = self.plan_trace
         if plan is not None:
@@ -933,7 +945,14 @@ class Runtime:
             if fusible is None:
                 fusible = slot.fusible = fusion.fusible(task)
         if not fusible:
-            self.flush_window()
+            if self._window and not task.ordered:
+                self.pass_window(
+                    [
+                        (req.region.uid, req.privilege.writes)
+                        for req in task.requirements
+                    ],
+                    task.scalars,
+                )
             return self._execute(task)
         window = self._window
         roots = self._window_roots
@@ -955,12 +974,57 @@ class Runtime:
             roots[future] = len(window)
         window.append(task)
         refs = self._window_refs
+        writers = self._window_writers
         for req in task.requirements:
             uid = req.region.uid
             refs[uid] = refs.get(uid, 0) + 1
+            if req.privilege.writes:
+                writers[uid] = writers.get(uid, 0) + 1
         if len(window) >= self.config.fusion_window:
             self.flush_window()
         return future
+
+    def pass_window(self, accesses, scalars) -> None:
+        """Order a launch that will not join the deferred window against it.
+
+        ``accesses`` are ``(region uid, writes)`` pairs for everything
+        the launch touches -- and the solve of its image constraints
+        reads; ``scalars`` are its scalar arguments.  On a *hazard* the
+        window is flushed, so its members run first, as issued:
+
+        * the launch touches a region a member writes (RAW, WAW);
+        * it writes -- REDUCE included -- a region a member touches
+          (WAR, WAW);
+        * it takes a scalar that derives from a reduction still pending
+          in the window.
+
+        Otherwise the launch *passes*: it runs now, ahead of the
+        members, which stay deferred and may go on fusing with what is
+        issued after it.  The two orders differ only in independent
+        launches, so every value is the unfused one.  Non-fusible
+        launches never reorder among themselves (each runs when
+        issued), which keeps the runtime generator's draws in program
+        order.  The test reads the window's per-region counts: it is
+        O(arguments), whatever the window holds.
+        """
+        if not self._window:
+            return
+        if self._hazard(accesses, scalars):
+            self.profiler.hazard_flushes += 1
+            self.flush_window()
+        else:
+            self.profiler.launches_passed += 1
+
+    def _hazard(self, accesses, scalars) -> bool:
+        refs = self._window_refs
+        writers = self._window_writers
+        for uid, writes in accesses:
+            if uid in writers or (writes and uid in refs):
+                return True
+        roots = self._window_roots
+        return bool(roots) and any(
+            root in roots for root in pending_roots(scalars)
+        )
 
     def flush_window(self) -> None:
         """Plan and execute every launch buffered in the window."""
@@ -970,6 +1034,7 @@ class Runtime:
         frees, self._deferred_frees = self._deferred_frees, []
         if self._window_refs:
             self._window_refs.clear()
+            self._window_writers.clear()
         if self._window_roots:
             self._window_roots.clear()
         t0 = _perf()
@@ -1014,21 +1079,23 @@ class Runtime:
                 self.plan_trace.record_group(group, tasks)
             uids = [window[i].requirements[j].region.uid for i, j in group.elide]
             elide_uids = frozenset(uids)
-            nest = None
-            if group.label == "merged":
+            parts = ()
+            if group.nest_key is not None:
                 # Elided temporaries already freed by the host are
                 # provably dead: their stores are unobservable, so
                 # the nest keeps them as values only.
                 dead = frozenset(k for k, uid in enumerate(uids) if uid in freed)
-                nest = group.nests.get(dead)
-                if nest is None:
-                    nest = group.nests[dead] = self._nest(
+                parts = group.nests.get(dead)
+                if parts is None:
+                    parts = group.nests[dead] = self._nests(
                         group, dead, tasks, uids
                     )
-                self.profiler.record_kernel_merge(
-                    len(indices), nest.temps_eliminated
-                )
-            merged = fusion.fuse(tasks, elide_uids, nest=nest)
+                for positions, nest in parts:
+                    if nest is not None:
+                        self.profiler.record_kernel_merge(
+                            len(positions), nest.temps_eliminated
+                        )
+            merged = fusion.fuse(tasks, elide_uids, parts)
             if kept is not None:
                 merged.slot = group
             trace = tasks[0].replayed_in
@@ -1057,13 +1124,12 @@ class Runtime:
             cached = (plans, verdicts)
             self._fusion_cache[key] = cached
         plans, verdicts = cached
+        kernel_fusion = self.config.kernel_fusion
         ref_of: Optional[Dict[int, Tuple[int, int]]] = None
         groups = []
         for plan, verdict in zip(plans, verdicts):
             indices = plan.indices
-            label = depend.verdict_label(
-                plan, verdict, self.config.kernel_fusion
-            )
+            label = depend.verdict_label(plan, verdict, kernel_fusion)
             elide: tuple = ()
             if plan.elide:
                 if ref_of is None:
@@ -1073,8 +1139,26 @@ class Runtime:
                         for j, acc in enumerate(summary.accesses):
                             ref_of.setdefault(local[acc.region.uid], (i, j))
                 elide = tuple(ref_of[lid] for lid in sorted(plan.elide))
+            # Run order: by segment, each either a generated nest or a
+            # replay of its members (one segment: the label says which).
+            if verdict.segments:
+                where = {index: k for k, index in enumerate(indices)}
+                segments = tuple(
+                    (
+                        tuple(where[i] for i in part),
+                        kernel_fusion and part_verdict.merge_safe,
+                    )
+                    for part, part_verdict in verdict.segments
+                )
+            else:
+                segments = ((tuple(range(len(indices))), label == "merged"),)
+            nested = [
+                window[indices[k]]
+                for positions, merged in segments if merged
+                for k in positions
+            ]
             nest_key = None
-            if label == "merged":
+            if nested:
                 # The window signature does not carry dtypes and each
                 # step's cast target is baked into the nest source.
                 nest_key = (
@@ -1085,35 +1169,47 @@ class Runtime:
                         str(
                             next(
                                 r.region.data.dtype
-                                for r in window[i].requirements
-                                if r.name == window[i].pointwise.out
+                                for r in task.requirements
+                                if r.name == task.pointwise.out
                             )
                         )
-                        for i in indices
-                        if window[i].reduction is None
+                        for task in nested
+                        if task.reduction is None
                     ),
                 )
             groups.append(
                 _Group(
                     indices, tuple(window[i].name for i in indices),
-                    verdict, label, elide, nest_key,
+                    verdict, label, elide, segments, nest_key,
                 )
             )
         return groups
 
-    def _nest(self, group: _Group, dead, tasks, uids):
-        """The generated loop nest of a merged group, through the cache."""
-        nest_key = (group.nest_key, dead)
-        nest = self._nest_cache.get(nest_key)
-        if nest is None:
-            from repro.analysis import depend
-            from repro.distal import codegen
+    def _nests(self, group: _Group, dead, tasks, uids) -> list:
+        """The ``parts`` of :func:`fusion.fuse` for a group with a nest:
+        each segment's positions with its generated loop nest (through
+        the cache), or None where the segment replays."""
+        from repro.analysis import depend
+        from repro.distal import codegen
 
-            nplan = depend.build_nest_plan(
-                tasks, frozenset(uids), frozenset(uids[k] for k in dead)
-            )
-            nest = self._nest_cache[nest_key] = codegen.generate_nest(nplan)
-        return nest
+        parts = []
+        for number, (positions, merged) in enumerate(group.segments):
+            nest = None
+            if merged:
+                nest_key = (group.nest_key, dead, number)
+                nest = self._nest_cache.get(nest_key)
+                if nest is None:
+                    nplan = depend.build_nest_plan(
+                        [tasks[i] for i in positions],
+                        frozenset(uids),
+                        frozenset(uids[k] for k in dead),
+                        positions,
+                    )
+                    nest = self._nest_cache[nest_key] = codegen.generate_nest(
+                        nplan
+                    )
+            parts.append((positions, nest))
+        return parts
 
     def _execute(self, task: TaskLaunch, replay: bool = False) -> Optional[Future]:
         """Execute a task launch: map, copy, run, time (see module docs).
@@ -1953,6 +2049,12 @@ class Runtime:
 
     def _replay_journal(self, journal) -> List[LossSchedule]:
         """Replay the epoch's journal; return losses falling due mid-pass.
+
+        Journal order is *execution* order, not issue order: a launch
+        that passed the deferred window (:meth:`pass_window`) was
+        journaled when it ran, ahead of the members issued before it,
+        and those follow once their flush has run them -- the order in
+        which coherence saw the writes, which is what a replay restores.
 
         A non-empty return means the pass aborted: the caller re-wipes,
         re-plans from surviving replicas and replays again from the

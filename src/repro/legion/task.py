@@ -184,6 +184,10 @@ class TaskLaunch:
     # reductions whose pending futures this launch takes as scalars.
     future: Optional[Any] = None
     after: Tuple[int, ...] = ()
+    # Set by an issuer that has already ordered the launch against the
+    # deferred window (``Runtime.pass_window``): AutoTask.execute does
+    # so before a solve that reads region data.
+    ordered: bool = False
 
     @property
     def color_count(self) -> int:

@@ -237,6 +237,28 @@ def test_report_structure_and_json():
     assert "predicted peak memory" in text
 
 
+def test_report_counts_window_passes_and_hazard_flushes():
+    def workload():
+        import repro.numeric as rnp
+
+        A = sp.csr_matrix(tridiag(256))
+        x = rnp.ones(256)
+        u = rnp.ones(64)
+        y = A @ x                   # reads the x the window owes: a flush
+        v = u * 2.0                 # deferred ...
+        z = A @ y                   # ... and passed by an independent SpMV
+        return v + 1.0, z
+
+    advice = advise(workload, machine=summit(nodes=1), procs=2)
+    assert (advice.launches_passed, advice.hazard_flushes) == (1, 1)
+    d = advice.to_dict()
+    assert (d["launches_passed"], d["hazard_flushes"]) == (1, 1)
+    assert (
+        "deferred window: 1 non-fusible launch(es) passed it, 1 flushed it"
+        in advice.format_text()
+    )
+
+
 def test_trace_then_analyze_on_other_machine():
     """The same program advised on two machines: each report is the dry
     run on *that* machine, colour counts included."""

@@ -225,15 +225,29 @@ class TestReplayOnlyReasons:
         window = [
             summ("a", acc(1, priv=Privilege.WRITE_DISCARD, name="out"),
                  pointwise=pw_fill()),
-            summ("b",
-                 acc(2, priv=Privilege.WRITE_DISCARD, boundaries=(0, 3, 8),
-                     name="out"),
-                 pointwise=pw_fill()),
+            summ("b", acc(2, priv=Privilege.WRITE_DISCARD, name="out"),
+                 pointwise=pw_fill(), colors=4),
         ]
         ids = fusion.local_ids(window)
         plan = fusion.GroupPlan(indices=(0, 1), elide=frozenset())
         verdict = depend.classify(window, ids, plan)
         assert verdict.reason == "iteration-space-mismatch"
+        assert "2 color counts" in verdict.detail
+
+    def test_one_launch_per_boundary_set_has_nothing_to_merge(self):
+        window = [
+            summ("a", acc(1, priv=Privilege.WRITE_DISCARD, name="out"),
+                 pointwise=pw_fill()),
+            summ("b",
+                 acc(2, priv=Privilege.WRITE_DISCARD, boundaries=(0, 3, 8),
+                     name="out"),
+                 pointwise=pw_fill()),
+        ]
+        (verdict,), (plan,) = classify(window)
+        assert plan.indices == (0, 1)  # aligned per region: one group
+        assert verdict.reason == "one-launch-segments"
+        assert [part for part, _ in verdict.segments] == [(0,), (1,)]
+        assert not any(v.blocked or v.merge_safe for _, v in verdict.segments)
 
     def test_raw_through_unelided_region_replays(self):
         # x += t; y = x * 2: x pre-exists the group (first access is a
@@ -263,10 +277,76 @@ class TestReplayOnlyReasons:
         produced = {
             "disabled", "opaque-kernel", "reduction-reorder",
             "replicated-operand", "iteration-space-mismatch",
-            "raw-through-unelided-region",
+            "one-launch-segments", "raw-through-unelided-region",
             "write-after-reduction",
         }
         assert produced == set(depend.REASONS)
+
+
+class TestSegments:
+    """Rule 4: a group aligned per region is classified segment by
+    segment.  Regions 1-4 tile as (0, 4, 8), regions 11-13 as OTHER."""
+
+    OTHER = (0, 3, 8)
+
+    def _chain(self, first, boundaries=(0, 4, 8), opaque=False):
+        # t = fill; out = t * s: the temporary is elided inside its
+        # segment.
+        return [
+            summ("fill",
+                 acc(first, priv=Privilege.WRITE_DISCARD,
+                     boundaries=boundaries, name="out"),
+                 pointwise=pw_fill()),
+            summ("multiply",
+                 acc(first + 1, priv=Privilege.WRITE_DISCARD,
+                     boundaries=boundaries, name="out"),
+                 acc(first, boundaries=boundaries, name="a"),
+                 pointwise=Pointwise(("multiply",)) if opaque
+                 else pw_binary()),
+        ]
+
+    def _interleaved(self, **second):
+        a, b = self._chain(1), self._chain(11, self.OTHER, **second)
+        return [a[0], b[0], a[1], b[1]]
+
+    def test_each_segment_merges_on_its_own(self):
+        window = self._interleaved()
+        (verdict,), (plan,) = classify(window)
+        ids = fusion.local_ids(window)
+        assert plan.indices == (0, 1, 2, 3)
+        assert plan.elide == frozenset({ids[1], ids[11]})
+        assert verdict.merge_safe and verdict.reason is None
+        assert [part for part, _ in verdict.segments] == [(0, 2), (1, 3)]
+        for _, part_verdict in verdict.segments:
+            assert part_verdict.merge_safe
+            assert "2 statements" in part_verdict.detail
+            assert "1 temporary" in part_verdict.detail
+            (edge,) = part_verdict.edges
+            assert (edge.kind, edge.elided) == ("raw", True)
+        assert len(verdict.edges) == 2
+        assert depend.verdict_label(plan, verdict, True) == "merged"
+        assert depend.verdict_label(plan, verdict, False) == "replay:disabled"
+
+    def test_a_blocked_segment_names_the_group_and_spares_the_other(self):
+        window = self._interleaved(opaque=True)
+        (verdict,), (plan,) = classify(window)
+        assert plan.indices == (0, 1, 2, 3)
+        assert verdict.reason == "opaque-kernel" and not verdict.merge_safe
+        (_, first), (_, second) = verdict.segments
+        assert first.merge_safe and second.reason == "opaque-kernel"
+        assert depend.verdict_label(plan, verdict, True) == (
+            "replay:opaque-kernel"
+        )
+
+    def test_a_lone_launch_beside_a_chain_does_not_block_it(self):
+        window = self._chain(1) + [
+            summ("norm2", acc(11, boundaries=self.OTHER, name="a"),
+                 pointwise=pw_part("norm2", "a"), reduction="sum"),
+        ]
+        (verdict,), (plan,) = classify(window)
+        assert plan.indices == (0, 1, 2)
+        assert verdict.merge_safe
+        assert [part for part, _ in verdict.segments] == [(0, 1), (2,)]
 
 
 class TestReductionEpilogue:
@@ -405,6 +485,26 @@ class TestNestPlan:
         assert [s.weight for s in plan.steps] == [0.0, 1.0, 1.0]
         # Mangled names match fuse()'s "<i>.<name>" scheme.
         assert (s0.out, s1.out, s2.out) == ("0.out", "1.out", "2.out")
+
+    def test_a_segment_lowers_under_its_positions_in_the_group(self):
+        # Members 1 and 3 of a four-launch group: names are mangled by
+        # where the launch sits in the fused group.
+        fill = self._task(
+            "fill", pw_fill(), self._req("out", 5, Privilege.WRITE_DISCARD)
+        )
+        mul = self._task(
+            "multiply", pw_binary(),
+            self._req("out", 6, Privilege.WRITE_DISCARD),
+            self._req("a", 5, Privilege.READ),
+        )
+        plan = depend.build_nest_plan(
+            [fill, mul], elide_uids=frozenset({5}), positions=(1, 3),
+        )
+        s0, s1 = plan.steps
+        assert (s0.index, s1.index) == (1, 3)
+        assert (s0.out, s1.out) == ("1.out", "3.out")
+        assert ("var", 1) in s1.program and ("scalar", "3.b") in s1.program
+        assert plan.charged_writes == ("1.out", "3.out")
 
     def test_external_reads_dedup_by_region(self):
         t1 = self._task(

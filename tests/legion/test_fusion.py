@@ -14,6 +14,7 @@ import pytest
 import repro.numeric as rnp
 import repro.sparse as sp
 from repro.legion import (
+    Future,
     Pointwise,
     Privilege,
     Replicate,
@@ -64,12 +65,44 @@ class TestPlanner:
         assert plan.fused
 
     def test_mismatched_boundaries_split(self):
+        # One region named with two boundary sets: shard i of the two
+        # launches touches different rows of it.
         window = [
             summ("a", acc(1, priv=Privilege.WRITE_DISCARD)),
-            summ("b", acc(2, priv=Privilege.WRITE_DISCARD, boundaries=(0, 3, 8))),
+            summ("b", acc(2, priv=Privilege.WRITE_DISCARD, boundaries=(0, 3, 8)),
+                 acc(1, boundaries=(0, 3, 8))),
         ]
         plans = fusion.plan_window(window)
         assert [p.indices for p in plans] == [(0,), (1,)]
+
+    def test_disjoint_regions_align_per_region(self):
+        # Different boundaries over regions the launches do not share:
+        # one group, two segments.
+        other = (0, 3, 8)
+        window = [
+            summ("a", acc(1, priv=Privilege.WRITE_DISCARD)),
+            summ("b", acc(2, priv=Privilege.WRITE_DISCARD, boundaries=other)),
+            summ("c", acc(3, priv=Privilege.WRITE_DISCARD), acc(1)),
+            summ("d", acc(4, priv=Privilege.WRITE_DISCARD, boundaries=other),
+                 acc(2, boundaries=other)),
+        ]
+        (plan,) = fusion.plan_window(window)
+        assert plan.indices == (0, 1, 2, 3)
+        # Segments run in order of first member, members as issued.
+        assert fusion.segments(window, plan.indices) == [(0, 2), (1, 3)]
+        # Elision is per region, so it works inside each segment.
+        ids = fusion.local_ids(window)
+        assert plan.elide == frozenset({ids[1], ids[2]})
+
+    def test_a_launch_of_two_boundary_sets_runs_alone(self):
+        window = [
+            summ("a", acc(1, priv=Privilege.WRITE_DISCARD)),
+            summ("odd", acc(2, priv=Privilege.WRITE_DISCARD),
+                 acc(3, boundaries=(0, 3, 8))),
+            summ("b", acc(4, priv=Privilege.WRITE_DISCARD)),
+        ]
+        plans = fusion.plan_window(window)
+        assert [p.indices for p in plans] == [(0,), (1,), (2,)]
 
     def test_mismatched_colors_split(self):
         window = [
@@ -206,6 +239,15 @@ class TestReductionPlanning:
         assert groups(window) == [(0, 1), (2, 3)]
 
     def test_the_hoist_passes_a_group_it_cannot_join(self):
+        window = [
+            summ("x+=", acc(1, priv=W), acc(3)),
+            summ("y=", acc(7, priv=W), colors=4),
+            summ("sum(x)", acc(1), reduction="sum"),
+            summ("sum(y)", acc(7), reduction="max", colors=4),
+        ]
+        assert groups(window) == [(0, 2), (1, 3)]
+
+    def test_other_boundaries_over_other_regions_share_the_group(self):
         other = (0, 3, 8)
         window = [
             summ("x+=", acc(1, priv=W), acc(3)),
@@ -213,7 +255,8 @@ class TestReductionPlanning:
             summ("sum(x)", acc(1), reduction="sum"),
             summ("sum(y)", acc(7, boundaries=other), reduction="max"),
         ]
-        assert groups(window) == [(0, 2), (1, 3)]
+        assert groups(window) == [(0, 1, 2, 3)]
+        assert fusion.segments(window, (0, 1, 2, 3)) == [(0, 2), (1, 3)]
 
     def test_the_latest_earlier_group_wins(self):
         window = [
@@ -292,9 +335,92 @@ class TestWindowMechanics:
     def test_nonfusible_launch_flushes_first(self, rt):
         A = sp.eye(32, format="csr")
         x = rnp.ones(32)
-        y = A @ x  # image-constrained SpMV: flushes, then runs eagerly
+        y = A @ x  # reads the x the window still owes: flushes, then runs
         assert any("fill" in names for names, _, _ in rt.fusion_log)
+        assert rt.profiler.hazard_flushes == 1
         np.testing.assert_array_equal(y.to_numpy(), np.ones(32))
+
+    def test_independent_launch_passes_the_window(self, rt):
+        A = sp.eye(32, format="csr")
+        x = rnp.array(np.arange(32.0))
+        u = rnp.array(np.ones(16))
+        rt.barrier()
+        snap = rt.profiler.snapshot()
+        v = u * 3.0                 # deferred
+        y = A @ x                   # touches nothing the window does
+        assert [t.name for t in rt._window] == ["multiply"]
+        w = v + 1.0                 # joins the launch the SpMV passed
+        rt.barrier()
+        delta = rt.profiler.since(snap)
+        assert (delta.launches_passed, delta.hazard_flushes) == (1, 0)
+        assert rt.fusion_log[-1][0] == ("multiply", "add")
+        np.testing.assert_array_equal(y.to_numpy(), np.arange(32.0))
+        np.testing.assert_array_equal(w.to_numpy(), np.full(16, 4.0))
+        assert "1 launches passed" in rt.profiler.format_summary()
+
+    def test_a_write_after_a_deferred_read_flushes(self, rt):
+        a = rnp.array(np.arange(16.0))
+        rt.barrier()
+        b = a + 1.0                 # deferred reader of a
+        a[2:5] = 100.0              # non-fusible WRITE into a
+        assert rt._window == [] and rt.profiler.hazard_flushes == 1
+        np.testing.assert_array_equal(b.to_numpy(), np.arange(16.0) + 1.0)
+
+    def test_a_reduce_into_a_deferred_fill_flushes(self, rt):
+        A = sp.eye(16, format="csr")
+        rt.barrier()
+        sums = A.sum(axis=0)        # zero fill (deferred), then a REDUCE
+        assert rt.profiler.hazard_flushes == 1
+        np.testing.assert_array_equal(sums.to_numpy(), np.ones(16))
+
+    def test_a_scalar_the_window_owes_flushes(self, rt):
+        a = rnp.array(np.arange(16.0))
+        b = rnp.array(np.zeros(16))
+        rt.barrier()
+        total = rnp.sum(a)          # pending in the window
+        b[0:4] = total              # non-fusible consumer of the future
+        assert rt._window == [] and rt.profiler.hazard_flushes == 1
+        assert b.to_numpy()[:5].tolist() == [120.0] * 4 + [0.0]
+
+    def test_one_hazard_test_per_launch(self, rt, monkeypatch):
+        """Asked once -- by AutoTask.execute before its solve, or by
+        launch() -- and never for a launch that joins the window."""
+        calls = []
+        real = Runtime.pass_window
+
+        def counted(self, accesses, scalars):
+            calls.append(len(self._window))
+            return real(self, accesses, scalars)
+
+        monkeypatch.setattr(Runtime, "pass_window", counted)
+        flushes = []
+        real_flush = Runtime.flush_window
+
+        def counted_flush(self):
+            flushes.append(len(self._window))
+            return real_flush(self)
+
+        monkeypatch.setattr(Runtime, "flush_window", counted_flush)
+        A = sp.eye(32, format="csr")
+        x = rnp.array(np.arange(32.0))
+        rt.barrier()
+        del calls[:], flushes[:]
+        z = x * 2.0                 # fusible: no test
+        assert calls == []
+        y = A @ z                   # image-constrained: AutoTask asks
+        assert calls == [1] and flushes == [1]
+        region = rt.create_region((8,), np.float64, name="r")
+        task = TaskLaunch(          # hand-built, not fusible: launch() asks
+            "opaque",
+            [Requirement("r", region, Tiling.create(region, 2),
+                         Privilege.WRITE_DISCARD)],
+            kernel=lambda ctx: None,
+        )
+        w = z + 1.0
+        rt.launch(task)
+        assert calls == [1, 1] and flushes == [1]  # passed: no flush
+        np.testing.assert_array_equal(y.to_numpy(), np.arange(32.0) * 2.0)
+        np.testing.assert_array_equal(w.to_numpy(), np.arange(32.0) * 2.0 + 1.0)
 
     def test_store_data_syncs(self, rt):
         a = rnp.ones(16)
@@ -406,6 +532,37 @@ class TestManualFuse:
         assert [r.elide for r in merged.requirements] == [True, False, False, True]
         rt._execute(merged)
         np.testing.assert_array_equal(out.data, 2.0 * data + 1.0)
+
+    def test_segments_run_in_turn_and_partials_keep_issue_order(self, rt):
+        """Two segments, interleaved as issued: each runs on its own
+        (here as a replay), in order of first member; the reductions'
+        partials come back in issue order whatever the run order."""
+        x = rt.create_region((10,), np.float64, data=np.arange(10.0))
+        y = rt.create_region((6,), np.float64, data=np.ones(6))
+        order = []
+
+        def red(name, region, bounds, op):
+            def kernel(ctx):
+                order.append(name)
+                return float(ctx.view("a").sum())
+
+            return TaskLaunch(
+                name,
+                [Requirement("a", region, Tiling(region, bounds), Privilege.READ)],
+                kernel, reduction=op, pointwise=Pointwise((name,)),
+                future=Future.pending(rt),
+            )
+
+        group = [
+            red("sx", x, (0, 5, 10), "sum"),
+            red("sy", y, (0, 2, 6), "sum"),
+            red("mx", x, (0, 5, 10), "max"),
+        ]
+        merged = fusion.fuse(group, parts=[((0, 2), None), ((1,), None)])
+        assert merged.reduction == ("sum", "sum", "max")
+        rt._execute(merged)
+        assert order == ["sx", "mx", "sy"] * 2  # per shard: segment by segment
+        assert [t.future.value for t in group] == [45.0, 6.0, 35.0]
 
     def test_rep_read_requirement_survives_fuse(self, rt):
         inp = rt.create_region((8,), np.float64, data=np.arange(8.0))

@@ -25,6 +25,7 @@ Four properties pin that down:
   the calls per issued launch of a solve a trace replays.
 """
 
+import gc
 import hashlib
 import random
 import sys
@@ -479,6 +480,22 @@ def _lane_map(store: MemoryState, region_uid: int, rect: Rect, itemsize: int):
     return resize_bytes, fresh
 
 
+def _evict_lru(store: MemoryState, need_scaled: float) -> float:
+    """Drop least-recently-used instances until ``need_scaled`` bytes
+    are freed (or nothing is left); returns the scaled bytes freed.
+
+    ``MemoryState.evict_lru`` until the runtime's spill policy stopped
+    calling it (it walks ``lru_instances`` itself, filtering clean from
+    dirty): kept here as the reference pressure relief of the walks.
+    """
+    freed = 0.0
+    for inst in store.lru_instances():
+        if freed >= need_scaled:
+            break
+        freed += store.drop_instance(inst)
+    return freed
+
+
 def _store_state(store: MemoryState):
     return (
         store._use_tick,
@@ -514,12 +531,12 @@ def _store_walk(seed: int) -> None:
             assert got == expect
             if got == "oom":
                 # Pressure relief: which instances go is LRU order.
-                assert new.evict_lru(600.0) == old.evict_lru(600.0)
+                assert _evict_lru(new, 600.0) == _evict_lru(old, 600.0)
         elif roll < 0.9:
             assert new.free_region(region) == old.free_region(region)
         else:
             need = rng.choice([64.0, 512.0])
-            assert new.evict_lru(need) == old.evict_lru(need)
+            assert _evict_lru(new, need) == _evict_lru(old, need)
         assert _store_state(new) == _store_state(old)
 
 
@@ -736,6 +753,82 @@ def test_node_loss_replay_log_matches_unfused_golden(validate):
     )
 
 
+# A matfact training batch is sparse launches with element-wise glue in
+# between: half its non-fusible launches pass the deferred window, so a
+# loss mid-batch finds them in the journal ahead of launches issued
+# before them.
+def _train(loss_at: Optional[float] = None):
+    """Two ``train_batch`` steps on 4 GPUs, the second one measured;
+    with ``loss_at``, a checkpoint between them and GPU 1 lost then."""
+    from repro.apps.matfact import MatrixFactorizationModel
+
+    chaos = None
+    if loss_at is not None:
+        chaos = ChaosConfig(
+            checkpoint_every=10_000, losses=(LossSchedule("gpu", 1, loss_at),)
+        )
+    rt = Runtime(
+        summit(nodes=1).scope(ProcessorKind.GPU, 4),
+        RuntimeConfig.legate(chaos=chaos),
+    )
+    data = np.random.default_rng(5)
+    users, items = data.integers(0, 300, 4_000), data.integers(0, 200, 4_000)
+    ratings = data.uniform(1.0, 5.0, 4_000)
+    journals = []
+    replay = rt._replay_journal
+
+    def spy(journal):
+        journals.append([task.name for task in journal])
+        return replay(journal)
+
+    rt._replay_journal = spy
+    with runtime_scope(rt):
+        model = MatrixFactorizationModel(300, 200, k=8, mu=3.0, seed=1)
+        model.train_batch(users[:2_000], items[:2_000], ratings[:2_000])
+        rt.barrier()
+        if chaos is not None:
+            rt.checkpoint()  # the journal starts with the batch
+        start = rt.barrier()
+        before = rt.profiler.snapshot()
+        model.train_batch(users[2_000:], items[2_000:], ratings[2_000:])
+        end = rt.barrier()
+        delta = rt.profiler.since(before)
+        bits = [
+            a.to_numpy().tobytes()
+            for a in (model.U, model.V, model.bu, model.bi)
+        ]
+    return bits, (start, end), delta, journals
+
+
+def test_warm_train_batch_launch_count():
+    """13 launches where there were 18: the second gather passes the
+    window its first ``add`` sits in, so the four-op prediction chain
+    fuses whole; the U, V and b_u updates share one launch, which the
+    row sums pass; b_i's update shares the loss norm's."""
+    _, _, delta, _ = _train()
+    assert delta.tasks_launched <= 13
+    # Flushed by the SDDMM and the two SpMMs (each reads or reduces
+    # into what the window owes); the column sums find it empty, the
+    # sixteenth launch having filled it.
+    assert (delta.launches_passed, delta.hazard_flushes) == (2, 3)
+
+
+def test_gpu_loss_mid_batch_replays_passed_launches():
+    fault_free, _, _, _ = _train()
+    _, (start, end), _, none = _train(loss_at=1e9)
+    assert none == []
+    recovered, _, delta, (journal,) = _train(start + 0.55 * (end - start))
+    assert delta.faults_injected["gpu-loss"] == 1
+    assert delta.tasks_reexecuted == len(journal) > 0
+    # Execution order: the second gather ran -- and was journaled --
+    # ahead of the ``add`` issued before it, which was still deferred.
+    assert journal.count("gather_rows") == 2
+    second = len(journal) - 1 - journal[::-1].index("gather_rows")
+    assert any(name.startswith("fused{4}:add+add+add") for name in journal[second:])
+    assert delta.launches_passed >= 1
+    assert recovered == fault_free
+
+
 # ----------------------------------------------------------------------
 # Host-cost budget (deterministic: a count of calls, no clock)
 # ----------------------------------------------------------------------
@@ -797,12 +890,18 @@ def _calls_per_shard(gpus: int) -> float:
         sp.linalg.cg(A, b, rtol=0.0, maxiter=1)  # warm-up
         rt.barrier()
         shards = rt.profiler.shards_executed
+        # A cyclic collection inside the measured iteration would run
+        # the finalizers of whatever earlier tests left behind -- and
+        # count them.
+        gc.collect()
+        gc.disable()
         sys.setprofile(count)
         try:
             sp.linalg.cg(A, b, rtol=0.0, maxiter=1)
             rt.barrier()
         finally:
             sys.setprofile(None)
+            gc.enable()
         shards = rt.profiler.shards_executed - shards
     assert shards == 7 * gpus
     return calls[0] / (ISSUED_PER_CG_CALL * gpus)

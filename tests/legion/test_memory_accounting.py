@@ -5,6 +5,8 @@ from repro.legion.instance import InstanceManager, MemoryState
 from repro.machine import Machine, ProcessorKind
 from repro.machine.model import MachineConfig
 
+from tests.legion.test_mapping_lane import _evict_lru
+
 
 def _fb_memory(fb_mb: float = 1.0):
     machine = Machine(
@@ -111,7 +113,7 @@ class TestEviction:
         st.ensure(0, rect(1_000), 8)
         st.ensure(1, rect(1_000), 8)
         st.ensure(2, rect(1_000), 8)
-        freed = st.evict_lru(10_000)
+        freed = _evict_lru(st, 10_000)
         assert freed == 16_000  # two oldest instances
         assert set(st.instances) == {2}
 
