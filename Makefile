@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test validate check lint advise autoformat bench-e2e \
+.PHONY: test validate check lint advise bench-e2e \
 	bench-smoke bench-pairs profile kernel-fusion overhead
 
 test:
@@ -23,12 +23,6 @@ check:
 # and modeled time on a 4-node summit, no kernels executed.
 advise:
 	python -m repro.analysis advise examples/advisor_demo.py --machine summit:4
-
-# Static auto-format pass on the skew-SpMV demo: ranked ELL / SELL-C-sigma
-# / HYB recommendations per operand plus the format lint battery
-# (unamortized conversions are errors under --autoformat).
-autoformat:
-	python -m repro.analysis advise examples/format_advisor_demo.py --autoformat
 
 # Kernel-fusion demo: runs a CG solve with the fusion window (merged
 # loop nests) and with fusion=False (bitwise-identical by construction)

@@ -95,16 +95,6 @@ report = json.loads(out[out.index("{"):])
 assert report["modeled_elapsed_seconds"] > 0, "no modeled elapsed time"
 assert report["fusion_groups"], "empty fusion_groups"
 '
-# The auto-format pass must recommend a non-CSR format for the skewed
-# demo (and exit zero: its conversions amortize over the demo's loop).
-# Captured, not piped — a python failure must fail the gate, not vanish
-# behind grep's exit status.
-format_out=$(python -m repro.analysis advise examples/format_advisor_demo.py \
-    --autoformat)
-printf '%s\n' "$format_out" | grep -q "recommended" || {
-    echo "auto-format advisor produced no recommendation" >&2
-    exit 1
-}
 # The seeded-violations program must make the advisor exit non-zero.
 if python -m repro.analysis advise examples/advisor_violations.py \
     --data-scale 4e4 > /dev/null 2>&1; then

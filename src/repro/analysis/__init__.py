@@ -29,16 +29,6 @@ rule and are imported eagerly.
 
 from repro.analysis.checker import Violation, check_log
 from repro.analysis.costmodel import KernelModel, for_task_name, get_model
-from repro.analysis.formatsel import (
-    FormatAdvice,
-    FormatCandidate,
-    FormatDecision,
-    FormatProfile,
-    advise_formats,
-    profile_matrix,
-    select_format,
-    sell_layout,
-)
 from repro.analysis.events import (
     AllreduceEvent,
     CheckpointEvent,
@@ -99,10 +89,6 @@ __all__ = [
     "FaultEvent",
     "Finding",
     "FoldEvent",
-    "FormatAdvice",
-    "FormatCandidate",
-    "FormatDecision",
-    "FormatProfile",
     "KernelModel",
     "LintIssue",
     "PlanGroup",
@@ -116,7 +102,6 @@ __all__ = [
     "Violation",
     "active_logs",
     "advise",
-    "advise_formats",
     "advisor",
     "analyze",
     "check_log",
@@ -127,10 +112,7 @@ __all__ = [
     "lint_kernel_spec",
     "lint_schedule",
     "lint_statement",
-    "profile_matrix",
     "register",
-    "select_format",
-    "sell_layout",
     "set_validation_default",
     "trace",
     "validation_default",

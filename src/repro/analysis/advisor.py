@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.events import CopyEvent, EventLog
-from repro.analysis.formatsel import FormatAdvice, advise_formats
 from repro.analysis.plan import PlanGroup, PlanTrace
 from repro.legion.exceptions import OutOfMemoryError
 from repro.legion.privilege import Privilege
@@ -95,14 +94,6 @@ class AdvisorConfig:
     pressure_warn_fraction: float = 0.85
     # Keep at most this many findings per rule (volume guard).
     max_findings_per_rule: int = 16
-    # Auto-format pass (repro.analysis.formatsel): walk the plan's SpMV
-    # launches, replay ELL / SELL-C-sigma / HYB candidates through the
-    # machine model, and report ranked per-operand recommendations plus
-    # the format lint battery.  Off by default; ``advise --autoformat``
-    # turns it on.  With the pass enabled, an unamortized conversion is
-    # an *error* — the flag asks "should this plan convert its
-    # operands?", and the answer must gate CI.
-    autoformat: bool = False
 
 
 @dataclass(frozen=True)
@@ -182,9 +173,6 @@ class Advice:
     # those that flushed it because they depend on a member.
     launches_passed: int = 0
     hazard_flushes: int = 0
-    # Ranked per-operand format recommendations from the static
-    # auto-format pass (empty unless AdvisorConfig.autoformat is on).
-    format_advice: List[FormatAdvice] = field(default_factory=list)
     # Process-wide codegen reuse counters
     # (:func:`repro.distal.codegen.compile_cache_stats`), reported next
     # to the runtime's fast-path cache counters so a profile/advise
@@ -243,7 +231,6 @@ class Advice:
             ],
             "launches_passed": self.launches_passed,
             "hazard_flushes": self.hazard_flushes,
-            "format_advice": [fa.to_dict() for fa in self.format_advice],
             "caches": self.caches,
             "errors": len(self.errors),
             "warnings": len(self.warnings),
@@ -321,33 +308,6 @@ class Advice:
                 f"launch(es) passed it, {self.hazard_flushes} flushed it "
                 f"on a hazard"
             )
-            lines.append("")
-        if self.format_advice:
-            lines.append("format advice (static auto-format pass):")
-            for fa in self.format_advice:
-                lines.append(
-                    f"  {fa.operand} ({fa.current_fmt}, "
-                    f"{fa.rows}x{fa.cols}, nnz {fa.nnz}, row mean "
-                    f"{fa.row_mean:.1f} / max {fa.row_max}) over "
-                    f"{fa.ops_observed} SpMV launch(es):"
-                )
-                for cand in fa.decision.candidates:
-                    tags = []
-                    if cand.fmt == fa.recommended_fmt:
-                        tags.append("<- recommended")
-                    if cand.fmt == fa.current_fmt:
-                        tags.append("(current)")
-                    if not cand.bitwise_safe:
-                        tags.append("(not bitwise-safe)")
-                    be = (
-                        f"break-even {cand.break_even_ops:g} ops"
-                        if cand.fmt != fa.current_fmt
-                        else ""
-                    )
-                    lines.append(
-                        f"    {cand.fmt:5s} {cand.op_seconds:.3e}s/op  "
-                        f"{be:22s} {' '.join(tags)}".rstrip()
-                    )
             lines.append("")
         if self.findings:
             lines.append("findings:")
@@ -908,17 +868,6 @@ def analyze(
     _lint_kernel_merge(report)
     _lint_resilience(report)
 
-    format_advice: List[FormatAdvice] = []
-    if options.autoformat:
-        # The pass answers "should this plan convert its operands?" —
-        # so unamortized conversions escalate to errors (autoformat_on)
-        # and gate the CLI exit code.
-        format_advice, format_lints = advise_formats(
-            plan, scope, config, autoformat_on=True
-        )
-        for severity, rule, message in format_lints:
-            report._finding(severity, rule, message)
-
     machine = scope.machine
     severity_rank = {"error": 0, "warning": 1, "note": 2}
     findings = sorted(
@@ -949,7 +898,6 @@ def analyze(
         fusion_groups=list(runtime.fusion_log),
         launches_passed=runtime.profiler.launches_passed,
         hazard_flushes=runtime.profiler.hazard_flushes,
-        format_advice=format_advice,
         caches={"compile": _compile_cache_stats()},
     )
 

@@ -84,13 +84,6 @@ def build_advise_parser() -> argparse.ArgumentParser:
         "(trace at reduced size, analyze at paper scale)",
     )
     parser.add_argument(
-        "--autoformat", action="store_true",
-        help="run the static auto-format pass: rank ELL/SELL-C-sigma/HYB "
-        "against the current format for every SpMV operand and lint for "
-        "skew, padding waste and unamortized conversions (unamortized "
-        "conversions are errors under this flag)",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
     parser.add_argument(
@@ -208,7 +201,6 @@ def _advise_main(argv: List[str]) -> int:
     # Imported here, not at module top: the advisor sits above the
     # runtime layers (see repro.analysis.__init__ on the cycle rule).
     from repro.analysis.advisor import (
-        AdvisorConfig,
         analyze,
         dry_run,
         parse_machine,
@@ -250,7 +242,7 @@ def _advise_main(argv: List[str]) -> int:
     finally:
         sys.argv = saved_argv
 
-    advice = analyze(plan, options=AdvisorConfig(autoformat=args.autoformat))
+    advice = analyze(plan)
     if args.json:
         print(json.dumps(advice.to_dict(), indent=2))
     else:

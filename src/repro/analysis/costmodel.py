@@ -50,124 +50,6 @@ class KernelModel:
         }
 
 
-# ----------------------------------------------------------------------
-# Shared per-(op, format) shard cost formulas.
-#
-# These are the single source of truth for SpMV roofline costs in the
-# row-length-sensitive formats: the DISTAL-generated kernel cost
-# functions (repro.distal.codegen) and the static format selector
-# (repro.analysis.formatsel) both call them, so predicted and charged
-# costs agree exactly.  The *processor* enters through
-# ``Processor.kernel_time(flops, bytes)``; these functions only count
-# work and traffic.  ``cf`` is the complex-arithmetic flop factor.
-#
-# Index-width asymmetry: Legate's global CSR keeps 64-bit coordinates
-# (the matrix is one global region, so indices must span it) and pays
-# the paper's §3 reshape penalty before external local libraries accept
-# its pieces.  The row-length-sensitive formats below are *local*
-# layouts, produced per row tile by the auto-format conversion, so
-# their column indices and per-row metadata fit 32 bits — the classic
-# ELLPACK/SELL-C-sigma implementation choice.  That 4-byte index is
-# where their modeled bandwidth win comes from.
-# ----------------------------------------------------------------------
-
-#: Bytes per column index / metadata word in the local (post-partition)
-#: formats: ell, sell, hyb.  Global CSR/COO coordinates stay 8 bytes.
-LOCAL_INDEX_BYTES = 4.0
-
-
-def csr_spmv_shard_cost(rows, nnz, isz, reshape_penalty=False, cf=1.0):
-    """CSR row-split SpMV: vals+crd per nonzero, pos per row, x gather.
-
-    Matches the generated ``csr:y(i)=A(i,j)*x(j)`` template, including
-    the paper's §3 local-reshape penalty (8 bytes/row) that Legate pays
-    before handing its global-format pieces to cuSPARSE/MKL.
-    """
-    flops = 2.0 * nnz * cf
-    nbytes = nnz * (8.0 + 2.0 * isz) + rows * (16.0 + isz)
-    if reshape_penalty:
-        nbytes += rows * 8.0
-    return flops, nbytes
-
-
-def ell_spmv_shard_cost(rows, nnz, padded, isz, cf=1.0):
-    """ELL SpMV: every padded lane is touched (32-bit col + value), the
-    x gather is bounded by real nonzeros, plus one row length per row."""
-    idx = LOCAL_INDEX_BYTES
-    flops = 2.0 * padded * cf
-    nbytes = padded * (idx + isz) + nnz * isz + rows * (idx + isz)
-    return flops, nbytes
-
-
-def sell_spmv_shard_cost(rows, nnz, padded, slices, isz, cf=1.0):
-    """SELL-C-sigma SpMV: padded slice entries (32-bit cols), per-slice
-    descriptors (16 bytes), and per-slot permutation/length words."""
-    idx = LOCAL_INDEX_BYTES
-    flops = 2.0 * padded * cf
-    nbytes = (
-        padded * (idx + isz) + nnz * isz + slices * 16.0
-        + rows * (2.0 * idx + isz)
-    )
-    return flops, nbytes
-
-
-def hyb_spmv_shard_cost(rows, nnz, ell_padded, spill, isz, cf=1.0):
-    """HYB SpMV: padded ELL part plus local-index spill ranges."""
-    idx = LOCAL_INDEX_BYTES
-    flops = 2.0 * (ell_padded + spill) * cf
-    nbytes = (
-        ell_padded * (idx + isz) + spill * (idx + isz) + nnz * isz
-        + rows * (3.0 * idx + isz)
-    )
-    return flops, nbytes
-
-
-def coo_spmv_shard_cost(rows, nnz, isz, cf=1.0):
-    """COO nnz-split scatter-add SpMV (read-modify-write on y)."""
-    return 2.0 * nnz * cf, nnz * (16.0 + 4.0 * isz)
-
-
-def spmv_shard_cost(fmt, shard, isz, reshape_penalty=False, cf=1.0):
-    """Dispatch an SpMV shard cost by format name.
-
-    ``shard`` is a mapping with the row-length statistics the format
-    needs: ``rows``/``nnz`` always; ``padded`` for ell and sell,
-    ``slices`` for sell, ``ell_padded``/``spill`` for hyb.
-    """
-    rows, nnz = shard["rows"], shard["nnz"]
-    if fmt == "csr":
-        return csr_spmv_shard_cost(rows, nnz, isz, reshape_penalty, cf)
-    if fmt == "ell":
-        return ell_spmv_shard_cost(rows, nnz, shard["padded"], isz, cf)
-    if fmt == "sell":
-        return sell_spmv_shard_cost(
-            rows, nnz, shard["padded"], shard["slices"], isz, cf
-        )
-    if fmt == "hyb":
-        return hyb_spmv_shard_cost(
-            rows, nnz, shard["ell_padded"], shard["spill"], isz, cf
-        )
-    if fmt == "coo":
-        return coo_spmv_shard_cost(rows, nnz, isz, cf)
-    raise KeyError(f"no SpMV shard cost for format {fmt!r}")
-
-
-def convert_from_csr_cost(rows, nnz, out_entries, isz):
-    """Cost of repacking a CSR shard into another format.
-
-    Reads the CSR triple (pos/crd/vals), writes ``out_entries`` stored
-    lanes in the target local layout (padded entries for ELL and
-    SELL-C-sigma, ELL part plus spill for HYB) at the compact
-    32-bit index width.
-    """
-    flops = 1.0 * nnz
-    nbytes = (
-        nnz * (8.0 + isz) + rows * 16.0
-        + out_entries * (LOCAL_INDEX_BYTES + isz)
-    )
-    return flops, nbytes
-
-
 def _spmv_bytes(rows, cols, nnz, k, isz):
     # vals + crd per nonzero, pos per row, x gather bound, y write.
     return nnz * (isz + 8) + rows * (16 + isz) + cols * isz
@@ -254,29 +136,6 @@ _MODELS = [
         # Block indices amortize over R*C entries; bound with the
         # scalar-entry count.
         bytes=lambda r, c, n, k, isz: n * isz + n + (r + c) * isz,
-        out_nnz=lambda r, c, n, k: r,
-    ),
-    KernelModel(
-        "ell_matvec", "y(i)=A(i,j)*x(j)", "ell",
-        # nnz here = stored (padded) lanes, rows x max row length;
-        # indices are 32-bit local-layout words (LOCAL_INDEX_BYTES).
-        flops=lambda r, c, n, k: 2.0 * n,
-        bytes=lambda r, c, n, k, isz: n * (isz + 4) + r * (4 + isz) + c * isz,
-        out_nnz=lambda r, c, n, k: r,
-    ),
-    KernelModel(
-        "sell_matvec", "y(i)=A(i,j)*x(j)", "sell",
-        # nnz here = packed slice entries (each slice padded to its own
-        # widest row); slice descriptors fold into a per-row constant.
-        flops=lambda r, c, n, k: 2.0 * n,
-        bytes=lambda r, c, n, k, isz: n * (isz + 4) + r * (8 + isz) + c * isz,
-        out_nnz=lambda r, c, n, k: r,
-    ),
-    KernelModel(
-        "hyb_matvec", "y(i)=A(i,j)*x(j)", "hyb",
-        # nnz here = ELL-part lanes plus spill entries.
-        flops=lambda r, c, n, k: 2.0 * n,
-        bytes=lambda r, c, n, k, isz: n * (isz + 4) + r * (12 + isz) + c * isz,
         out_nnz=lambda r, c, n, k: r,
     ),
 ]

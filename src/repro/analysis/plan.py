@@ -20,9 +20,7 @@ What those do not keep, the trace records as the run goes:
 * one :class:`PlanGroup` per fused group the window flushes, with the
   dependence pass's verdict for the kernel-merge lints;
 * library annotations (:class:`PlanNote`: "this op densified", "this op
-  converted formats");
-* the row lengths of every SpMV operand, once per structure region,
-  for the auto-format pass.
+  converted formats").
 
 None of these holds a ``Store`` or a ``Region``, so a traced program
 frees its temporaries exactly as an untraced one does.
@@ -39,10 +37,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.analysis.events import EventLog
-from repro.analysis.formatsel import rowlen_source
 
 _PARTITION_LABELS = {
     "Replicate": "replicate",
@@ -144,8 +139,6 @@ class PlanTrace:
         self.ops: List[PlanOp] = []
         self.groups: List[PlanGroup] = []
         self.notes: List[PlanNote] = []
-        # Structure-region uid -> per-row lengths of an SpMV operand.
-        self.row_lengths: Dict[int, np.ndarray] = {}
         # The dry run itself (bind()).
         self.runtime = None
         # What the traced program returned, or the OutOfMemoryError
@@ -183,17 +176,6 @@ class PlanTrace:
     def record_launch(self, task) -> None:
         """Record a launch as ``Runtime.launch`` receives it."""
         self.ops.append(PlanOp(task))
-        source = rowlen_source(task.name)
-        if source is None:
-            return
-        _fmt, meta_name, reduce_fn = source
-        for req in task.requirements:
-            uid = req.region.uid
-            if req.name == meta_name and uid not in self.row_lengths:
-                # A copy: the trace must not pin the region's array.
-                self.row_lengths[uid] = np.array(
-                    reduce_fn(req.region.data), dtype=np.int64
-                )
 
     def record_group(self, group, tasks) -> None:
         """Record a fused group as ``Runtime._flush`` executes it."""

@@ -13,7 +13,6 @@ of the other's implementation.
 
 from repro.constraints.store import Store
 from repro.constraints.constraint import Align, Broadcast, Explicit, Image, ImageKind
-from repro.constraints.formats import SPMV_CONSTRAINTS, explicit_stores, spmv_constraints
 from repro.constraints.task import AutoTask
 from repro.constraints.solver import ConstraintError, solve_partitions
 
@@ -25,9 +24,6 @@ __all__ = [
     "Explicit",
     "Image",
     "ImageKind",
-    "SPMV_CONSTRAINTS",
     "Store",
-    "explicit_stores",
     "solve_partitions",
-    "spmv_constraints",
 ]

@@ -17,9 +17,6 @@ from repro.core.coo import coo_array, coo_matrix
 from repro.core.csc import csc_array, csc_matrix
 from repro.core.csr import csr_array, csr_matrix
 from repro.core.dia import dia_array, dia_matrix
-from repro.core.ell import ell_array, ell_matrix
-from repro.core.hyb import hyb_array, hyb_matrix
-from repro.core.sell import sell_array, sell_matrix
 from repro.core.construct import (
     diags,
     eye,
@@ -56,13 +53,9 @@ __all__ = [
     "dia_matrix",
     "diags",
     "count_nonzero",
-    "ell_array",
-    "ell_matrix",
     "eye",
     "find",
     "hstack",
-    "hyb_array",
-    "hyb_matrix",
     "identity",
     "issparse",
     "kron",
@@ -71,8 +64,6 @@ __all__ = [
     "rand",
     "random",
     "save_npz",
-    "sell_array",
-    "sell_matrix",
     "setdiag",
     "spdiags",
     "spmatrix",

@@ -112,22 +112,18 @@ class spmatrix:
         """Convert to DIA (through COO)."""
         return self.tocoo().todia()
 
-    def toell(self):
-        """Convert to ELL (through CSR)."""
-        return self.tocsr().toell()
+    def tobsr(self):
+        """Convert to BSR (through CSR)."""
+        from repro.core.bsr import bsr_matrix
 
-    def tosell(self, c: Optional[int] = None, sigma: Optional[int] = None):
-        """Convert to SELL-C-sigma (through CSR)."""
-        return self.tocsr().tosell(c=c, sigma=sigma)
+        return bsr_matrix(self)
 
-    def tohyb(self, quantile: Optional[float] = None):
-        """Convert to HYB (through CSR)."""
-        return self.tocsr().tohyb(quantile=quantile)
-
-    def asformat(self, fmt: str):
-        """Convert to the named format (no-op if already)."""
-        if fmt == self.format:
+    def asformat(self, fmt: Optional[str]):
+        """Convert to the named format (no-op if already or ``None``)."""
+        if fmt is None or fmt == self.format:
             return self
+        if fmt not in ("csr", "csc", "coo", "dia", "bsr"):
+            raise ValueError(f"Format {fmt!r} is unknown.")
         return getattr(self, f"to{fmt}")()
 
     def toarray(self) -> np.ndarray:

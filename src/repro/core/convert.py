@@ -11,7 +11,7 @@ a new ``pos`` array, and a *numeric* pass fills the output ``crd`` and
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -442,491 +442,6 @@ def csr_to_csc(A):
         task.add_broadcast(store)
     task.execute()
     return csc_matrix._from_stores(out_pos, out_crd, out_vals, (n, m))
-
-
-# ----------------------------------------------------------------------
-# Row-length-sensitive formats (ELL / SELL-C-sigma / HYB)
-#
-# Layout decisions (widths, sigma-window permutations, spill splits) are
-# computed host-side from ``pos`` — reading ``Store.data`` synchronizes
-# the deferred window first — then a row-distributed task repacks the
-# entries.  Every helper is explicitly robust to empty rows: widths are
-# floored at one lane so no (n, 0) store is ever created, the HYB
-# quantile guards a zero-nnz matrix, and zero-length packed SELL slices
-# are legal, so an all-empty-rows matrix round-trips losslessly
-# (tests/core/test_empty_rows.py).
-# ----------------------------------------------------------------------
-
-
-def _row_lengths_host(A) -> np.ndarray:
-    """Per-row nonzero counts of a CSR matrix (host-side, synced)."""
-    pos_host = A.pos.data
-    return (pos_host[:, 1] - pos_host[:, 0]).astype(np.int64)
-
-
-def _pos_store_from_lengths(rl: np.ndarray, rt) -> Tuple[Store, int]:
-    """Host-built CSR ``pos`` store from per-row lengths."""
-    n = rl.shape[0]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(rl, out=indptr[1:])
-    pos_host = np.column_stack([indptr[:-1], indptr[1:]])
-    pos = Store.create((n, 2), np.int64, data=pos_host, runtime=rt, name="pos")
-    return pos, int(indptr[-1])
-
-
-def csr_to_ell(A):
-    """CSR -> ELL: pad every row to the global maximum length."""
-    from repro.analysis.costmodel import convert_from_csr_cost
-    from repro.core.ell import ell_matrix
-
-    rt = A.runtime
-    n, _m = A.shape
-    rl = _row_lengths_host(A)
-    width = max(1, int(rl.max()) if n else 1)
-    isz = A.dtype.itemsize
-    rowlen = Store.create((n,), np.int64, data=rl, runtime=rt, name="rowlen")
-    data = Store.create((n, width), A.dtype, runtime=rt, name="data")
-    cols = Store.create((n, width), np.int64, runtime=rt, name="cols")
-
-    def kernel(ctx):
-        rlo, rhi = _shard_rows(ctx, "pos")
-        if rhi <= rlo:
-            return
-        pos = ctx.arrays["pos"]
-        counts = pos[rlo:rhi, 1] - pos[rlo:rhi, 0]
-        d = ctx.arrays["data"]
-        c = ctx.arrays["cols"]
-        d[rlo:rhi] = 0
-        c[rlo:rhi] = 0
-        total = int(counts.sum())
-        if total == 0:
-            return
-        idx = _concat_ranges(pos[rlo:rhi, 0], counts)
-        rows = np.repeat(np.arange(rlo, rhi, dtype=np.int64), counts)
-        lanes = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(np.cumsum(counts) - counts, counts)
-        )
-        d[rows, lanes] = ctx.arrays["vals"][idx]
-        c[rows, lanes] = ctx.arrays["crd"][idx]
-
-    def cost(ctx):
-        rows = ctx.rect("pos").volume() // 2
-        nnz = ctx.rect("crd").volume()
-        return convert_from_csr_cost(rows, nnz, rows * width, isz)
-
-    task = AutoTask(rt, "csr_to_ell", kernel, cost)
-    task.add_output("data", data)
-    task.add_output("cols", cols)
-    task.add_input("pos", A.pos)
-    task.add_input("crd", A.crd)
-    task.add_input("vals", A.vals)
-    task.add_alignment_constraint(data, A.pos)
-    task.add_alignment_constraint(cols, A.pos)
-    task.add_image_constraint(A.pos, [A.crd, A.vals], kind="range")
-    task.execute()
-    return ell_matrix._from_stores(data, cols, rowlen, A.shape)
-
-
-def ell_to_csr(B):
-    """ELL -> CSR: drop the padding, keeping lane (column) order."""
-    from repro.analysis.costmodel import convert_from_csr_cost
-    from repro.core.csr import csr_matrix
-
-    rt = B.runtime
-    rl = B.rowlen_store.data.astype(np.int64)
-    out_pos, nnz = _pos_store_from_lengths(rl, rt)
-    out_crd = Store.create((nnz,), np.int64, runtime=rt, name="crd")
-    out_vals = Store.create((nnz,), B.dtype, runtime=rt, name="vals")
-    isz = B.dtype.itemsize
-
-    def kernel(ctx):
-        rlo, rhi = _shard_rows(ctx, "Opos")
-        if rhi <= rlo:
-            return
-        counts = ctx.arrays["rowlen"][rlo:rhi]
-        total = int(counts.sum())
-        if total == 0:
-            return
-        d = ctx.arrays["data"][rlo:rhi]
-        c = ctx.arrays["cols"][rlo:rhi]
-        mask = np.arange(d.shape[1])[None, :] < counts[:, None]
-        olo = int(ctx.arrays["Opos"][rlo, 0])
-        ctx.arrays["Ocrd"][olo:olo + total] = c[mask]
-        ctx.arrays["Ovals"][olo:olo + total] = d[mask]
-
-    def cost(ctx):
-        rows = ctx.rect("Opos").volume() // 2
-        padded = ctx.rect("data").volume()
-        nnz_s = ctx.rect("Ocrd").volume()
-        return convert_from_csr_cost(rows, nnz_s, padded, isz)
-
-    task = AutoTask(rt, "ell_to_csr", kernel, cost)
-    task.add_input("data", B.data_store)
-    task.add_input("cols", B.cols_store)
-    task.add_input("rowlen", B.rowlen_store)
-    task.add_input("Opos", out_pos)
-    task.add_output("Ocrd", out_crd)
-    task.add_output("Ovals", out_vals)
-    task.add_alignment_constraint(B.data_store, out_pos)
-    task.add_alignment_constraint(B.cols_store, out_pos)
-    task.add_alignment_constraint(B.rowlen_store, out_pos)
-    task.add_image_constraint(out_pos, [out_crd, out_vals], kind="range")
-    task.execute()
-    return csr_matrix._from_stores(out_pos, out_crd, out_vals, B.shape)
-
-
-def _sell_row_partitions(rt, layout, stores):
-    """Explicit per-tile partitions for SELL row-slot stores."""
-    from repro.geometry import Rect
-    from repro.legion.partition import ExplicitPartition
-
-    spans = [
-        (layout.boundaries[t], layout.boundaries[t + 1])
-        for t in range(len(layout.boundaries) - 1)
-    ]
-    parts = {}
-    for s in stores:
-        if len(s.region.shape) == 2:
-            width = s.region.shape[1]
-            rects = [Rect((lo, 0), (hi, width)) for lo, hi in spans]
-        else:
-            rects = [Rect((lo,), (hi,)) for lo, hi in spans]
-        parts[s.region.uid] = ExplicitPartition(s.region, rects)
-    return parts
-
-
-def _sell_pack_partitions(rt, layout, stores):
-    """Explicit per-tile partitions for SELL packed-lane stores."""
-    from repro.geometry import Rect
-    from repro.legion.partition import ExplicitPartition
-
-    rects = [Rect((lo,), (hi,)) for lo, hi in layout.tile_ranges]
-    return {s.region.uid: ExplicitPartition(s.region, list(rects)) for s in stores}
-
-
-def csr_to_sell(A, c: Optional[int] = None, sigma: Optional[int] = None):
-    """CSR -> SELL-C-sigma, with sigma windows clipped to row tiles."""
-    from repro.analysis.costmodel import convert_from_csr_cost
-    from repro.analysis.formatsel import (
-        DEFAULT_SELL_C, DEFAULT_SELL_SIGMA, sell_layout,
-    )
-    from repro.core.sell import sell_matrix
-    from repro.legion.partition import Tiling
-
-    rt = A.runtime
-    n, _m = A.shape
-    c = int(c) if c else DEFAULT_SELL_C
-    sigma = int(sigma) if sigma else DEFAULT_SELL_SIGMA
-    rl = _row_lengths_host(A)
-    boundaries = Tiling.create_boundaries(n, rt.num_procs)
-    layout = sell_layout(rl, boundaries, c, sigma)
-    isz = A.dtype.itemsize
-
-    perm = Store.create((n,), np.int64, data=layout.perm, runtime=rt, name="perm")
-    rowlen = Store.create(
-        (n,), np.int64, data=layout.rowlen, runtime=rt, name="rowlen"
-    )
-    start = Store.create(
-        (n,), np.int64, data=layout.start, runtime=rt, name="start"
-    )
-    stride = Store.create(
-        (n,), np.int64, data=layout.stride, runtime=rt, name="stride"
-    )
-    data = Store.create((layout.total,), A.dtype, runtime=rt, name="data")
-    cols = Store.create((layout.total,), np.int64, runtime=rt, name="cols")
-
-    def kernel(ctx):
-        pr = ctx.rect("perm")
-        rlo, rhi = pr.lo[0], pr.hi[0]
-        dr = ctx.rect("data")
-        plo, phi = dr.lo[0], dr.hi[0]
-        d = ctx.arrays["data"]
-        cc = ctx.arrays["cols"]
-        d[plo:phi] = 0
-        cc[plo:phi] = 0
-        if rhi <= rlo:
-            return
-        p = ctx.arrays["perm"][rlo:rhi]
-        rlen = ctx.arrays["rowlen"][rlo:rhi]
-        st = ctx.arrays["start"][rlo:rhi]
-        sd = ctx.arrays["stride"][rlo:rhi]
-        total = int(rlen.sum())
-        if total == 0:
-            return
-        k_within = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(np.cumsum(rlen) - rlen, rlen)
-        )
-        dst = np.repeat(st, rlen) + k_within * np.repeat(sd, rlen)
-        src = np.repeat(ctx.arrays["pos"][p, 0], rlen) + k_within
-        d[dst] = ctx.arrays["vals"][src]
-        cc[dst] = ctx.arrays["crd"][src]
-
-    def cost(ctx):
-        rows = ctx.rect("perm").volume()
-        nnz_s = ctx.rect("crd").volume()
-        padded = ctx.rect("data").volume()
-        return convert_from_csr_cost(rows, nnz_s, padded, isz)
-
-    task = AutoTask(rt, "csr_to_sell", kernel, cost)
-    task.add_output("data", data)
-    task.add_output("cols", cols)
-    task.add_input("pos", A.pos)
-    task.add_input("crd", A.crd)
-    task.add_input("vals", A.vals)
-    task.add_input("perm", perm)
-    task.add_input("rowlen", rowlen)
-    task.add_input("start", start)
-    task.add_input("stride", stride)
-    row_parts = _sell_row_partitions(rt, layout, [perm, rowlen, start, stride, A.pos])
-    pack_parts = _sell_pack_partitions(rt, layout, [data, cols])
-    for store in (perm, rowlen, start, stride, A.pos):
-        task.add_explicit_partition(store, row_parts[store.region.uid])
-    for store in (data, cols):
-        task.add_explicit_partition(store, pack_parts[store.region.uid])
-    task.add_image_constraint(A.pos, [A.crd, A.vals], kind="range")
-    task.execute()
-    return sell_matrix._from_stores(
-        data, cols, perm, rowlen, start, stride, A.shape,
-        c=c, sigma=sigma, layout=layout,
-    )
-
-
-def sell_to_csr(B):
-    """SELL-C-sigma -> CSR: undo the slot permutation and padding."""
-    from repro.analysis.costmodel import convert_from_csr_cost
-    from repro.core.csr import csr_matrix
-
-    rt = B.runtime
-    n, _m = B.shape
-    layout = B.layout
-    rl_slot = B.rowlen_store.data.astype(np.int64)
-    perm_host = B.perm_store.data.astype(np.int64)
-    rl = np.empty(n, dtype=np.int64)
-    rl[perm_host] = rl_slot
-    out_pos, nnz = _pos_store_from_lengths(rl, rt)
-    out_crd = Store.create((nnz,), np.int64, runtime=rt, name="crd")
-    out_vals = Store.create((nnz,), B.dtype, runtime=rt, name="vals")
-    isz = B.dtype.itemsize
-
-    def kernel(ctx):
-        pr = ctx.rect("perm")
-        rlo, rhi = pr.lo[0], pr.hi[0]
-        if rhi <= rlo:
-            return
-        order = np.argsort(ctx.arrays["perm"][rlo:rhi], kind="stable")
-        rlen = ctx.arrays["rowlen"][rlo:rhi][order]
-        st = ctx.arrays["start"][rlo:rhi][order]
-        sd = ctx.arrays["stride"][rlo:rhi][order]
-        total = int(rlen.sum())
-        if total == 0:
-            return
-        k_within = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(np.cumsum(rlen) - rlen, rlen)
-        )
-        idx = np.repeat(st, rlen) + k_within * np.repeat(sd, rlen)
-        olo = int(ctx.arrays["Opos"][rlo, 0])
-        ctx.arrays["Ocrd"][olo:olo + total] = ctx.arrays["cols"][idx]
-        ctx.arrays["Ovals"][olo:olo + total] = ctx.arrays["data"][idx]
-
-    def cost(ctx):
-        rows = ctx.rect("perm").volume()
-        padded = ctx.rect("data").volume()
-        nnz_s = ctx.rect("Ocrd").volume()
-        return convert_from_csr_cost(rows, nnz_s, padded, isz)
-
-    task = AutoTask(rt, "sell_to_csr", kernel, cost)
-    task.add_input("data", B.data_store)
-    task.add_input("cols", B.cols_store)
-    task.add_input("perm", B.perm_store)
-    task.add_input("rowlen", B.rowlen_store)
-    task.add_input("start", B.start_store)
-    task.add_input("stride", B.stride_store)
-    task.add_input("Opos", out_pos)
-    task.add_output("Ocrd", out_crd)
-    task.add_output("Ovals", out_vals)
-    row_parts = _sell_row_partitions(
-        rt, layout,
-        [B.perm_store, B.rowlen_store, B.start_store, B.stride_store, out_pos],
-    )
-    pack_parts = _sell_pack_partitions(rt, layout, [B.data_store, B.cols_store])
-    for store in (
-        B.perm_store, B.rowlen_store, B.start_store, B.stride_store, out_pos
-    ):
-        task.add_explicit_partition(store, row_parts[store.region.uid])
-    for store in (B.data_store, B.cols_store):
-        task.add_explicit_partition(store, pack_parts[store.region.uid])
-    task.add_image_constraint(out_pos, [out_crd, out_vals], kind="range")
-    task.execute()
-    return csr_matrix._from_stores(out_pos, out_crd, out_vals, B.shape)
-
-
-def csr_to_hyb(A, quantile: Optional[float] = None):
-    """CSR -> HYB: ELL part at a row-length quantile, CSR-style spill."""
-    from repro.analysis.costmodel import convert_from_csr_cost
-    from repro.analysis.formatsel import DEFAULT_HYB_QUANTILE, hyb_ell_width
-    from repro.core.hyb import hyb_matrix
-
-    rt = A.runtime
-    n, _m = A.shape
-    quantile = quantile if quantile is not None else DEFAULT_HYB_QUANTILE
-    rl = _row_lengths_host(A)
-    K = hyb_ell_width(rl, quantile)
-    spill_counts = np.maximum(rl - K, 0)
-    sindptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(spill_counts, out=sindptr[1:])
-    snnz = int(sindptr[-1])
-    isz = A.dtype.itemsize
-
-    rowlen = Store.create((n,), np.int64, data=rl, runtime=rt, name="rowlen")
-    data = Store.create((n, K), A.dtype, runtime=rt, name="data")
-    cols = Store.create((n, K), np.int64, runtime=rt, name="cols")
-    spill_pos = Store.create(
-        (n, 2), np.int64,
-        data=np.column_stack([sindptr[:-1], sindptr[1:]]),
-        runtime=rt, name="spill_pos",
-    )
-    spill_crd = Store.create((snnz,), np.int64, runtime=rt, name="spill_crd")
-    spill_vals = Store.create((snnz,), A.dtype, runtime=rt, name="spill_vals")
-
-    def kernel(ctx):
-        rlo, rhi = _shard_rows(ctx, "pos")
-        if rhi <= rlo:
-            return
-        pos = ctx.arrays["pos"]
-        counts = pos[rlo:rhi, 1] - pos[rlo:rhi, 0]
-        d = ctx.arrays["data"]
-        c = ctx.arrays["cols"]
-        d[rlo:rhi] = 0
-        c[rlo:rhi] = 0
-        width = d.shape[1]
-        ell_n = np.minimum(counts, width)
-        sp_n = counts - ell_n
-        total_e = int(ell_n.sum())
-        if total_e:
-            rows = np.repeat(np.arange(rlo, rhi, dtype=np.int64), ell_n)
-            lanes = (
-                np.arange(total_e, dtype=np.int64)
-                - np.repeat(np.cumsum(ell_n) - ell_n, ell_n)
-            )
-            src = np.repeat(pos[rlo:rhi, 0], ell_n) + lanes
-            d[rows, lanes] = ctx.arrays["vals"][src]
-            c[rows, lanes] = ctx.arrays["crd"][src]
-        nsp = int(sp_n.sum())
-        if nsp:
-            k_within = (
-                np.arange(nsp, dtype=np.int64)
-                - np.repeat(np.cumsum(sp_n) - sp_n, sp_n)
-            )
-            src = np.repeat(pos[rlo:rhi, 0] + ell_n, sp_n) + k_within
-            dst = np.repeat(ctx.arrays["spill_pos"][rlo:rhi, 0], sp_n) + k_within
-            ctx.arrays["spill_crd"][dst] = ctx.arrays["crd"][src]
-            ctx.arrays["spill_vals"][dst] = ctx.arrays["vals"][src]
-
-    def cost(ctx):
-        rows = ctx.rect("pos").volume() // 2
-        nnz_s = ctx.rect("crd").volume()
-        out_entries = rows * K + ctx.rect("spill_crd").volume()
-        return convert_from_csr_cost(rows, nnz_s, out_entries, isz)
-
-    task = AutoTask(rt, "csr_to_hyb", kernel, cost)
-    task.add_output("data", data)
-    task.add_output("cols", cols)
-    task.add_output("spill_crd", spill_crd)
-    task.add_output("spill_vals", spill_vals)
-    task.add_input("pos", A.pos)
-    task.add_input("crd", A.crd)
-    task.add_input("vals", A.vals)
-    task.add_input("spill_pos", spill_pos)
-    task.add_alignment_constraint(data, A.pos)
-    task.add_alignment_constraint(cols, A.pos)
-    task.add_alignment_constraint(spill_pos, A.pos)
-    task.add_image_constraint(A.pos, [A.crd, A.vals], kind="range")
-    task.add_image_constraint(
-        spill_pos, [spill_crd, spill_vals], kind="range"
-    )
-    task.execute()
-    return hyb_matrix._from_stores(
-        data, cols, rowlen, spill_pos, spill_crd, spill_vals, A.shape
-    )
-
-
-def hyb_to_csr(B):
-    """HYB -> CSR: interleave the ELL part and the spill per row."""
-    from repro.analysis.costmodel import convert_from_csr_cost
-    from repro.core.csr import csr_matrix
-
-    rt = B.runtime
-    rl = B.rowlen_store.data.astype(np.int64)
-    out_pos, nnz = _pos_store_from_lengths(rl, rt)
-    out_crd = Store.create((nnz,), np.int64, runtime=rt, name="crd")
-    out_vals = Store.create((nnz,), B.dtype, runtime=rt, name="vals")
-    isz = B.dtype.itemsize
-
-    def kernel(ctx):
-        rlo, rhi = _shard_rows(ctx, "Opos")
-        if rhi <= rlo:
-            return
-        counts = ctx.arrays["rowlen"][rlo:rhi]
-        total = int(counts.sum())
-        if total == 0:
-            return
-        d = ctx.arrays["data"][rlo:rhi]
-        c = ctx.arrays["cols"][rlo:rhi]
-        width = d.shape[1]
-        ell_n = np.minimum(counts, width)
-        sp_n = counts - ell_n
-        base = ctx.arrays["Opos"][rlo:rhi, 0]
-        mask = np.arange(width)[None, :] < ell_n[:, None]
-        total_e = int(ell_n.sum())
-        if total_e:
-            lanes = (
-                np.arange(total_e, dtype=np.int64)
-                - np.repeat(np.cumsum(ell_n) - ell_n, ell_n)
-            )
-            dst = np.repeat(base, ell_n) + lanes
-            ctx.arrays["Ocrd"][dst] = c[mask]
-            ctx.arrays["Ovals"][dst] = d[mask]
-        nsp = int(sp_n.sum())
-        if nsp:
-            k_within = (
-                np.arange(nsp, dtype=np.int64)
-                - np.repeat(np.cumsum(sp_n) - sp_n, sp_n)
-            )
-            src = np.repeat(ctx.arrays["spill_pos"][rlo:rhi, 0], sp_n) + k_within
-            dst = np.repeat(base + ell_n, sp_n) + k_within
-            ctx.arrays["Ocrd"][dst] = ctx.arrays["spill_crd"][src]
-            ctx.arrays["Ovals"][dst] = ctx.arrays["spill_vals"][src]
-
-    def cost(ctx):
-        rows = ctx.rect("Opos").volume() // 2
-        padded = ctx.rect("data").volume()
-        nnz_s = ctx.rect("Ocrd").volume()
-        return convert_from_csr_cost(rows, nnz_s, padded, isz)
-
-    task = AutoTask(rt, "hyb_to_csr", kernel, cost)
-    task.add_input("data", B.data_store)
-    task.add_input("cols", B.cols_store)
-    task.add_input("rowlen", B.rowlen_store)
-    task.add_input("spill_pos", B.spill_pos_store)
-    task.add_input("spill_crd", B.spill_crd_store)
-    task.add_input("spill_vals", B.spill_vals_store)
-    task.add_input("Opos", out_pos)
-    task.add_output("Ocrd", out_crd)
-    task.add_output("Ovals", out_vals)
-    task.add_alignment_constraint(B.data_store, out_pos)
-    task.add_alignment_constraint(B.cols_store, out_pos)
-    task.add_alignment_constraint(B.rowlen_store, out_pos)
-    task.add_alignment_constraint(B.spill_pos_store, out_pos)
-    task.add_image_constraint(
-        B.spill_pos_store, [B.spill_crd_store, B.spill_vals_store],
-        kind="range",
-    )
-    task.add_image_constraint(out_pos, [out_crd, out_vals], kind="range")
-    task.execute()
-    return csr_matrix._from_stores(out_pos, out_crd, out_vals, B.shape)
 
 
 # ----------------------------------------------------------------------

@@ -27,12 +27,6 @@ GENERATED: List[str] = [
     "coo_matvec",
     "bsr_matvec",            # block-sparse rows: the paper's planned
                              # next DISTAL format (§5.4), implemented here
-    # Row-length-sensitive formats behind the auto-format selector
-    # (repro.analysis.formatsel): bitwise-identical SpMV on padded /
-    # sliced / hybrid local layouts.
-    "ell_matvec",
-    "sell_matvec",           # SELL-C-sigma packed slices
-    "hyb_matvec",            # ELL part + spill ranges
 ]
 
 # Ported: SciPy-API functions implemented on top of the generated
@@ -40,14 +34,12 @@ GENERATED: List[str] = [
 PORTED: List[str] = [
     # format classes and constructors
     "csr_matrix", "csc_matrix", "coo_matrix", "dia_matrix", "bsr_matrix",
-    "ell_matrix", "sell_matrix", "hyb_matrix",
     "csr_array", "csc_array", "coo_array", "dia_array", "bsr_array",
-    "ell_array", "sell_array", "hyb_array",
     # construction routines
     "eye", "identity", "diags", "random", "rand", "kron",
     "vstack", "hstack",
     # conversions & structure
-    "tocsr", "tocsc", "tocoo", "todia", "toell", "tosell", "tohyb",
+    "tocsr", "tocsc", "tocoo", "todia", "tobsr",
     "asformat", "toarray", "todense",
     "transpose", "getnnz", "copy", "astype", "conj", "conjugate",
     "diagonal", "sum", "mean", "issparse", "getrow",
@@ -130,15 +122,15 @@ def advisor_analyzable(name: str) -> bool:
 
 
 #: Sparse-format name fragments recognized by :func:`op_formats`.
-FORMAT_NAMES = ("csr", "csc", "coo", "dia", "bsr", "ell", "sell", "hyb")
+FORMAT_NAMES = ("csr", "csc", "coo", "dia", "bsr")
 
 
 def op_formats(name: str) -> List[str]:
     """The sparse formats an operation is specific to.
 
     Derived from naming conventions: ``csr_matvec`` -> ``["csr"]``,
-    ``csr_to_csc_sort`` -> ``["csr", "csc"]``, ``tosell`` ->
-    ``["sell"]``.  Format-generic operations (solvers, constructors,
+    ``csr_to_csc_sort`` -> ``["csr", "csc"]``, ``todia`` ->
+    ``["dia"]``.  Format-generic operations (solvers, constructors,
     element-wise algebra) report ``["any"]``.
     """
     base = name.rsplit(".", 1)[-1]

@@ -447,30 +447,6 @@ class csr_matrix(spmatrix):
         """Convert via COO."""
         return self.tocoo().todia()
 
-    def toell(self):
-        """Distributed padding to ELL (lanes masked by rowlen)."""
-        from repro.core.convert import csr_to_ell
-
-        result = csr_to_ell(self)
-        self._note_convert("ell", result)
-        return result
-
-    def tosell(self, c: Optional[int] = None, sigma: Optional[int] = None):
-        """Distributed repack to SELL-C-sigma (tiles permute onto themselves)."""
-        from repro.core.convert import csr_to_sell
-
-        result = csr_to_sell(self, c=c, sigma=sigma)
-        self._note_convert("sell", result)
-        return result
-
-    def tohyb(self, quantile: Optional[float] = None):
-        """Distributed split to HYB (ELL part at a row-length quantile)."""
-        from repro.core.convert import csr_to_hyb
-
-        result = csr_to_hyb(self, quantile=quantile)
-        self._note_convert("hyb", result)
-        return result
-
     def toarray(self) -> np.ndarray:
         """Synchronize and densify (vectorized expansion)."""
         from repro.core.convert import _concat_ranges

@@ -142,143 +142,6 @@ def check_dia_host(
     return data, offsets
 
 
-def check_ell_host(
-    data, cols, rowlen, shape: Optional[Tuple[int, int]] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate an ELL ``(data, cols, rowlen)`` triple; returns cast arrays."""
-    data = np.asarray(data)
-    cols = np.asarray(cols)
-    if data.ndim != 2:
-        raise ValueError(f"data must be 2-D (rows, width), got {data.ndim}-D")
-    if cols.shape != data.shape:
-        raise ValueError(
-            f"cols shape {cols.shape} does not match data shape {data.shape}"
-        )
-    if data.shape[1] < 1:
-        raise ValueError("ELL width must be at least one lane")
-    rowlen = as_index_array(rowlen, "rowlen")
-    if len(rowlen) != data.shape[0]:
-        raise ValueError(
-            f"rowlen length ({len(rowlen)}) does not match data rows "
-            f"({data.shape[0]})"
-        )
-    if rowlen.size and int(rowlen.min()) < 0:
-        raise ValueError("rowlen contains a negative length")
-    if rowlen.size and int(rowlen.max()) > data.shape[1]:
-        raise ValueError(
-            f"rowlen contains length {int(rowlen.max())}, wider than the "
-            f"stored width {data.shape[1]}"
-        )
-    flat_cols = as_index_array(cols.reshape(-1), "cols")
-    if shape is not None:
-        n, m = int(shape[0]), int(shape[1])
-        if data.shape[0] != n:
-            raise ValueError(
-                f"data has {data.shape[0]} rows for shape ({n}, {m})"
-            )
-        check_index_bounds(flat_cols, m, "cols")
-    else:
-        check_index_bounds(flat_cols, np.iinfo(np.int64).max, "cols")
-    return data, flat_cols.reshape(cols.shape), rowlen
-
-
-def check_sell_host(
-    data, cols, perm, rowlen, start, stride,
-    shape: Optional[Tuple[int, int]] = None,
-) -> None:
-    """Validate packed SELL-C-sigma slot metadata against its storage."""
-    data = np.asarray(data)
-    cols = np.asarray(cols)
-    if data.ndim != 1 or cols.shape != data.shape:
-        raise ValueError(
-            f"packed data/cols must be matching 1-D arrays, got "
-            f"{data.shape} and {cols.shape}"
-        )
-    perm = as_index_array(perm, "perm")
-    rowlen = as_index_array(rowlen, "rowlen")
-    start = as_index_array(start, "start")
-    stride = as_index_array(stride, "stride")
-    n = len(perm)
-    for name, arr in (("rowlen", rowlen), ("start", start), ("stride", stride)):
-        if len(arr) != n:
-            raise ValueError(
-                f"{name} length ({len(arr)}) does not match perm length ({n})"
-            )
-    if n and not np.array_equal(np.sort(perm), np.arange(n)):
-        raise ValueError("perm is not a permutation of the row indices")
-    if rowlen.size and int(rowlen.min()) < 0:
-        raise ValueError("rowlen contains a negative length")
-    if stride.size and int(stride.min()) < 1:
-        raise ValueError("stride must be at least 1 for every slot")
-    occupied = rowlen > 0
-    if occupied.any():
-        last = start[occupied] + (rowlen[occupied] - 1) * stride[occupied]
-        if int(start[occupied].min()) < 0 or int(last.max()) >= data.shape[0]:
-            raise ValueError(
-                "slot lanes (start + k*stride) fall outside the packed "
-                f"storage of {data.shape[0]} entries"
-            )
-    if shape is not None:
-        n_rows, m = int(shape[0]), int(shape[1])
-        if n != n_rows:
-            raise ValueError(
-                f"perm has {n} slots for shape ({n_rows}, {m})"
-            )
-        check_index_bounds(as_index_array(cols, "cols"), m, "cols")
-
-
-def check_hyb_host(
-    data, cols, rowlen, spill_pos, spill_crd, spill_vals,
-    shape: Optional[Tuple[int, int]] = None,
-) -> None:
-    """Validate a HYB split: padded ELL part plus compressed spill."""
-    data = np.asarray(data)
-    cols = np.asarray(cols)
-    rowlen = as_index_array(rowlen, "rowlen")
-    if data.ndim != 2 or cols.shape != data.shape:
-        raise ValueError(
-            f"HYB ELL part must be matching 2-D arrays, got "
-            f"{data.shape} and {cols.shape}"
-        )
-    spill_pos = np.asarray(spill_pos)
-    if spill_pos.ndim != 2 or spill_pos.shape[1] != 2:
-        raise ValueError(
-            f"spill_pos must be (rows, 2) ranges, got {spill_pos.shape}"
-        )
-    if spill_pos.shape[0] != data.shape[0]:
-        raise ValueError(
-            f"spill_pos has {spill_pos.shape[0]} rows but the ELL part "
-            f"has {data.shape[0]}"
-        )
-    spill_crd = as_index_array(spill_crd, "spill_crd")
-    spill_vals = np.asarray(spill_vals)
-    if spill_vals.ndim != 1 or len(spill_vals) != len(spill_crd):
-        raise ValueError(
-            f"spill_vals length ({spill_vals.shape}) does not match "
-            f"spill_crd length ({len(spill_crd)})"
-        )
-    counts = spill_pos[:, 1] - spill_pos[:, 0]
-    if counts.size and int(counts.min()) < 0:
-        raise ValueError("spill_pos contains a negative range")
-    if int(counts.sum()) != len(spill_crd):
-        raise ValueError(
-            f"spill nnz mismatch: ranges cover {int(counts.sum())} entries "
-            f"but spill_crd has {len(spill_crd)}"
-        )
-    K = data.shape[1]
-    expect = np.maximum(rowlen - K, 0)
-    if not np.array_equal(counts, expect):
-        raise ValueError(
-            "spill_pos ranges disagree with rowlen minus the ELL width"
-        )
-    if rowlen.size and int(rowlen.min()) < 0:
-        raise ValueError("rowlen contains a negative length")
-    if shape is not None:
-        m = int(shape[1])
-        check_index_bounds(as_index_array(cols.reshape(-1), "cols"), m, "cols")
-        check_index_bounds(spill_crd, m, "spill_crd")
-
-
 def check_bsr_shape(
     shape: Optional[Tuple[int, int]], blocksize: Tuple[int, int]
 ) -> None:

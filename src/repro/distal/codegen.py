@@ -101,8 +101,8 @@ def segment_sums(
     ``reduceat`` sums each segment on its own, ``seg[0] +
     pairwise(seg[1:])``, lane by lane over any leading axis, hence: a
     row's error is at most ``nnz_row * eps * (|A||x|)_row``; its bits
-    depend on that row alone (``procs=1 == procs=N``, ELL/SELL/HYB ==
-    CSR); and a stacked SpMM column is bit-for-bit the lone SpMV.
+    depend on that row alone (``procs=1 == procs=N``); and a stacked
+    SpMM column is bit-for-bit the lone SpMV.
     """
     live = counts > 0
     sums = np.add.reduceat(
@@ -569,190 +569,6 @@ def cost(ctx):
     return source, args, constraints, ["R", "C"]
 
 
-def _template_ell_spmv(kind: ProcessorKind) -> Tuple[str, list, list]:
-    source = f'''
-def kernel(ctx):
-    """y(i) = A(i,j) * x(j) with A in ELL (data/cols stored (n, K)).
-
-    Rebuilds the shard's CSR-ordered contribution stream from the
-    padded lanes (row-major masking preserves ascending-column order)
-    and reduces it with the CSR kernel's segment_sums, whose bits
-    depend on a row's contributions alone: bitwise identical to CSR.
-    """
-    data = ctx.arrays["data"]; cols = ctx.arrays["cols"]
-    rowlen = ctx.arrays["rowlen"]; x = ctx.arrays["x"]; y = ctx.arrays["y"]
-    yr = ctx.rects["y"]
-    rlo, rhi = yr.lo[0], yr.hi[0]
-    if rhi <= rlo:
-        return
-    rl = rowlen[rlo:rhi]
-    prod = data[rlo:rhi] * x.take(cols[rlo:rhi])
-    contrib = prod[np.arange(prod.shape[1]) < rl[:, None]]
-    y[rlo:rhi] = segment_sums(contrib, np.cumsum(rl) - rl, rl)
-
-
-def cost(ctx):
-    from repro.analysis.costmodel import ell_spmv_shard_cost
-
-    vals = ctx.arrays["data"]
-    dr = ctx.rects["data"]
-    rows = dr.hi[0] - dr.lo[0]
-    padded = dr.volume()
-    nnz = int(ctx.arrays["rowlen"][dr.lo[0]:dr.hi[0]].sum())
-    return ell_spmv_shard_cost(
-        rows, nnz, padded, vals.dtype.itemsize, {_flop_factor()}
-    )
-'''
-    args = [
-        ("y", "out"), ("data", "in"), ("cols", "in"),
-        ("rowlen", "in"), ("x", "in"),
-    ]
-    constraints = [
-        ("align", "y", "data"),
-        ("align", "cols", "data"),
-        ("align", "rowlen", "data"),
-        ("broadcast", "x"),
-    ]
-    return source, args, constraints
-
-
-def _template_sell_spmv(kind: ProcessorKind) -> Tuple[str, list, list]:
-    source = f'''
-def kernel(ctx):
-    """y(i) = A(i,j) * x(j) with A in SELL-C-sigma.
-
-    data/cols are packed 1-D slice storage; per *slot* metadata gives
-    the original row (perm), its length, and the packed location of its
-    lane stream (start + k*stride).  Sigma windows and slices never
-    cross row-tile boundaries, so each shard re-sorts its slots back to
-    ascending original row, rebuilds the exact CSR contribution order,
-    and reduces it with the same segment_sums — bitwise identical to
-    CSR execution.
-    """
-    data = ctx.arrays["data"]; cols = ctx.arrays["cols"]
-    perm = ctx.arrays["perm"]; rowlen = ctx.arrays["rowlen"]
-    start = ctx.arrays["start"]; stride = ctx.arrays["stride"]
-    x = ctx.arrays["x"]; y = ctx.arrays["y"]
-    yr = ctx.rects["y"]
-    rlo, rhi = yr.lo[0], yr.hi[0]
-    if rhi <= rlo:
-        return
-    order = np.argsort(perm[rlo:rhi], kind="stable")
-    rl = rowlen[rlo:rhi][order]
-    st = start[rlo:rhi][order]
-    sd = stride[rlo:rhi][order]
-    hi = np.cumsum(rl)
-    lo = hi - rl
-    k_within = np.arange(int(hi[-1])) - np.repeat(lo, rl)
-    idx = np.repeat(st, rl) + k_within * np.repeat(sd, rl)
-    contrib = data.take(idx) * x.take(cols.take(idx))
-    y[rlo:rhi] = segment_sums(contrib, lo, rl)
-
-
-def cost(ctx):
-    from repro.analysis.costmodel import sell_spmv_shard_cost
-
-    vals = ctx.arrays["data"]
-    yr = ctx.rects["y"]
-    rows = yr.hi[0] - yr.lo[0]
-    padded = ctx.rects["data"].volume()
-    nnz = int(ctx.arrays["rowlen"][yr.lo[0]:yr.hi[0]].sum())
-    C = ctx.scalar("C")
-    slices = (rows + C - 1) // C
-    return sell_spmv_shard_cost(
-        rows, nnz, padded, slices, vals.dtype.itemsize, {_flop_factor()}
-    )
-'''
-    args = [
-        ("y", "out"), ("data", "in"), ("cols", "in"), ("perm", "in"),
-        ("rowlen", "in"), ("start", "in"), ("stride", "in"), ("x", "in"),
-    ]
-    # The packed slice stores follow the conversion-time tile layout;
-    # the launcher supplies it for every store so kernel tiles match
-    # the sigma/slice windows exactly.
-    constraints = [
-        ("explicit", "y"),
-        ("explicit", "data"),
-        ("explicit", "cols"),
-        ("explicit", "perm"),
-        ("explicit", "rowlen"),
-        ("explicit", "start"),
-        ("explicit", "stride"),
-        ("broadcast", "x"),
-    ]
-    return source, args, constraints, ["C"]
-
-
-def _template_hyb_spmv(kind: ProcessorKind) -> Tuple[str, list, list]:
-    source = f'''
-def kernel(ctx):
-    """y(i) = A(i,j) * x(j) with A in HYB (ELL part + CSR-style spill).
-
-    Each row's first min(len, K) entries live in the padded ELL part,
-    the overflow in compressed spill ranges; both halves are stored in
-    ascending-column order, so interleaving them per row rebuilds the
-    exact CSR contribution stream for the same segment_sums — bitwise
-    identical to CSR execution.
-    """
-    data = ctx.arrays["data"]; cols = ctx.arrays["cols"]
-    rowlen = ctx.arrays["rowlen"]; spos = ctx.arrays["spill_pos"]
-    scrd = ctx.arrays["spill_crd"]; svals = ctx.arrays["spill_vals"]
-    x = ctx.arrays["x"]; y = ctx.arrays["y"]
-    yr = ctx.rects["y"]
-    rlo, rhi = yr.lo[0], yr.hi[0]
-    if rhi <= rlo:
-        return
-    K = data.shape[1]
-    rl = rowlen[rlo:rhi]
-    ell_n = np.minimum(rl, K)
-    sp_n = rl - ell_n
-    hi = np.cumsum(rl)
-    lo = hi - rl
-    prod = data[rlo:rhi] * x.take(cols[rlo:rhi])
-    contrib = np.empty(int(hi[-1]), dtype=prod.dtype)
-    lanes = np.arange(K)[None, :]
-    mask = lanes < ell_n[:, None]
-    contrib[(lo[:, None] + lanes)[mask]] = prod[mask]
-    nsp = int(sp_n.sum())
-    if nsp:
-        k_within = np.arange(nsp) - np.repeat(np.cumsum(sp_n) - sp_n, sp_n)
-        idx = np.repeat(spos[rlo:rhi, 0], sp_n) + k_within
-        contrib[np.repeat(lo + ell_n, sp_n) + k_within] = (
-            svals.take(idx) * x.take(scrd.take(idx))
-        )
-    y[rlo:rhi] = segment_sums(contrib, lo, rl)
-
-
-def cost(ctx):
-    from repro.analysis.costmodel import hyb_spmv_shard_cost
-
-    vals = ctx.arrays["data"]
-    yr = ctx.rects["y"]
-    rows = yr.hi[0] - yr.lo[0]
-    rl = ctx.arrays["rowlen"][yr.lo[0]:yr.hi[0]]
-    nnz = int(rl.sum())
-    ell_padded = ctx.rects["data"].volume()
-    spill = nnz - int(np.minimum(rl, ctx.arrays["data"].shape[1]).sum())
-    return hyb_spmv_shard_cost(
-        rows, nnz, ell_padded, spill, vals.dtype.itemsize, {_flop_factor()}
-    )
-'''
-    args = [
-        ("y", "out"), ("data", "in"), ("cols", "in"), ("rowlen", "in"),
-        ("spill_pos", "in"), ("spill_crd", "in"), ("spill_vals", "in"),
-        ("x", "in"),
-    ]
-    constraints = [
-        ("align", "y", "data"),
-        ("align", "cols", "data"),
-        ("align", "rowlen", "data"),
-        ("align", "spill_pos", "data"),
-        ("image_range", "spill_pos", ("spill_crd", "spill_vals")),
-        ("broadcast", "x"),
-    ]
-    return source, args, constraints
-
-
 _TEMPLATES: Dict[Tuple[str, str], Callable] = {
     ("y(i)=A(i,j)*x(j)", "csr"): _template_csr_spmv,
     ("y(j)=A(i,j)*x(i)", "csr"): _template_csr_spmv_transpose,
@@ -765,9 +581,6 @@ _TEMPLATES: Dict[Tuple[str, str], Callable] = {
     ("y(i)=A(i,j)*x(j)", "dia"): _template_dia_spmv,
     ("y(i)=A(i,j)*x(j)", "coo"): _template_coo_spmv,
     ("y(i)=A(i,j)*x(j)", "bsr"): _template_bsr_spmv,
-    ("y(i)=A(i,j)*x(j)", "ell"): _template_ell_spmv,
-    ("y(i)=A(i,j)*x(j)", "sell"): _template_sell_spmv,
-    ("y(i)=A(i,j)*x(j)", "hyb"): _template_hyb_spmv,
 }
 
 

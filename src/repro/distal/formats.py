@@ -43,13 +43,5 @@ BSR = Format((Dense, Compressed), "bsr")
 CSC = Format((Dense, Compressed), "csc")
 COO = Format((Compressed, Compressed), "coo")
 DIA = Format((Dense, Dense), "dia")
-# Padded row-major storage: every row stores the same number of lanes.
-ELL = Format((Dense, Dense), "ell")
-# SELL-C-sigma: rows sorted by length in sigma-windows, packed in
-# C-row slices each padded only to its own widest row.
-SELL = Format((Dense, Compressed), "sell")
-# Hybrid ELL + spill: the first K entries per row padded ELL-style,
-# the overflow kept compressed (CSR-style ranges).
-HYB = Format((Dense, Compressed), "hyb")
 DENSE_VECTOR = Format((Dense,), "dense1")
 DENSE_MATRIX = Format((Dense, Dense), "dense2")

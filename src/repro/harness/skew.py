@@ -2,18 +2,15 @@
 
 Scale-free graphs and preferential-attachment meshes give SpMV its
 hardest row-length distributions: most rows hold a handful of nonzeros
-while a heavy tail holds tens to hundreds.  CSR handles the skew but
-pays per-row pointer traffic; ELL drowns in padding; SELL-C-sigma and
-HYB are built for exactly this shape.  This module generates such
-matrices deterministically (a seeded :class:`numpy.random.Generator`)
-so the format advisor demo (``examples/format_advisor_demo.py``) and
-the selector tests exercise the same bits on every run.
+while a heavy tail holds tens to hundreds, so equal-row tiles carry
+very unequal nonzero counts.  This module generates such matrices
+deterministically (a seeded :class:`numpy.random.Generator`) so tests
+that need skewed operands — e.g. the processor-count invariance
+property over CSR — exercise the same bits on every run.
 
 Row lengths are drawn from a *discrete* power law over the integer
 support ``[min_len, max_len]`` with weights proportional to
-``k**-exponent``.  The discrete support matters: many tied lengths let
-a tile-spanning SELL sort pack slices nearly waste-free, which is the
-regime where the static selector recommends leaving CSR.
+``k**-exponent``.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse as sps
 
-#: Defaults shared by the bench and the tests: ~25x max/mean skew.
+#: Defaults: ~25x max/mean row-length skew.
 DEFAULT_EXPONENT = 2.2
 DEFAULT_MAX_LEN = 64
 

@@ -44,9 +44,7 @@ class Profiler:
     kernel_merges: int = 0
     nest_temps_eliminated: int = 0
     launch_overhead_seconds: float = 0.0
-    # Modeled kernel execution time summed over every shard (the format
-    # selector's ``total_seconds`` replays exactly this accumulation;
-    # tests/analysis/test_formatsel.py diffs the two).
+    # Modeled kernel execution time summed over every shard.
     kernel_seconds: float = 0.0
     # Resilience (repro.legion.chaos): injected faults by kind
     # ("copy", "alloc", "gpu-loss", "node-loss"), retries performed,

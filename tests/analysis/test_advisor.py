@@ -345,6 +345,21 @@ def test_cli_advise_crash_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+#: Advisor flags deleted with the feature they switched on, by name
+#: without the leading dashes (the tree keeps no live spelling of them).
+DELETED_FLAGS = ("autoformat",)
+
+
+@pytest.mark.parametrize("name", DELETED_FLAGS)
+def test_cli_advise_rejects_deleted_flags(name, capsys):
+    from repro.analysis.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["advise", str(REPO / "examples" / "advisor_demo.py"), f"--{name}"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{name}" in capsys.readouterr().err
+
+
 def test_cli_legacy_checker_still_works(tmp_path, capsys):
     """The PR-1 checker path is unchanged: bad path -> exit 2."""
     from repro.analysis.cli import main

@@ -10,7 +10,7 @@ from repro.analysis.lint import (
 )
 from repro.distal import codegen
 from repro.distal.codegen import KernelSpec
-from repro.distal.formats import BSR, COO, CSR, DIA, ELL, HYB, SELL
+from repro.distal.formats import BSR, COO, CSR, DIA
 from repro.distal.ir import IndexVar, Tensor
 from repro.distal.library import STATEMENTS, row_distributed_schedule
 from repro.distal.schedule import Schedule
@@ -132,7 +132,6 @@ class TestKernelSpecLint:
 class TestRegistryKernelsClean:
     FORMATS = {
         "csr": CSR, "dia": DIA, "coo": COO, "bsr": BSR,
-        "ell": ELL, "sell": SELL, "hyb": HYB,
     }
 
     @pytest.mark.parametrize("key,fmt_name", codegen.supported_statements())

@@ -48,10 +48,13 @@ class TestInventoryIsHonest:
 
     def test_generated_statement_count(self):
         """The paper generates 14 functions with DISTAL; we generate one
-        kernel per (statement, format) pair — 14 dispatch targets across
-        8 statements and 7 sparse formats (csr, coo, dia, bsr, ell,
-        sell, hyb)."""
-        assert len(supported_statements()) == len(coverage.GENERATED)
+        kernel per (statement, format) pair — 11 dispatch targets across
+        8 statements and 4 sparse formats (csr, coo, dia, bsr; CSC
+        reuses the CSR kernels transposed)."""
+        assert len(supported_statements()) == len(coverage.GENERATED) == 11
+        assert {fmt for _, fmt in supported_statements()} == {
+            "csr", "coo", "dia", "bsr"
+        }
 
     def test_kernels_actually_generate(self, rt):
         reg = get_registry()
@@ -94,18 +97,18 @@ class TestInventoryIsHonest:
             assert isinstance(row["formats"], list) and row["formats"]
 
     def test_inventory_formats_column(self):
-        """The formats column reflects naming conventions, including
-        the auto-format additions (ell / sell / hyb)."""
+        """The formats column reflects naming conventions over the five
+        SciPy formats the system speaks."""
         by_name = {row["name"]: row["formats"] for row in coverage.inventory()}
         assert by_name["csr_matvec"] == ["csr"]
-        assert by_name["ell_matvec"] == ["ell"]
-        assert by_name["sell_matvec"] == ["sell"]
-        assert by_name["hyb_matvec"] == ["hyb"]
-        assert by_name["tosell"] == ["sell"]
+        assert by_name["tobsr"] == ["bsr"]
         assert by_name["csr_to_csc_sort"] == ["csr", "csc"]
         assert by_name["linalg.cg"] == ["any"]
-        for fmt in ("ell", "sell", "hyb"):
+        for fmt in ("csr", "csc", "coo", "dia", "bsr"):
             assert by_name[f"{fmt}_matrix"] == [fmt]
+        assert {f for row in coverage.inventory() for f in row["formats"]} == {
+            "csr", "csc", "coo", "dia", "bsr", "any"
+        }
 
     def test_every_generated_kernel_has_cost_model(self):
         """The advisor's model registry is total over GENERATED: every

@@ -74,3 +74,48 @@ class TestMiscSurface:
         n = rnp.sum(rnp.ones(4))  # deferred 4.0
         A = sp.eye(4, format="csr") / n
         np.testing.assert_allclose(A.toarray(), np.eye(4) / 4.0)
+
+
+FORMATS = (None, "csr", "csc", "coo", "dia", "bsr")
+
+
+class TestFormatNames:
+    """``format=`` and ``asformat`` accept SciPy's five names and reject
+    the rest with SciPy's ``ValueError``."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_constructors_take_every_format(self, rt, fmt):
+        import scipy.sparse as sps
+
+        cases = [
+            (sp.eye(5, 6, k=1, format=fmt), sps.eye(5, 6, k=1, format=fmt)),
+            (sp.identity(4, format=fmt), sps.identity(4, format=fmt)),
+            (
+                sp.diags([[1.0, 2.0, 3.0], [4.0, 5.0]], [0, -1], shape=(3, 3), format=fmt),
+                sps.diags([[1.0, 2.0, 3.0], [4.0, 5.0]], [0, -1], shape=(3, 3), format=fmt),
+            ),
+        ]
+        for got, want in cases:
+            assert got.format == want.format
+            np.testing.assert_array_equal(got.toarray(), want.toarray())
+        base = sp.random(6, 4, density=0.5, random_state=7)
+        got = sp.random(6, 4, density=0.5, format=fmt, random_state=7)
+        assert got.format == (fmt or "coo")
+        want = sps.coo_matrix(base.toarray()).asformat(fmt)
+        np.testing.assert_array_equal(got.toarray(), want.toarray())
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "dia", "bsr"])
+    def test_asformat_bsr_from_every_class(self, rt, fmt):
+        ref = random_scipy_csr(6, 6, seed=4)
+        A = getattr(sp, f"{fmt}_matrix")(ref)
+        B = A.asformat("bsr")
+        assert isinstance(B, sp.bsr_matrix)
+        np.testing.assert_array_equal(B.toarray(), ref.toarray())
+
+    @pytest.mark.parametrize("name", ["ell", "sell", "hyb", "lil", "array"])
+    def test_unknown_format_is_a_value_error(self, rt, name):
+        for A in (sp.eye(4, format="csr"), sp.eye(4)):
+            with pytest.raises(ValueError, match=f"Format '{name}' is unknown"):
+                A.asformat(name)
+        with pytest.raises(ValueError, match="is unknown"):
+            sp.eye(4, format=name)

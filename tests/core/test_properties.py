@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import repro.numeric as rnp
 import repro.sparse as sp
+from repro.harness.skew import power_law_csr
 from repro.legion import Runtime, RuntimeConfig
 from repro.legion.runtime import runtime_scope
 from repro.machine import ProcessorKind, laptop, summit
@@ -200,6 +201,10 @@ _ROW_OPS = {
     "rowsums": lambda A, x: A.sum(axis=1),
 }
 
+# A power-law operand (row lengths 1..64 with a heavy tail): tiles of
+# equal rows carry very unequal nonzero counts.
+SKEW = power_law_csr(96, 64, seed=3)
+
 
 class TestRuntimeInvariants:
     @settings(**_SETTINGS)
@@ -212,11 +217,13 @@ class TestRuntimeInvariants:
         that row's contributions alone, never on where its tile starts,
         so 1, 2 and 3 processors must agree exactly -- for SpMV, for
         SpMM at any width (each stacked column reduces like the lone
-        SpMV) and for row sums, in CSR, in the ELL/SELL/HYB kernels that
-        replay CSR's contribution stream, and block row by block row in
-        BSR.  Any tolerance here would hide a tiling-dependent kernel.
+        SpMV) and for row sums, in CSR (the drawn matrix and a skewed
+        power-law one) and block row by block row in BSR.  Any tolerance
+        here would hide a tiling-dependent kernel.
         """
-        x = np.random.default_rng(seed).standard_normal(mat.shape[1])
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(mat.shape[1])
+        x_skew = rng.standard_normal(SKEW.shape[1])
         results = {}
         for procs in (1, 2, 3):
             runtime = Runtime(
@@ -224,13 +231,17 @@ class TestRuntimeInvariants:
                 RuntimeConfig.legate(),
             )
             with runtime_scope(runtime):
-                for fmt in ("csr", "ell", "sell", "hyb", "bsr"):
-                    if fmt == "bsr":
-                        A = sp.bsr_matrix(mat, blocksize=tiling_blocksize(mat.shape))
-                    else:
-                        A = sp.csr_matrix(mat).asformat(fmt)
+                operands = {
+                    "csr": (sp.csr_matrix(mat), x),
+                    "bsr": (
+                        sp.bsr_matrix(mat, blocksize=tiling_blocksize(mat.shape)),
+                        x,
+                    ),
+                    "skew": (sp.csr_matrix(SKEW), x_skew),
+                }
+                for fmt, (A, v) in operands.items():
                     for name, op in _ROW_OPS.items():
-                        got = op(A, x).to_numpy()
+                        got = op(A, v).to_numpy()
                         want = results.setdefault((fmt, name), got)
                         assert np.array_equal(got, want), (fmt, name, procs)
 

@@ -10,8 +10,8 @@ the tile's offset.  Four properties pin the replacement down:
 * **accuracy** — against an *independent* exact row-by-row reference,
   each row within ``nnz_row * eps * (|A||x|)_row``, on graded-magnitude
   and cancelling rows and on the shapes that break segment bookkeeping;
-* **bits** — a stacked SpMM column is the lone SpMV, and ELL/SELL/HYB
-  equal CSR, on those same operands;
+* **bits** — a stacked SpMM column is the lone SpMV on those same
+  operands;
 * **mutation** — with the prefix-sum reduction swapped back in, the
   checks above fail: they are tests that can fail.
 
@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 import repro.numeric as rnp
 import repro.sparse as sp
 from repro.distal.codegen import segment_sums
-from repro.distal.formats import BSR, CSR, ELL, HYB, SELL
+from repro.distal.formats import BSR, CSR
 from repro.distal.registry import get_registry
 from repro.geometry import Rect
 from repro.legion import Runtime, RuntimeConfig
@@ -55,13 +55,9 @@ def _runtime(procs: int) -> Runtime:
     )
 
 
-def _as_format(mat: sps.csr_matrix, fmt: str):
-    return sp.csr_matrix(mat).asformat(fmt)
-
-
-def _spmv(mat, x, procs, fmt="csr"):
+def _spmv(mat, x, procs):
     with runtime_scope(_runtime(procs)):
-        return (_as_format(mat, fmt) @ rnp.array(x)).to_numpy()
+        return (sp.csr_matrix(mat) @ rnp.array(x)).to_numpy()
 
 
 def _bsr_spmv(mat, x, procs):
@@ -70,14 +66,14 @@ def _bsr_spmv(mat, x, procs):
         return (A @ rnp.array(x)).to_numpy()
 
 
-def _spmm(mat, X, procs, fmt="csr"):
+def _spmm(mat, X, procs):
     with runtime_scope(_runtime(procs)):
-        return (_as_format(mat, fmt) @ rnp.array(X)).to_numpy()
+        return (sp.csr_matrix(mat) @ rnp.array(X)).to_numpy()
 
 
-def _row_sums(mat, procs, fmt="csr"):
+def _row_sums(mat, procs):
     with runtime_scope(_runtime(procs)):
-        return _as_format(mat, fmt).sum(axis=1).to_numpy()
+        return sp.csr_matrix(mat).sum(axis=1).to_numpy()
 
 
 # ----------------------------------------------------------------------
@@ -198,14 +194,6 @@ def test_segment_bookkeeping_edge_cases(case):
     check_problem(*EDGE_CASES[case], procs=(1, 2, 3))
 
 
-@pytest.mark.parametrize("case", [c for c in EDGE_CASES if c != "zero-rows"])
-@pytest.mark.parametrize("fmt", ["ell", "sell", "hyb"])
-def test_edge_cases_in_rowlen_formats(case, fmt):
-    mat, x = EDGE_CASES[case]
-    for procs in (1, 2, 3):
-        check_rowwise_accuracy(mat, x, _spmv(mat, x, procs, fmt))
-
-
 def check_bsr_accuracy(mat, x, procs):
     """BSR sums whole R x C blocks: C terms per stored block in the row."""
     R, C = tiling_blocksize(mat.shape)
@@ -256,18 +244,6 @@ def test_stacked_column_is_bitwise_the_lone_spmv(problem, k):
         check_stacked_column_is_lone_spmv(mat, x, k, procs)
 
 
-@settings(**{**_SETTINGS, "max_examples": 15})
-@given(problem=graded_problems())
-def test_rowlen_formats_replay_csr_bitwise(problem):
-    """What ``advise --autoformat`` recommends must be a drop-in: the
-    same bits as CSR."""
-    mat, x = problem
-    for procs in (1, 2):
-        ref = _spmv(mat, x, procs)
-        for fmt in ("ell", "sell", "hyb"):
-            assert np.array_equal(_spmv(mat, x, procs, fmt), ref), fmt
-
-
 # ----------------------------------------------------------------------
 # Mutation: the deleted reduction, swapped back in, must be caught.
 # ----------------------------------------------------------------------
@@ -287,9 +263,6 @@ GATHER_KERNELS = [
     ("Y(i,k)=A(i,j)*X(j,k)", CSR),
     ("y(i)=A(i,j)", CSR),
     ("y(i)=A(i,j)*x(j)", BSR),
-    ("y(i)=A(i,j)*x(j)", ELL),
-    ("y(i)=A(i,j)*x(j)", SELL),
-    ("y(i)=A(i,j)*x(j)", HYB),
 ]
 
 
@@ -304,7 +277,7 @@ def prefix_sum_kernels(monkeypatch):
         )
 
 
-def test_all_seven_gather_kernels_share_the_helper():
+def test_all_four_gather_kernels_share_the_helper():
     for statement, fmt in GATHER_KERNELS:
         spec = get_registry().get(statement, fmt, ProcessorKind.GPU)
         assert spec.source.count("segment_sums(") == 1, spec.name
@@ -325,9 +298,8 @@ def test_mutant_fails_the_accuracy_bound(prefix_sum_kernels):
         check_rowwise_accuracy(
             mat, np.ones(mat.shape[1]), _row_sums(mat, 1)
         )
-    for fmt in ("ell", "sell", "hyb"):
-        with pytest.raises(AssertionError):
-            check_rowwise_accuracy(mat, x, _spmv(mat, x, 1, fmt))
+    with pytest.raises(AssertionError):
+        check_rowwise_accuracy(mat, x, _spmm(mat, x[:, None], 1)[:, 0])
     with pytest.raises(AssertionError):
         check_bsr_accuracy(mat, x, 1)
 

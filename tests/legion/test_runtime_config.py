@@ -36,7 +36,8 @@ DELETED_TOGGLES = {
         "every later SpMV broadcast x: modeled_s 0.0287 -> 1.266 s (x44.1), "
         "host_wall_s x47.6, peak_rss_mb x2.3; host_wall_s x1.39 on "
         "gmg_small_tasks and x1.75 on serve_mixed; no modeled gain above "
-        "0.002 % anywhere.  The advisor's static pass stays"
+        "0.002 % anywhere.  The ELL/SELL/HYB formats and the advisor's static "
+        "format pass were deleted afterwards on their own trial"
     ),
     "kernel-fusion": (
         "off, modeled_s moved by at most +0.01 % but host_wall_s rose "
