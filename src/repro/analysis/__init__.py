@@ -22,13 +22,11 @@ starts dry runs of the real runtime and so sits above those layers — it
 is therefore exposed lazily (module
 ``__getattr__``) rather than imported here, and reached via
 ``python -m repro.analysis advise`` or ``from repro.analysis import
-advisor``.  The dry-run capture types (:mod:`repro.analysis.plan`) and the
-kernel cost models (:mod:`repro.analysis.costmodel`) keep the no-cycle
-rule and are imported eagerly.
+advisor``.  The dry-run capture types (:mod:`repro.analysis.plan`) keep
+the no-cycle rule and are imported eagerly.
 """
 
 from repro.analysis.checker import Violation, check_log
-from repro.analysis.costmodel import KernelModel, for_task_name, get_model
 from repro.analysis.events import (
     AllreduceEvent,
     CheckpointEvent,
@@ -89,7 +87,6 @@ __all__ = [
     "FaultEvent",
     "Finding",
     "FoldEvent",
-    "KernelModel",
     "LintIssue",
     "PlanGroup",
     "PlanNote",
@@ -106,8 +103,6 @@ __all__ = [
     "analyze",
     "check_log",
     "drain_logs",
-    "for_task_name",
-    "get_model",
     "lint_all",
     "lint_kernel_spec",
     "lint_schedule",

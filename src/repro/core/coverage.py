@@ -106,21 +106,6 @@ def summary() -> str:
     )
 
 
-def advisor_analyzable(name: str) -> bool:
-    """Whether the static advisor has a cost/nnz model for an operation.
-
-    GENERATED kernels are analyzable iff :mod:`repro.analysis.costmodel`
-    registers a :class:`~repro.analysis.costmodel.KernelModel` for them
-    (the coverage test pins this at *all* of them).  PORTED and
-    HANDWRITTEN operations compose generated kernels and AutoTasks that
-    carry their own ``cost_fn``, so the advisor analyzes them through
-    the plan trace rather than a closed-form model.
-    """
-    from repro.analysis import costmodel
-
-    return costmodel.analyzable(name)
-
-
 #: Sparse-format name fragments recognized by :func:`op_formats`.
 FORMAT_NAMES = ("csr", "csc", "coo", "dia", "bsr")
 
@@ -147,38 +132,16 @@ def op_formats(name: str) -> List[str]:
 def inventory() -> List[Dict[str, object]]:
     """The full inventory: one row per operation.
 
-    Columns: ``name``, ``strategy`` (generated/ported/handwritten),
-    ``advisor`` — whether ``python -m repro.analysis advise`` can cost
-    the operation statically (closed-form model for generated kernels;
-    trace-replay for the rest) — and ``formats``, the sparse formats
-    the operation is specific to (``["any"]`` when format-generic).
+    Columns: ``name``, ``strategy`` (generated/ported/handwritten) and
+    ``formats``, the sparse formats the operation is specific to
+    (``["any"]`` when format-generic).
     """
-    rows: List[Dict[str, object]] = []
-    for name in GENERATED:
-        rows.append(
-            {
-                "name": name,
-                "strategy": "generated",
-                "advisor": advisor_analyzable(name),
-                "formats": op_formats(name),
-            }
+    return [
+        {"name": name, "strategy": strategy, "formats": op_formats(name)}
+        for strategy, names in (
+            ("generated", GENERATED),
+            ("ported", PORTED),
+            ("handwritten", HANDWRITTEN),
         )
-    for name in PORTED:
-        rows.append(
-            {
-                "name": name,
-                "strategy": "ported",
-                "advisor": True,
-                "formats": op_formats(name),
-            }
-        )
-    for name in HANDWRITTEN:
-        rows.append(
-            {
-                "name": name,
-                "strategy": "handwritten",
-                "advisor": True,
-                "formats": op_formats(name),
-            }
-        )
-    return rows
+        for name in names
+    ]

@@ -13,9 +13,9 @@ dtype mix (unbatchable traffic) and mid-run model updates (version
 churn).  :func:`run_scenario` serves one workload and returns its
 metrics with a digest per request, so two scenarios compare bit for
 bit: batching on versus off (``max_batch=1``), the result cache on
-versus off, a chaos tenant's dedicated runtime versus a run without
-it, and the simulated, sync and asyncio execution backends —
-``tests/harness/test_serve_bench.py`` asserts each at reduced sizes.
+versus off, and a chaos tenant's dedicated runtime versus a run
+without it — ``tests/harness/test_serve_bench.py`` asserts each at
+reduced sizes.
 The ``serve_mixed`` workload of ``bench/`` measures the same service.
 """
 
@@ -133,7 +133,6 @@ def run_scenario(
     streams: Dict[str, List[Tuple[float, np.ndarray]]],
     max_batch: int = 8,
     cache_capacity: int = 256,
-    backend: str = "simulated",
     update_after: Optional[int] = None,
 ) -> Dict:
     """Serve one workload; returns metrics plus per-request digests.
@@ -150,7 +149,6 @@ def run_scenario(
             window=8,
             max_batch=max_batch,
             cache_capacity=cache_capacity,
-            backend=backend,
         ),
     )
     if update_after is None:
@@ -172,9 +170,8 @@ def run_scenario(
     stats = svc.stats()
     prof = svc.runtime.profiler
     ok = [r for r in responses.values() if r.ok]
-    # Digests key on (tenant, per-tenant sequence) — stable across
-    # backends (rid assignment order depends on producer interleaving,
-    # but each tenant's requests admit and serve in stream order).
+    # Digests key on (tenant, per-tenant sequence), so two scenarios over
+    # the same streams compare request by request.
     digests: Dict[str, str] = {}
     counters: Dict[str, int] = {}
     for r in sorted(ok, key=lambda resp: resp.rid):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Tuple
+from typing import Dict
 
 
 def _channel_kind(name: str) -> str:
@@ -98,8 +98,6 @@ class Profiler:
     fastpath_counters: Dict[str, int] = field(
         default_factory=lambda: defaultdict(int)
     )
-    events: List[Tuple[str, float, float]] = field(default_factory=list)
-    record_events: bool = False
 
     # ------------------------------------------------------------------
     def record_task(self, name: str, shards: int) -> None:
@@ -207,11 +205,6 @@ class Profiler:
     def record_host_phase(self, phase: str, seconds: float) -> None:
         """Accumulate host wall-clock time spent in a runtime phase."""
         self.host_phase_seconds[phase] += seconds
-
-    def record_event(self, name: str, start: float, finish: float) -> None:
-        """Record a (name, start, finish) event if enabled."""
-        if self.record_events:
-            self.events.append((name, start, finish))
 
     # ------------------------------------------------------------------
     def total_copy_bytes(self, kind: str | None = None) -> int:
@@ -344,8 +337,6 @@ class Profiler:
             value = getattr(self, f.name)
             if isinstance(value, dict):
                 value = defaultdict(int, value)
-            elif isinstance(value, list):
-                value = list(value)
             setattr(snap, f.name, value)
         return snap
 
@@ -353,25 +344,18 @@ class Profiler:
         """Counter deltas relative to an earlier :meth:`snapshot`.
 
         Numeric fields subtract; dict counters diff over the union of
-        their keys; the ``events`` list (and any future list field) is
-        the tail appended since the snapshot — events are append-only,
-        so phase differencing keeps the timeline instead of losing it.
-        Non-counter fields (``record_events``) copy the current value.
+        their keys.
         """
         delta = Profiler()
         for f in fields(self):
             cur, old = getattr(self, f.name), getattr(snap, f.name)
-            if isinstance(cur, bool):  # bool is an int subclass: no delta
-                value = cur
-            elif isinstance(cur, (int, float)):
+            if isinstance(cur, (int, float)):
                 value = cur - old
             elif isinstance(cur, dict):
                 keys = set(cur) | set(old)
                 value = defaultdict(
                     int, {k: cur.get(k, 0) - old.get(k, 0) for k in keys}
                 )
-            elif isinstance(cur, list):
-                value = list(cur[len(old):])
             else:
                 raise TypeError(
                     f"Profiler.since: field {f.name!r} has undiffable "

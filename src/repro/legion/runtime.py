@@ -39,7 +39,6 @@ from repro.analysis.recorder import validation_default as _validation_default
 from repro.analysis.sanitizer import poison as _poison
 from repro.analysis.sanitizer import readonly_view as _readonly_view
 from repro.geometry import Rect, RectSet
-from repro.legion.backend import ExecutionBackend, create_backend
 from repro.legion import fastpath as _fastpath
 from repro.legion import fusion
 from repro.legion import resilience as _resilience
@@ -153,13 +152,6 @@ class RuntimeConfig:
     # launch overhead.  Off by default (the hot path then pays one
     # ``is not None`` check per site); defaults from REPRO_PROFILE.
     profile: bool = field(default_factory=_profile_default)
-    # Execution backend (repro.legion.backend): who owns the clocks and
-    # how client programs are driven — "simulated" (virtual clocks,
-    # sequential; the classic shape), "sync" (adds per-program host
-    # wall-clock accounting) or "asyncio" (programs interleave as
-    # coroutines, the serving shape).  Modeled time and numerics are
-    # backend-independent by construction.
-    backend: str = "simulated"
 
     @property
     def effective_comm_scale(self) -> float:
@@ -389,17 +381,16 @@ class Runtime:
         self,
         scope: MachineScope,
         config: Optional[RuntimeConfig] = None,
-        backend: Optional[ExecutionBackend] = None,
     ):
         self.scope = scope
         self.machine = scope.machine
         self.config = config or RuntimeConfig()
-        # The execution backend owns the clocks (issue clock, per-proc
-        # busy times) and decides how client programs are driven; the
-        # runtime reads/writes them through the properties below, so
-        # all mapping/coherence code is backend-agnostic.
-        self.backend = backend or create_backend(self.config.backend)
-        self.backend.attach(scope.processors)
+        # The simulated clocks: the issue clock and, per processor uid,
+        # busy-until time.
+        self.issue_time: float = 0.0
+        self._proc_busy: Dict[int, float] = {
+            p.uid: 0.0 for p in scope.processors
+        }
         self.profiler = Profiler()
         self.instances = InstanceManager(
             reserved_fb_bytes=self.config.reserved_fb_bytes,
@@ -540,23 +531,6 @@ class Runtime:
                 self.profiler.host_phase_seconds
             )
             self.timeline.meta["caches"] = self.profiler.fastpath_counters
-
-    # ------------------------------------------------------------------
-    # Clock delegation (the execution backend owns the clock state)
-    # ------------------------------------------------------------------
-    @property
-    def issue_time(self) -> float:
-        """The issue clock (owned by the execution backend)."""
-        return self.backend.issue_time
-
-    @issue_time.setter
-    def issue_time(self, value: float) -> None:
-        self.backend.issue_time = value
-
-    @property
-    def _proc_busy(self) -> Dict[int, float]:
-        """Per-processor busy-until clocks (owned by the backend)."""
-        return self.backend.proc_busy
 
     # ------------------------------------------------------------------
     # Program boundaries (long-lived / multi-tenant use)
@@ -755,7 +729,7 @@ class Runtime:
         under-reported runs ending in a copy.)
         """
         self.flush_window()
-        self.issue_time = self.backend.horizon(self.machine)
+        self.issue_time = self.horizon()
         if self.timeline is not None:
             self.timeline.note_horizon(self.issue_time)
         return self.issue_time
@@ -763,10 +737,22 @@ class Runtime:
     def elapsed(self) -> float:
         """Latest simulated time across issue, processors and channels."""
         self.flush_window()
-        horizon = self.backend.horizon(self.machine)
+        horizon = self.horizon()
         if self.timeline is not None:
             self.timeline.note_horizon(horizon)
         return horizon
+
+    def horizon(self) -> float:
+        """Latest simulated time across issue, processors and channels.
+
+        Unlike :meth:`elapsed` it does not flush the window, so a caller
+        handling a launch that raised reads the clocks as they stand.
+        """
+        return max(
+            self.issue_time,
+            max(self._proc_busy.values(), default=0.0),
+            self.machine.channel_horizon(),
+        )
 
     # ------------------------------------------------------------------
     # Copies
@@ -1330,7 +1316,6 @@ class Runtime:
         issue_time = self.issue_time
         proc_busy = self._proc_busy
         state_of = self.instances.state
-        record_event = self.profiler.record_event
 
         for color in range(colors):
             proc = procs[color % len(procs)]
@@ -1431,7 +1416,6 @@ class Runtime:
             start = t_input
             finish = start + exec_time
             proc_busy[proc.uid] = finish
-            record_event(task.name, start, finish)
             if tl is not None:
                 tl.record(
                     "task", self._proc_label[proc.uid],

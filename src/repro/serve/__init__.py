@@ -19,19 +19,10 @@ accepts many concurrent client requests against a shared sparse model
 * serving lints — unbatchable request mixes and cache-defeating input
   churn (:mod:`repro.serve.advisor`).
 
-Execution is driven through the pluggable
-:class:`repro.legion.backend.ExecutionBackend` (simulated /
-synchronous-host / asyncio); modeled time and numerics are
-backend-independent.
+Latencies are modeled on the runtime's simulated clocks
+(:mod:`repro.serve.service`).
 """
 
-from repro.legion.backend import (
-    AsyncioBackend,
-    ExecutionBackend,
-    SimulatedClockBackend,
-    SyncHostBackend,
-    create_backend,
-)
 from repro.serve.advisor import lint_serve
 from repro.serve.batcher import BatchKey, SpMVBatcher
 from repro.serve.cache import ResultCache
@@ -44,20 +35,15 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "AsyncioBackend",
     "BatchKey",
-    "ExecutionBackend",
     "FairShareScheduler",
     "Request",
     "ResultCache",
     "Response",
     "ServeStats",
     "ServiceConfig",
-    "SimulatedClockBackend",
     "SparseService",
     "SpMVBatcher",
-    "SyncHostBackend",
     "TenantConfig",
-    "create_backend",
     "lint_serve",
 ]

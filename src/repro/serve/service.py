@@ -23,9 +23,7 @@ version*) and serves SpMV requests from many tenants:
 Time is modeled: request arrivals, queue waits, launch overheads and
 kernel times all live on the runtime's virtual clocks, so reported
 latency percentiles are *modeled* latencies — measured claims, same as
-the paper figures.  How client programs are *driven* (sequentially or
-interleaved on an asyncio loop) is the execution backend's choice and
-never changes results.
+the paper figures.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.legion.backend import AsyncioBackend
 from repro.legion.exceptions import FaultError
 from repro.legion.runtime import Runtime, RuntimeConfig, runtime_scope
 from repro.machine import ProcessorKind, summit
@@ -54,7 +51,6 @@ class ServiceConfig:
     window: int = 8  # requests per scheduling round
     max_batch: int = 8  # stacked RHS per launch; 1 disables batching
     cache_capacity: int = 256
-    backend: str = "simulated"  # simulated | sync | asyncio
     validate: bool = False
     profile: bool = False
 
@@ -150,7 +146,6 @@ class SparseService:
                     tenant.name, rt, self.config.max_batch
                 )
         self._tenant_configs = {t.name: t for t in tenants}
-        self._open_streams = 0
 
     def _make_runtime(self, chaos) -> Runtime:
         return Runtime(
@@ -159,7 +154,6 @@ class SparseService:
                 chaos=chaos,
                 validate=self.config.validate,
                 profile=self.config.profile,
-                backend=self.config.backend,
             ),
         )
 
@@ -206,8 +200,8 @@ class SparseService:
     # The serving loop
     # ------------------------------------------------------------------
     def run(self) -> Dict[int, Response]:
-        """Drain every queue through the execution backend; responses."""
-        self.runtime.backend.run_programs([self._drain])
+        """Drain every queue; returns the responses."""
+        self._drain()
         return self.responses
 
     def _drain(self) -> None:
@@ -220,35 +214,9 @@ class SparseService:
     ) -> Dict[int, Response]:
         """Serve per-tenant request streams.
 
-        Under the asyncio backend each tenant is a client coroutine
-        submitting its stream concurrently while a consumer coroutine
-        drains windows — the multi-client serving shape.  Under the
-        sequential backends all requests are admitted in arrival order
-        and drained.  Results are bitwise-identical either way (window
-        composition may differ; batching never changes bits).
+        Every request is admitted in arrival order (ties keep the
+        ``streams`` order), then the queues drain.
         """
-        backend = self.runtime.backend
-        if isinstance(backend, AsyncioBackend):
-            self._open_streams = len(streams)
-
-            def producer(tenant, items):
-                async def _produce():
-                    for arrival, x in items:
-                        self.submit(tenant, x, arrival)
-                        await backend.checkpoint_yield()
-                    self._open_streams -= 1
-
-                return _produce
-
-            async def _consume():
-                while self._open_streams or self.scheduler.pending:
-                    self._run_window()
-                    await backend.checkpoint_yield()
-
-            backend.run_programs(
-                [_consume] + [producer(t, i) for t, i in streams.items()]
-            )
-            return self.responses
         ordered = sorted(
             (
                 (arrival, tenant, x)
@@ -315,7 +283,7 @@ class SparseService:
                     results = domain.batcher.execute(batch, matrix, drt)
                     finish = drt.elapsed()
             except FaultError as exc:
-                finish = drt.backend.horizon(drt.machine)
+                finish = drt.horizon()
                 for req in batch.requests:
                     self.responses[req.rid] = Response(
                         req.rid, req.tenant, False, None,

@@ -1,6 +1,5 @@
 """The §5 coverage claims, checked against the actual package surface."""
 
-import numpy as np
 import pytest
 
 import repro.sparse as sp
@@ -87,13 +86,12 @@ class TestInventoryIsHonest:
         text = coverage.summary()
         assert "DISTAL-generated" in text
 
-    def test_inventory_has_advisor_column(self):
+    def test_inventory_columns(self):
         rows = coverage.inventory()
         assert len(rows) == coverage.implemented_count()
         for row in rows:
-            assert set(row) == {"name", "strategy", "advisor", "formats"}
+            assert set(row) == {"name", "strategy", "formats"}
             assert row["strategy"] in {"generated", "ported", "handwritten"}
-            assert isinstance(row["advisor"], bool)
             assert isinstance(row["formats"], list) and row["formats"]
 
     def test_inventory_formats_column(self):
@@ -109,42 +107,6 @@ class TestInventoryIsHonest:
         assert {f for row in coverage.inventory() for f in row["formats"]} == {
             "csr", "csc", "coo", "dia", "bsr", "any"
         }
-
-    def test_every_generated_kernel_has_cost_model(self):
-        """The advisor's model registry is total over GENERATED: every
-        DISTAL-generated kernel can be costed statically."""
-        from repro.analysis import costmodel
-
-        for name in coverage.GENERATED:
-            model = costmodel.get_model(name)
-            assert model is not None, f"no advisor cost model for {name}"
-            est = model.evaluate(rows=1000, cols=800, nnz=5000, k=4)
-            for key in ("flops", "bytes", "out_nnz"):
-                assert np.isfinite(est[key]), (name, key)
-                assert est[key] >= 0, (name, key)
-
-    def test_cost_model_statements_are_generatable(self):
-        """Every model points at a real (statement, format) pair the
-        DISTAL code generator supports."""
-        from repro.analysis import costmodel
-
-        pairs = set(supported_statements())
-        for name in coverage.GENERATED:
-            model = costmodel.get_model(name)
-            assert (model.statement, model.fmt) in pairs, (
-                model.statement, model.fmt,
-            )
-            assert costmodel.for_statement(model.statement, model.fmt) is model
-
-    def test_task_name_resolution(self):
-        """Runtime task names (fmt:statement:kind) resolve back to their
-        models; non-DISTAL names do not."""
-        from repro.analysis import costmodel
-
-        model = costmodel.for_task_name("csr:y(i)=A(i,j)*x(j):gpu")
-        assert model is not None and model.name == "csr_matvec"
-        assert costmodel.for_task_name("fill") is None
-        assert costmodel.for_task_name("axpy") is None
 
     def test_unimplemented_documented(self):
         assert "lil_matrix/dok_matrix" in coverage.UNIMPLEMENTED

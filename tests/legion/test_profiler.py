@@ -58,14 +58,6 @@ class TestCounters:
         assert "hottest tasks" in text
         assert "allreduces" in text
 
-    def test_events_disabled_by_default(self):
-        p = Profiler()
-        p.record_event("x", 0.0, 1.0)
-        assert p.events == []
-        p.record_events = True
-        p.record_event("x", 0.0, 1.0)
-        assert p.events == [("x", 0.0, 1.0)]
-
     def test_summary_prints_fills(self):
         p = Profiler()
         p.record_fill()
@@ -76,24 +68,6 @@ class TestCounters:
 
 
 class TestSnapshotDelta:
-    def test_snapshot_carries_events(self):
-        p = Profiler(record_events=True)
-        p.record_event("warm", 0.0, 1.0)
-        snap = p.snapshot()
-        assert snap.events == [("warm", 0.0, 1.0)]
-        p.record_event("solve", 1.0, 2.0)
-        assert snap.events == [("warm", 0.0, 1.0)]  # frozen copy
-
-    def test_since_slices_event_tail(self):
-        p = Profiler(record_events=True)
-        p.record_event("warm", 0.0, 1.0)
-        snap = p.snapshot()
-        p.record_event("solve", 1.0, 2.0)
-        p.record_event("solve", 2.0, 3.0)
-        delta = p.since(snap)
-        assert delta.events == [("solve", 1.0, 2.0), ("solve", 2.0, 3.0)]
-        assert delta.record_events is True  # flags copy, not subtract
-
     def test_drift_guard_every_field_survives_delta(self):
         """Bump every counter field by a distinct amount and assert the
         snapshot/since pair reproduces exactly that delta — a counter
@@ -103,10 +77,7 @@ class TestSnapshotDelta:
         for i, f in enumerate(fields(Profiler)):
             bump = i + 1
             cur = getattr(bumped, f.name)
-            if isinstance(cur, bool):
-                setattr(base, f.name, True)
-                setattr(bumped, f.name, True)
-            elif isinstance(cur, int):
+            if isinstance(cur, int):
                 setattr(base, f.name, 10 * bump)
                 setattr(bumped, f.name, 10 * bump + bump)
             elif isinstance(cur, float):
@@ -116,11 +87,6 @@ class TestSnapshotDelta:
                 getattr(base, f.name)[f.name] = 10 * bump
                 getattr(bumped, f.name)[f.name] = 10 * bump + bump
                 getattr(bumped, f.name)["fresh-key"] = bump
-            elif isinstance(cur, list):
-                getattr(base, f.name).append(("old", 0.0, 1.0))
-                getattr(bumped, f.name).extend(
-                    [("old", 0.0, 1.0), (f.name, 1.0, 2.0)]
-                )
             else:
                 raise AssertionError(
                     f"field {f.name!r} has a type the drift guard does "
@@ -135,12 +101,8 @@ class TestSnapshotDelta:
         for i, f in enumerate(fields(Profiler)):
             bump = i + 1
             got = getattr(delta, f.name)
-            if isinstance(getattr(bumped, f.name), bool):
-                assert got is True, f.name
-            elif isinstance(got, (int, float)) and not isinstance(got, bool):
-                assert got == bump, f.name
-            elif isinstance(got, dict):
+            if isinstance(got, dict):
                 assert got[f.name] == bump, f.name
                 assert got["fresh-key"] == bump, f.name
             else:
-                assert got == [(f.name, 1.0, 2.0)], f.name
+                assert got == bump, f.name

@@ -152,19 +152,42 @@ class TestPerRegionMemScale:
             assert rt.instances.used_bytes(mem) == pytest.approx(50 * 8 * 3.0, rel=0.01)
 
 
+class TestClocks:
+    def _runtime(self):
+        return Runtime(
+            summit(nodes=1).scope(ProcessorKind.GPU, 2), RuntimeConfig.legate()
+        )
+
+    def test_one_clock_per_scope_processor(self):
+        rt = self._runtime()
+        assert rt.issue_time == 0.0
+        assert set(rt._proc_busy) == {p.uid for p in rt.scope.processors}
+
+    def test_horizon_covers_issue_procs_and_channels(self):
+        rt = self._runtime()
+        rt.issue_time = 1.0
+        assert rt.horizon() == 1.0
+        uid = next(iter(rt._proc_busy))
+        rt._proc_busy[uid] = 2.5
+        assert rt.horizon() == 2.5
+        assert rt.elapsed() >= 2.5
+
+
 class TestProfilerEvents:
     def test_event_recording_toggle(self):
         machine = summit(nodes=1)
-        rt = Runtime(machine.scope(ProcessorKind.GPU, 2), RuntimeConfig.legate())
-        rt.profiler.record_events = True
+        rt = Runtime(
+            machine.scope(ProcessorKind.GPU, 2),
+            RuntimeConfig.legate(profile=True),
+        )
         with runtime_scope(rt):
             a = rnp.ones(64)
             b = a * 2.0
-        names = [name for name, _, _ in rt.profiler.events]
+        tasks = [s for s in rt.timeline.spans if s.category == "task"]
         # The fill and the multiply fuse into one launch by default.
-        assert any("multiply" in name for name in names)
-        for _, start, finish in rt.profiler.events:
-            assert finish >= start
+        assert any("multiply" in s.name for s in tasks)
+        for span in rt.timeline.spans:
+            assert span.finish >= span.start
 
     def test_task_counts_by_name(self):
         machine = summit(nodes=1)

@@ -228,24 +228,48 @@ def test_isolated_domain_resets_between_request_programs():
 
 
 # ----------------------------------------------------------------------
-# Streams and backends
+# Streams
 # ----------------------------------------------------------------------
-def test_serve_streams_asyncio_matches_sequential_bitwise():
-    rng = np.random.default_rng(7)
-    streams = {
-        "a": [(2.5e-4 * (i // 2), rng.standard_normal(N)) for i in range(6)],
-        "b": [(2.5e-4 * (i // 2), rng.standard_normal(N)) for i in range(6)],
+def _served(r):
+    return (r.start, r.finish, r.batch_width, r.cache_hit, r.y.tobytes())
+
+
+@pytest.mark.parametrize(
+    "names", [("a", "b"), ("a", "b", "c")], ids=["two", "three"]
+)
+def test_serve_streams_is_arrival_ordered_submit_then_run(names):
+    """serve_streams admits every request in arrival order, then drains
+    once: per request, timing, batching, cache and bits equal that
+    explicit sequence, whatever the order of the ``streams`` dict."""
+    from repro.harness.serve_bench import generate_streams
+
+    streams = generate_streams(
+        11, names, 6, n=N, dup_rate=0.3, dtype_mix=0.2
+    )
+    tenants = [TenantConfig(name) for name in names]
+
+    svc = _service(tenants)
+    ordered = sorted(
+        (
+            (arrival, name, seq, x)
+            for name in names
+            for seq, (arrival, x) in enumerate(streams[name])
+        ),
+        key=lambda item: item[0],
+    )
+    rids = {
+        (name, seq): svc.submit(name, x, arrival)
+        for arrival, name, seq, x in ordered
     }
-    digests = {}
-    for backend in ("simulated", "asyncio"):
-        svc = _service(
-            [TenantConfig("a"), TenantConfig("b")], backend=backend
-        )
-        responses = svc.serve_streams(
-            {t: list(items) for t, items in streams.items()}
-        )
-        by_tenant = {}
+    responses = svc.run()
+    expected = {key: _served(responses[rid]) for key, rid in rids.items()}
+    assert any(width > 1 for _, _, width, _, _ in expected.values())
+
+    for order in (names, names[::-1]):
+        svc = _service(tenants)
+        responses = svc.serve_streams({name: streams[name] for name in order})
+        got, seqs = {}, {}
         for r in sorted(responses.values(), key=lambda r: r.rid):
-            by_tenant.setdefault(r.tenant, []).append(r.y.tobytes())
-        digests[backend] = by_tenant
-    assert digests["simulated"] == digests["asyncio"]
+            seq = seqs[r.tenant] = seqs.get(r.tenant, -1) + 1
+            got[(r.tenant, seq)] = _served(r)
+        assert got == expected
