@@ -28,13 +28,18 @@ echo "== tier-1 tests =="
 python -m pytest -x -q
 
 echo "== validation smoke (REPRO_VALIDATE=1) =="
+# test_fastpath.py and test_trace_replay.py put launches served from the
+# solve memo, the window-plan cache and trace templates through the
+# checker (about 3 s of the slice's 15 s on a 2-vCPU VM).
 REPRO_VALIDATE=1 python -m pytest -x -q \
     tests/analysis \
     tests/legion/test_runtime.py \
     tests/legion/test_coherence.py \
     tests/legion/test_exact_images.py \
+    tests/legion/test_fastpath.py \
     tests/legion/test_fusion.py \
     tests/legion/test_reduction_fusion.py \
+    tests/legion/test_trace_replay.py \
     tests/integration
 
 echo "== end-to-end bench smoke (bench/run.py: four workloads, every check on) =="

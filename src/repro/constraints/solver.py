@@ -178,106 +178,6 @@ def solve_partitions(
     return solution
 
 
-_NOT_MEMOIZABLE = object()
-
-
-def _key_sig(store: Store):
-    kp = store.key_partition
-    if kp is None:
-        return None
-    if type(kp) is Tiling:
-        if kp.region.uid == store.region.uid:
-            # The overwhelmingly common case: a store keyed by a tiling
-            # of its own region.  Encoding it positionally (rather than
-            # by uid) lets structurally identical launches over *fresh*
-            # regions — an iterative solver's per-step temporaries —
-            # share one memo entry.
-            return ("own", kp.boundaries)
-        return (kp.region.uid, kp.boundaries)
-    return _NOT_MEMOIZABLE
-
-
-def solve_signature(
-    stores: Iterable[Store],
-    constraints: Iterable[object],
-    colors: int,
-    reuse_partitions: bool = True,
-    exact_images: bool = False,
-) -> Optional[tuple]:
-    """A hashable *structural* signature of a solve, or None.
-
-    Two calls to :func:`solve_partitions` with equal signatures produce
-    structurally interchangeable solutions, so the runtime memoizes
-    on it (:class:`repro.legion.fastpath.SolveMemo`).  The
-    signature is positional, not uid-based: stores are identified by
-    their index in the call (with region aliasing captured by mapping
-    every store to the first index sharing its region), and it embeds
-    everything the solver consults — shape, logical nbytes (the
-    largest-member choice), key-partition boundaries (with tilings of a
-    store's own region marked ``"own"``), alignment/broadcast structure
-    and the config flags.  Iterative solvers therefore hit the memo
-    every step even though each step allocates fresh regions with fresh
-    uids.  ``None`` means the solve is not memoizable: Image
-    constraints read region *data* at partition-construction time,
-    Explicit constraints carry arbitrary caller partitions, and
-    non-Tiling key partitions fall outside the reuse rules the
-    signature encodes.  A repartition changes a store's key-partition
-    boundaries, so a stale entry can never match.  Signatures hold only
-    ints, shape/boundary tuples and flags — never region or partition
-    objects — so a memo entry cannot extend any region's lifetime.
-    """
-    stores = list(stores)
-    pos_by_uid: Dict[int, int] = {}
-    store_sig = []
-    for i, store in enumerate(stores):
-        key_sig = _key_sig(store)
-        if key_sig is _NOT_MEMOIZABLE:
-            return None
-        region = store.region
-        pos_by_uid.setdefault(region.uid, i)
-        store_sig.append(
-            (pos_by_uid[region.uid], region.shape, region.nbytes, key_sig)
-        )
-
-    def _ref(store: Store):
-        # Constraint operands join the union-find even when absent from
-        # ``stores`` and their sizes/keys feed the group's partition
-        # choice; in-call operands are referenced by position, external
-        # ones carry their full structural row (plus uid, since no
-        # position pins them down).
-        uid = store.region.uid
-        pos = pos_by_uid.get(uid)
-        if pos is not None:
-            return pos
-        key_sig = _key_sig(store)
-        if key_sig is _NOT_MEMOIZABLE:
-            return _NOT_MEMOIZABLE
-        region = store.region
-        return ("ext", uid, region.shape, region.nbytes, key_sig)
-
-    con_sig = []
-    for con in constraints:
-        if isinstance(con, Align):
-            lref, rref = _ref(con.left), _ref(con.right)
-            if lref is _NOT_MEMOIZABLE or rref is _NOT_MEMOIZABLE:
-                return None
-            con_sig.append(("align", lref, rref))
-        elif isinstance(con, Broadcast):
-            ref = _ref(con.store)
-            if ref is _NOT_MEMOIZABLE:
-                return None
-            con_sig.append(("bcast", ref))
-        else:
-            return None
-    return (
-        int(colors),
-        bool(reuse_partitions),
-        bool(exact_images),
-        tuple(store_sig),
-        tuple(con_sig),
-    )
-
-
 def solution_plan(
     solution: Dict[int, Partition], stores: Iterable[Store]
 ) -> Optional[tuple]:
@@ -288,7 +188,8 @@ def solution_plan(
     reaches its destructor, so its instances are never recycled into
     the allocation pool — silently changing mapping behaviour.  The
     plan records only ``(kind, position, boundaries)`` rows — positions
-    into the call's store list, matching the positional signature —
+    into the call's store list, which a memo key
+    (``AutoTask._fingerprint``) pins argument by argument —
     and :func:`rebuild_solution` re-derives concrete partitions from
     the *current* stores.  ``None`` means the solution mentions a
     region with no store in this call (an alignment-only operand) or a
@@ -320,7 +221,7 @@ def rebuild_solution(
 ) -> Dict[int, Partition]:
     """Concrete partitions from a :func:`solution_plan` recipe.
 
-    Mirrors what a fresh solve would return for an equal signature:
+    Mirrors what a fresh solve would return for an equal memo key:
     ``key`` rows hand back the positioned store's current key-partition
     object (exactly what partition reuse would pick), ``tile`` rows
     construct a new Tiling of the positioned store's region with the

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional
 from repro.analysis import ValidationError
 from repro.constraints.constraint import Align, Broadcast, Explicit, Image, ImageKind
 from repro.constraints.solver import (
-    rebuild_solution, solution_plan, solve_partitions, solve_signature,
+    rebuild_solution, solution_plan, solve_partitions,
 )
 from repro.constraints.store import Store
 from repro.legion.future import Future
@@ -154,18 +154,20 @@ class AutoTask:
                 )
 
     def _fingerprint(self, colors: int, ids: Dict[int, int]) -> Optional[tuple]:
-        """The launch's trace fingerprint, taken *before* the solve.
+        """The launch's structural key, taken *before* the solve.
 
-        Everything the solver consults (what
-        :func:`~repro.constraints.solver.solve_signature` encodes: shapes,
-        sizes, key partitions, alignment and broadcast structure) plus
-        what the launch adds to it (name, privileges, body IR), with
-        regions numbered by first use within the trace body (``ids``)
-        -- so a match pins the solve plan, the solved partitions and
-        the dataflow from earlier launches of the body at once.  None
-        when the solve reads region data or caller partitions (Image,
-        Explicit), a key partition is no tiling, or a constraint names
-        a store that is no argument: such launches are matched after
+        Everything the solver consults (shapes and dtypes, so sizes; key
+        partitions, a tiling of another region by that region's uid;
+        alignment and broadcast structure) plus what the launch adds to
+        it (name, privileges, body IR), with regions numbered by first
+        use within ``ids``.  Numbered within the trace body it matches
+        a trace position, which pins the solve plan, the solved
+        partitions and the dataflow from earlier launches of the body
+        at once; numbered within the launch alone (``ids={}``) it keys
+        the runtime's solve memo.  None when the solve reads region
+        data or caller partitions (Image, Explicit), a key partition is
+        no tiling, or a constraint names a store that is no argument:
+        such a launch is never memoized, and a trace matches it after
         the solve, by :func:`repro.legion.tracing.launch_fingerprint`.
         """
         rows = []
@@ -206,27 +208,18 @@ class AutoTask:
             tuple(rows), tuple(constraints),
         )
 
-    def _solve(
-        self, stores, colors: int, slot, images: bool
-    ) -> Dict[int, object]:
+    def _solve(self, stores, colors: int, slot) -> Dict[int, object]:
         """Partitions for the stores, through the solve memo.
 
         Iterative solvers re-launch structurally identical tasks every
-        step; the signature embeds key partitions, so repartitions miss
-        instead of going stale.  Image constraints read region data and
-        are never memoizable.  The plan found or made is left on the
+        step; the key embeds key partitions, so repartitions miss
+        instead of going stale.  The plan found or made is left on the
         trace ``slot`` (if any) for the position's replays.
         """
         rt = self.runtime
-        sig = None if images else solve_signature(
-            stores,
-            self._constraints,
-            colors,
-            reuse_partitions=rt.config.reuse_partitions,
-            exact_images=rt.config.exact_images,
-        )
-        if sig is not None:
-            plan_entry = rt._solve_memo.get(sig)
+        key = self._fingerprint(colors, {})
+        if key is not None:
+            plan_entry = rt._solve_memo.get(key)
             if plan_entry is not None:
                 if slot is not None:
                     slot.solve_plan = plan_entry
@@ -240,10 +233,10 @@ class AutoTask:
             exact_images=rt.config.exact_images,
             image_cache=rt._image_cache,
         )
-        if sig is not None:
+        if key is not None:
             splan = solution_plan(solution, stores)
             if splan is not None:
-                rt._solve_memo.put(sig, splan)
+                rt._solve_memo.put(key, splan)
                 if slot is not None:
                     slot.solve_plan = splan
             rt.profiler.fastpath_counters["solve_misses"] += 1
@@ -284,7 +277,7 @@ class AutoTask:
             solution = rebuild_solution(slot.solve_plan, stores, colors)
             rt.profiler.fastpath_counters["solve_hits"] += 1
         else:
-            solution = self._solve(stores, colors, slot, bool(images))
+            solution = self._solve(stores, colors, slot)
         rt.profiler.record_host_phase("constraint-solve", _perf() - t0)
         if self.runtime.config.validate:
             self._check_write_disjointness(solution)

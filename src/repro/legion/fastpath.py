@@ -14,11 +14,15 @@ there is no switch and no other path:
   :meth:`RegionCoherence.write_complete` pass, because the final
   coherence state is independent of the interleaving.  Requirements it
   rejects write per color.
-* :class:`SolveMemo` — bounded container for constraint-solve
-  memoization keyed by structural signature
-  (:func:`repro.constraints.solver.solve_signature`).
+* :class:`SolveMemo` — bounded container for constraint-solve plans
+  keyed by the launch's structural key
+  (``AutoTask._fingerprint``, regions numbered within the launch).
 * :class:`ImagePartitionCache` — image-partition geometry keyed by the
   source region's write epoch.
+
+The window-plan cache is not here: ``Runtime._plan_window`` keys its
+planned groups by the window's trace fingerprints
+(:func:`repro.legion.tracing.window_fingerprint`).
 
 The per-shard mapping itself is not here: the runtime's
 requirement-major loop (plan rows, the steady-state lane) and
@@ -45,12 +49,13 @@ from repro.legion.privilege import Privilege
 
 
 class SolveMemo:
-    """Bounded memo of constraint-solve *plans* by structural signature.
+    """Bounded memo of constraint-solve *plans* by structural key.
 
-    Signatures come from :func:`repro.constraints.solver.solve_signature`
-    and embed region uids — which are never recycled — plus key-partition
-    boundaries, so a repartition (a store's key partition changing)
-    changes the signature instead of requiring explicit invalidation.
+    Keys are ``AutoTask._fingerprint(colors, {})``, regions numbered
+    within the launch: launches over fresh regions share an entry, and
+    a repartition (a store's key partition changing) changes the key
+    instead of requiring explicit invalidation.  A launch with no key
+    (Image, Explicit, a non-tiling key partition) is never memoized.
     Values are :func:`repro.constraints.solver.solution_plan` recipes,
     not partition objects: holding partitions would keep their regions
     alive past the program's last reference, blocking the destructor
@@ -63,21 +68,17 @@ class SolveMemo:
     MAX_ENTRIES = 1024
 
     def __init__(self) -> None:
-        self._entries: Dict[tuple, dict] = {}
+        self._entries: Dict[tuple, tuple] = {}
 
-    def get(self, sig: tuple) -> Optional[dict]:
-        """The cached solution dict for a signature, or None."""
-        return self._entries.get(sig)
+    def get(self, key: tuple) -> Optional[tuple]:
+        """The memoized solution plan for a key, or None."""
+        return self._entries.get(key)
 
-    def put(self, sig: tuple, solution: dict) -> None:
-        """Memoize a solve result."""
+    def put(self, key: tuple, plan: tuple) -> None:
+        """Memoize a solution plan."""
         if len(self._entries) >= self.MAX_ENTRIES:
             self._entries.clear()
-        self._entries[sig] = solution
-
-    def clear(self) -> None:
-        """Drop every memoized solution."""
-        self._entries.clear()
+        self._entries[key] = plan
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -105,7 +106,8 @@ class ImagePartitionCache:
 
     def __init__(self) -> None:
         self._entries: Dict[tuple, object] = {}
-        # region uid -> number of task writes observed (0 if never).
+        # Live region uid -> number of task writes observed (0 if never);
+        # the runtime drops a region's entry when it frees the region.
         self.epochs: Dict[int, int] = {}
 
     def bump(self, uid: int) -> None:
@@ -121,10 +123,6 @@ class ImagePartitionCache:
         if len(self._entries) >= self.MAX_ENTRIES:
             self._entries.clear()
         self._entries[key] = value
-
-    def clear(self) -> None:
-        """Drop every entry (epochs are kept — they only grow)."""
-        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -67,11 +67,12 @@ staging; the temporary never exists as a mapped instance).
 Everything here is deterministic and depends only on window *structure*
 (names, colors, privileges, partition boundaries, which arguments
 share a region, reduction ops and future-dependence edges), so plans
-are memoizable: :func:`signature` renumbers
-regions by first occurrence, and two windows with equal signatures get
-byte-identical plans.  A window whose launches one trace body issued
-skips even the signature: its planned groups are kept on the trace
-(:mod:`repro.legion.tracing`, ``Runtime._flush``).
+are memoizable.  The runtime keys them -- with their verdicts and
+nests -- by the window's trace fingerprints
+(:func:`repro.legion.tracing.window_fingerprint`), which carry all of
+that plus shapes and dtypes; a window whose launches one trace body
+issued finds its groups on the trace without even that key
+(``Runtime._flush``).
 """
 
 from __future__ import annotations
@@ -188,8 +189,7 @@ def local_ids(summaries: Sequence[LaunchSummary]) -> Dict[int, int]:
     """Region uid -> first-occurrence index within the window.
 
     The renumbering is what makes plans structural: two windows that
-    touch different regions in the same pattern get the same signature
-    and therefore the same (cached) plan.
+    touch different regions in the same pattern get the same plan.
     """
     ids: Dict[int, int] = {}
     for summary in summaries:
@@ -198,43 +198,6 @@ def local_ids(summaries: Sequence[LaunchSummary]) -> Dict[int, int]:
             if uid not in ids:
                 ids[uid] = len(ids)
     return ids
-
-
-def ir_key(pointwise: Optional[Pointwise]) -> Optional[tuple]:
-    """A hashable key of a launch's body IR (None when opaque).
-
-    Part of the window signature: two structurally identical windows
-    whose kernels compute different expressions must not share a cached
-    merge verdict or generated nest.
-    """
-    if pointwise is None:
-        return None
-    statement = pointwise.statement
-    stmt_key = statement.key() if statement is not None else None
-    return (pointwise.ops, pointwise.expr, pointwise.out, stmt_key)
-
-
-def signature(summaries: Sequence[LaunchSummary]) -> tuple:
-    """A hashable structural key of a window (the memoization key)."""
-    ids = local_ids(summaries)
-    return tuple(
-        (
-            s.name,
-            s.colors,
-            s.fusible,
-            ir_key(s.pointwise),
-            s.reduction,
-            s.after,
-            tuple(
-                (
-                    ids[a.region.uid], a.part_kind, a.boundaries,
-                    a.privilege.value, a.name,
-                )
-                for a in s.accesses
-            ),
-        )
-        for s in summaries
-    )
 
 
 class _GroupState:
@@ -349,7 +312,7 @@ def plan_window(summaries: Sequence[LaunchSummary]) -> List[GroupPlan]:
     or before the group of a reduction whose future it takes.
 
     Deterministic and purely structural (see module docs), so callers
-    may cache the result keyed by :func:`signature`.
+    may cache the result by the window's structure.
     """
     ids = local_ids(summaries)
     groups: List[_GroupState] = []

@@ -55,7 +55,7 @@ from repro.legion.task import Pointwise, Requirement, ShardContext, TaskLaunch
 from repro.legion.timeline import Timeline
 from repro.legion.timeline import profile_default as _profile_default
 from repro.legion.timeline import register as _register_timeline
-from repro.legion.tracing import Trace
+from repro.legion.tracing import Trace, window_fingerprint
 from repro.machine import MachineScope, Memory, MemoryKind, Processor
 
 
@@ -341,17 +341,18 @@ class _Group:
     """One planned group of a deferred window, as ``_flush`` runs it.
 
     Region-free: elided temporaries are named by (window index,
-    requirement index), so the groups of a window a trace replays are
-    kept on its first slot and the analysis is not redone.
+    requirement index), so the window-plan cache holds the groups of
+    each window structure, and a trace slot the groups of a window its
+    body issued, and the analysis is not redone.
     """
 
     __slots__ = (
         "indices", "names", "verdict", "label", "elide", "segments",
-        "nest_key", "nests", "exec",
+        "nests", "exec",
     )
 
     def __init__(
-        self, indices, names, verdict, label, elide, segments, nest_key
+        self, indices, names, verdict, label, elide, segments
     ) -> None:
         self.indices = indices
         self.names = names
@@ -364,12 +365,12 @@ class _Group:
         # one's positions in the group and whether it runs as a
         # generated nest.
         self.segments = segments
-        # Groups with a nest: the structural half of the nest-cache
-        # key, and the ``parts`` of fusion.fuse generated so far by
-        # which elided temporaries (as positions in ``elide``) were
-        # already dead at the flush.
-        self.nest_key = nest_key
-        self.nests: Dict[frozenset, list] = {}
+        # Groups with a nest: the ``parts`` of fusion.fuse generated so
+        # far by which elided temporaries (as positions in ``elide``)
+        # were already dead at the flush.  None when no segment nests.
+        self.nests: Optional[Dict[frozenset, list]] = (
+            {} if any(merged for _positions, merged in segments) else None
+        )
         # The fused launch's execution template (kept windows only).
         self.exec: Optional[_LaunchShape] = None
 
@@ -439,27 +440,18 @@ class Runtime:
         self._template_epoch = 0
         # Deferred launch window (automatic task fusion, see
         # repro.legion.fusion): fusible launches buffer here; flush
-        # plans groups and executes.  The plan cache memoizes grouping
-        # decisions by structural window signature, so a traced loop
-        # pays the planning cost once per distinct window shape.
+        # plans groups and executes.
         self._window: List[TaskLaunch] = []
         self._deferred_frees: List[int] = []
         # Pending future of each reduction in the window -> its window
         # position (what a later launch's ``after`` edges name).
         self._window_roots: Dict[Future, int] = {}
-        # Plans plus kernel-fusion verdicts, memoized per structural
-        # window signature (the signature includes each launch's body
-        # IR, so distinct programs can never share a cached verdict).
-        self._fusion_cache: Dict[
-            tuple, Tuple[List[fusion.GroupPlan], List["object"]]
-        ] = {}
-        # Generated nest specs per (window signature, group, elided /
-        # dead local ids, step dtypes).  Nest kernels reference only
-        # mangled requirement names — never regions — so a spec is
-        # reusable across structurally identical windows; dtypes join
-        # the key because the window signature does not carry them and
-        # each step's cast target is baked into the source.
-        self._nest_cache: Dict[tuple, "object"] = {}
+        # The window-plan cache: planned groups -- verdicts and the
+        # nests generated for them -- by tracing.window_fingerprint.
+        # The key carries body IR and dtypes, so windows computing
+        # other expressions or casting to other types never share a
+        # verdict or a nest; a distinct window pays the planning once.
+        self._fusion_cache: Dict[tuple, List[_Group]] = {}
         # Every executed window group, in order: (sub-launch names,
         # number of elided temporaries, verdict label) where the label
         # is depend.verdict_label — "single", "merged" or
@@ -535,7 +527,7 @@ class Runtime:
     # ------------------------------------------------------------------
     # Program boundaries (long-lived / multi-tenant use)
     # ------------------------------------------------------------------
-    def reset_for_program(self, clear_caches: bool = False) -> None:
+    def reset_for_program(self) -> None:
         """Reset per-program state between back-to-back programs.
 
         A runtime historically lived exactly as long as one program, so
@@ -566,11 +558,9 @@ class Runtime:
         takes a checkpoint (which syncs, snapshots dirty state and
         clears the journal) instead of discarding coverage.
 
-        ``clear_caches=True`` additionally drops the structural caches
-        (fusion plans, generated nests, solve memo, image geometry).
-        They are keyed structurally and never leak numerics, so a
-        shared-model server keeps them warm across tenants by default;
-        a strict-isolation tenant can clear them.
+        The structural caches (window plans and their nests, solve
+        memo, image geometry) stay warm: they are keyed structurally
+        and never leak numerics.
 
         Profiler counters are deliberately *not* reset — they are
         cumulative observability state; callers wanting per-program
@@ -589,11 +579,6 @@ class Runtime:
         self._freed_uids.clear()
         self._launches_since_ckpt = 0
         self.fusion_log.clear()
-        if clear_caches:
-            self._fusion_cache.clear()
-            self._nest_cache.clear()
-            self._solve_memo.clear()
-            self._image_cache.clear()
 
     # ------------------------------------------------------------------
     # Traces
@@ -673,9 +658,15 @@ class Runtime:
         if self._window_refs.get(region.uid, 0) > 0:
             self._deferred_frees.append(region.uid)
         else:
-            self._coherence.pop(region.uid, None)
-            self._region_meta.pop(region.uid, None)
-            self.instances.free_region(region.uid)
+            self._release(region.uid)
+
+    def _release(self, uid: int) -> None:
+        """Drop a freed region's state: coherence, metadata, image
+        epoch, and its instances (recycled into the pool)."""
+        self._coherence.pop(uid, None)
+        self._region_meta.pop(uid, None)
+        self._image_cache.epochs.pop(uid, None)
+        self.instances.free_region(uid)
 
     @property
     def num_procs(self) -> int:
@@ -1009,9 +1000,7 @@ class Runtime:
             # Regions freed while referenced by the (now executed or
             # abandoned) window: recycle their instances.
             for uid in frees:
-                self._coherence.pop(uid, None)
-                self._region_meta.pop(uid, None)
-                self.instances.free_region(uid)
+                self._release(uid)
             self.profiler.record_host_phase("window-flush", _perf() - t0)
 
     def _flush(self, window: List[TaskLaunch], frees: Sequence[int] = ()) -> None:
@@ -1045,7 +1034,7 @@ class Runtime:
             uids = [window[i].requirements[j].region.uid for i, j in group.elide]
             elide_uids = frozenset(uids)
             parts = ()
-            if group.nest_key is not None:
+            if group.nests is not None:
                 # Elided temporaries already freed by the host are
                 # provably dead: their stores are unobservable, so
                 # the nest keeps them as values only.
@@ -1072,26 +1061,22 @@ class Runtime:
             self._execute(merged)
 
     def _plan_window(self, window: List[TaskLaunch]) -> List[_Group]:
-        """Group a window's launches: the structural analysis of a flush."""
+        """Group a window's launches: the structural analysis of a
+        flush, once per window fingerprint (the window-plan cache)."""
+        key = window_fingerprint(window)
+        groups = self._fusion_cache.get(key)
+        if groups is not None:
+            return groups
         # Lazy import: the analyzer reaches repro.numeric, whose package
         # import comes back through this module.
         from repro.analysis import depend
 
         summaries = [fusion.summarize_launch(task) for task in window]
-        key = fusion.signature(summaries)
         local = fusion.local_ids(summaries)
-        cached = self._fusion_cache.get(key)
-        if cached is None:
-            plans = fusion.plan_window(summaries)
-            verdicts = [
-                depend.classify(summaries, local, plan) for plan in plans
-            ]
-            cached = (plans, verdicts)
-            self._fusion_cache[key] = cached
-        plans, verdicts = cached
         ref_of: Optional[Dict[int, Tuple[int, int]]] = None
         groups = []
-        for plan, verdict in zip(plans, verdicts):
+        for plan in fusion.plan_window(summaries):
+            verdict = depend.classify(summaries, local, plan)
             indices = plan.indices
             label = depend.verdict_label(plan, verdict)
             elide: tuple = ()
@@ -1113,62 +1098,37 @@ class Runtime:
                 )
             else:
                 segments = ((tuple(range(len(indices))), label == "merged"),)
-            nested = [
-                window[indices[k]]
-                for positions, merged in segments if merged
-                for k in positions
-            ]
-            nest_key = None
-            if nested:
-                # The window signature does not carry dtypes and each
-                # step's cast target is baked into the nest source.
-                nest_key = (
-                    key,
-                    indices,
-                    plan.elide,
-                    tuple(
-                        str(
-                            next(
-                                r.region.data.dtype
-                                for r in task.requirements
-                                if r.name == task.pointwise.out
-                            )
-                        )
-                        for task in nested
-                        if task.reduction is None
-                    ),
-                )
             groups.append(
                 _Group(
                     indices, tuple(window[i].name for i in indices),
-                    verdict, label, elide, segments, nest_key,
+                    verdict, label, elide, segments,
                 )
             )
+        if key is not None:
+            self._fusion_cache[key] = groups
         return groups
 
     def _nests(self, group: _Group, dead, tasks, uids) -> list:
         """The ``parts`` of :func:`fusion.fuse` for a group with a nest:
-        each segment's positions with its generated loop nest (through
-        the cache), or None where the segment replays."""
+        each segment's positions with its generated loop nest, or None
+        where the segment replays.  The group keeps them by ``dead``
+        (``_Group.nests``), so each window structure generates its
+        nests once."""
         from repro.analysis import depend
         from repro.distal import codegen
 
         parts = []
-        for number, (positions, merged) in enumerate(group.segments):
+        for positions, merged in group.segments:
             nest = None
             if merged:
-                nest_key = (group.nest_key, dead, number)
-                nest = self._nest_cache.get(nest_key)
-                if nest is None:
-                    nplan = depend.build_nest_plan(
+                nest = codegen.generate_nest(
+                    depend.build_nest_plan(
                         [tasks[i] for i in positions],
                         frozenset(uids),
                         frozenset(uids[k] for k in dead),
                         positions,
                     )
-                    nest = self._nest_cache[nest_key] = codegen.generate_nest(
-                        nplan
-                    )
+                )
             parts.append((positions, nest))
         return parts
 
@@ -1282,11 +1242,6 @@ class Runtime:
             if slot is not None:
                 slot.exec = shape
         privileges = shape.privileges
-        # Any task write to a region invalidates cached images of it
-        # (images read region data at solve time).
-        image_cache = self._image_cache
-        for i in shape.writers:
-            image_cache.bump(reqs[i].region.uid)
         if shape.eligible:
             self._pending_writes = {
                 reqs[i].name: (self.coherence(reqs[i].region), [])
@@ -1310,6 +1265,12 @@ class Runtime:
         write_rows = [
             rows[i] for i in shape.writers if not rows[i].skipped
         ]
+        # Any task write to a region invalidates cached images of it
+        # (images read region data at solve time).  A journal replay
+        # skips freed regions, whose epochs went with them.
+        bump = self._image_cache.bump
+        for row in write_rows:
+            bump(row.uid)
         shard_overhead = config.shard_overhead
         scale = config.data_scale
         pressure_slowdown = config.memory_pressure_slowdown

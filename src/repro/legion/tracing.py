@@ -37,7 +37,10 @@ outer iteration.
 name, color count, body IR and, per requirement, privilege, region
 shape and dtype, partition geometry and the region's first-use index
 within the body (which pins aliasing inside a launch and the dataflow
-between launches) — never by task name alone.  Matching happens when a
+between launches) — never by task name alone.  Numbered within one
+launch or one window instead, the same fingerprints key the solve memo
+and the window-plan cache: they are the runtime's only structural
+keys.  Matching happens when a
 launch is *issued*, so a scope boundary never flushes the deferred
 window: launches still deferred when the scope closes keep their tags
 and execute, discounted, whenever the program next flushes.  The first
@@ -108,7 +111,8 @@ class LaunchSlot:
         # (Runtime._execute_task).
         self.exec: Any = None
         # Windows that start at this position: slot uids of the
-        # window's launches -> its planned groups (Runtime._flush).
+        # window's launches -> its planned groups, the very _Group
+        # objects the runtime's window-plan cache holds (Runtime._flush).
         self.windows: Optional[Dict[tuple, list]] = None
 
 
@@ -150,6 +154,25 @@ def launch_fingerprint(task: TaskLaunch, ids: Dict[int, int]) -> Optional[tuple]
         None if fold is None else getattr(fold, "boundaries", fold.color_count),
         tuple(rows),
     )
+
+
+def window_fingerprint(window: List[TaskLaunch]) -> Optional[tuple]:
+    """The structural key of a deferred window, or None.
+
+    Each launch's :func:`launch_fingerprint`, with regions numbered by
+    first use within the window, and its future-dependence edges
+    (``after``), which the plan depends on and no launch fingerprint
+    carries.  Equal keys get the same planned groups and nests
+    (``Runtime._plan_window``).
+    """
+    ids: Dict[int, int] = {}
+    key = []
+    for task in window:
+        fingerprint = launch_fingerprint(task, ids)
+        if fingerprint is None:
+            return None
+        key.append((fingerprint, task.after))
+    return tuple(key)
 
 
 class Trace:

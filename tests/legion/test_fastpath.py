@@ -1,8 +1,9 @@
 """Host-side analysis machinery: each mechanism against its reference.
 
 ``repro.legion.fastpath`` is pure host-side mechanism — batched
-coherence writes, a positional constraint-solve memo and an epoch-keyed
-image-partition cache — that the runtime always uses.  Everything here
+coherence writes, a constraint-solve memo keyed by the launch's
+structural key and an epoch-keyed image-partition cache — that the
+runtime always uses; the window-plan cache shares that key.  Everything here
 pins down the two properties the design hangs on:
 
 * **bitwise neutrality, unit by unit** — ``write_complete`` lands the
@@ -25,9 +26,10 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.constraints import Align, Broadcast, Explicit, Image, ImageKind, Store
+import repro.numeric as rnp
+from repro.constraints import Align, AutoTask, Broadcast, Image, ImageKind, Store
 from repro.constraints.solver import (
-    rebuild_solution, solution_plan, solve_partitions, solve_signature,
+    rebuild_solution, solution_plan, solve_partitions,
 )
 from repro.geometry import Rect, RectSet
 from repro.legion import Replicate, Runtime, RuntimeConfig, Tiling
@@ -127,24 +129,58 @@ def rt():
         yield runtime
 
 
+def _copy_task(rt, out, inp, name="copy"):
+    """``out = inp`` over two aligned stores: a launch the memo keys."""
+    def kernel(ctx):
+        ctx.view("o")[...] = ctx.view("i")
+
+    task = AutoTask(rt, name, kernel)
+    task.add_output("o", out)
+    task.add_input("i", inp)
+    task.add_alignment_constraint(out, inp)
+    return task
+
+
+def memo_key(rt, *stores, colors=2, setup=None):
+    """The solve-memo key of a launch reading ``stores``."""
+    task = AutoTask(rt, "read", lambda ctx: None)
+    for i, store in enumerate(stores):
+        task.add_input(f"a{i}", store)
+    if setup is not None:
+        setup(task)
+    return task._fingerprint(colors, {})
+
+
 class TestSolveSignature:
+    """The solve memo's key: ``AutoTask._fingerprint`` numbered within
+    the launch."""
+
     def test_fresh_regions_share_signatures(self, rt):
-        """Iterative-solver shape: fresh uids, identical structure."""
-        def sig():
+        """Iterative-solver shape: fresh uids, identical structure --
+        one entry, hit by the second launch."""
+        def key():
             a = Store.create((10,), np.float64, runtime=rt)
             b = Store.create((10,), np.float64, runtime=rt)
             a.set_key_partition(Tiling(a.region, (0, 5, 10)))
-            return solve_signature([a, b], [Align(a, b)], colors=2)
+            return memo_key(rt, a, b, setup=lambda t: t.add_alignment_constraint(a, b))
 
-        s1, s2 = sig(), sig()
+        s1, s2 = key(), key()
         assert s1 is not None and s1 == s2
+        counters = rt.profiler.fastpath_counters
+        for _ in range(2):
+            out = Store.create((10,), np.float64, runtime=rt)
+            inp = Store.create((10,), np.float64, data=np.arange(10.0), runtime=rt)
+            _copy_task(rt, out, inp).execute()
+            np.testing.assert_array_equal(out.data, np.arange(10.0))
+        assert (counters["solve_misses"], counters["solve_hits"]) == (1, 1)
+        assert len(rt._solve_memo) == 1
 
     def test_repartition_changes_signature(self, rt):
         a = Store.create((10,), np.float64, runtime=rt)
         a.set_key_partition(Tiling(a.region, (0, 5, 10)))
-        s1 = solve_signature([a], [], colors=2)
+        s1 = memo_key(rt, a)
         a.set_key_partition(Tiling(a.region, (0, 7, 10)))
-        s2 = solve_signature([a], [], colors=2)
+        s2 = memo_key(rt, a)
         assert s1 is not None and s2 is not None and s1 != s2
 
     def test_nbytes_distinguishes_largest_member(self, rt):
@@ -152,40 +188,42 @@ class TestSolveSignature:
         b = Store.create((10,), np.float64, runtime=rt)
         a64 = Store.create((10,), np.float64, runtime=rt)
         c = Store.create((10,), np.float64, runtime=rt)
-        s1 = solve_signature([a32, b], [Align(a32, b)], colors=2)
-        s2 = solve_signature([a64, c], [Align(a64, c)], colors=2)
+        s1 = memo_key(rt, a32, b, setup=lambda t: t.add_alignment_constraint(a32, b))
+        s2 = memo_key(rt, a64, c, setup=lambda t: t.add_alignment_constraint(a64, c))
         assert s1 != s2  # the solver picks the largest member's key
 
     def test_foreign_key_partition_is_uid_pinned(self, rt):
-        a = Store.create((10,), np.float64, runtime=rt)
-        other = Store.create((10,), np.float64, runtime=rt)
-        a.set_key_partition(Tiling(other.region, (0, 5, 10)))
-        s1 = solve_signature([a], [], colors=2)
-        assert s1 is not None and s1[3][0][3][0] == other.region.uid
+        def keyed_by(other):
+            a = Store.create((10,), np.float64, runtime=rt)
+            a.set_key_partition(Tiling(other.region, (0, 5, 10)))
+            return memo_key(rt, a)
+
+        first = Store.create((10,), np.float64, runtime=rt)
+        second = Store.create((10,), np.float64, runtime=rt)
+        assert keyed_by(first) is not None
+        assert keyed_by(first) == keyed_by(first)
+        assert keyed_by(first) != keyed_by(second)
+        assert first.region.uid in keyed_by(first)[4][0][5]
 
     def test_image_and_explicit_not_memoizable(self, rt):
         src = Store.create((10,), np.int64, runtime=rt)
         dst = Store.create((10,), np.float64, runtime=rt)
-        con = Image(src, dst, ImageKind.RANGE)
-        assert solve_signature([src, dst], [con], 2) is None
+        assert memo_key(
+            rt, src, dst, setup=lambda t: t.add_image_constraint(src, dst)
+        ) is None
         part = Tiling.create(dst.region, 2)
-        assert (
-            solve_signature([dst], [Explicit(dst, part)], 2) is None
-        )
+        assert memo_key(
+            rt, dst, setup=lambda t: t.add_explicit_partition(dst, part)
+        ) is None
 
     def test_non_tiling_key_partition_not_memoizable(self, rt):
         a = Store.create((10,), np.float64, runtime=rt)
         a.set_key_partition(Replicate(a.region, 2))
-        assert solve_signature([a], [], colors=2) is None
+        assert memo_key(rt, a) is None
 
-    def test_colors_and_flags_in_signature(self, rt):
+    def test_colors_change_the_key(self, rt):
         a = Store.create((10,), np.float64, runtime=rt)
-        base = solve_signature([a], [], colors=2)
-        assert solve_signature([a], [], colors=4) != base
-        assert (
-            solve_signature([a], [], colors=2, reuse_partitions=False)
-            != base
-        )
+        assert memo_key(rt, a, colors=4) != memo_key(rt, a, colors=2)
 
 
 class TestSolutionPlan:
@@ -226,9 +264,9 @@ class TestSolutionPlan:
         memo = SolveMemo()
         a = Store.create((10,), np.float64, runtime=rt)
         b = Store.create((10,), np.float64, runtime=rt)
-        sig = solve_signature([a, b], [Align(a, b)], colors=2)
+        key = memo_key(rt, a, b, setup=lambda t: t.add_alignment_constraint(a, b))
         sol = solve_partitions([a, b], [Align(a, b)], colors=2)
-        memo.put(sig, solution_plan(sol, [a, b]))
+        memo.put(key, solution_plan(sol, [a, b]))
         ref = weakref.ref(a.region)
         del a, b, sol
         gc.collect()
@@ -245,6 +283,59 @@ class TestSolutionPlan:
 
 def cons_for(a, b, c):
     return [Align(a, b), Broadcast(c)]
+
+
+# ----------------------------------------------------------------------
+# Window-plan cache: keyed by the window's trace fingerprints
+# ----------------------------------------------------------------------
+class TestWindowPlanCache:
+    @staticmethod
+    def _alternate(monkeypatch, fused):
+        """float32 and float64 windows of one shape, alternated outside
+        any trace: the outputs, and the plans and nests they cost."""
+        from repro.distal import codegen
+        from repro.legion import fusion
+
+        counts = {"plans": 0, "nests": 0}
+        plan_window, generate_nest = fusion.plan_window, codegen.generate_nest
+
+        def counted_plan(summaries):
+            counts["plans"] += 1
+            return plan_window(summaries)
+
+        def counted_nest(plan):
+            counts["nests"] += 1
+            return generate_nest(plan)
+
+        monkeypatch.setattr(fusion, "plan_window", counted_plan)
+        monkeypatch.setattr(codegen, "generate_nest", counted_nest)
+        runtime = Runtime(
+            laptop().scope(ProcessorKind.GPU, 2),
+            RuntimeConfig.legate(fusion=fused),
+        )
+        out = []
+        with runtime_scope(runtime):
+            xs = [
+                rnp.array(np.linspace(0.1, 1.0, 64, dtype=dtype))
+                for dtype in (np.float32, np.float64)
+            ]
+            runtime.barrier()
+            counts.update(plans=0, nests=0)
+            for _ in range(3):
+                for x in xs:
+                    y = (x * x + x) * x
+                    runtime.barrier()
+                    out.append(y.to_numpy())
+        return out, counts
+
+    def test_dtypes_key_their_own_plans_and_nests(self, monkeypatch):
+        fused, counts = self._alternate(monkeypatch, True)
+        eager, _ = self._alternate(monkeypatch, False)
+        assert counts == {"plans": 2, "nests": 2}
+        assert [y.dtype for y in fused[:2]] == [np.float32, np.float64]
+        for got, want in zip(fused, eager):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -303,12 +394,28 @@ class TestImagePartitionCache:
             for leaf in flat(value):
                 assert isinstance(leaf, (Rect, int)), leaf
 
-    def test_clear_keeps_epochs(self):
-        cache = ImagePartitionCache()
-        cache.bump(7)
-        cache.put(("k",), (Rect((0,), (1,)),))
-        cache.clear()
-        assert len(cache) == 0 and cache.epochs == {7: 1}
+    def test_freed_regions_drop_their_epochs(self, rt):
+        """A long create/write/free loop leaves no more epochs than live
+        regions, and an image over a live source still hits."""
+        cache = rt._image_cache
+        crd, x = self._stores(rt, [0, 1, 6, 7])
+        cons = [Image(crd, x, ImageKind.COORDINATE)]
+        cache.bump(crd.region.uid)
+        before = solve_partitions([crd, x], cons, 2, image_cache=cache)
+        for _ in range(1000):
+            y = rnp.ones(8) * 2.0
+        rt.barrier()
+        del y
+        gc.collect()
+        assert len(cache.epochs) <= len(rt._coherence)
+        assert cache.epochs[crd.region.uid] == 1
+        # Rewritten without an epoch bump: only a hit still returns the
+        # geometry cached before the loop.
+        crd.region.data[:] = np.asarray([2, 3, 4, 5], dtype=np.int64)
+        after = solve_partitions([crd, x], cons, 2, image_cache=cache)
+        assert after[x.region.uid]._rects == before[x.region.uid]._rects
+        fresh = solve_partitions([crd, x], cons, 2)
+        assert fresh[x.region.uid]._rects != before[x.region.uid]._rects
 
 
 # ----------------------------------------------------------------------

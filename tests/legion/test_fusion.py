@@ -25,6 +25,7 @@ from repro.legion import (
     Tiling,
     Trace,
     fusion,
+    tracing,
 )
 from repro.legion.runtime import runtime_scope
 from repro.machine import ProcessorKind, laptop
@@ -52,6 +53,23 @@ def summ(name, *accesses, colors=2, fusible=True, reduction=None, after=()):
     return fusion.LaunchSummary(
         name, colors, fusible, tuple(accesses), None, reduction, after
     )
+
+
+def launch(name, *accesses, reduction=None, after=()):
+    """A pointwise launch over ``(region, privilege)`` pairs, tiled in
+    halves: what the window-plan cache keys."""
+    task = TaskLaunch(
+        name,
+        [
+            Requirement(f"r{i}", region, Tiling(region, (0, 4, 8)), privilege)
+            for i, (region, privilege) in enumerate(accesses)
+        ],
+        kernel=lambda ctx: None,
+        reduction=reduction,
+        pointwise=Pointwise((name,)),
+    )
+    task.after = after
+    return task
 
 
 class TestPlanner:
@@ -164,19 +182,16 @@ class TestPlanner:
         (plan,) = fusion.plan_window(window)
         assert plan.elide == frozenset()
 
-    def test_signature_is_structural(self):
+    def test_signature_is_structural(self, rt):
         """Windows over different regions with the same access pattern
-        share a signature — the memoization key."""
-        w1 = [
-            summ("f", acc(10, priv=Privilege.WRITE_DISCARD), acc(11)),
-            summ("g", acc(12, priv=Privilege.WRITE_DISCARD), acc(10)),
-        ]
-        w2 = [
-            summ("f", acc(70, priv=Privilege.WRITE_DISCARD), acc(71)),
-            summ("g", acc(72, priv=Privilege.WRITE_DISCARD), acc(70)),
-        ]
-        assert fusion.signature(w1) == fusion.signature(w2)
-        assert fusion.signature(w1) != fusion.signature(list(reversed(w2)))
+        share a key — the window-plan cache's."""
+        a, b, c, d, e, f = (rt.create_region((8,), np.float64) for _ in range(6))
+        wd = Privilege.WRITE_DISCARD
+        w1 = [launch("f", (a, wd), (b, R)), launch("g", (c, wd), (a, R))]
+        w2 = [launch("f", (d, wd), (e, R)), launch("g", (f, wd), (d, R))]
+        key = tracing.window_fingerprint
+        assert key(w1) == key(w2)
+        assert key(w1) != key(list(reversed(w2)))
 
     def test_fused_name_truncates(self):
         name = fusion.fused_name(["x" * 200, "y"])
@@ -292,14 +307,17 @@ class TestReductionPlanning:
             "red", 2, [("a", region(1), tiling, R)], reduction="sum"
         ).fusible  # no Pointwise marker: stays eager (scan_local)
 
-    def test_signature_carries_ops_and_edges(self):
+    def test_signature_carries_ops_and_edges(self, rt):
+        r, p, z = (rt.create_region((8,), np.float64) for _ in range(3))
         base = [
-            summ("vdot", acc(2), acc(4), reduction="sum"),
-            summ("p=", acc(3, priv=W), acc(4), after=(0,)),
+            launch("vdot", (r, R), (z, R), reduction="sum"),
+            launch("p=", (p, W), (z, R), after=(0,)),
         ]
-        no_edge = [base[0], summ("p=", acc(3, priv=W), acc(4))]
-        other_op = [summ("vdot", acc(2), acc(4), reduction="max"), base[1]]
-        keys = {fusion.signature(w) for w in (base, no_edge, other_op)}
+        no_edge = [base[0], launch("p=", (p, W), (z, R))]
+        other_op = [launch("vdot", (r, R), (z, R), reduction="max"), base[1]]
+        keys = {
+            tracing.window_fingerprint(w) for w in (base, no_edge, other_op)
+        }
         assert len(keys) == 3
 
 
