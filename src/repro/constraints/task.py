@@ -153,23 +153,23 @@ class AutoTask:
                     f"shards would race on region {store.region.name!r}"
                 )
 
-    def _fingerprint(self, colors: int, ids: Dict[int, int]) -> Optional[tuple]:
+    def _fingerprint(self, colors: int) -> Optional[tuple]:
         """The launch's structural key, taken *before* the solve.
 
         Everything the solver consults (shapes and dtypes, so sizes; key
         partitions, a tiling of another region by that region's uid;
         alignment and broadcast structure) plus what the launch adds to
         it (name, privileges, body IR), with regions numbered by first
-        use within ``ids``.  Numbered within the trace body it matches
-        a trace position, which pins the solve plan, the solved
-        partitions and the dataflow from earlier launches of the body
-        at once; numbered within the launch alone (``ids={}``) it keys
-        the runtime's solve memo.  None when the solve reads region
-        data or caller partitions (Image, Explicit), a key partition is
-        no tiling, or a constraint names a store that is no argument:
-        such a launch is never memoized, and a trace matches it after
-        the solve, by :func:`repro.legion.tracing.launch_fingerprint`.
+        use within the launch.  It keys the launch's template: the solve
+        plan, and with it the solved partitions, window verdict and
+        launch shape.  None when the solve reads region data or caller
+        partitions (Image, Explicit), a key partition is no tiling, or a
+        constraint names a store that is no argument: such a launch's
+        solve is never memoized, and ``Runtime.launch`` keys its
+        template after the solve, by
+        :func:`repro.legion.tracing.launch_fingerprint`.
         """
+        ids: Dict[int, int] = {}
         rows = []
         own = set()
         for name, store, privilege in self._args:
@@ -208,42 +208,14 @@ class AutoTask:
             tuple(rows), tuple(constraints),
         )
 
-    def _solve(self, stores, colors: int, slot) -> Dict[int, object]:
-        """Partitions for the stores, through the solve memo.
-
-        Iterative solvers re-launch structurally identical tasks every
-        step; the key embeds key partitions, so repartitions miss
-        instead of going stale.  The plan found or made is left on the
-        trace ``slot`` (if any) for the position's replays.
-        """
-        rt = self.runtime
-        key = self._fingerprint(colors, {})
-        if key is not None:
-            plan_entry = rt._solve_memo.get(key)
-            if plan_entry is not None:
-                if slot is not None:
-                    slot.solve_plan = plan_entry
-                rt.profiler.fastpath_counters["solve_hits"] += 1
-                return rebuild_solution(plan_entry, stores, colors)
-        solution = solve_partitions(
-            stores,
-            self._constraints,
-            colors,
-            reuse_partitions=rt.config.reuse_partitions,
-            exact_images=rt.config.exact_images,
-            image_cache=rt._image_cache,
-        )
-        if key is not None:
-            splan = solution_plan(solution, stores)
-            if splan is not None:
-                rt._solve_memo.put(key, splan)
-                if slot is not None:
-                    slot.solve_plan = splan
-            rt.profiler.fastpath_counters["solve_misses"] += 1
-        return solution
-
     def execute(self) -> Optional[Future]:
-        """Solve constraints, launch, update key partitions."""
+        """Solve constraints, launch, update key partitions.
+
+        The solve goes through the template of the launch's pre-solve
+        key (:meth:`_fingerprint`): iterative solvers re-launch structurally identical tasks every
+        step, and the key embeds key partitions, so repartitions miss
+        instead of going stale.
+        """
         colors = self.colors if self.colors is not None else self.runtime.num_procs
         images = [c for c in self._constraints if isinstance(c, Image)]
         ordered = self._pointwise is None or bool(images)
@@ -264,20 +236,23 @@ class AutoTask:
         stores = [store for _, store, _ in self._args]
         rt = self.runtime
         t0 = _perf()
-        # Inside a trace scope the launch is matched against the
-        # captured body before its solve; a replayed position hands
-        # back the capture's solve plan.
-        trace = rt._trace
-        slot = None
-        if trace is not None and trace.recording and not images:
-            fingerprint = self._fingerprint(colors, trace.ids)
-            if fingerprint is not None:
-                slot = trace.advance(fingerprint)
-        if slot is not None and slot.solve_plan is not None:
-            solution = rebuild_solution(slot.solve_plan, stores, colors)
-            rt.profiler.fastpath_counters["solve_hits"] += 1
+        template = rt._template(self._fingerprint(colors))
+        counters = rt.profiler.fastpath_counters
+        if template is not None and template.plan is not None:
+            solution = rebuild_solution(template.plan, stores, colors)
+            counters["solve_hits"] += 1
         else:
-            solution = self._solve(stores, colors, slot)
+            solution = solve_partitions(
+                stores,
+                self._constraints,
+                colors,
+                reuse_partitions=rt.config.reuse_partitions,
+                exact_images=rt.config.exact_images,
+                image_cache=rt._image_cache,
+            )
+            if template is not None:
+                template.plan = solution_plan(solution, stores)
+                counters["solve_misses"] += 1
         rt.profiler.record_host_phase("constraint-solve", _perf() - t0)
         if self.runtime.config.validate:
             self._check_write_disjointness(solution)
@@ -306,9 +281,8 @@ class AutoTask:
             fold_partition=fold_partition,
             pointwise=self._pointwise,
             ordered=ordered,
+            template=template,
         )
-        if slot is not None:
-            trace.tag(launch, slot)
         result = self.runtime.launch(launch)
 
         for _name, store, privilege in self._args:

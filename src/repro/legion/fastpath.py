@@ -14,26 +14,25 @@ there is no switch and no other path:
   :meth:`RegionCoherence.write_complete` pass, because the final
   coherence state is independent of the interleaving.  Requirements it
   rejects write per color.
-* :class:`SolveMemo` — bounded container for constraint-solve plans
-  keyed by the launch's structural key
-  (``AutoTask._fingerprint``, regions numbered within the launch).
-* :class:`ImagePartitionCache` — image-partition geometry keyed by the
+* :class:`Template` — what every launch with one structural key
+  shares: its solve plan, window verdict and launch shape, derived by
+  the first such launch and reused by the rest, traced or not.
+* :class:`BoundedMemo` — the bounded container of the runtime's
+  templates (keyed by ``AutoTask._fingerprint`` or
+  :func:`repro.legion.tracing.launch_fingerprint`, regions numbered
+  within the launch), of its window plans (keyed by
+  :func:`repro.legion.tracing.window_fingerprint`) and of
+  :class:`ImagePartitionCache` — image-partition geometry keyed by the
   source region's write epoch.
-
-The window-plan cache is not here: ``Runtime._plan_window`` keys its
-planned groups by the window's trace fingerprints
-(:func:`repro.legion.tracing.window_fingerprint`).
 
 The per-shard mapping itself is not here: the runtime's
 requirement-major loop (plan rows, the steady-state lane) and
 coherence's integer interval engine (docs/ARCHITECTURE.md, "Host-side
-analysis").  Nor are traces (:mod:`repro.legion.tracing`): a launch a
-trace replays takes its solve plan and batched-write verdict from the
-capture and reaches neither the memo nor :func:`eligible_write_reqs`.
+analysis").
 
 Everything here is bitwise-neutral by construction — modeled times,
-event logs and numerics equal those of per-color writes, fresh solves
-and recomputed images.  ``tests/legion/test_fastpath.py`` holds each
+event logs and numerics equal those of per-color writes, freshly
+derived templates and recomputed images.  ``tests/legion/test_fastpath.py`` holds each
 mechanism against that unit-level reference; the end-to-end goldens in
 ``tests/legion/test_coherence_index.py`` and
 ``tests/legion/test_mapping_lane.py`` were recorded from a runtime
@@ -42,49 +41,62 @@ without any of it (CG, spill/eviction, GPU- and node-loss replay).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.legion.partition import Tiling
 from repro.legion.privilege import Privilege
 
 
-class SolveMemo:
-    """Bounded memo of constraint-solve *plans* by structural key.
+class Template:
+    """The host half of a launch, shared by every launch with its key.
 
-    Keys are ``AutoTask._fingerprint(colors, {})``, regions numbered
-    within the launch: launches over fresh regions share an entry, and
-    a repartition (a store's key partition changing) changes the key
-    instead of requiring explicit invalidation.  A launch with no key
-    (Image, Explicit, a non-tiling key partition) is never memoized.
-    Values are :func:`repro.constraints.solver.solution_plan` recipes,
-    not partition objects: holding partitions would keep their regions
-    alive past the program's last reference, blocking the destructor
-    that recycles instances into the allocation pool.  Hits rebuild
-    concrete partitions from the current stores.
+    Keys number regions within the launch, so launches over fresh
+    regions share a template, and a repartition (a store's key
+    partition changing) changes the key instead of requiring explicit
+    invalidation.  A template holds ints, tuples, rects and plans —
+    never a region or partition: one kept alive by a cache entry would
+    never reach the destructor that recycles its instances into the
+    allocation pool.
     """
+
+    __slots__ = ("key", "plan", "fusible", "shape")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        # repro.constraints.solver.solution_plan recipe (AutoTask
+        # launches); a hit rebuilds partitions from the current stores.
+        self.plan: Optional[tuple] = None
+        # Whether the launch enters the deferred window (Runtime.launch).
+        self.fusible: Optional[bool] = None
+        # The launch's Runtime._LaunchShape (Runtime._execute_task).
+        self.shape = None
+
+
+class BoundedMemo:
+    """A memo cleared whole when it reaches ``MAX_ENTRIES``."""
 
     __slots__ = ("_entries",)
 
     MAX_ENTRIES = 1024
 
     def __init__(self) -> None:
-        self._entries: Dict[tuple, tuple] = {}
+        self._entries: Dict[tuple, Any] = {}
 
-    def get(self, key: tuple) -> Optional[tuple]:
-        """The memoized solution plan for a key, or None."""
+    def get(self, key: tuple) -> Any:
+        """The memoized value for a key, or None."""
         return self._entries.get(key)
 
-    def put(self, key: tuple, plan: tuple) -> None:
-        """Memoize a solution plan."""
+    def put(self, key: tuple, value: Any) -> None:
+        """Memoize a value."""
         if len(self._entries) >= self.MAX_ENTRIES:
             self._entries.clear()
-        self._entries[key] = plan
+        self._entries[key] = value
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
-class ImagePartitionCache:
+class ImagePartitionCache(BoundedMemo):
     """Memo of image-partition geometry keyed by source-data epoch.
 
     Image partitions (:class:`~repro.legion.partition.ImageByRange` /
@@ -100,12 +112,12 @@ class ImagePartitionCache:
     (:func:`repro.constraints.solver._image_cached`).
     """
 
-    __slots__ = ("_entries", "epochs")
+    __slots__ = ("epochs",)
 
     MAX_ENTRIES = 512
 
     def __init__(self) -> None:
-        self._entries: Dict[tuple, object] = {}
+        super().__init__()
         # Live region uid -> number of task writes observed (0 if never);
         # the runtime drops a region's entry when it frees the region.
         self.epochs: Dict[int, int] = {}
@@ -113,19 +125,6 @@ class ImagePartitionCache:
     def bump(self, uid: int) -> None:
         """Record a write to a region (invalidates its images)."""
         self.epochs[uid] = self.epochs.get(uid, 0) + 1
-
-    def get(self, key: tuple):
-        """The cached geometry, or None."""
-        return self._entries.get(key)
-
-    def put(self, key: tuple, value) -> None:
-        """Memoize computed image geometry."""
-        if len(self._entries) >= self.MAX_ENTRIES:
-            self._entries.clear()
-        self._entries[key] = value
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def eligible_write_reqs(task, replay: bool, freed_uids) -> dict:

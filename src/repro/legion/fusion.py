@@ -68,11 +68,9 @@ Everything here is deterministic and depends only on window *structure*
 (names, colors, privileges, partition boundaries, which arguments
 share a region, reduction ops and future-dependence edges), so plans
 are memoizable.  The runtime keys them -- with their verdicts and
-nests -- by the window's trace fingerprints
-(:func:`repro.legion.tracing.window_fingerprint`), which carry all of
-that plus shapes and dtypes; a window whose launches one trace body
-issued finds its groups on the trace without even that key
-(``Runtime._flush``).
+nests -- by the window's fingerprint
+(:func:`repro.legion.tracing.window_fingerprint`), which carries all of
+that plus shapes and dtypes.
 """
 
 from __future__ import annotations

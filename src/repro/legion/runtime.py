@@ -55,7 +55,7 @@ from repro.legion.task import Pointwise, Requirement, ShardContext, TaskLaunch
 from repro.legion.timeline import Timeline
 from repro.legion.timeline import profile_default as _profile_default
 from repro.legion.timeline import register as _register_timeline
-from repro.legion.tracing import Trace, window_fingerprint
+from repro.legion.tracing import Trace, launch_fingerprint, window_fingerprint
 from repro.machine import MachineScope, Memory, MemoryKind, Processor
 
 
@@ -226,10 +226,8 @@ class RuntimeConfig:
 
 class _RowShape:
     """What of a requirement is the same for every launch with its
-    fingerprint: names, privilege flags and the geometry of every color.
-
-    Holds no region, so a trace slot may keep it (see
-    :mod:`repro.legion.tracing`).
+    structural key: names, privilege flags and the geometry of every
+    color.  Holds no region, so a template may keep it.
     """
 
     __slots__ = (
@@ -260,7 +258,7 @@ class _LaunchShape:
     privileges handed to every shard, which requirements write and
     which of those batch their coherence writes
     (:func:`repro.legion.fastpath.eligible_write_reqs`).  Derived once
-    per launch -- or, for a launch a trace replays, once per capture."""
+    per template: per structural key, or per planned group."""
 
     __slots__ = ("shapes", "privileges", "writers", "eligible", "validate")
 
@@ -342,13 +340,13 @@ class _Group:
 
     Region-free: elided temporaries are named by (window index,
     requirement index), so the window-plan cache holds the groups of
-    each window structure, and a trace slot the groups of a window its
-    body issued, and the analysis is not redone.
+    each window structure and the analysis is not redone.  A group is
+    also the template of the launch it fuses (its ``shape``).
     """
 
     __slots__ = (
         "indices", "names", "verdict", "label", "elide", "segments",
-        "nests", "exec",
+        "nests", "shape",
     )
 
     def __init__(
@@ -371,8 +369,8 @@ class _Group:
         self.nests: Optional[Dict[frozenset, list]] = (
             {} if any(merged for _positions, merged in segments) else None
         )
-        # The fused launch's execution template (kept windows only).
-        self.exec: Optional[_LaunchShape] = None
+        # The fused launch's _LaunchShape.
+        self.shape: Optional[_LaunchShape] = None
 
 
 class Runtime:
@@ -451,7 +449,7 @@ class Runtime:
         # The key carries body IR and dtypes, so windows computing
         # other expressions or casting to other types never share a
         # verdict or a nest; a distinct window pays the planning once.
-        self._fusion_cache: Dict[tuple, List[_Group]] = {}
+        self._fusion_cache = _fastpath.BoundedMemo()
         # Every executed window group, in order: (sub-launch names,
         # number of elided temporaries, verdict label) where the label
         # is depend.verdict_label — "single", "merged" or
@@ -499,14 +497,14 @@ class Runtime:
         # (uid -> (name, itemsize)); dropped on free.
         self._region_meta: Dict[int, Tuple[str, int]] = {}
         # Host-side analysis state (repro.legion.fastpath): the
-        # image-geometry cache, the constraint-solve memo consulted by
-        # AutoTask.execute, per-region-uid reference and writer counts
+        # image-geometry cache, the launch templates by structural key
+        # (see _template), per-region-uid reference and writer counts
         # over the deferred window (what free_region and pass_window
         # check), and the in-flight batched-write map (requirement name
         # -> (coherence, [(mem_uid, rect, t)])) that _execute_task
         # defers per-color mark_written calls into.
         self._image_cache = _fastpath.ImagePartitionCache()
-        self._solve_memo = _fastpath.SolveMemo()
+        self._templates = _fastpath.BoundedMemo()
         self._window_refs: Dict[int, int] = {}
         self._window_writers: Dict[int, int] = {}
         self._pending_writes: Optional[dict] = None
@@ -558,9 +556,9 @@ class Runtime:
         takes a checkpoint (which syncs, snapshots dirty state and
         clears the journal) instead of discarding coverage.
 
-        The structural caches (window plans and their nests, solve
-        memo, image geometry) stay warm: they are keyed structurally
-        and never leak numerics.
+        The structural caches (templates, window plans and their
+        nests, image geometry) stay warm: they are keyed structurally,
+        bounded, and never leak numerics.
 
         Profiler counters are deliberately *not* reset — they are
         cumulative observability state; callers wanting per-program
@@ -608,6 +606,17 @@ class Runtime:
         self._template_epoch += 1
         if self._trace is not None:
             self._trace.diverge()
+
+    def _template(self, key: Optional[tuple]) -> Optional[_fastpath.Template]:
+        """The template of a structural key, made on first use; None
+        for a launch without a key."""
+        if key is None:
+            return None
+        template = self._templates.get(key)
+        if template is None:
+            template = _fastpath.Template(key)
+            self._templates.put(key, template)
+        return template
 
     # ------------------------------------------------------------------
     # Region management
@@ -886,20 +895,21 @@ class Runtime:
             if self._launches_since_ckpt >= chaos.config.checkpoint_every:
                 self._launches_since_ckpt = 0
                 self.checkpoint()
-        slot = task.slot
-        if slot is None and self._trace is not None:
+        template = task.template
+        if template is None:
+            template = task.template = self._template(
+                launch_fingerprint(task, {})
+            )
+        if self._trace is not None:
             self._trace.issue(task)
-            slot = task.slot
         if not self.config.fusion:
             fusible = False
-        elif slot is None:
+        elif template is None:
             fusible = fusion.fusible(task)
         else:
-            # A traced position admits its launch to the window the
-            # way the capture did.
-            fusible = slot.fusible
+            fusible = template.fusible
             if fusible is None:
-                fusible = slot.fusible = fusion.fusible(task)
+                fusible = template.fusible = fusion.fusible(task)
         if not fusible:
             if self._window and not task.ordered:
                 self.pass_window(
@@ -1005,22 +1015,8 @@ class Runtime:
 
     def _flush(self, window: List[TaskLaunch], frees: Sequence[int] = ()) -> None:
         t0 = _perf()
-        # A window whose launches one trace body issued at matched or
-        # captured positions is planned once per capture: its groups
-        # are kept on the first position's slot.
-        kept = _window_key(window)
+        groups = self._plan_window(window)
         freed = frozenset(frees)
-        if kept is None:
-            groups = self._plan_window(window)
-        else:
-            first = window[0].slot
-            groups = first.windows.get(kept) if first.windows else None
-            if groups is None:
-                # A slot outlives re-captures of the positions after
-                # it, whose windows it would otherwise keep for ever.
-                if first.windows is None or len(first.windows) >= 8:
-                    first.windows = {}
-                groups = first.windows[kept] = self._plan_window(window)
         self.profiler.record_host_phase("dependence", _perf() - t0)
         for group in groups:
             indices = group.indices
@@ -1050,8 +1046,7 @@ class Runtime:
                             len(positions), nest.temps_eliminated
                         )
             merged = fusion.fuse(tasks, elide_uids, parts)
-            if kept is not None:
-                merged.slot = group
+            merged.template = group
             trace = tasks[0].replayed_in
             if trace is not None and all(
                 task.replayed_in is trace for task in tasks
@@ -1105,7 +1100,7 @@ class Runtime:
                 )
             )
         if key is not None:
-            self._fusion_cache[key] = groups
+            self._fusion_cache.put(key, groups)
         return groups
 
     def _nests(self, group: _Group, dead, tasks, uids) -> list:
@@ -1231,16 +1226,16 @@ class Runtime:
         partial_times: List[float] = []
         reduce_writes: Dict[str, List[Tuple[Rect, Memory, float]]] = {}
 
-        # The launch's shape: what a launch a trace replays took from
-        # its requirements the first time is taken from the slot now.
+        # The launch's shape: derived by the first launch with its
+        # template, taken from the template by the rest.
         reqs = task.requirements
         freed = self._freed_uids
-        slot = None if recovering else task.slot
-        shape = None if slot is None else slot.exec
+        template = None if recovering else task.template
+        shape = None if template is None else template.shape
         if shape is None or shape.validate is not validate:
             shape = _LaunchShape(task, validate, replay, freed)
-            if slot is not None:
-                slot.exec = shape
+            if template is not None:
+                template.shape = shape
         privileges = shape.privileges
         if shape.eligible:
             self._pending_writes = {
@@ -2168,23 +2163,6 @@ class Runtime:
                 pointwise=pointwise,
             )
         )
-
-
-def _window_key(window: List[TaskLaunch]) -> Optional[tuple]:
-    """Slot uids of a window one trace body issued, else None."""
-    first = window[0]
-    if first.slot is None:
-        return None
-    body = first.body
-    key = []
-    for task in window:
-        slot = task.slot
-        if slot is None or task.body != body:
-            return None
-        # The future-dependence edges are no part of a position's
-        # fingerprint, and the plan depends on them.
-        key.append((slot.uid, task.after) if task.after else slot.uid)
-    return tuple(key)
 
 
 def _fold(op: str, partials: List[Any]):

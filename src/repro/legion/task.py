@@ -170,13 +170,12 @@ class TaskLaunch:
     # Element-wise marker: set on launches eligible for the deferred
     # fusion window (repro.legion.fusion); None means execute eagerly.
     pointwise: Optional[Pointwise] = None
-    # Trace tags (repro.legion.tracing), set when the launch is issued
-    # inside a trace scope: the trace position's slot (where the
-    # launch's host templates live), the serial of the body that issued
-    # it, and -- when the position matched the captured body -- the
-    # trace this launch is a replay of.
-    slot: Optional[Any] = None
-    body: int = 0
+    # The launch's host template: the runtime's fastpath.Template for
+    # its structural key (set by the issuer or on launch), or the
+    # runtime's _Group for a fused launch.  None when it has no key.
+    template: Optional[Any] = None
+    # The trace this launch is a replay of, when it was issued inside a
+    # trace scope at a position matching the captured body.
     replayed_in: Optional[Any] = None
     # Deferred-window tags of a reduction (repro.legion.fusion): the
     # pending future Runtime.launch handed out for it (one per member

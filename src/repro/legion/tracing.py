@@ -10,13 +10,11 @@ match it position by position replays it:
 * on the **modeled** clock a replayed launch is charged
   ``RuntimeConfig.trace_replay_fraction`` of the launch overhead (Legion
   replays the memoized dependence analysis instead of redoing it);
-* on the **host** clock the runtime skips what the capturing iteration
-  already derived.  Each trace position owns a :class:`LaunchSlot`
-  holding the launch's *templates*: the constraint-solve plan
-  (``AutoTask.execute``), the window-admission verdict
-  (``Runtime.launch``), the deferred window's planned groups and their
-  generated nests (``Runtime._flush``) and the requirement-major row
-  shapes, privileges and batched-write verdict (``Runtime._execute_task``).
+* on the **host** clock a replay takes the path any launch takes: its
+  solve plan, window verdict and launch shape come from the template of
+  its structural key (:class:`repro.legion.fastpath.Template`), and its
+  window's groups and nests from the window-plan cache, whether a trace
+  is open or not.  A trace only matches positions.
 
 Usage (idiomatic Legion tracing; ``cg`` and the GMG V-cycles do this
 themselves)::
@@ -33,14 +31,13 @@ name)`` builds a private one.  A scope opened while another is active
 *joins* it, so ``cg`` -> ``vcycle`` -> coarse ``cg`` is one trace per
 outer iteration.
 
-**Matching** is by a structural *fingerprint* per position — task
-name, color count, body IR and, per requirement, privilege, region
-shape and dtype, partition geometry and the region's first-use index
-within the body (which pins aliasing inside a launch and the dataflow
-between launches) — never by task name alone.  Numbered within one
-launch or one window instead, the same fingerprints key the solve memo
-and the window-plan cache: they are the runtime's only structural
-keys.  Matching happens when a
+**Matching** is by a structural *fingerprint* per position: the
+launch's template key — task name, color count, body IR and, per
+argument, privilege, region shape and dtype and partition geometry
+(before an ``AutoTask`` solve: key partitions and constraints), with
+regions numbered within the launch — and each argument region's
+first-use index within the body (which pins the dataflow between
+launches); never by task name alone.  Matching happens when a
 launch is *issued*, so a scope boundary never flushes the deferred
 window: launches still deferred when the scope closes keep their tags
 and execute, discounted, whenever the program next flushes.  The first
@@ -50,27 +47,22 @@ dependent inner iteration counts) backs off and stops recording for a
 while.  A body that ends early — the convergence check returned — is a
 prefix of the capture and leaves it alone.
 
-**What a template may hold**: ints, tuples, rects, plans and generated
-nests — never a ``Region`` or ``Partition`` (a region kept alive by a
-template never reaches its destructor; see ``SolveMemo``).  Templates
-are structural, so they are valid wherever their fingerprint matches;
-the runtime additionally bumps a *template epoch* on recovery, memory
-loss, pressure relief and ``reset_for_program``, and a trace captured
-under another epoch re-captures (Legion's physical traces are
-invalidated by the same events).  Journal replay after a loss never
-goes through a trace: recovery launches are charged in full and the
-open body diverges.
+The runtime bumps a *template epoch* on recovery, memory loss,
+pressure relief and ``reset_for_program``, and a trace captured under
+another epoch re-captures (Legion's physical traces are invalidated by
+the same events).  Journal replay after a loss never goes through a
+trace: recovery launches are charged in full and the open body
+diverges.
 
 Kernels always execute and numerics are untouched; with
 ``trace_replay_fraction=1.0`` a traced run is bit-for-bit the untraced
-one (event log, modeled seconds, LRU order), which is how the templates
-are tested.  The speedup is measured in ``benchmarks/test_tracing.py``
-and by the ``gmg_small_tasks`` workload of ``bench/``.
+one (event log, modeled seconds, LRU order).  The speedup is measured
+in ``benchmarks/test_tracing.py`` and by the ``gmg_small_tasks``
+workload of ``bench/``.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.legion.partition import (
@@ -85,42 +77,14 @@ from repro.legion.task import TaskLaunch
 if TYPE_CHECKING:  # pragma: no cover
     from repro.legion.runtime import Runtime
 
-# Slot uids and body serials: one process-wide sequence, never reused.
-_serial = count(1)
-
-
-class LaunchSlot:
-    """One captured trace position: its fingerprint and host templates."""
-
-    __slots__ = (
-        "uid", "born", "fingerprint", "solve_plan", "fusible", "exec",
-        "windows",
-    )
-
-    def __init__(self, fingerprint: Optional[tuple], born: int) -> None:
-        self.uid = next(_serial)
-        # Serial of the body that created the slot: a launch tagged by
-        # a later body is a replay.
-        self.born = born
-        self.fingerprint = fingerprint
-        # constraints.solver.solution_plan recipe (AutoTask.execute).
-        self.solve_plan: Optional[tuple] = None
-        # Whether the launch enters the deferred window (Runtime.launch).
-        self.fusible: Optional[bool] = None
-        # Execution template of the launch run on its own
-        # (Runtime._execute_task).
-        self.exec: Any = None
-        # Windows that start at this position: slot uids of the
-        # window's launches -> its planned groups, the very _Group
-        # objects the runtime's window-plan cache holds (Runtime._flush).
-        self.windows: Optional[Dict[tuple, list]] = None
-
 
 def launch_fingerprint(task: TaskLaunch, ids: Dict[int, int]) -> Optional[tuple]:
     """The structural fingerprint of a solved launch, or None.
 
-    ``ids`` numbers regions by first use within the trace body.  None
-    means a partition kind whose geometry the fingerprint cannot pin.
+    ``ids`` numbers regions by first use: within the launch (``{}``,
+    the template key of a launch with no pre-solve key) or within a
+    window (:func:`window_fingerprint`).  None means a partition kind
+    whose geometry the fingerprint cannot pin.
     """
     rows = []
     for req in task.requirements:
@@ -186,11 +150,12 @@ class Trace:
     def __init__(self, runtime: "Runtime", name: str = "trace"):
         self.runtime = runtime
         self.name = name
-        self._captured: Optional[List[LaunchSlot]] = None
-        self._body: Optional[List[LaunchSlot]] = None
+        # A fingerprint per position (None matches nothing): of the
+        # captured body and of the open one.
+        self._captured: Optional[List[Optional[tuple]]] = None
+        self._body: Optional[List[Optional[tuple]]] = None
         # Region uid -> first-use index within the open body.
-        self.ids: Dict[int, int] = {}
-        self._serial = 0
+        self._ids: Dict[int, int] = {}
         self._epoch = -1
         self._diverged = False
         self._failed = False
@@ -230,7 +195,7 @@ class Trace:
     def _begin(self) -> None:
         self._failed = False
         self._diverged = False
-        self.ids = {}
+        self._ids = {}
         if self._sleep:
             self._sleep -= 1
             self._body = None
@@ -240,7 +205,6 @@ class Trace:
             # Captured under another template epoch: capture afresh.
             self._captured = None
             self._epoch = epoch
-        self._serial = next(_serial)
         self._body = []
 
     def _end(self) -> None:
@@ -257,7 +221,7 @@ class Trace:
             self.captures += 1
         elif self._diverged:
             # Re-capture (Legion would abort the trace; we degrade
-            # gracefully).  Slots matched before the mismatch carry over.
+            # gracefully).  Positions before the mismatch carry over.
             self._captured = body
             self.captures += 1
             self.divergences += 1
@@ -277,38 +241,38 @@ class Trace:
         """Whether a body is open and being matched or captured."""
         return self._body is not None
 
-    def advance(self, fingerprint: Optional[tuple]) -> LaunchSlot:
-        """The slot of the next position of the open body.
+    def issue(self, task: TaskLaunch) -> None:
+        """Match a launch against the next position of the open body.
 
-        The captured slot when the fingerprint matches it (a replay);
-        otherwise the body has diverged and a fresh slot is recorded.
+        Its fingerprint is its template's key with the body's first-use
+        index of each argument region.  A match is a replay; a mismatch
+        diverges the body, which records the rest as it comes.
         """
         body = self._body
+        if body is None:
+            return
+        fingerprint = None
+        if task.template is not None:
+            ids = self._ids
+            fingerprint = (
+                task.template.key,
+                tuple(
+                    ids.setdefault(req.region.uid, len(ids))
+                    for req in task.requirements
+                ),
+            )
         captured = self._captured
         if captured is not None and not self._diverged:
             pos = len(body)
-            if fingerprint is not None and pos < len(captured):
-                slot = captured[pos]
-                if slot.fingerprint == fingerprint:
-                    body.append(slot)
-                    return slot
-            self._diverged = True
-        slot = LaunchSlot(fingerprint, self._serial)
-        body.append(slot)
-        return slot
-
-    def tag(self, task: TaskLaunch, slot: LaunchSlot) -> None:
-        """Attach a position's slot to the launch issued at it."""
-        task.slot = slot
-        task.body = self._serial
-        if slot.born != self._serial:
-            task.replayed_in = self
-
-    def issue(self, task: TaskLaunch) -> None:
-        """Match a solved launch (one ``AutoTask.execute`` did not
-        already match before its solve) against the next position."""
-        if self._body is not None:
-            self.tag(task, self.advance(launch_fingerprint(task, self.ids)))
+            if (
+                fingerprint is not None
+                and pos < len(captured)
+                and captured[pos] == fingerprint
+            ):
+                task.replayed_in = self
+            else:
+                self._diverged = True
+        body.append(fingerprint)
 
     def diverge(self) -> None:
         """The rest of the open body runs dynamically (recovery)."""

@@ -1,14 +1,17 @@
 """Host-side analysis machinery: each mechanism against its reference.
 
 ``repro.legion.fastpath`` is pure host-side mechanism — batched
-coherence writes, a constraint-solve memo keyed by the launch's
-structural key and an epoch-keyed image-partition cache — that the
-runtime always uses; the window-plan cache shares that key.  Everything here
-pins down the two properties the design hangs on:
+coherence writes, launch templates (solve plan, window verdict, launch
+shape) keyed by the launch's structural key, a bounded window-plan
+cache and an epoch-keyed image-partition cache — that the runtime
+always uses.  Everything here pins down the two properties the design
+hangs on:
 
 * **bitwise neutrality, unit by unit** — ``write_complete`` lands the
   state of the sequential ``mark_written`` loop, a rebuilt solve plan
-  equals a fresh solve, a cached image equals a recomputed one, and
+  equals a fresh solve, a memoized template runs as one derived afresh
+  (traced or not, SpMV or element-wise), a cached image equals a
+  recomputed one, and
   the batched-write eligibility check rejects every launch shape where
   the interleaving could be observed.  (End to end — CG, spill and
   eviction, GPU- and node-loss replay — the goldens of
@@ -19,7 +22,9 @@ pins down the two properties the design hangs on:
   region lifetimes.
 """
 
+import contextlib
 import gc
+import hashlib
 import random
 import weakref
 
@@ -27,20 +32,26 @@ import numpy as np
 import pytest
 
 import repro.numeric as rnp
+import repro.sparse as sp
+from repro.analysis.events import EventLog
+from repro.apps.poisson import poisson2d_scipy
 from repro.constraints import Align, AutoTask, Broadcast, Image, ImageKind, Store
 from repro.constraints.solver import (
     rebuild_solution, solution_plan, solve_partitions,
 )
 from repro.geometry import Rect, RectSet
 from repro.legion import Replicate, Runtime, RuntimeConfig, Tiling
+from repro.legion import runtime as runtime_module
 from repro.legion.coherence import RegionCoherence
 from repro.legion.fastpath import (
-    ImagePartitionCache, SolveMemo, eligible_write_reqs,
+    BoundedMemo, ImagePartitionCache, eligible_write_reqs,
 )
 from repro.legion.privilege import Privilege
 from repro.legion.runtime import runtime_scope
 from repro.legion.task import Requirement
 from repro.machine import ProcessorKind, laptop
+
+from tests.legion.test_coherence_index import _canonical_log
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +159,7 @@ def memo_key(rt, *stores, colors=2, setup=None):
         task.add_input(f"a{i}", store)
     if setup is not None:
         setup(task)
-    return task._fingerprint(colors, {})
+    return task._fingerprint(colors)
 
 
 class TestSolveSignature:
@@ -173,7 +184,7 @@ class TestSolveSignature:
             _copy_task(rt, out, inp).execute()
             np.testing.assert_array_equal(out.data, np.arange(10.0))
         assert (counters["solve_misses"], counters["solve_hits"]) == (1, 1)
-        assert len(rt._solve_memo) == 1
+        assert len(rt._templates) == 1
 
     def test_repartition_changes_signature(self, rt):
         a = Store.create((10,), np.float64, runtime=rt)
@@ -261,7 +272,7 @@ class TestSolutionPlan:
 
     def test_memo_entry_does_not_pin_regions(self, rt):
         """The steady-state regression: cached plans must hold no regions."""
-        memo = SolveMemo()
+        memo = BoundedMemo()
         a = Store.create((10,), np.float64, runtime=rt)
         b = Store.create((10,), np.float64, runtime=rt)
         key = memo_key(rt, a, b, setup=lambda t: t.add_alignment_constraint(a, b))
@@ -274,8 +285,8 @@ class TestSolutionPlan:
         assert len(memo) == 1  # the entry itself survives
 
     def test_memo_bounded(self):
-        memo = SolveMemo()
-        for i in range(SolveMemo.MAX_ENTRIES):
+        memo = BoundedMemo()
+        for i in range(BoundedMemo.MAX_ENTRIES):
             memo.put(("sig", i), (("tile", 0, (0, 5, 10)),))
         memo.put(("sig", "overflow"), (("tile", 0, (0, 5, 10)),))
         assert len(memo) == 1
@@ -336,6 +347,179 @@ class TestWindowPlanCache:
         for got, want in zip(fused, eager):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+    def test_cache_is_bounded(self, monkeypatch):
+        """Fused windows over many vector lengths: the cache stays at its
+        bound, and the values are the unfused ones, bit for bit."""
+        from repro.legion import fusion
+
+        bound = 4
+        monkeypatch.setattr(BoundedMemo, "MAX_ENTRIES", bound)
+        plans = []
+        plan_window = fusion.plan_window
+
+        def counted_plan(summaries):
+            plans.append(len(summaries))
+            return plan_window(summaries)
+
+        monkeypatch.setattr(fusion, "plan_window", counted_plan)
+
+        def run(fused):
+            runtime = Runtime(
+                laptop().scope(ProcessorKind.GPU, 2),
+                RuntimeConfig.legate(fusion=fused),
+            )
+            out, sizes = [], []
+            with runtime_scope(runtime):
+                for n in range(16, 16 + 3 * bound):
+                    x = rnp.array(np.linspace(0.1, 1.0, n))
+                    y = (x * x + x) * x
+                    runtime.barrier()
+                    out.append(y.to_numpy())
+                    sizes.append(len(runtime._fusion_cache))
+            return out, sizes
+
+        fused, sizes = run(True)
+        assert len(plans) == 3 * bound  # a distinct structure each
+        assert 0 < max(sizes) <= bound
+        eager, _ = run(False)
+        for got, want in zip(fused, eager):
+            np.testing.assert_array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# Templates: one per structural key, traced or not
+# ----------------------------------------------------------------------
+class _Forgetful(BoundedMemo):
+    """A template memo that keeps nothing: every launch derives its
+    solve plan, window verdict and launch shape afresh."""
+
+    def put(self, key, value):
+        pass
+
+
+@contextlib.contextmanager
+def counting_shapes():
+    """Count ``_LaunchShape`` builds while the block runs."""
+    count = [0]
+    real = runtime_module._LaunchShape
+
+    class Counted(real):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            count[0] += 1
+            super().__init__(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runtime_module, "_LaunchShape", Counted)
+        yield count
+
+
+def _logged_runtime(forget=False):
+    runtime = Runtime(
+        laptop().scope(ProcessorKind.GPU, 2),
+        RuntimeConfig.legate(trace_replay_fraction=1.0),
+    )
+    if runtime.event_log is None:
+        runtime.event_log = EventLog(name="templates")
+    if forget:
+        runtime._templates = _Forgetful()
+    return runtime
+
+
+def _digest(runtime, modeled, solution):
+    digest = hashlib.sha256()
+    for line in _canonical_log(runtime.event_log):
+        digest.update(line.encode())
+    digest.update(repr(modeled).encode())
+    digest.update(solution.tobytes())
+    return digest.hexdigest()
+
+
+def _power_loop(traced):
+    """SpMV (image solves), a scalar reduction, fills and fused
+    element-wise launches, four times over."""
+    runtime = _logged_runtime()
+    with counting_shapes() as builds, runtime_scope(runtime):
+        A = sp.csr_matrix(poisson2d_scipy(8))
+        x = rnp.ones(64)
+        runtime.barrier()
+        trace = runtime.trace("power")
+        for _ in range(4):
+            with trace if traced else contextlib.nullcontext():
+                y = A @ x
+                x = y / rnp.linalg.norm(y) + rnp.ones(64) * 0.5
+        modeled = runtime.barrier()
+        solution = x.to_numpy()
+    return runtime, builds[0], _digest(runtime, modeled, solution)
+
+
+def _shaped_templates(runtime):
+    """Templates holding a launch shape: by key, and fused groups."""
+    return sum(
+        template.shape is not None
+        for template in runtime._templates._entries.values()
+    ) + sum(
+        group.shape is not None
+        for groups in runtime._fusion_cache._entries.values()
+        for group in groups
+    )
+
+
+def test_traced_and_untraced_loops_share_one_shape_per_key():
+    traced, traced_builds, traced_digest = _power_loop(traced=True)
+    plain, plain_builds, plain_digest = _power_loop(traced=False)
+    assert traced.trace("power").replays == 3
+    assert traced_digest == plain_digest
+    assert traced_builds == plain_builds == _shaped_templates(plain)
+    assert plain_builds == _shaped_templates(traced)
+    assert plain_builds < plain.profiler.tasks_launched // 2
+
+
+def _repartition_program(forget):
+    """Untraced AutoTask launches before and after x's key partition
+    moves: a template must not outlive the partition it was made for."""
+    runtime = _logged_runtime(forget)
+    with runtime_scope(runtime):
+        A = sp.eye(64, format="csr")
+        x = rnp.ones(64)
+        runtime.barrier()
+        for step in range(3):
+            if step == 2:
+                x.store.set_key_partition(Tiling(x.store.region, (0, 10, 64)))
+            x = A @ (x * 0.5)
+        modeled = runtime.barrier()
+        solution = x.to_numpy()
+    return _digest(runtime, modeled, solution)
+
+
+def test_untraced_templates_match_fresh_ones():
+    assert _repartition_program(False) == _repartition_program(True)
+
+
+def _image_program(forget):
+    """SpMVs over two matrices of one shape and nnz whose images of x
+    differ: one template each, or the staged halos are wrong."""
+    import scipy.sparse
+
+    runtime = _logged_runtime(forget)
+    with runtime_scope(runtime):
+        eye = scipy.sparse.identity(64, format="csr")
+        flip = scipy.sparse.csr_matrix(eye.toarray()[::-1])
+        mats = [sp.csr_matrix(eye), sp.csr_matrix(flip)]
+        x = rnp.array(np.arange(64.0))
+        runtime.barrier()
+        for _ in range(2):
+            for A in mats:
+                x = A @ x
+        modeled = runtime.barrier()
+        solution = x.to_numpy()
+    return _digest(runtime, modeled, solution)
+
+
+def test_image_templates_match_fresh_ones():
+    assert _image_program(False) == _image_program(True)
 
 
 # ----------------------------------------------------------------------

@@ -98,10 +98,10 @@ def test_reset_keeps_structural_caches_warm_by_default():
     rt = _runtime()
     _program(rt, 0)
     rt.reset_for_program()
-    warm = len(rt._solve_memo)
+    warm = len(rt._templates)
     _program(rt, 0)
     # Identical program shape: the memo served from cache, not regrown.
-    assert len(rt._solve_memo) == warm
+    assert len(rt._templates) == warm
 
 
 def test_reused_runtime_matches_fresh_runtime_bitwise():

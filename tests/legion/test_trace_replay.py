@@ -37,6 +37,7 @@ from repro.apps.multigrid import TwoLevelGMG
 from repro.apps.poisson import poisson2d_scipy
 from repro.constraints.task import AutoTask
 from repro.legion import Runtime, RuntimeConfig, Tiling, Trace
+from repro.legion import runtime as runtime_module
 from repro.legion import tracing
 from repro.legion.chaos import ChaosConfig, LossSchedule
 from repro.legion.instance import MemoryState
@@ -48,6 +49,7 @@ from tests.legion.test_coherence_index import (
     GOLDEN_LOG, GOLDEN_LOG_UNFUSED, GOLDEN_SOLUTION, GPUS, GRID,
     _canonical_log,
 )
+from tests.legion import test_fastpath as fastpath_tests
 from tests.legion.test_mapping_lane import GOLDEN_SPILL
 
 # The same two digests of _lru_program below, recorded at fb01e37: the
@@ -470,7 +472,7 @@ def test_always_divergent_body_backs_off():
 def _temporaries_loop(traced: bool):
     rt = _runtime()
     refs = []
-    with runtime_scope(rt):
+    with fastpath_tests.counting_shapes() as builds, runtime_scope(rt):
         A = sp.csr_matrix(poisson2d_scipy(12))
         x = rnp.ones(144)
         trace = rt.trace("loop")
@@ -487,15 +489,20 @@ def _temporaries_loop(traced: bool):
             mem: (st.used_bytes, st.peak_bytes)
             for mem, st in rt.instances._states.items()
         }
-    return rt, alive, pooled
+    return rt, alive, pooled, builds[0]
 
 
 def test_templates_keep_no_region_alive():
-    rt, alive, pooled = _temporaries_loop(traced=True)
+    """The SpMV and fused launches of a loop take their shapes from
+    templates, traced or not, and no iteration temporary survives."""
+    rt, alive, pooled, builds = _temporaries_loop(traced=True)
     assert rt.trace("loop").replays == 3
     assert alive == [False] * 4
-    plain, plain_alive, plain_pooled = _temporaries_loop(traced=False)
+    plain, plain_alive, plain_pooled, plain_builds = _temporaries_loop(
+        traced=False
+    )
     assert plain_alive == alive
+    assert builds == plain_builds < plain.profiler.tasks_launched // 2
     assert pooled == plain_pooled
     assert rt.instances.total_peak_bytes() == plain.instances.total_peak_bytes()
 
@@ -512,11 +519,12 @@ def test_runtime_that_never_bumps_the_epoch_fails(monkeypatch):
 
 
 def test_fingerprint_blind_to_partitions_fails(monkeypatch):
-    """Rows and solve plan reused across a repartition."""
+    """Rows, solve plan and launch shape reused across a repartition or
+    another image: traced, untraced and image launches each fail."""
     real = AutoTask._fingerprint
 
-    def blind(self, colors, ids):
-        fingerprint = real(self, colors, ids)
+    def blind(self, colors):
+        fingerprint = real(self, colors)
         if fingerprint is None:
             return None
         *head, rows, constraints = fingerprint
@@ -531,10 +539,16 @@ def test_fingerprint_blind_to_partitions_fails(monkeypatch):
         *head, rows = fingerprint
         return (*head, tuple(row[:-1] for row in rows))
 
-    monkeypatch.setattr(AutoTask, "_fingerprint", blind)
+    with monkeypatch.context() as patch:
+        patch.setattr(AutoTask, "_fingerprint", blind)
+        with pytest.raises(AssertionError):
+            test_repartitioned_operand_does_not_replay()
+        with pytest.raises(AssertionError):
+            fastpath_tests.test_untraced_templates_match_fresh_ones()
     monkeypatch.setattr(tracing, "launch_fingerprint", blind_launch)
+    monkeypatch.setattr(runtime_module, "launch_fingerprint", blind_launch)
     with pytest.raises(AssertionError):
-        test_repartitioned_operand_does_not_replay()
+        fastpath_tests.test_image_templates_match_fresh_ones()
 
 
 def test_lane_without_the_lru_tick_fails(monkeypatch):
