@@ -46,12 +46,14 @@ Legality rules (all must hold for merge-safe):
     enforces this for its own groups; direct callers may classify
     hand-built ones.)  Tile boundaries need not agree across the group:
     the planner aligns a group per region, and :func:`classify` splits
-    it into *segments* by boundary set
-    (:func:`repro.legion.fusion.segments`), applies rules 1-3, 5 and 6
-    to each segment on its own, and reports them on
-    :attr:`Verdict.segments`.  Segments share no tiled region, so each
+    it into *segments* (:func:`repro.legion.fusion.segments`): by
+    boundary set between barriers, each barrier -- a member reaching a
+    region through an image -- alone.  It applies rules 1-3, 5 and 6
+    to each segment on its own and reports them on
+    :attr:`Verdict.segments`; a barrier without body IR is
+    ``opaque-kernel``.  Segments share no written region, so each
     merge-safe one becomes a nest of its own and the fused kernel runs
-    nests and replays one after the other, in order of first member.
+    nests and replays one after the other, in segment order.
     A group none of whose segments has two members has no body to
     merge: ``one-launch-segments``.
 5.  *No read-after-write through a non-elided region.*  A value
@@ -432,6 +434,12 @@ def _classify_segment(
     """Rules 1-3, 5 and 6 over the members of one segment."""
     indices = plan.indices
     if len(indices) <= 1:
+        if indices and summaries[indices[0]].barrier:
+            # A barrier segment of a larger group: what it computes is
+            # opaque to the nests around it.
+            _program, _out, problem = kernel_ir(summaries[indices[0]])
+            if problem:
+                return Verdict(False, "opaque-kernel", problem)
         return Verdict(False, None, "single launch; nothing to merge")
 
     # Rules 1 + 2: every body known, no reduction-carrying statements.

@@ -340,6 +340,7 @@ def _image_cached(con: Image, src_part: Partition, exact: bool, cache):
         img.exact = bool(exact)
         img._rects = rects
         img._pieces = pieces
+        img._tables = cached
         return img
     img = ImageByCoordinate(source, src_part, dest, exact=exact)
     cache.put(key, img.tables())

@@ -113,12 +113,13 @@ class AutoTask:
     def set_pointwise(
         self, *ops: str, expr=None, out: Optional[str] = None, statement=None
     ) -> None:
-        """Mark the task element-wise over aligned operands.
+        """Declare that the kernel touches only its shard's rects.
 
-        Pointwise tasks are eligible for the runtime's deferred fusion
+        Such tasks are eligible for the runtime's deferred fusion
         window (:mod:`repro.legion.fusion`); ``ops`` names the
-        element-wise operations for reporting.  Only set this on kernels
-        that touch exactly their shard's rect of every argument.
+        operations for reporting.  Only set this on kernels that read
+        and write nothing outside their shard's rect of every argument
+        (for an image argument: the image's rect).
 
         ``expr``/``out``/``statement`` optionally expose the kernel
         body IR (see :class:`~repro.legion.task.Pointwise`) so the
@@ -212,29 +213,26 @@ class AutoTask:
         """Solve constraints, launch, update key partitions.
 
         The solve goes through the template of the launch's pre-solve
-        key (:meth:`_fingerprint`): iterative solvers re-launch structurally identical tasks every
-        step, and the key embeds key partitions, so repartitions miss
-        instead of going stale.
+        key (:meth:`_fingerprint`): iterative solvers re-launch
+        structurally identical tasks every step, and the key embeds key
+        partitions, so repartitions miss instead of going stale.  The
+        deferred window is flushed before the solve only if a member
+        writes an image source (``Runtime.order_solve``); the launch
+        then joins the window or passes it (``Runtime.launch``).
         """
-        colors = self.colors if self.colors is not None else self.runtime.num_procs
-        images = [c for c in self._constraints if isinstance(c, Image)]
-        ordered = self._pointwise is None or bool(images)
-        if ordered and self.runtime._window:
-            # A launch that cannot join the deferred window is ordered
-            # against it *before* solving: image partitions read region
-            # data host-side at solve time, and pending fused launches
-            # may still owe writes to those regions.  The window is
-            # flushed only on such a dependence (Runtime.pass_window).
-            accesses = [
-                (store.region.uid, privilege.writes)
-                for _, store, privilege in self._args
-            ]
-            for image in images:
-                accesses.append((image.source.region.uid, False))
-                accesses.append((image.dest.region.uid, False))
-            self.runtime.pass_window(accesses, self._scalars)
-        stores = [store for _, store, _ in self._args]
         rt = self.runtime
+        colors = self.colors if self.colors is not None else rt.num_procs
+        # An image partition reads its source's data at solve time:
+        # deferred launches that still owe writes to a source run first.
+        # The launch itself -- joining the window or passing it -- is
+        # ordered by Runtime.launch.
+        sources = [
+            con.source.region.uid
+            for con in self._constraints if isinstance(con, Image)
+        ]
+        if sources:
+            rt.order_solve(sources)
+        stores = [store for _, store, _ in self._args]
         t0 = _perf()
         template = rt._template(self._fingerprint(colors))
         counters = rt.profiler.fastpath_counters
@@ -280,7 +278,6 @@ class AutoTask:
             reduction=self._scalar_reduction,
             fold_partition=fold_partition,
             pointwise=self._pointwise,
-            ordered=ordered,
             template=template,
         )
         result = self.runtime.launch(launch)

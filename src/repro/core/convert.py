@@ -381,6 +381,7 @@ def expand_row_indices(A) -> ndarray:
         return float(nnz), nnz * 16.0
 
     task = AutoTask(rt, "expand_rows", kernel, cost)
+    task.set_pointwise("expand_rows")  # writes its image rect of rows only
     task.add_output("rows", rows.store)
     task.add_input("pos", A.pos)
     task.add_input("crd", A.crd)

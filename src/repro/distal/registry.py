@@ -71,8 +71,16 @@ def launch(
     explicit_partitions: Optional[Dict[str, Partition]] = None,
     scalars: Optional[Dict[str, object]] = None,
 ) -> Optional[Future]:
-    """Build and execute the AutoTask a generated kernel declares."""
+    """Build and execute the AutoTask a generated kernel declares.
+
+    A generated kernel reads and writes only its shard's tile and image
+    rects, so it declares itself window-eligible (an opaque kernel: its
+    body never merges into a nest).  The window still refuses it when
+    it reduces into a region (REDUCE) or writes through an aliased
+    partition.
+    """
     task = AutoTask(runtime, spec.name, spec.kernel, spec.cost)
+    task.set_pointwise(spec.name)
     for name, role in spec.args:
         store = stores[name]
         if role == "in":

@@ -14,33 +14,45 @@ run of that same runtime — it has no window of its own.)
 
 Legality rules (checked structurally, per window):
 
-1. Launches tagged :class:`~repro.legion.task.Pointwise` participate:
-   element-wise ones, and scalar reductions whose operands are all
-   read-only tilings (the marker says the kernel touches exactly its
-   shard's rects; ``numeric.reductions`` sets it).  Any other launch
-   runs at once, ordered against the window by a *hazard test*
-   (``Runtime.pass_window``): the window is flushed first only if the
-   launch touches a region a member writes, writes (REDUCE included) a
-   region a member touches, or takes a scalar a member reduction still
-   owes.  Otherwise it *passes*: it runs ahead of the members, which
-   stay deferred -- independent launches reordered, so no value moves.
-2. Within a group every launch has the same color count, and alignment
-   is *per region*: a launch joins when each tiled region it shares
-   with the group has the tile boundaries the group already uses for
-   it (its own tiled requirements agreeing among themselves: shard *i*
-   touches the same rows of each).  Members over different boundary
-   sets therefore share no tiled region; they are the group's
-   *segments* (:func:`segments`), which the fused kernel runs one
-   after the other, in order of first member.
-3. Writes go through tilings only, and a replicated (broadcast) read is
-   admitted only for regions no launch in the group writes — otherwise
-   per-shard sub-launch ordering would observe partial updates and the
-   fused result would not be bitwise identical to the unfused chain.
+1. *Who joins.*  A launch tagged :class:`~repro.legion.task.Pointwise`
+   declares that its kernel touches nothing outside its requirements'
+   rects: element-wise launches, scalar reductions over read-only
+   tilings (``numeric.reductions``), every generated kernel
+   (``distal.registry.launch``), row expansion and row gathers.  It
+   enters the window.  Any other launch runs at once, ordered against
+   the window by a *hazard test* (``Runtime.pass_window``): the window
+   is flushed first only if the launch touches a region a member
+   writes, writes (REDUCE included) a region a member touches, or
+   takes a scalar a member reduction still owes.  Otherwise it
+   *passes*: it runs ahead of the members, which stay deferred --
+   independent launches reordered, so no value moves.
+2. *One dependence rule, per region* (Diffuse's).  The fused kernel
+   runs shard by shard, so shard *i* of a later member runs before
+   shard *j > i* of an earlier one.  Every member of a group has the
+   same color count, and a region some member writes is reached by
+   every member through one disjoint partition -- a tiling with equal
+   boundaries, or an image of equal derivation
+   (:func:`~repro.legion.partition.derivation`) -- so shard
+   *i* of each member depends only on shard *i* of the others.  A
+   region no member writes may be read through anything: tiles,
+   replicas, aliased halo images.  A launch whose write goes through
+   an aliased image or a replica never joins the window.
+3. *Segments.*  An *aligned* member (tiles and replicas only) also
+   keeps one tile boundary set: its own tiled requirements agree, and
+   so does each tiled region it shares with the group's other aligned
+   members.  Aligned members over one boundary set form a *segment*
+   (:func:`segments`), the unit a generated nest merges.  A member that
+   reaches a region through an image or an explicit partition is a
+   segment of its own and a *barrier*: segments run in order of first
+   member between barriers, never across one.  Two segments between
+   barriers share no written region (its one partition would make them
+   one segment), so that reordering moves only independent launches.
 4. No REDUCE privileges (folds have cross-shard structure).  Scalar
    reductions have none: a group's shards return one partial per member
    reduction, and the runtime folds each value on its own, by its own
    op, in color order -- the value the launch run alone would give --
-   over ONE allreduce tree for the group.
+   over ONE allreduce tree for the group.  A reduction joins only over
+   read-only tiles.
 5. *The reduction constraint.*  A reduction in the window hands out a
    pending future.  A launch that takes such a future as a scalar --
    directly or through lazy ``Future.combine``/``map`` arithmetic; its
@@ -62,13 +74,15 @@ access in the group is WRITE_DISCARD and that are read again inside the
 group are *elided*: their requirements are marked
 :attr:`~repro.legion.task.Requirement.elide` and the runtime skips
 instance allocation and staging for them (no coherence traffic, no halo
-staging; the temporary never exists as a mapped instance).
+staging; the temporary never exists as a mapped instance).  A region a
+barrier touches is never elided: its output is what the next group
+reads, and a nest may drop a dead temporary's store.
 
 Everything here is deterministic and depends only on window *structure*
-(names, colors, privileges, partition boundaries, which arguments
-share a region, reduction ops and future-dependence edges), so plans
-are memoizable.  The runtime keys them -- with their verdicts and
-nests -- by the window's fingerprint
+(names, colors, privileges, partition boundaries and derivations,
+which arguments share a region, reduction ops and future-dependence
+edges), so plans are memoizable.  The runtime keys them -- with their
+verdicts and nests -- by the window's fingerprint
 (:func:`repro.legion.tracing.window_fingerprint`), which carries all of
 that plus shapes and dtypes.
 """
@@ -78,7 +92,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.legion.partition import Replicate, Tiling
+from repro.legion.partition import Replicate, Tiling, derivation
 from repro.legion.privilege import Privilege
 from repro.legion.task import Pointwise, Requirement, ShardContext, TaskLaunch
 
@@ -92,8 +106,10 @@ class Access:
     """One requirement of a summarized launch, structurally described."""
 
     region: object  # Region (kept for uid/name; compared by uid only)
-    part_kind: str  # "tile" | "rep" | "other"
-    boundaries: Optional[Tuple[int, ...]]
+    part_kind: str  # "tile" | "rep" | "image" | "other"
+    # Tile boundaries, or an image's derivation (source regions by uid:
+    # compared within one window only).
+    boundaries: Optional[tuple]
     privilege: Privilege
     # Requirement name within the launch.  The dependence analyzer
     # (repro.analysis.depend) resolves Pointwise.expr loads/out against
@@ -119,6 +135,9 @@ class LaunchSummary:
     # Window positions of the reductions whose pending futures the
     # launch takes as scalars (directly or through lazy arithmetic).
     after: Tuple[int, ...] = ()
+    # Reaches a region through an image or explicit partition: a
+    # segment of its own, which no segment is reordered across.
+    barrier: bool = False
 
 
 @dataclass(frozen=True)
@@ -144,25 +163,32 @@ def summarize(
     """Summarize a launch from ``(req_name, region, partition,
     privilege)`` tuples."""
     out: List[Access] = []
-    # A reduction is admitted over read-only tiles alone.
+    # A reduction is admitted over read-only tiles alone, a write
+    # through a disjoint tiling or image alone.
     reducing = reduction is not None
     ok = pointwise is not None
     for req_name, region, partition, privilege in accesses:
+        if privilege is Privilege.REDUCE:
+            ok = False
         if isinstance(partition, Tiling):
-            out.append(
-                Access(region, "tile", partition.boundaries, privilege, req_name)
-            )
+            kind, boundaries = "tile", partition.boundaries
             if reducing and privilege.writes:
                 ok = False
         elif isinstance(partition, Replicate):
-            out.append(Access(region, "rep", None, privilege, req_name))
+            kind, boundaries = "rep", None
             if reducing or privilege.writes:
                 ok = False
         else:
-            out.append(Access(region, "other", None, privilege, req_name))
-            ok = False
+            boundaries = derivation(partition)
+            kind = "other" if boundaries is None else "image"
+            if reducing or (privilege.writes and (
+                kind == "other" or not partition.is_disjoint()
+            )):
+                ok = False
+        out.append(Access(region, kind, boundaries, privilege, req_name))
+    barrier = any(acc.part_kind in ("image", "other") for acc in out)
     return LaunchSummary(
-        name, int(colors), ok, tuple(out), pointwise, reduction, after
+        name, int(colors), ok, tuple(out), pointwise, reduction, after, barrier
     )
 
 
@@ -207,31 +233,32 @@ class _GroupState:
         # fusible, run on its own.
         self.sealed = False
         self.colors: Optional[int] = None
-        # Local region id -> the tile boundaries the group uses for it.
+        # Local region id -> the tile boundaries the group's aligned
+        # members use for it (rule 3).
         self.boundaries: Dict[int, Tuple[int, ...]] = {}
+        # Local region id -> every (kind, boundaries) partition the
+        # group reaches it through (rule 2).
+        self.parts: Dict[int, set] = {}
         self.written: set = set()  # local region ids written in group
-        self.rep_read: set = set()  # local region ids replicate-read
 
     def admits(self, summary: LaunchSummary, ids: Dict[int, int]) -> bool:
         if self.sealed:
             return False
         if self.colors is not None and summary.colors != self.colors:
             return False
-        own = None  # the one boundary set of the launch's own tiles
+        aligned = not summary.barrier
+        own = None  # the one boundary set of an aligned launch's tiles
         for acc in summary.accesses:
             lid = ids[acc.region.uid]
-            if acc.part_kind == "tile":
+            if aligned and acc.part_kind == "tile":
                 if own is None:
                     own = acc.boundaries
                 if acc.boundaries != own or self.boundaries.get(lid, own) != own:
                     return False
-            elif acc.part_kind == "rep":
-                if lid in self.written:
+            if acc.privilege.writes or lid in self.written:
+                part = (acc.part_kind, acc.boundaries)
+                if any(seen != part for seen in self.parts.get(lid, ())):
                     return False
-            else:
-                return False
-            if acc.privilege.writes and lid in self.rep_read:
-                return False
         return True
 
     def add(self, index: int, summary: LaunchSummary, ids: Dict[int, int]) -> None:
@@ -239,10 +266,11 @@ class _GroupState:
         self.colors = summary.colors
         for acc in summary.accesses:
             lid = ids[acc.region.uid]
-            if acc.part_kind == "tile":
+            if not summary.barrier and acc.part_kind == "tile":
                 self.boundaries[lid] = acc.boundaries
-            elif acc.part_kind == "rep":
-                self.rep_read.add(lid)
+            self.parts.setdefault(lid, set()).add(
+                (acc.part_kind, acc.boundaries)
+            )
             if acc.privilege.writes:
                 self.written.add(lid)
 
@@ -254,17 +282,18 @@ def _elided(
 ) -> frozenset:
     """Local ids of temporaries produced and consumed inside the group:
     first access WRITE_DISCARD, read again by a later sub-launch, never
-    replicated."""
+    replicated and never touched by a barrier."""
     if len(group) <= 1:
         return frozenset()
     first: Dict[int, Tuple[int, Privilege]] = {}
     consumed: set = set()
-    replicated: set = set()
+    kept: set = set()
     for index in group:
-        for acc in summaries[index].accesses:
+        summary = summaries[index]
+        for acc in summary.accesses:
             lid = ids[acc.region.uid]
-            if acc.part_kind == "rep":
-                replicated.add(lid)
+            if summary.barrier or acc.part_kind == "rep":
+                kept.add(lid)
             if lid not in first:
                 first[lid] = (index, acc.privilege)
             elif acc.privilege.reads and index != first[lid][0]:
@@ -274,8 +303,36 @@ def _elided(
         for lid, (_idx, privilege) in first.items()
         if privilege is Privilege.WRITE_DISCARD
         and lid in consumed
-        and lid not in replicated
+        and lid not in kept
     )
+
+
+def produced_reads(
+    summaries: Sequence[LaunchSummary],
+    indices: Sequence[int],
+    ids: Dict[int, int],
+) -> frozenset:
+    """Reads a fused shard produces itself, as positions among the
+    group's requirements (members in order, each's in order): a member
+    reads rects an earlier member writes -- the same partition, as rule
+    2 has every access to a written region -- and the shard runs the
+    writer first, so the runtime stages nothing for the read.
+    """
+    produced = set()
+    written: Dict[int, tuple] = {}
+    position = 0
+    for index in indices:
+        writes = {}
+        for acc in summaries[index].accesses:
+            lid = ids[acc.region.uid]
+            part = (acc.part_kind, acc.boundaries)
+            if acc.privilege.reads and written.get(lid) == part:
+                produced.add(position)
+            if acc.privilege.writes:
+                writes[lid] = part
+            position += 1
+        written.update(writes)
+    return frozenset(produced)
 
 
 def _hoist_target(
@@ -304,7 +361,7 @@ def _hoist_target(
 def plan_window(summaries: Sequence[LaunchSummary]) -> List[GroupPlan]:
     """Partition a window into groups of compatible launches.
 
-    Element-wise launches form maximal runs, as issued.  A reduction
+    Window members form maximal runs, as issued.  A reduction
     joins the latest earlier group it may hoist into
     (:func:`_hoist_target`), else the current run.  No launch sits in
     or before the group of a reduction whose future it takes.
@@ -332,8 +389,8 @@ def plan_window(summaries: Sequence[LaunchSummary]) -> List[GroupPlan]:
             target = last + 1
             state = _GroupState()
             groups.append(state)
-            # Not fusible, or internally inconsistent (mixed boundaries
-            # within one launch): emitted on its own rather than
+            # Not fusible, or internally inconsistent (an aligned launch
+            # of mixed boundaries): emitted on its own rather than
             # rejecting the window.
             state.sealed = not (summary.fusible and state.admits(summary, ids))
         groups[target].add(index, summary, ids)
@@ -348,24 +405,32 @@ def plan_window(summaries: Sequence[LaunchSummary]) -> List[GroupPlan]:
 def segments(
     summaries: Sequence[LaunchSummary], indices: Sequence[int]
 ) -> List[Tuple[int, ...]]:
-    """A group's members by tile-boundary set, in order of first member.
+    """A group's members by tile-boundary set, in order of first member
+    between barriers; each barrier a segment of its own, in place.
 
-    A planned group aligns per region (rule 2), so two segments share
-    no tiled region -- only replicated operands, which nothing in the
-    group writes (rule 3): running the segments one after the other
-    instead of interleaved as issued reorders independent launches.
+    Two segments between barriers share no written region (rules 2
+    and 3), so running them one after the other instead of interleaved
+    as issued reorders independent launches only.
     """
+    out: List[Tuple[int, ...]] = []
     by_boundaries: Dict[Optional[Tuple[int, ...]], List[int]] = {}
     for index in indices:
+        summary = summaries[index]
+        if summary.barrier:
+            out.extend(tuple(members) for members in by_boundaries.values())
+            out.append((index,))
+            by_boundaries = {}
+            continue
         boundaries = next(
             (
-                acc.boundaries for acc in summaries[index].accesses
+                acc.boundaries for acc in summary.accesses
                 if acc.part_kind == "tile"
             ),
             None,
         )
         by_boundaries.setdefault(boundaries, []).append(index)
-    return [tuple(members) for members in by_boundaries.values()]
+    out.extend(tuple(members) for members in by_boundaries.values())
+    return out
 
 
 def fused_name(names: Sequence[str]) -> str:
@@ -380,13 +445,17 @@ def fuse(
     group: Sequence[TaskLaunch],
     elide_uids: frozenset = frozenset(),
     parts: Sequence[Tuple[Sequence[int], object]] = (),
+    produced: frozenset = frozenset(),
 ) -> TaskLaunch:
     """Merge a planned group into one launch.
 
     Requirement and scalar names are mangled ``"<i>.<name>"`` by
     sub-launch position; the fused kernel points each sub-launch's own
     :class:`ShardContext` at the shard and runs the sub-kernels in
-    issue order, so the arithmetic is the exact unfused sequence.  It
+    issue order, so the arithmetic is the exact unfused sequence.  The
+    requirements at the positions in ``produced`` (counted across the
+    members, :func:`produced_reads`) are marked
+    :attr:`~repro.legion.task.Requirement.produced`.  It
     returns the partials of the member reductions, in issue order; the
     launch carries their ops and pending futures as tuples
     (``Runtime._reduce`` folds each value on its own).
@@ -405,14 +474,17 @@ def fuse(
         return group[0]
     requirements: List[Requirement] = []
     scalars: Dict[str, object] = {}
+    position = 0
     for i, task in enumerate(group):
         for req in task.requirements:
             requirements.append(
                 Requirement(
                     f"{i}.{req.name}", req.region, req.partition,
                     req.privilege, elide=req.region.uid in elide_uids,
+                    produced=position in produced,
                 )
             )
+            position += 1
         for key, value in task.scalars.items():
             scalars[f"{i}.{key}"] = value
     runs = [
@@ -451,20 +523,40 @@ def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
         for i, task in ((i, group[i]) for i in positions)
     ]
 
-    def sub_contexts(ctx: ShardContext):
-        arrays, rects, values = ctx.arrays, ctx.rects, ctx.scalars
-        for task, names, keys, privileges in subs:
-            yield task, ShardContext(
-                ctx.color, ctx.colors,
-                {own: arrays[m] for own, m in names},
-                {own: rects[m] for own, m in names},
-                {own: values[m] for own, m in keys},
-                ctx.config, privileges,
-            )
+    # Every shard of one execution gets the same arrays and scalars (the
+    # same ``ctx.scalars`` dict), and the runtime costs a shard, then
+    # runs it, on one context: each member keeps one sub-context per
+    # execution, pointed at a shard's color and rects once per shard.
+    state: list = [None, None, []]  # ctx.scalars, ctx, [(task, names, sub)]
+
+    def sub_contexts(ctx: ShardContext) -> list:
+        made = state[2]
+        if state[1] is ctx:
+            return made
+        if state[0] is not ctx.scalars:
+            arrays, values = ctx.arrays, ctx.scalars
+            made = state[2] = [
+                (task, names, ShardContext(
+                    ctx.color, ctx.colors,
+                    {own: arrays[m] for own, m in names}, {},
+                    {own: values[m] for own, m in keys},
+                    ctx.config, privileges,
+                ))
+                for task, names, keys, privileges in subs
+            ]
+            state[0] = values
+        state[1] = ctx
+        color, rects = ctx.color, ctx.rects
+        for _task, names, sub in made:
+            sub.color = color
+            own_rects = sub.rects
+            for own, m in names:
+                own_rects[own] = rects[m]
+        return made
 
     def kernel(ctx: ShardContext) -> list:
         partials = []
-        for task, sub in sub_contexts(ctx):
+        for task, _names, sub in sub_contexts(ctx):
             partial = task.kernel(sub)
             if task.reduction is not None:
                 partials.append(partial)
@@ -473,7 +565,7 @@ def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
     def cost(ctx: ShardContext) -> tuple:
         flops = 0.0
         nbytes = 0.0
-        for task, sub in sub_contexts(ctx):
+        for task, _names, sub in sub_contexts(ctx):
             f, b = task.cost_fn(sub)
             flops += float(f)
             nbytes += float(b)

@@ -68,8 +68,22 @@ class Partition:
         return [self.rect(c) for c in range(self.color_count)]
 
     def is_disjoint(self) -> bool:
-        """True when no two colors overlap (images may alias)."""
-        rects = self.rects()
+        """True when no two colors overlap (images may alias).
+
+        Row bands -- every non-empty rect spanning the same trailing
+        extent, as tiles and images of rows are -- overlap exactly when
+        their row intervals do: one sort by first row settles it.  Any
+        other shape falls back to the pairwise test.
+        """
+        rects = [rect for rect in self.tables()[0] if not rect.is_empty()]
+        if not rects:
+            return True
+        lo, hi = rects[0].lo[1:], rects[0].hi[1:]
+        if all(rect.lo[1:] == lo and rect.hi[1:] == hi for rect in rects):
+            rows = sorted((rect.lo[0], rect.hi[0]) for rect in rects)
+            return all(
+                end <= start for (_, end), (start, _) in zip(rows, rows[1:])
+            )
         for i in range(len(rects)):
             for j in range(i + 1, len(rects)):
                 if rects[i].overlaps(rects[j]):
@@ -296,6 +310,7 @@ class ImageByCoordinate(Partition):
                 pieces.append((rects[-1],))
         self._rects = tuple(rects)
         self._pieces = tuple(pieces)
+        self._tables = (self._rects, self._pieces)
 
     @classmethod
     def _runs(cls, vals: np.ndarray, dest: Region) -> List[Rect]:
@@ -319,15 +334,47 @@ class ImageByCoordinate(Partition):
         """Exact runs (or the bounding rect)."""
         return self._pieces[color]
 
-    def tables(self) -> Tables:
-        """The image rects and their exact runs."""
-        return self._rects, self._pieces
-
 
 # (boundaries, trailing shape) -> (tile rects, their pieces); see
 # Tiling.tables.  Bounded: cleared when full.
 _TILE_TABLES: Dict[tuple, Tables] = {}
 MAX_TILE_TABLES = 512
+
+
+def derivation(part: Partition, ids: Optional[Dict[int, int]] = None) -> Optional[tuple]:
+    """How a partition is derived, or None when that does not pin its
+    rects.
+
+    A tiling is its boundaries; an image is its kind, its source region
+    and its source partition's derivation -- never its rects, which the
+    source's data decides.  Source regions are numbered through ``ids``
+    by first use (what window keys do), else named by uid.  Two images
+    of one derivation computed while their source held the same data
+    have the same rects.
+    """
+    links = []
+    while True:
+        kind = type(part)
+        if kind is Tiling:
+            out: tuple = ("tile", part.boundaries)
+            break
+        if kind is ImageByRange:
+            tag, source, part = "range", part.pos, part.pos_partition
+        elif kind is ImageByCoordinate:
+            tag = "exact" if part.exact else "coord"
+            source, part = part.crd, part.crd_partition
+        else:
+            return None
+        uid = source.uid
+        if ids is not None:
+            lid = ids.get(uid)
+            if lid is None:
+                lid = ids[uid] = len(ids)
+            uid = lid
+        links.append((tag, uid))
+    for tag, uid in reversed(links):
+        out = (tag, uid, out)
+    return out
 
 
 def _whole_pieces(rects: Sequence[Rect]) -> Tuple[Tuple[Rect, ...], ...]:

@@ -47,7 +47,9 @@ from repro.legion.coherence import RegionCoherence
 from repro.legion.exceptions import FaultError, OutOfMemoryError
 from repro.legion.future import Future, pending_roots
 from repro.legion.instance import InstanceManager
-from repro.legion.partition import Partition, Replicate, Tiling
+from repro.legion.partition import (
+    ImageByCoordinate, ImageByRange, Partition, Replicate, Tiling,
+)
 from repro.legion.privilege import Privilege
 from repro.legion.profiler import Profiler
 from repro.legion.region import Region
@@ -224,6 +226,10 @@ class RuntimeConfig:
         return cls(**defaults)
 
 
+# The partition kinds whose rects a source region's data decides.
+_IMAGES = (ImageByRange, ImageByCoordinate)
+
+
 class _RowShape:
     """What of a requirement is the same for every launch with its
     structural key: names, privilege flags and the geometry of every
@@ -231,8 +237,8 @@ class _RowShape:
     """
 
     __slots__ = (
-        "name", "privilege", "reads", "writes", "elide", "readonly",
-        "poison", "rects", "pieces",
+        "name", "privilege", "reads", "writes", "stage", "elide",
+        "readonly", "poison", "rects", "pieces",
     )
 
     def __init__(
@@ -243,6 +249,9 @@ class _RowShape:
         self.privilege = privilege
         self.reads = privilege.reads
         self.writes = privilege.writes
+        # Whether the read is staged: not when an earlier member of a
+        # fused launch produces these rects in the same shard.
+        self.stage = privilege.reads and not req.produced
         self.elide = req.elide
         # Privilege sanitizer (validation): a READ argument is handed
         # out read-only, so that writing it fails loudly instead of
@@ -258,9 +267,17 @@ class _LaunchShape:
     privileges handed to every shard, which requirements write and
     which of those batch their coherence writes
     (:func:`repro.legion.fastpath.eligible_write_reqs`).  Derived once
-    per template: per structural key, or per planned group."""
+    per template: per structural key, or per planned group.
 
-    __slots__ = ("shapes", "privileges", "writers", "eligible", "validate")
+    ``images`` keeps the rect tables of the image requirements it was
+    derived from: a planned group's key names images by derivation, so
+    its shape :meth:`fits` a later launch only over the very tables the
+    image cache handed out then -- the same matrix, not merely one of
+    the same shape."""
+
+    __slots__ = (
+        "shapes", "privileges", "writers", "eligible", "validate", "images",
+    )
 
     def __init__(
         self, task: TaskLaunch, validate: bool, replay: bool, freed_uids
@@ -284,6 +301,18 @@ class _LaunchShape:
             i for req in eligible.values()
             for i in self.writers if reqs[i] is req
         )
+        self.images = tuple(
+            (i, req.partition.tables()) for i, req in enumerate(reqs)
+            if type(req.partition) in _IMAGES
+        )
+
+    def fits(self, task: TaskLaunch) -> bool:
+        """Whether the launch's images are the ones this shape holds."""
+        reqs = task.requirements
+        for i, tables in self.images:
+            if reqs[i].partition.tables() is not tables:
+                return False
+        return True
 
 
 class _PlanRow:
@@ -297,7 +326,7 @@ class _PlanRow:
 
     __slots__ = (
         "name", "region", "uid", "data", "rects", "pieces",
-        "privilege", "reads", "writes", "elide", "skipped", "poison",
+        "privilege", "reads", "writes", "stage", "elide", "skipped", "poison",
         "itemsize", "mem_scale", "coh",
     )
 
@@ -313,6 +342,7 @@ class _PlanRow:
         self.pieces = shape.pieces
         self.privilege = shape.privilege
         self.reads = shape.reads
+        self.stage = shape.stage
         self.writes = shape.writes
         self.elide = shape.elide
         self.poison = shape.poison
@@ -341,16 +371,17 @@ class _Group:
     Region-free: elided temporaries are named by (window index,
     requirement index), so the window-plan cache holds the groups of
     each window structure and the analysis is not redone.  A group is
-    also the template of the launch it fuses (its ``shape``).
+    also the template of the launch it fuses (its ``shape``, rebuilt
+    when the window's images are not the ones it was built over).
     """
 
     __slots__ = (
-        "indices", "names", "verdict", "label", "elide", "segments",
-        "nests", "shape",
+        "indices", "names", "verdict", "label", "elide", "produced",
+        "segments", "nests", "shape",
     )
 
     def __init__(
-        self, indices, names, verdict, label, elide, segments
+        self, indices, names, verdict, label, elide, produced, segments
     ) -> None:
         self.indices = indices
         self.names = names
@@ -359,6 +390,8 @@ class _Group:
         self.verdict = verdict
         self.label = label
         self.elide = elide
+        # Reads the fused shard produces itself (fusion.produced_reads).
+        self.produced = produced
         # The group's segments (fusion.segments) in run order: each
         # one's positions in the group and whether it runs as a
         # generated nest.
@@ -868,17 +901,19 @@ class Runtime:
     def launch(self, task: TaskLaunch) -> Optional[Future]:
         """Issue a task launch.
 
-        Fusible launches -- element-wise ones and scalar reductions over
-        read-only aligned tilings, see :func:`repro.legion.fusion.fusible`
-        -- enter the deferred window.  Any other launch executes at
-        once, after :meth:`pass_window` has ordered it against the
-        window: flushed first if the two are dependent, left deferred
-        behind the launch if not.  A reduction issued into the window
-        returns a *pending* future, which the flush resolves.  Numerics
-        are unaffected by the deferral: anything that could observe a
-        pending result — future waits, barriers, host reads of store
-        data, a non-fusible launch that touches what the window writes
-        (or whose solve reads it for an image partition) — flushes
+        Fusible launches -- those whose ``Pointwise`` marker says the
+        kernel touches only its requirements' rects, see
+        :func:`repro.legion.fusion.fusible` -- enter the deferred
+        window, where the planner orders them against the members by
+        its per-region rule.  Any other launch executes at once, after
+        :meth:`pass_window` has ordered it against the window: flushed
+        first if the two are dependent, left deferred behind the launch
+        if not.  A reduction issued into the window returns a *pending*
+        future, which the flush resolves.  Numerics are unaffected by
+        the deferral: anything that could observe a pending result —
+        future waits, barriers, host reads of store data, a non-fusible
+        launch that touches what the window writes, a solve that reads
+        it for an image partition (:meth:`order_solve`) — flushes
         first.  With ``fusion`` off nothing is deferred and every
         returned future is resolved.
         """
@@ -911,7 +946,7 @@ class Runtime:
             if fusible is None:
                 fusible = template.fusible = fusion.fusible(task)
         if not fusible:
-            if self._window and not task.ordered:
+            if self._window:
                 self.pass_window(
                     [
                         (req.region.uid, req.privilege.writes)
@@ -954,9 +989,9 @@ class Runtime:
         """Order a launch that will not join the deferred window against it.
 
         ``accesses`` are ``(region uid, writes)`` pairs for everything
-        the launch touches -- and the solve of its image constraints
-        reads; ``scalars`` are its scalar arguments.  On a *hazard* the
-        window is flushed, so its members run first, as issued:
+        the launch touches; ``scalars`` are its scalar arguments.  On a
+        *hazard* the window is flushed, so its members run first, as
+        issued:
 
         * the launch touches a region a member writes (RAW, WAW);
         * it writes -- REDUCE included -- a region a member touches
@@ -980,6 +1015,18 @@ class Runtime:
             self.flush_window()
         else:
             self.profiler.launches_passed += 1
+
+    def order_solve(self, sources) -> None:
+        """Flush the window before a solve that reads the data of the
+        ``sources`` (region uids: image sources, ``pos``/``crd``) if a
+        member still owes a write to one.  Whatever else the launch
+        touches, :meth:`launch` orders afterwards."""
+        writers = self._window_writers
+        for uid in sources:
+            if uid in writers:
+                self.profiler.hazard_flushes += 1
+                self.flush_window()
+                return
 
     def _hazard(self, accesses, scalars) -> bool:
         refs = self._window_refs
@@ -1014,6 +1061,12 @@ class Runtime:
             self.profiler.record_host_phase("window-flush", _perf() - t0)
 
     def _flush(self, window: List[TaskLaunch], frees: Sequence[int] = ()) -> None:
+        if len(window) == 1:
+            # A window of one launch plans as that launch alone.
+            task = window[0]
+            self.fusion_log.append(((task.name,), 0, "single"))
+            self._execute(task)
+            return
         t0 = _perf()
         groups = self._plan_window(window)
         freed = frozenset(frees)
@@ -1045,8 +1098,12 @@ class Runtime:
                         self.profiler.record_kernel_merge(
                             len(positions), nest.temps_eliminated
                         )
-            merged = fusion.fuse(tasks, elide_uids, parts)
+            merged = fusion.fuse(tasks, elide_uids, parts, group.produced)
             merged.template = group
+            if group.shape is not None and not group.shape.fits(merged):
+                # Another matrix under the same derivations: the plan
+                # holds, its rects do not.
+                group.shape = None
             trace = tasks[0].replayed_in
             if trace is not None and all(
                 task.replayed_in is trace for task in tasks
@@ -1096,7 +1153,9 @@ class Runtime:
             groups.append(
                 _Group(
                     indices, tuple(window[i].name for i in indices),
-                    verdict, label, elide, segments,
+                    verdict, label, elide,
+                    fusion.produced_reads(summaries, indices, local),
+                    segments,
                 )
             )
         if key is not None:
@@ -1319,7 +1378,7 @@ class Runtime:
                         t_input = self._intra_copy(
                             memory, resize_bytes, t_input, "resize", row
                         )
-                if not row.reads:
+                if not row.stage:
                     continue
                 coh = row.coh
                 if coh is None:

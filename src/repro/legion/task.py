@@ -22,14 +22,15 @@ from repro.legion.region import Region
 
 @dataclass(frozen=True)
 class Pointwise:
-    """Marks a launch as element-wise over aligned operands.
+    """Marks a launch whose kernel touches only its requirements' rects.
 
-    Pointwise launches touch exactly their shard's rect of every region
-    argument (no halos, no data-dependent indexing), which is the
-    legality precondition the deferred launch window checks before
-    merging a run of launches into one fused task
-    (:mod:`repro.legion.fusion`).  ``ops`` names the element-wise
-    operations, for reporting.
+    Element-wise launches touch exactly their shard's rect of every
+    region argument; generated sparse kernels, row expansion and row
+    gathers touch their shard's tile and image rects and nothing else.
+    That is the precondition for entering the deferred launch window,
+    which merges runs of launches into one fused task
+    (:mod:`repro.legion.fusion`).  ``ops`` names the operations, for
+    reporting.
 
     ``expr``/``out`` optionally carry the kernel's *body IR* for the
     dependence analyzer (:mod:`repro.analysis.depend`): a postfix
@@ -68,6 +69,10 @@ class Requirement:
     # allocation and staging for elided requirements (the temporary
     # never exists as a mapped instance).
     elide: bool = False
+    # Set by the fusion pass on a read of the rects an earlier member of
+    # the fused task writes: each shard produces them in place before
+    # reading, so the runtime stages nothing for the read.
+    produced: bool = False
 
 
 class ShardContext:
@@ -167,7 +172,7 @@ class TaskLaunch:
     # Owner partition used to fold REDUCE-privilege outputs; defaults to
     # an even tiling of the output region.
     fold_partition: Optional[Partition] = None
-    # Element-wise marker: set on launches eligible for the deferred
+    # Rect-local marker: set on launches eligible for the deferred
     # fusion window (repro.legion.fusion); None means execute eagerly.
     pointwise: Optional[Pointwise] = None
     # The launch's host template: the runtime's fastpath.Template for
@@ -183,10 +188,6 @@ class TaskLaunch:
     # reductions whose pending futures this launch takes as scalars.
     future: Optional[Any] = None
     after: Tuple[int, ...] = ()
-    # Set by an issuer that has already ordered the launch against the
-    # deferred window (``Runtime.pass_window``): AutoTask.execute does
-    # so before a solve that reads region data.
-    ordered: bool = False
 
     @property
     def color_count(self) -> int:

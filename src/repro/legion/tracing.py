@@ -71,6 +71,7 @@ from repro.legion.partition import (
     ImageByRange,
     Replicate,
     Tiling,
+    derivation,
 )
 from repro.legion.task import TaskLaunch
 
@@ -78,12 +79,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.legion.runtime import Runtime
 
 
-def launch_fingerprint(task: TaskLaunch, ids: Dict[int, int]) -> Optional[tuple]:
+def launch_fingerprint(
+    task: TaskLaunch, ids: Dict[int, int], derived: bool = False
+) -> Optional[tuple]:
     """The structural fingerprint of a solved launch, or None.
 
     ``ids`` numbers regions by first use: within the launch (``{}``,
     the template key of a launch with no pre-solve key) or within a
-    window (:func:`window_fingerprint`).  None means a partition kind
+    window (:func:`window_fingerprint`).  An image is pinned by its
+    rects, or with ``derived`` by its derivation
+    (:func:`~repro.legion.partition.derivation`, source
+    regions numbered through ``ids``).  None means a partition kind
     whose geometry the fingerprint cannot pin.
     """
     rows = []
@@ -101,9 +107,14 @@ def launch_fingerprint(task: TaskLaunch, ids: Dict[int, int]) -> Optional[tuple]
                 geometry = (part.region.uid, geometry)
         elif kind is Replicate:
             geometry = part.color_count
-        elif kind is ImageByCoordinate:
-            geometry = part.tables()
-        elif kind is ImageByRange or kind is ExplicitPartition:
+        elif kind is ImageByCoordinate or kind is ImageByRange:
+            geometry = derivation(part, ids) if derived else None
+            if geometry is None:
+                geometry = (
+                    part.tables() if kind is ImageByCoordinate
+                    else ("rects", tuple(part._rects))
+                )
+        elif kind is ExplicitPartition:
             geometry = ("rects", tuple(part._rects))
         else:
             return None
@@ -124,15 +135,19 @@ def window_fingerprint(window: List[TaskLaunch]) -> Optional[tuple]:
     """The structural key of a deferred window, or None.
 
     Each launch's :func:`launch_fingerprint`, with regions numbered by
-    first use within the window, and its future-dependence edges
-    (``after``), which the plan depends on and no launch fingerprint
-    carries.  Equal keys get the same planned groups and nests
-    (``Runtime._plan_window``).
+    first use within the window and images by derivation, and its
+    future-dependence edges (``after``), which the plan depends on and
+    no launch fingerprint carries.  Equal keys get the same planned
+    groups and nests (``Runtime._plan_window``): the plan reads images
+    only through their derivations and the disjointness of written
+    ones, which every window member has (``fusion.summarize``).  A
+    group's launch shape, which holds rects, is checked against the
+    window's images on each use (``Runtime._flush``).
     """
     ids: Dict[int, int] = {}
     key = []
     for task in window:
-        fingerprint = launch_fingerprint(task, ids)
+        fingerprint = launch_fingerprint(task, ids, derived=True)
         if fingerprint is None:
             return None
         key.append((fingerprint, task.after))

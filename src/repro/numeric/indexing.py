@@ -45,6 +45,7 @@ def gather_rows(a: ndarray, idx: ndarray) -> ndarray:
         return float(vol), vol * 2.0 * isz + ctx.rect("idx").volume() * 8.0
 
     task = AutoTask(rt, "gather_rows", kernel, cost)
+    task.set_pointwise("gather_rows")  # idx values lie in a's image rect
     task.add_output("out", out.store)
     task.add_input("idx", idx.store)
     task.add_input("a", a.store)

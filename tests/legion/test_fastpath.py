@@ -449,7 +449,11 @@ def _power_loop(traced):
         for _ in range(4):
             with trace if traced else contextlib.nullcontext():
                 y = A @ x
-                x = y / rnp.linalg.norm(y) + rnp.ones(64) * 0.5
+                nrm = rnp.linalg.norm(y)
+                x = y / nrm + rnp.ones(64) * 0.5
+                # A convergence test: each iteration its own window, so
+                # windows -- not only launches -- repeat.
+                float(nrm)
         modeled = runtime.barrier()
         solution = x.to_numpy()
     return runtime, builds[0], _digest(runtime, modeled, solution)
@@ -520,6 +524,43 @@ def _image_program(forget):
 
 def test_image_templates_match_fresh_ones():
     assert _image_program(False) == _image_program(True)
+
+
+def _group_image_program(forget):
+    """Windows of one structure -- an SpMV and the multiply that reads
+    its output, fused -- over two matrices whose images of x differ:
+    the window plan is shared, the fused launch's shape is not."""
+    import scipy.sparse
+
+    runtime = _logged_runtime(forget)
+    if forget:
+        runtime._fusion_cache = _Forgetful()
+    with runtime_scope(runtime):
+        eye = scipy.sparse.identity(64, format="csr")
+        flip = scipy.sparse.csr_matrix(eye.toarray()[::-1])
+        mats = [sp.csr_matrix(eye), sp.csr_matrix(flip)]
+        x = rnp.array(np.arange(64.0))
+        runtime.barrier()
+        for _ in range(2):
+            for A in mats:
+                x = (A @ x) * 0.5
+                runtime.barrier()
+        modeled = runtime.barrier()
+        solution = x.to_numpy()
+    assert any(len(names) == 2 for names, _, _ in runtime.fusion_log)
+    return _digest(runtime, modeled, solution)
+
+
+def test_group_shapes_follow_the_images():
+    assert _group_image_program(False) == _group_image_program(True)
+
+
+def test_group_shape_reused_across_images_fails(monkeypatch):
+    monkeypatch.setattr(
+        runtime_module._LaunchShape, "fits", lambda self, task: True
+    )
+    with pytest.raises(AssertionError):
+        test_group_shapes_follow_the_images()
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,9 @@ import pytest
 
 import repro.numeric as rnp
 import repro.sparse as sp
+from repro.analysis import active_logs
+from repro.analysis.events import ShardEvent
+from repro.geometry import Rect
 from repro.legion import (
     Future,
     Pointwise,
@@ -353,28 +356,84 @@ class TestWindowMechanics:
     def test_nonfusible_launch_flushes_first(self, rt):
         A = sp.eye(32, format="csr")
         x = rnp.ones(32)
-        y = A @ x  # reads the x the window still owes: flushes, then runs
+        y = A.T @ x  # REDUCE from the x the window still owes: flushes, then runs
         assert any("fill" in names for names, _, _ in rt.fusion_log)
         assert rt.profiler.hazard_flushes == 1
         np.testing.assert_array_equal(y.to_numpy(), np.ones(32))
 
     def test_independent_launch_passes_the_window(self, rt):
-        A = sp.eye(32, format="csr")
         x = rnp.array(np.arange(32.0))
         u = rnp.array(np.ones(16))
         rt.barrier()
         snap = rt.profiler.snapshot()
         v = u * 3.0                 # deferred
-        y = A @ x                   # touches nothing the window does
+        x[2:5] = 7.0                # non-fusible, touches nothing the window does
         assert [t.name for t in rt._window] == ["multiply"]
-        w = v + 1.0                 # joins the launch the SpMV passed
+        w = v + 1.0                 # joins the launch the write passed
         rt.barrier()
         delta = rt.profiler.since(snap)
         assert (delta.launches_passed, delta.hazard_flushes) == (1, 0)
         assert rt.fusion_log[-1][0] == ("multiply", "add")
-        np.testing.assert_array_equal(y.to_numpy(), np.arange(32.0))
+        want = np.arange(32.0)
+        want[2:5] = 7.0
+        np.testing.assert_array_equal(x.to_numpy(), want)
         np.testing.assert_array_equal(w.to_numpy(), np.full(16, 4.0))
         assert "1 launches passed" in rt.profiler.format_summary()
+
+    def test_a_generated_kernel_joins_the_window(self, rt):
+        """An SpMV declares it touches only its tile and image rects: it
+        is a window member, and a barrier segment of its group."""
+        A = sp.eye(32, format="csr")
+        x = rnp.array(np.arange(32.0))
+        u = rnp.array(np.ones(16))
+        rt.barrier()
+        snap = rt.profiler.snapshot()
+        v = u * 3.0
+        y = A @ x
+        w = v + 1.0
+        spmv = "csr:y(i)=A(i,j)*x(j):gpu"
+        assert [t.name for t in rt._window] == ["multiply", spmv, "add"]
+        rt.barrier()
+        delta = rt.profiler.since(snap)
+        assert (delta.tasks_launched, delta.launches_passed) == (1, 0)
+        # v is a temporary of the group; y, a barrier's output, is not.
+        assert rt.fusion_log[-1] == (
+            ("multiply", spmv, "add"), 1, "replay:opaque-kernel"
+        )
+        np.testing.assert_array_equal(y.to_numpy(), np.arange(32.0))
+        np.testing.assert_array_equal(w.to_numpy(), np.full(16, 4.0))
+
+    def test_a_write_to_an_image_source_flushes_before_the_solve(self):
+        """The SpMV's image of x reads crd at solve time: a window member
+        still owing a write to crd runs first."""
+        runtime = Runtime(
+            laptop().scope(ProcessorKind.GPU, 2),
+            RuntimeConfig.legate(validate=True),
+        )
+        with runtime_scope(runtime):
+            A = sp.eye(32, format="csr")
+            x = rnp.array(np.arange(32.0))
+            runtime.barrier()
+            crd = rnp.ndarray(A.crd)
+            crd *= 0                # deferred: every entry in column 0
+            y = A @ x
+            assert runtime.profiler.hazard_flushes == 1
+            np.testing.assert_array_equal(y.to_numpy(), np.zeros(32))
+        # The SpMV staged x's column 0 only: the image of the new crd.
+        rects = {
+            req.rect
+            for e in runtime.event_log.events
+            if isinstance(e, ShardEvent) and e.name.startswith("csr:")
+            for req in e.reqs if req.name == "x"
+        }
+        assert rects == {Rect((0,), (1,))}
+
+    def test_solving_before_the_image_source_flush_fails(self, monkeypatch):
+        monkeypatch.setattr(Runtime, "order_solve", lambda self, sources: None)
+        with pytest.raises(AssertionError):
+            self.test_a_write_to_an_image_source_flushes_before_the_solve()
+        for log in active_logs():
+            log.clear()
 
     def test_a_write_after_a_deferred_read_flushes(self, rt):
         a = rnp.array(np.arange(16.0))
@@ -401,8 +460,8 @@ class TestWindowMechanics:
         assert b.to_numpy()[:5].tolist() == [120.0] * 4 + [0.0]
 
     def test_one_hazard_test_per_launch(self, rt, monkeypatch):
-        """Asked once -- by AutoTask.execute before its solve, or by
-        launch() -- and never for a launch that joins the window."""
+        """Asked once, by launch(), and never for a launch that joins the
+        window."""
         calls = []
         real = Runtime.pass_window
 
@@ -424,9 +483,8 @@ class TestWindowMechanics:
         rt.barrier()
         del calls[:], flushes[:]
         z = x * 2.0                 # fusible: no test
-        assert calls == []
-        y = A @ z                   # image-constrained: AutoTask asks
-        assert calls == [1] and flushes == [1]
+        y = A @ z                   # joins too: its solve reads no member's write
+        assert calls == [] and flushes == []
         region = rt.create_region((8,), np.float64, name="r")
         task = TaskLaunch(          # hand-built, not fusible: launch() asks
             "opaque",
@@ -436,7 +494,7 @@ class TestWindowMechanics:
         )
         w = z + 1.0
         rt.launch(task)
-        assert calls == [1, 1] and flushes == [1]  # passed: no flush
+        assert calls == [3] and flushes == []  # passed: no flush
         np.testing.assert_array_equal(y.to_numpy(), np.arange(32.0) * 2.0)
         np.testing.assert_array_equal(w.to_numpy(), np.arange(32.0) * 2.0 + 1.0)
 

@@ -205,3 +205,109 @@ class TestImageProperties:
                 # Unless the fallback kicked in, pieces == references.
                 if len(pieces) <= ImageByCoordinate.MAX_EXACT_PIECES and pieces:
                     assert covered == refs or refs.issubset(covered)
+
+
+# ----------------------------------------------------------------------
+# Disjointness: one sort for row bands, pairwise otherwise
+# ----------------------------------------------------------------------
+def _pairwise_disjoint(partition) -> bool:
+    """The definition: no two colors' rects overlap."""
+    rects = partition.rects()
+    return not any(
+        rects[i].overlaps(rects[j])
+        for i in range(len(rects)) for j in range(i + 1, len(rects))
+    )
+
+
+def _explicit(shape, rects):
+    from repro.legion.partition import ExplicitPartition
+
+    return ExplicitPartition(Region(shape, np.float64), rects)
+
+
+class TestIsDisjoint:
+    @pytest.mark.parametrize("rects, disjoint", [
+        # Empty colours overlap nothing, wherever they sit.
+        ([Rect((0,), (0,)), Rect((3,), (3,)), Rect((0,), (8,))], True),
+        ([Rect((5,), (2,)), Rect((0,), (8,)), Rect((0,), (0,))], True),
+        # Touching bands share no row.
+        ([Rect((0,), (4,)), Rect((4,), (8,))], True),
+        ([Rect((4,), (8,)), Rect((0,), (4,))], True),
+        # An overlapping halo, in either order, and a repeated band.
+        ([Rect((0,), (5,)), Rect((3,), (8,))], False),
+        ([Rect((3,), (8,)), Rect((0,), (5,))], False),
+        ([Rect((2,), (6,)), Rect((0,), (1,)), Rect((2,), (6,))], False),
+    ])
+    def test_one_dimensional(self, rects, disjoint):
+        partition = _explicit((8,), rects)
+        assert partition.is_disjoint() is disjoint
+        assert _pairwise_disjoint(partition) is disjoint
+
+    def test_row_bands_of_a_matrix(self):
+        bands = [Rect((0, 0), (3, 4)), Rect((3, 0), (6, 4)), Rect((5, 0), (5, 4))]
+        assert _explicit((6, 4), bands).is_disjoint()
+        halo = [Rect((0, 0), (4, 4)), Rect((3, 0), (6, 4))]
+        assert not _explicit((6, 4), halo).is_disjoint()
+
+    def test_blocks_that_are_no_row_bands_go_pairwise(self):
+        # Same rows, different columns: disjoint, though the rows overlap.
+        side_by_side = [Rect((0, 0), (4, 2)), Rect((0, 2), (4, 4))]
+        assert _explicit((4, 4), side_by_side).is_disjoint()
+        crossing = [Rect((0, 0), (4, 3)), Rect((2, 2), (4, 4))]
+        assert not _explicit((4, 4), crossing).is_disjoint()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_agrees_with_the_pairwise_check_on_random_partitions(self, seed):
+        rng = np.random.default_rng(seed)
+        colors = int(rng.integers(1, 12))
+        ndim = 1 + seed % 2
+        n, width = 40, 5
+        rects = []
+        for _ in range(colors):
+            lo = int(rng.integers(0, n))
+            hi = lo + int(rng.integers(0, 10))
+            if ndim == 1:
+                rects.append(Rect((lo,), (min(hi, n),)))
+            else:
+                c0 = 0 if rng.random() < 0.7 else int(rng.integers(0, width))
+                rects.append(Rect((lo, c0), (min(hi, n), width)))
+        shape = (n,) if ndim == 1 else (n, width)
+        partition = _explicit(shape, rects)
+        assert partition.is_disjoint() is _pairwise_disjoint(partition)
+
+    def test_images(self):
+        pos = Region((4, 2), np.int64, data=np.array(
+            [(0, 2), (2, 5), (5, 5), (5, 8)], dtype=np.int64
+        ))
+        rows = ImageByRange(pos, Tiling.create(pos, 2), Region((8,), np.int64))
+        assert rows.is_disjoint() and _pairwise_disjoint(rows)
+        crd = Region((4,), np.int64, data=np.array([0, 2, 1, 3]))
+        halo = ImageByCoordinate(crd, Tiling.create(crd, 2), Region((4,), np.float64))
+        assert not halo.is_disjoint() and not _pairwise_disjoint(halo)
+
+
+class TestDerivation:
+    def test_images_are_named_by_source_not_rects(self):
+        from repro.legion.partition import derivation
+
+        pos = Region((4, 2), np.int64, data=np.array(
+            [(0, 2), (2, 5), (5, 5), (5, 8)], dtype=np.int64
+        ))
+        crd = Region((8,), np.int64, data=np.arange(8) % 4)
+        x = Region((4,), np.float64)
+        tiling = Tiling.create(pos, 2)
+        by_range = ImageByRange(pos, tiling, crd)
+        by_coord = ImageByCoordinate(crd, by_range, x)
+        assert derivation(tiling) == ("tile", (0, 2, 4))
+        assert derivation(by_range) == ("range", pos.uid, ("tile", (0, 2, 4)))
+        ids = {}
+        assert derivation(by_coord, ids) == (
+            "coord", 0, ("range", 1, ("tile", (0, 2, 4)))
+        )
+        assert ids == {crd.uid: 0, pos.uid: 1}
+        # Other data under the same sources: other rects, one derivation.
+        pos.data[:] = np.array([(0, 1), (1, 2), (2, 3), (3, 8)])
+        again = ImageByRange(pos, tiling, crd)
+        assert again.rects() != by_range.rects()
+        assert derivation(again) == derivation(by_range)
+        assert derivation(Replicate(x, 2)) is None
