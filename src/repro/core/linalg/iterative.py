@@ -9,13 +9,14 @@ convergence, ``> 0`` is the iteration count at which the solver gave up,
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 import repro.numeric as rnp
 from repro.core.linalg.interface import LinearOperator, aslinearoperator
-from repro.numeric.array import ndarray
+from repro.numeric.array import Scalar, ndarray
 
 
 def _apply(op, x: ndarray) -> ndarray:
@@ -26,18 +27,30 @@ def _apply(op, x: ndarray) -> ndarray:
     return op @ x
 
 
-def _setup(A, b: ndarray, x0, rtol: float, atol: float, maxiter):
+def _setup(A, b: ndarray, x0, maxiter):
+    """``(x, maxiter, ‖b‖)`` with ``‖b‖`` still deferred: nothing here
+    waits, so the solver's first launches join the norm's window."""
     n = b.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"A has shape {A.shape}, b has length {n}")
     x = x0.copy() if x0 is not None else rnp.zeros(n, dtype=b.dtype)
     if maxiter is None:
         maxiter = 10 * n
-    bnrm = float(rnp.linalg.norm(b))
-    tol = max(rtol * bnrm, atol)
-    if bnrm == 0.0:
-        tol = atol
-    return x, maxiter, tol
+    return x, maxiter, rnp.linalg.norm(b)
+
+
+def _tol(bnrm: Scalar, rtol: float, atol: float) -> Callable[[], float]:
+    """The stopping threshold on ``‖r‖`` as a call: the first call waits
+    on ``‖b‖``, so a solver makes it at its first convergence check."""
+
+    @functools.cache
+    def tol() -> float:
+        value = float(bnrm)
+        if value == 0.0:
+            return atol
+        return max(rtol * value, atol)
+
+    return tol
 
 
 def cg(
@@ -59,21 +72,34 @@ def cg(
     its small-task losses (§6.1) is paid by the first iteration only.
     The convergence check sits inside the scope, so the scope adds no
     synchronization of its own.
+
+    Issue before check: a host-side check waits only after the work it
+    does not guard is issued.  ``‖r‖`` is formed at the end of the body
+    that updates ``r``, and an iteration issues ``q = A p`` and
+    ``p·q`` before it waits on that norm, so one flush runs the last
+    body's tail, the norm's allreduce and the next SpMV together; ``‖b‖``
+    resolves at the first check.  Every value comes from the same
+    operations in the same order as a check-first loop, so ``x``,
+    ``info`` and the callbacks are bitwise the same.  The price: a solve
+    that converges issues one SpMV and one ``p·q`` allreduce that its
+    last check discards.
     """
-    x, maxiter, tol = _setup(A, b, x0, rtol, atol, maxiter)
+    x, maxiter, bnrm = _setup(A, b, x0, maxiter)
+    tol = _tol(bnrm, rtol, atol)
     r = b - A @ x
     z = _apply(M, r)
     p = z.copy()
     rz = rnp.vdot(r, z)
+    rnorm = rnp.linalg.norm(r)
     # Keyed by system, so a fine solve whose preconditioner runs a
     # coarse solve (GMG) keeps one trace for each.
     trace = x.runtime.trace("cg", key=(A.shape, x.dtype.str, M is None))
     for _it in range(maxiter):
         with trace:
-            if float(rnp.linalg.norm(r)) <= tol:
-                return x, 0
             q = A @ p
             pq = rnp.vdot(p, q)
+            if float(rnorm) <= tol():
+                return x, 0
             if complex(pq) == 0:
                 return x, -1
             alpha = rz / pq
@@ -83,10 +109,11 @@ def cg(
             rz_next = rnp.vdot(r, z)
             beta = rz_next / rz
             p = z + p * beta
+            rnorm = rnp.linalg.norm(r)
             rz = rz_next
             if callback is not None:
                 callback(x)
-    if float(rnp.linalg.norm(r)) <= tol:
+    if float(rnorm) <= tol():
         return x, 0
     return x, maxiter
 
@@ -103,13 +130,14 @@ def cgs(
     callback: Optional[Callable] = None,
 ) -> Tuple[ndarray, int]:
     """Conjugate Gradient Squared (non-symmetric systems)."""
-    x, maxiter, tol = _setup(A, b, x0, rtol, atol, maxiter)
+    x, maxiter, bnrm = _setup(A, b, x0, maxiter)
+    tol = _tol(bnrm, rtol, atol)
     r = b - A @ x
     rtilde = r.copy()
     rho_prev = None
     u = q = p = None
     for _it in range(maxiter):
-        if float(rnp.linalg.norm(r)) <= tol:
+        if float(rnp.linalg.norm(r)) <= tol():
             return x, 0
         rho = rnp.vdot(rtilde, r)
         if complex(rho) == 0:
@@ -134,7 +162,7 @@ def cgs(
         rho_prev = rho
         if callback is not None:
             callback(x)
-    if float(rnp.linalg.norm(r)) <= tol:
+    if float(rnp.linalg.norm(r)) <= tol():
         return x, 0
     return x, maxiter
 
@@ -152,13 +180,14 @@ def bicg(
 ) -> Tuple[ndarray, int]:
     """Biconjugate Gradient (uses A and A^T products)."""
     AT = aslinearoperator(A).T if not hasattr(A, "_rmatvec") else None
-    x, maxiter, tol = _setup(A, b, x0, rtol, atol, maxiter)
+    x, maxiter, bnrm = _setup(A, b, x0, maxiter)
+    tol = _tol(bnrm, rtol, atol)
     r = b - A @ x
     rtilde = r.copy()
     p = ptilde = None
     rho_prev = None
     for _it in range(maxiter):
-        if float(rnp.linalg.norm(r)) <= tol:
+        if float(rnp.linalg.norm(r)) <= tol():
             return x, 0
         z = _apply(M, r)
         ztilde = _apply(M, rtilde)
@@ -187,7 +216,7 @@ def bicg(
         rho_prev = rho
         if callback is not None:
             callback(x)
-    if float(rnp.linalg.norm(r)) <= tol:
+    if float(rnp.linalg.norm(r)) <= tol():
         return x, 0
     return x, maxiter
 
@@ -204,13 +233,14 @@ def bicgstab(
     callback: Optional[Callable] = None,
 ) -> Tuple[ndarray, int]:
     """BiCGSTAB (stabilized BiCG; no transpose products)."""
-    x, maxiter, tol = _setup(A, b, x0, rtol, atol, maxiter)
+    x, maxiter, bnrm = _setup(A, b, x0, maxiter)
+    tol = _tol(bnrm, rtol, atol)
     r = b - A @ x
     rtilde = r.copy()
     rho_prev = alpha = omega = None
     v = p = None
     for _it in range(maxiter):
-        if float(rnp.linalg.norm(r)) <= tol:
+        if float(rnp.linalg.norm(r)) <= tol():
             return x, 0
         rho = rnp.vdot(rtilde, r)
         if complex(rho) == 0:
@@ -227,7 +257,7 @@ def bicgstab(
             return x, -1
         alpha = rho / denom
         s = r - v * alpha
-        if float(rnp.linalg.norm(s)) <= tol:
+        if float(rnp.linalg.norm(s)) <= tol():
             x += phat * alpha
             return x, 0
         shat = _apply(M, s)
@@ -241,7 +271,7 @@ def bicgstab(
         rho_prev = rho
         if callback is not None:
             callback(x)
-    if float(rnp.linalg.norm(r)) <= tol:
+    if float(rnp.linalg.norm(r)) <= tol():
         return x, 0
     return x, maxiter
 
@@ -264,7 +294,8 @@ def gmres(
     Hessenberg system and Givens rotations live on the host, matching
     SciPy's structure.
     """
-    x, _, tol = _setup(A, b, x0, rtol, atol, maxiter)
+    x, _, bnrm = _setup(A, b, x0, maxiter)
+    tol = _tol(bnrm, rtol, atol)
     n = b.shape[0]
     if maxiter is None:
         maxiter = min(10 * n, 1000)
@@ -274,7 +305,7 @@ def gmres(
     while outer_done < maxiter:
         r = _apply(M, b - A @ x)
         beta = float(rnp.linalg.norm(r))
-        if beta <= tol:
+        if beta <= tol():
             return x, 0
         V = [r / beta]
         H = np.zeros((restart + 1, restart), dtype=hdtype)
@@ -299,7 +330,7 @@ def gmres(
             Hk = H[: k + 2, : k + 1]
             y, _, _, _ = np.linalg.lstsq(Hk, e1[: k + 2], rcond=None)
             resid = float(np.linalg.norm(Hk @ y - e1[: k + 2]))
-            if hkk <= 1e-14 or resid <= tol:
+            if hkk <= 1e-14 or resid <= tol():
                 break
             V.append(w / hkk)
         if k_used > 0 and y is not None:
@@ -310,6 +341,6 @@ def gmres(
         if callback is not None:
             callback(x)
         resid = float(rnp.linalg.norm(b - A @ x))
-        if resid <= tol:
+        if resid <= tol():
             return x, 0
     return x, maxiter

@@ -94,9 +94,11 @@ def run_all(fast: bool = False, only: Optional[List[str]] = None) -> List[Figure
 KNOWN_DEVIATIONS = [
     "Absolute throughputs come from the roofline machine model, not "
     "Summit; only relative shapes are claimed.",
-    "Fig. 9: Legate/PETSc = 0.83 at 1 GPU and 0.62 at 192 GPUs vs the "
-    "paper's 0.85/0.65; Legate's efficiency declines slightly more "
-    "gradually than the paper's sharp knee at 32 nodes.",
+    "Fig. 9: Legate/PETSc = 0.85 at 1 GPU and 0.66 at 192 GPUs vs the "
+    "paper's 0.85/0.65 (0.83/0.62 while `cg` waited on each convergence "
+    "check before issuing the iteration's SpMV); Legate's efficiency "
+    "declines slightly more gradually than the paper's sharp knee at 32 "
+    "nodes.",
     "Fig. 10/11: the CuPy single-GPU advantage measures 1.3-1.4x vs the "
     "paper's 1.3x/1.4x; per-GPU problem sizes were calibrated to put the "
     "workloads in the same overhead-vs-kernel regime.",
@@ -120,17 +122,24 @@ BEYOND_THE_PAPER = [
     "Fig. 10, single GPU: §6.1 blames Legate's loss to CuPy on per-task "
     "launch overhead and predicts that task fusion and dynamic tracing "
     "close it.  Measured CuPy/Legate-GPU on the Fig. 10 point "
-    "(`fig10_gmg._legate_gmg`, 1 GPU): 1.37 under `paper_legate` "
-    "(28.5 vs 39.2 it/s, the published shape), 1.06 with the deferred "
-    "fusion window alone (`legate(trace_replay_fraction=1.0)`, 37.1 "
-    "it/s; 1.13 and 34.6 before scalar reductions joined the window), "
-    "1.08 with traces alone "
-    "(`paper_legate(trace_replay_fraction=0.15)`, 36.4 it/s) and 0.98 "
-    "under `RuntimeConfig.legate()` defaults — fusion plus the traces "
-    "`cg` and the V-cycle open themselves, replayed launches charged "
-    "0.15 of the launch overhead (39.9 it/s): the gap closes, as "
-    "predicted.  `benchmarks/test_tracing.py` shows the same on the "
-    "GBS8 quantum step (2.1x).",
+    "(`fig10_gmg._legate_gmg`, 1 GPU): 1.35 under `paper_legate` "
+    "(29.3 vs 39.5 it/s, the published shape; 1.37, 28.5 vs 39.2, "
+    "before `cg` issued each iteration's SpMV ahead of its convergence "
+    "wait, which both sides run), 1.03 with the deferred fusion window "
+    "alone (`legate(trace_replay_fraction=1.0)`, 38.5 it/s; 1.05 and "
+    "37.4 before that, 1.06 and 37.1 before generated kernels joined the "
+    "window, 1.13 and 34.6 before scalar reductions did), 1.07 with "
+    "traces alone (`paper_legate(trace_replay_fraction=0.15)`, 37.1 "
+    "it/s; 1.08 and 36.4 before) and 0.98 under `RuntimeConfig.legate()` "
+    "defaults — fusion plus the traces `cg` and the V-cycle open "
+    "themselves, replayed launches charged 0.15 of the launch overhead "
+    "(40.5 it/s; 40.3 before, 39.9 before the SpMVs joined): the gap "
+    "closes, as predicted.  When the V-cycle's SpMVs joined the window "
+    "the two fusion rows were expected to rise and the `paper_legate` "
+    "rows to stay put (they pin fusion off); they rose 0.9 % and 0.8 %, "
+    "because at this point's size the kernels, not the launches, "
+    "dominate a V-cycle.  `benchmarks/test_tracing.py` shows the same "
+    "on the GBS8 quantum step (2.1x).",
     "Fig. 9, 192 GPUs: the paper blames the CG falloff at scale on "
     "Legion's scalar-allreduce cost.  Under `RuntimeConfig.legate()` "
     "defaults a CG iteration issues 2 allreduces where it issued 3 — "
@@ -142,7 +151,13 @@ BEYOND_THE_PAPER = [
     "iteration, so the gain is small there; where launches are small "
     "it is not (`benchmarks/test_reduction_fusion.py`: CG 1.45-1.56x, "
     "two-level GMG 1.44-1.57x at 6 and 48 GPUs against `fusion=False`; "
-    "`gmg_small_tasks` of `bench/`: modeled seconds -30 %).",
+    "`gmg_small_tasks` of `bench/`: modeled seconds -30 %).  Since "
+    "`cg` issues each iteration's SpMV before it waits on the previous "
+    "body's `norm(r)`, that allreduce runs under the SpMV instead of "
+    "ahead of it: 48.5 -> 49.9 it/s at 192 GPUs under `legate()` and "
+    "44.7 -> 47.4 under `paper_legate` (1 GPU: 94.0 -> 94.4 and 86.3 "
+    "-> 87.6; `cg_wide` of `bench/`, one iteration on 448 GPUs: modeled "
+    "seconds -40 %).",
 ]
 
 

@@ -14,7 +14,10 @@ class Privilege(enum.Enum):
 
     # ``reads``/``writes`` are plain precomputed attributes (below):
     # they are consulted per requirement per launch, where a property
-    # call shows up in host-overhead profiles.
+    # call shows up in host-overhead profiles.  For the same reason the
+    # members hash by identity, in C: ``Enum.__hash__`` is a Python call
+    # per privilege in every template key a launch looks up.
+    __hash__ = object.__hash__
 
 
 # reads: whether prior contents must be staged.

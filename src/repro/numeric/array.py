@@ -26,7 +26,11 @@ class Scalar:
     reduction, putting allreduce latency on the critical path exactly
     when SciPy-style control flow demands it.  Nothing else
     synchronizes: passing a scalar to an array operation hands the
-    future to the launch.
+    future to the launch.  So a program should demand a value only
+    after it has issued the work the value does not guard (issue
+    before check): ``cg`` issues an iteration's SpMV and ``p·q`` before
+    it reads the previous body's ``‖r‖``, so one flush runs them with
+    the norm's allreduce, and its ``‖b‖`` waits for the first check.
     """
 
     __slots__ = ("future", "runtime")

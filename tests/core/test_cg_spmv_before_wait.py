@@ -1,0 +1,244 @@
+"""CG issues before it checks: same bits as the check-first loop.
+
+``cg`` issues an iteration's SpMV and ``p·q`` before it waits on the
+previous body's ``‖r‖``, and ``_setup`` leaves ``‖b‖`` deferred until
+the first check.  The contract:
+
+* **values** -- ``x``, ``info`` and every callback are bitwise those of
+  the check-first loop, kept verbatim below as ``reference_cg``: over
+  convergence at iteration 0, at iteration k and never, ``b = 0``, a
+  given ``x0``, ``maxiter = 0``, a ``p·q == 0`` breakdown and a
+  preconditioner, fused and eager, on one and two GPUs;
+* **the clock** -- in every traced iteration the SpMV is issued before
+  the iteration's first host wait, and nothing waits before the first
+  iteration's SpMV is issued.
+
+Mutants each test catches: the norm check moved back to the top of the
+body and ``_setup`` blocking on ``‖b‖`` again fail the clock test; the
+breakdown check moved after ``x +=`` fails the breakdown case of the
+differential test.
+"""
+
+from typing import Callable, Optional, Tuple
+
+import numpy as np
+import pytest
+import scipy.sparse as sps
+
+import repro.numeric as rnp
+import repro.sparse as sp
+from repro.core.linalg.iterative import _apply
+from repro.core.linalg.preconditioners import jacobi
+from repro.legion import Runtime, RuntimeConfig
+from repro.legion.runtime import runtime_scope
+from repro.legion.tracing import Trace
+from repro.machine import ProcessorKind, laptop
+from repro.numeric.array import ndarray
+
+
+# ----------------------------------------------------------------------
+# The check-first loop, verbatim from before issue-before-check
+# ----------------------------------------------------------------------
+def _reference_setup(A, b: ndarray, x0, rtol: float, atol: float, maxiter):
+    n = b.shape[0]
+    if A.shape != (n, n):
+        raise ValueError(f"A has shape {A.shape}, b has length {n}")
+    x = x0.copy() if x0 is not None else rnp.zeros(n, dtype=b.dtype)
+    if maxiter is None:
+        maxiter = 10 * n
+    bnrm = float(rnp.linalg.norm(b))
+    tol = max(rtol * bnrm, atol)
+    if bnrm == 0.0:
+        tol = atol
+    return x, maxiter, tol
+
+
+def reference_cg(
+    A,
+    b: ndarray,
+    x0: Optional[ndarray] = None,
+    *,
+    rtol: float = 1e-5,
+    atol: float = 0.0,
+    maxiter: Optional[int] = None,
+    M=None,
+    callback: Optional[Callable] = None,
+) -> Tuple[ndarray, int]:
+    x, maxiter, tol = _reference_setup(A, b, x0, rtol, atol, maxiter)
+    r = b - A @ x
+    z = _apply(M, r)
+    p = z.copy()
+    rz = rnp.vdot(r, z)
+    # Keyed by system, so a fine solve whose preconditioner runs a
+    # coarse solve (GMG) keeps one trace for each.
+    trace = x.runtime.trace("cg", key=(A.shape, x.dtype.str, M is None))
+    for _it in range(maxiter):
+        with trace:
+            if float(rnp.linalg.norm(r)) <= tol:
+                return x, 0
+            q = A @ p
+            pq = rnp.vdot(p, q)
+            if complex(pq) == 0:
+                return x, -1
+            alpha = rz / pq
+            x += p * alpha
+            r -= q * alpha
+            z = _apply(M, r)
+            rz_next = rnp.vdot(r, z)
+            beta = rz_next / rz
+            p = z + p * beta
+            rz = rz_next
+            if callback is not None:
+                callback(x)
+    if float(rnp.linalg.norm(r)) <= tol:
+        return x, 0
+    return x, maxiter
+
+
+# ----------------------------------------------------------------------
+# Values: bitwise the reference
+# ----------------------------------------------------------------------
+def spd_system(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    a = sps.random(n, n, density=0.15, random_state=rng, format="csr")
+    return (0.5 * (a + a.T) + n * sps.eye(n)).tocsr(), rng.random(n)
+
+
+def singular_system(n: int):
+    """``A e0 = 0`` and ``b = e0``: the first ``p·q`` is exactly 0."""
+    diag = np.ones(n)
+    diag[0] = 0.0
+    b = np.zeros(n)
+    b[0] = 1.0
+    return sps.diags(diag).tocsr(), b
+
+
+CASES = {
+    # rtol = 1: ||r0|| = ||b|| is the tolerance, so iteration 0 stops.
+    "converged-at-0": dict(seed=1, rtol=1.0, maxiter=20),
+    "converged-at-k": dict(seed=2, rtol=1e-6, maxiter=40),
+    "never": dict(seed=3, rtol=1e-14, maxiter=3),
+    "b-zero": dict(seed=4, rtol=1e-6, maxiter=20, b_zero=True),
+    "x0": dict(seed=5, rtol=1e-8, maxiter=40, x0=True),
+    "maxiter-0": dict(seed=6, rtol=1e-6, maxiter=0),
+    "breakdown": dict(seed=0, rtol=1e-8, maxiter=20, singular=True),
+    "jacobi": dict(seed=7, rtol=1e-8, maxiter=40, M=jacobi),
+}
+
+
+def _solve(solver, case: dict, gpus: int, fusion: bool):
+    rt = Runtime(
+        laptop().scope(ProcessorKind.GPU, gpus),
+        RuntimeConfig.legate(fusion=fusion),
+    )
+    with runtime_scope(rt):
+        n = 48
+        if case.get("singular"):
+            host_A, host_b = singular_system(n)
+        else:
+            host_A, host_b = spd_system(n, case["seed"])
+        if case.get("b_zero"):
+            host_b = np.zeros(n)
+        A = sp.csr_matrix(host_A)
+        b = rnp.array(host_b)
+        x0 = rnp.array(np.linspace(-1.0, 1.0, n)) if case.get("x0") else None
+        M = case["M"](A) if case.get("M") else None
+        seen = []
+        x, info = solver(
+            A, b, x0, rtol=case["rtol"], maxiter=case["maxiter"], M=M,
+            callback=lambda xk: seen.append(xk.to_numpy().copy()),
+        )
+        return x.to_numpy().copy(), info, seen
+
+
+@pytest.mark.parametrize("fusion", [True, False], ids=["fused", "eager"])
+@pytest.mark.parametrize("gpus", [1, 2], ids=["p1", "p2"])
+@pytest.mark.parametrize("case", CASES)
+def test_cg_is_bitwise_the_check_first_loop(case, gpus, fusion):
+    want_x, want_info, want_seen = _solve(reference_cg, CASES[case], gpus, fusion)
+    got_x, got_info, got_seen = _solve(sp.linalg.cg, CASES[case], gpus, fusion)
+    assert got_info == want_info
+    assert got_x.tobytes() == want_x.tobytes()
+    assert len(got_seen) == len(want_seen)
+    for got, want in zip(got_seen, want_seen):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_cases_reach_every_exit():
+    """The cases above stop where their names say."""
+    infos = {
+        name: _solve(reference_cg, case, 2, True)[1:]
+        for name, case in CASES.items()
+    }
+    assert infos["converged-at-0"] == (0, [])
+    assert infos["converged-at-k"][0] == 0
+    assert 0 < len(infos["converged-at-k"][1]) < 40
+    assert infos["never"][0] == 3
+    assert infos["b-zero"] == (0, [])
+    assert infos["maxiter-0"] == (0, [])
+    assert infos["breakdown"] == (-1, [])
+
+
+# ----------------------------------------------------------------------
+# The clock: the SpMV is issued before the iteration blocks
+# ----------------------------------------------------------------------
+SPMV = "A(i,j)*x(j)"
+
+
+def _issue_order(solver, monkeypatch) -> list:
+    """``("body",)``, ``("launch", name)`` and ``("wait",)`` in the
+    order ``solver`` makes them, over a warm solve of four iterations."""
+    events = []
+    launch, wait, enter = Runtime.launch, Runtime.wait, Trace.__enter__
+
+    def logged_launch(self, task):
+        events.append(("launch", task.name))
+        return launch(self, task)
+
+    def logged_wait(self, future):
+        events.append(("wait",))
+        return wait(self, future)
+
+    def logged_enter(self):
+        events.append(("body",))
+        return enter(self)
+
+    rt = Runtime(laptop().scope(ProcessorKind.GPU, 2), RuntimeConfig.legate())
+    with runtime_scope(rt):
+        host_A, host_b = spd_system(64, seed=8)
+        A, b = sp.csr_matrix(host_A), rnp.array(host_b)
+        solver(A, b, rtol=0.0, maxiter=4)  # warm-up: captures
+        rt.barrier()
+        monkeypatch.setattr(Runtime, "launch", logged_launch)
+        monkeypatch.setattr(Runtime, "wait", logged_wait)
+        monkeypatch.setattr(Trace, "__enter__", logged_enter)
+        solver(A, b, rtol=0.0, maxiter=4)
+        monkeypatch.undo()
+    return events
+
+
+def _first(events, kind, name=""):
+    return next(
+        i for i, ev in enumerate(events)
+        if ev[0] == kind and name in (ev[1] if len(ev) > 1 else "")
+    )
+
+
+def test_spmv_is_issued_before_the_first_wait(monkeypatch):
+    events = _issue_order(sp.linalg.cg, monkeypatch)
+    bodies = [i for i, ev in enumerate(events) if ev == ("body",)]
+    assert len(bodies) == 4
+    # Set-up does not block: the first wait of the solve comes after
+    # the first body's SpMV.
+    first_body_spmv = bodies[0] + _first(events[bodies[0]:], "launch", SPMV)
+    assert first_body_spmv < _first(events, "wait")
+    for start, end in zip(bodies, bodies[1:] + [len(events)]):
+        body = events[start:end]
+        assert _first(body, "launch", SPMV) < _first(body, "wait"), body
+
+
+def test_check_first_loop_fails_the_clock_test(monkeypatch):
+    """The reference waits at the top of every body: what the clock
+    test above rejects."""
+    events = _issue_order(reference_cg, monkeypatch)
+    assert _first(events, "wait") < _first(events, "launch", SPMV)

@@ -632,16 +632,25 @@ def test_lane_hit_without_the_lru_tick_fails_every_walk(monkeypatch):
 # the vdot's launch, so the journal holds 2 launches.  Their
 # ``_UNFUSED`` twins are the same runs with ``fusion=False`` (9
 # launches re-executed), recorded at 0a10023 before that change touched
-# ``src/``: the eager path they pin must never move.  GOLDEN_SPILL has
-# no reduction in it.
+# ``src/``: the runtime's eager path they pin must never move.  All four
+# moved once with the *program*: when ``cg`` began to issue each
+# iteration's SpMV before its convergence wait (they were 1efcee3b...
+# 76a0, c6a91bef...2a80, b29ac4be...7fba and 3aeaf284...66d2 up to
+# 9e88c84).  The solve is shorter, so the loss at half of it lands
+# earlier, still in the first of the four iterations: after that
+# iteration's SpMV and check, on its x/r update, where the
+# check-first loop lost its top-of-body norm.  The journal a loss
+# replays now holds 4 launches where it held 2.  The check-first loop
+# kept in tests/core/test_cg_spmv_before_wait.py still gives back all four
+# old digests.  GOLDEN_SPILL has no reduction in it.
 GOLDEN_SPILL = "e53588cbe18d1fc71ea5991dae5a194a888a6f4166da79a081d660f0ee64c18d"
-GOLDEN_GPU_LOSS = "1efcee3bc9239ee2fe51ef60ec39acefc3c798ee0e42169afeb8939bbf4a76a0"
-GOLDEN_NODE_LOSS = "c6a91bef0227a82f334f0b97fbc9c9fd71b5eccd7212c8e2625019a99c642a80"
+GOLDEN_GPU_LOSS = "86ef9d0784fd20b3c9f00b12c7876b1636ae932a4e9ab522f573326ba67e83ea"
+GOLDEN_NODE_LOSS = "4102ece5533f049a11270b62b8eb3eb58e0dfe52fd987a8fced393d9714c96e2"
 GOLDEN_GPU_LOSS_UNFUSED = (
-    "b29ac4be7c24e2d4bf8666052d0e002c53d552b409671cc56c5cdd6ef7787fba"
+    "1ac3a344a718de5c619a74c821fd2c0957e720b483900ab4651cd11526efcabc"
 )
 GOLDEN_NODE_LOSS_UNFUSED = (
-    "3aeaf2849ebdea059f5846081db6091bf77a0b1a7bb815a283d83f555ae666d2"
+    "573021ca3d1dab9f13b8588434234379d3b7aa8930d380e79ca195be5c2c4473"
 )
 
 VARIANTS = [
@@ -725,7 +734,7 @@ def _assert_loss_replay_matches(kind, nodes, golden, validate, fusion=True):
     )
     rt, _, end, recovered = _cg(nodes, validate, chaos, fusion)
     assert rt.profiler.faults_injected[f"{kind}-loss"] == 1
-    assert rt.profiler.tasks_reexecuted == (2 if fusion else 9)
+    assert rt.profiler.tasks_reexecuted == (4 if fusion else 9)
     assert np.array_equal(recovered, fault_free)
     if validate:
         assert check_log(rt.event_log) == []
@@ -912,11 +921,19 @@ CG_ITERATION_ALLREDUCES = {True: 2, False: 3}
 # Python-level calls inside AutoTask.execute and Runtime.flush_window
 # -- solve, window, mapping, kernels -- per issued launch of a
 # GMG-preconditioned CG solve on 6 GPUs whose iterations a trace
-# replays: 640.9 with the SpMVs in the window (647.9 before it on the
-# same interpreter), 617.6 when the budget was set (0a10023: 636.1, or 637.6
-# inside AutoTask.execute alone, where every flush then began; fb01e37,
-# no replay: 797.8).  Flushes count on their own since a reduction in
-# the window is flushed by the wait on its value, outside any execute.
+# replays: 649.1 since CG issues its SpMV before its convergence wait
+# and privileges hash in C (660.15 with the first alone, 640.1 with the
+# second alone, 650.9 with neither on the same interpreter); 640.9 with
+# the SpMVs in the window (647.9 before it), 617.6 when the budget was
+# set (0a10023: 636.1, or 637.6 inside AutoTask.execute alone, where
+# every flush then began; fb01e37, no replay: 797.8).  Issuing before
+# the wait costs this count two things the solve's host work does not
+# grow by: the first window is cut by its 16-launch capacity inside an
+# AutoTask.execute, not by a wait outside it, so 22 region frees land
+# in a counted frame, and that window is one the warm-up solve never
+# planned (its first window also holds the GMG set-up's launches).
+# Flushes count on their own since a reduction in the window is flushed
+# by the wait on its value, outside any execute.
 # A replay that goes back to deriving what the capture derived (solve
 # signature, window summaries, row shapes) does not fit.  May only go
 # down.
@@ -1056,9 +1073,15 @@ def test_calls_per_replayed_launch_fit_the_budget():
         replayed = (
             sum(t.replayed_launches for t in rt._traces.values()) - replayed
         )
-    assert (issued[0], launched) == (313, 87)
-    # Not replayed: the five launches that mix the solve's set-up with
-    # its first traced body (as many as when 135 launches executed).
-    assert launched - replayed == 5, (replayed, launched)
+    # 88 executed: the first body's SpMV is the 16th launch of a window
+    # (set-up tail, V-cycle, p, rz, ||r||), so the window's capacity
+    # flushes it apart from its p.q; a check-first loop flushed the
+    # first 15 at its top-of-body wait (87).
+    assert (issued[0], launched) == (313, 88)
+    # Not replayed: the four launches that mix the solve's set-up with
+    # its first traced body.  A check-first loop issued its after-loop
+    # ||r|| outside any body, and the last launch, which carries it, was
+    # a fifth.
+    assert launched - replayed == 4, (replayed, launched)
     per_launch = calls[0] / issued[0]
     assert per_launch <= CALLS_PER_REPLAYED_LAUNCH_BUDGET, per_launch

@@ -73,11 +73,19 @@ GOLDEN_LRU = "beb915e252f32fa018eaf4b09aaf0940b9a0ca16901d5b140ddcf9c001cae400"
 # group before its vdot's), modeled seconds 0.014864354461.
 # GOLDEN_GMG_UNFUSED is the run with ``fusion=False`` (288 launches, 62
 # allreduces), recorded at 0a10023 before that change touched ``src/``:
-# the eager path it pins must never move.  The solution bytes are one
-# digest for all of them.
-GOLDEN_GMG = "6b4870d0efa068226fd470ecd27338d45910823fe303f2a444bcb45a85197008"
+# the runtime's eager path it pins must never move.  Both moved once
+# with the *program*: when ``cg`` began to issue each iteration's SpMV
+# before its convergence wait and ``_setup`` stopped waiting on ||b||
+# (they were 6b4870d0...7008 and c9c546c9...b292 up to 9e88c84).  Fused,
+# the longer windows meet the 16-launch capacity where waits used to
+# flush them, which splits two groups: 90 launches, still 43 allreduces,
+# modeled seconds 0.013814141789.  Eager: 288 launches and 62
+# allreduces in another order.  The check-first loop kept in
+# tests/core/test_cg_spmv_before_wait.py still gives back both old digests.
+# The solution bytes are one digest for all of them.
+GOLDEN_GMG = "d18d6257ab4d81de549bfa6467dc78e61d6d0c3220a9d7beb913d94c0d94bab3"
 GOLDEN_GMG_UNFUSED = (
-    "c9c546c90eee1df29036524b6aca9b13cc437517aa34e025c63508e39451b292"
+    "0a22e67a8deea6d1c4f81a2aa4a38a92c5c639f04f2f7c7776f2d743102774eb"
 )
 GOLDEN_GMG_SOLUTION = (
     "02f52a2bb9037fd30bdd145ea6ad0b9b21edaaf231cba52dd23a882f25ecdab1"
