@@ -555,9 +555,7 @@ class NestStep:
     ``("scalar", mangled)`` reads a fused scalar argument, and
     ``("un"/"bin", op)`` apply canonical op-table callables.  The
     computed value is cast to ``dtype`` — the bitwise-exact emulation
-    of replay's ``out[...] = expr`` store — and written to ``out``
-    unless the backing region is a dead elided temporary
-    (``store=False``: the array never materializes at all).
+    of replay's ``out[...] = expr`` store — and written to ``out``.
     """
 
     index: int
@@ -566,8 +564,6 @@ class NestStep:
     out: str  # mangled requirement name
     out_uid: int
     dtype: str  # np.dtype().str — round-trips through np.dtype()
-    store: bool
-    elided: bool
     # Flops per output element, matching the sub-launch's own cost
     # model exactly (fill: 0; ufunc: 1; lazy chain: max(ops, 1)) so a
     # merged group reports the same modeled flops as replay.
@@ -592,11 +588,10 @@ class NestPlan:
 
     ``reads`` lists the mangled names of external inputs (deduplicated
     by region — a region read by three statements is charged once) and
-    ``charged_writes`` the mangled outputs that remain instance-backed
-    traffic; together they are the merged cost model's byte side, which
+    ``charged_writes`` the mangled outputs (likewise deduplicated by
+    region); together they are the merged cost model's byte side, which
     is what makes merged modeled compute strictly cheaper than replay's
-    per-kernel accounting whenever statements share operands or elide
-    temporaries.
+    per-kernel accounting whenever statements share operands.
     """
 
     steps: Tuple[NestStep, ...]
@@ -606,30 +601,9 @@ class NestPlan:
     # returns their partials (charged like the reductions run alone).
     tails: Tuple[NestTail, ...] = ()
 
-    @property
-    def temps_eliminated(self) -> int:
-        """Dead elided temporaries that never materialize anywhere."""
-        return sum(1 for step in self.steps if not step.store)
-
-    def key(self) -> tuple:
-        """Hashable identity of the generated source (memoization)."""
-        return (
-            tuple(
-                (
-                    s.name, s.program, s.out, s.dtype, s.store, s.weight,
-                )
-                for s in self.steps
-            ),
-            self.reads,
-            self.charged_writes,
-            self.tails,
-        )
-
 
 def build_nest_plan(
     group: Sequence[TaskLaunch],
-    elide_uids: frozenset,
-    dead_uids: frozenset = frozenset(),
     positions: Optional[Sequence[int]] = None,
 ) -> NestPlan:
     """Lower a merge-safe group of concrete launches to a nest plan.
@@ -638,11 +612,8 @@ def build_nest_plan(
     runtime does; see ``Runtime._flush``).  For one segment of a group
     aligned per region, ``group`` holds the segment's launches and
     ``positions`` where each sits in the fused group (what its names
-    are mangled by); by default the group is the whole fused group.  ``elide_uids`` are the
-    region uids the fusion plan elides; ``dead_uids`` the subset also
-    freed before the flush — their stores are provably unobservable
-    (no instance *and* no later host read), so the nest skips them
-    entirely and the temporary exists only as a nest value.
+    are mangled by); by default the group is the whole fused group.
+    Every statement stores its output, elided temporary or not.
 
     Requirement/scalar names are mangled ``"<i>.<name>"`` exactly as
     :func:`repro.legion.fusion.fuse` mangles them, so the generated
@@ -655,12 +626,9 @@ def build_nest_plan(
     charged: List[str] = []
     seen_writes: set = set()
     # Member reductions are no nest statements: they run as the
-    # epilogue, on views of what the statements stored -- so whatever
-    # they read is stored, dead temporary or not.
+    # epilogue, on views of what the statements stored.
     tails: List[NestTail] = []
-    kept: set = set()
-    members = list(zip(positions or range(len(group)), group))
-    for i, task in members:
+    for i, task in zip(positions or range(len(group)), group):
         pw = task.pointwise
         if pw is None or pw.expr is None or (
             pw.out is None and task.reduction is None
@@ -670,17 +638,13 @@ def build_nest_plan(
                 f"IR (classify the group first)"
             )
         if task.reduction is not None:
-            kept.update(req.region.uid for req in task.requirements)
             tails.append(
                 NestTail(
                     i, task.name, pw.expr[-1][1],
                     tuple(f"{i}.{arg}" for _kind, arg in pw.expr[:-1]),
                 )
             )
-    for i, task in members:
-        if task.reduction is not None:
             continue
-        pw = task.pointwise
         by_name = {req.name: req for req in task.requirements}
         out_req = by_name[pw.out]
         program: List[Tuple[str, object]] = []
@@ -702,8 +666,6 @@ def build_nest_plan(
                 ops += 1
                 program.append((kind, optable.canonical(arg)))
         out_uid = out_req.region.uid
-        elided = out_uid in elide_uids
-        store = out_uid in kept or not (elided and out_uid in dead_uids)
         # Per-element flops mirroring the sub cost models exactly: a
         # fill moves bytes but computes nothing; everything else is
         # charged one flop per op per element, floored at one pass.
@@ -716,13 +678,11 @@ def build_nest_plan(
                 out=f"{i}.{pw.out}",
                 out_uid=out_uid,
                 dtype=np.dtype(out_req.region.data.dtype).str,
-                store=store,
-                elided=elided,
                 weight=weight,
             )
         )
         producer[out_uid] = i
-        if store and out_uid not in seen_writes:
+        if out_uid not in seen_writes:
             seen_writes.add(out_uid)
             charged.append(f"{i}.{pw.out}")
     return NestPlan(tuple(steps), tuple(reads), tuple(charged), tuple(tails))

@@ -96,7 +96,11 @@ class Store:
         )
 
     def destroy(self) -> None:
-        """Release the backing region's instances."""
+        """Release the backing region's instances.
+
+        A synchronization point when a launch pending in the deferred
+        fusion window still names the region: the window flushes first.
+        """
         self.region.destroy()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

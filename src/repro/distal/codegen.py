@@ -660,7 +660,6 @@ class NestSpec:
     kernel: Callable
     cost: Callable
     source: str
-    temps_eliminated: int
 
 
 _MAX_NEST_NAME = 96
@@ -686,11 +685,10 @@ def generate_nest(plan) -> NestSpec:
     into a single expression at generation time, the value is cast to
     the output dtype with the same ``.astype`` semantics NumPy applies
     on ``out[...] = expr`` stores (bitwise-identical to replay), then
-    stored — unless the backing region is a dead elided temporary, in
-    which case the value lives only as the nest variable later steps
-    read.  The emitted ``cost`` charges the merged model: per-step
-    flops identical to replay, bytes deduplicated to external reads
-    plus surviving writes — one cost entry for the whole group.
+    stored; later steps read the nest variable, not the store.  The
+    emitted ``cost`` charges the merged model: per-step flops identical
+    to replay, bytes deduplicated to external reads plus writes — one
+    cost entry for the whole group.
 
     The group's scalar reductions (``plan.tails``) form the epilogue:
     after the last store, each one's per-shard partial over views of
@@ -727,13 +725,11 @@ def generate_nest(plan) -> NestSpec:
                 lhs = stack.pop()
                 stack.append(f"_OPS[{arg!r}]({lhs}, {rhs})")
         (expr,) = stack
-        kept = "" if step.store else "  [temp eliminated]"
-        kernel_lines.append(f"    # [{step.index}] {step.name}{kept}")
+        kernel_lines.append(f"    # [{step.index}] {step.name}")
         kernel_lines.append(
             f"    v{step.index} = _cast({expr}, np.dtype({step.dtype!r}))"
         )
-        if step.store:
-            kernel_lines.append(f"    ctx.view({step.out!r})[...] = v{step.index}")
+        kernel_lines.append(f"    ctx.view({step.out!r})[...] = v{step.index}")
     # Epilogue: the group's scalar reductions, each the partial its own
     # kernel computes, over views of the stored regions (never over
     # nest values: same memory, same call, same bits).
@@ -784,5 +780,4 @@ def generate_nest(plan) -> NestSpec:
         kernel=namespace["kernel"],
         cost=namespace["cost"],
         source=source,
-        temps_eliminated=plan.temps_eliminated,
     )

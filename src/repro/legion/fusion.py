@@ -76,7 +76,7 @@ group are *elided*: their requirements are marked
 instance allocation and staging for them (no coherence traffic, no halo
 staging; the temporary never exists as a mapped instance).  A region a
 barrier touches is never elided: its output is what the next group
-reads, and a nest may drop a dead temporary's store.
+reads.
 
 Everything here is deterministic and depends only on window *structure*
 (names, colors, privileges, partition boundaries and derivations,

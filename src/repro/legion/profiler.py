@@ -37,12 +37,10 @@ class Profiler:
     # flushed it because they depend on a member.
     launches_passed: int = 0
     hazard_flushes: int = 0
-    # Kernel fusion (repro.analysis.depend): fused groups the dependence
-    # analyzer proved merge-safe and executed as one generated loop
-    # nest, and elided temporaries whose backing stores were skipped
-    # entirely (dead after the window — the array never materializes).
+    # Kernel fusion (repro.analysis.depend): segments of fused groups
+    # the dependence analyzer proved merge-safe, each executed as one
+    # generated loop nest.
     kernel_merges: int = 0
-    nest_temps_eliminated: int = 0
     launch_overhead_seconds: float = 0.0
     # Modeled kernel execution time summed over every shard.
     kernel_seconds: float = 0.0
@@ -131,10 +129,9 @@ class Profiler:
         self.tasks_fused_away += group_size - 1
         self.regions_elided += elided
 
-    def record_kernel_merge(self, group_size: int, temps_eliminated: int) -> None:
-        """Count one merge-safe group executed as a single loop nest."""
+    def record_kernel_merge(self) -> None:
+        """Count one merge-safe segment executed as a single loop nest."""
         self.kernel_merges += 1
-        self.nest_temps_eliminated += temps_eliminated
 
     def record_launch_overhead(self, seconds: float) -> None:
         """Accumulate issue-clock launch overhead."""
@@ -241,9 +238,7 @@ class Profiler:
             )
         if self.kernel_merges:
             lines.append(
-                f"kernel fusion:    {self.kernel_merges} merged loop nests "
-                f"({self.nest_temps_eliminated} temporaries never "
-                f"materialized)"
+                f"kernel fusion:    {self.kernel_merges} merged loop nests"
             )
         if self.launch_overhead_seconds:
             lines.append(

@@ -28,7 +28,7 @@ import contextlib
 import math
 from dataclasses import dataclass, field
 from time import perf_counter as _perf
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,11 +90,7 @@ class RuntimeConfig:
     # libraries (why Legate cannot run ML-25M on one GPU in Fig. 12).
     reserved_fb_bytes: int = int(2.5 * 2**30)
     # Mapper behaviour (ablatable).
-    # Deferred instance collection: recycled allocations for this many
-    # in-flight tasks stay charged (see instance.py).
-    inflight_pool_window: int = 24
     coalescing: bool = True
-    coalesce_slack: float = 2.0
     reuse_partitions: bool = True
     # Cost penalty for reshaping global-format local pieces into the
     # layouts external local libraries (cuSPARSE/MKL) accept (§3).
@@ -117,10 +113,9 @@ class RuntimeConfig:
     # future waits, non-fusible launches that depend on a member,
     # barriers and scope exits).
     fusion_window: int = 16
-    # Kernel slowdown once a memory fills past the threshold — the
-    # "CuPy runs close to the GPU memory limit" effect on ML-25M
-    # (Fig. 12): allocator churn and fragmented, uncoalesced buffers.
-    memory_pressure_threshold: float = 0.85
+    # Kernel slowdown once a memory fills past 85 % — the "CuPy runs
+    # close to the GPU memory limit" effect on ML-25M (Fig. 12):
+    # allocator churn and fragmented, uncoalesced buffers.
     memory_pressure_slowdown: float = 1.0
     # Problem magnification: benchmarks build problems at a reduced size
     # that fits in host RAM and set data_scale so that simulated kernel
@@ -377,11 +372,11 @@ class _Group:
 
     __slots__ = (
         "indices", "names", "verdict", "label", "elide", "produced",
-        "segments", "nests", "shape",
+        "parts", "shape",
     )
 
     def __init__(
-        self, indices, names, verdict, label, elide, produced, segments
+        self, indices, names, verdict, label, elide, produced, parts
     ) -> None:
         self.indices = indices
         self.names = names
@@ -392,16 +387,10 @@ class _Group:
         self.elide = elide
         # Reads the fused shard produces itself (fusion.produced_reads).
         self.produced = produced
-        # The group's segments (fusion.segments) in run order: each
-        # one's positions in the group and whether it runs as a
-        # generated nest.
-        self.segments = segments
-        # Groups with a nest: the ``parts`` of fusion.fuse generated so
-        # far by which elided temporaries (as positions in ``elide``)
-        # were already dead at the flush.  None when no segment nests.
-        self.nests: Optional[Dict[frozenset, list]] = (
-            {} if any(merged for _positions, merged in segments) else None
-        )
+        # The ``parts`` of fusion.fuse: each segment (fusion.segments)
+        # in run order, its positions in the group with its generated
+        # loop nest, or None where it replays.  Empty when none nests.
+        self.parts = parts
         # The fused launch's _LaunchShape.
         self.shape: Optional[_LaunchShape] = None
 
@@ -426,10 +415,11 @@ class Runtime:
         self.profiler = Profiler()
         self.instances = InstanceManager(
             reserved_fb_bytes=self.config.reserved_fb_bytes,
-            coalesce_slack=self.config.coalesce_slack,
             coalescing=self.config.coalescing,
             data_scale=self.config.data_scale,
-            inflight_window=self.config.inflight_pool_window,
+            # Deferred instance collection: recycled allocations for
+            # this many in-flight tasks stay charged (see instance.py).
+            inflight_window=24,
         )
         self._coherence: Dict[int, RegionCoherence] = {}
         self._memories = {mem.uid: mem for mem in self.machine.memories}
@@ -473,7 +463,6 @@ class Runtime:
         # repro.legion.fusion): fusible launches buffer here; flush
         # plans groups and executes.
         self._window: List[TaskLaunch] = []
-        self._deferred_frees: List[int] = []
         # Pending future of each reduction in the window -> its window
         # position (what a later launch's ``after`` edges name).
         self._window_roots: Dict[Future, int] = {}
@@ -684,27 +673,19 @@ class Runtime:
         return coh
 
     def free_region(self, region: Region) -> None:
-        """Recycle instances and drop coherence state.
+        """Drop a freed region's state at once: coherence, metadata,
+        image epoch, and its instances (recycled into the pool).
 
-        Frees deliberately do NOT flush the deferred window — in-window
-        temporaries are destroyed right after each expression statement,
-        and flushing here would empty the window every statement and
-        defeat fusion.  A region still referenced by a pending launch
-        has its instance recycling deferred until after the next flush
-        (the launch holds the region's backing array alive, so numerics
-        are unaffected)."""
-        if self._journaling:
-            self._freed_uids.add(region.uid)
+        A pending window launch holds its regions, so only an explicit
+        ``destroy()`` can free one the window still names: that free
+        flushes the window first, like a host read."""
         # launch() counts each pending launch's region uids into
         # _window_refs (cleared when the window swaps out for flushing).
-        if self._window_refs.get(region.uid, 0) > 0:
-            self._deferred_frees.append(region.uid)
-        else:
-            self._release(region.uid)
-
-    def _release(self, uid: int) -> None:
-        """Drop a freed region's state: coherence, metadata, image
-        epoch, and its instances (recycled into the pool)."""
+        uid = region.uid
+        if self._window_refs.get(uid, 0) > 0:
+            self.flush_window()
+        if self._journaling:
+            self._freed_uids.add(uid)
         self._coherence.pop(uid, None)
         self._region_meta.pop(uid, None)
         self._image_cache.epochs.pop(uid, None)
@@ -1044,7 +1025,6 @@ class Runtime:
         if not self._window:
             return
         window, self._window = self._window, []
-        frees, self._deferred_frees = self._deferred_frees, []
         if self._window_refs:
             self._window_refs.clear()
             self._window_writers.clear()
@@ -1052,15 +1032,11 @@ class Runtime:
             self._window_roots.clear()
         t0 = _perf()
         try:
-            self._flush(window, frees)
+            self._flush(window)
         finally:
-            # Regions freed while referenced by the (now executed or
-            # abandoned) window: recycle their instances.
-            for uid in frees:
-                self._release(uid)
             self.profiler.record_host_phase("window-flush", _perf() - t0)
 
-    def _flush(self, window: List[TaskLaunch], frees: Sequence[int] = ()) -> None:
+    def _flush(self, window: List[TaskLaunch]) -> None:
         if len(window) == 1:
             # A window of one launch plans as that launch alone.
             task = window[0]
@@ -1069,7 +1045,6 @@ class Runtime:
             return
         t0 = _perf()
         groups = self._plan_window(window)
-        freed = frozenset(frees)
         self.profiler.record_host_phase("dependence", _perf() - t0)
         for group in groups:
             indices = group.indices
@@ -1080,25 +1055,13 @@ class Runtime:
             tasks = [window[i] for i in indices]
             if self.plan_trace is not None:
                 self.plan_trace.record_group(group, tasks)
-            uids = [window[i].requirements[j].region.uid for i, j in group.elide]
-            elide_uids = frozenset(uids)
-            parts = ()
-            if group.nests is not None:
-                # Elided temporaries already freed by the host are
-                # provably dead: their stores are unobservable, so
-                # the nest keeps them as values only.
-                dead = frozenset(k for k, uid in enumerate(uids) if uid in freed)
-                parts = group.nests.get(dead)
-                if parts is None:
-                    parts = group.nests[dead] = self._nests(
-                        group, dead, tasks, uids
-                    )
-                for positions, nest in parts:
-                    if nest is not None:
-                        self.profiler.record_kernel_merge(
-                            len(positions), nest.temps_eliminated
-                        )
-            merged = fusion.fuse(tasks, elide_uids, parts, group.produced)
+            elide_uids = frozenset(
+                window[i].requirements[j].region.uid for i, j in group.elide
+            )
+            for _positions, nest in group.parts:
+                if nest is not None:
+                    self.profiler.record_kernel_merge()
+            merged = fusion.fuse(tasks, elide_uids, group.parts, group.produced)
             merged.template = group
             if group.shape is not None and not group.shape.fits(merged):
                 # Another matrix under the same derivations: the plan
@@ -1119,9 +1082,10 @@ class Runtime:
         groups = self._fusion_cache.get(key)
         if groups is not None:
             return groups
-        # Lazy import: the analyzer reaches repro.numeric, whose package
-        # import comes back through this module.
+        # Lazy imports: the analyzer reaches repro.numeric, whose
+        # package import comes back through this module.
         from repro.analysis import depend
+        from repro.distal import codegen
 
         summaries = [fusion.summarize_launch(task) for task in window]
         local = fusion.local_ids(summaries)
@@ -1150,41 +1114,33 @@ class Runtime:
                 )
             else:
                 segments = ((tuple(range(len(indices))), label == "merged"),)
+            # Each merge-safe segment's loop nest, generated once per
+            # window structure.
+            parts: tuple = ()
+            if any(merged for _positions, merged in segments):
+                parts = tuple(
+                    (
+                        positions,
+                        codegen.generate_nest(
+                            depend.build_nest_plan(
+                                [window[indices[k]] for k in positions],
+                                positions,
+                            )
+                        ) if merged else None,
+                    )
+                    for positions, merged in segments
+                )
             groups.append(
                 _Group(
                     indices, tuple(window[i].name for i in indices),
                     verdict, label, elide,
                     fusion.produced_reads(summaries, indices, local),
-                    segments,
+                    parts,
                 )
             )
         if key is not None:
             self._fusion_cache.put(key, groups)
         return groups
-
-    def _nests(self, group: _Group, dead, tasks, uids) -> list:
-        """The ``parts`` of :func:`fusion.fuse` for a group with a nest:
-        each segment's positions with its generated loop nest, or None
-        where the segment replays.  The group keeps them by ``dead``
-        (``_Group.nests``), so each window structure generates its
-        nests once."""
-        from repro.analysis import depend
-        from repro.distal import codegen
-
-        parts = []
-        for positions, merged in group.segments:
-            nest = None
-            if merged:
-                nest = codegen.generate_nest(
-                    depend.build_nest_plan(
-                        [tasks[i] for i in positions],
-                        frozenset(uids),
-                        frozenset(uids[k] for k in dead),
-                        positions,
-                    )
-                )
-            parts.append((positions, nest))
-        return parts
 
     def _execute(self, task: TaskLaunch, replay: bool = False) -> Optional[Future]:
         """Execute a task launch: map, copy, run, time (see module docs).
@@ -1422,10 +1378,7 @@ class Runtime:
             if pressure_slowdown != 1.0:
                 store = state_of(memory)
                 budget = memory.capacity - store.reserved_bytes
-                if budget > 0 and (
-                    store.used_bytes / budget
-                    > config.memory_pressure_threshold
-                ):
+                if budget > 0 and store.used_bytes / budget > 0.85:
                     exec_time *= pressure_slowdown
             self.profiler.kernel_seconds += exec_time
             start = t_input

@@ -462,23 +462,22 @@ class TestNestPlan:
             self._req("a", 6, Privilege.READ),
             self._req("b", 5, Privilege.READ),
         )
-        plan = depend.build_nest_plan(
-            [fill, mul, add],
-            elide_uids=frozenset({5, 6}),
-            dead_uids=frozenset({5}),
-        )
+        from repro.distal import codegen
+
+        plan = depend.build_nest_plan([fill, mul, add])
         s0, s1, s2 = plan.steps
-        # Dead elided temp: value only, no store; live elided temp and
-        # the real output both store.
-        assert (s0.store, s1.store, s2.store) == (False, True, True)
-        assert plan.temps_eliminated == 1
         # In-group RAW loads resolve to producing steps, not views.
         assert ("var", 0) in s1.program
         assert ("var", 1) in s2.program and ("var", 0) in s2.program
-        # No external region is read at all here; writes are deduped
-        # and exclude the never-materialized temp.
+        # No external region is read at all here.  Every step stores,
+        # and each write -- region 5's too, though two later steps read
+        # it back as a nest value -- is charged once.
         assert plan.reads == ()
-        assert plan.charged_writes == ("1.out", "2.out")
+        assert plan.charged_writes == ("0.out", "1.out", "2.out")
+        source = codegen.generate_nest(plan).source
+        for k in range(3):
+            assert source.count(f"ctx.view('{k}.out')[...] = v{k}") == 1
+            assert source.count(f"ctx.rects['{k}.out'].volume() * ") == 1
         # Flop weights match the sub cost models: fill 0, ufuncs 1.
         assert [s.weight for s in plan.steps] == [0.0, 1.0, 1.0]
         # Mangled names match fuse()'s "<i>.<name>" scheme.
@@ -495,9 +494,7 @@ class TestNestPlan:
             self._req("out", 6, Privilege.WRITE_DISCARD),
             self._req("a", 5, Privilege.READ),
         )
-        plan = depend.build_nest_plan(
-            [fill, mul], elide_uids=frozenset({5}), positions=(1, 3),
-        )
+        plan = depend.build_nest_plan([fill, mul], positions=(1, 3))
         s0, s1 = plan.steps
         assert (s0.index, s1.index) == (1, 3)
         assert (s0.out, s1.out) == ("1.out", "3.out")
@@ -515,7 +512,7 @@ class TestNestPlan:
             self._req("out", 3, Privilege.WRITE_DISCARD),
             self._req("a", 1, Privilege.READ),
         )
-        plan = depend.build_nest_plan([t1, t2], elide_uids=frozenset())
+        plan = depend.build_nest_plan([t1, t2])
         assert plan.reads == ("0.a",)  # region 1 charged once
         assert plan.charged_writes == ("0.out", "1.out")
 
@@ -524,7 +521,7 @@ class TestNestPlan:
             "mystery", None, self._req("out", 1, Privilege.WRITE_DISCARD)
         )
         with pytest.raises(ValueError, match="no body IR"):
-            depend.build_nest_plan([bad], elide_uids=frozenset())
+            depend.build_nest_plan([bad])
 
     def test_reductions_lower_to_tails_and_keep_what_they_read(self):
         from repro.distal import codegen
@@ -547,14 +544,8 @@ class TestNestPlan:
             self._req("a", 6, Privilege.READ),
             self._req("b", 1, Privilege.READ), reduction="sum",
         )
-        # The difference is elided AND already freed by the host: a
-        # dead temporary -- which the reductions still have to read.
-        plan = depend.build_nest_plan(
-            [sub, norm, vdot],
-            elide_uids=frozenset({6}), dead_uids=frozenset({6}),
-        )
+        plan = depend.build_nest_plan([sub, norm, vdot])
         assert [step.name for step in plan.steps] == ["subtract"]
-        assert plan.steps[0].store and plan.temps_eliminated == 0
         assert [(t.index, t.part, t.operands) for t in plan.tails] == [
             (1, "norm2", ("1.a",)), (2, "vdot", ("2.a", "2.b")),
         ]

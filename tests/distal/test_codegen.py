@@ -319,7 +319,7 @@ class TestCompileCache:
                 req("b", 10, Privilege.READ),
             ],
         )
-        return depend.build_nest_plan([mul, add], elide_uids=frozenset({11}))
+        return depend.build_nest_plan([mul, add])
 
     def test_generate_nest_hits_cache_on_repeat(self):
         codegen.clear_compile_cache()

@@ -464,27 +464,29 @@ def test_a_capacity_flush_mid_chain_resolves_the_future():
     assert sum(len(names) for names in _groups(rt)) == 9
 
 
-def test_a_region_freed_while_its_reduction_pends():
-    """The host destroys a temporary whose norm is still in the window:
-    recycling waits for the flush, and the merged nest -- which keeps
-    freed temporaries as values only -- still stores this one, because
-    the reduction reads it back."""
+def test_destroy_of_a_region_a_pending_reduction_reads_flushes_first():
+    """The host destroys a region whose norm is still in the window:
+    ``destroy()`` is a synchronization point, so the norm runs -- and
+    stages its halo rows -- before the region's state is dropped.  A
+    free that released without flushing would leave the norm reading
+    rows no copy brought, which the offline checker reports."""
     def program():
         a, b = _vectors()
         rt = a.runtime
+        diff = a - b                # written under the even tiling
         rt.barrier()
-        diff = a - b
-        nrm = rnp.linalg.norm(diff)
-        diff.store.destroy()
+        diff.store.set_key_partition(
+            Tiling(diff.store.region, _uneven(len(diff), rt.num_procs))
+        )
+        nrm = rnp.linalg.norm(diff)  # read under the uneven one
         if rt.config.fusion:
             assert nrm.future.roots is not None  # still in the window
-            assert rt._deferred_frees  # ... and its region's recycling
-        out = [nrm.value]
-        assert not rt._deferred_frees
-        return out
+        diff.store.destroy()
+        assert not rt._window
+        return [nrm.value]
 
     rt = _both(program)
-    assert rt.fusion_log[-1] == (("subtract", "norm2"), 1, "merged")
+    assert rt.fusion_log[-1] == (("norm2",), 0, "single")
 
 
 def _aliased_write_program():
