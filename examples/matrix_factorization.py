@@ -59,7 +59,13 @@ def main():
             vrmse = model.rmse(*valid)
             print(f"{epoch:>6} {loss:>17.4f} {vrmse:>11.4f} "
                   f"{samples / (t1 - t0):>16.0f}")
-        print(f"\nSDDMM launches: {rt.profiler.task_counts.get('csr:R(i,j)=B(i,j)*C(i,k)*D(j,k):gpu', 0)}")
+        # Counted from the flushed groups: the sampled product shares
+        # a fused launch with the row expansion.
+        sddmm = sum(
+            names.count("csr:R(i,j)=C(i,k)*D(j,k):gpu")
+            for names, _, _ in rt.fusion_log
+        )
+        print(f"\nSDDMM launches: {sddmm}")
 
 
 if __name__ == "__main__":

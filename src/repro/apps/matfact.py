@@ -7,9 +7,12 @@ The model is the classic biased factorization (Koren et al.):
 
 The training loop follows the paper: batches of samples are assembled
 into sparse matrices, predictions on the batch pattern are computed with
-**SDDMM** (avoiding the dense U Vᵀ product), and the gradients are two
-sparse-times-dense products (``err @ V`` and ``errᵀ @ U``) plus row and
-column sums for the biases — all distributed operations.
+**SDDMM** (``U Vᵀ`` sampled on the pattern, never the dense product),
+and the gradients are two sparse-times-dense products (``err @ V`` and
+``errᵀ @ U``) plus row and column sums for the biases — all distributed
+operations.  A batch's RMSE is a deferred ``Scalar``: nothing in a batch
+blocks the host, so one batch's launches queue behind the previous
+one's and :func:`sgd_epoch` reads the losses once, at epoch end.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 import repro.numeric as rnp
 import repro.sparse as sp
 from repro.core.convert import expand_row_indices
-from repro.numeric.array import ndarray
+from repro.numeric.array import Scalar, ndarray
 
 
 @dataclass
@@ -129,13 +132,14 @@ class MatrixFactorizationModel:
         self, R, rows, cols, snap: Optional[FactorSnapshot] = None
     ) -> ndarray:
         snap = snap or self._snapshot
-        ones = R._with_values(rnp.ones(R.nnz))
-        dots = ones.sddmm(snap.U, snap.V).data
+        dots = R.sample(snap.U, snap.V).data
         return dots + snap.bu[rows] + snap.bi[cols] + snap.mu
 
     # ------------------------------------------------------------------
-    def train_batch(self, users, items, ratings) -> float:
-        """One SGD step on a batch; returns the batch RMSE (pre-update).
+    def train_batch(self, users, items, ratings) -> Scalar:
+        """One SGD step on a batch; returns the batch RMSE (pre-update)
+        as a deferred :class:`Scalar`: the step only issues launches,
+        and ``float()`` on the result is the one wait.
 
         Every gradient reads the *pinned* pre-step snapshot, the next
         epoch's arrays are fully computed first, and only then is the
@@ -165,26 +169,24 @@ class MatrixFactorizationModel:
         )
         self.stats.samples += nnz
         self.stats.batches += 1
-        return float(rnp.linalg.norm(err_vals)) / np.sqrt(nnz)
+        return rnp.linalg.norm(err_vals) / np.sqrt(nnz)
 
     def predict(self, users, items, snapshot: Optional[FactorSnapshot] = None):
         """Predicted ratings for (user, item) pairs.
 
         Reads one consistent epoch: the given pinned ``snapshot``, or
-        the currently-published one captured once at entry.
+        the currently-published one captured once at entry.  A pair
+        asked for twice is predicted once.
         """
         snap = snapshot or self._snapshot
-        users = np.asarray(users)
-        items = np.asarray(items)
-        ones = np.ones(len(users))
-        R, rows, cols = self._batch_matrices(users, items, ones)
+        pairs = np.stack([np.asarray(users), np.asarray(items)], axis=1)
+        # Unique pairs in (user, item) order: the order of the canonical
+        # CSR _batch_matrices builds, where duplicates would be summed.
+        pairs, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        ones = np.ones(len(pairs))
+        R, rows, cols = self._batch_matrices(pairs[:, 0], pairs[:, 1], ones)
         preds = self._predict_on_pattern(R, rows, cols, snap)
-        # _batch_matrices canonicalizes to (row, col) order; map the
-        # predictions back to the caller's pair order.
-        order = np.lexsort((items, users))
-        out = np.empty(len(users))
-        out[order] = preds.to_numpy()
-        return out
+        return preds.to_numpy()[inverse.reshape(-1)]
 
     def rmse(self, users, items, ratings) -> float:
         """Root-mean-square error on given triples."""
@@ -212,7 +214,11 @@ def sgd_epoch(
     rng: Optional[np.random.Generator] = None,
     max_batches: Optional[int] = None,
 ) -> Tuple[int, float]:
-    """Shuffle and train one epoch; returns (samples, mean batch RMSE)."""
+    """Shuffle and train one epoch; returns (samples, mean batch RMSE).
+
+    The batches are issued back to back; their losses are read once, at
+    the end, so the host waits once per epoch, not once per batch.
+    """
     rng = rng or np.random.default_rng(0)
     order = rng.permutation(len(users))
     total, losses = 0, []
@@ -225,4 +231,5 @@ def sgd_epoch(
             break
         losses.append(model.train_batch(users[sel], items[sel], ratings[sel]))
         total += len(sel)
+    losses = [float(loss) for loss in losses]
     return total, float(np.mean(losses)) if losses else 0.0

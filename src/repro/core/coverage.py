@@ -20,6 +20,7 @@ GENERATED: List[str] = [
     "csr_matmat",            # Y(i,k) = A(i,j) X(j,k)
     "csr_matmat_transpose",  # Y(j,k) = A(i,j) X(i,k) (and CSC matmat)
     "csr_sddmm",             # R = B ⊙ (C @ D^T)
+    "csr_sample",            # R = C @ D^T on a CSR's pattern
     "csr_row_sums",          # sum(axis=1)
     "csr_col_sums",          # sum(axis=0)
     "csr_diagonal",

@@ -269,6 +269,25 @@ class csr_matrix(spmatrix):
         launch(spec, self._runtime, stores)
         return csr_matrix._from_stores(self.pos, self.crd, out_vals.store, self.shape)
 
+    def sample(self, C: ndarray, D: ndarray) -> "csr_matrix":
+        """C @ D.T on this matrix's pattern: its values are not read.
+
+        ``C`` is (rows, k) and ``D`` is (cols, k).  Bitwise the
+        :meth:`sddmm` of a unit-valued matrix of the result's dtype,
+        without the ones array.  The result shares the structure.
+        """
+        out_vals = rnp.empty(self.nnz, dtype=np.result_type(C.dtype, D.dtype))
+        spec = get_registry().get("R(i,j)=C(i,k)*D(j,k)", CSR, self._proc_kind())
+        launch(
+            spec,
+            self._runtime,
+            {
+                "out_vals": out_vals.store, "pos": self.pos, "crd": self.crd,
+                "C": C.store, "D": D.store,
+            },
+        )
+        return csr_matrix._from_stores(self.pos, self.crd, out_vals.store, self.shape)
+
     def _matmat_sparse(self, other: spmatrix) -> "csr_matrix":
         from repro.core.convert import csr_spgemm
 

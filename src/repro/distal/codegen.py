@@ -351,6 +351,60 @@ def cost(ctx):
     return source, args, constraints
 
 
+def _template_csr_sampled(kind: ProcessorKind) -> Tuple[str, list, list]:
+    source = f'''
+def kernel(ctx):
+    """R(i,j) = C(i,k) * D(j,k) sampled on a CSR pattern.
+
+    Only the pattern (pos/crd) is read: R's values are the dot products
+    of C's rows with D's rows at the stored coordinates, in the SDDMM
+    kernel's order, so they equal an SDDMM over unit values bit for bit.
+    """
+    pos = ctx.arrays["pos"]; crd = ctx.arrays["crd"]
+    C = ctx.arrays["C"]; D = ctx.arrays["D"]
+    out = ctx.arrays["out_vals"]
+    pr = ctx.rects["pos"]
+    rlo, rhi = pr.lo[0], pr.hi[0]
+    if rhi <= rlo:
+        return
+    lo = pos[rlo:rhi, 0]
+    hi = pos[rlo:rhi, 1]
+    jlo = int(lo[0]); jhi = int(hi[-1])
+    if jhi <= jlo:
+        return
+    rows = np.repeat(np.arange(rlo, rhi), hi - lo)
+    cols = crd[jlo:jhi]
+    out[jlo:jhi] = np.einsum(
+        "nk,nk->n", C.take(rows, axis=0), D.take(cols, axis=0)
+    )
+
+
+def cost(ctx):
+    vals = ctx.arrays["out_vals"]
+    nnz = ctx.rects["crd"].volume()
+    rows = ctx.rects["pos"].volume() // 2
+    k = ctx.arrays["C"].shape[1]
+    isz = vals.dtype.itemsize
+    ineff = ctx.config.sddmm_inefficiency
+    flops = 2.0 * nnz * k * {_flop_factor()} * ineff
+    nbytes = (nnz * (8.0 + isz) + 2.0 * nnz * k * isz + rows * 16.0) * ineff
+    return flops, nbytes
+'''
+    args = [
+        ("out_vals", "out"),
+        ("pos", "in"),
+        ("crd", "in"),
+        ("C", "in"),
+        ("D", "in"),
+    ]
+    constraints = [
+        ("align", "C", "pos"),
+        ("image_range", "pos", ("crd", "out_vals")),
+        ("image_coord", "crd", ("D",)),
+    ]
+    return source, args, constraints
+
+
 def _template_csr_row_sums(kind: ProcessorKind) -> Tuple[str, list, list]:
     source = f'''
 def kernel(ctx):
@@ -575,6 +629,7 @@ _TEMPLATES: Dict[Tuple[str, str], Callable] = {
     ("Y(i,k)=A(i,j)*X(j,k)", "csr"): _template_csr_spmm,
     ("Y(j,k)=A(i,j)*X(i,k)", "csr"): _template_csr_spmm_transpose,
     ("R(i,j)=B(i,j)*C(i,k)*D(j,k)", "csr"): _template_csr_sddmm,
+    ("R(i,j)=C(i,k)*D(j,k)", "csr"): _template_csr_sampled,
     ("y(i)=A(i,j)", "csr"): _template_csr_row_sums,
     ("y(j)=A(i,j)", "csr"): _template_csr_col_sums,
     ("y(i)=A(i,i)", "csr"): _template_csr_diagonal,

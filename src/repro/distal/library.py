@@ -36,6 +36,7 @@ STATEMENTS: Dict[str, Assignment] = {
         Y[i, k] << A[i, j] * X[j, k],  # SpMM
         Y[j, k] << A[i, j] * X[i, k],  # SpMM transpose
         R[i, j] << B[i, j] * C[i, k] * D[j, k],  # SDDMM
+        R[i, j] << C[i, k] * D[j, k],  # C Dᵀ sampled on R's pattern
         y[i] << A[i, j],  # row sums
         y[j] << A[i, j],  # column sums
         y[i] << A[i, i],  # diagonal

@@ -108,3 +108,18 @@ def test_predict_matches_rmse_pathway(data):
     preds = model.predict(users, items)
     rmse = float(np.sqrt(np.mean((preds - ratings) ** 2)))
     assert rmse == pytest.approx(model.rmse(users, items, ratings), rel=1e-9)
+
+
+def test_predict_answers_duplicate_pairs(data):
+    """COO assembly sums duplicate pairs: predict asks for each unique
+    pair once and answers every query, bitwise the unique-pair call."""
+    model = _model(data)
+    model.train_batch(*data)
+    unique = model.predict([1, 3], [0, 2])
+    got = model.predict([1, 1, 3, 1], [0, 0, 2, 0])
+    assert got.tobytes() == unique[[0, 0, 1, 0]].tobytes()
+    # The caller's order, not the canonical one.
+    assert model.predict([3, 1], [2, 0]).tobytes() == unique[::-1].tobytes()
+    assert model.predict([3], [2]).tobytes() == unique[1:].tobytes()
+    empty = model.predict([], [])
+    assert empty.shape == (0,)

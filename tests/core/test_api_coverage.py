@@ -47,10 +47,10 @@ class TestInventoryIsHonest:
 
     def test_generated_statement_count(self):
         """The paper generates 14 functions with DISTAL; we generate one
-        kernel per (statement, format) pair — 11 dispatch targets across
-        8 statements and 4 sparse formats (csr, coo, dia, bsr; CSC
+        kernel per (statement, format) pair — 12 dispatch targets across
+        9 statements and 4 sparse formats (csr, coo, dia, bsr; CSC
         reuses the CSR kernels transposed)."""
-        assert len(supported_statements()) == len(coverage.GENERATED) == 11
+        assert len(supported_statements()) == len(coverage.GENERATED) == 12
         assert {fmt for _, fmt in supported_statements()} == {
             "csr", "coo", "dia", "bsr"
         }

@@ -54,6 +54,7 @@ class TestStatementLibrary:
             "Y(i,k)=A(i,j)*X(j,k)",
             "Y(j,k)=A(i,j)*X(i,k)",
             "R(i,j)=B(i,j)*C(i,k)*D(j,k)",
+            "R(i,j)=C(i,k)*D(j,k)",
             "y(i)=A(i,j)",
             "y(j)=A(i,j)",
             "y(i)=A(i,i)",

@@ -34,6 +34,7 @@ from repro.legion import (
 from repro.legion import runtime as runtime_module
 from repro.legion.runtime import get_runtime, runtime_scope
 from repro.machine import ProcessorKind, summit
+from repro.numeric.array import Scalar
 from repro.numeric.indexing import scatter_add
 
 SEEDS = range(10)
@@ -49,6 +50,8 @@ def _runtime(procs: int, fused: bool, validate: bool = False, **config) -> Runti
 
 
 def _bits(value) -> bytes:
+    if isinstance(value, Scalar):
+        value = value.value
     return np.asarray(value).tobytes()
 
 
