@@ -1,11 +1,12 @@
 """Cross-request SpMV batching: stack compatible RHS into one launch.
 
 A window of pending requests usually contains many SpMVs against the
-*same* matrix.  Launch overhead is per-launch, not per-byte (the
-paper's small-task lesson), so the batcher stacks ``k`` compatible
-right-hand sides into one ``(n, k)`` operand and issues a single
-multi-vector launch — ``Y(i,k) = A(i,j) * X(j,k)`` — then splits the
-result columns back per request.  One launch overhead instead of ``k``.
+*same* matrix.  The batcher stacks ``k`` compatible right-hand sides
+into one ``(n, k)`` operand and issues a single multi-vector launch —
+``Y(i,k) = A(i,j) * X(j,k)`` — then splits the result columns back per
+request: ``A`` is read once instead of ``k`` times.  Launch overhead is
+the service's business: it issues a whole round before reading any
+batch back, so the round's launches share the deferred window.
 
 **Bitwise identity.**  The CSR SpMM kernel reduces each output column
 through the same per-row segmented sum the SpMV kernel calls
@@ -77,8 +78,9 @@ class SpMVBatcher:
 
     ``max_batch`` bounds the stacked width (an over-wide operand loses
     the cache-friendly column count real multi-vector kernels want);
-    ``max_batch=1`` degrades to per-request execution — the unbatched
-    comparison mode the bench uses.
+    ``max_batch=1`` issues one SpMV per request — the unstacked
+    comparison mode the bench uses, whose launches the deferred window
+    still fuses.
     """
 
     max_batch: int = 8
@@ -129,25 +131,40 @@ class SpMVBatcher:
         return "lone-request"
 
     # -- execution ------------------------------------------------------
-    def execute(
-        self, batch: Batch, matrix, runtime
-    ) -> List[Tuple[Request, np.ndarray]]:
-        """Run one batch; returns per-request result vectors.
+    def issue(self, batch: Batch, matrix, runtime):
+        """Issue one batch's launch; returns its pending result array.
 
         A width-1 batch issues the ordinary SpMV; width >= 2 stacks the
-        RHS column-wise, issues one multi-vector launch and splits the
-        result columns.  Results are host copies (they leave the
-        runtime at the service boundary).
+        RHS column-wise into one multi-vector launch.  Nothing waits:
+        the launch joins ``runtime``'s deferred window, so every batch
+        of a round shares it until :meth:`collect` reads one back.
         """
         import repro.numeric as rnp
 
         reqs = batch.requests
         if len(reqs) == 1:
-            y = matrix @ rnp.asarray(reqs[0].x)
-            return [(reqs[0], y.to_numpy().copy())]
-        X = np.stack([r.x for r in reqs], axis=1)
-        Y = (matrix @ rnp.asarray(X)).to_numpy()
+            return matrix @ rnp.asarray(reqs[0].x)
+        return matrix @ rnp.asarray(np.stack([r.x for r in reqs], axis=1))
+
+    def collect(self, pending) -> List[np.ndarray]:
+        """Read one issued batch back: its per-request host vectors, in
+        request order (a stacked result splits by column)."""
+        Y = pending.to_numpy()
+        if Y.ndim == 1:
+            return [Y]
+        width = Y.shape[1]
         self.batches_executed += 1
-        self.requests_batched += len(reqs)
-        runtime.profiler.record_spmv_batch(len(reqs))
-        return [(req, Y[:, k].copy()) for k, req in enumerate(reqs)]
+        self.requests_batched += width
+        pending.runtime.profiler.record_spmv_batch(width)
+        return [Y[:, k].copy() for k in range(width)]
+
+    def execute(
+        self, batch: Batch, matrix, runtime
+    ) -> List[Tuple[Request, np.ndarray]]:
+        """Run one batch as a round trip: issue it and read it back.
+
+        The service issues a whole round before collecting; this is the
+        one-batch form (and ``bench/trace.py``'s wrap point).
+        """
+        ys = self.collect(self.issue(batch, matrix, runtime))
+        return list(zip(batch.requests, ys))

@@ -14,7 +14,9 @@ version*) and serves SpMV requests from many tenants:
    (:mod:`repro.serve.cache`);
 4. **batching** — remaining requests stack into multi-RHS launches
    where legal (:mod:`repro.serve.batcher`), bitwise identical to
-   per-request execution;
+   per-request execution; the shared domain issues every batch of the
+   round before it reads one back, so the round's launches share the
+   deferred window and fuse;
 5. **isolation** — tenants with a chaos config run on *dedicated*
    runtimes with their own fault injectors and checkpoint epochs
    (:meth:`Runtime.reset_for_program` at request-program boundaries),
@@ -37,7 +39,7 @@ from repro.legion.exceptions import FaultError
 from repro.legion.runtime import Runtime, RuntimeConfig, runtime_scope
 from repro.machine import ProcessorKind, summit
 from repro.serve.advisor import lint_serve
-from repro.serve.batcher import SpMVBatcher
+from repro.serve.batcher import Batch, SpMVBatcher
 from repro.serve.cache import CacheStats, ResultCache
 from repro.serve.scheduler import FairShareScheduler, Request, TenantConfig
 
@@ -49,7 +51,7 @@ class ServiceConfig:
     procs: int = 2
     nodes: int = 1
     window: int = 8  # requests per scheduling round
-    max_batch: int = 8  # stacked RHS per launch; 1 disables batching
+    max_batch: int = 8  # stacked RHS per launch; 1 disables stacking
     cache_capacity: int = 256
     validate: bool = False
     profile: bool = False
@@ -83,7 +85,7 @@ class ServeStats:
     requests_rejected: int = 0
     requests_served: int = 0
     requests_failed: int = 0
-    launches: int = 0
+    launches: int = 0  # launches the runtimes ran; a fused group is one
     batches: int = 0
     batched_requests: int = 0
     refusals: Dict[str, int] = field(default_factory=dict)
@@ -132,6 +134,7 @@ class SparseService:
         self.cache = ResultCache(capacity=self.config.cache_capacity)
         self.responses: Dict[int, Response] = {}
         self.version = 0
+        self._launches = 0  # ServeStats.launches
         self._host_versions: Dict[int, Any] = {0: host_matrix}
         self._machine = summit(nodes=self.config.nodes)
         self._domains: Dict[str, _Domain] = {}
@@ -264,41 +267,76 @@ class SparseService:
         return True
 
     def _execute(self, domain: _Domain, requests: List[Request]) -> None:
-        """Plan and run one domain's share of the window."""
+        """Plan and run one domain's share of the window.
+
+        The shared domain runs the whole round as one program.  An
+        isolated domain runs one batch per request program, and
+        resets at every program boundary: a permanent fault fails one
+        batch, not the round.
+        """
         drt = domain.runtime
-        for batch in domain.batcher.plan(requests):
-            # An isolated domain's clock may trail the service clock
-            # (it only advances while its tenant is served); a batch
-            # starts no earlier than the service round that formed it
-            # and no earlier than its members arrived.
-            drt.issue_time = max(
-                drt.issue_time,
-                self.runtime.issue_time,
-                max(r.arrival for r in batch.requests),
-            )
-            start = drt.issue_time
-            matrix = domain.matrix_for(self, batch.key.matrix_version)
-            try:
-                with runtime_scope(drt):
-                    results = domain.batcher.execute(batch, matrix, drt)
-                    finish = drt.elapsed()
-            except FaultError as exc:
-                finish = drt.horizon()
+        before = drt.profiler.tasks_launched
+        batches = domain.batcher.plan(requests)
+        if domain is self._shared:
+            self._round(domain, batches)
+        else:
+            for batch in batches:
+                try:
+                    self._round(domain, [batch])
+                finally:
+                    # Per-tenant checkpoint isolation: each request
+                    # program ends at an epoch boundary, so a later
+                    # loss in this tenant's domain never replays into
+                    # another program's state.
+                    drt.reset_for_program()
+        self._launches += drt.profiler.tasks_launched - before
+
+    def _round(self, domain: _Domain, batches: List[Batch]) -> None:
+        """Issue every batch as one program, then read them back.
+
+        The batches share the domain's deferred window, so independent
+        launches fuse.  Every response finishes at the one
+        ``elapsed()`` read after the last read-back; a ``FaultError``
+        fails every batch of the program.
+        """
+        drt = domain.runtime
+        starts: List[float] = []
+        try:
+            with runtime_scope(drt):
+                pending = []
+                for batch in batches:
+                    # An isolated domain's clock may trail the service
+                    # clock (it only advances while its tenant is
+                    # served); a batch starts no earlier than the
+                    # service round that formed it and no earlier than
+                    # its members arrived.
+                    drt.issue_time = max(
+                        drt.issue_time,
+                        self.runtime.issue_time,
+                        max(r.arrival for r in batch.requests),
+                    )
+                    starts.append(drt.issue_time)
+                    matrix = domain.matrix_for(
+                        self, batch.key.matrix_version
+                    )
+                    pending.append(
+                        domain.batcher.issue(batch, matrix, drt)
+                    )
+                results = [domain.batcher.collect(y) for y in pending]
+                finish = drt.elapsed()
+        except FaultError as exc:
+            finish = drt.horizon()
+            for i, batch in enumerate(batches):
+                start = starts[i] if i < len(starts) else finish
                 for req in batch.requests:
                     self.responses[req.rid] = Response(
                         req.rid, req.tenant, False, None,
                         req.arrival, start, finish,
                         batch_width=batch.width, error=str(exc),
                     )
-                continue
-            finally:
-                if domain is not self._shared:
-                    # Per-tenant checkpoint isolation: each request
-                    # program ends at an epoch boundary, so a later
-                    # loss in this tenant's domain never replays into
-                    # another program's state.
-                    drt.reset_for_program()
-            for req, y in results:
+            return
+        for batch, start, ys in zip(batches, starts, results):
+            for req, y in zip(batch.requests, ys):
                 self.cache.put((req.version, req.digest), y)
                 self.responses[req.rid] = Response(
                     req.rid, req.tenant, True, y,
@@ -336,15 +374,7 @@ class SparseService:
                 stats.refusals[reason] = (
                     stats.refusals.get(reason, 0) + count
                 )
-        # Launches = batched launches + singleton launches (served
-        # requests that were neither cached nor batched).
-        singletons = (
-            stats.requests_served
-            + stats.requests_failed
-            - stats.batched_requests
-            - self.cache.stats.hits
-        )
-        stats.launches = stats.batches + max(singletons, 0)
+        stats.launches = self._launches
         return stats
 
     def advise(self):

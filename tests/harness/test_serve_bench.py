@@ -65,6 +65,9 @@ def test_run_scenario_metrics_and_digest_stability():
 
 
 def test_batched_and_unbatched_scenarios_agree_bitwise():
+    """Stacking changes no bits and, since a round's launches share the
+    deferred window, no launch count: the unbatched round's singletons
+    fuse into as many launches as the batched round issues."""
     versions = _tiny_versions()
     tenants = [TenantConfig("t0"), TenantConfig("t1")]
     streams = generate_streams(2, ["t0", "t1"], 8, n=48)
@@ -72,8 +75,8 @@ def test_batched_and_unbatched_scenarios_agree_bitwise():
     unbatched = run_scenario(versions, tenants, streams, max_batch=1, cache_capacity=0)
     assert batched["digests"] == unbatched["digests"]
     assert batched["batches"] >= 1 and unbatched["batches"] == 0
-    assert batched["launches"] < unbatched["launches"]
-    assert batched["launch_overhead_s"] < unbatched["launch_overhead_s"]
+    assert batched["launches"] == unbatched["launches"]
+    assert batched["launch_overhead_s"] == unbatched["launch_overhead_s"]
 
 
 def test_scaling_over_three_tenant_counts_is_non_degenerate():

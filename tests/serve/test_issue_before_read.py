@@ -1,0 +1,401 @@
+"""A serving round issues every batch before it reads one back.
+
+``SparseService._execute`` plans a domain's share of the window and
+issues it; ``SpMVBatcher.issue`` returns a pending result array and
+``SpMVBatcher.collect`` reads it back.  The shared domain issues the
+whole round inside one ``runtime_scope`` before the first read-back,
+so the round's launches share the deferred window; an isolated (chaos)
+domain keeps one batch per request program.  The contract:
+
+* **bits and timing** -- every ``Response.y`` is bitwise the answer of
+  the service that read each batch back before issuing the next, kept
+  verbatim below as ``reference_execute``/``reference_service_execute``,
+  over random mixes of dtypes, version churn and duplicates, at
+  ``max_batch`` 1 and 8 and with 1 and 3 tenants; and
+  ``arrival <= start <= finish``;
+* **one launch per round** -- a round of ``k`` mutually unbatchable
+  singletons adds one launch and ``k - 1`` fused-away launches, and all
+  its responses finish at ``runtime.elapsed()``;
+* **the clock** -- in a shared round of three batches nothing calls
+  ``Runtime.barrier`` before the last batch is issued;
+* **isolation** -- an isolated chaos tenant's responses (``ok``,
+  ``start``, ``finish``, ``error``, bytes) equal the reference's at
+  ``copy_fault_rate`` 0, 0.3 and 0.8, and every admitted request gets
+  exactly one response;
+* **launch accounting** -- ``ServeStats.launches`` is the number of
+  launches the domains' runtimes ran.
+
+Mutants each test catches: isolated domains issuing the whole round
+fail the isolation test; collecting each batch before issuing the next
+fails the clock test.
+"""
+
+from typing import List, Tuple
+
+import numpy as np
+import pytest
+import scipy.sparse as sps
+
+from repro.analysis import check_log
+from repro.legion.chaos import ChaosConfig
+from repro.legion.exceptions import FaultError
+from repro.legion.runtime import Runtime, RuntimeConfig, runtime_scope
+from repro.machine import ProcessorKind, summit
+from repro.serve import (
+    Request,
+    Response,
+    ServiceConfig,
+    SparseService,
+    SpMVBatcher,
+    TenantConfig,
+)
+
+N = 64
+
+
+# ----------------------------------------------------------------------
+# The service that read each batch back before issuing the next,
+# verbatim from before issue-before-read
+# ----------------------------------------------------------------------
+def reference_execute(
+    self, batch, matrix, runtime
+) -> List[Tuple[Request, np.ndarray]]:
+    """Run one batch; returns per-request result vectors.
+
+    A width-1 batch issues the ordinary SpMV; width >= 2 stacks the
+    RHS column-wise, issues one multi-vector launch and splits the
+    result columns.  Results are host copies (they leave the
+    runtime at the service boundary).
+    """
+    import repro.numeric as rnp
+
+    reqs = batch.requests
+    if len(reqs) == 1:
+        y = matrix @ rnp.asarray(reqs[0].x)
+        return [(reqs[0], y.to_numpy().copy())]
+    X = np.stack([r.x for r in reqs], axis=1)
+    Y = (matrix @ rnp.asarray(X)).to_numpy()
+    self.batches_executed += 1
+    self.requests_batched += len(reqs)
+    runtime.profiler.record_spmv_batch(len(reqs))
+    return [(req, Y[:, k].copy()) for k, req in enumerate(reqs)]
+
+
+def reference_service_execute(self, domain, requests) -> None:
+    """Plan and run one domain's share of the window."""
+    drt = domain.runtime
+    for batch in domain.batcher.plan(requests):
+        # An isolated domain's clock may trail the service clock
+        # (it only advances while its tenant is served); a batch
+        # starts no earlier than the service round that formed it
+        # and no earlier than its members arrived.
+        drt.issue_time = max(
+            drt.issue_time,
+            self.runtime.issue_time,
+            max(r.arrival for r in batch.requests),
+        )
+        start = drt.issue_time
+        matrix = domain.matrix_for(self, batch.key.matrix_version)
+        try:
+            with runtime_scope(drt):
+                results = domain.batcher.execute(batch, matrix, drt)
+                finish = drt.elapsed()
+        except FaultError as exc:
+            finish = drt.horizon()
+            for req in batch.requests:
+                self.responses[req.rid] = Response(
+                    req.rid, req.tenant, False, None,
+                    req.arrival, start, finish,
+                    batch_width=batch.width, error=str(exc),
+                )
+            continue
+        finally:
+            if domain is not self._shared:
+                # Per-tenant checkpoint isolation: each request
+                # program ends at an epoch boundary, so a later
+                # loss in this tenant's domain never replays into
+                # another program's state.
+                drt.reset_for_program()
+        for req, y in results:
+            self.cache.put((req.version, req.digest), y)
+            self.responses[req.rid] = Response(
+                req.rid, req.tenant, True, y,
+                req.arrival, start, finish,
+                batch_width=batch.width,
+            )
+
+
+# ----------------------------------------------------------------------
+# Helpers
+# ----------------------------------------------------------------------
+class _WriteOnce(dict):
+    """A responses map that refuses a second response for one rid."""
+
+    def __setitem__(self, rid, resp):
+        assert rid not in self, f"request {rid} answered twice"
+        super().__setitem__(rid, resp)
+
+
+def _matrix(seed=0):
+    return sps.random(
+        N, N, density=0.12, random_state=seed, format="csr", dtype=np.float64
+    )
+
+
+def _traffic(seed, tenants, count):
+    """Seeded (tenant, x, arrival) triples: bursts of four arrivals,
+    float32/float64 mixes and repeated right-hand sides."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        if out and rng.random() < 0.25:
+            x = out[int(rng.integers(len(out)))][1].copy()
+        else:
+            dtype = "float32" if rng.random() < 0.4 else "float64"
+            x = rng.standard_normal(N).astype(dtype)
+        tenant = tenants[int(rng.integers(len(tenants)))]
+        out.append((tenant, x, 2.5e-4 * (i // 4)))
+    return out
+
+
+def _serve(tenants, traffic, reference=False, churn_at=None, **cfg):
+    """Serve ``traffic``; ``churn_at`` publishes model version 1 after
+    that many admissions.  ``reference`` runs the read-back-per-batch
+    service instead."""
+    cfg.setdefault("procs", 2)
+    with pytest.MonkeyPatch.context() as mp:
+        if reference:
+            mp.setattr(SpMVBatcher, "execute", reference_execute, raising=False)
+            mp.setattr(SparseService, "_execute", reference_service_execute)
+        svc = SparseService(_matrix(0), tenants, ServiceConfig(**cfg))
+        svc.responses = _WriteOnce()
+        rids = []
+        for i, (tenant, x, arrival) in enumerate(traffic):
+            if i == churn_at:
+                svc.update_model(_matrix(9))
+            rids.append(svc.submit(tenant, x, arrival))
+        svc.run()
+    admitted = {rid for rid in rids if rid is not None}
+    assert set(svc.responses) == admitted
+    return svc
+
+
+def _warm_service(**cfg):
+    """A one-tenant service whose kernels and version-0/1 matrices are
+    built, so a later round launches only its SpMVs."""
+    svc = SparseService(
+        _matrix(0),
+        [TenantConfig("t")],
+        ServiceConfig(procs=2, cache_capacity=0, **cfg),
+    )
+    rng = np.random.default_rng(0)
+    for dtype in ("float64", "float32"):
+        svc.submit("t", rng.standard_normal(N).astype(dtype), 0.0)
+    svc.run()
+    svc.update_model(_matrix(9))
+    svc._shared.matrix_for(svc, 1)
+    return svc
+
+
+# ----------------------------------------------------------------------
+# Bits and timing
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("tenant_count", [1, 3])
+@pytest.mark.parametrize("max_batch", [1, 8])
+@pytest.mark.parametrize("seed", range(3))
+def test_responses_are_bitwise_the_reference(seed, max_batch, tenant_count):
+    tenants = [f"t{i}" for i in range(tenant_count)]
+    traffic = _traffic(seed, tenants, 20)
+    runs = [
+        _serve(
+            [TenantConfig(t) for t in tenants], traffic,
+            reference=reference, churn_at=10, max_batch=max_batch,
+        )
+        for reference in (False, True)
+    ]
+    change, ref = (svc.responses for svc in runs)
+    assert set(change) == set(ref)
+    for rid, resp in change.items():
+        assert resp.ok and ref[rid].ok
+        assert resp.y.dtype == ref[rid].y.dtype
+        assert resp.y.tobytes() == ref[rid].y.tobytes()
+        assert resp.arrival <= resp.start <= resp.finish
+
+
+@pytest.mark.parametrize("dtypes", [("float64",), ("float32",) * 3])
+def test_execute_is_the_reference_round_trip(dtypes):
+    """``execute`` (issue, then collect, one batch) returns the pairs
+    the verbatim round trip returns, bit for bit, and counts the same."""
+    import repro.sparse as sp
+
+    rng = np.random.default_rng(7)
+    reqs = [
+        Request(i, "t", rng.standard_normal(N).astype(d), 0.0, 0)
+        for i, d in enumerate(dtypes)
+    ]
+    outs = []
+    for run in (SpMVBatcher.execute, reference_execute):
+        rt = Runtime(summit(1).scope(ProcessorKind.GPU, 2), RuntimeConfig.legate())
+        batcher = SpMVBatcher()
+        with runtime_scope(rt):
+            matrix = sp.csr_matrix(_matrix(0))
+            (batch,) = batcher.plan(reqs)
+            pairs = run(batcher, batch, matrix, rt)
+        outs.append((
+            [(req.rid, y.dtype, y.tobytes()) for req, y in pairs],
+            batcher.batches_executed, rt.profiler.spmv_batches,
+        ))
+    assert outs[0] == outs[1]
+
+
+# ----------------------------------------------------------------------
+# One launch per round
+# ----------------------------------------------------------------------
+def test_a_round_of_unbatchable_singletons_is_one_launch():
+    """Two versions by two dtypes: four batches of one, no two of which
+    may stack, fuse into one launch and finish together."""
+    svc = _warm_service()
+    rt = svc.runtime
+    rng = np.random.default_rng(1)
+    rids = [
+        svc.scheduler.admit(
+            "t", rng.standard_normal(N).astype(dtype), 1e-3, version
+        ).rid
+        for version in (0, 1)
+        for dtype in ("float64", "float32")
+    ]
+    launched, fused = rt.profiler.tasks_launched, rt.profiler.tasks_fused_away
+    svc.run()
+    assert rt.profiler.tasks_launched - launched == 1
+    assert rt.profiler.tasks_fused_away - fused == len(rids) - 1
+    finishes = {svc.responses[rid].finish for rid in rids}
+    assert finishes == {rt.elapsed()}
+    assert all(svc.responses[rid].batch_width == 1 for rid in rids)
+
+
+def test_stats_launches_are_the_runtimes_launches():
+    """``ServeStats.launches`` counts what the domains ran, fused
+    rounds, cache hits and an isolated domain included."""
+    chaos = ChaosConfig(seed=3, copy_fault_rate=0.3)
+    tenants = [TenantConfig("t0"), TenantConfig("t1"), TenantConfig("iso", chaos=chaos)]
+    traffic = _traffic(4, ["t0", "t1", "iso"], 24)
+    svc = _serve(tenants, traffic, max_batch=1)
+    tenant, x, _ = traffic[0]
+    svc.submit(tenant, x, 1.0)  # a repeat: answered from the cache
+    svc.run()
+    ran = sum(d.runtime.profiler.tasks_launched for d in svc._domains.values())
+    assert svc.stats().launches == ran
+    assert svc.stats().cache.hits >= 1
+
+
+# ----------------------------------------------------------------------
+# The clock
+# ----------------------------------------------------------------------
+def test_no_barrier_before_the_last_batch_is_issued(monkeypatch):
+    svc = _warm_service(max_batch=2)
+    events: List[str] = []
+    barrier, issue = Runtime.barrier, SpMVBatcher.issue
+
+    def logged_barrier(self):
+        events.append("barrier")
+        return barrier(self)
+
+    def logged_issue(self, *args):
+        events.append("issue")
+        return issue(self, *args)
+
+    monkeypatch.setattr(Runtime, "barrier", logged_barrier)
+    monkeypatch.setattr(SpMVBatcher, "issue", logged_issue)
+    rng = np.random.default_rng(2)
+    for dtype in ("float64", "float64", "float64", "float32"):
+        svc.submit("t", rng.standard_normal(N).astype(dtype), 1e-3)
+    svc.run()
+    assert events.count("issue") == 3  # widths 2, 1 and 1
+    last_issue = len(events) - 1 - events[::-1].index("issue")
+    assert "barrier" not in events[:last_issue]
+    assert events.count("barrier") == 3  # one read-back per batch
+
+
+# ----------------------------------------------------------------------
+# Faults and isolation
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("rate", [0.0, 0.3, 0.8])
+def test_isolated_tenant_matches_the_reference(rate):
+    """Each isolated batch is its own request program, as before: the
+    chaos tenant's responses are the reference's, field for field.
+
+    An isolated batch starts no earlier than the service clock, which
+    the shared domain's rounds advance.  The plain tenant sends float64
+    only, so each of its rounds is one batch and the service clock is
+    the reference's; the isolated tenant mixes dtypes, so its rounds
+    hold several batches."""
+    rng = np.random.default_rng(5)
+    traffic = []
+    for i in range(40):
+        plain = i % 2 == 0
+        dtype = "float32" if not plain and rng.random() < 0.5 else "float64"
+        x = rng.standard_normal(N).astype(dtype)
+        traffic.append(("plain" if plain else "iso", x, 2.5e-4 * (i // 8)))
+    runs = []
+    for reference in (False, True):
+        tenants = [
+            TenantConfig("plain"),
+            TenantConfig(
+                "iso", chaos=ChaosConfig(seed=3, copy_fault_rate=rate)
+            ),
+        ]
+        runs.append(_serve(tenants, traffic, reference=reference))
+    change, ref = (svc.responses for svc in runs)
+    assert set(change) == set(ref)
+    iso = [rid for rid, resp in ref.items() if resp.tenant == "iso"]
+    assert iso
+    for rid in iso:
+        a, b = change[rid], ref[rid]
+        assert (a.ok, a.start, a.finish, a.error) == (
+            b.ok, b.start, b.finish, b.error
+        )
+        assert (a.y is None) == (b.y is None)
+        if a.y is not None:
+            assert a.y.tobytes() == b.y.tobytes()
+    if rate == 0.8:
+        assert any(not ref[rid].ok for rid in iso)
+
+
+def test_a_fault_fails_every_batch_of_the_shared_round(monkeypatch):
+    """A fault raised while a round issues fails every batch of the
+    round, the ones planned after it included, once each."""
+    svc = _warm_service(max_batch=1)
+    svc.responses = _WriteOnce()
+    issue = SpMVBatcher.issue
+    calls = []
+
+    def failing_issue(self, batch, matrix, runtime):
+        calls.append(batch)
+        if len(calls) == 2:
+            raise FaultError("injected")
+        return issue(self, batch, matrix, runtime)
+
+    monkeypatch.setattr(SpMVBatcher, "issue", failing_issue)
+    rng = np.random.default_rng(3)
+    rids = [
+        svc.submit("t", rng.standard_normal(N), 1e-3) for _ in range(4)
+    ]
+    svc.run()
+    assert len(calls) == 2
+    for rid in rids:
+        resp = svc.responses[rid]
+        assert not resp.ok and resp.error == "injected"
+        assert resp.arrival <= resp.start <= resp.finish
+
+
+def test_validated_run_is_checker_clean():
+    chaos = ChaosConfig(seed=3, copy_fault_rate=0.3)
+    tenants = [TenantConfig("t0"), TenantConfig("t1"), TenantConfig("iso", chaos=chaos)]
+    svc = _serve(
+        tenants, _traffic(6, ["t0", "t1", "iso"], 24), churn_at=12,
+        validate=True,
+    )
+    for domain in svc._domains.values():
+        log = domain.runtime.event_log
+        assert log is not None and len(log) > 0
+        assert check_log(log) == []
