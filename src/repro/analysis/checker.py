@@ -10,12 +10,15 @@ Happens-before rules
 * **Program order** — launches are issued sequentially (the frontend is
   a sequential Python program), so accesses in *different* launches are
   ordered by launch id.
-* **Intra-launch concurrency** — shards (colors) of one launch execute
-  logically in parallel: there is *no* edge between them.  Two shards of
-  the same launch touching overlapping rectangles of the same region
-  with conflicting privileges (at least one writes, and they are not
-  both REDUCE folds) race — this is what a bad mapper, a bad explicit
-  partition or a lost image constraint produces.
+* **Intra-launch concurrency** — shards (colors) of one launch phase
+  execute logically in parallel: there is *no* edge between them.  Two
+  shards of the same phase touching overlapping rectangles of the same
+  region with conflicting privileges (at least one writes, and they are
+  not both REDUCE folds) race — this is what a bad mapper, a bad
+  explicit partition or a lost image constraint produces.  A launch has
+  one phase, unless it is a fused task with members that reduce into a
+  region: those run in a *trailing phase*, after every shard of the
+  first, so the phases are ordered like two launches.
 * **Copy edges** — program order alone does not move data: a read in
   memory ``M`` of a rect written elsewhere is only justified by copy
   events delivering those bytes into ``M``.  The checker replays the
@@ -101,8 +104,10 @@ def check_log(log: EventLog, max_violations: int = 100) -> List[Violation]:
     violations: List[Violation] = []
     states: Dict[int, _RegionState] = {}
     names: Dict[int, str] = {}
-    # launch id -> per-region accesses seen so far: (color, req)
-    launches: Dict[int, Dict[int, List[Tuple[int, ReqAccess]]]] = {}
+    # (launch id, phase) -> per-region accesses seen so far: (color, req)
+    launches: Dict[
+        Tuple[int, int], Dict[int, List[Tuple[int, ReqAccess]]]
+    ] = {}
 
     def state(region: int) -> _RegionState:
         st = states.get(region)
@@ -137,7 +142,7 @@ def check_log(log: EventLog, max_violations: int = 100) -> List[Violation]:
                 )
             st.mark_copied(ev.dst_memory, ev.rect)
         elif isinstance(ev, ShardEvent):
-            per_region = launches.setdefault(ev.launch, {})
+            per_region = launches.setdefault((ev.launch, ev.phase), {})
             for req in ev.reqs:
                 if req.rect.is_empty():
                     continue

@@ -48,8 +48,8 @@ Legality rules (all must hold for merge-safe):
     the planner aligns a group per region, and :func:`classify` splits
     it into *segments* (:func:`repro.legion.fusion.segments`): by
     boundary set between barriers, each barrier -- a member reaching a
-    region through an image -- alone.  It applies rules 1-3, 5 and 6
-    to each segment on its own and reports them on
+    region through an image, or reducing into one -- alone.  It applies
+    rules 1-3, 5 and 6 to each segment on its own and reports them on
     :attr:`Verdict.segments`; a barrier without body IR is
     ``opaque-kernel``.  Segments share no written region, so each
     merge-safe one becomes a nest of its own and the fused kernel runs

@@ -80,6 +80,11 @@ class ShardEvent:
     in the original (pre-fault) execution — the checker exempts them
     from the stale-read rule, since a value consumed before the fault
     and then overwritten may legitimately no longer exist anywhere.
+
+    ``phase`` 1 marks a fused task's *trailing phase*: the accesses of
+    its members that reduce into a region, whose kernels run after the
+    task's last shard (the interval is still the shard's, which the
+    model charges).  Phase 0 holds everything else.
     """
 
     seq: int
@@ -92,6 +97,7 @@ class ShardEvent:
     start: float
     finish: float
     replay: bool = False
+    phase: int = 0
     kind: str = "shard"
 
 
@@ -224,12 +230,13 @@ class EventLog:
         start: float,
         finish: float,
         replay: bool = False,
+        phase: int = 0,
     ) -> None:
         """Record one executed shard with its region accesses."""
         self.events.append(
             ShardEvent(
                 self._next(), launch, name, color, proc, memory,
-                tuple(reqs), start, finish, replay,
+                tuple(reqs), start, finish, replay, phase,
             )
         )
 
@@ -350,7 +357,7 @@ def _event_to_json(ev) -> dict:
             "name": ev.name, "colors": ev.colors,
         }
     if isinstance(ev, ShardEvent):
-        return {
+        out = {
             "kind": "shard", "seq": ev.seq, "launch": ev.launch,
             "name": ev.name, "color": ev.color, "proc": ev.proc,
             "memory": ev.memory, "start": ev.start, "finish": ev.finish,
@@ -365,6 +372,9 @@ def _event_to_json(ev) -> dict:
                 for r in ev.reqs
             ],
         }
+        if ev.phase:
+            out["phase"] = ev.phase
+        return out
     if isinstance(ev, CopyEvent):
         return {
             "kind": "copy", "seq": ev.seq, "region": ev.region,
@@ -419,7 +429,7 @@ def _event_from_json(obj: dict):
         return ShardEvent(
             obj["seq"], obj["launch"], obj["name"], obj["color"],
             obj["proc"], obj["memory"], reqs, obj["start"], obj["finish"],
-            obj.get("replay", False),
+            obj.get("replay", False), obj.get("phase", 0),
         )
     if kind == "copy":
         return CopyEvent(

@@ -255,19 +255,19 @@ class AutoTask:
         if self.runtime.config.validate:
             self._check_write_disjointness(solution)
         requirements = []
-        fold_partition = None
         for name, store, privilege in self._args:
-            partition = solution[store.region.uid]
+            owner = None
+            if privilege == Privilege.REDUCE:
+                # Contributions fold onto the store's key tiling.
+                owner = store.key_partition
+                if not isinstance(owner, Tiling) or owner.color_count != colors:
+                    owner = Tiling.create(store.region, colors)
             requirements.append(
-                Requirement(name, store.region, partition, privilege)
+                Requirement(
+                    name, store.region, solution[store.region.uid], privilege,
+                    owner=owner,
+                )
             )
-            if privilege == Privilege.REDUCE and fold_partition is None:
-                if isinstance(store.key_partition, Tiling) and (
-                    store.key_partition.color_count == colors
-                ):
-                    fold_partition = store.key_partition
-                else:
-                    fold_partition = Tiling.create(store.region, colors)
 
         launch = TaskLaunch(
             name=self.name,
@@ -276,18 +276,14 @@ class AutoTask:
             cost_fn=self.cost_fn,
             scalars=self._scalars,
             reduction=self._scalar_reduction,
-            fold_partition=fold_partition,
             pointwise=self._pointwise,
             template=template,
         )
         result = self.runtime.launch(launch)
 
-        for _name, store, privilege in self._args:
-            if not privilege.writes:
-                continue
-            partition = solution[store.region.uid]
+        for (_name, store, privilege), req in zip(self._args, requirements):
             if privilege == Privilege.REDUCE:
-                store.set_key_partition(fold_partition)
-            elif isinstance(partition, Tiling):
-                store.set_key_partition(partition)
+                store.set_key_partition(req.owner)
+            elif privilege.writes and isinstance(req.partition, Tiling):
+                store.set_key_partition(req.partition)
         return result

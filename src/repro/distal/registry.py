@@ -75,8 +75,9 @@ def launch(
 
     A generated kernel reads and writes only its shard's tile and image
     rects, so it declares itself window-eligible (an opaque kernel: its
-    body never merges into a nest).  The window still refuses it when
-    it reduces into a region (REDUCE) or writes through an aliased
+    body never merges into a nest).  One that reduces into a region
+    (REDUCE) joins too, and its fused group runs it after the last
+    shard; the window still refuses a write through an aliased
     partition.
     """
     task = AutoTask(runtime, spec.name, spec.kernel, spec.cost)

@@ -18,14 +18,15 @@ Legality rules (checked structurally, per window):
    declares that its kernel touches nothing outside its requirements'
    rects: element-wise launches, scalar reductions over read-only
    tilings (``numeric.reductions``), every generated kernel
-   (``distal.registry.launch``), row expansion and row gathers.  It
-   enters the window.  Any other launch runs at once, ordered against
-   the window by a *hazard test* (``Runtime.pass_window``): the window
-   is flushed first only if the launch touches a region a member
-   writes, writes (REDUCE included) a region a member touches, or
-   takes a scalar a member reduction still owes.  Otherwise it
-   *passes*: it runs ahead of the members, which stay deferred --
-   independent launches reordered, so no value moves.
+   (``distal.registry.launch``, REDUCE ones included), row expansion
+   and row gathers.  It enters the window.  Any other launch -- a
+   slice write, a random draw, ``scatter_add``, a raw launch -- runs
+   at once, ordered against the window by a *hazard test*
+   (``Runtime.pass_window``): the window is flushed first only if the
+   launch touches a region a member writes or reduces into, writes a
+   region a member touches, or takes a scalar a member reduction still
+   owes.  Otherwise it *passes*: it runs ahead of the members, which
+   stay deferred -- independent launches reordered, so no value moves.
 2. *One dependence rule, per region* (Diffuse's).  The fused kernel
    runs shard by shard, so shard *i* of a later member runs before
    shard *j > i* of an earlier one.  Every member of a group has the
@@ -36,23 +37,36 @@ Legality rules (checked structurally, per window):
    *i* of each member depends only on shard *i* of the others.  A
    region no member writes may be read through anything: tiles,
    replicas, aliased halo images.  A launch whose write goes through
-   an aliased image or a replica never joins the window.
+   an aliased image or a replica never joins the window (a REDUCE is
+   not such a write: rule 4).
 3. *Segments.*  An *aligned* member (tiles and replicas only) also
    keeps one tile boundary set: its own tiled requirements agree, and
    so does each tiled region it shares with the group's other aligned
    members.  Aligned members over one boundary set form a *segment*
    (:func:`segments`), the unit a generated nest merges.  A member that
-   reaches a region through an image or an explicit partition is a
-   segment of its own and a *barrier*: segments run in order of first
-   member between barriers, never across one.  Two segments between
-   barriers share no written region (its one partition would make them
-   one segment), so that reordering moves only independent launches.
-4. No REDUCE privileges (folds have cross-shard structure).  Scalar
-   reductions have none: a group's shards return one partial per member
+   reaches a region through an image or an explicit partition, or
+   reduces into one, is a segment of its own and a *barrier*: segments
+   run in order of first member between barriers, never across one.
+   Two segments between barriers share no written region (its one
+   partition would make them one segment), so that reordering moves
+   only independent launches.
+4. *Region REDUCE members run at group end.*  A launch that reduces
+   into a region through a tiling or any image (disjoint or aliased)
+   joins the window as a barrier segment, but its kernel, which adds
+   straight into the region's array, does not run in its shard: each
+   shard queues it, and the runtime runs the queue after the group's
+   last shard, in color order, then folds onto each requirement's
+   owner tiling -- so every addition lands on what the earlier members
+   wrote, in the eager order.  Hence no later member of the group may
+   touch a region a member reduces into (its readers go to a later
+   group), nor write a region a REDUCE member reads.  A launch that
+   also has a scalar reduction, or reduces through a replica or an
+   explicit partition, stays out of the window.  Scalar reductions
+   fold differently: a group's shards return one partial per member
    reduction, and the runtime folds each value on its own, by its own
    op, in color order -- the value the launch run alone would give --
-   over ONE allreduce tree for the group.  A reduction joins only over
-   read-only tiles.
+   over ONE allreduce tree for the group.  A scalar reduction joins
+   only over read-only tiles.
 5. *The reduction constraint.*  A reduction in the window hands out a
    pending future.  A launch that takes such a future as a scalar --
    directly or through lazy ``Future.combine``/``map`` arithmetic; its
@@ -135,8 +149,9 @@ class LaunchSummary:
     # Window positions of the reductions whose pending futures the
     # launch takes as scalars (directly or through lazy arithmetic).
     after: Tuple[int, ...] = ()
-    # Reaches a region through an image or explicit partition: a
-    # segment of its own, which no segment is reordered across.
+    # Reaches a region through an image or explicit partition, or
+    # reduces into one: a segment of its own, which no segment is
+    # reordered across.
     barrier: bool = False
 
 
@@ -163,13 +178,12 @@ def summarize(
     """Summarize a launch from ``(req_name, region, partition,
     privilege)`` tuples."""
     out: List[Access] = []
-    # A reduction is admitted over read-only tiles alone, a write
-    # through a disjoint tiling or image alone.
+    # A scalar reduction is admitted over read-only tiles alone, a write
+    # through a disjoint tiling or image alone, a REDUCE through a tiling
+    # or any image (rule 4).
     reducing = reduction is not None
     ok = pointwise is not None
     for req_name, region, partition, privilege in accesses:
-        if privilege is Privilege.REDUCE:
-            ok = False
         if isinstance(partition, Tiling):
             kind, boundaries = "tile", partition.boundaries
             if reducing and privilege.writes:
@@ -182,11 +196,15 @@ def summarize(
             boundaries = derivation(partition)
             kind = "other" if boundaries is None else "image"
             if reducing or (privilege.writes and (
-                kind == "other" or not partition.is_disjoint()
+                kind == "other"
+                or not (privilege is Privilege.REDUCE or partition.is_disjoint())
             )):
                 ok = False
         out.append(Access(region, kind, boundaries, privilege, req_name))
-    barrier = any(acc.part_kind in ("image", "other") for acc in out)
+    barrier = any(
+        acc.part_kind in ("image", "other") or acc.privilege is Privilege.REDUCE
+        for acc in out
+    )
     return LaunchSummary(
         name, int(colors), ok, tuple(out), pointwise, reduction, after, barrier
     )
@@ -240,6 +258,10 @@ class _GroupState:
         # group reaches it through (rule 2).
         self.parts: Dict[int, set] = {}
         self.written: set = set()  # local region ids written in group
+        # Rule 4: local region ids a member reduces into, and those a
+        # reducing member reads -- both at the group's end.
+        self.reduced: set = set()
+        self.reduce_reads: set = set()
 
     def admits(self, summary: LaunchSummary, ids: Dict[int, int]) -> bool:
         if self.sealed:
@@ -250,6 +272,12 @@ class _GroupState:
         own = None  # the one boundary set of an aligned launch's tiles
         for acc in summary.accesses:
             lid = ids[acc.region.uid]
+            if lid in self.reduced or (
+                acc.privilege.writes and lid in self.reduce_reads
+            ):
+                return False
+            if acc.privilege is Privilege.REDUCE:
+                continue
             if aligned and acc.part_kind == "tile":
                 if own is None:
                     own = acc.boundaries
@@ -264,8 +292,17 @@ class _GroupState:
     def add(self, index: int, summary: LaunchSummary, ids: Dict[int, int]) -> None:
         self.indices.append(index)
         self.colors = summary.colors
+        reduces = any(
+            acc.privilege is Privilege.REDUCE for acc in summary.accesses
+        )
         for acc in summary.accesses:
             lid = ids[acc.region.uid]
+            if acc.privilege is Privilege.REDUCE:
+                self.reduced.add(lid)
+                self.written.add(lid)
+                continue
+            if reduces:
+                self.reduce_reads.add(lid)
             if not summary.barrier and acc.part_kind == "tile":
                 self.boundaries[lid] = acc.boundaries
             self.parts.setdefault(lid, set()).add(
@@ -476,12 +513,14 @@ def fuse(
     scalars: Dict[str, object] = {}
     position = 0
     for i, task in enumerate(group):
+        trailing = _reduces(task)
         for req in task.requirements:
             requirements.append(
                 Requirement(
                     f"{i}.{req.name}", req.region, req.partition,
                     req.privilege, elide=req.region.uid in elide_uids,
-                    produced=position in produced,
+                    produced=position in produced, owner=req.owner,
+                    trailing=trailing,
                 )
             )
             position += 1
@@ -509,16 +548,24 @@ def fuse(
     )
 
 
+def _reduces(task: TaskLaunch) -> bool:
+    """Whether a launch reduces into a region (rule 4)."""
+    return any(req.privilege is Privilege.REDUCE for req in task.requirements)
+
+
 def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
     """The (kernel, cost) pair that replays the sub-launches at
     ``positions`` in issue order, each on a :class:`ShardContext` under
-    its own names."""
+    its own names.  A member that reduces into a region is not run: the
+    shard queues it, on a copy of its sub-context, on the context's
+    ``trailing`` list, which the runtime runs after the last shard."""
     subs = [
         (
             task,
             [(req.name, f"{i}.{req.name}") for req in task.requirements],
             [(key, f"{i}.{key}") for key in task.scalars],
             {req.name: req.privilege for req in task.requirements},
+            _reduces(task),
         )
         for i, task in ((i, group[i]) for i in positions)
     ]
@@ -527,7 +574,8 @@ def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
     # same ``ctx.scalars`` dict), and the runtime costs a shard, then
     # runs it, on one context: each member keeps one sub-context per
     # execution, pointed at a shard's color and rects once per shard.
-    state: list = [None, None, []]  # ctx.scalars, ctx, [(task, names, sub)]
+    # ctx.scalars, ctx, [(task, names, sub, late)]
+    state: list = [None, None, []]
 
     def sub_contexts(ctx: ShardContext) -> list:
         made = state[2]
@@ -541,13 +589,13 @@ def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
                     {own: arrays[m] for own, m in names}, {},
                     {own: values[m] for own, m in keys},
                     ctx.config, privileges,
-                ))
-                for task, names, keys, privileges in subs
+                ), late)
+                for task, names, keys, privileges, late in subs
             ]
             state[0] = values
         state[1] = ctx
         color, rects = ctx.color, ctx.rects
-        for _task, names, sub in made:
+        for _task, names, sub, _late in made:
             sub.color = color
             own_rects = sub.rects
             for own, m in names:
@@ -556,7 +604,13 @@ def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
 
     def kernel(ctx: ShardContext) -> list:
         partials = []
-        for task, _names, sub in sub_contexts(ctx):
+        for task, _names, sub, late in sub_contexts(ctx):
+            if late:
+                ctx.trailing.append((task.kernel, ShardContext(
+                    sub.color, sub.colors, sub.arrays, dict(sub.rects),
+                    sub.scalars, sub.config, sub.privileges,
+                )))
+                continue
             partial = task.kernel(sub)
             if task.reduction is not None:
                 partials.append(partial)
@@ -565,7 +619,7 @@ def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
     def cost(ctx: ShardContext) -> tuple:
         flops = 0.0
         nbytes = 0.0
-        for task, _names, sub in sub_contexts(ctx):
+        for task, _names, sub, _late in sub_contexts(ctx):
             f, b = task.cost_fn(sub)
             flops += float(f)
             nbytes += float(b)

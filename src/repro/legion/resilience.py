@@ -134,7 +134,7 @@ def journal_write_coverage(
                 continue
             rs = coverage.setdefault(req.region.uid, RectSet())
             if req.privilege == Privilege.REDUCE:
-                owner = task.fold_partition or Tiling.create(
+                owner = req.owner or Tiling.create(
                     req.region, task.color_count
                 )
                 colors = owner.color_count

@@ -272,6 +272,7 @@ class _LaunchShape:
 
     __slots__ = (
         "shapes", "privileges", "writers", "eligible", "validate", "images",
+        "trailing",
     )
 
     def __init__(
@@ -300,6 +301,8 @@ class _LaunchShape:
             (i, req.partition.tables()) for i, req in enumerate(reqs)
             if type(req.partition) in _IMAGES
         )
+        # The requirements of a fused task's trailing phase.
+        self.trailing = tuple(i for i, req in enumerate(reqs) if req.trailing)
 
     def fits(self, task: TaskLaunch) -> bool:
         """Whether the launch's images are the ones this shape holds."""
@@ -884,9 +887,11 @@ class Runtime:
 
         Fusible launches -- those whose ``Pointwise`` marker says the
         kernel touches only its requirements' rects, see
-        :func:`repro.legion.fusion.fusible` -- enter the deferred
-        window, where the planner orders them against the members by
-        its per-region rule.  Any other launch executes at once, after
+        :func:`repro.legion.fusion.fusible`, REDUCE included -- enter
+        the deferred window, where the planner orders them against the
+        members by its per-region rule (a fused group runs a member
+        that reduces into a region after its last shard).  Any other
+        launch executes at once, after
         :meth:`pass_window` has ordered it against the window: flushed
         first if the two are dependent, left deferred behind the launch
         if not.  A reduction issued into the window returns a *pending*
@@ -974,9 +979,10 @@ class Runtime:
         *hazard* the window is flushed, so its members run first, as
         issued:
 
-        * the launch touches a region a member writes (RAW, WAW);
-        * it writes -- REDUCE included -- a region a member touches
-          (WAR, WAW);
+        * the launch touches a region a member writes or reduces into
+          (RAW, WAW);
+        * it writes -- REDUCE included, as ``scatter_add`` does -- a
+          region a member touches (WAR, WAW);
         * it takes a scalar that derives from a reduction still pending
           in the window.
 
@@ -1259,6 +1265,11 @@ class Runtime:
             }
         map_s = 0.0
         event_s = 0.0
+        # A fused task's trailing phase: the kernels its shards queue
+        # (only when kernels run) and, for the event log, where each
+        # shard ran.
+        trailing = [] if run_kernel and shape.trailing else None
+        trailing_shards: List[Tuple[int, int, int, float, float]] = []
 
         # Requirement-major mapping: everything a requirement needs that
         # does not depend on the color is resolved once, here; the color
@@ -1275,6 +1286,13 @@ class Runtime:
         write_rows = [
             rows[i] for i in shape.writers if not rows[i].skipped
         ]
+        if log is not None:
+            late = shape.trailing
+            logged = [
+                row for i, row in enumerate(rows)
+                if not row.skipped and i not in late
+            ]
+            late_rows = [rows[i] for i in late if not rows[i].skipped]
         # Any task write to a region invalidates cached images of it
         # (images read region data at solve time).  A journal replay
         # skips freed regions, whose epochs went with them.
@@ -1373,6 +1391,7 @@ class Runtime:
                 color, colors, arrays, rects, scalar_values, config,
                 privileges,
             )
+            ctx.trailing = trailing
             flops, nbytes = task.cost_fn(ctx)
             exec_time = proc.kernel_time(float(flops) * scale, float(nbytes) * scale)
             if pressure_slowdown != 1.0:
@@ -1428,17 +1447,13 @@ class Runtime:
             if log is not None:
                 log.record_shard(
                     launch_id, task.name, color, proc.uid, mem_uid,
-                    [
-                        ReqAccess(
-                            row.name, row.uid, row.region.name,
-                            rects[row.name], row.privilege.value,
-                            row.pieces[color] if row.reads else (),
-                        )
-                        for row in rows
-                        if not row.skipped
-                    ],
+                    [_access(row, color) for row in logged],
                     start, finish, replay=replay,
                 )
+                if late_rows:
+                    trailing_shards.append(
+                        (color, proc.uid, mem_uid, start, finish)
+                    )
 
         pending_map = self._pending_writes
         if pending_map is not None:
@@ -1457,6 +1472,18 @@ class Runtime:
             self.profiler.record_host_phase("mapping", map_s)
         if event_s:
             self.profiler.record_host_phase("event-advance", event_s)
+
+        # The trailing phase: after every shard wrote, so each queued
+        # REDUCE adds into final contents, in color order.
+        if trailing:
+            for kernel, sub in trailing:
+                kernel(sub)
+        for color, proc_uid, mem_uid, start, finish in trailing_shards:
+            log.record_shard(
+                launch_id, task.name, color, proc_uid, mem_uid,
+                [_access(row, color) for row in late_rows],
+                start, finish, replay=replay, phase=1,
+            )
 
         for req in task.requirements:
             if req.name in reduce_writes:
@@ -2009,7 +2036,7 @@ class Runtime:
         launch_id: int = 0,
     ) -> None:
         """Fold per-shard REDUCE contributions onto owner tiles."""
-        owner = task.fold_partition or Tiling.create(req.region, colors)
+        owner = req.owner or Tiling.create(req.region, colors)
         coh = self.coherence(req.region)
         procs = self.scope.processors
         # The fold loop reads no coherence, and a Tiling owner covers
@@ -2175,6 +2202,14 @@ class Runtime:
                 pointwise=pointwise,
             )
         )
+
+
+def _access(row: _PlanRow, color: int) -> ReqAccess:
+    """The event-log record of one shard's access to one requirement."""
+    return ReqAccess(
+        row.name, row.uid, row.region.name, row.rects[color],
+        row.privilege.value, row.pieces[color] if row.reads else (),
+    )
 
 
 def _fold(op: str, partials: List[Any]):

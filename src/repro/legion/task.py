@@ -73,6 +73,15 @@ class Requirement:
     # the fused task writes: each shard produces them in place before
     # reading, so the runtime stages nothing for the read.
     produced: bool = False
+    # REDUCE only: the tiling whose tiles the shards' contributions fold
+    # onto (the output store's key tiling); None folds onto an even
+    # tiling of the region.
+    owner: Optional[Partition] = None
+    # Set by the fusion pass on every requirement of a member that
+    # reduces into a region: that member's kernel runs after the fused
+    # task's last shard (its *trailing phase*), so no shard's write can
+    # land on rows it already reduced into.
+    trailing: bool = False
 
 
 class ShardContext:
@@ -80,6 +89,7 @@ class ShardContext:
 
     __slots__ = (
         "color", "colors", "arrays", "rects", "scalars", "config", "privileges",
+        "trailing",
     )
 
     def __init__(
@@ -99,6 +109,9 @@ class ShardContext:
         self.scalars = scalars
         self.config = config
         self.privileges = privileges or {}
+        # A fused task's trailing phase: ``(kernel, context)`` pairs its
+        # shards queue for the runtime to run after the last one.
+        self.trailing: Optional[list] = None
 
     def view(self, name: str) -> np.ndarray:
         """The shard's slice of a region (global array, shard rect).
@@ -169,9 +182,6 @@ class TaskLaunch:
     # A fused group (repro.legion.fusion.fuse) carries one op per member
     # reduction, as a tuple; its kernel returns as many partials.
     reduction: Optional[Any] = None
-    # Owner partition used to fold REDUCE-privilege outputs; defaults to
-    # an even tiling of the output region.
-    fold_partition: Optional[Partition] = None
     # Rect-local marker: set on launches eligible for the deferred
     # fusion window (repro.legion.fusion); None means execute eagerly.
     pointwise: Optional[Pointwise] = None

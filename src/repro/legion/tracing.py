@@ -118,15 +118,19 @@ def launch_fingerprint(
             geometry = ("rects", tuple(part._rects))
         else:
             return None
+        owner = req.owner
+        if owner is not None:
+            # Where a REDUCE folds: part of what the launch does.
+            geometry = (
+                geometry, getattr(owner, "boundaries", owner.color_count)
+            )
         rows.append(
             (req.name, req.privilege, lid, region.shape, region.dtype, geometry)
         )
-    fold = task.fold_partition
     return (
         task.name,
         task.pointwise,
         task.reduction,
-        None if fold is None else getattr(fold, "boundaries", fold.color_count),
         tuple(rows),
     )
 

@@ -244,10 +244,10 @@ def test_report_counts_window_passes_and_hazard_flushes():
         A = sp.csr_matrix(tridiag(256))
         x = rnp.ones(256)
         u = rnp.ones(64)
-        y = A.T @ x                 # reduces from the x the window owes: a flush
+        x[0:4] = 2.0                # writes the x the window owes: a flush
         v = u * 2.0                 # deferred ...
-        y[0:4] = 3.0                # ... and passed by an independent write
-        return v + 1.0, y
+        x[4:8] = 3.0                # ... and passed by an independent write
+        return v + 1.0, A @ x
 
     advice = advise(workload, machine=summit(nodes=1), procs=2)
     assert (advice.launches_passed, advice.hazard_flushes) == (1, 1)

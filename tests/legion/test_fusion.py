@@ -354,12 +354,13 @@ class TestWindowMechanics:
         assert len(rt._window) >= 1  # the remainder is still deferred
 
     def test_nonfusible_launch_flushes_first(self, rt):
-        A = sp.eye(32, format="csr")
         x = rnp.ones(32)
-        y = A.T @ x  # REDUCE from the x the window still owes: flushes, then runs
+        x[2:5] = 7.0  # a slice write into the x the window owes: flushes, then runs
         assert any("fill" in names for names, _, _ in rt.fusion_log)
         assert rt.profiler.hazard_flushes == 1
-        np.testing.assert_array_equal(y.to_numpy(), np.ones(32))
+        want = np.ones(32)
+        want[2:5] = 7.0
+        np.testing.assert_array_equal(x.to_numpy(), want)
 
     def test_independent_launch_passes_the_window(self, rt):
         x = rnp.array(np.arange(32.0))
@@ -443,12 +444,17 @@ class TestWindowMechanics:
         assert rt._window == [] and rt.profiler.hazard_flushes == 1
         np.testing.assert_array_equal(b.to_numpy(), np.arange(16.0) + 1.0)
 
-    def test_a_reduce_into_a_deferred_fill_flushes(self, rt):
+    def test_a_reduce_into_a_deferred_fill_joins_its_group(self, rt):
+        """Column sums: the REDUCE joins the zero fill it adds into and
+        runs after the group's last shard, so nothing flushes."""
         A = sp.eye(16, format="csr")
         rt.barrier()
         sums = A.sum(axis=0)        # zero fill (deferred), then a REDUCE
-        assert rt.profiler.hazard_flushes == 1
+        colsum = "csr:y(j)=A(i,j):gpu"
+        assert [t.name for t in rt._window] == ["fill", colsum]
         np.testing.assert_array_equal(sums.to_numpy(), np.ones(16))
+        assert rt.fusion_log[-1][0] == ("fill", colsum)
+        assert rt.profiler.hazard_flushes == 0
 
     def test_a_scalar_the_window_owes_flushes(self, rt):
         a = rnp.array(np.arange(16.0))

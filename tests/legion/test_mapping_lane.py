@@ -823,19 +823,22 @@ def _journaled(program, loss_at):
 
 
 def test_warm_train_batch_launch_count():
-    """8 launches where there were 18, then 13, then 9: the sampled
-    U·Vᵀ reads only the pattern, so with no ones fill to wait for it
-    joins the expansion; both gathers join the four-op prediction chain,
-    the SpMM the fill its transpose reduces into, and the row sums the
-    U, V and b_u updates; b_i's update shares the loss norm's.  (In an
-    epoch the norm's group also takes the next batch's expansion and
-    sampled product, 7 a batch; the barrier here closes it.)"""
+    """7 launches where there were 18, then 13, 9 and 8: the sampled
+    U·Vᵀ reads only the pattern, so it joins the expansion; both gathers
+    join the four-op prediction chain.  The transposed SpMM and the
+    column sums reduce into fills the window owes, and now join those
+    fills' groups, applied after the last shard: the SpMM, its fill,
+    its transpose and the U update are one launch; two ops of the V
+    update fill the 16-launch window; the rest of it, the row sums, the
+    b_u update, the fill and the column sums are one more; b_i's update
+    shares the loss norm's.  (In an epoch the norm's group also takes
+    the next batch's expansion and sampled product, 6 a batch; the
+    barrier here closes it.)"""
     _, _, delta, _ = _train()
-    assert delta.tasks_launched <= 8
-    # Flushed before the first gather's solve (its image reads the rows
-    # the expansion still owes) and by the transposed SpMM and the column
-    # sums, which reduce into fills the window owes; nothing passes it.
-    assert (delta.launches_passed, delta.hazard_flushes) == (0, 3)
+    assert delta.tasks_launched <= 7
+    # Flushed only before the first gather's solve (its image reads the
+    # rows the expansion still owes); nothing passes it.
+    assert (delta.launches_passed, delta.hazard_flushes) == (0, 1)
 
 
 def test_gpu_loss_mid_batch_replays_fused_sparse_groups():
@@ -847,6 +850,12 @@ def test_gpu_loss_mid_batch_replays_fused_sparse_groups():
     assert delta.tasks_reexecuted == len(journal) > 0
     assert any(
         name.startswith("fused{6}:gather_rows+add+gather_rows")
+        for name in journal
+    )
+    # The replayed journal holds a group whose REDUCE member (the
+    # transposed SpMM) ran after its shards; replay re-folds it.
+    assert any(
+        name.startswith("fused{") and "csr:Y(j,k)=A(i,j)*X(i,k)" in name
         for name in journal
     )
     assert recovered == fault_free

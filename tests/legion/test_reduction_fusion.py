@@ -1,14 +1,16 @@
-"""Scalar reductions in the deferred window: bit-for-bit the eager path.
+"""Reductions in the deferred window: bit-for-bit the eager path.
 
 A reduction over read-only aligned tiles is a window member
 (:mod:`repro.legion.fusion`): it returns a pending future, joins or
-hoists into a fused group, and shares that group's one allreduce.  The
-contract is differential -- every future and every array of a program
-run with ``fusion=True`` is *bitwise* what ``fusion=False`` produces --
-and is checked here on seeded random programs (which also hold
-launches that never join the window: they pass it or flush it, see
-``Runtime.pass_window``), on the named hazards, and against mutants of
-the planner and of the hazard test that each break it.
+hoists into a fused group, and shares that group's one allreduce.  A
+launch that reduces into a region joins too, and its group applies it
+after the last shard (rule 4).  The contract is differential -- every
+future and every array of a program run with ``fusion=True`` is
+*bitwise* what ``fusion=False`` produces -- and is checked here on
+seeded random programs (which also hold launches that never join the
+window: they pass it or flush it, see ``Runtime.pass_window``), on the
+named hazards, and against mutants of the planner and of the hazard
+test that each break it.
 """
 
 import random
@@ -24,6 +26,7 @@ from repro.legion import (
     ImageByCoordinate,
     Pointwise,
     Privilege,
+    Replicate,
     Requirement,
     Runtime,
     RuntimeConfig,
@@ -32,6 +35,7 @@ from repro.legion import (
     fusion,
 )
 from repro.legion import runtime as runtime_module
+from repro.legion.partition import ExplicitPartition
 from repro.legion.runtime import get_runtime, runtime_scope
 from repro.machine import ProcessorKind, summit
 from repro.numeric.array import Scalar
@@ -89,11 +93,12 @@ def _random_program(seed: int, steps: int = 80, window_only: bool = False):
     """Run a random mix of element-wise launches, reductions, lazy
     scalar arithmetic, host waits and frees on the current runtime --
     and, between them, sparse launches over values the window computes:
-    CSR SpMV, row sums and gathers (range and coordinate images), which
+    CSR SpMV, row sums, gathers (range and coordinate images) and column
+    sums (a zero ``fill`` and a REDUCE through a column image), which
     join the window as barriers, and launches that never join it:
-    column sums (a zero ``fill`` and a REDUCE), ``scatter_add`` and
-    slice assignment into live arrays (REDUCE and WRITE after deferred
-    readers; the assigned scalar may still be pending), random draws.
+    ``scatter_add`` and slice assignment into live arrays (REDUCE and
+    WRITE after deferred readers; the assigned scalar may still be
+    pending), random draws.
     Vectors come in three lengths and may be re-keyed to an uneven
     tiling, so that windows hold passes, hazards and groups of mixed
     boundaries.
@@ -283,7 +288,7 @@ def test_random_windows_match_under_validation(seed, procs):
 
 def test_random_programs_hold_passes_hazards_and_mixed_groups():
     """What the differential test claims to cover, counted."""
-    passed = flushed = mixed = sparse = 0
+    passed = flushed = mixed = sparse = reducing = 0
     for seed in SEEDS:
         _, rt = _run(3, True, False, lambda: _random_program(seed))
         passed += rt.profiler.launches_passed
@@ -297,9 +302,14 @@ def test_random_programs_hold_passes_hazards_and_mixed_groups():
             and any(name.startswith(("csr:", "gather_rows")) for name in names)
             for names, _, _ in rt.fusion_log
         )
+        # Groups a column sum's REDUCE joined (rule 4).
+        reducing += sum(
+            len(names) > 1 and COLSUM in names for names, _, _ in rt.fusion_log
+        )
     assert passed >= 5 * len(SEEDS) and flushed >= 5 * len(SEEDS)
     assert mixed >= len(SEEDS) // 2
     assert sparse >= 5 * len(SEEDS)
+    assert reducing >= len(SEEDS)
 
 
 def test_fused_runs_issue_fewer_allreduces():
@@ -601,6 +611,160 @@ def test_sparse_programs_match_the_eager_run_bitwise(program):
         len(names) > 1 and any(name.startswith("csr:") for name in names)
         for names, _, _ in rt.fusion_log
     )
+
+
+# ----------------------------------------------------------------------
+# Region reductions in the window (rule 4)
+# ----------------------------------------------------------------------
+COLSUM = "csr:y(j)=A(i,j):gpu"
+RMATVEC = "csr:y(j)=A(i,j)*x(i):gpu"
+
+
+def _scattered(rows=97, cols=61, seed=2):
+    """A CSR whose column image aliases under every row tiling: each
+    shard's REDUCE adds into rows that other shards' tiles hold."""
+    data = np.random.default_rng(seed)
+    mask = data.random((rows, cols)) < 0.1
+    return sp.csr_matrix(data.uniform(-1.0, 1.0, (rows, cols)) * mask)
+
+
+def _colsum_into(A, y):
+    """``y += A.sum(axis=0)`` into the caller's array: the column-sum
+    kernel, so ``y``'s key tiling is the owner its folds land on."""
+    from repro.distal.formats import CSR
+    from repro.distal.registry import get_registry, launch
+
+    spec = get_registry().get("y(j)=A(i,j)", CSR, A._proc_kind())
+    stores = A._stores()
+    stores["y"] = y.store
+    launch(spec, A._runtime, stores)
+
+
+def _last_group_with(rt, name):
+    return max(k for k, names in enumerate(_groups(rt)) if name in names)
+
+
+def test_a_reader_of_a_reduced_region_runs_in_a_later_group():
+    """Fill, then a REDUCE into it through an aliasing column image,
+    then a reader: the REDUCE joins the fill's group and adds after its
+    last shard wrote; the reader waits for a later group."""
+    def program():
+        A = _scattered()
+        (x,) = _vectors(97, count=1)
+        x.runtime.barrier()
+        y = A.T @ x
+        z = y * 2.0
+        return [y.to_numpy(), z.to_numpy()]
+
+    rt = _both(program)
+    assert ("fill", RMATVEC) in _groups(rt)
+    assert _last_group_with(rt, "multiply") > _last_group_with(rt, RMATVEC)
+    assert rt.profiler.hazard_flushes == 0
+
+
+def test_a_writer_of_what_a_reduce_member_reads_runs_in_a_later_group():
+    """The REDUCE member reads ``x`` after the group's last shard, so an
+    in-place update of ``x`` may not share its group."""
+    def program():
+        A = _scattered()
+        (x,) = _vectors(97, count=1)
+        x.runtime.barrier()
+        y = A.T @ x
+        x *= 2.0
+        return [y.to_numpy(), x.to_numpy()]
+
+    rt = _both(program)
+    assert _groups(rt)[-2:] == [("fill", RMATVEC), ("multiply",)]
+
+
+def test_a_scalar_and_region_reduce_launch_runs_alone():
+    """A launch with a scalar reduction *and* a region REDUCE never joins
+    the window, nor does a REDUCE through a replica or an explicit
+    partition: it runs at once, after the window it touches flushed."""
+    from repro.constraints import AutoTask
+
+    def kernel(ctx):
+        ctx.arrays["y"][ctx.rect("y").slices()] += ctx.view("x")
+        return float(ctx.view("x").sum())
+
+    def program():
+        a, b = _vectors()
+        rt = a.runtime
+        rt.barrier()
+        y = rnp.zeros(96)           # deferred
+        c = a * 2.0                 # deferred
+        task = AutoTask(rt, "add_and_sum", kernel)
+        task.add_reduction("y", y.store)
+        task.add_input("x", b.store)
+        task.add_alignment_constraint(y.store, b.store)
+        task.set_scalar_reduction("sum")
+        task.set_pointwise("add_and_sum")
+        total = task.execute()
+        d = c + 1.0
+        return [total.value, y.to_numpy(), d.to_numpy()]
+
+    rt = _both(program)
+    assert not any("add_and_sum" in names for names in _groups(rt))
+    assert rt.profiler.hazard_flushes == 1
+
+    region = rnp.zeros(8).store.region
+    marker = Pointwise(("reduce",))
+
+    def joins(partition, reduction=None):
+        return fusion.summarize(
+            "reduce", 2, [("y", region, partition, Privilege.REDUCE)],
+            pointwise=marker, reduction=reduction,
+        ).fusible
+
+    tiles = Tiling.create(region, 2)
+    assert joins(tiles) and not joins(tiles, reduction="sum")
+    assert not joins(Replicate(region, 2))
+    assert not joins(ExplicitPartition(region, [tiles.rect(0), tiles.rect(1)]))
+
+
+def _fold_tiles(rt, uid):
+    return [e.rect for e in rt.event_log.events if e.kind == "fold" and e.region == uid]
+
+
+def test_a_reduce_member_folds_onto_its_stores_uneven_key_tiling():
+    """The fold owner is the output store's key tiling, carried by the
+    member's requirement through the fused launch."""
+    made = []
+
+    def program():
+        A = _scattered()
+        y = rnp.zeros(61)
+        store = y.store
+        store.set_key_partition(Tiling(store.region, _uneven(61, 3)))
+        made.append(store.key_partition)
+        _colsum_into(A, y)
+        return [y.to_numpy()]
+
+    rt = _both(program)
+    assert ("fill", COLSUM) in _groups(rt)
+    owner = made[0]
+    assert _fold_tiles(rt, owner.region.uid) == [owner.rect(c) for c in range(3)]
+
+
+def test_two_reduce_members_fold_onto_their_own_owners():
+    made = []
+
+    def program():
+        A, B = _scattered(seed=2), _scattered(seed=3)
+        y, w = rnp.zeros(61), rnp.zeros(61)
+        w.store.set_key_partition(Tiling(w.store.region, _uneven(61, 3)))
+        made.append((y.store.key_partition, w.store.key_partition))
+        _colsum_into(A, y)
+        _colsum_into(B, w)
+        return [y.to_numpy(), w.to_numpy()]
+
+    rt = _both(program)
+    assert ("fill", "fill", COLSUM, COLSUM) in _groups(rt)
+    even, uneven = made[0]
+    assert even.boundaries != uneven.boundaries
+    for owner in (even, uneven):
+        tiles = [owner.rect(c) for c in range(3)]
+        assert _fold_tiles(rt, owner.region.uid) == tiles
 
 
 def test_fusion_off_never_defers_a_future():

@@ -104,17 +104,17 @@ class _Region:
 
 
 class _Req:
-    def __init__(self, privilege, region, partition):
+    def __init__(self, privilege, region, partition, owner=None):
         self.privilege = privilege
         self.region = region
         self.partition = partition
+        self.owner = owner
 
 
 class _Task:
-    def __init__(self, reqs, color_count, fold_partition=None):
+    def __init__(self, reqs, color_count):
         self.requirements = reqs
         self.color_count = color_count
-        self.fold_partition = fold_partition
 
 
 class TestJournalCoverage:
@@ -146,9 +146,8 @@ class TestJournalCoverage:
         contributions = _Part([r1(0, 10), r1(0, 10)])  # overlapping partials
         owner = _Part([r1(0, 4), r1(4, 10)])
         task = _Task(
-            [_Req(Privilege.REDUCE, region, contributions)],
+            [_Req(Privilege.REDUCE, region, contributions, owner)],
             color_count=2,
-            fold_partition=owner,
         )
         cov = journal_write_coverage([task], set())
         assert cov[7].volume() == 10
