@@ -2,8 +2,11 @@
 
 The paper attributes Legate's single-GPU losses on GMG and the quantum
 simulation to task-launching overheads and cites dynamic tracing as the
-future fix.  With the tracing extension implemented, the gap to CuPy on
-the overhead-bound quantum step narrows measurably.
+future fix.  The runtime finds the step's repeated launches itself and
+charges them as replays: the quantum step runs faster than with every
+launch charged in full (``trace_replay_fraction=1.0``, what a runtime
+without tracing charges) -- 4.48 -> 4.04 modeled ms (1.11x) at 18
+atoms, what the explicit trace scope this replaced gave.
 """
 
 import numpy as np
@@ -25,7 +28,10 @@ def quantum_step_time(traced: bool) -> float:
     machine = summit(nodes=1)
     rt = Runtime(
         machine.scope(ProcessorKind.GPU, 1),
-        RuntimeConfig.legate(data_scale=DATA_SCALE),
+        RuntimeConfig.legate(
+            data_scale=DATA_SCALE,
+            trace_replay_fraction=0.15 if traced else 1.0,
+        ),
     )
     with runtime_scope(rt):
         H = sp.csr_matrix(rydberg_hamiltonian_scipy(N_ATOMS))
@@ -37,18 +43,11 @@ def quantum_step_time(traced: bool) -> float:
         def one_step(state):
             return solve_ivp(rhs, (0.0, 0.01), state, method="GBS8", step=0.01).y
 
-        y = one_step(y)  # warm-up
-        trace = rt.trace("gbs8-step")  # the runtime owns its traces
-        if traced:
-            with trace:
-                y = one_step(y)
+        y = one_step(y)  # warm-up: every launch's first occurrence
+        y = one_step(y)
         t0 = rt.barrier()
         for _ in range(STEPS):
-            if traced:
-                with trace:
-                    y = one_step(y)
-            else:
-                y = one_step(y)
+            y = one_step(y)
         t1 = rt.barrier()
     return (t1 - t0) / STEPS
 

@@ -514,19 +514,6 @@ def _classify_segment(
     )
 
 
-def classify_window(
-    summaries: Sequence[LaunchSummary],
-    plans: Sequence[GroupPlan],
-    ids: Optional[Dict[int, int]] = None,
-) -> List[Verdict]:
-    """Classify every planned group of a window (convenience)."""
-    from repro.legion import fusion
-
-    if ids is None:
-        ids = fusion.local_ids(summaries)
-    return [classify(summaries, ids, plan) for plan in plans]
-
-
 def verdict_label(plan: GroupPlan, verdict: Verdict) -> str:
     """The fusion-log label of a group: how it will (or did) execute.
 

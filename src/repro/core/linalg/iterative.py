@@ -66,12 +66,10 @@ def cg(
 ) -> Tuple[ndarray, int]:
     """Conjugate Gradient for SPD (or HPD) systems.
 
-    Each iteration is one trace body (:mod:`repro.legion.tracing`): the
-    runtime captures its launches once per system and replays them --
-    across calls too -- so the per-launch overhead the paper blames for
-    its small-task losses (§6.1) is paid by the first iteration only.
-    The convergence check sits inside the scope, so the scope adds no
-    synchronization of its own.
+    The runtime finds the iterations' repeated launches itself
+    (:mod:`repro.legion.tracing`) and charges them as replays, so the
+    per-launch overhead the paper blames for its small-task losses
+    (§6.1) is paid in full by a launch's first occurrence only.
 
     Issue before check: a host-side check waits only after the work it
     does not guard is issued.  ``‖r‖`` is formed at the end of the body
@@ -91,28 +89,24 @@ def cg(
     p = z.copy()
     rz = rnp.vdot(r, z)
     rnorm = rnp.linalg.norm(r)
-    # Keyed by system, so a fine solve whose preconditioner runs a
-    # coarse solve (GMG) keeps one trace for each.
-    trace = x.runtime.trace("cg", key=(A.shape, x.dtype.str, M is None))
     for _it in range(maxiter):
-        with trace:
-            q = A @ p
-            pq = rnp.vdot(p, q)
-            if float(rnorm) <= tol():
-                return x, 0
-            if complex(pq) == 0:
-                return x, -1
-            alpha = rz / pq
-            x += p * alpha
-            r -= q * alpha
-            z = _apply(M, r)
-            rz_next = rnp.vdot(r, z)
-            beta = rz_next / rz
-            p = z + p * beta
-            rnorm = rnp.linalg.norm(r)
-            rz = rz_next
-            if callback is not None:
-                callback(x)
+        q = A @ p
+        pq = rnp.vdot(p, q)
+        if float(rnorm) <= tol():
+            return x, 0
+        if complex(pq) == 0:
+            return x, -1
+        alpha = rz / pq
+        x += p * alpha
+        r -= q * alpha
+        z = _apply(M, r)
+        rz_next = rnp.vdot(r, z)
+        beta = rz_next / rz
+        p = z + p * beta
+        rnorm = rnp.linalg.norm(r)
+        rz = rz_next
+        if callback is not None:
+            callback(x)
     if float(rnorm) <= tol():
         return x, 0
     return x, maxiter

@@ -60,13 +60,13 @@ def paper_legate(**kwargs):
     is tested separately (``tests/harness/test_chaos_bench.py`` and
     ``tests/harness/test_soak_bench.py``).
 
-    Trace replay is charged in full (``trace_replay_fraction=1.0``):
+    Replays are charged in full (``trace_replay_fraction=1.0``):
     dynamic tracing is the paper's other cited future work (§6.1), so
     the published system pays the whole launch overhead on every
-    iteration.  The solvers still open their trace scopes and the host
-    still replays the templates -- at 1.0 that changes no modeled
-    second; the tracing win is measured by ``benchmarks/test_tracing.py``
-    and the ``gmg_small_tasks`` workload of ``bench/``.
+    launch.  The runtime still finds its replays and the host path is
+    the same -- at 1.0 that changes no modeled second; the tracing win
+    is measured by ``benchmarks/test_tracing.py`` and the
+    ``matfact_sgd`` and ``serve_mixed`` workloads of ``bench/``.
     """
     from repro.legion.runtime import RuntimeConfig
 

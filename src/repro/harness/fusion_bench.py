@@ -41,8 +41,8 @@ def _digest(arr) -> str:
 def _measure(fusion: bool, setup: Callable, solve: Callable, iters: int) -> Dict:
     rt = Runtime(
         summit(nodes=1).scope(ProcessorKind.GPU, PROCS),
-        # Fusion measured alone: trace replays (CG and the V-cycle open
-        # scopes themselves) are charged in full on every side.
+        # Fusion measured alone: replays are charged in full on every
+        # side.
         RuntimeConfig.legate(fusion=fusion, trace_replay_fraction=1.0),
     )
     with runtime_scope(rt):

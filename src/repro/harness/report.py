@@ -128,18 +128,21 @@ BEYOND_THE_PAPER = [
     "wait, which both sides run), 1.03 with the deferred fusion window "
     "alone (`legate(trace_replay_fraction=1.0)`, 38.5 it/s; 1.05 and "
     "37.4 before that, 1.06 and 37.1 before generated kernels joined the "
-    "window, 1.13 and 34.6 before scalar reductions did), 1.07 with "
-    "traces alone (`paper_legate(trace_replay_fraction=0.15)`, 37.1 "
-    "it/s; 1.08 and 36.4 before) and 0.98 under `RuntimeConfig.legate()` "
-    "defaults — fusion plus the traces `cg` and the V-cycle open "
-    "themselves, replayed launches charged 0.15 of the launch overhead "
-    "(40.5 it/s; 40.3 before, 39.9 before the SpMVs joined): the gap "
-    "closes, as predicted.  When the V-cycle's SpMVs joined the window "
+    "window, 1.13 and 34.6 before scalar reductions did), 1.06 with "
+    "replays alone (`paper_legate(trace_replay_fraction=0.15)`, 37.16 "
+    "it/s; 37.10 with the trace scopes `cg` and the V-cycle used to "
+    "open, 1.08 and 36.4 before that) and 0.98 under "
+    "`RuntimeConfig.legate()` defaults — fusion plus the launches the "
+    "runtime finds repeated itself, replayed launches charged 0.15 of "
+    "the launch overhead (40.52 it/s; 40.47 with the scopes, 40.3 before "
+    "that, 39.9 before the SpMVs joined): the gap closes, as predicted.  "
+    "When the V-cycle's SpMVs joined the window "
     "the two fusion rows were expected to rise and the `paper_legate` "
     "rows to stay put (they pin fusion off); they rose 0.9 % and 0.8 %, "
     "because at this point's size the kernels, not the launches, "
     "dominate a V-cycle.  `benchmarks/test_tracing.py` shows the same "
-    "on the GBS8 quantum step (2.1x).",
+    "on the GBS8 quantum step (1.11x; an earlier 2.1x no longer held "
+    "before automatic tracing either).",
     "Fig. 9, 192 GPUs: the paper blames the CG falloff at scale on "
     "Legion's scalar-allreduce cost.  Under `RuntimeConfig.legate()` "
     "defaults a CG iteration issues 2 allreduces where it issued 3 — "

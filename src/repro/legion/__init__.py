@@ -44,7 +44,6 @@ from repro.legion.runtime import (
 )
 from repro.legion.task import Pointwise, Requirement, ShardContext, TaskLaunch
 from repro.legion.timeline import Span, Timeline
-from repro.legion.tracing import Trace
 
 __all__ = [
     "ChaosConfig",
@@ -70,7 +69,6 @@ __all__ = [
     "TaskLaunch",
     "Tiling",
     "Timeline",
-    "Trace",
     "get_runtime",
     "runtime_scope",
     "set_runtime",

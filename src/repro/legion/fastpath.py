@@ -16,7 +16,7 @@ there is no switch and no other path:
   rejects write per color.
 * :class:`Template` — what every launch with one structural key
   shares: its solve plan, window verdict and launch shape, derived by
-  the first such launch and reused by the rest, traced or not.
+  the first such launch and reused by the rest, replayed or not.
 * :class:`BoundedMemo` — the bounded container of the runtime's
   templates (keyed by ``AutoTask._fingerprint`` or
   :func:`repro.legion.tracing.launch_fingerprint`, regions numbered

@@ -41,6 +41,9 @@ class Profiler:
     # the dependence analyzer proved merge-safe, each executed as one
     # generated loop nest.
     kernel_merges: int = 0
+    # Automatic tracing (repro.legion.tracing): executed launches
+    # charged the replay fraction of the launch overhead.
+    launches_replayed: int = 0
     launch_overhead_seconds: float = 0.0
     # Modeled kernel execution time summed over every shard.
     kernel_seconds: float = 0.0
@@ -243,7 +246,7 @@ class Profiler:
         if self.launch_overhead_seconds:
             lines.append(
                 f"launch overhead:  {self.launch_overhead_seconds:.6f}s "
-                f"(issue clock)"
+                f"(issue clock, {self.launches_replayed} launches replayed)"
             )
         if self.copy_bytes:
             moved = ", ".join(

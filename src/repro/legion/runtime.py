@@ -57,7 +57,7 @@ from repro.legion.task import Pointwise, Requirement, ShardContext, TaskLaunch
 from repro.legion.timeline import Timeline
 from repro.legion.timeline import profile_default as _profile_default
 from repro.legion.timeline import register as _register_timeline
-from repro.legion.tracing import Trace, launch_fingerprint, window_fingerprint
+from repro.legion.tracing import History, launch_fingerprint, window_fingerprint
 from repro.machine import MachineScope, Memory, MemoryKind, Processor
 
 
@@ -69,12 +69,13 @@ class RuntimeConfig:
     # Python-side cost of launching one task (constraint solving, metadata
     # management, Legion dispatch).
     launch_overhead: float = 1.3e-4
-    # Share of launch_overhead a launch replayed from a captured trace
-    # (repro.legion.tracing) pays: Legion replays the memoized
-    # dependence analysis instead of redoing it.  A model parameter,
-    # not a switch: the host replays templates identically at any
-    # value, and at 1.0 a traced run is bit-for-bit the untraced one.
-    # The published system has no tracing (its cited future work), so
+    # Share of launch_overhead a replayed launch pays -- one whose
+    # template and dependence edges were issued before in this
+    # template epoch (repro.legion.tracing): Legion replays the
+    # memoized dependence analysis instead of redoing it.  A model
+    # parameter, not a switch: the host path is the same at any value,
+    # and at 1.0 a run is bit-for-bit one without replays.  The
+    # published system has no tracing (its cited future work), so
     # harness.config.paper_legate and the comparison systems pin 1.0.
     trace_replay_fraction: float = 0.15
     # Extra per-shard mapping cost charged on each shard's start.
@@ -455,13 +456,9 @@ class Runtime:
         # Memory-magnification overrides keyed by region dim-0 extent;
         # see Region.mem_scale.
         self.mem_scale_by_extent: Dict[int, float] = {}
-        # Traces (repro.legion.tracing): the registry behind trace(),
-        # the outermost open scope (inner scopes join it) and the epoch
-        # a captured body must have been recorded under to replay.
-        self._traces: Dict[tuple, Trace] = {}
-        self._trace: Optional[Trace] = None
-        self._trace_depth = 0
-        self._template_epoch = 0
+        # Automatic tracing (repro.legion.tracing): the replay history
+        # of the current template epoch.
+        self._history = History()
         # Deferred launch window (automatic task fusion, see
         # repro.legion.fusion): fusible launches buffer here; flush
         # plans groups and executes.
@@ -570,9 +567,8 @@ class Runtime:
         * **``fusion_log``** — unbounded growth,
           and one tenant's op-stream shape visible to the next
           (a cross-tenant information leak in a serving context);
-        * **traces** — the registry, any open scope and the template
-          epoch (one program's captured bodies must not discount the
-          next program's launches) — **and any in-flight batched
+        * **the replay history** — one program's launches must not
+          discount the next program's — **and any in-flight batched
           writes**.
 
         When chaos journaling is active the journal cannot simply be
@@ -591,10 +587,7 @@ class Runtime:
         """
         self.flush_window()
         self._pending_writes = None
-        self._traces.clear()
-        self._trace = None
-        self._trace_depth = 0
-        self._template_epoch += 1
+        self._history.clear()
         if self._journaling and (self._journal or self._freed_uids):
             # Program boundary == checkpoint epoch boundary (see above).
             self.checkpoint()
@@ -603,34 +596,10 @@ class Runtime:
         self._launches_since_ckpt = 0
         self.fusion_log.clear()
 
-    # ------------------------------------------------------------------
-    # Traces
-    # ------------------------------------------------------------------
-    MAX_TRACES = 64
-
-    def trace(self, name: str, key: tuple = ()) -> Trace:
-        """The runtime's trace with this id, created on first use.
-
-        ``key`` tells apart the bodies one call site runs for different
-        operands (``cg`` on a fine and on a coarse system), so that
-        alternating between them does not re-capture each time.  The
-        registry is bounded (oldest id dropped) and emptied by
-        :meth:`reset_for_program`.
-        """
-        ident = (name, key)
-        trace = self._traces.get(ident)
-        if trace is None:
-            if len(self._traces) >= self.MAX_TRACES:
-                del self._traces[next(iter(self._traces))]
-            trace = self._traces[ident] = Trace(self, name)
-        return trace
-
     def _invalidate_templates(self) -> None:
-        """Recovery, memory loss or pressure relief: bodies captured so
-        far re-capture, and the open one runs on dynamically."""
-        self._template_epoch += 1
-        if self._trace is not None:
-            self._trace.diverge()
+        """Recovery, memory loss or pressure relief: a new template
+        epoch, in which nothing issued so far replays."""
+        self._history.clear()
 
     def _template(self, key: Optional[tuple]) -> Optional[_fastpath.Template]:
         """The template of a structural key, made on first use; None
@@ -921,8 +890,9 @@ class Runtime:
             template = task.template = self._template(
                 launch_fingerprint(task, {})
             )
-        if self._trace is not None:
-            self._trace.issue(task)
+        task.replayed = self._history.issue(
+            task, template, self.config.fusion_window
+        )
         if not self.config.fusion:
             fusible = False
         elif template is None:
@@ -1073,11 +1043,7 @@ class Runtime:
                 # Another matrix under the same derivations: the plan
                 # holds, its rects do not.
                 group.shape = None
-            trace = tasks[0].replayed_in
-            if trace is not None and all(
-                task.replayed_in is trace for task in tasks
-            ):
-                merged.replayed_in = trace
+            merged.replayed = all(task.replayed for task in tasks)
             self.profiler.record_fusion(len(indices), len(group.elide))
             self._execute(merged)
 
@@ -1205,10 +1171,9 @@ class Runtime:
         # Journal replay after a loss is no trace replay: it pays the
         # full overhead and re-derives everything below.
         recovering = replay or self._in_recovery
-        trace = task.replayed_in
-        if trace is not None and not recovering:
+        if task.replayed and not recovering:
             overhead *= config.trace_replay_fraction
-            trace.replayed_launches += 1
+            self.profiler.launches_replayed += 1
         issued = self.issue_time
         self.issue_time = issued + overhead
         self.profiler.record_launch_overhead(overhead)
@@ -1847,7 +1812,7 @@ class Runtime:
         the epoch is safe.
         """
         assert self._chaos is not None
-        # Lost memories and re-executed launches: no captured body
+        # Lost memories and re-executed launches: nothing issued so far
         # describes the machine any more.
         self._invalidate_templates()
         journal, self._journal = self._journal, []

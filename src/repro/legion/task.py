@@ -189,9 +189,9 @@ class TaskLaunch:
     # its structural key (set by the issuer or on launch), or the
     # runtime's _Group for a fused launch.  None when it has no key.
     template: Optional[Any] = None
-    # The trace this launch is a replay of, when it was issued inside a
-    # trace scope at a position matching the captured body.
-    replayed_in: Optional[Any] = None
+    # Whether the launch is a replay: its template and dependence edges
+    # were issued before in this template epoch (repro.legion.tracing).
+    replayed: bool = False
     # Deferred-window tags of a reduction (repro.legion.fusion): the
     # pending future Runtime.launch handed out for it (one per member
     # reduction on a fused group), and the window positions of the

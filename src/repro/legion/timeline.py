@@ -189,25 +189,6 @@ class Timeline:
             self._spans_cache = cache
         return cache
 
-    def as_arrays(self) -> Dict[str, Any]:
-        """The span log as NumPy arrays (offline/batched analysis).
-
-        ``category``/``resource``/``name`` are object arrays;
-        ``start``/``finish``/``flops`` are float64; ``nbytes`` int64.
-        """
-        import numpy as np
-
-        cols = self._cols
-        return {
-            "category": np.asarray(cols[0], dtype=object),
-            "resource": np.asarray(cols[1], dtype=object),
-            "name": np.asarray(cols[2], dtype=object),
-            "start": np.asarray(cols[3], dtype=np.float64),
-            "finish": np.asarray(cols[4], dtype=np.float64),
-            "nbytes": np.asarray(cols[5], dtype=np.int64),
-            "flops": np.asarray(cols[6], dtype=np.float64),
-        }
-
     def note_horizon(self, t: float) -> None:
         """Record a sync-point clock reading (keeps the max)."""
         if t > self.horizon:

@@ -1,69 +1,40 @@
-"""Traces: a loop body's launches captured once, replayed on both clocks.
+"""Automatic tracing: a launch issued before is replayed on the modeled clock.
 
 The paper attributes the GMG and quantum workloads' single-GPU gap to
 Legate's per-task launching overheads and points to *dynamic tracing*
-(Lee et al., SC '18) and task fusion as the fix.  This module is the
-tracing half.  A :class:`Trace` scope watches the launches *issued*
-inside it; once a body has been captured, a later body whose launches
-match it position by position replays it:
+(Lee et al., SC '18) as one fix.  Here the runtime finds the repeats in
+its issued stream itself, without annotations (as Apophenia, Yadav et
+al., ASPLOS '25, does for Legion).  :class:`History` gives every issued
+launch a *token*:
 
-* on the **modeled** clock a replayed launch is charged
-  ``RuntimeConfig.trace_replay_fraction`` of the launch overhead (Legion
-  replays the memoized dependence analysis instead of redoing it);
-* on the **host** clock a replay takes the path any launch takes: its
-  solve plan, window verdict and launch shape come from the template of
-  its structural key (:class:`repro.legion.fastpath.Template`), and its
-  window's groups and nests from the window-plan cache, whether a trace
-  is open or not.  A trace only matches positions.
+* its :class:`repro.legion.fastpath.Template` object -- the launch's
+  structural key: task name, color count, body IR and, per argument,
+  privilege, region shape and dtype and partition geometry, an image
+  pinned by its rects, regions numbered within the launch;
+* per requirement, its dependence edges: how many launches back the
+  region's last writer was issued and, for a writing privilege, its
+  last user.  An edge further back than ``fusion_window`` launches is
+  dropped: that launch has executed, nothing about it is pending.
 
-Usage (idiomatic Legion tracing; ``cg`` and the GMG V-cycles do this
-themselves)::
+A launch whose token was issued before in the current *template epoch*
+is a replay, charged ``RuntimeConfig.trace_replay_fraction`` of the
+launch overhead (Legion replays the memoized dependence analysis
+instead of redoing it); a fused group is a replay when all its members
+are.  Recovery, memory loss, pressure relief and ``reset_for_program``
+start a new epoch, and journal replay after a loss is charged in full.
+On the host a replay takes the path any launch takes (its template and
+the window-plan cache); only the modeled charge differs, so with
+``trace_replay_fraction=1.0`` a run is bit-for-bit one without replays.
+``Profiler.launches_replayed`` counts the discounted launches.
 
-    trace = runtime.trace("cg-iteration", key=(n,))
-    for it in range(iters):
-        with trace:
-            ...   # the loop body: the same launches each time
-
-**Ownership.**  The runtime owns its traces: ``Runtime.trace(name,
-key)`` hands out the one trace of that id (created on first use, a
-bounded registry, dropped by ``reset_for_program``).  ``Trace(rt,
-name)`` builds a private one.  A scope opened while another is active
-*joins* it, so ``cg`` -> ``vcycle`` -> coarse ``cg`` is one trace per
-outer iteration.
-
-**Matching** is by a structural *fingerprint* per position: the
-launch's template key — task name, color count, body IR and, per
-argument, privilege, region shape and dtype and partition geometry
-(before an ``AutoTask`` solve: key partitions and constraints), with
-regions numbered within the launch — and each argument region's
-first-use index within the body (which pins the dataflow between
-launches); never by task name alone.  Matching happens when a
-launch is *issued*, so a scope boundary never flushes the deferred
-window: launches still deferred when the scope closes keep their tags
-and execute, discounted, whenever the program next flushes.  The first
-mismatch runs the rest of the body dynamically at full cost and the
-trace re-captures; a trace whose body diverges every time (data-
-dependent inner iteration counts) backs off and stops recording for a
-while.  A body that ends early — the convergence check returned — is a
-prefix of the capture and leaves it alone.
-
-The runtime bumps a *template epoch* on recovery, memory loss,
-pressure relief and ``reset_for_program``, and a trace captured under
-another epoch re-captures (Legion's physical traces are invalidated by
-the same events).  Journal replay after a loss never goes through a
-trace: recovery launches are charged in full and the open body
-diverges.
-
-Kernels always execute and numerics are untouched; with
-``trace_replay_fraction=1.0`` a traced run is bit-for-bit the untraced
-one (event log, modeled seconds, LRU order).  The speedup is measured
-in ``benchmarks/test_tracing.py`` and by the ``gmg_small_tasks``
-workload of ``bench/``.
+The module also holds the two structural fingerprints the runtime's
+caches are keyed by: :func:`launch_fingerprint` (templates) and
+:func:`window_fingerprint` (window plans).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.legion.partition import (
     ExplicitPartition,
@@ -74,9 +45,6 @@ from repro.legion.partition import (
     derivation,
 )
 from repro.legion.task import TaskLaunch
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.legion.runtime import Runtime
 
 
 def launch_fingerprint(
@@ -158,152 +126,64 @@ def window_fingerprint(window: List[TaskLaunch]) -> Optional[tuple]:
     return tuple(key)
 
 
-class Trace:
-    """Capture-then-replay scope for a repeated launch sequence."""
+class History:
+    """The tokens issued in the current template epoch.
 
-    # Consecutive divergent bodies before the trace stops recording,
-    # and the longest it stays off (bodies; doubles per further miss).
-    BACKOFF_AFTER = 3
-    MAX_SLEEP = 32
+    Holds ints and templates, never a region.  Bounded: the tokens are
+    forgotten whole at ``MAX_ENTRIES`` and, every ``MAX_ENTRIES``
+    launches, region entries beyond the horizon are dropped.
+    """
 
-    def __init__(self, runtime: "Runtime", name: str = "trace"):
-        self.runtime = runtime
-        self.name = name
-        # A fingerprint per position (None matches nothing): of the
-        # captured body and of the open one.
-        self._captured: Optional[List[Optional[tuple]]] = None
-        self._body: Optional[List[Optional[tuple]]] = None
-        # Region uid -> first-use index within the open body.
-        self._ids: Dict[int, int] = {}
-        self._epoch = -1
-        self._diverged = False
-        self._failed = False
-        self._streak = 0
-        self._sleep = 0
-        self.replays = 0
-        self.captures = 0
-        self.divergences = 0
-        self.backoffs = 0
-        # Executed launches charged at the replay fraction.
-        self.replayed_launches = 0
+    __slots__ = ("_issued", "_writer", "_user", "_seen")
 
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "Trace":
-        rt = self.runtime
-        if rt._trace is not None:
-            # Joins the open scope: its body simply continues.
-            rt._trace_depth += 1
-            return self
-        rt._trace = self
-        rt._trace_depth = 1
-        self._begin()
-        return self
+    MAX_ENTRIES = 1024
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        rt = self.runtime
-        owner = rt._trace
-        if owner is None:  # reset_for_program closed the scope
-            return
-        if exc_type is not None:
-            owner._failed = True
-        rt._trace_depth -= 1
-        if rt._trace_depth == 0:
-            rt._trace = None
-            owner._end()
+    def __init__(self) -> None:
+        self._issued = 0
+        # Region uid -> index of the last launch writing / touching it.
+        self._writer: Dict[int, int] = {}
+        self._user: Dict[int, int] = {}
+        self._seen: set = set()
 
-    def _begin(self) -> None:
-        self._failed = False
-        self._diverged = False
-        self._ids = {}
-        if self._sleep:
-            self._sleep -= 1
-            self._body = None
-            return
-        epoch = self.runtime._template_epoch
-        if self._epoch != epoch:
-            # Captured under another template epoch: capture afresh.
-            self._captured = None
-            self._epoch = epoch
-        self._body = []
+    def clear(self) -> None:
+        """Start a new template epoch: nothing issued so far replays."""
+        self._writer.clear()
+        self._user.clear()
+        self._seen.clear()
 
-    def _end(self) -> None:
-        body, self._body = self._body, None
-        if body is None or self._failed:
-            return
-        if self.runtime._template_epoch != self._epoch:
-            # The epoch moved under the body: nothing of it is kept.
-            self._captured = None
-            return
-        captured = self._captured
-        if captured is None:
-            self._captured = body
-            self.captures += 1
-        elif self._diverged:
-            # Re-capture (Legion would abort the trace; we degrade
-            # gracefully).  Positions before the mismatch carry over.
-            self._captured = body
-            self.captures += 1
-            self.divergences += 1
-            self._streak += 1
-            if self._streak >= self.BACKOFF_AFTER:
-                self._sleep = min(
-                    2 ** (self._streak - self.BACKOFF_AFTER), self.MAX_SLEEP
-                )
-                self.backoffs += 1
-        elif len(body) == len(captured):
-            self.replays += 1
-            self._streak = 0
+    def issue(self, task: TaskLaunch, template: Any, horizon: int) -> bool:
+        """Record an issued launch; whether its token was issued before.
 
-    # ------------------------------------------------------------------
-    @property
-    def recording(self) -> bool:
-        """Whether a body is open and being matched or captured."""
-        return self._body is not None
-
-    def issue(self, task: TaskLaunch) -> None:
-        """Match a launch against the next position of the open body.
-
-        Its fingerprint is its template's key with the body's first-use
-        index of each argument region.  A match is a replay; a mismatch
-        diverges the body, which records the rest as it comes.
+        ``template`` is the launch's template (None: no token, never a
+        replay); edges further back than ``horizon`` launches drop.
         """
-        body = self._body
-        if body is None:
-            return
-        fingerprint = None
-        if task.template is not None:
-            ids = self._ids
-            fingerprint = (
-                task.template.key,
-                tuple(
-                    ids.setdefault(req.region.uid, len(ids))
-                    for req in task.requirements
-                ),
-            )
-        captured = self._captured
-        if captured is not None and not self._diverged:
-            pos = len(body)
-            if (
-                fingerprint is not None
-                and pos < len(captured)
-                and captured[pos] == fingerprint
-            ):
-                task.replayed_in = self
-            else:
-                self._diverged = True
-        body.append(fingerprint)
-
-    def diverge(self) -> None:
-        """The rest of the open body runs dynamically (recovery)."""
-        self._diverged = True
-
-    @property
-    def is_captured(self) -> bool:
-        """Whether a launch sequence has been recorded."""
-        return self._captured is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Trace({self.name!r}, captured={self.is_captured}, "
-            f"replays={self.replays}, captures={self.captures})"
-        )
+        now = self._issued = self._issued + 1
+        writer, user = self._writer, self._user
+        edges = []
+        for req in task.requirements:
+            uid = req.region.uid
+            back = now - writer.get(uid, -horizon)
+            edges.append(back if back <= horizon else 0)
+            if req.privilege.writes:
+                back = now - user.get(uid, -horizon)
+                edges.append(back if back <= horizon else 0)
+        for req in task.requirements:
+            uid = req.region.uid
+            user[uid] = now
+            if req.privilege.writes:
+                writer[uid] = now
+        if now % self.MAX_ENTRIES == 0:
+            oldest = now - horizon
+            for table in (writer, user):
+                for uid in [u for u, at in table.items() if at < oldest]:
+                    del table[uid]
+        if template is None:
+            return False
+        token = (template, tuple(edges))
+        seen = self._seen
+        if token in seen:
+            return True
+        if len(seen) >= self.MAX_ENTRIES:
+            seen.clear()
+        seen.add(token)
+        return False

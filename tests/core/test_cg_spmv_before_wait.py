@@ -9,8 +9,8 @@ the first check.  The contract:
   convergence at iteration 0, at iteration k and never, ``b = 0``, a
   given ``x0``, ``maxiter = 0``, a ``p·q == 0`` breakdown and a
   preconditioner, fused and eager, on one and two GPUs;
-* **the clock** -- in every traced iteration the SpMV is issued before
-  the iteration's first host wait, and nothing waits before the first
+* **the clock** -- in every iteration the SpMV is issued before the
+  iteration's first host wait, and nothing waits before the first
   iteration's SpMV is issued.
 
 Mutants each test catches: the norm check moved back to the top of the
@@ -31,7 +31,6 @@ from repro.core.linalg.iterative import _apply
 from repro.core.linalg.preconditioners import jacobi
 from repro.legion import Runtime, RuntimeConfig
 from repro.legion.runtime import runtime_scope
-from repro.legion.tracing import Trace
 from repro.machine import ProcessorKind, laptop
 from repro.numeric.array import ndarray
 
@@ -69,27 +68,23 @@ def reference_cg(
     z = _apply(M, r)
     p = z.copy()
     rz = rnp.vdot(r, z)
-    # Keyed by system, so a fine solve whose preconditioner runs a
-    # coarse solve (GMG) keeps one trace for each.
-    trace = x.runtime.trace("cg", key=(A.shape, x.dtype.str, M is None))
     for _it in range(maxiter):
-        with trace:
-            if float(rnp.linalg.norm(r)) <= tol:
-                return x, 0
-            q = A @ p
-            pq = rnp.vdot(p, q)
-            if complex(pq) == 0:
-                return x, -1
-            alpha = rz / pq
-            x += p * alpha
-            r -= q * alpha
-            z = _apply(M, r)
-            rz_next = rnp.vdot(r, z)
-            beta = rz_next / rz
-            p = z + p * beta
-            rz = rz_next
-            if callback is not None:
-                callback(x)
+        if float(rnp.linalg.norm(r)) <= tol:
+            return x, 0
+        q = A @ p
+        pq = rnp.vdot(p, q)
+        if complex(pq) == 0:
+            return x, -1
+        alpha = rz / pq
+        x += p * alpha
+        r -= q * alpha
+        z = _apply(M, r)
+        rz_next = rnp.vdot(r, z)
+        beta = rz_next / rz
+        p = z + p * beta
+        rz = rz_next
+        if callback is not None:
+            callback(x)
     if float(rnp.linalg.norm(r)) <= tol:
         return x, 0
     return x, maxiter
@@ -186,10 +181,11 @@ SPMV = "A(i,j)*x(j)"
 
 
 def _issue_order(solver, monkeypatch) -> list:
-    """``("body",)``, ``("launch", name)`` and ``("wait",)`` in the
-    order ``solver`` makes them, over a warm solve of four iterations."""
+    """``("launch", name)``, ``("wait",)`` and ``("end",)`` (the
+    callback that closes an iteration) in the order ``solver`` makes
+    them, over a warm solve of four iterations."""
     events = []
-    launch, wait, enter = Runtime.launch, Runtime.wait, Trace.__enter__
+    launch, wait = Runtime.launch, Runtime.wait
 
     def logged_launch(self, task):
         events.append(("launch", task.name))
@@ -199,20 +195,18 @@ def _issue_order(solver, monkeypatch) -> list:
         events.append(("wait",))
         return wait(self, future)
 
-    def logged_enter(self):
-        events.append(("body",))
-        return enter(self)
-
     rt = Runtime(laptop().scope(ProcessorKind.GPU, 2), RuntimeConfig.legate())
     with runtime_scope(rt):
         host_A, host_b = spd_system(64, seed=8)
         A, b = sp.csr_matrix(host_A), rnp.array(host_b)
-        solver(A, b, rtol=0.0, maxiter=4)  # warm-up: captures
+        solver(A, b, rtol=0.0, maxiter=4)  # warm-up
         rt.barrier()
         monkeypatch.setattr(Runtime, "launch", logged_launch)
         monkeypatch.setattr(Runtime, "wait", logged_wait)
-        monkeypatch.setattr(Trace, "__enter__", logged_enter)
-        solver(A, b, rtol=0.0, maxiter=4)
+        solver(
+            A, b, rtol=0.0, maxiter=4,
+            callback=lambda xk: events.append(("end",)),
+        )
         monkeypatch.undo()
     return events
 
@@ -226,13 +220,16 @@ def _first(events, kind, name=""):
 
 def test_spmv_is_issued_before_the_first_wait(monkeypatch):
     events = _issue_order(sp.linalg.cg, monkeypatch)
-    bodies = [i for i, ev in enumerate(events) if ev == ("body",)]
-    assert len(bodies) == 4
+    ends = [i for i, ev in enumerate(events) if ev == ("end",)]
+    assert len(ends) == 4
+    # A body runs from the end of the last one (the first, from the
+    # set-up's r = b - A x) to its own end.
+    starts = [_first(events, "launch", SPMV) + 1] + [i + 1 for i in ends[:-1]]
     # Set-up does not block: the first wait of the solve comes after
     # the first body's SpMV.
-    first_body_spmv = bodies[0] + _first(events[bodies[0]:], "launch", SPMV)
+    first_body_spmv = starts[0] + _first(events[starts[0]:], "launch", SPMV)
     assert first_body_spmv < _first(events, "wait")
-    for start, end in zip(bodies, bodies[1:] + [len(events)]):
+    for start, end in zip(starts, ends):
         body = events[start:end]
         assert _first(body, "launch", SPMV) < _first(body, "wait"), body
 

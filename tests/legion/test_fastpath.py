@@ -416,10 +416,10 @@ def counting_shapes():
         yield count
 
 
-def _logged_runtime(forget=False):
+def _logged_runtime(forget=False, fraction=1.0):
     runtime = Runtime(
         laptop().scope(ProcessorKind.GPU, 2),
-        RuntimeConfig.legate(trace_replay_fraction=1.0),
+        RuntimeConfig.legate(trace_replay_fraction=fraction),
     )
     if runtime.event_log is None:
         runtime.event_log = EventLog(name="templates")
@@ -437,26 +437,23 @@ def _digest(runtime, modeled, solution):
     return digest.hexdigest()
 
 
-def _power_loop(traced):
+def _power_loop(fraction):
     """SpMV (image solves), a scalar reduction, fills and fused
     element-wise launches, four times over."""
-    runtime = _logged_runtime()
+    runtime = _logged_runtime(fraction=fraction)
     with counting_shapes() as builds, runtime_scope(runtime):
         A = sp.csr_matrix(poisson2d_scipy(8))
         x = rnp.ones(64)
         runtime.barrier()
-        trace = runtime.trace("power")
         for _ in range(4):
-            with trace if traced else contextlib.nullcontext():
-                y = A @ x
-                nrm = rnp.linalg.norm(y)
-                x = y / nrm + rnp.ones(64) * 0.5
-                # A convergence test: each iteration its own window, so
-                # windows -- not only launches -- repeat.
-                float(nrm)
-        modeled = runtime.barrier()
-        solution = x.to_numpy()
-    return runtime, builds[0], _digest(runtime, modeled, solution)
+            y = A @ x
+            nrm = rnp.linalg.norm(y)
+            x = y / nrm + rnp.ones(64) * 0.5
+            # A convergence test: each iteration its own window, so
+            # windows -- not only launches -- repeat.
+            float(nrm)
+        runtime.barrier()
+    return runtime, builds[0]
 
 
 def _shaped_templates(runtime):
@@ -472,10 +469,15 @@ def _shaped_templates(runtime):
 
 
 def test_traced_and_untraced_loops_share_one_shape_per_key():
-    traced, traced_builds, traced_digest = _power_loop(traced=True)
-    plain, plain_builds, plain_digest = _power_loop(traced=False)
-    assert traced.trace("power").replays == 3
-    assert traced_digest == plain_digest
+    """Replays discounted (0.15) or charged in full (1.0, the untraced
+    charge): the host path is one, shapes and all."""
+    traced, traced_builds = _power_loop(0.15)
+    plain, plain_builds = _power_loop(1.0)
+    assert traced.profiler.launches_replayed > 0
+    assert (
+        traced.profiler.launches_replayed == plain.profiler.launches_replayed
+    )
+    assert traced.elapsed() < plain.elapsed()
     assert traced_builds == plain_builds == _shaped_templates(plain)
     assert plain_builds == _shaped_templates(traced)
     assert plain_builds < plain.profiler.tasks_launched // 2

@@ -26,7 +26,6 @@ from repro.legion import (
     RuntimeConfig,
     TaskLaunch,
     Tiling,
-    Trace,
     fusion,
     tracing,
 )
@@ -758,18 +757,22 @@ class TestBitwiseEquivalence:
 
 class TestTraceComposition:
     def test_fused_window_replays(self, rt):
-        """Launches are matched when issued, so a fused loop body still
-        captures once and replays thereafter -- and a scope boundary
-        never flushes: the four bodies fuse as the untraced loop does."""
+        """Launches are matched when issued, so issuing never flushes:
+        the four bodies fuse into one group.  Its first two members are
+        first occurrences, so the group is charged in full; the next
+        group, all replays, is discounted."""
         x = rnp.ones(64)
         rt.barrier()
-        trace = Trace(rt, "axpy-loop")
         for _ in range(4):
-            with trace:
-                x = x * 0.5 + 1.0
-        assert trace.captures == 1
-        assert trace.replays == 3
+            x = x * 0.5 + 1.0
+        assert [task.replayed for task in rt._window] == [False] * 2 + [True] * 6
         assert rt.profiler.fused_tasks == 0  # all eight still deferred
         rt.barrier()
         assert rt.profiler.fused_tasks == 1
         assert rt.profiler.tasks_fused_away == 7
+        assert rt.profiler.launches_replayed == 0
+        for _ in range(4):
+            x = x * 0.5 + 1.0
+        rt.barrier()
+        assert rt.profiler.fused_tasks == 2
+        assert rt.profiler.launches_replayed == 1

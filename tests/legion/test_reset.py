@@ -118,17 +118,23 @@ def test_reused_runtime_matches_fresh_runtime_bitwise():
 
 
 def test_reset_drops_traces():
-    """The registry, an open scope and the template epoch: one
-    program's captured bodies never discount the next program's."""
+    """The replay history: one program's launches never discount the
+    next program's."""
     rt = _runtime()
-    trace = rt.trace("loop", key=(1,))
-    assert rt.trace("loop", key=(1,)) is trace
-    epoch = rt._template_epoch
-    with trace:
-        rt.reset_for_program()
-        assert rt._trace is None
-    assert rt.trace("loop", key=(1,)) is not trace
-    assert rt._template_epoch > epoch
+    replayed = []
+    with runtime_scope(rt):
+        x = rnp.ones(N)
+        for step in range(5):
+            if step == 2:
+                rt.reset_for_program()
+            x = x * 0.5
+            rt.barrier()
+            replayed.append(rt.profiler.launches_replayed)
+    # x's last writer is one launch back, so the second multiply
+    # replays the first.  After the reset the history is empty: the
+    # third has no edge, and the fourth is the new epoch's first with
+    # an edge one launch back.
+    assert replayed == [0, 1, 1, 1, 2]
 
 
 def test_profiler_counters_survive_reset():

@@ -121,9 +121,11 @@ class TestExecution:
 
     def test_launch_overhead_accumulates(self):
         machine = laptop()
+        # Charged in full: the ten launches repeat, which would make
+        # all but the first replays.
         slow = Runtime(
             machine.scope(ProcessorKind.GPU, 1),
-            RuntimeConfig.legate(launch_overhead=1e-3),
+            RuntimeConfig.legate(launch_overhead=1e-3, trace_replay_fraction=1.0),
         )
         fast = Runtime(
             machine.scope(ProcessorKind.GPU, 1),

@@ -1,26 +1,22 @@
-"""Traces replay on both clocks -- and the host templates are neutral.
+"""Replays on both clocks -- and the host templates are neutral.
 
-* **matching** -- a position matches by structural fingerprint, not by
-  task name: the same names over other shapes or another partition do
-  not replay; journal replay after a loss never goes through a trace;
+* **matching** -- a launch replays by its template and dependence
+  edges, not by task name: the same names over other shapes or another
+  partition do not replay; journal replay after a loss never does;
 * **neutrality** -- with ``trace_replay_fraction=1.0`` the fig9 CG, the
   spill/eviction run and a two-level GMG PCG reproduce, event for event
   and to the modeled second, digests recorded from the runtime *before*
-  any scope was opened or template kept (CG and the V-cycles open their
-  scopes themselves, so every run below is a traced one);
+  any launch replayed or template was kept (every run below replays);
 * **the discount** -- at ``0.15`` only times move: the event log
   without times and the solution bits equal the run at ``1.0``, and the
   launch overhead is ``overhead x (full + 0.15 x replayed)``;
-* **divergence** -- a mismatch mid-body runs the rest dynamically and
-  re-captures, an epoch bump (recovery, pressure relief) re-captures, a
-  body that diverges every time backs off;
+* **epochs** -- recovery and pressure relief clear the history;
 * **lifetime** -- a template keeps no region alive;
 * **mutation** -- the tests above can fail: a runtime that never bumps
   the epoch, a fingerprint blind to partitions and a lane that drops the
   LRU tick each fail a named test.
 """
 
-import contextlib
 import gc
 import hashlib
 import json
@@ -36,7 +32,7 @@ from repro.analysis.events import EventLog
 from repro.apps.multigrid import TwoLevelGMG
 from repro.apps.poisson import poisson2d_scipy
 from repro.constraints.task import AutoTask
-from repro.legion import Runtime, RuntimeConfig, Tiling, Trace
+from repro.legion import Runtime, RuntimeConfig, Tiling
 from repro.legion import runtime as runtime_module
 from repro.legion import tracing
 from repro.legion.chaos import ChaosConfig, LossSchedule
@@ -60,7 +56,7 @@ GOLDEN_LRU = "beb915e252f32fa018eaf4b09aaf0940b9a0ca16901d5b140ddcf9c001cae400"
 # solution bytes) of _gmg_pcg below, validated or not.  GOLDEN_GMG is
 # the ``fusion=True`` run and was re-recorded three times.  When scalar
 # reductions joined the deferred window (it was d535fb33...7d42 from
-# fb01e37 -- no scope in cg or vcycle, no template anywhere -- to
+# fb01e37 -- no replay in cg or vcycle, no template anywhere -- to
 # 0a10023): 133 launches and 42 allreduces where there were 178 and 62.
 # And when independent non-fusible launches began to pass the window
 # (it was c5cb2205...697b from cfa088a to 919c296): 4 of the program's
@@ -93,6 +89,20 @@ GOLDEN_GMG_SOLUTION = (
 
 OVERHEAD = 1e-3
 
+# Executed launches charged as replays in the runs below, by fusion:
+# the fig9 CG's four iterations, and the GMG PCG's three (each with a
+# V-cycle and its coarse CG).  A fused group counts once, and only when
+# all its members replay.
+FIG9_REPLAYED = {True: 6, False: 27}
+GMG_REPLAYED = {True: 59, False: 229}
+# _lru_program: the second, third and fourth fills, and the last norm
+# (the one before it also read an array written eight launches back).
+# The touches do not: each reads arrays[0] one launch further back.
+LRU_REPLAYED = 4
+# _spill_program under pressure: the three fills before the first
+# relief; every launch after it follows another relief.
+RELIEF_REPLAYED = 3
+
 
 def _runtime(scope=None, **config) -> Runtime:
     rt = Runtime(
@@ -122,17 +132,9 @@ def _sha(array: np.ndarray) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 
-def _replayed(rt: Runtime, *traces: Trace) -> int:
-    """Executed launches charged at the fraction, over the runtime's
-    own traces and any private ones."""
-    return sum(
-        t.replayed_launches for t in (*rt._traces.values(), *traces)
-    )
-
-
-def _assert_overhead_is_full_plus_discounted(rt: Runtime, *traces: Trace):
+def _assert_overhead_is_full_plus_discounted(rt: Runtime):
     config = rt.config
-    replayed = _replayed(rt, *traces)
+    replayed = rt.profiler.launches_replayed
     full = rt.profiler.tasks_launched - replayed
     assert rt.profiler.launch_overhead_seconds == pytest.approx(
         config.launch_overhead
@@ -149,28 +151,24 @@ def power_step(A, x):
 
 
 # ----------------------------------------------------------------------
-# Matching: a structural fingerprint per position, not the task name
+# Matching: a template and dependence edges, not the task name
 # ----------------------------------------------------------------------
 def test_same_names_over_other_shapes_do_not_replay():
-    """One trace object reused for a 10 000-row and a 100-row system:
+    """A power step on a 10 000-row and then on a 100-row system:
     equal task names, nothing to replay (a name-list matcher charged
-    the second body 0.15)."""
+    the second step 0.15)."""
     rt = _runtime(launch_overhead=OVERHEAD)
     with runtime_scope(rt):
         big, small = sp.eye(10_000, format="csr"), sp.eye(100, format="csr")
         x, y = rnp.ones(10_000), rnp.ones(100)
         rt.barrier()
-        trace = Trace(rt, "power-iter")
-        with trace:
-            x = power_step(big, x)
+        x = power_step(big, x)
         rt.barrier()
         launched = rt.profiler.tasks_launched
         charged = rt.profiler.launch_overhead_seconds
-        with trace:
-            y = power_step(small, y)
+        y = power_step(small, y)
         rt.barrier()
-    assert trace.replays == 0 and trace.replayed_launches == 0
-    assert (trace.captures, trace.divergences) == (2, 1)
+    assert rt.profiler.launches_replayed == 0
     body = rt.profiler.tasks_launched - launched
     assert body == 2  # {SpMV, norm} and the divide
     assert rt.profiler.launch_overhead_seconds - charged == pytest.approx(
@@ -178,32 +176,35 @@ def test_same_names_over_other_shapes_do_not_replay():
     )
 
 
-def _repartitioned_program(traced: bool):
-    """Three power steps; before the third, x's key partition moves."""
+def _repartitioned_program():
+    """Three power steps; before the third, x's key partition moves.
+    Returns each step's issued launches: (name, replayed)."""
     rt = _runtime(trace_replay_fraction=1.0)
+    steps = []
     with runtime_scope(rt):
         A = sp.eye(64, format="csr")
         x = rnp.ones(64)
         rt.barrier()
-        trace = Trace(rt, "power-iter")
         for step in range(3):
             if step == 2:
                 x.store.set_key_partition(Tiling(x.store.region, (0, 10, 64)))
-            with trace if traced else contextlib.nullcontext():
-                x = x * 0.5
-                x = power_step(A, x)
-        modeled = rt.barrier()
-    return rt, trace, modeled
+            x = x * 0.5
+            x = power_step(A, x)
+            steps.append([(task.name, task.replayed) for task in rt._window])
+            rt.barrier()
+    return steps
 
 
 def test_repartitioned_operand_does_not_replay():
-    """Same shapes, another key partition: the position's solve plan and
-    row shapes belong to the old tiling and must not be reused -- the
-    body diverges and every shard covers what the untraced run's does."""
-    rt, trace, modeled = _repartitioned_program(traced=True)
-    assert (trace.captures, trace.replays, trace.divergences) == (2, 1, 1)
-    plain, _, plain_modeled = _repartitioned_program(traced=False)
-    assert _digest(rt, modeled) == _digest(plain, plain_modeled)
+    """Same shapes, another key partition: the multiply's solve plan
+    and row shapes belong to the old tiling, so it is no replay of the
+    old one.  What it writes is read through the matrix's image, which
+    the tiling does not move: the rest of the step replays."""
+    first, second, third = _repartitioned_program()
+    assert len(first) == 4  # the multiply, SpMV, norm and divide
+    assert [replayed for _, replayed in first] == [False] * 4
+    assert [replayed for _, replayed in second] == [True] * 4
+    assert [replayed for _, replayed in third] == [False, True, True, True]
 
 
 def _lossy_cg(fraction: float, chaos=None):
@@ -214,7 +215,7 @@ def _lossy_cg(fraction: float, chaos=None):
     with runtime_scope(rt):
         A = sp.csr_matrix(poisson2d_scipy(16))
         b = rnp.ones(256)
-        sp.linalg.cg(A, b, rtol=0.0, maxiter=1)  # warm-up: the capture
+        sp.linalg.cg(A, b, rtol=0.0, maxiter=1)  # warm-up: first occurrences
         t0 = rt.barrier()
         x, _ = sp.linalg.cg(A, b, rtol=0.0, maxiter=4)
         t1 = rt.barrier()
@@ -223,10 +224,10 @@ def _lossy_cg(fraction: float, chaos=None):
 
 
 def test_recovery_launches_bypass_the_trace():
-    """A GPU lost inside a scope: the re-executed journal is charged in
-    full and recorded nowhere, the open body diverges, the epoch moves
-    (the goldens of test_mapping_lane are this run at 1.0)."""
-    _, midway, fault_free = _lossy_cg(0.15)
+    """A GPU lost mid-solve: the re-executed journal is charged in
+    full, and the history starts over (the goldens of test_mapping_lane
+    are this run at 1.0)."""
+    fault_free_rt, midway, fault_free = _lossy_cg(0.15)
     chaos = ChaosConfig(
         checkpoint_every=16, losses=(LossSchedule("gpu", 1, midway),)
     )
@@ -234,13 +235,13 @@ def test_recovery_launches_bypass_the_trace():
     assert rt.profiler.faults_injected["gpu-loss"] == 1
     assert rt.profiler.tasks_reexecuted > 0
     assert np.array_equal(recovered, fault_free)
-    assert rt._template_epoch == 1
-    trace = next(iter(rt._traces.values()))
-    assert trace.replays > 0
-    # The body the loss fell into kept nothing; the next one captured.
-    assert trace.captures == 2
+    # The same launches were issued; after the loss, those issued
+    # before it are first occurrences again.
+    assert 0 < rt.profiler.launches_replayed < (
+        fault_free_rt.profiler.launches_replayed
+    )
     replayed = _assert_overhead_is_full_plus_discounted(rt)
-    assert 0 < replayed < rt.profiler.tasks_launched - rt.profiler.tasks_reexecuted
+    assert replayed < rt.profiler.tasks_launched - rt.profiler.tasks_reexecuted
 
 
 # ----------------------------------------------------------------------
@@ -257,9 +258,7 @@ def _assert_fig9_cg_replays_and_matches(golden: str, fusion: bool) -> None:
         x, _ = sp.linalg.cg(A, b, rtol=0.0, maxiter=4)
         modeled = rt.barrier()
         solution = x.to_numpy()
-    (trace,) = rt._traces.values()
-    assert (trace.captures, trace.replays) == (1, 3)
-    assert trace.replayed_launches > 0
+    assert rt.profiler.launches_replayed == FIG9_REPLAYED[fusion]
     assert check_log(rt.event_log) == []
     assert _digest(rt, modeled) == golden
     assert _sha(solution) == GOLDEN_SOLUTION
@@ -274,21 +273,18 @@ def test_fig9_cg_replays_and_matches_unfused_golden():
 
 
 def _spill_program(rt: Runtime) -> float:
-    """test_mapping_lane's spill/eviction run, every step in a scope."""
+    """test_mapping_lane's spill/eviction run."""
     with runtime_scope(rt):
         n = 30_000
-        fill, add = rt.trace("fill"), rt.trace("add")
         arrays = []
         for i in range(6):
-            with fill:
-                arrays.append(rnp.full(n, float(i + 1)))
-                rt.barrier()
+            arrays.append(rnp.full(n, float(i + 1)))
+            rt.barrier()
         total = rnp.zeros(n)
         rt.barrier()
         for a in arrays:
-            with add:
-                total = total + a
-                rt.barrier()
+            total = total + a
+            rt.barrier()
         return rt.barrier()
 
 
@@ -299,28 +295,25 @@ def _tight_gpu():
     )).scope(ProcessorKind.GPU, 1)
 
 
-def test_spill_inside_scopes_matches_golden():
-    """Launches matched or captured between reliefs map as ever."""
+def test_spill_with_replays_matches_golden():
+    """Launches replayed between reliefs map as ever."""
     rt = _runtime(_tight_gpu(), trace_replay_fraction=1.0)
     modeled = _spill_program(rt)
     assert (rt.profiler.evictions, rt.profiler.spills) == (5, 6)
-    assert rt.trace("fill").replays > 0
+    assert rt.profiler.launches_replayed > 0
     assert _digest(rt, modeled) == GOLDEN_SPILL
 
 
 def _lru_program(rt: Runtime) -> float:
     with runtime_scope(rt):
         n = 30_000
-        fill, touch = rt.trace("fill"), rt.trace("touch")
         arrays = []
         for i in range(3):
-            with fill:
-                arrays.append(rnp.full(n, float(i + 1)))
-                rt.barrier()
+            arrays.append(rnp.full(n, float(i + 1)))
+            rt.barrier()
         for _ in range(3):
-            with touch:
-                # Lane hits: the oldest array becomes the latest used.
-                s = float(rnp.linalg.norm(arrays[0]))
+            # Lane hits: the oldest array becomes the latest used.
+            s = float(rnp.linalg.norm(arrays[0]))
         for _ in range(2):  # make room: the least recently used go
             arrays.append(rnp.full(n, s))
             rt.barrier()
@@ -331,19 +324,18 @@ def _lru_program(rt: Runtime) -> float:
 def test_replayed_lane_hits_keep_the_lru_order():
     rt = _runtime(_tight_gpu(), trace_replay_fraction=1.0)
     modeled = _lru_program(rt)
-    assert rt.trace("touch").replays == 2
+    assert rt.profiler.launches_replayed == LRU_REPLAYED
     assert (rt.profiler.evictions, rt.profiler.spills) == (0, 3)
     assert _digest(rt, modeled) == GOLDEN_LRU
 
 
 def test_pressure_relief_recaptures():
-    """Every relief bumps the template epoch: a body captured before it
-    is captured again, and a body it fell into keeps nothing."""
+    """Every relief clears the history: the fills and adds, which
+    would all replay after the first of each, are charged in full."""
     rt = _runtime(_tight_gpu(), launch_overhead=OVERHEAD)
     _spill_program(rt)
-    add = rt.trace("add")
-    assert rt._template_epoch == rt.profiler.evictions + rt.profiler.spills > 0
-    assert add.replays == 0 and add.replayed_launches == 0
+    assert rt.profiler.evictions + rt.profiler.spills > 0
+    assert rt.profiler.launches_replayed == RELIEF_REPLAYED
     _assert_overhead_is_full_plus_discounted(rt)
 
 
@@ -367,10 +359,7 @@ def _gmg_pcg(fraction: float, validate: bool = False, fusion: bool = True):
 
 def _assert_gmg_pcg_is_neutral(golden: str, validate: bool, fusion: bool):
     rt, modeled, solution = _gmg_pcg(1.0, validate, fusion)
-    outer = rt.trace("cg", key=((225, 225), "<f8", False))
-    assert (outer.captures, outer.replays) == (1, 2)
-    # cg -> vcycle -> coarse cg is one body: the inner scopes joined.
-    assert not rt.trace("cg", key=((49, 49), "<f8", True)).is_captured
+    assert rt.profiler.launches_replayed == GMG_REPLAYED[fusion]
     if validate:
         assert check_log(rt.event_log) == []
     assert rt.profiler.launches_passed == (4 if fusion else 0)
@@ -398,133 +387,73 @@ def test_discount_moves_times_only():
     assert np.array_equal(solution, full_solution)
     assert rt.fusion_log == full.fusion_log
     replayed = _assert_overhead_is_full_plus_discounted(rt)
-    assert replayed == _replayed(full) > rt.profiler.tasks_launched // 3
+    assert replayed == full.profiler.launches_replayed
+    assert replayed > rt.profiler.tasks_launched // 3
     assert full.profiler.launch_overhead_seconds == pytest.approx(
         full.config.launch_overhead * full.profiler.tasks_launched, rel=1e-12
     )
 
 
 # ----------------------------------------------------------------------
-# Divergence, re-capture, back-off
+# A short body
 # ----------------------------------------------------------------------
-def test_mismatch_mid_body_runs_the_rest_dynamically():
-    rt = _runtime(launch_overhead=OVERHEAD, fusion=False)
-    with runtime_scope(rt):
-        A = sp.eye(64, format="csr")
-        x = rnp.ones(64)
-        rt.barrier()
-        trace = Trace(rt, "t")
-
-        def body(odd: bool):
-            nonlocal x
-            before = trace.replayed_launches
-            with trace:
-                x = x * 0.5
-                x = x + (rnp.ones(64) if odd else 1.0)  # the mismatch
-                x = A @ x
-                x = x * 2.0
-            return trace.replayed_launches - before
-
-        assert body(False) == 0  # capture
-        assert body(False) == 4
-        # fill matches nothing: the multiply before it replays, the
-        # rest of the body is dynamic and the body is re-captured.
-        assert body(True) == 1
-        assert (trace.captures, trace.replays, trace.divergences) == (2, 1, 1)
-        assert body(True) == 5
-        rt.barrier()
-    _assert_overhead_is_full_plus_discounted(rt, trace)
-
-
 def test_a_body_that_stops_early_keeps_the_capture():
-    """The convergence check returned: a prefix of the capture, neither
-    a replay nor a reason to re-capture."""
+    """The convergence check returned after the SpMV: the short body's
+    launch replays.  The next body's SpMV reads an x written two
+    launches back, not one -- another dependence edge, charged in full
+    with the norm it fuses with -- and its divide replays."""
     rt = _runtime()
+    replayed = []
     with runtime_scope(rt):
         A = sp.eye(64, format="csr")
         x = rnp.ones(64)
-        trace = Trace(rt, "t")
+        rt.barrier()
         for stop in (False, False, True, False):
-            with trace:
-                y = A @ x
-                if stop:
-                    continue
+            before = rt.profiler.launches_replayed
+            y = A @ x
+            if not stop:
                 x = y / rnp.linalg.norm(y)
-    assert (trace.captures, trace.replays, trace.divergences) == (1, 2, 0)
-
-
-def test_always_divergent_body_backs_off():
-    rt = _runtime(launch_overhead=OVERHEAD)
-    with runtime_scope(rt):
-        bodies = Trace.BACKOFF_AFTER + 4
-        operands = [  # another system every time
-            (sp.eye(n, format="csr"), rnp.ones(n))
-            for n in range(32, 32 + 8 * bodies, 8)
-        ]
-        rt.barrier()
-        trace = Trace(rt, "t")
-        recorded = []
-        for A, x in operands:
-            with trace:
-                recorded.append(trace.recording)
-                power_step(A, x)
-        rt.barrier()
-    # capture, then BACKOFF_AFTER divergent bodies, then one body off,
-    # a fourth miss, two bodies off.
-    assert recorded == [True] * (Trace.BACKOFF_AFTER + 1) + [False, True, False]
-    assert trace.backoffs == 2 and trace.replays == 0
-    assert trace.divergences == Trace.BACKOFF_AFTER + 1
-    assert trace.replayed_launches == 0
-    _assert_overhead_is_full_plus_discounted(rt, trace)
+            rt.barrier()
+            replayed.append(rt.profiler.launches_replayed - before)
+    assert replayed == [0, 2, 1, 1]
 
 
 # ----------------------------------------------------------------------
 # Lifetime: a template holds no region
 # ----------------------------------------------------------------------
-def _temporaries_loop(traced: bool):
+def _temporaries_loop():
     rt = _runtime()
     refs = []
     with fastpath_tests.counting_shapes() as builds, runtime_scope(rt):
         A = sp.csr_matrix(poisson2d_scipy(12))
         x = rnp.ones(144)
-        trace = rt.trace("loop")
         for _ in range(4):
-            with trace if traced else contextlib.nullcontext():
-                t = A @ x  # an iteration temporary
-                refs.append(weakref.ref(t.store.region))
-                x = t * 0.25 + x
-                del t
-                # Each iteration its own window: the next SpMV's image
-                # reads the x this one writes, so a longer window holds
-                # one group per iteration, each with its own shape.
-                rt.barrier()
+            t = A @ x  # an iteration temporary
+            refs.append(weakref.ref(t.store.region))
+            x = t * 0.25 + x
+            del t
+            # Each iteration its own window: the next SpMV's image
+            # reads the x this one writes, so a longer window holds
+            # one group per iteration, each with its own shape.
+            rt.barrier()
         rt.barrier()
         gc.collect()
         alive = [ref() is not None for ref in refs]
-        pooled = {
-            mem: (st.used_bytes, st.peak_bytes)
-            for mem, st in rt.instances._states.items()
-        }
-    return rt, alive, pooled, builds[0]
+    return rt, alive, builds[0]
 
 
 def test_templates_keep_no_region_alive():
     """The SpMV and fused launches of a loop take their shapes from
-    templates, traced or not, and no iteration temporary survives."""
-    rt, alive, pooled, builds = _temporaries_loop(traced=True)
-    assert rt.trace("loop").replays == 3
+    templates, replayed or not, and no iteration temporary survives --
+    nor does the replay history keep one."""
+    rt, alive, builds = _temporaries_loop()
+    assert rt.profiler.launches_replayed == 3
     assert alive == [False] * 4
-    plain, plain_alive, plain_pooled, plain_builds = _temporaries_loop(
-        traced=False
-    )
-    assert plain_alive == alive
     # Five launches -- the fill, then {SpMV, multiply, add} four times --
     # and three shapes: the fill's, and one per window structure (the
     # first window also holds the fill; the three after it are equal).
-    assert plain.profiler.tasks_launched == 5
-    assert builds == plain_builds == 3
-    assert pooled == plain_pooled
-    assert rt.instances.total_peak_bytes() == plain.instances.total_peak_bytes()
+    assert rt.profiler.tasks_launched == 5
+    assert builds == 3
 
 
 # ----------------------------------------------------------------------
@@ -540,7 +469,7 @@ def test_runtime_that_never_bumps_the_epoch_fails(monkeypatch):
 
 def test_fingerprint_blind_to_partitions_fails(monkeypatch):
     """Rows, solve plan and launch shape reused across a repartition or
-    another image: traced, untraced and image launches each fail."""
+    another image: replayed, fresh and image launches each fail."""
     real = AutoTask._fingerprint
 
     def blind(self, colors):
