@@ -8,7 +8,13 @@ The solving procedure follows §4.1 of the paper:
    color count that is valid for every member, the solver reuses the key
    partition of the **largest** member — keeping the biggest operand (for
    SpMV, the sparse matrix) in place and re-partitioning the least data.
-   Otherwise a fresh even tiling is created.
+   Otherwise a fresh even tiling is created.  A key is a tiling, or an
+   image by range that cuts its region the way a tiling does (a CSR's
+   ``crd``/``vals`` and what is computed from them, cut at the rows of
+   a ``pos`` tile); an image key holds only while its source has not
+   been written since the image was computed (:func:`usable_key`).
+   Reusing it for another member means the same image over that
+   member's region (:meth:`ImageByRange.retarget`).
 3. Image constraints are resolved in dependency order: once a source's
    partition is known, the destination's partition is computed with the
    dependent-partitioning image operation (by range or by coordinate).
@@ -82,11 +88,12 @@ def solve_partitions(
     """Assign a partition to every store; keys are region uids.
 
     ``image_cache`` is the runtime's
-    :class:`repro.legion.fastpath.ImagePartitionCache` (None for the
-    advisor's static solves, which recompute): image
+    :class:`repro.legion.fastpath.ImagePartitionCache` (None in unit
+    solves, which recompute every image and reuse no image key): image
     constraints re-read source region data on every solve, and the
     cache skips that read when the source has not been written since
-    (bitwise-identical geometry either way).
+    (bitwise-identical geometry either way).  Its write epochs also
+    decide whether an image key partition still holds.
     """
     stores = list(stores)
     constraints = list(constraints)
@@ -134,7 +141,9 @@ def solve_partitions(
             raise ConstraintError(
                 f"aligned stores must agree on dimension 0: {names}"
             )
-        partition = _choose_group_partition(group, colors, reuse_partitions)
+        partition = _choose_group_partition(
+            group, colors, reuse_partitions, image_cache
+        )
         for store in group:
             solution[store.region.uid] = _retarget(partition, store)
 
@@ -167,15 +176,58 @@ def solve_partitions(
         uid = store.region.uid
         if uid in solution:
             continue
-        if (
-            reuse_partitions
-            and store.has_matching_key(colors)
-            and isinstance(store.key_partition, Tiling)
-        ):
-            solution[uid] = store.key_partition
-        else:
-            solution[uid] = Tiling.create(store.region, colors)
+        key = usable_key(store, colors, image_cache) if reuse_partitions else None
+        solution[uid] = key or Tiling.create(store.region, colors)
     return solution
+
+
+def usable_key(store: Store, colors: int, image_cache=None) -> Optional[Partition]:
+    """The store's key partition if the solver may reuse it, else None.
+
+    A tiling of ``colors`` tiles always qualifies.  An image by range
+    qualifies only while its source has not been written since its
+    rects were computed: the epoch it carries must be the source's
+    current one in ``image_cache``.  A stale image of one
+    :func:`~repro.legion.partition.derivation` as a fresh one would
+    look like the same partition to the fusion planner while cutting
+    the region elsewhere.
+    """
+    key = store.key_partition
+    if key is None or key.color_count != colors:
+        return None
+    if type(key) is Tiling:
+        return key
+    if (
+        type(key) is ImageByRange
+        and image_cache is not None
+        and key.epoch == image_cache.epochs.get(key.pos.uid, 0)
+    ):
+        return key
+    return None
+
+
+def image_key(
+    source: Store, dest: Store, colors: int, image_cache
+) -> Optional[ImageByRange]:
+    """The image of an even tiling of ``source`` (a ``pos``) onto
+    ``dest``, if it may be ``dest``'s key partition (its rects tile
+    ``dest``), else None."""
+    image = _image_cached(
+        Image(source, dest, ImageKind.RANGE),
+        Tiling.create(source.region, colors), False, image_cache,
+    )
+    return image if keeps_image(image) else None
+
+
+def keeps_image(partition: Partition) -> bool:
+    """Whether a store written through ``partition``, an image, keeps
+    it as its key partition: an image by range with a known source
+    epoch whose rects tile the region."""
+    return (
+        type(partition) is ImageByRange
+        and partition.epoch is not None
+        and partition.tile_boundaries() is not None
+    )
 
 
 def solution_plan(
@@ -250,25 +302,25 @@ def rebuild_solution(
 
 
 def _choose_group_partition(
-    group: List[Store], colors: int, reuse: bool
-) -> Tiling:
+    group: List[Store], colors: int, reuse: bool, image_cache=None
+) -> Partition:
     if reuse:
-        candidates = [
-            s
-            for s in group
-            if s.has_matching_key(colors) and isinstance(s.key_partition, Tiling)
+        keyed = [
+            (s, key) for s in group
+            for key in (usable_key(s, colors, image_cache),) if key is not None
         ]
-        if candidates:
-            largest = max(candidates, key=lambda s: s.nbytes)
-            return largest.key_partition  # type: ignore[return-value]
+        if keyed:
+            return max(keyed, key=lambda pair: pair[0].nbytes)[1]
     largest = max(group, key=lambda s: s.nbytes)
     return Tiling.create(largest.region, colors)
 
 
-def _retarget(partition: Tiling, store: Store) -> Tiling:
-    """Apply a tiling's boundaries to another same-length store."""
+def _retarget(partition: Partition, store: Store) -> Partition:
+    """Apply a key partition's cuts to another same-length store."""
     if partition.region.uid == store.region.uid:
         return partition
+    if type(partition) is ImageByRange:
+        return partition.retarget(store.region)
     return Tiling(store.region, partition.boundaries)
 
 
@@ -303,32 +355,24 @@ def _image_cached(con: Image, src_part: Partition, exact: bool, cache):
     regions from the cached rects — bitwise-identical to recomputing,
     because the key pins the source region's write epoch (any task
     write to the source bumps it) alongside the source partition's
-    geometry and the destination shape.
+    geometry and the destination shape.  An image by range carries
+    that epoch, so it may serve as a key partition (:func:`usable_key`).
     """
     src_sig = _src_part_sig(src_part)
     if src_sig is None:
         return _image(con, src_part, exact)
     source = con.source.region
     dest = con.dest.region
-    key = (
-        con.kind.value,
-        bool(exact),
-        source.uid,
-        cache.epochs.get(source.uid, 0),
-        src_sig,
-        dest.shape,
-    )
+    epoch = cache.epochs.get(source.uid, 0)
+    key = (con.kind.value, bool(exact), source.uid, epoch, src_sig, dest.shape)
     cached = cache.get(key)
     if con.kind == ImageKind.RANGE:
         if cached is not None:
-            img = ImageByRange.__new__(ImageByRange)
-            Partition.__init__(img, dest, src_part.color_count)
-            img.pos = source
-            img.pos_partition = src_part
-            img._rects = cached[0]
+            img = ImageByRange.from_rects(source, src_part, dest, cached[0], epoch)
             img._tables = cached
             return img
         img = ImageByRange(source, src_part, dest)
+        img.epoch = epoch
         cache.put(key, img.tables())
         return img
     if cached is not None:

@@ -2,9 +2,10 @@
 
 A store is the unit both frontend libraries traffic in.  Following
 cuNumeric's design, every store remembers the *key partition* — the
-latest partition it was written through — and the solver consults key
-partitions when choosing how to partition the operands of the next
-operation, keeping data where it already lives in the machine.
+latest tiling, or image of a ``pos`` tile that cuts it like a tiling,
+it was written through — and the solver consults key partitions when
+choosing how to partition the operands of the next operation, keeping
+data where it already lives in the machine.
 """
 
 from __future__ import annotations
@@ -87,13 +88,6 @@ class Store:
     def set_key_partition(self, partition: Partition) -> None:
         """Record the latest written partition."""
         self.key_partition = partition
-
-    def has_matching_key(self, colors: int) -> bool:
-        """Whether the key partition fits a color count."""
-        return (
-            self.key_partition is not None
-            and self.key_partition.color_count == colors
-        )
 
     def destroy(self) -> None:
         """Release the backing region's instances.

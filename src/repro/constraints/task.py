@@ -5,7 +5,9 @@ with privileges, declare partitioning constraints, and call
 :meth:`AutoTask.execute`.  The solver picks concrete partitions, the
 runtime performs mapping/coherence/timing, and written stores have their
 key partitions updated so later operations (from any library) can reuse
-them.
+them: a store written through a tiling keeps the tiling, one written
+through an image of a ``pos`` tile that cuts it like a tiling keeps the
+image (Legate Sparse's co-partitioned ``crd``/``vals``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Any, Dict, List, Optional
 from repro.analysis import ValidationError
 from repro.constraints.constraint import Align, Broadcast, Explicit, Image, ImageKind
 from repro.constraints.solver import (
-    rebuild_solution, solution_plan, solve_partitions,
+    keeps_image, rebuild_solution, solution_plan, solve_partitions,
 )
 from repro.constraints.store import Store
 from repro.legion.future import Future
@@ -50,6 +52,7 @@ class AutoTask:
         self._scalar_reduction: Optional[str] = None
         self._by_name: Dict[str, Store] = {}
         self._pointwise: Optional[Pointwise] = None
+        self._structure = False
 
     # ------------------------------------------------------------------
     # Region arguments
@@ -134,6 +137,16 @@ class AutoTask:
             statement=statement,
         )
 
+    def set_structure(self) -> None:
+        """Declare that the kernel writes only sparse structure computed
+        from its ``pos``/``crd`` inputs (row expansion).
+
+        A dry run (the advisor's) skips every kernel except these, so
+        the images later launches take of that structure are the real
+        run's and so are their copies.
+        """
+        self._structure = True
+
     # ------------------------------------------------------------------
     def _check_write_disjointness(self, solution) -> None:
         """Validation mode: exclusive-write partitions must be disjoint.
@@ -164,10 +177,11 @@ class AutoTask:
         use within the launch.  It keys the launch's template: the solve
         plan, and with it the solved partitions, window verdict and
         launch shape.  None when the solve reads region data or caller
-        partitions (Image, Explicit), a key partition is no tiling, or a
-        constraint names a store that is no argument: such a launch's
-        solve is never memoized, and ``Runtime.launch`` keys its
-        template after the solve, by
+        partitions (Image, Explicit), a key partition is no tiling (an
+        image key's rects come from its source's data, so image keys are
+        not memoized), or a constraint names a store that is no
+        argument: such a launch's solve is never memoized, and
+        ``Runtime.launch`` keys its template after the solve, by
         :func:`repro.legion.tracing.launch_fingerprint`.
         """
         ids: Dict[int, int] = {}
@@ -211,6 +225,11 @@ class AutoTask:
 
     def execute(self) -> Optional[Future]:
         """Solve constraints, launch, update key partitions.
+
+        A written store keeps the partition it was written through as
+        its key when that is a tiling, or an image by range whose rects
+        tile the store (:func:`~repro.constraints.solver.keeps_image`);
+        a REDUCE store keeps its owner tiling.
 
         The solve goes through the template of the launch's pre-solve
         key (:meth:`_fingerprint`): iterative solvers re-launch
@@ -278,12 +297,15 @@ class AutoTask:
             reduction=self._scalar_reduction,
             pointwise=self._pointwise,
             template=template,
+            structure=self.kernel if self._structure else None,
         )
         result = self.runtime.launch(launch)
 
         for (_name, store, privilege), req in zip(self._args, requirements):
             if privilege == Privilege.REDUCE:
                 store.set_key_partition(req.owner)
-            elif privilege.writes and isinstance(req.partition, Tiling):
+            elif privilege.writes and (
+                isinstance(req.partition, Tiling) or keeps_image(req.partition)
+            ):
                 store.set_key_partition(req.partition)
         return result

@@ -382,6 +382,7 @@ def expand_row_indices(A) -> ndarray:
 
     task = AutoTask(rt, "expand_rows", kernel, cost)
     task.set_pointwise("expand_rows")  # writes its image rect of rows only
+    task.set_structure()  # rows come from pos alone
     task.add_output("rows", rows.store)
     task.add_input("pos", A.pos)
     task.add_input("crd", A.crd)

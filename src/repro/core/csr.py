@@ -8,6 +8,7 @@ import numpy as np
 
 import repro.numeric as rnp
 from repro.constraints import Store
+from repro.constraints.solver import image_key
 from repro.core import validation  # noqa: F401  (module import, no cycle)
 from repro.core.base import issparse, spmatrix
 from repro.distal.formats import CSR
@@ -153,6 +154,13 @@ class csr_matrix(spmatrix):
         self.vals = Store.create(
             (nnz,), final_dtype, data=data.astype(final_dtype), runtime=rt, name="vals"
         )
+        # crd/vals are cut where an even tiling of pos cuts the rows, as
+        # every sparse kernel over this matrix will reach them, so that
+        # value-space arithmetic runs on the kernels' cuts.
+        for store in (self.crd, self.vals):
+            key = image_key(self.pos, store, rt.num_procs, rt._image_cache)
+            if key is not None:
+                store.set_key_partition(key)
 
     @classmethod
     def _from_stores(

@@ -17,9 +17,9 @@ Legality rules (checked structurally, per window):
 1. *Who joins.*  A launch tagged :class:`~repro.legion.task.Pointwise`
    declares that its kernel touches nothing outside its requirements'
    rects: element-wise launches, scalar reductions over read-only
-   tilings (``numeric.reductions``), every generated kernel
-   (``distal.registry.launch``, REDUCE ones included), row expansion
-   and row gathers.  It enters the window.  Any other launch -- a
+   tilings or disjoint images (``numeric.reductions``), every generated
+   kernel (``distal.registry.launch``, REDUCE ones included), row
+   expansion and row gathers.  It enters the window.  Any other launch -- a
    slice write, a random draw, ``scatter_add``, a raw launch -- runs
    at once, ordered against the window by a *hazard test*
    (``Runtime.pass_window``): the window is flushed first only if the
@@ -34,7 +34,14 @@ Legality rules (checked structurally, per window):
    every member through one disjoint partition -- a tiling with equal
    boundaries, or an image of equal derivation
    (:func:`~repro.legion.partition.derivation`) -- so shard
-   *i* of each member depends only on shard *i* of the others.  A
+   *i* of each member depends only on shard *i* of the others.  Two
+   images of one derivation in one window have equal rects: a fresh
+   image is computed from its source's current data, and the solver
+   reuses an image *key partition* (a matrix's value array, cut at the
+   rows of a ``pos`` tile, and what is computed from it) only while
+   its source is unwritten since (``solver.usable_key``), so an
+   element-wise op on such an array shares the shards of the sparse
+   kernels that read it.  A
    region no member writes may be read through anything: tiles,
    replicas, aliased halo images.  A launch whose write goes through
    an aliased image or a replica never joins the window (a REDUCE is
@@ -66,7 +73,10 @@ Legality rules (checked structurally, per window):
    reduction, and the runtime folds each value on its own, by its own
    op, in color order -- the value the launch run alone would give --
    over ONE allreduce tree for the group.  A scalar reduction joins
-   only over read-only tiles.
+   only over read-only tiles and disjoint images: the norm of an array
+   keyed by a ``pos`` image folds its shards' partials in color order
+   run alone or fused, since the solver cuts it the same way either
+   way.
 5. *The reduction constraint.*  A reduction in the window hands out a
    pending future.  A launch that takes such a future as a scalar --
    directly or through lazy ``Future.combine``/``map`` arithmetic; its
@@ -178,9 +188,9 @@ def summarize(
     """Summarize a launch from ``(req_name, region, partition,
     privilege)`` tuples."""
     out: List[Access] = []
-    # A scalar reduction is admitted over read-only tiles alone, a write
-    # through a disjoint tiling or image alone, a REDUCE through a tiling
-    # or any image (rule 4).
+    # A scalar reduction is admitted over read-only tiles and disjoint
+    # images alone, a write through a disjoint tiling or image alone, a
+    # REDUCE through a tiling or any image (rule 4).
     reducing = reduction is not None
     ok = pointwise is not None
     for req_name, region, partition, privilege in accesses:
@@ -195,10 +205,13 @@ def summarize(
         else:
             boundaries = derivation(partition)
             kind = "other" if boundaries is None else "image"
-            if reducing or (privilege.writes and (
+            if reducing:
+                if privilege.writes or kind == "other" or not partition.is_disjoint():
+                    ok = False
+            elif privilege.writes and (
                 kind == "other"
                 or not (privilege is Privilege.REDUCE or partition.is_disjoint())
-            )):
+            ):
                 ok = False
         out.append(Access(region, kind, boundaries, privilege, req_name))
     barrier = any(
@@ -505,7 +518,8 @@ def fuse(
     generated kernel under one combined cost entry; one without
     replays its members.  Requirements, scalars and the fused name are
     identical either way, so mapping, coherence and the event log
-    cannot tell the forms apart.
+    cannot tell the forms apart.  A dry run calls only the launch's
+    ``structure`` kernel: the replay of the members that declare one.
     """
     if len(group) == 1 and not elide_uids:
         return group[0]
@@ -536,6 +550,7 @@ def fuse(
     for task in group:
         ops.extend(task.pointwise.ops if task.pointwise else (task.name,))
     reducing = [task for task in group if task.reduction is not None]
+    shaping = [i for i, task in enumerate(group) if task.structure is not None]
     return TaskLaunch(
         name=fused_name([task.name for task in group]),
         requirements=requirements,
@@ -545,6 +560,7 @@ def fuse(
         reduction=tuple(task.reduction for task in reducing) or None,
         pointwise=Pointwise(tuple(ops)),
         future=tuple(task.future for task in reducing) or None,
+        structure=_replay(group, shaping)[0] if shaping else None,
     )
 
 

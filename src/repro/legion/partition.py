@@ -234,6 +234,11 @@ class ImageByRange(Partition):
     when ``pos`` is monotone (as in CSR/CSC).
     """
 
+    # The source's write epoch the rects were computed at
+    # (``ImagePartitionCache.epochs``), or None when unknown: only an
+    # image with an epoch may serve as a key partition.
+    epoch: Optional[int] = None
+
     def __init__(self, pos: Region, pos_partition: Partition, dest: Region):
         super().__init__(dest, pos_partition.color_count)
         if pos.ndim != 2 or pos.shape[1] != 2:
@@ -243,6 +248,57 @@ class ImageByRange(Partition):
         self._rects = tuple(
             self._compute(pos_partition.rect(c), dest)
             for c in range(self.color_count)
+        )
+
+    @classmethod
+    def from_rects(
+        cls,
+        pos: Region,
+        pos_partition: Partition,
+        dest: Region,
+        rects: Tuple[Rect, ...],
+        epoch: Optional[int] = None,
+    ) -> "ImageByRange":
+        """An image with precomputed rects (a cache hit or a retarget)."""
+        self = cls.__new__(cls)
+        Partition.__init__(self, dest, pos_partition.color_count)
+        self.pos = pos
+        self.pos_partition = pos_partition
+        self._rects = rects
+        self.epoch = epoch
+        return self
+
+    def tile_boundaries(self) -> Optional[Tuple[int, ...]]:
+        """The rects as row-tile boundaries, or None.
+
+        Not None when the image cuts its region the way a
+        :class:`Tiling` does: every color non-empty, in color order,
+        each starting where the previous one ends, the first at row 0
+        and the last ending at the region's last row.  Such an image is
+        disjoint and complete, so a store written through it may keep
+        it as its key partition.
+        """
+        bounds = [0]
+        for rect in self._rects:
+            lo, hi = rect.lo[0], rect.hi[0]
+            if hi <= lo or lo != bounds[-1]:
+                return None
+            bounds.append(hi)
+        if bounds[-1] != self.region.shape[0]:
+            return None
+        return tuple(bounds)
+
+    def retarget(self, region: Region) -> "ImageByRange":
+        """The same image over another region of equal row count: the
+        same source, source partition and epoch, so the same
+        :func:`derivation`."""
+        return ImageByRange.from_rects(
+            self.pos, self.pos_partition, region,
+            tuple(
+                _extend_rows(region, rect.lo[0], rect.hi[0])
+                for rect in self._rects
+            ),
+            self.epoch,
         )
 
     def _compute(self, pos_rect: Rect, dest: Region) -> Rect:

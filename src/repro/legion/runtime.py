@@ -430,7 +430,8 @@ class Runtime:
         # Advisor capture (repro.analysis.plan.PlanTrace): when set this
         # runtime is a *dry run* -- launches and fused groups are
         # recorded and everything runs as always, except that no kernel
-        # is called and scalar reductions fold the plan's placeholders.
+        # but a structure kernel (TaskLaunch.structure) is called and
+        # scalar reductions fold the plan's placeholders.
         self.plan_trace = None
         # Validation mode: the structured event log the offline checker
         # (python -m repro.analysis) replays.  None when not validating.
@@ -1201,9 +1202,12 @@ class Runtime:
         # Journal replay skips the kernel because the arrays already
         # hold its results, a dry run (an attached PlanTrace) because
         # nothing is to be computed: there a scalar reduction folds the
-        # plan's placeholder partials, at the modeled times.
+        # plan's placeholder partials, at the modeled times.  A dry run
+        # still calls the launch's structure kernel (row expansion),
+        # since later launches take images of what it writes.
         plan = self.plan_trace
         run_kernel = not replay and plan is None
+        structure = None if replay or plan is None else task.structure
         reducing = not replay and task.reduction is not None
         partial = (
             plan.placeholder(task) if reducing and plan is not None else None
@@ -1379,6 +1383,8 @@ class Runtime:
 
             if run_kernel:
                 partial = task.kernel(ctx)
+            elif structure is not None:
+                structure(ctx)
             if reducing:
                 partials.append(partial)
                 partial_times.append(finish)

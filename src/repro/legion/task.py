@@ -198,6 +198,12 @@ class TaskLaunch:
     # reductions whose pending futures this launch takes as scalars.
     future: Optional[Any] = None
     after: Tuple[int, ...] = ()
+    # The kernel a dry run still calls, or None: a launch that writes
+    # only sparse structure computed from ``pos``/``crd`` (row
+    # expansion) declares its kernel here, and a fused group carries
+    # the replay of its structure members alone.  Launches after it
+    # then solve their images over the real structure.
+    structure: Optional[KernelFn] = None
 
     @property
     def color_count(self) -> int:

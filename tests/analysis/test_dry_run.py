@@ -5,12 +5,14 @@ program, config and machine the two must agree on everything that does
 not depend on computed values: the event log (kind, region, rect,
 memories, bytes, start/finish), ``fusion_log``, ``elapsed()``, the
 profiler's counts and every memory's peak.  Where a kernel *produces
-sparse structure* (GMG's Galerkin product, the batch's expanded row
-indices) the dry run sees an empty structure: launches, shards,
-allreduces and fused groups are still exact, halo copies over that
-structure can only be missing: kernel seconds agree to
-``STRUCTURE_RTOL``, and the dry run finishes no later than the real run
-and no earlier than the real run's missing copies account for.
+sparse structure* (GMG's Galerkin product) the dry run sees an empty
+structure: launches, shards, allreduces and fused groups are still
+exact, halo copies over that structure can only be missing: kernel
+seconds agree to ``STRUCTURE_RTOL``, and the dry run finishes no later
+than the real run and no earlier than the real run's missing copies
+account for.  Row expansion declares itself a structure kernel, which
+a dry run calls, alone or inside a fused group: a matfact batch, whose
+gathers take images of the expanded rows, agrees exactly.
 """
 
 import ast
@@ -27,6 +29,7 @@ from repro.analysis import advise
 from repro.analysis.advisor import copy_seconds, dry_run
 from repro.analysis.events import EventLog
 from repro.apps.poisson import poisson2d_scipy
+from repro.constraints import AutoTask
 from repro.harness.experiments.fig8_spmv import banded_scipy
 from repro.legion import Runtime, RuntimeConfig
 from repro.legion.coherence import RegionCoherence
@@ -216,6 +219,25 @@ def test_kernel_produced_structure_agrees_on_counts(fn, fusion, scope):
     # real run, by no more than they take.
     assert dry["elapsed"] <= real["elapsed"]
     assert real["elapsed"] - dry["elapsed"] <= missing_copy_seconds(dry, real)
+
+
+@pytest.mark.parametrize("scope", SCOPES)
+@pytest.mark.parametrize("fusion", [True, False], ids=["fused", "eager"])
+def test_a_dry_run_expands_rows_so_a_matfact_batch_agrees_exactly(
+    fusion, scope
+):
+    assert_same(
+        run_dry(matfact_batch, scope, fusion),
+        run_real(matfact_batch, scope, fusion),
+    )
+
+
+def test_mutant_dry_run_without_structure_kernels_is_caught(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(AutoTask, "set_structure", lambda self: None)
+        dry = run_dry(matfact_batch, "summit-3")
+    real = run_real(matfact_batch, "summit-3")
+    assert dry["copies"] != real["copies"]
 
 
 def test_mutant_dry_run_without_mark_written_is_caught(monkeypatch):

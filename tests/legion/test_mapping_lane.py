@@ -823,19 +823,20 @@ def _journaled(program, loss_at):
 
 
 def test_warm_train_batch_launch_count():
-    """7 launches where there were 18, then 13, 9 and 8: the sampled
-    U·Vᵀ reads only the pattern, so it joins the expansion; both gathers
-    join the four-op prediction chain.  The transposed SpMM and the
-    column sums reduce into fills the window owes, and now join those
-    fills' groups, applied after the last shard: the SpMM, its fill,
-    its transpose and the U update are one launch; two ops of the V
-    update fill the 16-launch window; the rest of it, the row sums, the
-    b_u update, the fill and the column sums are one more; b_i's update
-    shares the loss norm's.  (In an epoch the norm's group also takes
-    the next batch's expansion and sampled product, 6 a batch; the
+    """6 launches where there were 18, then 13, 9, 8 and 7: the sampled
+    U·Vᵀ reads only the pattern, so it joins the expansion.  The error
+    is computed on the batch matrix's row cuts (its values keep the
+    ``pos`` image as their key partition), as the SpMMs read it, so
+    both gathers, the four-op prediction chain, the SpMM, its fill, the
+    transposed SpMM (reducing into that fill, applied after the last
+    shard) and the U update are one launch.  Two ops of the V update
+    fill the 16-launch window; the rest of it, the row sums, the b_u
+    update, the fill and the column sums are one more; b_i's update is
+    one and the loss norm one.  (In an epoch the norm's group also takes
+    the next batch's expansion and sampled product, 5 a batch; the
     barrier here closes it.)"""
     _, _, delta, _ = _train()
-    assert delta.tasks_launched <= 7
+    assert delta.tasks_launched <= 6
     # Flushed only before the first gather's solve (its image reads the
     # rows the expansion still owes); nothing passes it.
     assert (delta.launches_passed, delta.hazard_flushes) == (0, 1)
@@ -848,14 +849,13 @@ def test_gpu_loss_mid_batch_replays_fused_sparse_groups():
     recovered, _, delta, (journal,) = _train(start + 0.55 * (end - start))
     assert delta.faults_injected["gpu-loss"] == 1
     assert delta.tasks_reexecuted == len(journal) > 0
+    # The replayed journal holds the 14-member group of the gathers,
+    # the error and both SpMMs, whose REDUCE member (the transposed
+    # SpMM, its name cut short in the group's) ran after its shards;
+    # replay re-folds it.
     assert any(
-        name.startswith("fused{6}:gather_rows+add+gather_rows")
-        for name in journal
-    )
-    # The replayed journal holds a group whose REDUCE member (the
-    # transposed SpMM) ran after its shards; replay re-folds it.
-    assert any(
-        name.startswith("fused{") and "csr:Y(j,k)=A(i,j)*X(i,k)" in name
+        name.startswith("fused{14}:gather_rows+add+gather_rows")
+        and "+fill+csr:Y(j,k)=" in name
         for name in journal
     )
     assert recovered == fault_free
