@@ -238,9 +238,14 @@ def test_fused_matfact_batch_is_bitwise_eager():
     fused, violations, rt = _run_validated(_matfact_batch, True)
     eager, clean, _ = _run_validated(_matfact_batch, False)
     assert fused == eager and violations == [] and clean == []
-    # The bias gathers, the error and both gradient SpMMs are one group.
+    # The bias gathers, the error, both gradient SpMMs, the bias sums and
+    # the loss norm are one group, filled up by the U update's first ops.
+    sparse = (
+        "gather_rows", "add", "gather_rows", "add", "add", "subtract",
+        "csr:Y(i,k)=A(i,j)*X(j,k):gpu", "fill", "csr:Y(j,k)=A(i,j)*X(i,k):gpu",
+        "csr:y(i)=A(i,j):gpu", "fill", "csr:y(j)=A(i,j):gpu", "norm2",
+    )
     assert any(
-        len(names) == 14 and names[0] == "gather_rows"
-        and "csr:Y(j,k)=A(i,j)*X(i,k):gpu" in names
+        len(names) == 16 and names[:13] == sparse
         for names, _, _ in rt.fusion_log
     )

@@ -823,20 +823,21 @@ def _journaled(program, loss_at):
 
 
 def test_warm_train_batch_launch_count():
-    """6 launches where there were 18, then 13, 9, 8 and 7: the sampled
-    U·Vᵀ reads only the pattern, so it joins the expansion.  The error
-    is computed on the batch matrix's row cuts (its values keep the
-    ``pos`` image as their key partition), as the SpMMs read it, so
-    both gathers, the four-op prediction chain, the SpMM, its fill, the
-    transposed SpMM (reducing into that fill, applied after the last
-    shard) and the U update are one launch.  Two ops of the V update
-    fill the 16-launch window; the rest of it, the row sums, the b_u
-    update, the fill and the column sums are one more; b_i's update is
-    one and the loss norm one.  (In an epoch the norm's group also takes
-    the next batch's expansion and sampled product, 5 a batch; the
-    barrier here closes it.)"""
+    """4 launches where there were 18, then 13, 9, 8, 7 and 6: the
+    sampled U·Vᵀ reads only the pattern, so it joins the expansion.  The
+    error is computed on the batch matrix's row cuts (its values keep
+    the ``pos`` image as their key partition), as the SpMMs, the row and
+    column sums and the loss norm read it, and ``train_batch`` issues
+    all of them before its first dense update, so both gathers, the
+    four-op prediction chain, the SpMM, its fill, the transposed SpMM
+    (reducing into that fill, applied after the last shard), the row
+    sums, the column sums' fill and sums, the norm and three ops of the
+    U update fill one 16-launch window.  The next 16 dense update ops
+    are one more launch and the last ``b_i`` op one.  (In an epoch that
+    op's group also takes the next batch's expansion and sampled
+    product, 3 a batch; the barrier here closes it.)"""
     _, _, delta, _ = _train()
-    assert delta.tasks_launched <= 6
+    assert delta.tasks_launched <= 4
     # Flushed only before the first gather's solve (its image reads the
     # rows the expansion still owes); nothing passes it.
     assert (delta.launches_passed, delta.hazard_flushes) == (0, 1)
@@ -849,12 +850,12 @@ def test_gpu_loss_mid_batch_replays_fused_sparse_groups():
     recovered, _, delta, (journal,) = _train(start + 0.55 * (end - start))
     assert delta.faults_injected["gpu-loss"] == 1
     assert delta.tasks_reexecuted == len(journal) > 0
-    # The replayed journal holds the 14-member group of the gathers,
-    # the error and both SpMMs, whose REDUCE member (the transposed
-    # SpMM, its name cut short in the group's) ran after its shards;
-    # replay re-folds it.
+    # The replayed journal holds the 16-member group of the gathers,
+    # the error, both SpMMs and the bias sums, whose REDUCE members (the
+    # transposed SpMM, its name cut short in the group's, and the column
+    # sums) ran after its shards; replay re-folds them.
     assert any(
-        name.startswith("fused{14}:gather_rows+add+gather_rows")
+        name.startswith("fused{16}:gather_rows+add+gather_rows")
         and "+fill+csr:Y(j,k)=" in name
         for name in journal
     )
@@ -958,9 +959,10 @@ ISSUED_PER_CG_CALL = 17  # one warm sp.linalg.cg(maxiter=1), M=None
 
 def _calls_per_shard(gpus: int) -> float:
     grid = 2 * gpus  # a tile is two grid rows at either size: same halos
+    # The budget is the hot path's: no validator under REPRO_VALIDATE=1.
     rt = Runtime(
         summit(nodes=gpus // 6).scope(ProcessorKind.GPU, gpus),
-        RuntimeConfig.legate(),
+        RuntimeConfig.legate(validate=False),
     )
     calls = [0]
     mapping = [0]  # _execute_task frames on the stack
@@ -1043,8 +1045,10 @@ def test_preconditioned_cg_iteration_keeps_two_allreduces():
 
 
 def test_calls_per_replayed_launch_fit_the_budget():
+    # The budget is the hot path's: no validator under REPRO_VALIDATE=1.
     rt = Runtime(
-        summit(nodes=1).scope(ProcessorKind.GPU, 6), RuntimeConfig.legate()
+        summit(nodes=1).scope(ProcessorKind.GPU, 6),
+        RuntimeConfig.legate(validate=False),
     )
     calls = [0]
     issued = [0]
