@@ -121,10 +121,15 @@ def _matfact_batches(fusion: bool) -> dict:
 
 def test_fig12_matfact_window(benchmark):
     """Sparse launches with element-wise glue between them: the window
-    pays here because generated kernels join it under the per-region
-    rule and share launches with their neighbours (expansion and a
-    fill, gathers and the prediction chain, SpMM and a fill, row sums
-    and the factor updates): at most 9 launches a batch, 36 unfused."""
+    pays here because generated kernels join it and share launches with
+    their neighbours.  The measured batch is 4 launches, 35 unfused:
+    the row expansion with the sampled product; both bias gathers, the
+    prediction chain, the error, both SpMMs (the transposed one with
+    its fill), the row and column sums and the loss norm with the
+    first three factor-update ops; the next 16 update ops as one merged
+    nest; and the last update op, which the closing barrier leaves
+    alone (in a training loop it joins the next batch's first
+    launch)."""
     fused = benchmark.pedantic(
         lambda: _matfact_batches(fusion=True), rounds=1, iterations=1
     )
@@ -137,7 +142,7 @@ def test_fig12_matfact_window(benchmark):
         f"{fused['modeled_time_s'] * 1e3:.2f} ms"
     )
     assert fused["model_sha256"] == unfused["model_sha256"]
-    assert fused["tasks_launched"] <= 9 < unfused["tasks_launched"]
+    assert fused["tasks_launched"] <= 4 < unfused["tasks_launched"]
     assert fused["sparse_groups"] >= 3 and unfused["sparse_groups"] == 0
     assert (
         fused["modeled_launch_overhead_s"]

@@ -9,12 +9,11 @@ the shared model.
 
 The load generator is a pure function of the seed: per-tenant streams
 of bursty arrivals with a tunable duplicate-input rate (cache traffic),
-dtype mix (unbatchable traffic) and mid-run model updates (version
-churn).  :func:`run_scenario` serves one workload and returns its
-metrics with a digest per request, so two scenarios compare bit for
-bit: batching on versus off (``max_batch=1``), the result cache on
-versus off, and a chaos tenant's dedicated runtime versus a run
-without it — ``tests/harness/test_serve_bench.py`` asserts each at
+dtype mix and mid-run model updates (version churn).
+:func:`run_scenario` serves one workload and returns its metrics with
+a digest per request, so two scenarios compare bit for bit: the result
+cache on versus off, and a chaos tenant's dedicated runtime versus a
+run without it — ``tests/harness/test_serve_bench.py`` asserts each at
 reduced sizes.
 The ``serve_mixed`` workload of ``bench/`` measures the same service.
 """
@@ -40,7 +39,7 @@ SERVE_K = 8
 SERVE_PROCS = 2
 # Arrivals come in bursts (a burst shares one arrival instant, bursts
 # are ``gap`` apart) so scheduling windows actually contain co-pending
-# requests — the traffic shape batching exists for.
+# requests whose launches share one deferred window.
 BURST = 4
 BURST_GAP = 2.5e-4
 
@@ -97,8 +96,7 @@ def generate_streams(
 
     ``dup_rate`` draws the RHS from a small shared pool (identical
     bytes → cache-hittable, including across tenants); ``dtype_mix``
-    downcasts some requests to float32 (legal, but unbatchable against
-    float64 traffic).
+    downcasts some requests to float32.
     """
     rng = np.random.default_rng(seed)
     pool = [rng.standard_normal(n) for _ in range(4)]
@@ -131,7 +129,6 @@ def run_scenario(
     versions: Sequence,
     tenants: Sequence[TenantConfig],
     streams: Dict[str, List[Tuple[float, np.ndarray]]],
-    max_batch: int = 8,
     cache_capacity: int = 256,
     update_after: Optional[int] = None,
 ) -> Dict:
@@ -147,7 +144,6 @@ def run_scenario(
         ServiceConfig(
             procs=SERVE_PROCS,
             window=8,
-            max_batch=max_batch,
             cache_capacity=cache_capacity,
         ),
     )
@@ -191,7 +187,6 @@ def run_scenario(
         "p50_latency_s": float(np.percentile(latencies, 50)) if latencies else 0.0,
         "p99_latency_s": float(np.percentile(latencies, 99)) if latencies else 0.0,
         "launches": stats.launches,
-        "batches": stats.batches,
         "cache_hits": stats.cache.hits,
         "launch_overhead_s": prof.launch_overhead_seconds,
         "digests": digests,

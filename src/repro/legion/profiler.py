@@ -73,13 +73,9 @@ class Profiler:
     restore_bytes: int = 0
     detections: int = 0
     detection_seconds: float = 0.0
-    # Serving layer (repro.serve): cross-request SpMV batches executed
-    # as one multi-RHS launch (covering >= 2 requests), requests served
-    # out of such a launch, result-cache hits/misses keyed on (matrix
-    # version, input hash), and admission-control rejections from
-    # bounded tenant queues.
-    spmv_batches: int = 0
-    spmv_batched_requests: int = 0
+    # Serving layer (repro.serve): result-cache hits/misses keyed on
+    # (matrix version, input hash), and admission-control rejections
+    # from bounded tenant queues.
     serve_cache_hits: int = 0
     serve_cache_misses: int = 0
     serve_rejections: int = 0
@@ -186,11 +182,6 @@ class Profiler:
         self.detections += 1
         self.detection_seconds += latency
 
-    def record_spmv_batch(self, requests: int) -> None:
-        """Count one multi-RHS SpMV launch batching ``requests`` RHS."""
-        self.spmv_batches += 1
-        self.spmv_batched_requests += requests
-
     def record_serve_cache(self, hit: bool) -> None:
         """Count one serving result-cache lookup."""
         if hit:
@@ -294,11 +285,9 @@ class Profiler:
                 f"detection:        {self.detections} confirmed losses, "
                 f"{self.detection_seconds:.6f}s suspected->confirmed"
             )
-        if self.spmv_batches or self.serve_cache_hits or self.serve_rejections:
+        if self.serve_cache_hits or self.serve_rejections:
             lines.append(
-                f"serving:          {self.spmv_batches} batched SpMV "
-                f"launches ({self.spmv_batched_requests} requests), "
-                f"cache {self.serve_cache_hits}/"
+                f"serving:          cache {self.serve_cache_hits}/"
                 f"{self.serve_cache_hits + self.serve_cache_misses} hits, "
                 f"{self.serve_rejections} rejections"
             )

@@ -8,23 +8,22 @@ accepts many concurrent client requests against a shared sparse model
 * admission control over bounded per-tenant queues,
 * per-tenant fair-share scheduling of launch windows
   (:mod:`repro.serve.scheduler`),
-* cross-request SpMV batching — compatible right-hand sides against the
-  same matrix version stack into one multi-vector launch, bitwise
-  identical to per-request execution (:mod:`repro.serve.batcher`),
+* one SpMV launch per request, a round's launches sharing the
+  deferred window so that they fuse (:mod:`repro.serve.batcher`),
 * result caching keyed on (matrix version, input hash)
   (:mod:`repro.serve.cache`),
 * per-tenant chaos/checkpoint isolation reusing the resilience
   machinery (isolated tenants run on dedicated runtimes with their own
   fault injectors and checkpoint epochs), and
-* serving lints — unbatchable request mixes and cache-defeating input
-  churn (:mod:`repro.serve.advisor`).
+* serving lints — cache-defeating input churn and queue pressure
+  (:mod:`repro.serve.advisor`).
 
 Latencies are modeled on the runtime's simulated clocks
 (:mod:`repro.serve.service`).
 """
 
 from repro.serve.advisor import lint_serve
-from repro.serve.batcher import BatchKey, SpMVBatcher
+from repro.serve.batcher import SpMVBatcher
 from repro.serve.cache import ResultCache
 from repro.serve.scheduler import FairShareScheduler, Request, TenantConfig
 from repro.serve.service import (
@@ -35,7 +34,6 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "BatchKey",
     "FairShareScheduler",
     "Request",
     "ResultCache",

@@ -1,15 +1,10 @@
-"""Serving lints: unbatchable request mixes, cache-defeating churn.
+"""Serving lints: cache-defeating churn, queue pressure.
 
 The static advisor lints *programs*; these lint *traffic*.  They read
 the service's aggregated :class:`~repro.serve.service.ServeStats` and
 reuse the advisor's :class:`~repro.analysis.lint.LintIssue` shape so
 tooling that consumes advisor findings renders them unchanged.
 
-* ``serve-unbatchable`` — a meaningful share of launches stayed
-  singletons because co-pending requests refused to stack (mixed
-  dtypes, matrix-version churn, shape mismatches).  Batching is the
-  serving layer's launch-overhead lever; a refusal-dominated workload
-  is paying per-request overhead it thinks it amortized.
 * ``serve-cache-churn`` — a warm cache with a cold hit rate: requests
   are near-duplicates that hash differently (unquantized floats,
   per-request noise) or the capacity is undersized for the working
@@ -24,11 +19,6 @@ from typing import List
 
 from repro.analysis.lint import LintIssue
 
-# Refusal reasons that indicate *incompatible* co-pending traffic (a
-# lone request with nothing to stack against is not a batching failure).
-_MISMATCH_REASONS = ("dtype-mix", "version-churn", "shape-mismatch")
-
-UNBATCHABLE_SHARE = 0.25  # mismatch refusals / launches before warning
 CACHE_MIN_LOOKUPS = 20
 CACHE_COLD_RATE = 0.10
 
@@ -36,24 +26,6 @@ CACHE_COLD_RATE = 0.10
 def lint_serve(stats) -> List[LintIssue]:
     """Lint one service's aggregated traffic statistics."""
     issues: List[LintIssue] = []
-    mismatches = {
-        reason: count
-        for reason, count in stats.refusals.items()
-        if reason in _MISMATCH_REASONS and count
-    }
-    total_mismatch = sum(mismatches.values())
-    if stats.launches and total_mismatch / stats.launches > UNBATCHABLE_SHARE:
-        dominant = max(mismatches, key=mismatches.get)
-        issues.append(
-            LintIssue(
-                "serve-unbatchable",
-                f"{total_mismatch} of {stats.launches} launches could not "
-                f"batch with co-pending requests (dominant reason: "
-                f"{dominant} x{mismatches[dominant]}); align request "
-                f"dtypes and throttle model-version churn to amortize "
-                f"launch overhead",
-            )
-        )
     cache = stats.cache
     if cache.lookups >= CACHE_MIN_LOOKUPS and cache.hit_rate < CACHE_COLD_RATE:
         issues.append(

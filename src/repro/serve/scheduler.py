@@ -11,11 +11,9 @@ which two tenants are both backlogged, tenant throughput is therefore
 proportional to weight — a heavy tenant cannot starve a light one, and
 weights buy differentiated service.
 
-The scheduler is deliberately ignorant of batching: it decides *which*
-requests enter the window (fairness), the batcher decides *how* the
-window executes (legality).  That separation keeps fairness auditable —
-the window order is a pure function of arrivals, weights and queue
-history.
+The scheduler decides only *which* requests enter the window
+(fairness); the window order is a pure function of arrivals, weights
+and queue history, which keeps fairness auditable.
 """
 
 from __future__ import annotations

@@ -12,11 +12,10 @@ version*) and serves SpMV requests from many tenants:
 3. **caching** — requests whose (version, input hash) was served
    before answer immediately, no launch
    (:mod:`repro.serve.cache`);
-4. **batching** — remaining requests stack into multi-RHS launches
-   where legal (:mod:`repro.serve.batcher`), bitwise identical to
-   per-request execution; the shared domain issues every batch of the
-   round before it reads one back, so the round's launches share the
-   deferred window and fuse;
+4. **launching** — each remaining request issues one SpMV
+   (:mod:`repro.serve.batcher`); the shared domain issues every
+   request of the round before it reads one back, so the round's
+   launches share the deferred window and fuse;
 5. **isolation** — tenants with a chaos config run on *dedicated*
    runtimes with their own fault injectors and checkpoint epochs
    (:meth:`Runtime.reset_for_program` at request-program boundaries),
@@ -39,7 +38,7 @@ from repro.legion.exceptions import FaultError
 from repro.legion.runtime import Runtime, RuntimeConfig, runtime_scope
 from repro.machine import ProcessorKind, summit
 from repro.serve.advisor import lint_serve
-from repro.serve.batcher import Batch, SpMVBatcher
+from repro.serve.batcher import SpMVBatcher
 from repro.serve.cache import CacheStats, ResultCache
 from repro.serve.scheduler import FairShareScheduler, Request, TenantConfig
 
@@ -51,10 +50,10 @@ class ServiceConfig:
     procs: int = 2
     nodes: int = 1
     window: int = 8  # requests per scheduling round
-    max_batch: int = 8  # stacked RHS per launch; 1 disables stacking
+    # Read by nothing: bench/workloads.py still passes max_batch=8.
+    # ROADMAP item 2(f) can delete it with that argument.
+    max_batch: int = 8
     cache_capacity: int = 256
-    validate: bool = False
-    profile: bool = False
 
 
 @dataclass
@@ -68,7 +67,6 @@ class Response:
     arrival: float
     start: float
     finish: float
-    batch_width: int = 1
     cache_hit: bool = False
     error: str = ""
 
@@ -86,8 +84,8 @@ class ServeStats:
     requests_served: int = 0
     requests_failed: int = 0
     launches: int = 0  # launches the runtimes ran; a fused group is one
-    batches: int = 0
-    batched_requests: int = 0
+    # Always empty: bench/trace.py sums it as serve.batcher.refusals.
+    # ROADMAP item 2(f) can delete it with that reader.
     refusals: Dict[str, int] = field(default_factory=dict)
     cache: CacheStats = field(default_factory=CacheStats)
     cache_capacity: int = 0
@@ -102,10 +100,9 @@ class _Domain:
     checkpoint epochs, clocks and instances).
     """
 
-    def __init__(self, name: str, runtime: Runtime, max_batch: int):
+    def __init__(self, name: str, runtime: Runtime):
         self.name = name
         self.runtime = runtime
-        self.batcher = SpMVBatcher(max_batch=max_batch)
         self.matrices: Dict[int, Any] = {}  # version -> csr_matrix
 
     def matrix_for(self, service: "SparseService", version: int):
@@ -132,6 +129,7 @@ class SparseService:
         self.config = config or ServiceConfig()
         self.scheduler = FairShareScheduler()
         self.cache = ResultCache(capacity=self.config.cache_capacity)
+        self.batcher = SpMVBatcher()
         self.responses: Dict[int, Response] = {}
         self.version = 0
         self._launches = 0  # ServeStats.launches
@@ -139,25 +137,19 @@ class SparseService:
         self._machine = summit(nodes=self.config.nodes)
         self._domains: Dict[str, _Domain] = {}
         shared_rt = self._make_runtime(chaos=None)
-        self._shared = _Domain("shared", shared_rt, self.config.max_batch)
+        self._shared = _Domain("shared", shared_rt)
         self._domains["shared"] = self._shared
         for tenant in tenants:
             self.scheduler.register(tenant)
             if tenant.isolated:
                 rt = self._make_runtime(chaos=tenant.chaos)
-                self._domains[tenant.name] = _Domain(
-                    tenant.name, rt, self.config.max_batch
-                )
+                self._domains[tenant.name] = _Domain(tenant.name, rt)
         self._tenant_configs = {t.name: t for t in tenants}
 
     def _make_runtime(self, chaos) -> Runtime:
         return Runtime(
             self._machine.scope(ProcessorKind.GPU, self.config.procs),
-            RuntimeConfig.legate(
-                chaos=chaos,
-                validate=self.config.validate,
-                profile=self.config.profile,
-            ),
+            RuntimeConfig.legate(chaos=chaos),
         )
 
     @property
@@ -267,22 +259,22 @@ class SparseService:
         return True
 
     def _execute(self, domain: _Domain, requests: List[Request]) -> None:
-        """Plan and run one domain's share of the window.
+        """Run one domain's share of the window.
 
         The shared domain runs the whole round as one program.  An
-        isolated domain runs one batch per request program, and
-        resets at every program boundary: a permanent fault fails one
-        batch, not the round.
+        isolated domain runs one request per program, and resets at
+        every program boundary: a permanent fault fails one request,
+        not the round.
         """
         drt = domain.runtime
         before = drt.profiler.tasks_launched
-        batches = domain.batcher.plan(requests)
+        requests = self.batcher.plan(requests)
         if domain is self._shared:
-            self._round(domain, batches)
+            self._round(domain, requests)
         else:
-            for batch in batches:
+            for req in requests:
                 try:
-                    self._round(domain, [batch])
+                    self._round(domain, [req])
                 finally:
                     # Per-tenant checkpoint isolation: each request
                     # program ends at an epoch boundary, so a later
@@ -291,64 +283,53 @@ class SparseService:
                     drt.reset_for_program()
         self._launches += drt.profiler.tasks_launched - before
 
-    def _round(self, domain: _Domain, batches: List[Batch]) -> None:
-        """Issue every batch as one program, then read them back.
+    def _round(self, domain: _Domain, requests: List[Request]) -> None:
+        """Issue every request as one program, then read them back.
 
-        The batches share the domain's deferred window, so independent
-        launches fuse.  Every response finishes at the one
-        ``elapsed()`` read after the last read-back; a ``FaultError``
-        fails every batch of the program.
+        The launches share the domain's deferred window, so independent
+        ones fuse.  Every response finishes at the one ``elapsed()``
+        read after the last read-back; a ``FaultError`` fails every
+        request of the program.
         """
         drt = domain.runtime
         starts: List[float] = []
         try:
             with runtime_scope(drt):
                 pending = []
-                for batch in batches:
+                for req in requests:
                     # An isolated domain's clock may trail the service
                     # clock (it only advances while its tenant is
-                    # served); a batch starts no earlier than the
+                    # served); a request starts no earlier than the
                     # service round that formed it and no earlier than
-                    # its members arrived.
+                    # it arrived.
                     drt.issue_time = max(
-                        drt.issue_time,
-                        self.runtime.issue_time,
-                        max(r.arrival for r in batch.requests),
+                        drt.issue_time, self.runtime.issue_time, req.arrival
                     )
                     starts.append(drt.issue_time)
-                    matrix = domain.matrix_for(
-                        self, batch.key.matrix_version
-                    )
-                    pending.append(
-                        domain.batcher.issue(batch, matrix, drt)
-                    )
-                results = [domain.batcher.collect(y) for y in pending]
+                    matrix = domain.matrix_for(self, req.version)
+                    pending.append(self.batcher.issue(req, matrix))
+                ys = [self.batcher.collect(y) for y in pending]
                 finish = drt.elapsed()
         except FaultError as exc:
             finish = drt.horizon()
-            for i, batch in enumerate(batches):
+            for i, req in enumerate(requests):
                 start = starts[i] if i < len(starts) else finish
-                for req in batch.requests:
-                    self.responses[req.rid] = Response(
-                        req.rid, req.tenant, False, None,
-                        req.arrival, start, finish,
-                        batch_width=batch.width, error=str(exc),
-                    )
-            return
-        for batch, start, ys in zip(batches, starts, results):
-            for req, y in zip(batch.requests, ys):
-                self.cache.put((req.version, req.digest), y)
                 self.responses[req.rid] = Response(
-                    req.rid, req.tenant, True, y,
-                    req.arrival, start, finish,
-                    batch_width=batch.width,
+                    req.rid, req.tenant, False, None,
+                    req.arrival, start, finish, error=str(exc),
                 )
+            return
+        for req, start, y in zip(requests, starts, ys):
+            self.cache.put((req.version, req.digest), y)
+            self.responses[req.rid] = Response(
+                req.rid, req.tenant, True, y, req.arrival, start, finish,
+            )
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     def stats(self) -> ServeStats:
-        """Aggregate scheduler/batcher/cache counters for reporting."""
+        """Aggregate scheduler/cache counters for reporting."""
         stats = ServeStats(
             cache=self.cache.stats, cache_capacity=self.cache.capacity
         )
@@ -366,14 +347,6 @@ class SparseService:
                 stats.requests_served += 1
             else:
                 stats.requests_failed += 1
-        for domain in self._domains.values():
-            batcher = domain.batcher
-            stats.batches += batcher.batches_executed
-            stats.batched_requests += batcher.requests_batched
-            for reason, count in batcher.refusals.items():
-                stats.refusals[reason] = (
-                    stats.refusals.get(reason, 0) + count
-                )
         stats.launches = self._launches
         return stats
 

@@ -19,25 +19,8 @@ def _codes(stats):
 def test_healthy_traffic_produces_no_lints():
     stats = _stats(
         launches=10,
-        batches=8,
-        refusals={"lone-request": 2},
         cache=CacheStats(hits=30, misses=10),
     )
-    assert _codes(stats) == []
-
-
-def test_unbatchable_mix_lint_names_dominant_reason():
-    stats = _stats(
-        launches=10,
-        refusals={"dtype-mix": 4, "version-churn": 1},
-    )
-    issues = lint_serve(stats)
-    assert [i.code for i in issues] == ["serve-unbatchable"]
-    assert "dtype-mix x4" in issues[0].message
-
-
-def test_lone_requests_never_count_as_unbatchable():
-    stats = _stats(launches=10, refusals={"lone-request": 10})
     assert _codes(stats) == []
 
 

@@ -1,11 +1,10 @@
-"""Cross-request batching: bitwise identity, legality, accounting."""
+"""Per-request launches: planning, version pinning, latency accounting."""
 
 import numpy as np
-import pytest
 import scipy.sparse as sps
 
+from repro.legion.timeline import set_profile_default
 from repro.serve import (
-    BatchKey,
     Request,
     ServiceConfig,
     SparseService,
@@ -35,92 +34,91 @@ def _matrix(seed=0, n=N):
     )
 
 
-def _service(max_batch=8, **cfg):
+def _service(**cfg):
     return SparseService(
         _matrix(),
         [TenantConfig("t")],
-        ServiceConfig(procs=2, max_batch=max_batch, cache_capacity=0, **cfg),
+        ServiceConfig(procs=2, cache_capacity=0, **cfg),
     )
 
 
-# ----------------------------------------------------------------------
-# Property: batched == per-request, bitwise, over random mixes
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", range(5))
-def test_batched_bitwise_identical_to_per_request_random_mixes(seed):
-    """Random request mixes: stacked multi-RHS launches must produce
-    exactly the bytes per-request launches produce, column for column."""
-    rng = np.random.default_rng(seed)
-    n_requests = int(rng.integers(2, 13))
-    dtypes = rng.choice(["float64", "float32"], size=n_requests)
-    xs = [rng.standard_normal(N).astype(d) for d in dtypes]
-
-    svc_b = _service(max_batch=8)
-    svc_u = _service(max_batch=1)
-    for svc in (svc_b, svc_u):
-        for x in xs:
-            svc.submit("t", x, arrival=0.0)
-        svc.run()
-    counts = {d: int((dtypes == d).sum()) for d in set(dtypes)}
-    if max(counts.values()) >= 2:  # some dtype group really did batch
-        assert svc_b.stats().batches >= 1
-    for rid in range(n_requests):
-        yb, yu = svc_b.responses[rid].y, svc_u.responses[rid].y
-        assert yb.dtype == yu.dtype
-        assert yb.tobytes() == yu.tobytes()
+def _served(xs, **cfg):
+    """Serve ``xs`` at time 0 on a fresh service; returns the service."""
+    svc = _service(**cfg)
+    for x in xs:
+        svc.submit("t", x, arrival=0.0)
+    svc.run()
+    return svc
 
 
 def test_mixed_dtypes_refuse_to_stack():
-    batcher = SpMVBatcher(max_batch=8)
+    """Mixed dtypes in one round: each response has the dtype and the
+    bytes that its request alone produces."""
     window = _requests(
         [(0, "float64", N, 0), (1, "float64", N, 0), (2, "float32", N, 0)]
     )
-    batches = batcher.plan(window)
-    widths = sorted(b.width for b in batches)
-    assert widths == [1, 2]
-    assert batcher.refusals.get("dtype-mix") == 1
+    svc = _served([r.x for r in window])
+    for req in window:
+        alone = _served([req.x]).responses[0].y
+        y = svc.responses[req.rid].y
+        assert y.dtype == alone.dtype
+        assert y.tobytes() == alone.tobytes()
+    assert svc.stats().refusals == {}
 
 
 def test_version_mismatch_splits_batches():
-    batcher = SpMVBatcher(max_batch=8)
+    """Mixed versions: plan keeps every request, its pinned version and
+    the window order."""
     window = _requests(
         [(0, "float64", N, 0), (1, "float64", N, 0), (2, "float64", N, 1)]
     )
-    batches = batcher.plan(window)
-    by_version = {b.key.matrix_version: b.width for b in batches}
-    assert by_version == {0: 2, 1: 1}
-    assert batcher.refusals.get("version-churn") == 1
+    plan = SpMVBatcher().plan(window)
+    assert all(entry is req for entry, req in zip(plan, window))
+    assert [entry.version for entry in plan] == [0, 0, 1]
 
 
 def test_shape_mismatch_refuses():
-    batcher = SpMVBatcher(max_batch=8)
+    """Mixed lengths, dtypes and versions: nothing groups, nothing
+    reorders."""
     window = _requests(
-        [(0, "float64", N, 0), (1, "float64", N, 0), (2, "float64", 2 * N, 0)]
+        [
+            (0, "float64", N, 0), (1, "float32", N, 0), (2, "float64", N, 1),
+            (3, "float64", 2 * N, 0), (4, "float64", N, 0),
+        ]
     )
-    batches = batcher.plan(window)
-    assert sorted(b.width for b in batches) == [1, 2]
-    assert batcher.refusals.get("shape-mismatch") == 1
+    plan = SpMVBatcher().plan(window)
+    assert len(plan) == len(window)
+    assert all(entry is req for entry, req in zip(plan, window))
 
 
 def test_lone_request_is_a_benign_refusal():
-    batcher = SpMVBatcher(max_batch=8)
-    batches = batcher.plan(_requests([(0, "float64", N, 0)]))
-    assert [b.width for b in batches] == [1]
-    assert batcher.refusals == {"lone-request": 1}
+    """A lone request is served like any other: planned as itself,
+    computing ``A @ x``, no refusal counted."""
+    (req,) = _requests([(0, "float64", N, 0)])
+    svc = _served([req.x])
+    assert SpMVBatcher().plan([req]) == [req]
+    assert len(svc.responses) == 1 and svc.responses[0].ok
+    np.testing.assert_allclose(
+        svc.responses[0].y, _matrix() @ req.x, rtol=1e-12
+    )
+    assert svc.stats().refusals == {}
 
 
 def test_max_batch_chunks_wide_windows():
-    batcher = SpMVBatcher(max_batch=3)
-    window = _requests([(i, "float64", N, 0) for i in range(8)])
-    batches = batcher.plan(window)
-    assert [b.width for b in batches] == [3, 3, 2]
-    assert all(b.key == BatchKey(0, N, "float64") for b in batches)
+    """``max_batch`` is inert: a wide window serves the same bytes, at
+    the same modeled times, with the same launches under 3 as under 8."""
+    xs = [r.x for r in _requests([(i, "float64", N, 0) for i in range(8)])]
+    narrow, wide = _served(xs, max_batch=3), _served(xs, max_batch=8)
+    for rid in range(len(xs)):
+        a, b = narrow.responses[rid], wide.responses[rid]
+        assert a.y.tobytes() == b.y.tobytes()
+        assert (a.start, a.finish) == (b.start, b.finish)
+    assert narrow.stats().launches == wide.stats().launches
 
 
 def test_service_version_churn_splits_but_stays_correct():
-    """A model update mid-stream pins versions: the batcher splits
-    across the update and every request computes against the matrix it
-    was admitted under."""
+    """A model update mid-stream pins versions: every request computes
+    against the matrix it was admitted under."""
     A0, A1 = _matrix(seed=0), _matrix(seed=9)
     svc = SparseService(
         A0,
@@ -138,9 +136,7 @@ def test_service_version_churn_splits_but_stays_correct():
     for rid, x in enumerate(xs):
         expect = (A0 if rid < 3 else A1) @ x
         np.testing.assert_allclose(svc.responses[rid].y, expect, rtol=1e-9)
-    refusals = svc.stats().refusals
-    assert refusals.get("version-churn", 0) == 0  # both groups batched
-    assert svc.stats().batches == 2
+    assert svc.stats().refusals == {}
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +147,11 @@ def test_latency_accounting_conserves_against_timeline():
     profiler: responses are causally ordered (arrival <= start <=
     finish), the last finish IS the runtime horizon, and every
     recorded span fits inside it."""
-    svc = _service(profile=True)
+    previous = set_profile_default(True)
+    try:
+        svc = _service()
+    finally:
+        set_profile_default(previous)
     rng = np.random.default_rng(1)
     for i in range(10):
         svc.submit("t", rng.standard_normal(N), arrival=2.5e-4 * (i // 4))

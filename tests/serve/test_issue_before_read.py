@@ -1,42 +1,45 @@
-"""A serving round issues every batch before it reads one back.
+"""A serving round issues every request before it reads one back.
 
 ``SparseService._execute`` plans a domain's share of the window and
 issues it; ``SpMVBatcher.issue`` returns a pending result array and
 ``SpMVBatcher.collect`` reads it back.  The shared domain issues the
 whole round inside one ``runtime_scope`` before the first read-back,
 so the round's launches share the deferred window; an isolated (chaos)
-domain keeps one batch per request program.  The contract:
+domain runs one request per program.  The contract:
 
 * **bits and timing** -- every ``Response.y`` is bitwise the answer of
-  the service that read each batch back before issuing the next, kept
-  verbatim below as ``reference_execute``/``reference_service_execute``,
-  over random mixes of dtypes, version churn and duplicates, at
-  ``max_batch`` 1 and 8 and with 1 and 3 tenants; and
-  ``arrival <= start <= finish``;
-* **one launch per round** -- a round of ``k`` mutually unbatchable
-  singletons adds one launch and ``k - 1`` fused-away launches, and all
-  its responses finish at ``runtime.elapsed()``;
-* **the clock** -- in a shared round of three batches nothing calls
-  ``Runtime.barrier`` before the last batch is issued;
+  the service that read each request back before issuing the next,
+  kept below as ``reference_execute``/``reference_service_execute``,
+  over random mixes of dtypes, version churn and duplicates, with 1
+  and 3 tenants; and ``arrival <= start <= finish``;
+* **max_batch is inert** -- at ``max_batch`` 8 and 1 the responses
+  (bytes, ``start``, ``finish``, ``ok``, ``error``) and
+  ``ServeStats.launches`` are equal;
+* **one launch per round** -- a round of ``k`` lone SpMVs adds one
+  launch and ``k - 1`` fused-away launches, and all its responses
+  finish at ``runtime.elapsed()``;
+* **the clock** -- in a shared round nothing calls ``Runtime.barrier``
+  before the last request is issued;
 * **isolation** -- an isolated chaos tenant's responses (``ok``,
   ``start``, ``finish``, ``error``, bytes) equal the reference's at
-  ``copy_fault_rate`` 0, 0.3 and 0.8, and every admitted request gets
-  exactly one response;
+  ``copy_fault_rate`` 0, 0.3 and 0.8, a fault in one isolated program
+  fails that request alone, and every admitted request gets exactly
+  one response;
 * **launch accounting** -- ``ServeStats.launches`` is the number of
   launches the domains' runtimes ran.
 
 Mutants each test catches: isolated domains issuing the whole round
-fail the isolation test; collecting each batch before issuing the next
-fails the clock test.
+fail the isolation tests; collecting each request before issuing the
+next fails the clock test.
 """
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from repro.analysis import check_log
+from repro.analysis import check_log, set_validation_default
 from repro.legion.chaos import ChaosConfig
 from repro.legion.exceptions import FaultError
 from repro.legion.runtime import Runtime, RuntimeConfig, runtime_scope
@@ -54,60 +57,39 @@ N = 64
 
 
 # ----------------------------------------------------------------------
-# The service that read each batch back before issuing the next,
-# verbatim from before issue-before-read
+# The service that read each request back before issuing the next
 # ----------------------------------------------------------------------
-def reference_execute(
-    self, batch, matrix, runtime
-) -> List[Tuple[Request, np.ndarray]]:
-    """Run one batch; returns per-request result vectors.
-
-    A width-1 batch issues the ordinary SpMV; width >= 2 stacks the
-    RHS column-wise, issues one multi-vector launch and splits the
-    result columns.  Results are host copies (they leave the
-    runtime at the service boundary).
-    """
+def reference_execute(self, req, matrix) -> np.ndarray:
+    """Run one request; returns its result vector, a host copy (it
+    leaves the runtime at the service boundary)."""
     import repro.numeric as rnp
 
-    reqs = batch.requests
-    if len(reqs) == 1:
-        y = matrix @ rnp.asarray(reqs[0].x)
-        return [(reqs[0], y.to_numpy().copy())]
-    X = np.stack([r.x for r in reqs], axis=1)
-    Y = (matrix @ rnp.asarray(X)).to_numpy()
-    self.batches_executed += 1
-    self.requests_batched += len(reqs)
-    runtime.profiler.record_spmv_batch(len(reqs))
-    return [(req, Y[:, k].copy()) for k, req in enumerate(reqs)]
+    return (matrix @ rnp.asarray(req.x)).to_numpy().copy()
 
 
 def reference_service_execute(self, domain, requests) -> None:
-    """Plan and run one domain's share of the window."""
+    """Run one domain's share of the window, one round trip each."""
     drt = domain.runtime
-    for batch in domain.batcher.plan(requests):
+    for req in self.batcher.plan(requests):
         # An isolated domain's clock may trail the service clock
-        # (it only advances while its tenant is served); a batch
+        # (it only advances while its tenant is served); a request
         # starts no earlier than the service round that formed it
-        # and no earlier than its members arrived.
+        # and no earlier than it arrived.
         drt.issue_time = max(
-            drt.issue_time,
-            self.runtime.issue_time,
-            max(r.arrival for r in batch.requests),
+            drt.issue_time, self.runtime.issue_time, req.arrival
         )
         start = drt.issue_time
-        matrix = domain.matrix_for(self, batch.key.matrix_version)
+        matrix = domain.matrix_for(self, req.version)
         try:
             with runtime_scope(drt):
-                results = domain.batcher.execute(batch, matrix, drt)
+                y = self.batcher.execute(req, matrix)
                 finish = drt.elapsed()
         except FaultError as exc:
             finish = drt.horizon()
-            for req in batch.requests:
-                self.responses[req.rid] = Response(
-                    req.rid, req.tenant, False, None,
-                    req.arrival, start, finish,
-                    batch_width=batch.width, error=str(exc),
-                )
+            self.responses[req.rid] = Response(
+                req.rid, req.tenant, False, None,
+                req.arrival, start, finish, error=str(exc),
+            )
             continue
         finally:
             if domain is not self._shared:
@@ -116,13 +98,21 @@ def reference_service_execute(self, domain, requests) -> None:
                 # loss in this tenant's domain never replays into
                 # another program's state.
                 drt.reset_for_program()
-        for req, y in results:
-            self.cache.put((req.version, req.digest), y)
-            self.responses[req.rid] = Response(
-                req.rid, req.tenant, True, y,
-                req.arrival, start, finish,
-                batch_width=batch.width,
-            )
+        self.cache.put((req.version, req.digest), y)
+        self.responses[req.rid] = Response(
+            req.rid, req.tenant, True, y, req.arrival, start, finish,
+        )
+
+
+_SERVICE_EXECUTE = SparseService._execute
+
+
+def reference_isolated_execute(self, domain, requests) -> None:
+    """The reference in isolated domains; the shared domain runs the
+    service's own rounds, so both sides read one service clock."""
+    if domain is self._shared:
+        return _SERVICE_EXECUTE(self, domain, requests)
+    return reference_service_execute(self, domain, requests)
 
 
 # ----------------------------------------------------------------------
@@ -160,13 +150,18 @@ def _traffic(seed, tenants, count):
 
 def _serve(tenants, traffic, reference=False, churn_at=None, **cfg):
     """Serve ``traffic``; ``churn_at`` publishes model version 1 after
-    that many admissions.  ``reference`` runs the read-back-per-batch
-    service instead."""
+    that many admissions.  ``reference`` runs the read-back-per-request
+    service instead; ``reference="isolated"`` only in isolated
+    domains."""
     cfg.setdefault("procs", 2)
+    execute = (
+        reference_isolated_execute if reference == "isolated"
+        else reference_service_execute
+    )
     with pytest.MonkeyPatch.context() as mp:
         if reference:
-            mp.setattr(SpMVBatcher, "execute", reference_execute, raising=False)
-            mp.setattr(SparseService, "_execute", reference_service_execute)
+            mp.setattr(SpMVBatcher, "execute", reference_execute)
+            mp.setattr(SparseService, "_execute", execute)
         svc = SparseService(_matrix(0), tenants, ServiceConfig(**cfg))
         svc.responses = _WriteOnce()
         rids = []
@@ -201,17 +196,29 @@ def _warm_service(**cfg):
 # Bits and timing
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("tenant_count", [1, 3])
-@pytest.mark.parametrize("max_batch", [1, 8])
+@pytest.mark.parametrize(
+    "max_batch, against",
+    [
+        pytest.param(1, "reference", id="1"),
+        pytest.param(8, "reference", id="8"),
+        pytest.param(8, "max_batch=1", id="8-inert"),
+    ],
+)
 @pytest.mark.parametrize("seed", range(3))
-def test_responses_are_bitwise_the_reference(seed, max_batch, tenant_count):
+def test_responses_are_bitwise_the_reference(
+    seed, max_batch, against, tenant_count
+):
+    """``against="max_batch=1"`` serves the same traffic (bursts of
+    co-pending float64 requests, a float32 mix, duplicates and a model
+    update) at ``max_batch`` 1: field for field the same responses and
+    the same launch count."""
     tenants = [f"t{i}" for i in range(tenant_count)]
     traffic = _traffic(seed, tenants, 20)
+    inert = against == "max_batch=1"
+    other = dict(max_batch=1) if inert else dict(reference=True, max_batch=max_batch)
     runs = [
-        _serve(
-            [TenantConfig(t) for t in tenants], traffic,
-            reference=reference, churn_at=10, max_batch=max_batch,
-        )
-        for reference in (False, True)
+        _serve([TenantConfig(t) for t in tenants], traffic, churn_at=10, **cfg)
+        for cfg in (dict(max_batch=max_batch), other)
     ]
     change, ref = (svc.responses for svc in runs)
     assert set(change) == set(ref)
@@ -220,12 +227,18 @@ def test_responses_are_bitwise_the_reference(seed, max_batch, tenant_count):
         assert resp.y.dtype == ref[rid].y.dtype
         assert resp.y.tobytes() == ref[rid].y.tobytes()
         assert resp.arrival <= resp.start <= resp.finish
+        if inert:
+            assert (resp.start, resp.finish, resp.error) == (
+                ref[rid].start, ref[rid].finish, ref[rid].error
+            )
+    if inert:
+        assert runs[0].stats().launches == runs[1].stats().launches
 
 
 @pytest.mark.parametrize("dtypes", [("float64",), ("float32",) * 3])
 def test_execute_is_the_reference_round_trip(dtypes):
-    """``execute`` (issue, then collect, one batch) returns the pairs
-    the verbatim round trip returns, bit for bit, and counts the same."""
+    """``execute`` (issue, then collect, one request) returns the bytes
+    the reference round trip returns and launches as often."""
     import repro.sparse as sp
 
     rng = np.random.default_rng(7)
@@ -239,11 +252,9 @@ def test_execute_is_the_reference_round_trip(dtypes):
         batcher = SpMVBatcher()
         with runtime_scope(rt):
             matrix = sp.csr_matrix(_matrix(0))
-            (batch,) = batcher.plan(reqs)
-            pairs = run(batcher, batch, matrix, rt)
+            ys = [run(batcher, req, matrix) for req in batcher.plan(reqs)]
         outs.append((
-            [(req.rid, y.dtype, y.tobytes()) for req, y in pairs],
-            batcher.batches_executed, rt.profiler.spmv_batches,
+            [(y.dtype, y.tobytes()) for y in ys], rt.profiler.tasks_launched,
         ))
     assert outs[0] == outs[1]
 
@@ -252,8 +263,8 @@ def test_execute_is_the_reference_round_trip(dtypes):
 # One launch per round
 # ----------------------------------------------------------------------
 def test_a_round_of_unbatchable_singletons_is_one_launch():
-    """Two versions by two dtypes: four batches of one, no two of which
-    may stack, fuse into one launch and finish together."""
+    """Two versions by two dtypes: four lone SpMVs fuse into one launch
+    and finish together."""
     svc = _warm_service()
     rt = svc.runtime
     rng = np.random.default_rng(1)
@@ -270,7 +281,6 @@ def test_a_round_of_unbatchable_singletons_is_one_launch():
     assert rt.profiler.tasks_fused_away - fused == len(rids) - 1
     finishes = {svc.responses[rid].finish for rid in rids}
     assert finishes == {rt.elapsed()}
-    assert all(svc.responses[rid].batch_width == 1 for rid in rids)
 
 
 def test_stats_launches_are_the_runtimes_launches():
@@ -279,7 +289,7 @@ def test_stats_launches_are_the_runtimes_launches():
     chaos = ChaosConfig(seed=3, copy_fault_rate=0.3)
     tenants = [TenantConfig("t0"), TenantConfig("t1"), TenantConfig("iso", chaos=chaos)]
     traffic = _traffic(4, ["t0", "t1", "iso"], 24)
-    svc = _serve(tenants, traffic, max_batch=1)
+    svc = _serve(tenants, traffic)
     tenant, x, _ = traffic[0]
     svc.submit(tenant, x, 1.0)  # a repeat: answered from the cache
     svc.run()
@@ -292,7 +302,7 @@ def test_stats_launches_are_the_runtimes_launches():
 # The clock
 # ----------------------------------------------------------------------
 def test_no_barrier_before_the_last_batch_is_issued(monkeypatch):
-    svc = _warm_service(max_batch=2)
+    svc = _warm_service()
     events: List[str] = []
     barrier, issue = Runtime.barrier, SpMVBatcher.issue
 
@@ -310,10 +320,10 @@ def test_no_barrier_before_the_last_batch_is_issued(monkeypatch):
     for dtype in ("float64", "float64", "float64", "float32"):
         svc.submit("t", rng.standard_normal(N).astype(dtype), 1e-3)
     svc.run()
-    assert events.count("issue") == 3  # widths 2, 1 and 1
+    assert events.count("issue") == 4
     last_issue = len(events) - 1 - events[::-1].index("issue")
     assert "barrier" not in events[:last_issue]
-    assert events.count("barrier") == 3  # one read-back per batch
+    assert events.count("barrier") == 4  # one read-back per request
 
 
 # ----------------------------------------------------------------------
@@ -321,14 +331,13 @@ def test_no_barrier_before_the_last_batch_is_issued(monkeypatch):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("rate", [0.0, 0.3, 0.8])
 def test_isolated_tenant_matches_the_reference(rate):
-    """Each isolated batch is its own request program, as before: the
-    chaos tenant's responses are the reference's, field for field.
+    """Each isolated request is its own program, as in the reference:
+    the chaos tenant's responses are the reference's, field for field.
 
-    An isolated batch starts no earlier than the service clock, which
-    the shared domain's rounds advance.  The plain tenant sends float64
-    only, so each of its rounds is one batch and the service clock is
-    the reference's; the isolated tenant mixes dtypes, so its rounds
-    hold several batches."""
+    An isolated request starts no earlier than the service clock, which
+    the shared domain's rounds advance, so the shared domain runs the
+    service's own rounds on both sides (``reference="isolated"``).  The
+    isolated tenant mixes dtypes, four requests a round."""
     rng = np.random.default_rng(5)
     traffic = []
     for i in range(40):
@@ -344,7 +353,9 @@ def test_isolated_tenant_matches_the_reference(rate):
                 "iso", chaos=ChaosConfig(seed=3, copy_fault_rate=rate)
             ),
         ]
-        runs.append(_serve(tenants, traffic, reference=reference))
+        runs.append(
+            _serve(tenants, traffic, reference=reference and "isolated")
+        )
     change, ref = (svc.responses for svc in runs)
     assert set(change) == set(ref)
     iso = [rid for rid, resp in ref.items() if resp.tenant == "iso"]
@@ -362,18 +373,18 @@ def test_isolated_tenant_matches_the_reference(rate):
 
 
 def test_a_fault_fails_every_batch_of_the_shared_round(monkeypatch):
-    """A fault raised while a round issues fails every batch of the
+    """A fault raised while a round issues fails every request of the
     round, the ones planned after it included, once each."""
-    svc = _warm_service(max_batch=1)
+    svc = _warm_service()
     svc.responses = _WriteOnce()
     issue = SpMVBatcher.issue
     calls = []
 
-    def failing_issue(self, batch, matrix, runtime):
-        calls.append(batch)
+    def failing_issue(self, req, *args):
+        calls.append(req)
         if len(calls) == 2:
             raise FaultError("injected")
-        return issue(self, batch, matrix, runtime)
+        return issue(self, req, *args)
 
     monkeypatch.setattr(SpMVBatcher, "issue", failing_issue)
     rng = np.random.default_rng(3)
@@ -388,13 +399,48 @@ def test_a_fault_fails_every_batch_of_the_shared_round(monkeypatch):
         assert resp.arrival <= resp.start <= resp.finish
 
 
+def test_a_fault_in_an_isolated_program_fails_only_its_request(monkeypatch):
+    """An isolated domain runs one request per program: a fault raised
+    while one request issues fails that request alone, and its
+    co-pending float64 requests from the same tenant are served."""
+    svc = SparseService(
+        _matrix(0),
+        [TenantConfig("iso", chaos=ChaosConfig(seed=3))],
+        ServiceConfig(procs=2, cache_capacity=0),
+    )
+    svc.responses = _WriteOnce()
+    issue = SpMVBatcher.issue
+    calls = []
+
+    def failing_issue(self, req, *args):
+        calls.append(req)
+        if len(calls) == 1:
+            raise FaultError("injected")
+        return issue(self, req, *args)
+
+    monkeypatch.setattr(SpMVBatcher, "issue", failing_issue)
+    rng = np.random.default_rng(8)
+    xs = [rng.standard_normal(N) for _ in range(4)]
+    rids = [svc.submit("iso", x, 1e-3) for x in xs]
+    svc.run()
+    first, *rest = (svc.responses[rid] for rid in rids)
+    assert not first.ok and first.error == "injected" and first.y is None
+    assert all(resp.ok for resp in rest)
+    for resp, x in zip(rest, xs[1:]):
+        np.testing.assert_allclose(resp.y, _matrix(0) @ x, rtol=1e-12)
+
+
 def test_validated_run_is_checker_clean():
+    """The service's runtimes take the process validation default."""
     chaos = ChaosConfig(seed=3, copy_fault_rate=0.3)
     tenants = [TenantConfig("t0"), TenantConfig("t1"), TenantConfig("iso", chaos=chaos)]
-    svc = _serve(
-        tenants, _traffic(6, ["t0", "t1", "iso"], 24), churn_at=12,
-        validate=True,
-    )
+    previous = set_validation_default(True)
+    try:
+        svc = _serve(
+            tenants, _traffic(6, ["t0", "t1", "iso"], 24), churn_at=12
+        )
+    finally:
+        set_validation_default(previous)
     for domain in svc._domains.values():
         log = domain.runtime.event_log
         assert log is not None and len(log) > 0

@@ -231,7 +231,7 @@ def test_isolated_domain_resets_between_request_programs():
 # Streams
 # ----------------------------------------------------------------------
 def _served(r):
-    return (r.start, r.finish, r.batch_width, r.cache_hit, r.y.tobytes())
+    return (r.start, r.finish, r.cache_hit, r.y.tobytes())
 
 
 @pytest.mark.parametrize(
@@ -239,7 +239,7 @@ def _served(r):
 )
 def test_serve_streams_is_arrival_ordered_submit_then_run(names):
     """serve_streams admits every request in arrival order, then drains
-    once: per request, timing, batching, cache and bits equal that
+    once: per request, timing, cache and bits equal that
     explicit sequence, whatever the order of the ``streams`` dict."""
     from repro.harness.serve_bench import generate_streams
 
@@ -263,7 +263,8 @@ def test_serve_streams_is_arrival_ordered_submit_then_run(names):
     }
     responses = svc.run()
     expected = {key: _served(responses[rid]) for key, rid in rids.items()}
-    assert any(width > 1 for _, _, width, _, _ in expected.values())
+    finishes = [finish for _, finish, _, _ in expected.values()]
+    assert len(set(finishes)) < len(finishes)  # a round served several
 
     for order in (names, names[::-1]):
         svc = _service(tenants)
