@@ -2,7 +2,7 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: test validate check lint advise bench-e2e \
-	bench-smoke bench-pairs profile kernel-fusion overhead
+	bench-smoke bench-pairs profile kernel-fusion overhead census
 
 test:
 	python -m pytest -x -q
@@ -64,6 +64,14 @@ bench-pairs:
 # item 2 tracks until bench/ has a workload this wide.
 overhead:
 	python scripts/overhead.py
+
+# Call census: runs the examples, check.sh's CLIs, the bench workloads,
+# smoke and self-test, scripts/overhead.py, benchmarks/ and report --fast,
+# then tier-1, each under a chained profile hook; writes every
+# definition's reach and verdict to artifacts/pr42/census.json.
+# Evidence, not a gate (about 10 minutes on 2 vCPUs).
+census:
+	python3 scripts/census.py
 
 # Timeline profiling: fig9 CG + fig10 GMG with span recording on.
 # Writes Chrome traces (open in chrome://tracing or ui.perfetto.dev)

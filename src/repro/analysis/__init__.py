@@ -49,7 +49,6 @@ from repro.analysis.lint import (
 from repro.analysis.plan import PlanGroup, PlanNote, PlanOp, PlanTrace
 from repro.analysis.recorder import (
     active_logs,
-    drain_logs,
     register,
     set_validation_default,
     validation_default,
@@ -102,7 +101,6 @@ __all__ = [
     "advisor",
     "analyze",
     "check_log",
-    "drain_logs",
     "lint_all",
     "lint_kernel_spec",
     "lint_schedule",

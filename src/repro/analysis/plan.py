@@ -91,13 +91,6 @@ class PlanOp:
         self.args: List[PlanArg] = [PlanArg(req) for req in task.requirements]
         self.reduction: Optional[str] = task.reduction
 
-    def arg(self, name: str) -> Optional[PlanArg]:
-        """The argument registered under a kernel name, if any."""
-        for arg in self.args:
-            if arg.name == name:
-                return arg
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlanOp({self.name!r}, colors={self.colors})"
 

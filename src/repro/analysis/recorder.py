@@ -54,9 +54,3 @@ def active_logs() -> List[EventLog]:
     """All registered logs (oldest first)."""
     return list(_ACTIVE_LOGS)
 
-
-def drain_logs() -> List[EventLog]:
-    """Return and forget all registered logs."""
-    out = list(_ACTIVE_LOGS)
-    _ACTIVE_LOGS.clear()
-    return out

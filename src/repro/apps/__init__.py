@@ -6,7 +6,7 @@ of the paper is that these programs run distributed unmodified.
 """
 
 from repro.apps.poisson import poisson2d, poisson2d_scipy
-from repro.apps.multigrid import MultiLevelGMG, TwoLevelGMG, gmg_preconditioned_cg
+from repro.apps.multigrid import TwoLevelGMG, gmg_preconditioned_cg
 from repro.apps.rydberg import (
     blockade_state_count,
     blockade_states,
@@ -19,7 +19,6 @@ from repro.apps.movielens import fractal_expand, synthetic_movielens
 
 __all__ = [
     "MatrixFactorizationModel",
-    "MultiLevelGMG",
     "TwoLevelGMG",
     "blockade_state_count",
     "blockade_states",

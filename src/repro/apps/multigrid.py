@@ -119,83 +119,6 @@ class TwoLevelGMG:
         return LinearOperator((n, n), matvec=self.vcycle)
 
 
-class MultiLevelGMG:
-    """A full V-cycle hierarchy (generalizes the paper's two levels).
-
-    Levels are built by Galerkin triple products until the grid drops
-    below ``coarsest``; the bottom solve is a short CG.
-    """
-
-    def __init__(
-        self,
-        A: "sp.csr_matrix",
-        k: int,
-        omega: float = 2.0 / 3.0,
-        pre_smooth: int = 2,
-        post_smooth: int = 2,
-        coarsest: int = 7,
-        coarse_rtol: float = 1e-2,
-        coarse_maxiter: int = 50,
-        restriction: str = "injection",
-    ):
-        self.omega = omega
-        self.pre_smooth = pre_smooth
-        self.post_smooth = post_smooth
-        self.coarse_rtol = coarse_rtol
-        self.coarse_maxiter = coarse_maxiter
-        self.levels = []  # (A, dinv, R, P); the last level has R = P = None
-        while True:
-            dinv = 1.0 / A.diagonal()
-            kc = (k - 1) // 2 if k % 2 == 1 else 0
-            if kc < coarsest or k % 2 == 0:
-                self.levels.append((A, dinv, None, None))
-                break
-            P = bilinear_prolongation(k)
-            if restriction == "injection":
-                R = injection_restriction(k)
-            elif restriction == "fullweight":
-                R = 0.25 * P.T.tocsr()
-            else:
-                raise ValueError(f"unknown restriction {restriction!r}")
-            self.levels.append((A, dinv, R, P))
-            A = (R @ A @ P).tocsr()
-            k = kc
-
-    @property
-    def depth(self) -> int:
-        """Number of levels in the hierarchy."""
-        return len(self.levels)
-
-    def _smooth(self, A, dinv, r, e, steps):
-        for _ in range(steps):
-            if e is None:
-                e = (r * dinv) * self.omega
-            else:
-                e = e + ((r - A @ e) * dinv) * self.omega
-        return e
-
-    def _vcycle(self, level: int, r: ndarray) -> ndarray:
-        A, dinv, R, P = self.levels[level]
-        if R is None:
-            e, _ = sp.linalg.cg(
-                A, r, rtol=self.coarse_rtol, maxiter=self.coarse_maxiter
-            )
-            return e
-        e = self._smooth(A, dinv, r, None, self.pre_smooth)
-        rc = R @ (r - A @ e)
-        e = e + P @ self._vcycle(level + 1, rc)
-        return self._smooth(A, dinv, r, e, self.post_smooth)
-
-    def vcycle(self, r: ndarray) -> ndarray:
-        """One full V-cycle from the finest level."""
-        return self._vcycle(0, r)
-
-    def as_preconditioner(self) -> LinearOperator:
-        """The V-cycle wrapped as a LinearOperator."""
-        n = self.levels[0][0].shape[0]
-        return LinearOperator((n, n), matvec=self.vcycle)
-
-
 def gmg_preconditioned_cg(
     A: "sp.csr_matrix",
     b: ndarray,

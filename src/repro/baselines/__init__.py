@@ -5,31 +5,19 @@
   off-diagonal blocks and VecScatter-style ghost exchange) with a
   hand-written CG.  A genuinely different code path from the Legate
   stack, the way PETSc is in the paper.
-* :mod:`repro.baselines.systems` — factories configuring the *same*
-  Legate stack as each single-device system the paper compares against:
-  SciPy (one CPU core, no tasking overhead) and CuPy (one GPU, small
-  launch overhead, cuSPARSE-flavoured kernel costs).
+
+The single-device systems need no code of their own: SciPy and CuPy
+are the *same* Legate stack on one processor with a
+:class:`~repro.legion.runtime.RuntimeConfig` preset,
+``Runtime(machine.scope(ProcessorKind.CPU_CORE, 1), RuntimeConfig.scipy())``
+and ``Runtime(machine.scope(ProcessorKind.GPU, 1), RuntimeConfig.cupy())``.
 """
 
 from repro.baselines.petsc import KSP, MatMPIAIJ, MPISim, PetscVec
-from repro.baselines.systems import (
-    SystemSpec,
-    cupy_system,
-    legate_cpu_system,
-    legate_gpu_system,
-    petsc_sim,
-    scipy_system,
-)
 
 __all__ = [
     "KSP",
     "MPISim",
     "MatMPIAIJ",
     "PetscVec",
-    "SystemSpec",
-    "cupy_system",
-    "legate_cpu_system",
-    "legate_gpu_system",
-    "petsc_sim",
-    "scipy_system",
 ]

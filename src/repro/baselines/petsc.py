@@ -157,11 +157,6 @@ class PetscVec:
         self.data = alpha * self.data + x.data
         self._charge_streaming(2)
 
-    def scale(self, alpha: float) -> None:
-        """y *= alpha."""
-        self.data *= alpha
-        self._charge_streaming(1)
-
     def dot(self, other: "PetscVec") -> float:
         """Global dot product (compute + MPI_Allreduce)."""
         for rank in range(self.sim.size):
@@ -208,11 +203,6 @@ class MatMPIAIJ:
             ):
                 ghosts[int(owner)] = int(count)
             self.ghost_from.append(ghosts)
-
-    @property
-    def nnz(self) -> int:
-        """Global stored entries."""
-        return self.mat.nnz
 
     def mult(self, x: PetscVec, y: Optional[PetscVec] = None) -> PetscVec:
         """y = A @ x with VecScatter ghost gather + local SpMV."""

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.legion.partition import Partition, Tiling
+from repro.legion.partition import Partition
 from repro.legion.region import Region
 from repro.legion.runtime import Runtime, get_runtime
 
@@ -81,10 +81,6 @@ class Store:
         return self.region.data
 
     # ------------------------------------------------------------------
-    def default_tiling(self) -> Tiling:
-        """An even tiling over the runtime's processors."""
-        return Tiling.create(self.region, self.runtime.num_procs)
-
     def set_key_partition(self, partition: Partition) -> None:
         """Record the latest written partition."""
         self.key_partition = partition

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from repro.geometry.interval import Interval
-
 
 class Rect:
     """Half-open axis-aligned box ``[lo[d], hi[d])`` per dimension.
@@ -70,11 +68,6 @@ class Rect:
         return cls(tuple(0 for _ in shape), tuple(int(s) for s in shape))
 
     @classmethod
-    def from_interval(cls, ival: Interval) -> "Rect":
-        """A 1-D rect from a half-open interval."""
-        return cls((ival.lo,), (ival.hi,))
-
-    @classmethod
     def interval1d(cls, lo: int, hi: int) -> "Rect":
         """A 1-D rect [lo, hi)."""
         return cls((lo,), (hi,))
@@ -96,10 +89,6 @@ class Rect:
     def volume(self) -> int:
         """Number of points covered."""
         return self._volume
-
-    def axis(self, dim: int) -> Interval:
-        """One dimension as an Interval."""
-        return Interval(self.lo[dim], self.hi[dim])
 
     def contains(self, other: "Rect") -> bool:
         """True when the other rect lies inside this one."""
@@ -277,13 +266,6 @@ class RectSet:
             if new_pieces:
                 self._rects.extend(new_pieces)
                 members.update(new_pieces)
-
-    def union(self, other: "RectSet") -> "RectSet":
-        """Set union (members stay disjoint)."""
-        result = RectSet(self._rects)
-        for rect in other._rects:
-            result.add(rect)
-        return result
 
     def intersect_rect(self, rect: Rect) -> "RectSet":
         """Intersection with a single rect."""

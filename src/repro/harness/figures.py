@@ -29,10 +29,6 @@ class Series:
         if detail:
             self.details[procs] = detail
 
-    def detail_at(self, procs: int) -> Optional[str]:
-        """The annotation attached at a processor count, if any."""
-        return self.details.get(procs)
-
     def at(self, procs: int) -> Optional[float]:
         """Throughput at a processor count (None if absent/OOM)."""
         for p, v in self.points:

@@ -67,7 +67,3 @@ def ascii_plot(
     lines.append("  " + legend)
     return "\n".join(lines)
 
-
-def plot_all(results: List[FigureResult]) -> str:
-    """ASCII charts for a list of figure results."""
-    return "\n\n".join(ascii_plot(r) for r in results)

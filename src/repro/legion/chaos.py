@@ -237,11 +237,6 @@ class ChaosInjector:
         self.faults_injected = 0
 
     # ------------------------------------------------------------------
-    @property
-    def rng(self) -> np.random.Generator:
-        """The injector's seeded generator (shared with test hooks)."""
-        return self._rng
-
     def copy_fault(self) -> bool:
         """Draw: does this copy attempt hit a transient link error?"""
         if self.config.copy_fault_rate <= 0.0:

@@ -258,10 +258,6 @@ class MemoryState:
             del self.pool[32:]
         return freed
 
-    def region_footprint(self, region_uid: int) -> int:
-        """Bytes this memory currently holds for one region."""
-        return sum(i.nbytes for i in self.instances.get(region_uid, []))
-
     # ------------------------------------------------------------------
     # Pressure relief and failure primitives (composed by the runtime's
     # spill policy and by the chaos recovery path).

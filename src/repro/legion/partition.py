@@ -97,10 +97,6 @@ class Partition:
         union = RectSet(self.rects())
         return union.covers(RectSet.of(self.region.rect))
 
-    def aligned_with(self, other: "Partition") -> bool:
-        """Whether using both on aligned operands incurs no data movement."""
-        return False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.region.name}, colors={self.color_count})"
 
@@ -184,13 +180,6 @@ class Tiling(Partition):
             self._tables = tables
         return tables
 
-    def aligned_with(self, other: Partition) -> bool:
-        """Same boundaries: composing costs no movement."""
-        return (
-            isinstance(other, Tiling)
-            and other.boundaries == self.boundaries
-        )
-
 
 class Replicate(Partition):
     """Every color maps to the whole region (broadcast operands)."""
@@ -207,10 +196,6 @@ class Replicate(Partition):
             whole = (self.region.rect,)
             tables = self._tables = (whole * colors, _whole_pieces(whole) * colors)
         return tables
-
-    def aligned_with(self, other: Partition) -> bool:
-        """Replicas of same-shape regions align."""
-        return isinstance(other, Replicate) and other.region.shape == self.region.shape
 
 
 class ExplicitPartition(Partition):

@@ -87,10 +87,6 @@ class Region:
             )
         return nb
 
-    def view(self, rect: Rect) -> np.ndarray:
-        """A writable view of the backing array restricted to ``rect``."""
-        return self.data[rect.slices()]
-
     def destroy(self) -> None:
         """Release physical instances; called when the frontend drops us."""
         if self._runtime is not None:

@@ -201,26 +201,6 @@ class RuntimeConfig:
         defaults.update(overrides)
         return cls(**defaults)
 
-    @classmethod
-    def petsc(cls, **overrides) -> "RuntimeConfig":
-        """PETSc-grade constants (used for sanity checks; the real
-        comparator is repro.baselines.petsc)."""
-        defaults = dict(
-            name="petsc",
-            allreduce_linear_overhead=0.0,
-            launch_overhead=4.0e-6,
-            shard_overhead=0.0,
-            allreduce_base_overhead=1.0e-6,
-            allreduce_hop_overhead=2.0e-6,
-            reserved_fb_bytes=int(0.4 * 2**30),
-            local_reshape_penalty=False,
-            fusion=False,
-            spill=False,
-            trace_replay_fraction=1.0,
-        )
-        defaults.update(overrides)
-        return cls(**defaults)
-
 
 # The partition kinds whose rects a source region's data decides.
 _IMAGES = (ImageByRange, ImageByCoordinate)
@@ -483,7 +463,6 @@ class Runtime:
         self._host_memory = next(
             m for m in self.machine.memories if m.kind == MemoryKind.SYSMEM
         )
-        self._rng = np.random.default_rng(0x5EED)
         # Resilience (repro.legion.chaos): the injector draws the fault
         # schedule; the journal holds every launch executed since the
         # last checkpoint epoch so a node loss can be recovered by
@@ -668,15 +647,6 @@ class Runtime:
     def num_procs(self) -> int:
         """Processors in this runtime's scope."""
         return len(self.scope.processors)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The runtime-seeded random generator."""
-        return self._rng
-
-    def seed(self, value: int) -> None:
-        """Reset the runtime random generator."""
-        self._rng = np.random.default_rng(value)
 
     # ------------------------------------------------------------------
     # Clocks

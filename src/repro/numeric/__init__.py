@@ -45,7 +45,6 @@ from repro.numeric.reductions import (
     sum,
     vdot,
 )
-from repro.numeric.autograd import grad
 from repro.numeric.lazy import LazyExpr, evaluate, lazy
 from repro.numeric.scan import cumsum, exclusive_scan
 from repro.numeric.ufunc import (
@@ -141,6 +140,6 @@ __all__ = [
     "zeros",
     "zeros_like",
 ] + [
-    'LazyExpr', 'evaluate', 'grad', 'lazy',
+    'LazyExpr', 'evaluate', 'lazy',
     'allclose', 'argmax', 'argmin', 'array_equal', 'ceil', 'clip', 'concatenate', 'count_nonzero', 'equal', 'floor', 'greater', 'greater_equal', 'isfinite', 'isnan', 'less', 'less_equal', 'not_equal', 'rint', 'where',
 ]

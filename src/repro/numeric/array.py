@@ -441,7 +441,3 @@ class ndarray:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ndarray(shape={self.shape}, dtype={self.dtype})"
 
-
-def from_store(store: Store) -> ndarray:
-    """Wrap an existing store as an ndarray."""
-    return ndarray(store)

@@ -13,16 +13,16 @@ accepts many concurrent client requests against a shared sparse model
 * result caching keyed on (matrix version, input hash)
   (:mod:`repro.serve.cache`),
 * per-tenant chaos/checkpoint isolation reusing the resilience
-  machinery (isolated tenants run on dedicated runtimes with their own
-  fault injectors and checkpoint epochs), and
-* serving lints — cache-defeating input churn and queue pressure
-  (:mod:`repro.serve.advisor`).
+  machinery (isolated tenants run on dedicated runtimes over their own
+  modeled machines, with their own fault injectors and checkpoint
+  epochs), and
+* aggregated traffic statistics (:meth:`SparseService.stats`): cache
+  hit rate, admissions and rejections per tenant.
 
 Latencies are modeled on the runtime's simulated clocks
 (:mod:`repro.serve.service`).
 """
 
-from repro.serve.advisor import lint_serve
 from repro.serve.batcher import SpMVBatcher
 from repro.serve.cache import ResultCache
 from repro.serve.scheduler import FairShareScheduler, Request, TenantConfig
@@ -43,5 +43,4 @@ __all__ = [
     "SparseService",
     "SpMVBatcher",
     "TenantConfig",
-    "lint_serve",
 ]

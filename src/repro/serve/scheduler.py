@@ -31,9 +31,10 @@ class TenantConfig:
     """One tenant's service contract.
 
     ``chaos`` (a :class:`repro.legion.chaos.ChaosConfig`) marks the
-    tenant *isolated*: its requests execute on a dedicated runtime with
-    its own fault injector and checkpoint epochs, so injected faults
-    (and the recovery machinery) never touch other tenants.
+    tenant *isolated*: its requests execute on a dedicated runtime over
+    its own modeled machine, with its own fault injector and checkpoint
+    epochs, so injected faults, retries and recovery change neither the
+    results nor the start and finish times of other tenants' requests.
     """
 
     name: str

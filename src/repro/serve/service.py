@@ -17,9 +17,10 @@ version*) and serves SpMV requests from many tenants:
    request of the round before it reads one back, so the round's
    launches share the deferred window and fuse;
 5. **isolation** — tenants with a chaos config run on *dedicated*
-   runtimes with their own fault injectors and checkpoint epochs
-   (:meth:`Runtime.reset_for_program` at request-program boundaries),
-   so injected faults and recovery stalls never touch other tenants.
+   runtimes over their own modeled machines, with their own fault
+   injectors and checkpoint epochs (:meth:`Runtime.reset_for_program`
+   at request-program boundaries), so injected faults and recovery
+   stalls change neither the bits nor the timing of other tenants.
 
 Time is modeled: request arrivals, queue waits, launch overheads and
 kernel times all live on the runtime's virtual clocks, so reported
@@ -37,7 +38,6 @@ import numpy as np
 from repro.legion.exceptions import FaultError
 from repro.legion.runtime import Runtime, RuntimeConfig, runtime_scope
 from repro.machine import ProcessorKind, summit
-from repro.serve.advisor import lint_serve
 from repro.serve.batcher import SpMVBatcher
 from repro.serve.cache import CacheStats, ResultCache
 from repro.serve.scheduler import FairShareScheduler, Request, TenantConfig
@@ -77,7 +77,7 @@ class Response:
 
 @dataclass
 class ServeStats:
-    """Aggregated traffic statistics (the advisor lints read these)."""
+    """Aggregated traffic statistics."""
 
     requests_admitted: int = 0
     requests_rejected: int = 0
@@ -96,8 +96,8 @@ class _Domain:
     """One execution context: a runtime plus per-version matrices.
 
     The shared domain serves every non-isolated tenant; each isolated
-    tenant gets its own domain (own runtime → own chaos injector,
-    checkpoint epochs, clocks and instances).
+    tenant gets its own domain (own runtime → own modeled machine,
+    chaos injector, checkpoint epochs, clocks and instances).
     """
 
     def __init__(self, name: str, runtime: Runtime):
@@ -134,7 +134,6 @@ class SparseService:
         self.version = 0
         self._launches = 0  # ServeStats.launches
         self._host_versions: Dict[int, Any] = {0: host_matrix}
-        self._machine = summit(nodes=self.config.nodes)
         self._domains: Dict[str, _Domain] = {}
         shared_rt = self._make_runtime(chaos=None)
         self._shared = _Domain("shared", shared_rt)
@@ -147,8 +146,12 @@ class SparseService:
         self._tenant_configs = {t.name: t for t in tenants}
 
     def _make_runtime(self, chaos) -> Runtime:
+        # Every domain models its own machine: an isolated tenant's
+        # shards, retries and recovery occupy GPUs and channels that no
+        # other domain runs on.
+        machine = summit(nodes=self.config.nodes)
         return Runtime(
-            self._machine.scope(ProcessorKind.GPU, self.config.procs),
+            machine.scope(ProcessorKind.GPU, self.config.procs),
             RuntimeConfig.legate(chaos=chaos),
         )
 
@@ -349,7 +352,3 @@ class SparseService:
                 stats.requests_failed += 1
         stats.launches = self._launches
         return stats
-
-    def advise(self):
-        """Serving lints over the aggregated stats (see serve.advisor)."""
-        return lint_serve(self.stats())

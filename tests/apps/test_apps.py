@@ -228,45 +228,3 @@ class TestMatrixFactorization:
         model = MatrixFactorizationModel(1000, 500, k=16)
         assert model.memory_footprint_bytes(10**6) < model.memory_footprint_bytes(10**7)
 
-
-class TestMultiLevelGMG:
-    def test_builds_hierarchy(self, rt):
-        from repro.apps import MultiLevelGMG
-        from repro.apps.poisson import poisson2d
-
-        k = 31
-        gmg = MultiLevelGMG(poisson2d(k), k)
-        assert gmg.depth >= 3
-        sizes = [lvl[0].shape[0] for lvl in gmg.levels]
-        assert sizes == sorted(sizes, reverse=True)
-
-    def test_deeper_than_two_levels_converges(self, rt):
-        from repro.apps import MultiLevelGMG
-        from repro.apps.poisson import poisson2d, poisson2d_scipy
-        import scipy.sparse.linalg as spla
-
-        k = 31
-        A = poisson2d(k)
-        gmg = MultiLevelGMG(A, k)
-        b = rnp.ones(k * k)
-        iters = [0]
-        x, info = sp.linalg.cg(
-            A, b, rtol=1e-8, maxiter=300, M=gmg.as_preconditioner(),
-            callback=lambda _: iters.__setitem__(0, iters[0] + 1),
-        )
-        assert info == 0
-        ref = spla.spsolve(poisson2d_scipy(k).tocsc(), np.ones(k * k))
-        np.testing.assert_allclose(x.to_numpy(), ref, rtol=1e-4, atol=1e-5)
-        # Multigrid preconditioning keeps iterations nearly grid-independent.
-        assert iters[0] < 40
-
-    def test_vcycle_contracts_residual(self, rt):
-        from repro.apps import MultiLevelGMG
-        from repro.apps.poisson import poisson2d
-
-        k = 15
-        A = poisson2d(k)
-        gmg = MultiLevelGMG(A, k, coarsest=3)
-        b = rnp.array(np.random.default_rng(0).random(k * k))
-        e = gmg.vcycle(b)
-        assert float(rnp.linalg.norm(b - A @ e)) < float(rnp.linalg.norm(b))

@@ -6,7 +6,6 @@ import scipy.sparse as sps
 
 from repro.apps.poisson import poisson2d_scipy
 from repro.baselines.petsc import KSP, MatMPIAIJ, MPISim, PetscVec
-from repro.baselines.systems import petsc_sim
 from repro.machine import ProcessorKind, summit
 
 
@@ -136,5 +135,5 @@ class TestScaling:
 
     def test_petsc_sim_factory(self):
         machine = summit(nodes=1)
-        sim = petsc_sim(machine, ProcessorKind.CPU_SOCKET, 2)
+        sim = MPISim(machine.scope(ProcessorKind.CPU_SOCKET, 2))
         assert sim.size == 2

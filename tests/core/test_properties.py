@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import repro.numeric as rnp
 import repro.sparse as sp
-from repro.harness.skew import power_law_csr
+from tests.core.skew import power_law_csr
 from repro.legion import Runtime, RuntimeConfig
 from repro.legion.runtime import runtime_scope
 from repro.machine import ProcessorKind, laptop, summit

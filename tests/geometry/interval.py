@@ -1,4 +1,10 @@
-"""Half-open integer intervals and sorted disjoint interval sets."""
+"""Half-open integer intervals and sorted disjoint interval sets.
+
+A test fixture: the runtime works in :class:`repro.geometry.Rect` and
+:class:`repro.geometry.RectSet` and calls none of this;
+``test_interval.py`` checks the 1-D set algebra against pointwise
+reference sets.
+"""
 
 from __future__ import annotations
 
@@ -23,11 +29,6 @@ class Interval:
 
     def __len__(self) -> int:
         return max(0, self.hi - self.lo)
-
-    @property
-    def extent(self) -> int:
-        """Number of points covered."""
-        return len(self)
 
     def contains(self, point: int) -> bool:
         """True when the point lies inside."""
@@ -145,13 +146,6 @@ class IntervalSet:
         if not inserted:
             out.append(Interval(lo, hi))
         self._ivals = out
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        """Set union."""
-        result = IntervalSet(self._ivals)
-        for ival in other._ivals:
-            result.add(ival)
-        return result
 
     def intersect_interval(self, ival: Interval) -> "IntervalSet":
         """Intersection with one interval."""

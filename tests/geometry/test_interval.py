@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Interval, IntervalSet
+from tests.geometry.interval import Interval, IntervalSet
 
 
 class TestInterval:

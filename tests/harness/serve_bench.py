@@ -1,5 +1,8 @@
 """Serve bench: a seeded load generator against the multi-tenant service.
 
+A test fixture: ``bench/inputs.py`` generates the ``serve_mixed``
+workload's traffic, so the package ships no second load generator.
+
 The shared model is a MovieLens-style factorization
 (:mod:`repro.apps.matfact` over :mod:`repro.apps.movielens` data): each
 published *matrix version* is the model's predicted-ratings matrix on
@@ -13,9 +16,7 @@ dtype mix and mid-run model updates (version churn).
 :func:`run_scenario` serves one workload and returns its metrics with
 a digest per request, so two scenarios compare bit for bit: the result
 cache on versus off, and a chaos tenant's dedicated runtime versus a
-run without it — ``tests/harness/test_serve_bench.py`` asserts each at
-reduced sizes.
-The ``serve_mixed`` workload of ``bench/`` measures the same service.
+run without it — ``test_serve_bench.py`` asserts each at reduced sizes.
 """
 
 from __future__ import annotations
@@ -131,8 +132,10 @@ def run_scenario(
     streams: Dict[str, List[Tuple[float, np.ndarray]]],
     cache_capacity: int = 256,
     update_after: Optional[int] = None,
+    window: int = 8,
 ) -> Dict:
-    """Serve one workload; returns metrics plus per-request digests.
+    """Serve one workload; returns metrics plus per-request digests and
+    finish times.
 
     ``update_after`` publishes model version 1 after that many
     requests have been admitted (version churn: in-flight requests
@@ -143,7 +146,7 @@ def run_scenario(
         list(tenants),
         ServiceConfig(
             procs=SERVE_PROCS,
-            window=8,
+            window=window,
             cache_capacity=cache_capacity,
         ),
     )
@@ -169,11 +172,13 @@ def run_scenario(
     # Digests key on (tenant, per-tenant sequence), so two scenarios over
     # the same streams compare request by request.
     digests: Dict[str, str] = {}
+    finish: Dict[str, float] = {}
     counters: Dict[str, int] = {}
     for r in sorted(ok, key=lambda resp: resp.rid):
         seq = counters.get(r.tenant, 0)
         counters[r.tenant] = seq + 1
         digests[f"{r.tenant}:{seq}"] = _digest(r.y)
+        finish[f"{r.tenant}:{seq}"] = r.finish
     latencies = sorted(r.latency for r in ok)
     arrivals = [a for items in streams.values() for a, _ in items]
     span = (
@@ -190,6 +195,7 @@ def run_scenario(
         "cache_hits": stats.cache.hits,
         "launch_overhead_s": prof.launch_overhead_seconds,
         "digests": digests,
+        "finish": finish,
         "isolated_faults": {
             name: {
                 k: v

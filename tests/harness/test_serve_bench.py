@@ -4,8 +4,8 @@
 import numpy as np
 import scipy.sparse as sps
 
-from repro.harness import serve_bench
-from repro.harness.serve_bench import (
+from tests.harness import serve_bench
+from tests.harness.serve_bench import (
     SERVE_ITEMS,
     build_model_versions,
     generate_streams,
@@ -85,24 +85,29 @@ def test_duplicate_heavy_traffic_hits_the_cache_bitwise():
 
 
 def test_chaos_tenant_leaves_other_tenants_unperturbed():
-    """Faults and retries stay in the chaos tenant's dedicated runtime:
-    everyone else gets the bits of a run without that tenant at all."""
+    """Faults and retries stay in the chaos tenant's dedicated runtime
+    and machine: everyone else gets the bits and the finish times of a
+    run without that tenant at all."""
     versions = _tiny_versions()
     plain = [TenantConfig("t0"), TenantConfig("t1")]
     chaotic = TenantConfig(
         "chaotic", chaos=ChaosConfig(seed=7, copy_fault_rate=0.2)
     )
     streams = generate_streams(5, ["t0", "t1", "chaotic"], 8, n=48)
-    with_chaos = run_scenario(versions, plain + [chaotic], streams)
+    # A round holds a whole burst of all three tenants, so the fair-share
+    # scheduler gives the plain tenants the same rounds on both sides.
+    with_chaos = run_scenario(versions, plain + [chaotic], streams, window=12)
     without = run_scenario(
-        versions, plain, {k: v for k, v in streams.items() if k != "chaotic"}
+        versions, plain, {k: v for k, v in streams.items() if k != "chaotic"},
+        window=12,
     )
     assert sum(with_chaos["isolated_faults"]["chaotic"].values()) >= 1
     assert with_chaos["shared_faults"] == {}
-    assert without["digests"] == {
-        key: d for key, d in with_chaos["digests"].items()
-        if not key.startswith("chaotic:")
-    }
+    for field in ("digests", "finish"):
+        assert without[field] == {
+            key: v for key, v in with_chaos[field].items()
+            if not key.startswith("chaotic:")
+        }
 
 
 def test_version_churn_scenario_pins_versions():

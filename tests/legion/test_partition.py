@@ -45,13 +45,6 @@ class TestTiling:
         assert t.rect(0) == Rect((0, 0), (5, 4))
         assert t.rect(1) == Rect((5, 0), (10, 4))
 
-    def test_alignment_by_boundaries(self):
-        a = Region((10,), np.float64)
-        b = Region((10,), np.int64)
-        ta, tb = Tiling.create(a, 2), Tiling.create(b, 2)
-        assert ta.aligned_with(tb)
-        assert not ta.aligned_with(Tiling.create(a, 5))
-
     def test_must_cover_dimension(self):
         r = Region((10,), np.float64)
         with pytest.raises(ValueError):

@@ -78,5 +78,5 @@ def test_paper_legate_pins_exactly_these_fields():
     differing = {name for name in default if paper[name] != default[name]}
     assert differing == {"fusion", "spill", "trace_replay_fraction"}
     assert paper["trace_replay_fraction"] == 1.0
-    for preset in (RuntimeConfig.cupy, RuntimeConfig.scipy, RuntimeConfig.petsc):
+    for preset in (RuntimeConfig.cupy, RuntimeConfig.scipy):
         assert preset().trace_replay_fraction == 1.0

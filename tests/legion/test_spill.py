@@ -109,5 +109,4 @@ class TestSpill:
         assert RuntimeConfig.legate().spill is True
         assert RuntimeConfig.cupy().spill is False
         assert RuntimeConfig.scipy().spill is False
-        assert RuntimeConfig.petsc().spill is False
         assert paper_legate().spill is False

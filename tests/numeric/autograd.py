@@ -1,12 +1,14 @@
-"""Reverse-mode autodiff over the fused expression templates.
+"""Reverse-mode autodiff over the fused expression templates (a test driver).
 
-The paper's Fig. 12 workload used "a closed-source sparse autograd
-procedure to generate Python source code for the gradient" of the
-factorization model, which the authors then hand-optimized.  This module
-substitutes a small open reverse-mode differentiator: build a scalar
-loss ``sum(expr)`` over a :class:`~repro.numeric.lazy.LazyExpr` tree and
-:func:`grad` returns the gradient with respect to each requested leaf —
-each adjoint itself a fused expression evaluated in one task.
+Build a scalar loss ``sum(expr)`` over a
+:class:`~repro.numeric.lazy.LazyExpr` tree and :func:`grad` returns the
+gradient with respect to each requested leaf — each adjoint itself a
+fused expression evaluated in one task.  ``test_autograd.py`` checks
+the gradients analytically and against finite differences, which puts
+nested ``lazy`` trees (exp, log, division, powers, repeated leaves)
+through :func:`~repro.numeric.lazy.evaluate`.  No workload differentiates:
+``repro.apps.matfact`` writes the Fig. 12 gradients by hand, as the
+paper's authors hand-optimized theirs.
 
 Example (the value-space half of the matrix-factorization gradient)::
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro.numeric as rnp
-from repro.numeric.autograd import DifferentiationError, grad
+from tests.numeric.autograd import DifferentiationError, grad
 from repro.numeric.lazy import LazyExpr, lazy
 
 

@@ -22,7 +22,8 @@ domain runs one request per program.  The contract:
   before the last request is issued;
 * **isolation** -- an isolated chaos tenant's responses (``ok``,
   ``start``, ``finish``, ``error``, bytes) equal the reference's at
-  ``copy_fault_rate`` 0, 0.3 and 0.8, a fault in one isolated program
+  ``copy_fault_rate`` 0, 0.3 and 0.8, and the other tenant's equal
+  those of a run without the chaos tenant, a fault in one isolated program
   fails that request alone, and every admitted request gets exactly
   one response;
 * **launch accounting** -- ``ServeStats.launches`` is the number of
@@ -333,6 +334,10 @@ def test_no_barrier_before_the_last_batch_is_issued(monkeypatch):
 def test_isolated_tenant_matches_the_reference(rate):
     """Each isolated request is its own program, as in the reference:
     the chaos tenant's responses are the reference's, field for field.
+    The plain tenant's responses are those of a run without the chaos
+    tenant, field for field: the isolated domain models its own
+    machine, so its faults and retries occupy none of the shared
+    domain's GPUs and channels.
 
     An isolated request starts no earlier than the service clock, which
     the shared domain's rounds advance, so the shared domain runs the
@@ -370,6 +375,16 @@ def test_isolated_tenant_matches_the_reference(rate):
             assert a.y.tobytes() == b.y.tobytes()
     if rate == 0.8:
         assert any(not ref[rid].ok for rid in iso)
+    alone = _serve(
+        [TenantConfig("plain")], [t for t in traffic if t[0] == "plain"]
+    ).responses
+    beside = [change[rid] for rid in sorted(change) if rid not in iso]
+    assert len(beside) == len(alone) == 20
+    for a, b in zip(beside, (alone[rid] for rid in sorted(alone))):
+        assert (a.ok, a.arrival, a.start, a.finish, a.error) == (
+            b.ok, b.arrival, b.start, b.finish, b.error
+        )
+        assert a.y.tobytes() == b.y.tobytes()
 
 
 def test_a_fault_fails_every_batch_of_the_shared_round(monkeypatch):

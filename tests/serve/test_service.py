@@ -38,9 +38,6 @@ def test_bounded_queues_reject_overflow():
     assert stats.requests_admitted == 3
     assert stats.requests_rejected == 2
     assert svc.runtime.profiler.serve_rejections == 2
-    # Rejections surface as a lint.
-    svc.run()
-    assert any(i.code == "serve-queue-pressure" for i in svc.advise())
 
 
 def test_duplicate_tenant_registration_rejected():
@@ -241,7 +238,7 @@ def test_serve_streams_is_arrival_ordered_submit_then_run(names):
     """serve_streams admits every request in arrival order, then drains
     once: per request, timing, cache and bits equal that
     explicit sequence, whatever the order of the ``streams`` dict."""
-    from repro.harness.serve_bench import generate_streams
+    from tests.harness.serve_bench import generate_streams
 
     streams = generate_streams(
         11, names, 6, n=N, dup_rate=0.3, dtype_mix=0.2
