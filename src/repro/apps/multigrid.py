@@ -104,12 +104,23 @@ class TwoLevelGMG:
         return e
 
     def vcycle(self, r: ndarray) -> ndarray:
-        """One V-cycle: returns e with A e ≈ r."""
+        """One V-cycle: returns e with A e ≈ r.
+
+        The coarse CG runs on the processors its grid earns under
+        Legate's minimum chunk (:meth:`Runtime.colors_for`): a coarse
+        grid too small to feed every processor is agglomerated onto
+        fewer, so its reductions span fewer shards.  The restriction and
+        the prolongation then gather ``rc`` and scatter ``ec``.  The
+        fine level keeps the caller's width: ``A``, ``r`` and ``e`` are
+        the caller's data.
+        """
         e = self.smooth(r, None, self.pre_smooth)
         rc = self.R @ (r - self.A @ e)
-        ec, _ = sp.linalg.cg(
-            self.Ac, rc, rtol=self.coarse_rtol, maxiter=self.coarse_maxiter
-        )
+        rt = self.Ac.runtime
+        with rt.narrow(rt.colors_for(self.Ac.shape[0])):
+            ec, _ = sp.linalg.cg(
+                self.Ac, rc, rtol=self.coarse_rtol, maxiter=self.coarse_maxiter
+            )
         e = e + self.P @ ec
         return self.smooth(r, e, self.post_smooth)
 

@@ -240,7 +240,7 @@ class AutoTask:
         then joins the window or passes it (``Runtime.launch``).
         """
         rt = self.runtime
-        colors = self.colors if self.colors is not None else rt.num_procs
+        colors = self.colors if self.colors is not None else rt.launch_colors
         # An image partition reads its source's data at solve time:
         # deferred launches that still owe writes to a source run first.
         # The launch itself -- joining the window or passing it -- is

@@ -125,7 +125,7 @@ class bsr_matrix(spmatrix):
         y = rnp.empty(n, dtype=out_dtype)
         # Block-row tiling of pos; scaled tiles for y; block-column
         # bounding image for x (dependent partitioning over crd data).
-        tiling = Tiling.create(self.pos.region, rt.num_procs)
+        tiling = Tiling.create(self.pos.region, rt.launch_colors)
         y_rects, x_rects = [], []
         rt.barrier()
         pos_data, crd_data = self.pos.data, self.crd.data

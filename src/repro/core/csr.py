@@ -158,7 +158,7 @@ class csr_matrix(spmatrix):
         # every sparse kernel over this matrix will reach them, so that
         # value-space arithmetic runs on the kernels' cuts.
         for store in (self.crd, self.vals):
-            key = image_key(self.pos, store, rt.num_procs, rt._image_cache)
+            key = image_key(self.pos, store, rt.launch_colors, rt._image_cache)
             if key is not None:
                 store.set_key_partition(key)
 

@@ -135,7 +135,7 @@ class dia_matrix(spmatrix):
         offs = self._offsets_host
         lo_off = int(offs.min()) if len(offs) else 0
         hi_off = int(offs.max()) if len(offs) else 0
-        tiling = Tiling.create(y.store.region, rt.num_procs)
+        tiling = Tiling.create(y.store.region, rt.launch_colors)
         rects = []
         for c in range(tiling.color_count):
             r = tiling.rect(c)

@@ -58,7 +58,7 @@ from repro.legion.timeline import Timeline
 from repro.legion.timeline import profile_default as _profile_default
 from repro.legion.timeline import register as _register_timeline
 from repro.legion.tracing import History, launch_fingerprint, window_fingerprint
-from repro.machine import MachineScope, Memory, MemoryKind, Processor
+from repro.machine import MIN_CHUNK, MachineScope, Memory, MemoryKind, Processor
 
 
 @dataclass
@@ -390,6 +390,9 @@ class Runtime:
         self.scope = scope
         self.machine = scope.machine
         self.config = config or RuntimeConfig()
+        # The colors a launch or tiling gets when its caller names none:
+        # every processor of the scope, except inside a narrow() scope.
+        self.launch_colors: int = len(scope.processors)
         # The simulated clocks: the issue clock and, per processor uid,
         # busy-until time.
         self.issue_time: float = 0.0
@@ -647,6 +650,32 @@ class Runtime:
     def num_procs(self) -> int:
         """Processors in this runtime's scope."""
         return len(self.scope.processors)
+
+    @contextlib.contextmanager
+    def narrow(self, colors: int):
+        """Launch on ``colors`` colors inside the scope.
+
+        Launches and tilings that name no width take ``launch_colors``;
+        data written outside the scope reaches a narrowed launch (and
+        its results the launches after it) through the copies coherence
+        already charges.  Scopes nest; the previous width is restored on
+        exit, an exception included.
+        """
+        if colors < 1:
+            raise ValueError(f"narrow() needs at least one color, got {colors}")
+        previous = self.launch_colors
+        self.launch_colors = colors
+        try:
+            yield
+        finally:
+            self.launch_colors = previous
+
+    def colors_for(self, volume: int) -> int:
+        """Legate's minimum-chunk rule: the colors a region of ``volume``
+        elements earns, from its *modeled* volume (``data_scale``)."""
+        chunk = MIN_CHUNK[self.scope.kind]
+        earned = math.ceil(volume * self.config.data_scale / chunk)
+        return max(1, min(self.num_procs, earned))
 
     # ------------------------------------------------------------------
     # Clocks
@@ -2120,7 +2149,7 @@ class Runtime:
     # ------------------------------------------------------------------
     def fill(self, region: Region, value: Any, partition: Optional[Partition] = None) -> None:
         """Distributed fill of a region with a constant."""
-        part = partition or Tiling.create(region, self.num_procs)
+        part = partition or Tiling.create(region, self.launch_colors)
         pointwise = Pointwise(("fill",), expr=(("scalar", "value"),), out="out")
         self.profiler.record_fill()
 

@@ -7,6 +7,7 @@ connecting memories (DRAM, NVLink 2.0, PCIe, Infiniband EDR).
 """
 
 from repro.machine.model import (
+    MIN_CHUNK,
     Channel,
     Machine,
     MachineScope,
@@ -19,6 +20,7 @@ from repro.machine.model import (
 )
 
 __all__ = [
+    "MIN_CHUNK",
     "Channel",
     "Machine",
     "MachineScope",

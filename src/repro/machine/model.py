@@ -25,6 +25,17 @@ class ProcessorKind(enum.Enum):
     GPU = "gpu"
 
 
+# Legate Core's mapper partitions a store over at most
+# ceil(volume / min_chunk) processors: LEGATE_MIN_GPU_CHUNK and
+# LEGATE_MIN_CPU_CHUNK, in elements.  Runtime.colors_for applies it to
+# the modeled volume of a region that opts in (Runtime.narrow).
+MIN_CHUNK: Dict[ProcessorKind, int] = {
+    ProcessorKind.GPU: 2**20,
+    ProcessorKind.CPU_SOCKET: 2**14,
+    ProcessorKind.CPU_CORE: 2**14,
+}
+
+
 class MemoryKind(enum.Enum):
     """Memory varieties (system memory, GPU framebuffer)."""
     SYSMEM = "sysmem"

@@ -97,7 +97,7 @@ def slice_copy(a: ndarray, key: slice) -> ndarray:
     start, step, length = _normalize_slice(key, a.shape[0])
     rt = a.store.runtime
     out = _make((length,) + a.shape[1:], a.dtype, runtime=rt)
-    tiling = Tiling.create(out.store.region, rt.num_procs)
+    tiling = Tiling.create(out.store.region, rt.launch_colors)
     src_rects = []
     for c in range(tiling.color_count):
         r = tiling.rect(c)
@@ -145,13 +145,13 @@ def slice_assign(a: ndarray, key: slice, value) -> None:
 
     # Tile the slice domain; partition `a` with the mapped sub-rects.
     if value_is_array:
-        domain_tiling = Tiling.create(value.store.region, rt.num_procs)
+        domain_tiling = Tiling.create(value.store.region, rt.launch_colors)
     else:
         # Build a throwaway tiling over the slice length.
-        boundaries = Tiling.create_boundaries(length, rt.num_procs)
+        boundaries = Tiling.create_boundaries(length, rt.launch_colors)
         domain_tiling = None
     dst_rects = []
-    colors = rt.num_procs
+    colors = rt.launch_colors
     bounds = (
         domain_tiling.boundaries
         if domain_tiling is not None

@@ -104,7 +104,7 @@ def exclusive_scan(a: ndarray, dtype=None) -> Tuple[ndarray, Scalar]:
     from repro.geometry import Rect
     from repro.legion.partition import ExplicitPartition, Tiling
 
-    tiling = Tiling.create(out.store.region, rt.num_procs)
+    tiling = Tiling.create(out.store.region, rt.launch_colors)
     rects = []
     for c in range(tiling.color_count):
         r = tiling.rect(c)

@@ -342,6 +342,39 @@ class TestReplicatedStores:
         with pytest.raises(FaultError, match="fault domain"):
             _cg_run(chaos, procs=2, nodes=2)
 
+    def test_a_lost_store_is_restored_on_its_replacement(self):
+        """Three nodes, stores on nodes 0 and 1, the GPUs on node 0.
+        Losing node 1 after a checkpoint re-places its store on node 2;
+        every protected piece the replay does not re-write (``b`` and
+        the matrix, written before the epoch) is copied there from the
+        store that survived."""
+        from repro.analysis.checker import check_log
+        from repro.analysis.events import CopyEvent
+        from repro.legion.resilience import place_stores
+
+        baseline, _, t0, t1 = _cg_run(None, procs=2, nodes=3)
+        chaos = ChaosConfig(
+            checkpoint_every=16,
+            ckpt_replicas=2,
+            losses=(LossSchedule("node", 1, (t0 + t1) / 2),),
+        )
+        recovered, rt, _, _ = _cg_run(chaos, procs=2, nodes=3, validate=True)
+        np.testing.assert_array_equal(baseline, recovered)
+        assert rt.profiler.recoveries == 1
+        survivor, replacement = place_stores(rt.machine, 2, exclude_nodes={1})
+        assert (survivor.node, replacement.node) == (0, 2)
+        restores = [
+            ev for ev in rt.event_log.events
+            if isinstance(ev, CopyEvent) and ev.why == "restore"
+        ]
+        assert restores
+        assert {(ev.src_memory, ev.dst_memory) for ev in restores} == {
+            (survivor.uid, replacement.uid)
+        }
+        assert rt.profiler.restores == len(restores)
+        assert rt.profiler.restore_bytes == sum(ev.nbytes for ev in restores)
+        assert check_log(rt.event_log) == []
+
 
 class TestFailureDetection:
     """Modeled detection: losses are suspected, then confirmed, on the clock."""
