@@ -30,7 +30,8 @@ python -m pytest -x -q
 echo "== validation smoke (REPRO_VALIDATE=1) =="
 # test_fastpath.py and test_trace_replay.py put launches served from the
 # solve memo, the window-plan cache and trace templates through the
-# checker (about 3 s of the slice's 15 s on a 2-vCPU VM).
+# checker (about 3 s of the slice's 15 s on a 2-vCPU VM);
+# test_launch_width.py puts narrowed and one-color launches through it.
 REPRO_VALIDATE=1 python -m pytest -x -q \
     tests/analysis \
     tests/legion/test_runtime.py \
@@ -38,6 +39,7 @@ REPRO_VALIDATE=1 python -m pytest -x -q \
     tests/legion/test_exact_images.py \
     tests/legion/test_fastpath.py \
     tests/legion/test_fusion.py \
+    tests/legion/test_launch_width.py \
     tests/legion/test_reduction_fusion.py \
     tests/legion/test_trace_replay.py \
     tests/integration

@@ -21,6 +21,7 @@ from repro.constraints.solver import (
     keeps_image, rebuild_solution, solution_plan, solve_partitions,
 )
 from repro.constraints.store import Store
+from repro.legion.exceptions import LaunchWidthError
 from repro.legion.future import Future
 from repro.legion.partition import Tiling
 from repro.legion.privilege import Privilege
@@ -244,11 +245,18 @@ class AutoTask:
         # An image partition reads its source's data at solve time:
         # deferred launches that still owe writes to a source run first.
         # The launch itself -- joining the window or passing it -- is
-        # ordered by Runtime.launch.
-        sources = [
-            con.source.region.uid
-            for con in self._constraints if isinstance(con, Image)
-        ]
+        # ordered by Runtime.launch.  An explicit partition must have
+        # the launch's width (LaunchWidthError).
+        sources = []
+        for con in self._constraints:
+            kind = type(con)
+            if kind is Image:
+                sources.append(con.source.region.uid)
+            elif kind is Explicit and con.partition.color_count != colors:
+                raise LaunchWidthError(
+                    self.name, con.store.region.name,
+                    con.partition.color_count, colors,
+                )
         if sources:
             rt.order_solve(sources)
         stores = [store for _, store, _ in self._args]

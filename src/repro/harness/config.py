@@ -67,6 +67,13 @@ def paper_legate(**kwargs):
     the same -- at 1.0 that changes no modeled second; the tracing win
     is measured by ``benchmarks/test_tracing.py`` and the
     ``matfact_sgd`` and ``serve_mixed`` workloads of ``bench/``.
+
+    A one-shard launch's scalar fold is charged no allreduce here
+    either: Legate Core at the paper's date already launched an
+    operation whose launch domain has one point as a single Legion
+    task (``TaskLauncher.execute_single``), whose return value is the
+    future, with no future-map reduction behind it.  Only the 1-GPU
+    cells of Figs. 9 and 10 see it.
     """
     from repro.legion.runtime import RuntimeConfig
 

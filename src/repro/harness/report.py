@@ -125,20 +125,27 @@ BEYOND_THE_PAPER = [
     "Fig. 10, single GPU: §6.1 blames Legate's loss to CuPy on per-task "
     "launch overhead and predicts that task fusion and dynamic tracing "
     "close it.  Measured CuPy/Legate-GPU on the Fig. 10 point "
-    "(`fig10_gmg._legate_gmg`, 1 GPU): 1.35 under `paper_legate` "
-    "(29.3 vs 39.5 it/s, the published shape; 1.37, 28.5 vs 39.2, "
+    "(`fig10_gmg._legate_gmg`, 1 GPU): 1.34 under `paper_legate` "
+    "(29.5 vs 39.5 it/s, the published shape; 1.35 and 29.3 before a "
+    "one-shard launch became a single task, 1.37, 28.5 vs 39.2, "
     "before `cg` issued each iteration's SpMV ahead of its convergence "
-    "wait, which both sides run), 1.03 with the deferred fusion window "
-    "alone (`legate(trace_replay_fraction=1.0)`, 38.5 it/s; 1.05 and "
-    "37.4 before that, 1.06 and 37.1 before generated kernels joined the "
-    "window, 1.13 and 34.6 before scalar reductions did), 1.06 with "
-    "replays alone (`paper_legate(trace_replay_fraction=0.15)`, 37.16 "
-    "it/s; 37.10 with the trace scopes `cg` and the V-cycle used to "
-    "open, 1.08 and 36.4 before that) and 0.98 under "
+    "wait, which both sides run), 1.00 with the deferred fusion window "
+    "alone (`legate(trace_replay_fraction=1.0)`, 39.4 it/s; 1.03 and "
+    "38.5 before one-shard launches, 1.05 and 37.4 before the SpMV "
+    "moved ahead of the wait, 1.06 and 37.1 before generated kernels "
+    "joined the window, 1.13 and 34.6 before scalar reductions did), "
+    "1.05 with replays alone (`paper_legate(trace_replay_fraction=0.15)`"
+    ", 37.79 it/s; 37.16 before one-shard launches, 37.10 with the "
+    "trace scopes `cg` and the V-cycle used to open, 1.08 and 36.4 "
+    "before that) and 0.95 under "
     "`RuntimeConfig.legate()` defaults — fusion plus the launches the "
     "runtime finds repeated itself, replayed launches charged 0.15 of "
-    "the launch overhead (40.52 it/s; 40.47 with the scopes, 40.3 before "
-    "that, 39.9 before the SpMVs joined): the gap closes, as predicted.  "
+    "the launch overhead (41.50 it/s; 40.52 before one-shard launches, "
+    "40.47 with the scopes, 40.3 before that, 39.9 before the SpMVs "
+    "joined): the gap closes, as predicted.  A one-shard launch is a "
+    "single task: its scalar folds pay no allreduce charge, and at one "
+    "color fusion rule 2 lets a group read through an image what it "
+    "wrote through a tile.  "
     "When the V-cycle's SpMVs joined the window "
     "the two fusion rows were expected to rise and the `paper_legate` "
     "rows to stay put (they pin fusion off); they rose 0.9 % and 0.8 %, "

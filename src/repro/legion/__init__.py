@@ -23,7 +23,9 @@ Legate Sparse (SC '23) is built on:
 """
 
 from repro.legion.chaos import ChaosConfig, ChaosInjector, LossSchedule
-from repro.legion.exceptions import FaultError, LegionError, OutOfMemoryError
+from repro.legion.exceptions import (
+    FaultError, LaunchWidthError, LegionError, OutOfMemoryError,
+)
 from repro.legion.future import Future
 from repro.legion.partition import (
     ImageByCoordinate,
@@ -53,6 +55,7 @@ __all__ = [
     "Pointwise",
     "ImageByCoordinate",
     "ImageByRange",
+    "LaunchWidthError",
     "LegionError",
     "LossSchedule",
     "OutOfMemoryError",

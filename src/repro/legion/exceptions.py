@@ -92,3 +92,23 @@ class FaultError(LegionError):
     checkpoint memory itself, which the recovery protocol cannot
     survive (see :mod:`repro.legion.chaos`).
     """
+
+
+class LaunchWidthError(LegionError):
+    """An explicit partition's color count is not its launch's width.
+
+    ``AutoTask.execute`` raises it before the solve: a launch runs one
+    shard per color, so a partition of another width would launch at
+    that width or index a color it does not have.  The message names
+    the task, the store and both widths.
+    """
+
+    def __init__(self, task: str, store: str, partition_colors: int, colors: int):
+        self.task = task
+        self.store = store
+        self.partition_colors = partition_colors
+        self.colors = colors
+        super().__init__(
+            f"task {task!r}: the explicit partition of store {store!r} "
+            f"has {partition_colors} colors, the launch {colors}"
+        )

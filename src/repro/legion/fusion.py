@@ -46,6 +46,16 @@ Legality rules (checked structurally, per window):
    replicas, aliased halo images.  A launch whose write goes through
    an aliased image or a replica never joins the window (a REDUCE is
    not such a write: rule 4).
+   *One color* waives the rule for a read through an image or an
+   explicit partition (:func:`_reads_in_place`): every partition then
+   reaches the one shard, and such a reader is a barrier segment (rule
+   3), which runs after every earlier member and before every later
+   one.  So the coarse CG of a V-cycle, on one GPU, plans
+   ``{p = z + p*beta, A @ p, p.q}`` as one group.  A replica read is
+   still checked -- its member is aligned, and :func:`segments` could
+   run it ahead of the writer -- and so is every write, against every
+   partition the group reached the region through, those reads
+   included.
 3. *Segments.*  An *aligned* member (tiles and replicas only) also
    keeps one tile boundary set: its own tiled requirements agree, and
    so does each tiled region it shares with the group's other aligned
@@ -255,6 +265,17 @@ def local_ids(summaries: Sequence[LaunchSummary]) -> Dict[int, int]:
     return ids
 
 
+def _reads_in_place(acc: Access, colors: int) -> bool:
+    """Rule 2's one-color case: a read through an image or an explicit
+    partition of a one-color launch, which its barrier segment runs in
+    place on the group's one shard."""
+    return (
+        colors == 1
+        and acc.privilege is Privilege.READ
+        and acc.part_kind in ("image", "other")
+    )
+
+
 class _GroupState:
     """Mutable legality state of one group while the window is planned."""
 
@@ -268,8 +289,11 @@ class _GroupState:
         # members use for it (rule 3).
         self.boundaries: Dict[int, Tuple[int, ...]] = {}
         # Local region id -> every (kind, boundaries) partition the
-        # group reaches it through (rule 2).
+        # group reaches it through (rule 2), but for one-color reads
+        # through an image or explicit partition, kept apart: only a
+        # write is checked against those.
         self.parts: Dict[int, set] = {}
+        self.read_in_place: Dict[int, set] = {}
         self.written: set = set()  # local region ids written in group
         # Rule 4: local region ids a member reduces into, and those a
         # reducing member reads -- both at the group's end.
@@ -296,9 +320,15 @@ class _GroupState:
                     own = acc.boundaries
                 if acc.boundaries != own or self.boundaries.get(lid, own) != own:
                     return False
+            if _reads_in_place(acc, summary.colors):
+                continue
             if acc.privilege.writes or lid in self.written:
                 part = (acc.part_kind, acc.boundaries)
                 if any(seen != part for seen in self.parts.get(lid, ())):
+                    return False
+                if acc.privilege.writes and any(
+                    seen != part for seen in self.read_in_place.get(lid, ())
+                ):
                     return False
         return True
 
@@ -318,9 +348,11 @@ class _GroupState:
                 self.reduce_reads.add(lid)
             if not summary.barrier and acc.part_kind == "tile":
                 self.boundaries[lid] = acc.boundaries
-            self.parts.setdefault(lid, set()).add(
-                (acc.part_kind, acc.boundaries)
+            parts = (
+                self.read_in_place if _reads_in_place(acc, summary.colors)
+                else self.parts
             )
+            parts.setdefault(lid, set()).add((acc.part_kind, acc.boundaries))
             if acc.privilege.writes:
                 self.written.add(lid)
 
@@ -366,17 +398,23 @@ def produced_reads(
     group's requirements (members in order, each's in order): a member
     reads rects an earlier member writes -- the same partition, as rule
     2 has every access to a written region -- and the shard runs the
-    writer first, so the runtime stages nothing for the read.
+    writer first, so the runtime stages nothing for the read.  At one
+    color a tile is the whole region, so whatever partition a later
+    member reads it through (rule 2's one-color case), the read is
+    produced too.
     """
     produced = set()
     written: Dict[int, tuple] = {}
     position = 0
     for index in indices:
         writes = {}
+        whole = summaries[index].colors == 1
         for acc in summaries[index].accesses:
             lid = ids[acc.region.uid]
             part = (acc.part_kind, acc.boundaries)
-            if acc.privilege.reads and written.get(lid) == part:
+            if acc.privilege.reads and lid in written and (
+                written[lid] == part or (whole and written[lid][0] == "tile")
+            ):
                 produced.add(position)
             if acc.privilege.writes:
                 writes[lid] = part

@@ -119,7 +119,8 @@ class Profiler:
         self.resize_bytes += nbytes
 
     def record_allreduce(self) -> None:
-        """Count one scalar allreduce."""
+        """Count one scalar fold: an allreduce, or a one-shard launch's
+        fold, which is charged no collective."""
         self.allreduces += 1
 
     def record_fusion(self, group_size: int, elided: int) -> None:

@@ -84,6 +84,8 @@ class RuntimeConfig:
     # of the network latency model, plus a per-participant term modelling
     # the O(P) bookkeeping in Legion's allreduce implementation that the
     # paper reports being exposed at 32+ nodes (Fig. 9, footnote 1).
+    # They charge collectives of p >= 2 shards: a one-shard launch is a
+    # single task whose return value is the future, with no collective.
     allreduce_base_overhead: float = 2.0e-5
     allreduce_hop_overhead: float = 3.0e-5
     allreduce_linear_overhead: float = 1.5e-5
@@ -2115,13 +2117,20 @@ class Runtime:
     def _allreduce_ready(
         self, p: int, ready_times: List[float], op: str, nbytes: int
     ) -> float:
-        """Charge one allreduce tree over ``p`` shards; its finish time."""
+        """Charge one allreduce tree over ``p`` shards; its finish time.
+
+        A one-shard fold is no collective -- Legate runs a one-point
+        launch domain as a single task, whose return value is the
+        future -- so it is ready when its shard is.  It is still
+        counted (``Profiler.allreduces``) and logged, with one
+        participant.
+        """
         t0 = max(ready_times) if ready_times else self.issue_time
         self.profiler.record_allreduce()
         if self.event_log is not None:
             self.event_log.record_allreduce(op, p)
         if p <= 1:
-            t = t0 + self.config.allreduce_base_overhead
+            t = t0
         else:
             hops = math.ceil(math.log2(p))
             hop_latency = self.machine.interconnect_latency(self.scope.nodes)

@@ -14,6 +14,7 @@ import pytest
 import repro.numeric as rnp
 import repro.sparse as sp
 from repro.analysis import active_logs
+from repro.analysis.checker import check_log
 from repro.analysis.events import ShardEvent
 from repro.geometry import Rect
 from repro.legion import (
@@ -29,6 +30,8 @@ from repro.legion import (
     fusion,
     tracing,
 )
+from repro.legion.partition import ExplicitPartition, ImageByRange
+from repro.legion.region import Region
 from repro.legion.runtime import runtime_scope
 from repro.machine import ProcessorKind, laptop
 
@@ -321,6 +324,164 @@ class TestReductionPlanning:
             tracing.window_fingerprint(w) for w in (base, no_edge, other_op)
         }
         assert len(keys) == 3
+
+
+class TestOneColor:
+    """Rule 2's one-color case, over windows ``summarize`` builds from
+    real partitions: a read through an image or an explicit partition
+    runs in place on the one shard; a replica read and every write are
+    still checked."""
+
+    @staticmethod
+    def summary(name, colors, *accesses):
+        """``accesses``: ``(region, kind, privilege)`` with kind one of
+        tile, rep, image (a range image of a ``pos`` tile) or other (an
+        explicit partition)."""
+        def partition(region, kind):
+            if kind == "tile":
+                return Tiling.create(region, colors)
+            if kind == "rep":
+                return Replicate(region, colors)
+            rects = Tiling.create(region, colors).rects()
+            if kind == "other":
+                return ExplicitPartition(region, rects)
+            pos = Region((region.shape[0], 2), np.int64)
+            return ImageByRange.from_rects(
+                pos, Tiling.create(pos, colors), region, tuple(rects)
+            )
+
+        return fusion.summarize(
+            name, colors,
+            [
+                (f"r{i}", region, partition(region, kind), privilege)
+                for i, (region, kind, privilege) in enumerate(accesses)
+            ],
+            pointwise=Pointwise((name,)),
+        )
+
+    @pytest.mark.parametrize("kind", ["image", "other"])
+    def test_an_in_place_read_of_a_tile_write_joins_at_one_color_only(self, kind):
+        q, y = Region((8,), np.float64), Region((8,), np.float64)
+        wd = Privilege.WRITE_DISCARD
+
+        def window(colors):
+            return [
+                self.summary("q=", colors, (q, "tile", wd)),
+                self.summary("y=A@q", colors, (y, "tile", wd), (q, kind, R)),
+            ]
+
+        assert groups(window(2)) == [(0,), (1,)]
+        one = window(1)
+        assert groups(one) == [(0, 1)]
+        # The shard wrote all of q before the read: nothing is staged.
+        ids = fusion.local_ids(one)
+        assert fusion.produced_reads(one, (0, 1), ids) == frozenset({2})
+
+    def test_a_replica_read_of_a_written_region_is_refused(self):
+        x, y = Region((8,), np.float64), Region((6,), np.float64)
+        window = [
+            self.summary("x=", 1, (x, "tile", W)),
+            self.summary("y=sum(x)", 1, (y, "tile", W), (x, "rep", R)),
+        ]
+        assert groups(window) == [(0,), (1,)]
+
+    def test_a_write_through_an_image_is_checked(self):
+        x = Region((8,), np.float64)
+        window = [
+            self.summary("x=", 1, (x, "tile", W)),
+            self.summary("x+=", 1, (x, "image", W)),
+        ]
+        assert window[1].fusible
+        assert groups(window) == [(0,), (1,)]
+
+    def test_a_write_after_an_in_place_read_is_checked(self):
+        """The read runs before the write on the shard, but validation
+        poisons a WRITE_DISCARD's rect before any member runs: the
+        write goes to the next group."""
+        x, y = Region((8,), np.float64), Region((8,), np.float64)
+        window = [
+            self.summary("y=A@x", 1, (y, "tile", W), (x, "image", R)),
+            self.summary("x=", 1, (x, "tile", Privilege.WRITE_DISCARD)),
+        ]
+        assert groups(window) == [(0,), (1,)]
+
+    @staticmethod
+    def _replica_program() -> np.ndarray:
+        """z = 1, x = x + 1, y = sum(x) through a replica, then
+        b = a * 2 + 1, on one GPU: y's launch tiles like z's, not like
+        x's, and b's merge-safe segment has the group run segment by
+        segment."""
+        runtime = Runtime(
+            laptop().scope(ProcessorKind.GPU, 1),
+            RuntimeConfig.legate(validate=True),
+        )
+        with runtime_scope(runtime):
+            a = rnp.ones(5)
+            runtime.barrier()
+        z = runtime.create_region((6,), np.float64)
+        x = runtime.create_region((8,), np.float64, data=np.arange(8.0))
+        y = runtime.create_region((6,), np.float64)
+
+        def member(name, kernel, *reqs):
+            runtime.launch(
+                TaskLaunch(
+                    name,
+                    [Requirement(*req) for req in reqs],
+                    kernel,
+                    pointwise=Pointwise((name,)),
+                )
+            )
+
+        def one(ctx):
+            ctx.view("z")[...] = 1.0
+
+        def inc(ctx):
+            ctx.view("x")[...] += 1.0
+
+        def total(ctx):
+            ctx.view("y")[...] = ctx.view("x").sum()
+
+        member("z=", one, ("z", z, Tiling.create(z, 1), Privilege.WRITE_DISCARD))
+        member("x+=", inc, ("x", x, Tiling.create(x, 1), W))
+        member(
+            "y=", total,
+            ("y", y, Tiling.create(y, 1), Privilege.WRITE_DISCARD),
+            ("x", x, Replicate(x, 1), R),
+        )
+        with runtime_scope(runtime):
+            b = a * 2.0 + 1.0
+            runtime.barrier()
+        assert b.to_numpy().tolist() == [3.0] * 5
+        return y.data.copy()
+
+    def test_a_replica_reader_sees_its_writer(self):
+        np.testing.assert_array_equal(self._replica_program(), np.full(6, 36.0))
+
+    def test_a_mutant_that_waives_replica_reads_is_caught(self, monkeypatch):
+        """Waive rule 2 for every read at one color: the replica reader
+        joins the group, segments() runs it with z's segment, ahead of
+        x's writer, and it sums the old x."""
+        monkeypatch.setattr(
+            fusion, "_reads_in_place",
+            lambda acc, colors: colors == 1 and acc.privilege is R,
+        )
+        assert not np.array_equal(self._replica_program(), np.full(6, 36.0))
+
+    def test_the_coarse_cg_fuses_its_direction_update_with_a_at_p(self):
+        """The fused GMG PCG, validated: every coarse iteration's
+        ``p = z + p*beta`` shares a group with ``A @ p`` and ``p.q``
+        (the coarse CG runs on one GPU), the log checks clean and the
+        solution is the golden one."""
+        from tests.legion.test_trace_replay import (
+            GOLDEN_GMG_SOLUTION, _gmg_pcg, _sha,
+        )
+
+        rt, _modeled, solution = _gmg_pcg(1.0, validate=True)
+        spmv = "csr:y(i)=A(i,j)*x(j):gpu"
+        names = [names for names, _elided, _label in rt.fusion_log]
+        assert ("multiply", "add", spmv, "vdot") in names
+        assert check_log(rt.event_log) == []
+        assert _sha(solution) == GOLDEN_GMG_SOLUTION
 
 
 class TestWindowMechanics:

@@ -8,7 +8,8 @@
   1e-12 for an operation that folds partials across shards), the event
   log checks clean, and no launch inside the scope is wider than it;
 * **mutation** — an explicit-tiling site that still reads ``num_procs``
-  fails the differential check;
+  is refused with a ``LaunchWidthError`` naming the store and both
+  widths;
 * **rule** — ``colors_for`` gives Fig. 10's paper-scale coarse grids
   every processor and ``gmg_small_tasks``' coarse grids one, with ceil
   semantics at ``MIN_CHUNK``.
@@ -30,6 +31,7 @@ from repro.apps.multigrid import (
     TwoLevelGMG, bilinear_prolongation, injection_restriction,
 )
 from repro.apps.poisson import poisson2d_scipy
+from repro.constraints import AutoTask
 from repro.core import coverage
 from repro.core.base import spmatrix
 from repro.core.linalg import LinearOperator, aslinearoperator
@@ -37,7 +39,7 @@ from repro.core.linalg.preconditioners import jacobi, ssor
 from repro.harness.config import WEAK_SCALING_COLUMNS
 from repro.harness.experiments import fig10_gmg
 from repro.integrate import solve_ivp
-from repro.legion import Runtime, RuntimeConfig
+from repro.legion import LaunchWidthError, Runtime, RuntimeConfig, Tiling
 from repro.legion.runtime import runtime_scope
 from repro.machine import MIN_CHUNK, ProcessorKind, laptop, summit
 from repro.numeric import indexing
@@ -356,9 +358,12 @@ def test_the_ops_do_narrow():
     assert max(full) == GPUS and max(narrow) == 4
 
 
-def test_an_explicit_tiling_that_reads_num_procs_is_caught(monkeypatch):
-    """Mutant: slice_copy tiles its output over every processor, as
-    every such site did before launch_colors."""
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("name", ["slice_copy", "slice_assign"])
+def test_an_explicit_tiling_that_reads_num_procs_is_refused(monkeypatch, name, width):
+    """Mutant: the slice sites tile over every processor, as every such
+    site did before launch_colors.  The launch refuses the partition
+    before it runs, naming the store and both widths."""
     real = indexing.Tiling
 
     class Mutant:
@@ -369,7 +374,35 @@ def test_an_explicit_tiling_that_reads_num_procs_is_caught(monkeypatch):
         create_boundaries = staticmethod(real.create_boundaries)
 
     monkeypatch.setattr(indexing, "Tiling", Mutant)
-    assert {width for width, _ in _differences("slice_copy")} == set(WIDTHS)
+    rt = Runtime(
+        summit(nodes=1).scope(ProcessorKind.GPU, GPUS),
+        RuntimeConfig.legate(validate=True),
+    )
+    with runtime_scope(rt):
+        x, y = rnp.ones(N), rnp.ones(13)
+        rt.barrier()
+        with pytest.raises(LaunchWidthError) as caught, rt.narrow(width):
+            if name == "slice_copy":
+                x[3:45:2]
+            else:
+                _slice_assign(x, y)
+    error = caught.value
+    assert (error.task, error.partition_colors, error.colors) == (name, GPUS, width)
+    assert f"store {error.store!r} has {GPUS} colors, the launch {width}" in str(error)
+
+
+def test_an_explicit_partition_of_another_width_launches_nothing():
+    rt = _laptop_runtime()
+    with runtime_scope(rt):
+        x = rnp.ones(8)
+        rt.barrier()
+        launched = rt.profiler.tasks_launched
+        task = AutoTask(rt, "touch", lambda ctx: None, colors=2)
+        task.add_input("x", x.store)
+        task.add_explicit_partition(x.store, Tiling.create(x.store.region, 3))
+        with pytest.raises(LaunchWidthError, match="has 3 colors, the launch 2"):
+            task.execute()
+    assert rt.profiler.tasks_launched == launched
 
 
 # ----------------------------------------------------------------------

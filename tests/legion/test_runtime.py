@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.analysis.events import ShardEvent
 from repro.legion import (
     Future,
+    Pointwise,
     Privilege,
     Replicate,
     Requirement,
@@ -12,6 +14,7 @@ from repro.legion import (
     RuntimeConfig,
     TaskLaunch,
     Tiling,
+    fusion,
 )
 from repro.machine import ProcessorKind, laptop, summit
 
@@ -201,11 +204,75 @@ class TestAllreduce:
         fut = gpu2.allreduce([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
         assert fut.value == 6.0
 
-    def test_single_partial_is_cheap(self, gpu2):
-        f1 = gpu2.allreduce([5.0], [1.0])
-        assert f1.value == 5.0
-        assert f1.ready_time == pytest.approx(
-            1.0 + gpu2.config.allreduce_base_overhead
+    def test_a_one_shard_fold_is_ready_with_its_shard(self):
+        """A one-color launch is a single task: its future is the
+        shard's return value, ready when the shard finishes, with no
+        collective charged.  The fold is still counted and logged, with
+        one participant."""
+        rt = Runtime(
+            laptop().scope(ProcessorKind.GPU, 2),
+            RuntimeConfig.legate(validate=True),
+        )
+        assert rt.allreduce([5.0], [1.0]).ready_time == 1.0
+        x = rt.create_region((8,), np.float64, data=np.arange(8.0))
+        before = rt.profiler.allreduces
+        future = rt.launch(
+            TaskLaunch(
+                "sum",
+                [Requirement("x", x, Tiling.create(x, 1), Privilege.READ)],
+                lambda ctx: float(ctx.view("x").sum()),
+                reduction="sum",
+            )
+        )
+        (shard,) = [e for e in rt.event_log.events if isinstance(e, ShardEvent)]
+        assert future.value == 28.0
+        assert future.ready_time == shard.finish
+        assert rt.profiler.allreduces == before + 1
+        assert rt.event_log.events[-1].participants == 1
+
+    def test_a_fused_groups_one_shard_partials_fold_by_their_own_ops(self, gpu2):
+        x = gpu2.create_region((8,), np.float64, data=np.arange(8.0))
+        y = gpu2.create_region((6,), np.float64, data=-np.arange(6.0))
+
+        def red(name, region, op, fold):
+            return TaskLaunch(
+                name,
+                [Requirement("a", region, Tiling.create(region, 1), Privilege.READ)],
+                lambda ctx: fold(ctx.view("a")),
+                reduction=op, pointwise=Pointwise((name,)),
+                future=Future.pending(gpu2),
+            )
+
+        group = [
+            red("sx", x, "sum", lambda a: float(a.sum())),
+            red("my", y, "min", lambda a: float(a.min())),
+            red("mx", x, "max", lambda a: float(a.max())),
+        ]
+        merged = fusion.fuse(group)
+        assert merged.reduction == ("sum", "min", "max")
+        before = gpu2.profiler.allreduces
+        gpu2._execute(merged)
+        assert [t.future.value for t in group] == [28.0, -5.0, 7.0]
+        # One fold for the group, charged nothing past the shard.
+        assert gpu2.profiler.allreduces == before + 1
+        finish = max(gpu2._proc_busy.values())
+        assert {t.future.ready_time for t in group} == {finish}
+
+    def test_two_shards_pay_base_hop_and_linear(self, gpu2):
+        config, machine = gpu2.config, gpu2.machine
+        per_hop = (
+            machine.interconnect_latency(gpu2.scope.nodes)
+            + 8 / machine.config.nic_bandwidth
+            + config.allreduce_hop_overhead
+        )
+        fut = gpu2.allreduce([1.0, 2.0], [0.5, 1.0])
+        assert fut.value == 3.0
+        assert fut.ready_time == pytest.approx(
+            1.0
+            + config.allreduce_base_overhead
+            + per_hop
+            + 2 * config.allreduce_linear_overhead,
+            rel=1e-12,
         )
 
     def test_latency_grows_with_participants(self):

@@ -49,8 +49,12 @@ from tests.legion import test_fastpath as fastpath_tests
 from tests.legion.test_mapping_lane import GOLDEN_SPILL
 
 # The same two digests of _lru_program below, recorded at fb01e37: the
-# array read last survives the pressure that follows.
-GOLDEN_LRU = "beb915e252f32fa018eaf4b09aaf0940b9a0ca16901d5b140ddcf9c001cae400"
+# array read last survives the pressure that follows.  Re-recorded when
+# a one-shard fold stopped paying the allreduce base charge (it was
+# beb915e2...e400 up to fa696ea): the program runs on one GPU, so each
+# of its five norms is ready when its shard is, 20 us earlier; modeled
+# seconds 0.001510126829 -> 0.001410126829.
+GOLDEN_LRU = "f91d0af19df869e6812c6eb498354d96c20e638d4dc148913b7fddbec2cff7f3"
 
 # sha256 over the canonical event log + modeled seconds (and over the
 # solution bytes) of _gmg_pcg below, validated or not.  GOLDEN_GMG is
@@ -89,10 +93,19 @@ GOLDEN_LRU = "beb915e252f32fa018eaf4b09aaf0940b9a0ca16901d5b140ddcf9c001cae400"
 # allreduces, modeled seconds 0.012868180293.  Eager: 288 launches and
 # 62 allreduces as before, modeled seconds 0.040196036650 ->
 # 0.038452024911.
+# Both moved once more when a one-shard launch became a single task
+# (they were 7bbb5521...d49a and 4eb2c53f...85be up to fa696ea).  A
+# one-shard fold pays no allreduce charge: eager, the coarse CGs' 16
+# folds are each 20 us earlier, modeled seconds 0.038452024911 ->
+# 0.038132024911, still 288 launches and 62 allreduces.  Fused, each
+# coarse iteration's p = z + p*beta also shares a group with A @ p and
+# p.q (fusion rule 2's one-color case): 80 launches and 38 allreduces
+# where there were 93 and 43, 52 replayed where 62 were, modeled
+# seconds 0.012868180293 -> 0.010938250865.
 # The solution bytes are one digest for all of them.
-GOLDEN_GMG = "7bbb552146401be796eac4178493fe4d05b582bbfa3b9456263b402abfddd49a"
+GOLDEN_GMG = "c9b5bb737d71ab7dd259205b6c2763f4ff847722584b844222f368ecddfc41b3"
 GOLDEN_GMG_UNFUSED = (
-    "4eb2c53f29809b80ec3001d8ff887ce342d9617599a6358af017283544f785be"
+    "125cf9f24df7ca19fc6674684d688cbc7c9f95a24f7ac945a49882ea02219c88"
 )
 GOLDEN_GMG_SOLUTION = (
     "a811afa70fc6f5b29cdde7c573db4b150e1dbb15dd41989ed5215f9c5de74a7b"
@@ -105,7 +118,7 @@ OVERHEAD = 1e-3
 # V-cycle and its coarse CG).  A fused group counts once, and only when
 # all its members replay.
 FIG9_REPLAYED = {True: 6, False: 27}
-GMG_REPLAYED = {True: 62, False: 229}
+GMG_REPLAYED = {True: 52, False: 229}
 # _lru_program: the second, third and fourth fills, and the last norm
 # (the one before it also read an array written eight launches back).
 # The touches do not: each reads arrays[0] one launch further back.
