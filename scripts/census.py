@@ -52,11 +52,10 @@ if os.environ.get("CENSUS_DIR"):
 API_DIRS = ("core/", "numeric/", "integrate/", "sparse/")
 SAFETY_FILES = [f"analysis/{m}.py" for m in ("checker", "events", "sanitizer", "recorder", "lint")]
 PROMISED = {  # subsystems the README promises, until ROADMAP item 2 runs them
-    "legion/chaos.py": "fault injection", "legion/resilience.py": "checkpoint/recovery",
+    "legion/chaos.py": "fault injection", "legion/recovery.py": "checkpoint/recovery",
     "harness/soak_bench.py": "the soak driver", "harness/chaos_bench.py": "the chaos driver",
     "numeric/lazy.py": "user-directed task fusion (ROADMAP item 22)"}
-RECOVERY = ("checkpoint", "_recover", "_restore", "_replay_journal", "_apply_losses",
-            "reset_for_program", "lose", "drop_instance", "record_")
+RECOVERY = ("reset_for_program", "lose", "drop_instance", "record_")  # recovery's hooks elsewhere
 SURFACES = ("analysis/advisor.py", "analysis/cli.py",  # the advisor library and CLIs,
             "legion/profiler.py", "legion/timeline.py")  # profiler counters, the timeline
 

@@ -31,10 +31,17 @@ echo "== validation smoke (REPRO_VALIDATE=1) =="
 # test_fastpath.py and test_trace_replay.py put launches served from the
 # solve memo, the window-plan cache and trace templates through the
 # checker (about 3 s of the slice's 15 s on a 2-vCPU VM);
-# test_launch_width.py puts narrowed and one-color launches through it.
+# test_launch_width.py puts narrowed and one-color launches through it;
+# test_chaos.py, test_resilience2.py, test_reset.py and test_spill.py
+# put checkpoints, losses, journal replay and spills (legion/recovery.py)
+# through it.
 REPRO_VALIDATE=1 python -m pytest -x -q \
     tests/analysis \
     tests/legion/test_runtime.py \
+    tests/legion/test_chaos.py \
+    tests/legion/test_resilience2.py \
+    tests/legion/test_reset.py \
+    tests/legion/test_spill.py \
     tests/legion/test_coherence.py \
     tests/legion/test_exact_images.py \
     tests/legion/test_fastpath.py \

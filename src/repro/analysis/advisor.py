@@ -681,8 +681,9 @@ def _lint_kernel_merge(report: _Report) -> None:
 def _lint_resilience(report: _Report) -> None:
     """The resilience pass: predicted checkpoint cost and fault lints.
 
-    Reads the chaos config of the dry run and its coherence (the
-    written sets an epoch would snapshot):
+    Reads the chaos config of the dry run and asks its recovery
+    component (``Runtime.recovery``) for the fault domains and the
+    written bytes an epoch would snapshot:
 
     * ``unprotected-run`` (warning) — losses scheduled with
       ``checkpoint_every=0``: no epoch bounds the journal, so a loss
@@ -700,9 +701,8 @@ def _lint_resilience(report: _Report) -> None:
     if chaos is None:
         return
     machine = report.machine
-    domains = len(
-        {m.node for m in machine.memories if m.kind == MemoryKind.SYSMEM}
-    )
+    runtime = report.runtime
+    domains = len(runtime.recovery.domains)
     replicas = getattr(chaos, "ckpt_replicas", 1)
     effective = min(replicas, domains) if domains else 0
     node_losses = [l for l in chaos.losses if l.kind == "node"]
@@ -710,15 +710,9 @@ def _lint_resilience(report: _Report) -> None:
     # Predicted per-epoch snapshot: the written volume at end of plan
     # (what a steady-state epoch must protect), scaled like the
     # runtime's checkpoint copies.
-    # (The runtime's own per-region state, read as checkpoint() does.)
-    runtime = report.runtime
-    snap_bytes = 0.0
-    for uid, coh in runtime._coherence.items():
-        if coh.written.is_empty():
-            continue
-        _name, itemsize = runtime._region_meta.get(uid, ("", 8))
-        snap_bytes += coh.written.volume() * itemsize
-    snap_bytes *= report.config.effective_comm_scale
+    snap_bytes = (
+        runtime.recovery.written_bytes() * report.config.effective_comm_scale
+    )
     repl_bytes = snap_bytes * max(effective - 1, 0)
 
     if chaos.losses and chaos.checkpoint_every == 0:

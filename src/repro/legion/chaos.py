@@ -97,7 +97,7 @@ class ChaosConfig:
     # runtime processes before replay begins.
     recovery_delay: float = 1e-3
     # Automatic checkpoint cadence in *task launches* (deterministic on
-    # the launch stream); 0 means only explicit Runtime.checkpoint().
+    # the launch stream); 0 means only explicit Recovery.checkpoint().
     checkpoint_every: int = 0
     # k-way checkpoint replication: snapshot pieces land in the sysmems
     # of this many distinct fault domains (nodes).  1 = the original

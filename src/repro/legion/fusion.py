@@ -55,7 +55,9 @@ Legality rules (checked structurally, per window):
    still checked -- its member is aligned, and :func:`segments` could
    run it ahead of the writer -- and so is every write, against every
    partition the group reached the region through, those reads
-   included.
+   included.  Such a write would be safe after the read (the read runs
+   first on the one shard), but admitting it changes the V-cycle's
+   plans, a change to be measured on its own.
 3. *Segments.*  An *aligned* member (tiles and replicas only) also
    keeps one tile boundary set: its own tiled requirements agree, and
    so does each tiled region it shares with the group's other aligned
@@ -291,7 +293,8 @@ class _GroupState:
         # Local region id -> every (kind, boundaries) partition the
         # group reaches it through (rule 2), but for one-color reads
         # through an image or explicit partition, kept apart: only a
-        # write is checked against those.
+        # write is checked against those (kept, not proven necessary:
+        # lifting it changes GMG's plans).
         self.parts: Dict[int, set] = {}
         self.read_in_place: Dict[int, set] = {}
         self.written: set = set()  # local region ids written in group

@@ -61,9 +61,9 @@ class Profiler:
     checkpoints: int = 0
     checkpoint_bytes: int = 0
     tasks_reexecuted: int = 0
-    # Resilience 2.0 (repro.legion.resilience): checkpoint bytes copied
+    # Recovery (repro.legion.recovery): checkpoint bytes copied
     # to replica stores beyond the primary, recovery rounds executed
-    # (>1 per _recover call means a nested fault restarted the replay),
+    # (>1 per Recovery._recover call: a nested fault restarted the replay),
     # replica-restoring copies planned by the recovery planner, and the
     # modeled failure detector's confirmations plus total suspected->
     # confirmed latency charged on the issue clock.

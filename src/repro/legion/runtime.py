@@ -20,6 +20,12 @@ do).  For each launch the runtime
    that causes the CG falloff at scale in Fig. 9).
 
 Numerics are exact; only *time* and *placement* are simulated.
+
+Fault recovery -- checkpoint epochs, the launch journal, loss handling
+and journal replay -- is a component of its own
+(:mod:`repro.legion.recovery`), held in one field, ``Runtime.recovery``;
+a replayed launch runs through the same :meth:`Runtime._execute` with
+``replay=True``.
 """
 
 from __future__ import annotations
@@ -38,27 +44,25 @@ from repro.analysis.recorder import register as _register_log
 from repro.analysis.recorder import validation_default as _validation_default
 from repro.analysis.sanitizer import poison as _poison
 from repro.analysis.sanitizer import readonly_view as _readonly_view
-from repro.geometry import Rect, RectSet
+from repro.geometry import Rect
 from repro.legion import fastpath as _fastpath
 from repro.legion import fusion
-from repro.legion import resilience as _resilience
-from repro.legion.chaos import ChaosConfig, ChaosInjector, LossSchedule, chaos_default
+from repro.legion.chaos import ChaosConfig, chaos_default
 from repro.legion.coherence import RegionCoherence
 from repro.legion.exceptions import FaultError, OutOfMemoryError
 from repro.legion.future import Future, pending_roots
 from repro.legion.instance import InstanceManager
-from repro.legion.partition import (
-    ImageByCoordinate, ImageByRange, Partition, Replicate, Tiling,
-)
+from repro.legion.partition import ImageByCoordinate, ImageByRange, Partition, Tiling
 from repro.legion.privilege import Privilege
 from repro.legion.profiler import Profiler
+from repro.legion.recovery import Recovery
 from repro.legion.region import Region
 from repro.legion.task import Pointwise, Requirement, ShardContext, TaskLaunch
 from repro.legion.timeline import Timeline
 from repro.legion.timeline import profile_default as _profile_default
 from repro.legion.timeline import register as _register_timeline
 from repro.legion.tracing import History, launch_fingerprint, window_fingerprint
-from repro.machine import MIN_CHUNK, MachineScope, Memory, MemoryKind, Processor
+from repro.machine import MIN_CHUNK, MachineScope, Memory, MemoryKind
 
 
 @dataclass
@@ -264,8 +268,18 @@ class _LaunchShape:
         reqs = task.requirements
         self.validate = validate
         # Replay keeps the real results intact: nothing is poisoned.
+        # Nor is a region an earlier requirement reads: rows are
+        # poisoned as they map, before a fused task's first member
+        # runs, so that member would read the poison.
         poison = validate and not replay
-        self.shapes = tuple(_RowShape(req, validate, poison) for req in reqs)
+        read: set = set()
+        shapes = []
+        for req in reqs:
+            uid = req.region.uid
+            shapes.append(_RowShape(req, validate, poison and uid not in read))
+            if req.privilege.reads:
+                read.add(uid)
+        self.shapes = tuple(shapes)
         self.privileges = {req.name: req.privilege for req in reqs}
         self.writers = tuple(
             i for i, shape in enumerate(self.shapes) if shape.writes
@@ -468,38 +482,10 @@ class Runtime:
         self._host_memory = next(
             m for m in self.machine.memories if m.kind == MemoryKind.SYSMEM
         )
-        # Resilience (repro.legion.chaos): the injector draws the fault
-        # schedule; the journal holds every launch executed since the
-        # last checkpoint epoch so a node loss can be recovered by
-        # replay.  Journaling only runs when a loss is scheduled — the
-        # fault-free hot path pays a single None check.
-        self._chaos = (
-            ChaosInjector(self.config.chaos)
-            if self.config.chaos is not None
-            else None
-        )
-        self._journaling = (
-            self._chaos is not None and self.config.chaos.has_losses
-        )
-        self._journal: List[TaskLaunch] = []
-        # Resilience 2.0 (repro.legion.resilience): checkpoint snapshots
-        # are replicated into the sysmems of ckpt_replicas distinct
-        # fault domains; the manifest remembers what the last epoch
-        # protects so the recovery planner can re-source every piece
-        # from the cheapest surviving replica.  replicas=1 is exactly
-        # the original single node-0 store.
-        self._ckpt_stores: List[Memory] = _resilience.place_stores(
-            self.machine,
-            self.config.chaos.ckpt_replicas
-            if self.config.chaos is not None
-            else 1,
-        )
-        self._ckpt_manifest = _resilience.CheckpointManifest()
-        # Regions freed since the last checkpoint: journal replay must
-        # skip their requirements (coherence and instances are gone).
-        self._freed_uids: set = set()
-        self._in_recovery = False
-        self._launches_since_ckpt = 0
+        # Fault recovery (repro.legion.recovery): checkpoint epochs,
+        # the launch journal and loss handling, and the chaos injector
+        # the copy and mapping paths draw transient faults from.
+        self.recovery = Recovery(self)
         # Region metadata the spill/checkpoint paths need after mapping
         # (uid -> (name, itemsize)); dropped on free.
         self._region_meta: Dict[int, Tuple[str, int]] = {}
@@ -543,24 +529,20 @@ class Runtime:
         * **the deferred fusion window** — launches a program buffered
           but never synced would flush into the *next* program's
           timeline (and could fuse with its launches);
-        * **the checkpoint cadence counter** — ``_launches_since_ckpt``
-          carried over, so the next program's first auto-checkpoint
-          fired early (after ``N - k`` launches instead of ``N``);
+        * **the checkpoint cadence counter** — carried over, so the
+          next program's first auto-checkpoint fired early (after
+          ``N - k`` launches instead of ``N``);
         * **the recovery journal** — journaled tasks referencing the
           previous program's (possibly freed) regions would be replayed
-          into the next program's state after a loss;
+          into the next program's state after a loss, so a program
+          boundary is a checkpoint epoch boundary
+          (:meth:`Recovery.reset`);
         * **``fusion_log``** — unbounded growth,
           and one tenant's op-stream shape visible to the next
           (a cross-tenant information leak in a serving context);
         * **the replay history** — one program's launches must not
           discount the next program's — **and any in-flight batched
           writes**.
-
-        When chaos journaling is active the journal cannot simply be
-        dropped — recovery replays from the last checkpoint epoch, so a
-        program boundary *is* a checkpoint epoch boundary: this method
-        takes a checkpoint (which syncs, snapshots dirty state and
-        clears the journal) instead of discarding coverage.
 
         The structural caches (templates, window plans and their
         nests, image geometry) stay warm: they are keyed structurally,
@@ -573,12 +555,7 @@ class Runtime:
         self.flush_window()
         self._pending_writes = None
         self._history.clear()
-        if self._journaling and (self._journal or self._freed_uids):
-            # Program boundary == checkpoint epoch boundary (see above).
-            self.checkpoint()
-        self._journal.clear()
-        self._freed_uids.clear()
-        self._launches_since_ckpt = 0
+        self.recovery.reset()
         self.fusion_log.clear()
 
     def _invalidate_templates(self) -> None:
@@ -641,8 +618,9 @@ class Runtime:
         uid = region.uid
         if self._window_refs.get(uid, 0) > 0:
             self.flush_window()
-        if self._journaling:
-            self._freed_uids.add(uid)
+        recovery = self.recovery
+        if recovery.journal is not None:
+            recovery.freed.add(uid)
         self._coherence.pop(uid, None)
         self._region_meta.pop(uid, None)
         self._image_cache.epochs.pop(uid, None)
@@ -773,7 +751,7 @@ class Runtime:
             if chan.busy_until > start:
                 start = chan.busy_until
         tl = self.timeline
-        chaos = self._chaos
+        chaos = self.recovery.chaos
         if chaos is not None:
             attempt = 0
             while chaos.copy_fault():
@@ -877,16 +855,9 @@ class Runtime:
         plan = self.plan_trace
         if plan is not None:
             plan.record_launch(task)
-        chaos = self._chaos
-        if (
-            chaos is not None
-            and chaos.config.checkpoint_every > 0
-            and not self._in_recovery
-        ):
-            self._launches_since_ckpt += 1
-            if self._launches_since_ckpt >= chaos.config.checkpoint_every:
-                self._launches_since_ckpt = 0
-                self.checkpoint()
+        recovery = self.recovery
+        if recovery.checkpoint_every and not recovery.active:
+            recovery.count_launch()
         template = task.template
         if template is None:
             template = task.template = self._template(
@@ -1157,11 +1128,11 @@ class Runtime:
     def _execute_task(
         self, task: TaskLaunch, replay: bool = False
     ) -> Optional[Future]:
-        chaos = self._chaos
-        if chaos is not None and not replay and not self._in_recovery:
-            due = chaos.take_losses(self.issue_time)
-            if due:
-                self._recover(due)
+        recovery = self.recovery
+        chaos = recovery.chaos
+        journaled = recovery.journal is not None
+        if journaled and not replay and not recovery.active:
+            recovery.recover_due()
         colors = task.color_count
         procs = self.scope.processors
         self.profiler.record_task(task.name, colors)
@@ -1172,7 +1143,7 @@ class Runtime:
         overhead = config.launch_overhead
         # Journal replay after a loss is no trace replay: it pays the
         # full overhead and re-derives everything below.
-        recovering = replay or self._in_recovery
+        recovering = replay or recovery.active
         if task.replayed and not recovering:
             overhead *= config.trace_replay_fraction
             self.profiler.launches_replayed += 1
@@ -1220,7 +1191,7 @@ class Runtime:
         # The launch's shape: derived by the first launch with its
         # template, taken from the template by the rest.
         reqs = task.requirements
-        freed = self._freed_uids
+        freed = recovery.freed
         template = None if recovering else task.template
         shape = None if template is None else template.shape
         if shape is None or shape.validate is not validate:
@@ -1463,8 +1434,8 @@ class Runtime:
                     task, req, reduce_writes[req.name], colors, launch_id
                 )
 
-        if self._journaling:
-            self._journal.append(task)
+        if journaled:
+            recovery.journal.append(task)
         if reducing:
             return self._reduce(task, partials, partial_times)
         # Journal replay has no partials to reduce: the original
@@ -1569,7 +1540,7 @@ class Runtime:
         modeled channels) and retries; when relief frees nothing, the
         annotated error propagates.
         """
-        chaos = self._chaos
+        chaos = self.recovery.chaos
         attempt = 0
         while True:
             if chaos is not None and chaos.alloc_fault():
@@ -1710,294 +1681,6 @@ class Runtime:
                 freed += st.drop_instance(inst)
                 coh.invalidate(memory.uid, inst.rect)
         return t, freed
-
-    # ------------------------------------------------------------------
-    # Checkpoint / recovery (repro.legion.chaos)
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> int:
-        """Open a new checkpoint epoch: snapshot dirty data to the stores.
-
-        Every written piece not already valid in a checkpoint store is
-        copied there over the modeled channels (attach semantics: no
-        sysmem instance is charged, like the host staging fiction in
-        :meth:`create_region`).  With ``ChaosConfig.ckpt_replicas > 1``
-        the snapshot lands in the sysmems of that many distinct fault
-        domains (see :func:`repro.legion.resilience.place_stores`);
-        traffic beyond the primary store is counted as replication
-        bytes.  The journal then resets — a subsequent loss replays
-        only tasks launched after this epoch — and the manifest records
-        what the epoch protects, for the recovery planner.  Returns the
-        scaled snapshot bytes (all replicas).
-
-        The snapshot drains *asynchronously*: the issue clock is not
-        blocked on it (real checkpointing overlaps compute), so only
-        channel occupancy remembers the traffic — which is exactly what
-        the sync-point clocks (:meth:`elapsed`/:meth:`barrier`) fold in.
-        """
-        self.flush_window()
-        chaos = self._chaos
-        if chaos is not None and not self._in_recovery:
-            # A loss already due must recover *before* the snapshot: a
-            # checkpoint drained after the loss time must not capture
-            # state the loss has (in simulated time) already destroyed.
-            due = chaos.take_losses(self.issue_time)
-            if due:
-                self._recover(due)
-        # Re-place the stores each epoch: a node dead during the last
-        # recovery has "restarted" by the next checkpoint and rejoins
-        # the replica set.
-        self._ckpt_stores = _resilience.place_stores(
-            self.machine,
-            chaos.config.ckpt_replicas if chaos is not None else 1,
-        )
-        manifest = _resilience.CheckpointManifest()
-        primary_uid = self._ckpt_stores[0].uid
-        total = 0
-        replicated = 0
-        nregions = 0
-        for uid, coh in self._coherence.items():
-            if coh.written.is_empty():
-                continue
-            name, itemsize = self._region_meta.get(uid, ("", 8))
-            manifest.record(uid, name, RectSet(coh.written.rects()))
-            copied = False
-            for store in self._ckpt_stores:
-                need = coh.written.subtract(coh.valid_set(store.uid))
-                for rect in need.rects():
-                    for src_uid, frag, t_src in coh.find_source(
-                        rect, exclude=store.uid
-                    ):
-                        nbytes = frag.volume() * itemsize
-                        finish = self._copy(
-                            self._memory_by_uid(src_uid), store, nbytes,
-                            max(self.issue_time, t_src),
-                            label=f"ckpt:{name or uid}",
-                            category="checkpoint",
-                        )
-                        if self.event_log is not None:
-                            self.event_log.record_copy(
-                                uid, name, frag, src_uid, store.uid,
-                                nbytes, why="checkpoint",
-                            )
-                        coh.mark_valid(store.uid, frag, finish)
-                        scaled = int(nbytes * self.config.effective_comm_scale)
-                        total += scaled
-                        if store.uid != primary_uid:
-                            replicated += scaled
-                        copied = True
-            if copied:
-                nregions += 1
-        self._ckpt_manifest = manifest
-        self.profiler.record_checkpoint(total)
-        if replicated:
-            self.profiler.record_replication(replicated)
-        if self.event_log is not None:
-            self.event_log.record_checkpoint(total, nregions)
-        self._journal.clear()
-        self._freed_uids.clear()
-        return total
-
-    def _recover(self, losses) -> None:
-        """Recover from delivered GPU/node losses by journal replay.
-
-        Resilience 2.0: each recovery round (1) wipes the lost
-        memories' instances and coherence validity and charges the
-        modeled detection stall (the heartbeat detector's suspected →
-        confirmed transition) plus the recovery delay; (2) re-plans the
-        replica set from surviving fault domains and restores every
-        checkpoint-protected piece the replay will not re-write from
-        the cheapest surviving copy (:mod:`repro.legion.resilience`) —
-        raising :class:`FaultError` only when *all* replicas of a
-        needed piece are gone (or, at ``ckpt_replicas=1``, whenever the
-        single node-0 store is lost, the original contract); (3)
-        replays every task journaled since the last checkpoint epoch in
-        replay mode: re-mapping, re-staging and re-timing without
-        re-running kernels, so the final answer is bitwise-identical to
-        a fault-free run.  Recovery is *re-entrant*: a loss falling due
-        mid-replay aborts the pass and restarts from step (1) — the
-        journal's numerics are untouched, so replaying it again from
-        the epoch is safe.
-        """
-        assert self._chaos is not None
-        # Lost memories and re-executed launches: nothing issued so far
-        # describes the machine any more.
-        self._invalidate_templates()
-        journal, self._journal = self._journal, []
-        # Pieces the replay itself re-writes need no restore from a
-        # replica (the coverage never over-approximates; see
-        # resilience.journal_write_coverage).
-        rewritten = _resilience.journal_write_coverage(
-            journal, self._freed_uids
-        )
-        dead_nodes: set = set()
-        self._in_recovery = True
-        try:
-            pending: List[LossSchedule] = list(losses)
-            while pending:
-                self.profiler.record_recovery()
-                self._apply_losses(pending, dead_nodes)
-                self._restore_replicas(rewritten, dead_nodes)
-                pending = self._replay_journal(journal)
-        finally:
-            self._in_recovery = False
-
-    def _apply_losses(self, losses, dead_nodes: set) -> None:
-        """Wipe lost memories; charge detection + recovery stall.
-
-        The failure detector runs on the simulated clock: a loss at
-        ``t`` is *suspected* at the next heartbeat tick and *confirmed*
-        ``detection_timeout`` later (:meth:`ChaosConfig
-        .detection_times`); the run cannot react before confirmation,
-        so the issue clock stalls to the latest confirmation before
-        paying the per-loss recovery delay.
-        """
-        chaos = self._chaos
-        lost: List[int] = []
-        confirmed_at = self.issue_time
-        for loss in losses:
-            if loss.kind == "gpu":
-                procs = self.scope.processors
-                proc = procs[loss.target % len(procs)]
-                mems = [proc.memory]
-            else:
-                mems = [
-                    m for m in self.machine.memories if m.node == loss.target
-                ]
-                dead_nodes.add(loss.target)
-            kind = f"{loss.kind}-loss"
-            self.profiler.record_fault(kind)
-            uids = [m.uid for m in mems]
-            lost.extend(uids)
-            suspected, confirmed = chaos.config.detection_times(loss.at_time)
-            confirmed_at = max(confirmed_at, confirmed)
-            self.profiler.record_detection(max(0.0, confirmed - loss.at_time))
-            if self.event_log is not None:
-                self.event_log.record_fault(
-                    kind, uids,
-                    detail=f"target={loss.target} at t={loss.at_time:g}",
-                )
-                self.event_log.record_detection(
-                    kind, loss.target, loss.at_time, suspected, confirmed
-                )
-            if self.timeline is not None:
-                # Detector state transitions (non-busy category:
-                # annotation only, like "allreduce"/"recovery").
-                self.timeline.record(
-                    "detection", "detector",
-                    f"suspect:{kind}[{loss.target}]",
-                    loss.at_time, suspected,
-                )
-                self.timeline.record(
-                    "detection", "detector",
-                    f"confirm:{kind}[{loss.target}]",
-                    suspected, confirmed,
-                )
-        if (
-            chaos.config.ckpt_replicas == 1
-            and self._host_memory.uid in lost
-        ):
-            # The original single-store contract: at replicas=1 the
-            # checkpoint IS node-0 sysmem, and losing it is
-            # unconditionally fatal even if copies survive elsewhere.
-            raise FaultError(
-                "node-0 system memory (the checkpoint store) was lost; "
-                "recovery is impossible (replicate the checkpoint with "
-                "ckpt_replicas >= 2 to survive store loss)"
-            )
-        for uid in set(lost):
-            self.instances.lose_memory(uid)
-            for coh in self._coherence.values():
-                coh.invalidate(uid)
-        t_before = self.issue_time
-        self.issue_time = max(self.issue_time, confirmed_at)
-        t_confirmed = self.issue_time
-        self.issue_time += chaos.config.recovery_delay * len(losses)
-        if self.timeline is not None:
-            if t_confirmed > t_before:
-                self.timeline.record(
-                    "detection", "issue",
-                    f"detect-stall:{len(losses)}-loss",
-                    t_before, t_confirmed,
-                )
-            self.timeline.record(
-                "recovery", "issue",
-                f"recover:{len(losses)}-loss",
-                t_confirmed, self.issue_time,
-            )
-        for puid in self._proc_busy:
-            self._proc_busy[puid] = max(self._proc_busy[puid], self.issue_time)
-
-    def _restore_replicas(self, rewritten, dead_nodes: set) -> None:
-        """Re-plan the replica set; restore missing protected pieces.
-
-        Surviving fault domains host the stores for the rest of this
-        recovery (a dead node rejoins at the next checkpoint epoch);
-        every manifest piece the replay will not re-write is copied
-        into each store missing it from the cheapest surviving source,
-        charged over the modeled channels.
-        """
-        chaos = self._chaos
-        stores = _resilience.place_stores(
-            self.machine, chaos.config.ckpt_replicas, exclude_nodes=dead_nodes
-        )
-        if not stores:
-            raise FaultError(
-                "every checkpoint-store fault domain was lost; "
-                "recovery is impossible"
-            )
-        self._ckpt_stores = stores
-        for uid in self._freed_uids:
-            self._ckpt_manifest.drop(uid)
-        steps = _resilience.plan_recovery(
-            self._ckpt_manifest, self._coherence, rewritten,
-            stores, self.machine, self._memory_by_uid, self._region_meta,
-        )
-        restored = 0
-        for step in steps:
-            coh = self._coherence[step.region_uid]
-            finish = self._copy(
-                self._memory_by_uid(step.src_uid),
-                self._memory_by_uid(step.dst_uid),
-                step.nbytes,
-                max(self.issue_time, step.ready),
-                label=f"restore:{step.region_name or step.region_uid}",
-                category="checkpoint",
-            )
-            if self.event_log is not None:
-                self.event_log.record_copy(
-                    step.region_uid, step.region_name, step.rect,
-                    step.src_uid, step.dst_uid, step.nbytes, why="restore",
-                )
-            coh.mark_valid(step.dst_uid, step.rect, finish)
-            restored += int(step.nbytes * self.config.effective_comm_scale)
-        if steps:
-            self.profiler.record_restore(restored, len(steps))
-
-    def _replay_journal(self, journal) -> List[LossSchedule]:
-        """Replay the epoch's journal; return losses falling due mid-pass.
-
-        Journal order is *execution* order, not issue order: a launch
-        that passed the deferred window (:meth:`pass_window`) was
-        journaled when it ran, ahead of the members issued before it,
-        and those follow once their flush has run them -- the order in
-        which coherence saw the writes, which is what a replay restores.
-
-        A non-empty return means the pass aborted: the caller re-wipes,
-        re-plans from surviving replicas and replays again from the
-        epoch (replay never touches numerics, so restarting is safe).
-        The in-progress journal is cleared first — replayed tasks
-        re-append themselves, and a restarted pass must not duplicate
-        the aborted pass's entries.
-        """
-        chaos = self._chaos
-        self._journal = []
-        for task in journal:
-            due = chaos.take_losses(self.issue_time)
-            if due:
-                return due
-            self.profiler.record_reexecution()
-            self._execute(task, replay=True)
-        return []
 
     def _fold_reduction(
         self,

@@ -276,12 +276,11 @@ class TestReplicatedStores:
 
     def test_replication_traffic_reaches_second_domain(self):
         from repro.analysis.events import CopyEvent
-        from repro.legion.resilience import place_stores
 
         chaos = ChaosConfig(checkpoint_every=16, ckpt_replicas=2)
         _, rt, _, _ = _cg_run(chaos, procs=2, nodes=2, validate=True)
         assert rt.profiler.replication_bytes > 0
-        stores = place_stores(rt.machine, 2)
+        stores = rt.recovery.place_stores()
         assert [m.node for m in stores] == [0, 1]
         # Checkpoint copies land in BOTH stores' memories — replication
         # rides the modeled cross-node channels, not a free broadcast.
@@ -350,7 +349,6 @@ class TestReplicatedStores:
         store that survived."""
         from repro.analysis.checker import check_log
         from repro.analysis.events import CopyEvent
-        from repro.legion.resilience import place_stores
 
         baseline, _, t0, t1 = _cg_run(None, procs=2, nodes=3)
         chaos = ChaosConfig(
@@ -361,7 +359,7 @@ class TestReplicatedStores:
         recovered, rt, _, _ = _cg_run(chaos, procs=2, nodes=3, validate=True)
         np.testing.assert_array_equal(baseline, recovered)
         assert rt.profiler.recoveries == 1
-        survivor, replacement = place_stores(rt.machine, 2, exclude_nodes={1})
+        survivor, replacement = rt.recovery.place_stores({1})
         assert (survivor.node, replacement.node) == (0, 2)
         restores = [
             ev for ev in rt.event_log.events

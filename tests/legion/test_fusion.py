@@ -395,9 +395,9 @@ class TestOneColor:
         assert groups(window) == [(0,), (1,)]
 
     def test_a_write_after_an_in_place_read_is_checked(self):
-        """The read runs before the write on the shard, but validation
-        poisons a WRITE_DISCARD's rect before any member runs: the
-        write goes to the next group."""
+        """The read runs before the write on the shard, so the write
+        could join; it is still checked (lifting the check changes
+        GMG's plans) and goes to the next group."""
         x, y = Region((8,), np.float64), Region((8,), np.float64)
         window = [
             self.summary("y=A@x", 1, (y, "tile", W), (x, "image", R)),
@@ -482,6 +482,59 @@ class TestOneColor:
         assert ("multiply", "add", spmv, "vdot") in names
         assert check_log(rt.event_log) == []
         assert _sha(solution) == GOLDEN_GMG_SOLUTION
+
+
+class TestValidatedDiscard:
+    """Validation never changes a fused result: a member that reads a
+    region before a later member of its group discards it sees the
+    region's contents, not the sanitizer's NaN poison."""
+
+    @staticmethod
+    def _read_then_discard(procs, **config):
+        """``y = 2 * x``, then ``x = 5`` through the same tiling as a
+        WRITE_DISCARD: one group ``(dbl, five)``.  Returns ``(y, x,
+        fusion_log)``."""
+        runtime = Runtime(
+            laptop().scope(ProcessorKind.GPU, procs),
+            RuntimeConfig.legate(**config),
+        )
+        x = runtime.create_region((8,), np.float64, data=np.arange(8.0))
+        y = runtime.create_region((8,), np.float64)
+        x_tiles, y_tiles = Tiling.create(x, procs), Tiling.create(y, procs)
+
+        def dbl(ctx):
+            ctx.view("y")[...] = 2.0 * ctx.view("x")
+
+        def five(ctx):
+            ctx.view("x")[...] = 5.0
+
+        for name, kernel, reqs in (
+            ("dbl", dbl, [
+                ("y", y, y_tiles, Privilege.WRITE_DISCARD),
+                ("x", x, x_tiles, Privilege.READ),
+            ]),
+            ("five", five, [("x", x, x_tiles, Privilege.WRITE_DISCARD)]),
+        ):
+            runtime.launch(
+                TaskLaunch(
+                    name,
+                    [Requirement(*req) for req in reqs],
+                    kernel,
+                    pointwise=Pointwise((name,)),
+                )
+            )
+        runtime.barrier()
+        return y.data.copy(), x.data.copy(), list(runtime.fusion_log)
+
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_an_earlier_reader_sees_the_discarded_contents(self, procs):
+        y, x, log = self._read_then_discard(procs, validate=True)
+        assert [names for names, _, _ in log] == [("dbl", "five")]
+        np.testing.assert_array_equal(y, 2.0 * np.arange(8.0))
+        np.testing.assert_array_equal(x, np.full(8, 5.0))
+        for reference in ({"fusion": False}, {"validate": False}):
+            want, _, _ = self._read_then_discard(procs, **reference)
+            np.testing.assert_array_equal(y, want)
 
 
 class TestWindowMechanics:

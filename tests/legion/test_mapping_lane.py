@@ -783,7 +783,7 @@ def _train(loss_at: Optional[float] = None):
         model.train_batch(users[:2_000], items[:2_000], ratings[:2_000])
         rt.barrier()
         if rt.config.chaos is not None:
-            rt.checkpoint()  # the journal starts with the batch
+            rt.recovery.checkpoint()  # the journal starts with the batch
         start = rt.barrier()
         before = rt.profiler.snapshot()
         model.train_batch(users[2_000:], items[2_000:], ratings[2_000:])
@@ -810,13 +810,13 @@ def _journaled(program, loss_at):
         RuntimeConfig.legate(chaos=chaos),
     )
     journals = []
-    replay = rt._replay_journal
+    replay = rt.recovery._replay_journal
 
     def spy(journal):
         journals.append([task.name for task in journal])
         return replay(journal)
 
-    rt._replay_journal = spy
+    rt.recovery._replay_journal = spy
     with runtime_scope(rt):
         out = program(rt)
     return (*out, journals)
@@ -875,7 +875,7 @@ def _passing_program(rt):
     vals = rnp.array(data.uniform(-1.0, 1.0, 64))
     rt.barrier()
     if rt.config.chaos is not None:
-        rt.checkpoint()
+        rt.recovery.checkpoint()
     start = rt.barrier()
     before = rt.profiler.snapshot()
     for _ in range(3):

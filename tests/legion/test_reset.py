@@ -68,15 +68,15 @@ def test_reset_clears_checkpoint_cadence_counter():
     )
     rt = _runtime(chaos=chaos)
     _program(rt, 0)
-    assert rt._launches_since_ckpt > 0  # the leak: carried into program 2
+    assert rt.recovery.launches_since_checkpoint > 0  # the leak: carried into program 2
     ckpts_before = rt.profiler.checkpoints
     rt.reset_for_program()
-    assert rt._launches_since_ckpt == 0
+    assert rt.recovery.launches_since_checkpoint == 0
     # Journaled work existed, so the boundary took a real checkpoint
     # (coverage is never silently dropped).
     assert rt.profiler.checkpoints == ckpts_before + 1
-    assert rt._journal == []
-    assert not rt._freed_uids
+    assert rt.recovery.journal == []
+    assert not rt.recovery.freed
 
 
 def test_reset_without_journaling_skips_checkpoint():

@@ -1,20 +1,15 @@
-"""Resilience 2.0 units: replica placement, manifest, recovery planner."""
+"""Recovery units: replica placement, manifest, recovery planner."""
 
+import numpy as np
 import pytest
 
 from repro.geometry import Rect, RectSet
 from repro.legion.chaos import ChaosConfig
-from repro.legion.coherence import RegionCoherence
 from repro.legion.exceptions import FaultError
 from repro.legion.privilege import Privilege
-from repro.legion.resilience import (
-    CheckpointManifest,
-    journal_write_coverage,
-    place_stores,
-    plan_recovery,
-    transfer_cost,
-)
-from repro.machine import MemoryKind, summit
+from repro.legion.recovery import CheckpointManifest, journal_write_coverage
+from repro.legion.runtime import Runtime, RuntimeConfig
+from repro.machine import MemoryKind, ProcessorKind, summit
 
 
 def r1(lo, hi):
@@ -35,42 +30,64 @@ def _framebuffer(machine, node):
     raise AssertionError(f"no framebuffer on node {node}")
 
 
+def _runtime(nodes, replicas=1):
+    """A one-GPU runtime on ``nodes`` summit nodes whose checkpoints
+    replicate into ``replicas`` fault domains."""
+    return Runtime(
+        summit(nodes=nodes).scope(ProcessorKind.GPU, 1),
+        RuntimeConfig.legate(chaos=ChaosConfig(ckpt_replicas=replicas)),
+    )
+
+
 class TestPlacement:
     def test_replicas_1_is_exactly_node0_sysmem(self):
-        machine = summit(nodes=3)
-        stores = place_stores(machine, 1)
+        stores = _runtime(3).recovery.place_stores()
         assert [(m.kind, m.node) for m in stores] == [(MemoryKind.SYSMEM, 0)]
 
     def test_replicas_spread_across_distinct_fault_domains(self):
-        machine = summit(nodes=3)
-        stores = place_stores(machine, 2)
+        stores = _runtime(3, replicas=2).recovery.place_stores()
         assert [m.node for m in stores] == [0, 1]
         assert all(m.kind == MemoryKind.SYSMEM for m in stores)
 
     def test_replicas_clamped_to_available_domains(self):
-        machine = summit(nodes=2)
-        assert [m.node for m in place_stores(machine, 5)] == [0, 1]
+        stores = _runtime(2, replicas=5).recovery.place_stores()
+        assert [m.node for m in stores] == [0, 1]
 
     def test_dead_domains_excluded(self):
-        machine = summit(nodes=3)
-        stores = place_stores(machine, 2, exclude_nodes={0})
-        assert [m.node for m in stores] == [1, 2]
-        assert place_stores(machine, 2, exclude_nodes={0, 1, 2}) == []
+        recovery = _runtime(3, replicas=2).recovery
+        assert [m.node for m in recovery.place_stores({0})] == [1, 2]
+        assert recovery.place_stores({0, 1, 2}) == []
 
 
-class TestTransferCost:
+class TestSourceRanking:
+    """The planner ranks sources by the runtime's routes: summed
+    latency plus bytes over the narrowest channel."""
+
     def test_same_memory_is_free(self):
-        machine = summit(nodes=2)
-        s0 = _sysmem(machine, 0)
-        assert transfer_cost(machine, s0, s0, 10**6) == 0.0
+        """What the store already holds is never copied: only the
+        missing half is restored."""
+        rt = _runtime(2)
+        s0, s1 = _sysmem(rt.machine, 0), _sysmem(rt.machine, 1)
+        x = rt.create_region((100,), np.float64, name="x")
+        coh = rt.coherence(x)
+        coh.written.add(r1(0, 100))
+        coh.mark_valid(s0.uid, r1(0, 50), 1.0)
+        coh.mark_valid(s1.uid, r1(0, 100), 1.0)
+        rt.recovery.manifest.record(x.uid, "x", RectSet([r1(0, 100)]))
+        steps = rt.recovery.plan_recovery({}, [s0])
+        assert [(st.src_uid, st.rect) for st in steps] == [(s1.uid, r1(50, 100))]
 
     def test_cross_node_costs_more_than_intra_node(self):
-        machine = summit(nodes=2)
+        rt = _runtime(2)
+        machine = rt.machine
         s0, f0, s1 = _sysmem(machine, 0), _framebuffer(machine, 0), _sysmem(machine, 1)
         nbytes = 10**6
-        intra = transfer_cost(machine, f0, s0, nbytes)
-        cross = transfer_cost(machine, s1, s0, nbytes)
-        assert 0.0 < intra < cross
+
+        def cost(src):
+            _, latency, bandwidth = rt._route(src, s0)
+            return latency + nbytes / bandwidth
+
+        assert 0.0 < cost(f0) < cost(s1)
 
 
 class TestManifest:
@@ -155,73 +172,55 @@ class TestJournalCoverage:
 
 
 class TestPlanner:
-    def _setup(self, nodes=2):
-        machine = summit(nodes=nodes)
-        by_uid = {m.uid: m for m in machine.memories}
-        return machine, by_uid
+    RECT = r1(0, 100)
 
-    def _plan(self, machine, by_uid, manifest, coh, rewritten, stores):
-        return plan_recovery(
-            manifest, {1: coh}, rewritten, stores, machine,
-            by_uid.__getitem__, {1: ("x", 8)},
-        )
+    def _setup(self):
+        """A runtime on two nodes and a region ``x`` whose 100 written
+        elements the last epoch protects: the runtime, x (freed when
+        dropped) and its coherence (valid nowhere yet)."""
+        rt = _runtime(2)
+        x = rt.create_region((100,), np.float64, name="x")
+        rt.recovery.manifest.record(x.uid, "x", RectSet([self.RECT]))
+        coh = rt.coherence(x)
+        coh.written.add(self.RECT)
+        return rt, x, coh
 
     def test_survives_single_domain_loss_by_resourcing(self):
-        machine, by_uid = self._setup()
-        s0, s1 = _sysmem(machine, 0), _sysmem(machine, 1)
-        rect = r1(0, 100)
-        coh = RegionCoherence()
-        coh.written.add(rect)
-        coh.mark_valid(s1.uid, rect, 1.0)  # replica 1 survives; s0 wiped
-        manifest = CheckpointManifest()
-        manifest.record(1, "x", RectSet([rect]))
-        steps = self._plan(machine, by_uid, manifest, coh, {}, [s0, s1])
+        rt, _x, coh = self._setup()
+        s0, s1 = _sysmem(rt.machine, 0), _sysmem(rt.machine, 1)
+        coh.mark_valid(s1.uid, self.RECT, 1.0)  # replica 1 survives; s0 wiped
+        steps = rt.recovery.plan_recovery({}, [s0, s1])
         # Only the wiped store needs refilling, from the survivor.
         assert [(st.src_uid, st.dst_uid) for st in steps] == [(s1.uid, s0.uid)]
-        assert steps[0].rect == rect
+        assert steps[0].rect == self.RECT
         assert steps[0].nbytes == 100 * 8
 
     def test_replay_rewritten_pieces_not_restored(self):
-        machine, by_uid = self._setup()
-        s0, s1 = _sysmem(machine, 0), _sysmem(machine, 1)
-        rect = r1(0, 100)
-        coh = RegionCoherence()
-        coh.written.add(rect)
-        coh.mark_valid(s1.uid, rect, 1.0)
-        manifest = CheckpointManifest()
-        manifest.record(1, "x", RectSet([rect]))
-        rewritten = {1: RectSet([rect])}
-        assert self._plan(machine, by_uid, manifest, coh, rewritten, [s0, s1]) == []
+        rt, x, coh = self._setup()
+        s0, s1 = _sysmem(rt.machine, 0), _sysmem(rt.machine, 1)
+        coh.mark_valid(s1.uid, self.RECT, 1.0)
+        rewritten = {x.uid: RectSet([self.RECT])}
+        assert rt.recovery.plan_recovery(rewritten, [s0, s1]) == []
 
     def test_cheapest_surviving_source_wins(self):
-        machine, by_uid = self._setup()
+        rt, _x, coh = self._setup()
         s0, f0, s1 = (
-            _sysmem(machine, 0),
-            _framebuffer(machine, 0),
-            _sysmem(machine, 1),
+            _sysmem(rt.machine, 0),
+            _framebuffer(rt.machine, 0),
+            _sysmem(rt.machine, 1),
         )
-        rect = r1(0, 100)
-        coh = RegionCoherence()
-        coh.written.add(rect)
-        coh.mark_valid(f0.uid, rect, 1.0)  # NVLink-close framebuffer
-        coh.mark_valid(s1.uid, rect, 1.0)  # NIC-remote replica
-        manifest = CheckpointManifest()
-        manifest.record(1, "x", RectSet([rect]))
-        steps = self._plan(machine, by_uid, manifest, coh, {}, [s0])
+        coh.mark_valid(f0.uid, self.RECT, 1.0)  # NVLink-close framebuffer
+        coh.mark_valid(s1.uid, self.RECT, 1.0)  # NIC-remote replica
+        steps = rt.recovery.plan_recovery({}, [s0])
         assert [st.src_uid for st in steps] == [f0.uid]
 
     def test_all_replicas_gone_names_region_and_rect(self):
-        machine, by_uid = self._setup()
-        s0, s1 = _sysmem(machine, 0), _sysmem(machine, 1)
-        rect = r1(0, 100)
-        coh = RegionCoherence()
-        coh.written.add(rect)  # written once, now valid nowhere
-        manifest = CheckpointManifest()
-        manifest.record(1, "x", RectSet([rect]))
+        rt, _x, _ = self._setup()  # written once, now valid nowhere
+        s0, s1 = _sysmem(rt.machine, 0), _sysmem(rt.machine, 1)
         with pytest.raises(FaultError, match="all replicas") as exc:
-            self._plan(machine, by_uid, manifest, coh, {}, [s0, s1])
+            rt.recovery.plan_recovery({}, [s0, s1])
         assert "x" in str(exc.value)
-        assert str(rect) in str(exc.value)
+        assert str(self.RECT) in str(exc.value)
 
 
 class TestDetectionTimes:

@@ -190,7 +190,7 @@ class TestSyncClock:
         inp = rt.create_region((4096,), np.float64, data=np.arange(4096.0))
         out = rt.create_region((4096,), np.float64)
         launch_double(rt, out, inp)
-        rt.checkpoint()  # snapshot of `out` drains on the channels
+        rt.recovery.checkpoint()  # snapshot of `out` drains on the channels
         legacy = max(rt.issue_time, max(rt._proc_busy.values()))
         horizon = rt.machine.channel_horizon()
         assert horizon > legacy
@@ -321,3 +321,27 @@ class TestRegionLifecycle:
         again = gpu2.create_region((100,), np.float64)
         launch_double(gpu2, again, again, colors=2)
         assert state.used_bytes <= before
+
+    def test_a_dropped_runtime_is_freed_without_a_cyclic_collection(self):
+        """Nothing a runtime owns refers back to it (its recovery
+        component holds a proxy), so dropping the last reference frees
+        it and everything it holds at once."""
+        import gc
+        import weakref
+
+        from repro.legion.chaos import ChaosConfig, LossSchedule
+
+        gc.disable()
+        try:
+            chaos = ChaosConfig(losses=(LossSchedule("gpu", 1, 1e9),))
+            for config in (RuntimeConfig.legate(), RuntimeConfig.legate(chaos=chaos)):
+                rt = Runtime(laptop().scope(ProcessorKind.GPU, 2), config)
+                inp = rt.create_region((100,), np.float64, data=np.ones(100))
+                out = rt.create_region((100,), np.float64)
+                launch_double(rt, out, inp)
+                rt.recovery.checkpoint()
+                ref = weakref.ref(rt)
+                del rt, inp, out
+                assert ref() is None
+        finally:
+            gc.enable()

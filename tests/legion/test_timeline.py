@@ -42,7 +42,7 @@ def _cg(profile, procs=2, trailing_checkpoint=False, **cfg):
         b = rnp.ones(GRID * GRID)
         sp.linalg.cg(A, b, rtol=0.0, maxiter=ITERS)
         if trailing_checkpoint:
-            rt.checkpoint()
+            rt.recovery.checkpoint()
         elapsed = rt.elapsed()
     return rt, machine, elapsed
 
@@ -231,7 +231,7 @@ class TestClockFix:
             # hoists ahead of it) outlasts the wait on that norm: drain
             # the processors so that the snapshot is what ends the run.
             rt.barrier()
-            rt.checkpoint()  # final operation: snapshot drains on channels
+            rt.recovery.checkpoint()  # final operation: snapshot drains on channels
             legacy = max(rt.issue_time, max(rt._proc_busy.values()))
             elapsed = rt.elapsed()
         assert elapsed > legacy

@@ -220,7 +220,7 @@ def test_isolated_domain_resets_between_request_programs():
     drt = svc._domains["iso"].runtime
     # reset_for_program ran at the program boundary: no stale
     # per-program accounting leaks into the next request.
-    assert drt._launches_since_ckpt == 0
+    assert drt.recovery.launches_since_checkpoint == 0
     assert not drt.fusion_log
 
 
