@@ -10,6 +10,7 @@ BLAS single-threaded as in ``bench/``.  *Reach* is ``workload``,
     make census                            # writes artifacts/pr42/census.json
     python3 scripts/census.py --keep DIR   # and keeps the raw run in DIR
     python3 scripts/census.py --reuse DIR  # re-classify a kept raw run
+    python3 scripts/census.py --reuse artifacts/pr45/census.json  # or an earlier result
 """
 
 import argparse
@@ -118,7 +119,7 @@ def definitions(src: Path):
         yield from walk(ast.parse(path.read_text()).body, path.relative_to(src).as_posix(), "")
 
 
-def verdict(rel, name, reach, abstract, used_owner, referenced):
+def verdict(rel, name, reach, abstract, used_owner, referenced, raised):
     """(verdict, reason): the first rule that holds decides (then ``census`` keeps
     what kept code calls); "!" marks a rule that condemns."""
     leaf = name.rsplit(".", 1)[-1]
@@ -133,6 +134,7 @@ def verdict(rel, name, reach, abstract, used_owner, referenced):
         (reach == "none", "!nothing calls it"),
         (rel in SAFETY_FILES or any(w in leaf.lower() for w in ("check", "valid", "sanitiz")),
          "safety code: validation or an input check"),
+        (raised, "safety code: the error class a check of the package raises"),
         (rel in PROMISED, f"README-promised subsystem: {PROMISED.get(rel)}"),
         (rel.startswith("legion/") and leaf.startswith(RECOVERY),
          "README-promised subsystem: fault recovery and its counters"),
@@ -148,15 +150,31 @@ def verdict(rel, name, reach, abstract, used_owner, referenced):
     return "condemned", "only tests call it"
 
 
+def names_read(src: Path):
+    """(how often each name is read anywhere in the repo: name, obj.name;
+    the classes ``src`` raises: ``raise Error(...)``)."""
+    refs, root, raised = Counter(), src.parent.parent, set()
+    for path in root.rglob("*.py"):
+        if not any(p[0] == "." or p == "artifacts" for p in path.relative_to(root).parts):
+            tree = ast.parse(path.read_text())
+            refs.update(getattr(n, "attr", None) or getattr(n, "id", None) for n in ast.walk(tree))
+            if src in path.parents:
+                raised.update(getattr(getattr(n.exc, "func", n.exc), "id", None)
+                              for n in ast.walk(tree) if isinstance(n, ast.Raise) and n.exc)
+    return refs, raised
+
+
+def summarize(records) -> dict:
+    return {key: {"definitions": len(rs), "lines": sum(r["lines"] for r in rs)}
+            for key in ("total", "workload", "test-only", "none", "keep", "condemned")
+            for rs in [[r for r in records if key in ("total", r["reach"], r["verdict"])]]}
+
+
 def census(src: Path, raw: Path) -> dict:
     """Classify every definition under ``src`` from a raw run in ``raw``."""
     work, test = ({r for f in (raw / kind).glob("*.txt") for r in f.read_text().split("\n")}
                   for kind in ("workload", "test"))  # "callee" and "callee caller" rows
-    refs, root = Counter(), src.parent.parent  # how often a name is read: name, obj.name
-    for path in root.rglob("*.py"):
-        if not any(p[0] == "." or p == "artifacts" for p in path.relative_to(root).parts):
-            refs.update(getattr(n, "attr", None) or getattr(n, "id", None)
-                        for n in ast.walk(ast.parse(path.read_text())))
+    refs, raised = names_read(src)
     defs = [(rel, name, line, n, abstract, f"{src / rel}:{line}", (rel, name.rpartition(".")[0]))
             for rel, name, line, n, abstract in definitions(src)]
     used = {d[6] for d in defs if d[5] in work} | {(d[0], "") for d in defs if d[5] in work}
@@ -165,7 +183,8 @@ def census(src: Path, raw: Path) -> dict:
         reach = "workload" if key in work else "test-only" if key in test else "none"
         at[key] = {"file": rel, "name": name, "line": line, "lines": lines, "reach": reach}
         at[key]["verdict"], at[key]["reason"] = verdict(
-            rel, name, reach, abstract, owner in used, refs[name.rpartition(".")[2]] > 0)
+            rel, name, reach, abstract, owner in used, refs[name.rpartition(".")[2]] > 0,
+            name.partition(".")[0] in raised)
         records.append(at[key])
     changed = True
     while changed:  # code that kept code calls stays
@@ -174,22 +193,41 @@ def census(src: Path, raw: Path) -> dict:
             a, b = at.get(callee), at.get(caller)
             if a and b and a["reason"] == "only tests call it" and b["verdict"] == "keep":
                 a["verdict"], a["reason"], changed = "keep", f"called by {b['name']}", True
-    summary = {key: {"definitions": len(rs), "lines": sum(r["lines"] for r in rs)}
-               for key in ("total", "workload", "test-only", "none", "keep", "condemned")
-               for rs in [[r for r in records if key in ("total", r["reach"], r["verdict"])]]}
-    return {"summary": summary, "definitions": records}
+    return {"summary": summarize(records), "definitions": records}
+
+
+def reclassify(src: Path, records: list) -> dict:
+    """Re-apply the rules to the reach an earlier census recorded.  Its "called
+    by" keeps stand: the caller rows that decided them are not in its file."""
+    refs, raised = names_read(src)
+    abstract = {(rel, name): a for rel, name, _, _, a in definitions(src)}
+    used = {(r["file"], owner) for r in records if r["reach"] == "workload"
+            for owner in (r["name"].rpartition(".")[0], "")}
+    for r in records:
+        if not r["reason"].startswith("called by "):
+            rel, name = r["file"], r["name"]
+            r["verdict"], r["reason"] = verdict(
+                rel, name, r["reach"], abstract.get((rel, name), False),
+                (rel, name.rpartition(".")[0]) in used, refs[name.rpartition(".")[2]] > 0,
+                name.partition(".")[0] in raised)
+    return {"summary": summarize(records), "definitions": records}
 
 
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", default=str(ROOT / "artifacts" / "pr42" / "census.json"))
-    ap.add_argument("--reuse", help="classify a raw run kept with --keep instead of running")
+    ap.add_argument("--reuse", help="classify a raw run kept with --keep, or re-classify "
+                    "an earlier census.json, instead of running")
     ap.add_argument("--keep", help="keep the raw run in this directory")
     args, src = ap.parse_args(argv), ROOT / "src" / "repro"
-    with tempfile.TemporaryDirectory(prefix="census-") as tmp:
-        raw = Path(args.reuse or args.keep or tmp)
-        log = None if args.reuse else record(entry_points(raw), raw, src)
-        result = {**census(src, raw), "runs": log}
+    if args.reuse and Path(args.reuse).is_file():
+        previous = json.loads(Path(args.reuse).read_text())
+        result = {**reclassify(src, previous["definitions"]), "runs": previous["runs"]}
+    else:
+        with tempfile.TemporaryDirectory(prefix="census-") as tmp:
+            raw = Path(args.reuse or args.keep or tmp)
+            log = None if args.reuse else record(entry_points(raw), raw, src)
+            result = {**census(src, raw), "runs": log}
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     print(json.dumps(result["summary"], indent=1))

@@ -95,14 +95,13 @@ NumPy source per group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.legion.fusion import GroupPlan, LaunchSummary, segments
-from repro.legion.privilege import Privilege
-from repro.legion.task import Pointwise, TaskLaunch
+from repro.legion.task import TaskLaunch
 from repro.numeric import optable
 
 #: Machine-readable replay-only reasons, with the rule each encodes.

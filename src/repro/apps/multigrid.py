@@ -12,9 +12,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sps
 
-import repro.numeric as rnp
 import repro.sparse as sp
 from repro.core.linalg import LinearOperator
 from repro.numeric.array import ndarray

@@ -17,13 +17,12 @@ are apples-to-apples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sps
 
-from repro.machine import MachineScope, Processor
+from repro.machine import MachineScope, Processor, reserve
 
 # PETSc-grade constants: a compiled library's per-call cost.
 PETSC_OP_OVERHEAD = 2.0e-6
@@ -62,17 +61,23 @@ class MPISim:
         self.busy[rank] += PETSC_OP_OVERHEAD + t
 
     def send(self, src: int, dst: int, nbytes: int) -> None:
-        """Point-to-point transfer; the receiver blocks until delivery."""
+        """Point-to-point transfer; the receiver blocks until delivery.
+
+        Booked on the route's channels by the same gap rule as the
+        Legate runtime's copies (:func:`repro.machine.model.reserve`).
+        """
         nbytes = int(nbytes * self.comm_scale)
         channels = self.machine.channels_between(
             self.procs[src].memory, self.procs[dst].memory
         )
-        start = max([self.busy[src]] + [c.busy_until for c in channels])
         latency = sum(c.latency for c in channels)
         bandwidth = min(c.bandwidth for c in channels)
-        finish = start + latency + nbytes / bandwidth
-        for chan in channels:
-            chan.busy_until = finish
+        # The sender's clock is the floor; no rank clock ever falls
+        # below the slowest one, so gaps ending by it are dropped.
+        _, finish = reserve(
+            channels, self.busy[src], min(self.busy), latency,
+            nbytes / bandwidth,
+        )
         self.busy[dst] = max(self.busy[dst], finish)
         self.bytes_sent += nbytes
         self.messages += 1

@@ -26,7 +26,7 @@ store) raise :class:`ConstraintError`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.constraints.constraint import Align, Broadcast, Explicit, Image, ImageKind
 from repro.constraints.store import Store

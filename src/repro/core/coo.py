@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 import repro.numeric as rnp
@@ -12,7 +10,6 @@ from repro.core import validation
 from repro.core.base import spmatrix
 from repro.distal.formats import COO
 from repro.distal.registry import get_registry, launch
-from repro.legion.runtime import get_runtime
 from repro.numeric.array import ndarray
 
 

@@ -8,12 +8,11 @@ the same DISTAL-generated kernels as CSR with the operand roles flipped
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 import repro.numeric as rnp
-from repro.constraints import Store
 from repro.core.base import spmatrix
 from repro.distal.formats import CSR
 from repro.distal.registry import get_registry, launch

@@ -9,12 +9,12 @@ import numpy as np
 import repro.numeric as rnp
 from repro.constraints import Store
 from repro.constraints.solver import image_key
-from repro.core import validation  # noqa: F401  (module import, no cycle)
-from repro.core.base import issparse, spmatrix
+from repro.core import validation
+from repro.core.base import spmatrix
 from repro.distal.formats import CSR
 from repro.distal.registry import get_registry, launch
 from repro.legion.runtime import get_runtime
-from repro.numeric.array import Scalar, ndarray
+from repro.numeric.array import ndarray
 
 
 def _indptr_to_pos(indptr: np.ndarray) -> np.ndarray:

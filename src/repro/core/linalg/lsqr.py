@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-import numpy as np
-
 import repro.numeric as rnp
 from repro.numeric.array import ndarray
 

@@ -10,9 +10,6 @@ operations (§5.2) — the same way SciPy builds it from matvecs.
 from __future__ import annotations
 
 import math
-from typing import Optional
-
-import numpy as np
 
 import repro.numeric as rnp
 from repro.numeric.array import ndarray

@@ -8,9 +8,6 @@ but its substitution is sequential (see ``linalg/triangular.py``).
 
 from __future__ import annotations
 
-import numpy as np
-
-import repro.numeric as rnp
 from repro.core.linalg.interface import LinearOperator
 from repro.numeric.array import ndarray
 

@@ -10,7 +10,6 @@ launching code is exactly this translation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.constraints import AutoTask, Store

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 import repro.numeric as rnp
 import repro.sparse as sp
 from repro.apps.multigrid import TwoLevelGMG

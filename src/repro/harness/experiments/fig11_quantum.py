@@ -16,7 +16,6 @@ Outcomes to reproduce (paper §6.1):
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 import numpy as np

@@ -19,7 +19,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 import repro.numeric as rnp
-import repro.sparse as sp
 from repro.apps.matfact import MatrixFactorizationModel, sgd_epoch
 from repro.apps.movielens import ML_SPECS, load_dataset
 from repro.harness.config import paper_legate

@@ -17,7 +17,7 @@ import scipy.sparse as sps
 
 import repro.numeric as rnp
 import repro.sparse as sp
-from repro.baselines.petsc import KSP, MatMPIAIJ, MPISim
+from repro.baselines.petsc import MatMPIAIJ, MPISim
 from repro.harness.config import (
     WEAK_SCALING_COLUMNS,
     column_label,

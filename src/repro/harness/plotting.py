@@ -8,7 +8,7 @@ shapes the paper's matplotlib figures show.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.harness.figures import FigureResult
 

@@ -94,16 +94,22 @@ def run_all(fast: bool = False, only: Optional[List[str]] = None) -> List[Figure
 KNOWN_DEVIATIONS = [
     "Absolute throughputs come from the roofline machine model, not "
     "Summit; only relative shapes are claimed.",
-    "Fig. 9: Legate/PETSc = 0.85 at 1 GPU and 0.66 at 192 GPUs vs the "
+    "Fig. 9: Legate/PETSc = 0.85 at 1 GPU and 0.75 at 192 GPUs vs the "
     "paper's 0.85/0.65 (0.83/0.62 while `cg` waited on each convergence "
     "check before issuing the iteration's SpMV); Legate's efficiency "
     "declines slightly more gradually than the paper's sharp knee at 32 "
-    "nodes.",
+    "nodes.  The ratio at 192 GPUs was 0.66 while an inter-node copy "
+    "waited for the busier of its two NICs and held the idle one: one "
+    "SpMV's halo copies then ran one after another across all 32 nodes, "
+    "so part of the earlier match with the paper came from that convoy. "
+    "Copies now take the earliest window idle on both NICs (Legate-GPU "
+    "47.4 -> 53.9 it/s; the PETSc side books its messages by the same "
+    "rule: PETSc-GPU unchanged, PETSc-CPU 5.61 -> 5.65).",
     "Fig. 10/11: the CuPy single-GPU advantage measures 1.3-1.4x vs the "
     "paper's 1.3x/1.4x; per-GPU problem sizes were calibrated to put the "
     "workloads in the same overhead-vs-kernel regime.",
     "Fig. 11: CPU weak-scaling degrades more steeply than the paper's "
-    "curve: Legate-CPU falls 10.3 -> 0.055 it/s over 1 -> 64 sockets "
+    "curve: Legate-CPU falls 10.3 -> 0.056 it/s over 1 -> 64 sockets "
     "(10.3 -> 0.035 while the SpMV's cast of the Hamiltonian's values "
     "was cut in even tiles, not at the rows of its `pos` tiles) -- our "
     "bounding-rect halos fetch nearly the whole vector; the paper "

@@ -14,7 +14,7 @@ the runtime's framebuffer reservation) raises :class:`OutOfMemoryError`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.geometry import Rect

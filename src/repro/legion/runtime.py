@@ -62,7 +62,7 @@ from repro.legion.timeline import Timeline
 from repro.legion.timeline import profile_default as _profile_default
 from repro.legion.timeline import register as _register_timeline
 from repro.legion.tracing import History, launch_fingerprint, window_fingerprint
-from repro.machine import MIN_CHUNK, MachineScope, Memory, MemoryKind
+from repro.machine import MIN_CHUNK, MachineScope, Memory, MemoryKind, reserve
 
 
 @dataclass
@@ -734,8 +734,14 @@ class Runtime:
     ) -> float:
         """Schedule a copy between memories; returns its finish time.
 
+        The copy takes the earliest window, from ``max(ready,
+        issue_time)`` on, in which every channel of its route is idle
+        (:func:`repro.machine.model.reserve`): it may fill a gap that
+        earlier copies left open, but never one that closed before its
+        launch was issued.
+
         Under chaos injection a copy attempt may hit a transient link
-        error: the doomed attempt still occupies the channels, then the
+        error: the doomed attempt still occupies its window, then the
         runtime backs off exponentially (on the simulated clock) and
         retries, up to ``ChaosConfig.max_retries`` — after which the
         fault is deemed permanent and raises :class:`FaultError`.
@@ -746,10 +752,9 @@ class Runtime:
         """
         nbytes = int(nbytes * self.config.effective_comm_scale)
         channels, latency, bandwidth = self._route(src, dst)
-        start = ready
-        for chan in channels:
-            if chan.busy_until > start:
-                start = chan.busy_until
+        cost = nbytes / bandwidth
+        clock = self.issue_time
+        start, finish = reserve(channels, ready, clock, latency, cost)
         tl = self.timeline
         chaos = self.recovery.chaos
         if chaos is not None:
@@ -761,33 +766,33 @@ class Runtime:
                     self.event_log.record_fault(
                         "copy", detail=f"attempt {attempt}"
                     )
+                if tl is not None:
+                    for chan in channels:
+                        tl.record(
+                            "retry", chan.name,
+                            f"{label or 'copy'}!attempt{attempt}",
+                            start, finish, nbytes=nbytes,
+                        )
                 if attempt > chaos.config.max_retries:
                     raise FaultError(
                         f"copy of {nbytes} bytes ({src.kind.value}[{src.uid}]"
                         f" -> {dst.kind.value}[{dst.uid}]) still failing "
                         f"after {attempt - 1} retries"
                     )
-                # The failed attempt held the wire; back off, retry.
-                failed = start + latency + nbytes / bandwidth
+                # The failed attempt held its window; back off, retry.
                 pause = chaos.backoff(attempt)
                 self.profiler.record_retry(pause)
-                for chan in channels:
-                    chan.busy_until = max(chan.busy_until, failed)
-                    if tl is not None:
-                        tl.record(
-                            "retry", chan.name,
-                            f"{label or 'copy'}!attempt{attempt}",
-                            start, failed, nbytes=nbytes,
-                        )
+                if tl is not None:
+                    for chan in channels:
                         tl.record(
                             "backoff", chan.name,
                             f"{label or 'copy'}!backoff{attempt}",
-                            failed, failed + pause,
+                            finish, finish + pause,
                         )
-                start = failed + pause
-        finish = start + latency + nbytes / bandwidth
+                start, finish = reserve(
+                    channels, finish + pause, clock, latency, cost
+                )
         for chan in channels:
-            chan.busy_until = finish
             self.profiler.record_copy(chan.name, nbytes)
             if tl is not None:
                 tl.record(
@@ -817,10 +822,11 @@ class Runtime:
     ) -> float:
         """Charge a within-memory migration (``kind``: resize or dup)."""
         nbytes = int(nbytes * self.config.data_scale)
-        chan = self._route(memory, memory)[0][0]
-        start = max(ready, chan.busy_until)
-        finish = start + nbytes / chan.bandwidth
-        chan.busy_until = finish
+        route, latency, bandwidth = self._route(memory, memory)
+        chan = route[0]
+        start, finish = reserve(
+            route, ready, self.issue_time, latency, nbytes / bandwidth
+        )
         if self.timeline is not None:
             self.timeline.record(
                 "resize", chan.name, f"{kind}:{row.region.name or row.name}",

@@ -16,6 +16,7 @@ from repro.machine.model import (
     Processor,
     ProcessorKind,
     laptop,
+    reserve,
     summit,
 )
 
@@ -29,5 +30,6 @@ __all__ = [
     "Processor",
     "ProcessorKind",
     "laptop",
+    "reserve",
     "summit",
 ]

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class ProcessorKind(enum.Enum):
@@ -71,23 +73,113 @@ class Processor:
 
 @dataclass
 class Channel:
-    """A link with occupancy: copies serialize on ``busy_until``."""
+    """A link with occupancy: it carries one copy at a time.
+
+    ``busy_until`` is the end of the latest window booked on it and
+    ``gaps`` the idle stretches before that end, sorted and disjoint,
+    that a later copy may still fill (see :func:`reserve`).
+    """
 
     name: str
     bandwidth: float  # bytes/s
     latency: float  # seconds
     busy_until: float = 0.0
+    gaps: List[Tuple[float, float]] = field(default_factory=list)
 
     def transfer(self, bytes_moved: int, ready: float) -> Tuple[float, float]:
-        """Schedule a transfer; returns ``(start, finish)`` sim times."""
-        start = max(ready, self.busy_until)
-        finish = start + self.latency + bytes_moved / self.bandwidth
-        self.busy_until = finish
-        return start, finish
+        """Schedule a transfer; returns ``(start, finish)`` sim times.
+
+        Booked by :func:`reserve` with no issue clock, so every gap
+        stays open to a later transfer.
+        """
+        return reserve(
+            (self,), ready, 0.0, self.latency, bytes_moved / self.bandwidth
+        )
 
     def reset(self) -> None:
         """Clear occupancy (between simulated runs)."""
         self.busy_until = 0.0
+        self.gaps = []
+
+
+def reserve(
+    route: Sequence[Channel],
+    ready: float,
+    clock: float,
+    latency: float,
+    cost: float,
+) -> Tuple[float, float]:
+    """Book a copy on every channel of ``route``; returns ``(start, finish)``.
+
+    The copy takes the earliest window of ``latency + cost`` seconds,
+    starting at or after ``max(ready, clock)``, in which every channel
+    of the route is idle, each in one of its gaps or past its tail.
+    ``clock`` is the caller's issue clock: a copy is never booked into a
+    gap that closed before it was issued, and since the clock only
+    increases, a gap that ends by it is dropped.  A copy that fits in no
+    gap goes past every tail and starts at ``max(ready, busy_until...)``.
+    Either way it finishes at ``start + latency + cost``, summed in that
+    order.
+    """
+    tail = ready
+    gapped = False
+    for chan in route:
+        gaps = chan.gaps
+        if gaps:
+            if gaps[0][1] <= clock:
+                drop = 1
+                while drop < len(gaps) and gaps[drop][1] <= clock:
+                    drop += 1
+                del gaps[:drop]
+            gapped = gapped or bool(gaps)
+        if chan.busy_until > tail:
+            tail = chan.busy_until
+    start = tail
+    floor = ready if ready > clock else clock
+    if gapped and floor < tail:
+        # Raise the candidate until every channel in turn accepts it.
+        t, accepted, i, n = floor, 0, 0, len(route)
+        while accepted < n:
+            s = _earliest(route[i], t, latency, cost)
+            if s > t:
+                t, accepted = s, 1
+            else:
+                accepted += 1
+            i = i + 1 if i + 1 < n else 0
+        if t < tail:
+            start = t
+    finish = start + latency + cost
+    for chan in route:
+        if start >= chan.busy_until:
+            if start > chan.busy_until and start > clock:
+                chan.gaps.append((chan.busy_until, start))
+            chan.busy_until = finish
+            continue
+        gaps = chan.gaps
+        i = bisect_left(gaps, finish, key=_end)
+        lo, hi = gaps[i]
+        gaps[i:i + 1] = [g for g in ((lo, start), (finish, hi)) if g[0] < g[1]]
+    return start, finish
+
+
+_end = itemgetter(1)
+
+
+def _earliest(chan: Channel, t: float, latency: float, cost: float) -> float:
+    """The earliest start at or after ``t`` at which ``chan`` alone is
+    idle for ``latency + cost`` seconds."""
+    busy = chan.busy_until
+    if t >= busy:
+        return t
+    gaps = chan.gaps
+    # Gaps are disjoint and sorted, so by their ends too: skip those
+    # that end before a window starting at ``t`` could.
+    for i in range(bisect_left(gaps, t + latency + cost, key=_end), len(gaps)):
+        lo, hi = gaps[i]
+        s = lo if lo > t else t
+        if s + latency + cost <= hi:
+            return s
+    return busy
 
 
 @dataclass

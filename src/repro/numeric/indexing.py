@@ -10,14 +10,14 @@ the referenced rows.  Basic slicing is implemented as a copy task
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.constraints import AutoTask
 from repro.geometry import Rect
 from repro.legion.partition import ExplicitPartition, Tiling
-from repro.numeric.array import Scalar, is_scalar_like, ndarray
+from repro.numeric.array import Scalar, ndarray
 from repro.numeric.creation import _make
 
 

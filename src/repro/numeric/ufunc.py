@@ -14,9 +14,8 @@ from typing import Optional
 import numpy as np
 
 from repro.constraints import AutoTask
-from repro.legion.runtime import get_runtime
 from repro.numeric import optable
-from repro.numeric.array import Scalar, is_scalar_like, ndarray
+from repro.numeric.array import Scalar, ndarray
 from repro.numeric.creation import _make
 
 

@@ -94,6 +94,23 @@ class TestGating:
         assert active_timelines() == []
 
 
+def _cg_nodes():
+    """Fig. 9's CG on four summit nodes, all 24 GPUs: halo copies cross
+    the NICs, where a copy may fill a gap that earlier ones left open.
+    Returns (rt, machine, elapsed)."""
+    machine = summit(nodes=4)
+    rt = Runtime(
+        machine.scope(ProcessorKind.GPU, 24),
+        RuntimeConfig.legate(profile=True),
+    )
+    with runtime_scope(rt):
+        A = sp.csr_matrix(poisson2d_scipy(48))
+        b = rnp.ones(48 * 48)
+        sp.linalg.cg(A, b, rtol=0.0, maxiter=ITERS)
+        elapsed = rt.elapsed()
+    return rt, machine, elapsed
+
+
 class TestConservation:
     def test_busy_spans_never_overlap(self):
         """Per resource, the sum of busy-span durations equals their
@@ -130,6 +147,30 @@ class TestConservation:
         rt, _, elapsed = _cg(profile=True)
         for span in rt.timeline.spans:
             assert 0.0 <= span.start <= span.finish <= elapsed
+
+    def test_spans_are_conserved_across_nodes(self):
+        """The two channel invariants where copies fill gaps: on four
+        nodes, some NIC copy is booked before a copy recorded earlier
+        on the same NIC, and still no busy span overlaps another and
+        the latest finish per channel is its ``busy_until``."""
+        rt, machine, elapsed = _cg_nodes()
+        usage = rt.timeline.utilization()
+        for resource, u in usage.items():
+            assert u.busy == pytest.approx(u.busy_sum, abs=0.0), resource
+        spans = {}
+        for span in rt.timeline.spans:
+            if span.category in BUSY_CATEGORIES:
+                spans.setdefault(span.resource, []).append(span)
+        for chan in machine.channels():
+            if chan.busy_until != 0.0:
+                assert max(s.finish for s in spans[chan.name]) == chan.busy_until
+        filled = [
+            name for name, booked in spans.items()
+            if name.startswith("nic")
+            and any(b.start < a.finish for a, b in zip(booked, booked[1:]))
+        ]
+        assert filled
+        assert rt.timeline.critical_path(elapsed).length == elapsed
 
 
 class TestCriticalPath:

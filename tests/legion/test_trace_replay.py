@@ -42,8 +42,8 @@ from repro.machine import Machine, ProcessorKind, laptop, summit
 from repro.machine.model import MachineConfig
 
 from tests.legion.test_coherence_index import (
-    GOLDEN_LOG, GOLDEN_LOG_UNFUSED, GOLDEN_SOLUTION, GPUS, GRID,
-    _canonical_log,
+    GOLDEN_LOG, GOLDEN_LOG_SHAPE, GOLDEN_LOG_UNFUSED, GOLDEN_LOG_UNFUSED_SHAPE,
+    GOLDEN_SOLUTION, GPUS, GRID, _canonical_log,
 )
 from tests.legion import test_fastpath as fastpath_tests
 from tests.legion.test_mapping_lane import GOLDEN_SPILL
@@ -271,7 +271,9 @@ def test_recovery_launches_bypass_the_trace():
 # ----------------------------------------------------------------------
 # Neutrality at 1.0 and the discount at 0.15
 # ----------------------------------------------------------------------
-def _assert_fig9_cg_replays_and_matches(golden: str, fusion: bool) -> None:
+def _assert_fig9_cg_replays_and_matches(
+    golden: str, shape: str, fusion: bool
+) -> None:
     rt = _runtime(
         summit(nodes=4).scope(ProcessorKind.GPU, GPUS),
         validate=True, trace_replay_fraction=1.0, fusion=fusion,
@@ -284,16 +286,21 @@ def _assert_fig9_cg_replays_and_matches(golden: str, fusion: bool) -> None:
         solution = x.to_numpy()
     assert rt.profiler.launches_replayed == FIG9_REPLAYED[fusion]
     assert check_log(rt.event_log) == []
+    assert _digest(rt, modeled, times=False) == shape
     assert _digest(rt, modeled) == golden
     assert _sha(solution) == GOLDEN_SOLUTION
 
 
 def test_fig9_cg_replays_and_matches_golden():
-    _assert_fig9_cg_replays_and_matches(GOLDEN_LOG, fusion=True)
+    _assert_fig9_cg_replays_and_matches(
+        GOLDEN_LOG, GOLDEN_LOG_SHAPE, fusion=True
+    )
 
 
 def test_fig9_cg_replays_and_matches_unfused_golden():
-    _assert_fig9_cg_replays_and_matches(GOLDEN_LOG_UNFUSED, fusion=False)
+    _assert_fig9_cg_replays_and_matches(
+        GOLDEN_LOG_UNFUSED, GOLDEN_LOG_UNFUSED_SHAPE, fusion=False
+    )
 
 
 def _spill_program(rt: Runtime) -> float:

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.machine import (
+    Channel,
     Machine,
     MemoryKind,
     ProcessorKind,
     laptop,
+    reserve,
     summit,
 )
 from repro.machine.model import MachineConfig
@@ -99,6 +101,39 @@ class TestChannels:
         assert s2 >= f1  # second transfer waits for the first
         m.reset_channels()
         assert nic.busy_until == 0.0
+
+    def test_a_copy_fills_a_gap_on_its_route(self):
+        a, b, c, d = (Channel(n, bandwidth=1.0, latency=0.0) for n in "abcd")
+        assert reserve((a, b), 0.0, 0.0, 0.0, 1.0) == (0.0, 1.0)
+        # b is busy until 1: the copy waits for it, c is left idle.
+        assert reserve((b, c), 0.0, 0.0, 0.0, 1.0) == (1.0, 2.0)
+        assert c.gaps == [(0.0, 1.0)]
+        # c's gap is idle on the whole route (c, d): the copy fills it.
+        assert reserve((c, d), 0.0, 0.0, 0.0, 1.0) == (0.0, 1.0)
+        assert c.gaps == [] and c.busy_until == 2.0
+        assert d.busy_until == 1.0
+
+    def test_a_gap_too_short_or_closed_is_passed_over(self):
+        chan = Channel("c", bandwidth=1.0, latency=0.5)
+        assert reserve((chan,), 4.0, 0.0, 0.5, 1.0) == (4.0, 5.5)
+        assert chan.gaps == [(0.0, 4.0)]
+        # 1.5 s fit in [0, 4) only from the issue clock 2.0 on.
+        assert reserve((chan,), 0.0, 2.0, 0.5, 1.0) == (2.0, 3.5)
+        assert chan.gaps == [(0.0, 2.0), (3.5, 4.0)]
+        # Nothing fits any more before the tail; the clock passed the
+        # first gap, which is dropped.
+        assert reserve((chan,), 0.0, 3.0, 0.5, 1.0) == (5.5, 7.0)
+        assert chan.gaps == [(3.5, 4.0)]
+
+    def test_past_every_tail_the_start_is_ready_or_the_tail(self):
+        """Past the tails a copy starts at max(ready, busy_until), even
+        before the issue clock, and finishes at start + latency + cost
+        summed in that order."""
+        a, b = Channel("a", 1.0, 0.1), Channel("b", 1.0, 0.1)
+        first = 0.3 + 0.2 + 0.7
+        assert reserve((a, b), 0.3, 0.0, 0.2, 0.7) == (0.3, first)
+        assert reserve((a, b), 0.0, 5.0, 0.2, 0.7) == (first, first + 0.2 + 0.7)
+        assert a.gaps == b.gaps == []
 
     def test_channel_identity_is_cached(self):
         m = summit(nodes=1)

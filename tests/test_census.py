@@ -19,9 +19,17 @@ class Box:
         return 3
 '''
 
-# A module that only the test imports.
+# A module that only the test imports, with an input check whose error
+# class only the test trips.
 EXTRA = '''
-def tested():
+class WidthError(ValueError):
+    def __init__(self, width):
+        super().__init__(f"width {width}")
+
+
+def tested(width=2):
+    if width != 2:
+        raise WidthError(width)
     return 2
 '''
 
@@ -39,6 +47,10 @@ sys.setprofile(lambda frame, event, arg: events.append((event, frame.f_code.co_n
 toy.mod.used()
 sys.setprofile(None)
 toy.extra.tested()
+try:
+    toy.extra.tested(3)
+except toy.extra.WidthError:
+    pass
 assert ("call", "used") in events, events
 assert sys.getprofile() is None
 assert all(name != "tested" for _, name in events)
@@ -65,7 +77,13 @@ def test_census_classifies_a_toy_package(tmp_path):
     assert got == {
         "used": ("workload", "keep"),
         "tested": ("test-only", "condemned"),
+        "WidthError.__init__": ("test-only", "keep"),
         "Box.unused": ("none", "condemned"),
     }
-    assert result["summary"]["condemned"] == {"definitions": 2, "lines": 4}
-    assert result["summary"]["total"]["definitions"] == 3
+    reasons = {r["name"]: r["reason"] for r in result["definitions"]}
+    assert reasons["WidthError.__init__"].startswith("safety code")
+    assert result["summary"]["condemned"] == {"definitions": 2, "lines": 6}
+    assert result["summary"]["total"]["definitions"] == 4
+    # Re-classifying the recorded reach gives back the same verdicts.
+    again = census.reclassify(src, [dict(r) for r in result["definitions"]])
+    assert again == result
