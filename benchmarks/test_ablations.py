@@ -5,7 +5,6 @@ measures the communication or time it was buying on the Fig. 1 loop.
 """
 
 import numpy as np
-import pytest
 import scipy.sparse as sps
 
 import repro.numeric as rnp

@@ -9,8 +9,6 @@ Run:  python examples/poisson_solvers.py [--k 31] [--procs 1 3 6]
 
 import argparse
 
-import numpy as np
-
 
 def solve_with(procs: int, k: int):
     from repro.apps.multigrid import gmg_preconditioned_cg

@@ -28,8 +28,6 @@ def main():
     from repro.legion import Runtime, RuntimeConfig, runtime_scope
     from repro.machine import ProcessorKind, summit
 
-    import repro.numeric as rnp
-
     machine = summit(nodes=max(1, (args.procs + 5) // 6))
     rt = Runtime(machine.scope(ProcessorKind.GPU, args.procs), RuntimeConfig.legate())
     with runtime_scope(rt):

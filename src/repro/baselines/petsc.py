@@ -245,12 +245,18 @@ class KSP:
         rtol: float = 1e-6,
         maxiter: int = 1000,
     ) -> PetscVec:
-        """Hand-written CG, the way the paper's PETSc benchmark drives it."""
+        """Hand-written CG, the way the paper's PETSc benchmark drives it.
+
+        A zero start (``x is None``) takes ``r = b`` without a MatMult,
+        as ``KSPSolve`` does for a zero initial guess and as
+        :func:`repro.core.linalg.cg` does, so Fig. 9 compares the same
+        work on both sides.
+        """
+        r = b.copy()
         if x is None:
             x = PetscVec.zeros(self.sim, b.n)
-        r = b.copy()
-        Ax = self.A.mult(x)
-        r.axpy(-1.0, Ax)
+        else:
+            r.axpy(-1.0, self.A.mult(x))
         p = r.copy()
         rr = r.dot(r)
         tol2 = (rtol**2) * max(b.dot(b), 1e-300)

@@ -18,7 +18,7 @@ class coo_matrix(spmatrix):
     format = "coo"
 
     def __init__(self, arg1, shape=None, dtype=None):
-        from repro.core.csr import _canonicalize_coo, _is_scipy_sparse
+        from repro.core.csr import _is_scipy_sparse
 
         if isinstance(arg1, spmatrix):
             src = arg1.tocoo()

@@ -16,6 +16,7 @@ import numpy as np
 
 import repro.numeric as rnp
 from repro.core.linalg.interface import LinearOperator, aslinearoperator
+from repro.legion.future import Future
 from repro.numeric.array import Scalar, ndarray
 
 
@@ -28,15 +29,21 @@ def _apply(op, x: ndarray) -> ndarray:
 
 
 def _setup(A, b: ndarray, x0, maxiter):
-    """``(x, maxiter, ‖b‖)`` with ``‖b‖`` still deferred: nothing here
-    waits, so the solver's first launches join the norm's window."""
+    """``(x, r, maxiter, ‖b‖)``: the start, its residual, and ``‖b‖``
+    still deferred.  Nothing here waits, so the solver's first launches
+    join the norm's window.  A zero start (``x0 is None``) takes
+    ``r = b``, SciPy's ``x.any()`` rule: no SpMV, no halo exchange, and
+    the same bits as ``b - A @ 0`` except the sign of a zero where
+    ``b`` holds ``-0.0``."""
     n = b.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"A has shape {A.shape}, b has length {n}")
-    x = x0.copy() if x0 is not None else rnp.zeros(n, dtype=b.dtype)
     if maxiter is None:
         maxiter = 10 * n
-    return x, maxiter, rnp.linalg.norm(b)
+    x = x0.copy() if x0 is not None else rnp.zeros(n, dtype=b.dtype)
+    bnrm = rnp.linalg.norm(b)
+    r = b - A @ x if x0 is not None else b.copy()
+    return x, r, maxiter, bnrm
 
 
 def _tol(bnrm: Scalar, rtol: float, atol: float) -> Callable[[], float]:
@@ -51,6 +58,21 @@ def _tol(bnrm: Scalar, rtol: float, atol: float) -> Callable[[], float]:
         return max(rtol * value, atol)
 
     return tol
+
+
+def _quotient(num: Scalar, den: Scalar) -> Scalar:
+    """``num / den``, or NaN where ``den == 0``: the step of a body
+    issued before its breakdown test is read.  A body that test
+    discards then computes with quiet NaNs, which propagate without a
+    warning or an error; every other quotient is the same bits as
+    ``num / den``."""
+    return Scalar(
+        Future.combine(_divide_or_nan, num.future, den.future), num.runtime
+    )
+
+
+def _divide_or_nan(a, b):
+    return a / b if b != 0 else a * np.nan
 
 
 def cg(
@@ -73,31 +95,52 @@ def cg(
 
     Issue before check: a host-side check waits only after the work it
     does not guard is issued.  ``‖r‖`` is formed at the end of the body
-    that updates ``r``, and an iteration issues ``q = A p`` and
-    ``p·q`` before it waits on that norm, so one flush runs the last
-    body's tail, the norm's allreduce and the next SpMV together; ``‖b‖``
-    resolves at the first check.  Every value comes from the same
-    operations in the same order as a check-first loop, so ``x``,
-    ``info`` and the callbacks are bitwise the same.  The price: a solve
-    that converges issues one SpMV and one ``p·q`` allreduce that its
-    last check discards.
+    that updates ``r``, and an iteration issues ``q = A p`` and ``p·q``
+    before it waits on that norm, so one flush runs the last body's
+    tail, the norm's allreduce and the next SpMV together; ``‖b‖``
+    resolves at the first check.  The breakdown test ``p·q == 0`` is
+    read one body late: the body writes a new ``x`` (``x + p α``, not
+    in place) and keeps the old one with its ``p·q`` as a guard, which
+    the next check tests before its callback and its ``‖r‖``.  So the
+    host never blocks on the ``p·q`` allreduce it just issued, and the
+    checks still run in the check-first loop's order (``‖r₀‖``,
+    ``p₀·q₀``, ``‖r₁‖``, …): ``x``, ``info`` and the callbacks are
+    bitwise the same.  A body discarded on a breakdown steps by
+    ``α = NaN`` (:func:`_quotient`), so it neither warns nor raises.
+    The price: a solve that converges issues one SpMV and one ``p·q``
+    allreduce that its last check discards, and one that breaks down
+    also issues a body.  A zero start computes no residual
+    (:func:`_setup`), so ``‖r₀‖`` is ``‖b‖``'s fold.
     """
-    x, maxiter, bnrm = _setup(A, b, x0, maxiter)
+    x, r, maxiter, bnrm = _setup(A, b, x0, maxiter)
     tol = _tol(bnrm, rtol, atol)
-    r = b - A @ x
     z = _apply(M, r)
     p = z.copy()
     rz = rnp.vdot(r, z)
-    rnorm = rnp.linalg.norm(r)
+    rnorm = bnrm if x0 is None else rnp.linalg.norm(r)
+    guard = None
+
+    def check():
+        """The host checks of the check-first loop, in its order."""
+        if guard is not None:
+            x_before, pq_before = guard
+            if complex(pq_before) == 0:
+                return x_before, -1
+            if callback is not None:
+                callback(x)
+        if float(rnorm) <= tol():
+            return x, 0
+        return None
+
     for _it in range(maxiter):
         q = A @ p
         pq = rnp.vdot(p, q)
-        if float(rnorm) <= tol():
-            return x, 0
-        if complex(pq) == 0:
-            return x, -1
-        alpha = rz / pq
-        x += p * alpha
+        done = check()
+        if done is not None:
+            return done
+        alpha = _quotient(rz, pq)
+        guard = (x, pq)
+        x = x + p * alpha
         r -= q * alpha
         z = _apply(M, r)
         rz_next = rnp.vdot(r, z)
@@ -105,11 +148,7 @@ def cg(
         p = z + p * beta
         rnorm = rnp.linalg.norm(r)
         rz = rz_next
-        if callback is not None:
-            callback(x)
-    if float(rnorm) <= tol():
-        return x, 0
-    return x, maxiter
+    return check() or (x, maxiter)
 
 
 def cgs(
@@ -124,9 +163,8 @@ def cgs(
     callback: Optional[Callable] = None,
 ) -> Tuple[ndarray, int]:
     """Conjugate Gradient Squared (non-symmetric systems)."""
-    x, maxiter, bnrm = _setup(A, b, x0, maxiter)
+    x, r, maxiter, bnrm = _setup(A, b, x0, maxiter)
     tol = _tol(bnrm, rtol, atol)
-    r = b - A @ x
     rtilde = r.copy()
     rho_prev = None
     u = q = p = None
@@ -174,9 +212,8 @@ def bicg(
 ) -> Tuple[ndarray, int]:
     """Biconjugate Gradient (uses A and A^T products)."""
     AT = aslinearoperator(A).T if not hasattr(A, "_rmatvec") else None
-    x, maxiter, bnrm = _setup(A, b, x0, maxiter)
+    x, r, maxiter, bnrm = _setup(A, b, x0, maxiter)
     tol = _tol(bnrm, rtol, atol)
-    r = b - A @ x
     rtilde = r.copy()
     p = ptilde = None
     rho_prev = None
@@ -227,9 +264,8 @@ def bicgstab(
     callback: Optional[Callable] = None,
 ) -> Tuple[ndarray, int]:
     """BiCGSTAB (stabilized BiCG; no transpose products)."""
-    x, maxiter, bnrm = _setup(A, b, x0, maxiter)
+    x, r, maxiter, bnrm = _setup(A, b, x0, maxiter)
     tol = _tol(bnrm, rtol, atol)
-    r = b - A @ x
     rtilde = r.copy()
     rho_prev = alpha = omega = None
     v = p = None
@@ -286,9 +322,11 @@ def gmres(
 
     The Krylov basis is a list of distributed vectors; the small
     Hessenberg system and Givens rotations live on the host, matching
-    SciPy's structure.
+    SciPy's structure.  A restart starts from the residual the last one
+    checked, so each restart issues one residual SpMV, and a zero start
+    none.
     """
-    x, _, bnrm = _setup(A, b, x0, maxiter)
+    x, r, _, bnrm = _setup(A, b, x0, maxiter)
     tol = _tol(bnrm, rtol, atol)
     n = b.shape[0]
     if maxiter is None:
@@ -297,11 +335,11 @@ def gmres(
     hdtype = complex if b.dtype.kind == "c" else float
     outer_done = 0
     while outer_done < maxiter:
-        r = _apply(M, b - A @ x)
-        beta = float(rnp.linalg.norm(r))
+        z = _apply(M, r)
+        beta = float(rnp.linalg.norm(z))
         if beta <= tol():
             return x, 0
-        V = [r / beta]
+        V = [z / beta]
         H = np.zeros((restart + 1, restart), dtype=hdtype)
         e1 = np.zeros(restart + 1, dtype=hdtype)
         e1[0] = beta
@@ -334,7 +372,8 @@ def gmres(
         outer_done += max(k_used, 1)
         if callback is not None:
             callback(x)
-        resid = float(rnp.linalg.norm(b - A @ x))
+        r = b - A @ x
+        resid = float(rnp.linalg.norm(r))
         if resid <= tol():
             return x, 0
     return x, maxiter

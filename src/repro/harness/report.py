@@ -94,8 +94,10 @@ def run_all(fast: bool = False, only: Optional[List[str]] = None) -> List[Figure
 KNOWN_DEVIATIONS = [
     "Absolute throughputs come from the roofline machine model, not "
     "Summit; only relative shapes are claimed.",
-    "Fig. 9: Legate/PETSc = 0.85 at 1 GPU and 0.75 at 192 GPUs vs the "
-    "paper's 0.85/0.65 (0.83/0.62 while `cg` waited on each convergence "
+    "Fig. 9: Legate/PETSc = 0.85 at 1 GPU and 0.72 at 192 GPUs vs the "
+    "paper's 0.85/0.65 (0.85/0.75 while both sides' CG computed a zero "
+    "start's residual with an SpMV and `cg` waited on each `p·q` "
+    "breakdown test; 0.83/0.62 while `cg` waited on each convergence "
     "check before issuing the iteration's SpMV); Legate's efficiency "
     "declines slightly more gradually than the paper's sharp knee at 32 "
     "nodes.  The ratio at 192 GPUs was 0.66 while an inter-node copy "
@@ -105,9 +107,15 @@ KNOWN_DEVIATIONS = [
     "Copies now take the earliest window idle on both NICs (Legate-GPU "
     "47.4 -> 53.9 it/s; the PETSc side books its messages by the same "
     "rule: PETSc-GPU unchanged, PETSc-CPU 5.61 -> 5.65).",
-    "Fig. 10/11: the CuPy single-GPU advantage measures 1.3-1.4x vs the "
-    "paper's 1.3x/1.4x; per-GPU problem sizes were calibrated to put the "
-    "workloads in the same overhead-vs-kernel regime.",
+    "Fig. 10/11: the CuPy single-GPU advantage measures 1.22x (Fig. 10) "
+    "and 1.4x (Fig. 11) vs the paper's 1.3x/1.4x; per-GPU problem sizes "
+    "were calibrated to put the workloads in the same overhead-vs-kernel "
+    "regime.  Fig. 10 measured 1.34 while `cg` blocked on each "
+    "iteration's `p·q` breakdown test right after issuing its "
+    "allreduce and computed a zero start's residual with an SpMV: "
+    "without them the V-cycle's small tasks and allreduces run under "
+    "issue time on both sides, and Legate, whose issue time is the "
+    "larger, gains more (29.5 -> 33.9 it/s, CuPy 39.5 -> 41.2).",
     "Fig. 11: CPU weak-scaling degrades more steeply than the paper's "
     "curve: Legate-CPU falls 10.3 -> 0.056 it/s over 1 -> 64 sockets "
     "(10.3 -> 0.035 while the SpMV's cast of the Hamiltonian's values "
@@ -131,22 +139,27 @@ BEYOND_THE_PAPER = [
     "Fig. 10, single GPU: §6.1 blames Legate's loss to CuPy on per-task "
     "launch overhead and predicts that task fusion and dynamic tracing "
     "close it.  Measured CuPy/Legate-GPU on the Fig. 10 point "
-    "(`fig10_gmg._legate_gmg`, 1 GPU): 1.34 under `paper_legate` "
-    "(29.5 vs 39.5 it/s, the published shape; 1.35 and 29.3 before a "
+    "(`fig10_gmg._legate_gmg`, 1 GPU): 1.22 under `paper_legate` "
+    "(33.9 vs 41.2 it/s, the published shape; 1.34, 29.5 vs 39.5, "
+    "before `cg` read its `p·q` breakdown test one body late and a zero "
+    "start stopped computing a residual; 1.35 and 29.3 before a "
     "one-shard launch became a single task, 1.37, 28.5 vs 39.2, "
     "before `cg` issued each iteration's SpMV ahead of its convergence "
-    "wait, which both sides run), 1.00 with the deferred fusion window "
-    "alone (`legate(trace_replay_fraction=1.0)`, 39.4 it/s; 1.03 and "
+    "wait, which both sides run), 0.95 with the deferred fusion window "
+    "alone (`legate(trace_replay_fraction=1.0)`, 43.4 it/s; 1.00 and "
+    "39.4 before the breakdown test moved, 1.03 and "
     "38.5 before one-shard launches, 1.05 and 37.4 before the SpMV "
     "moved ahead of the wait, 1.06 and 37.1 before generated kernels "
     "joined the window, 1.13 and 34.6 before scalar reductions did), "
-    "1.05 with replays alone (`paper_legate(trace_replay_fraction=0.15)`"
-    ", 37.79 it/s; 37.16 before one-shard launches, 37.10 with the "
+    "1.04 with replays alone (`paper_legate(trace_replay_fraction=0.15)`"
+    ", 39.49 it/s; 1.05 and 37.79 before the breakdown test moved, "
+    "37.16 before one-shard launches, 37.10 with the "
     "trace scopes `cg` and the V-cycle used to open, 1.08 and 36.4 "
     "before that) and 0.95 under "
     "`RuntimeConfig.legate()` defaults — fusion plus the launches the "
     "runtime finds repeated itself, replayed launches charged 0.15 of "
-    "the launch overhead (41.50 it/s; 40.52 before one-shard launches, "
+    "the launch overhead (43.54 it/s; 41.50 before the breakdown test "
+    "moved, 40.52 before one-shard launches, "
     "40.47 with the scopes, 40.3 before that, 39.9 before the SpMVs "
     "joined): the gap closes, as predicted.  A one-shard launch is a "
     "single task: its scalar folds pay no allreduce charge, and at one "
@@ -176,7 +189,15 @@ BEYOND_THE_PAPER = [
     "ahead of it: 48.5 -> 49.9 it/s at 192 GPUs under `legate()` and "
     "44.7 -> 47.4 under `paper_legate` (1 GPU: 94.0 -> 94.4 and 86.3 "
     "-> 87.6; `cg_wide` of `bench/`, one iteration on 448 GPUs: modeled "
-    "seconds -40 %).",
+    "seconds -40 %).  Since `cg` reads its `p·q == 0` breakdown test "
+    "one body late (keeping the `x` from before the body to return if "
+    "it trips), the host no longer waits on the `p·q` allreduce it has "
+    "just issued, and since a zero start takes `r = b` without an SpMV "
+    "(PETSc's side does the same), a solve's set-up is one SpMV, its "
+    "halo exchange and one allreduce shorter: 57.56 -> 59.71 it/s at "
+    "192 GPUs under `legate()` and 53.88 -> 57.59 under `paper_legate` "
+    "(1 GPU: 93.3 -> 101.9 and 87.9 -> 96.6; `gmg_small_tasks` of "
+    "`bench/`: modeled seconds -14.5 %, `cg_wide` -0.65 %).",
     "Fig. 10 and Legate's minimum chunk: the V-cycle runs its coarse CG "
     "on `Runtime.colors_for(n_coarse)` colors, Legate Core's rule on the "
     "modeled volume (`LEGATE_MIN_GPU_CHUNK` = 2^20 elements, "

@@ -30,6 +30,10 @@ class Scalar:
     before check): ``cg`` issues an iteration's SpMV and ``p·q`` before
     it reads the previous body's ``‖r‖``, so one flush runs them with
     the norm's allreduce, and its ``‖b‖`` waits for the first check.
+    A value that only guards against a rare exit can be read one step
+    late: ``cg`` reads ``p·q == 0`` after it has issued the body that
+    divides by it, keeping the ``x`` to return if the test trips, so
+    the host never waits on the allreduce it has just issued.
     """
 
     __slots__ = ("future", "runtime")

@@ -67,7 +67,6 @@ def sum(a: ndarray, axis=None):
 
 
 def _axis_sum(a: ndarray, axis: int) -> ndarray:
-    import repro.numeric as rnp
     from repro.constraints import AutoTask
 
     if a.ndim != 2:
@@ -111,8 +110,6 @@ def _axis_sum(a: ndarray, axis: int) -> ndarray:
         task = AutoTask(rt, "sum_axis0", kernel, cost)
         task.add_reduction("out", out.store)
         task.add_input("a", a.store)
-        from repro.constraints import Broadcast
-
         task.add_broadcast(out.store)
         task.execute()
         return out

@@ -3,7 +3,6 @@
 import json
 from pathlib import Path
 
-import repro.sparse as sp
 from repro.analysis import advise
 from repro.machine import laptop
 

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 import repro.numeric as rnp

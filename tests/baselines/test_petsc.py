@@ -108,6 +108,28 @@ class TestKSP:
         ksp.solve_cg(PetscVec(sim, np.ones(36)), rtol=0.0, maxiter=5)
         assert ksp.iterations == 5
 
+    def test_zero_start_takes_no_matmult(self, sim, monkeypatch):
+        """``x=None`` starts from ``r = b``, as KSPSolve does for a zero
+        initial guess; a given ``x`` pays its residual's MatMult."""
+        mat = poisson2d_scipy(6)
+        A = MatMPIAIJ(sim, mat)
+        calls = []
+        mult = MatMPIAIJ.mult
+
+        def counted(self, x):
+            calls.append(1)
+            return mult(self, x)
+
+        monkeypatch.setattr(MatMPIAIJ, "mult", counted)
+        b = PetscVec(sim, np.ones(36))
+        x_none = KSP(sim, A).solve_cg(b, rtol=0.0, maxiter=3)
+        assert len(calls) == 3
+        x_zero = KSP(sim, A).solve_cg(
+            b, x=PetscVec.zeros(sim, 36), rtol=0.0, maxiter=3
+        )
+        assert len(calls) == 3 + 4
+        assert x_none.data.tobytes() == x_zero.data.tobytes()
+
 
 class TestScaling:
     def test_data_scale_slows_compute(self):

@@ -1,22 +1,27 @@
 """CG issues before it checks: same bits as the check-first loop.
 
 ``cg`` issues an iteration's SpMV and ``p·q`` before it waits on the
-previous body's ``‖r‖``, and ``_setup`` leaves ``‖b‖`` deferred until
-the first check.  The contract:
+previous body's ``‖r‖``, reads the ``p·q == 0`` breakdown test one body
+late, and ``_setup`` leaves ``‖b‖`` deferred until the first check.  The
+contract:
 
 * **values** -- ``x``, ``info`` and every callback are bitwise those of
   the check-first loop, kept verbatim below as ``reference_cg``: over
   convergence at iteration 0, at iteration k and never, ``b = 0``, a
   given ``x0``, ``maxiter = 0``, a ``p·q == 0`` breakdown and a
-  preconditioner, fused and eager, on one and two GPUs;
-* **the clock** -- in every iteration the SpMV is issued before the
-  iteration's first host wait, and nothing waits before the first
-  iteration's SpMV is issued.
+  preconditioner, fused and eager, on one and two GPUs.  A breakdown is
+  silent: the body it discards raises no ``RuntimeWarning``;
+* **the clock** -- nothing waits before the first iteration's SpMV is
+  issued; an iteration (from its SpMV to the next) issues its SpMV and
+  ``p·q``, checks, then issues its body without waiting; and body k's
+  ``r -= q α`` is issued while the allreduce of ``p_k·q_k`` is still
+  running.
 
 Mutants each test catches: the norm check moved back to the top of the
-body and ``_setup`` blocking on ``‖b‖`` again fail the clock test; the
-breakdown check moved after ``x +=`` fails the breakdown case of the
-differential test.
+body and ``_setup`` blocking on ``‖b‖`` again fail the first clock test;
+the breakdown test read right after ``‖r‖`` (the old placement) fails
+the second; returning the updated ``x`` on a late breakdown fails the
+breakdown case of the differential test.
 """
 
 from typing import Callable, Optional, Tuple
@@ -146,6 +151,7 @@ def _solve(solver, case: dict, gpus: int, fusion: bool):
         return x.to_numpy().copy(), info, seen
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fusion", [True, False], ids=["fused", "eager"])
 @pytest.mark.parametrize("gpus", [1, 2], ids=["p1", "p2"])
 @pytest.mark.parametrize("case", CASES)
@@ -181,15 +187,18 @@ SPMV = "A(i,j)*x(j)"
 
 
 def _issue_order(solver, monkeypatch) -> list:
-    """``("launch", name)``, ``("wait",)`` and ``("end",)`` (the
-    callback that closes an iteration) in the order ``solver`` makes
-    them, over a warm solve of four iterations."""
+    """``("launch", name, clock, future)``, ``("wait",)`` and
+    ``("end",)`` (a callback) in the order ``solver`` makes them, over a
+    warm solve of four iterations; ``clock`` is the host's issue clock
+    when the launch is issued and ``future`` what the launch returned."""
     events = []
     launch, wait = Runtime.launch, Runtime.wait
 
     def logged_launch(self, task):
-        events.append(("launch", task.name))
-        return launch(self, task)
+        clock = self.issue_time
+        future = launch(self, task)
+        events.append(("launch", task.name, clock, future))
+        return future
 
     def logged_wait(self, future):
         events.append(("wait",))
@@ -218,20 +227,48 @@ def _first(events, kind, name=""):
     )
 
 
+def _iterations(events) -> list:
+    """The solve cut at its SpMV launches: each piece runs from an
+    iteration's SpMV to the next one's (the last, to the end)."""
+    spmvs = [
+        i for i, ev in enumerate(events) if ev[0] == "launch" and SPMV in ev[1]
+    ]
+    return [
+        events[start:stop]
+        for start, stop in zip(spmvs, spmvs[1:] + [len(events)])
+    ]
+
+
 def test_spmv_is_issued_before_the_first_wait(monkeypatch):
     events = _issue_order(sp.linalg.cg, monkeypatch)
-    ends = [i for i, ev in enumerate(events) if ev == ("end",)]
-    assert len(ends) == 4
-    # A body runs from the end of the last one (the first, from the
-    # set-up's r = b - A x) to its own end.
-    starts = [_first(events, "launch", SPMV) + 1] + [i + 1 for i in ends[:-1]]
+    assert events.count(("end",)) == 4
+    iterations = _iterations(events)
+    assert len(iterations) == 4
     # Set-up does not block: the first wait of the solve comes after
-    # the first body's SpMV.
-    first_body_spmv = starts[0] + _first(events[starts[0]:], "launch", SPMV)
-    assert first_body_spmv < _first(events, "wait")
-    for start, end in zip(starts, ends):
-        body = events[start:end]
-        assert _first(body, "launch", SPMV) < _first(body, "wait"), body
+    # the first iteration's SpMV.
+    assert _first(events, "launch", SPMV) < _first(events, "wait")
+    for k, it in enumerate(iterations):
+        # SpMV and p·q, then the check's waits, then the body: no wait
+        # between the body's first launch and the next SpMV.  The last
+        # iteration ends with the check after the loop.
+        checked = _first(it, "wait")
+        body = checked + _first(it[checked:], "launch")
+        rest = it[body:]
+        if k == len(iterations) - 1:
+            rest = rest[:_first(rest, "wait")]
+        assert rest and all(ev[0] == "launch" for ev in rest), it
+
+
+def test_r_update_is_issued_before_p_q_is_ready(monkeypatch):
+    """Body k's ``r -= q α`` is issued while the allreduce of
+    ``p_k·q_k`` is still running: the host does not wait on it before
+    issuing the body."""
+    iterations = _iterations(_issue_order(sp.linalg.cg, monkeypatch))
+    for it in iterations:
+        pq = it[1]
+        assert pq[1] == "vdot"
+        update = _first(it, "launch", "subtract")
+        assert it[update][2] < pq[3].ready_time, (it[update][2], pq[3].ready_time)
 
 
 def test_check_first_loop_fails_the_clock_test(monkeypatch):

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sps
 
 import repro.numeric as rnp
 import repro.sparse as sp

@@ -1,7 +1,6 @@
 """COO/CSC/DIA formats and conversions against SciPy."""
 
 import numpy as np
-import pytest
 import scipy.sparse as sps
 
 import repro.numeric as rnp

@@ -127,6 +127,50 @@ class TestOtherKrylov:
         np.testing.assert_allclose(ref @ x.to_numpy(), b, atol=1e-6)
 
 
+# The systems above, by solver: (matrix, right-hand side, keywords).
+ZERO_START_SYSTEMS = {
+    "cg": (spd_matrix(40, seed=2), np.random.default_rng(3).random(40), {}),
+    "cgs": (nonsym_matrix(30, seed=8), np.random.default_rng(9).random(30), {}),
+    "bicg": (nonsym_matrix(30, seed=8), np.random.default_rng(9).random(30), {}),
+    "bicgstab": (
+        nonsym_matrix(30, seed=8), np.random.default_rng(9).random(30), {}
+    ),
+    "gmres": (nonsym_matrix(40, seed=12), np.ones(40), {"restart": 5}),
+}
+
+
+class TestZeroStart:
+    """One zero-start rule: ``x0=None`` takes ``r = b`` without an SpMV,
+    and gives the bits of ``b - A @ 0``."""
+
+    @pytest.mark.parametrize("solver", list(ZERO_START_SYSTEMS))
+    def test_none_is_bitwise_a_zero_x0(self, rt, solver):
+        ref, b, kwargs = ZERO_START_SYSTEMS[solver]
+        fn = getattr(sp.linalg, solver)
+        A, rhs = sp.csr_matrix(ref), rnp.array(b)
+        x_none, info_none = fn(A, rhs, rtol=1e-10, **kwargs)
+        x_zero, info_zero = fn(A, rhs, x0=rnp.zeros(b.shape[0]), rtol=1e-10, **kwargs)
+        assert info_none == info_zero == 0
+        assert x_none.to_numpy().tobytes() == x_zero.to_numpy().tobytes()
+
+    @pytest.mark.parametrize("solver", ["cg", "cgs", "bicg", "bicgstab"])
+    def test_none_issues_no_spmv_before_the_loop(self, rt, solver, monkeypatch):
+        """The first SpMV a zero-start solve issues is the loop's.
+        (A GMRES solve with ``maxiter=0`` never formed one: no case.)"""
+        ref, b, kwargs = ZERO_START_SYSTEMS[solver]
+        A, rhs = sp.csr_matrix(ref), rnp.array(b)
+        names = []
+        launch = type(rt).launch
+
+        def logged(self, task):
+            names.append(task.name)
+            return launch(self, task)
+
+        monkeypatch.setattr(type(rt), "launch", logged)
+        getattr(sp.linalg, solver)(A, rhs, maxiter=0, **kwargs)
+        assert not any("A(i,j)*x(j)" in name for name in names), names
+
+
 class TestEigen:
     def test_power_iteration(self, rt):
         ref = spd_matrix(30, seed=15)

@@ -7,7 +7,7 @@ import scipy.sparse as sps
 from repro.constraints import Store
 from repro.distal import codegen, get_registry
 from repro.distal.formats import COO, CSR, DIA
-from repro.distal.ir import Assignment, IndexVar, Tensor
+from repro.distal.ir import IndexVar, Tensor
 from repro.distal.library import STATEMENTS
 from repro.distal.registry import launch
 from repro.legion import Runtime, RuntimeConfig, Tiling

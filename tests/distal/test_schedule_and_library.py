@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.distal.ir import IndexVar, Tensor
+from repro.distal.ir import IndexVar
 from repro.distal.library import (
     STATEMENTS,
     i,
     io,
     ii,
     row_distributed_schedule,
-    x,
     y,
     A,
 )

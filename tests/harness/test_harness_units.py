@@ -1,6 +1,5 @@
 """Unit tests for the harness plumbing (no full experiment runs)."""
 
-import numpy as np
 import pytest
 
 from repro.harness.config import (

@@ -109,8 +109,11 @@ class TestUserErrors:
         with pytest.raises(ConstraintError):
             task.execute()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_solver_breakdown_reports_negative_info(self, rt):
-        """CG on a singular system with a zero curvature direction."""
+        """CG on a singular system with a zero curvature direction: the
+        body issued before the breakdown test is read is discarded
+        without a warning."""
         import scipy.sparse as sps
 
         # A = 0: p^T A p == 0 on the first iteration -> breakdown.

@@ -8,7 +8,6 @@ the two stacks fails loudly with the generating seed.
 """
 
 import numpy as np
-import pytest
 import scipy.sparse as sps
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st

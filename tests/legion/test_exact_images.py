@@ -1,7 +1,6 @@
 """Exact (piecewise) coordinate images vs bounding rects."""
 
 import numpy as np
-import pytest
 import scipy.sparse as sps
 
 import repro.numeric as rnp

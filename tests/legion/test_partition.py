@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Rect, RectSet
+from repro.geometry import Rect
 from repro.legion.partition import (
     ImageByCoordinate,
     ImageByRange,

@@ -2,8 +2,6 @@
 
 from dataclasses import fields
 
-import numpy as np
-
 import repro.numeric as rnp
 import repro.sparse as sp
 from repro.legion import Runtime, RuntimeConfig

@@ -1,6 +1,5 @@
 """Tests for the simulated-time model: contention, pressure, scaling."""
 
-import numpy as np
 import pytest
 
 import repro.numeric as rnp
@@ -11,7 +10,6 @@ from repro.legion import (
     Runtime,
     RuntimeConfig,
     TaskLaunch,
-    Tiling,
 )
 from repro.legion.runtime import runtime_scope
 from repro.machine import Machine, ProcessorKind, summit

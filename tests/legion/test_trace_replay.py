@@ -102,10 +102,20 @@ GOLDEN_LRU = "f91d0af19df869e6812c6eb498354d96c20e638d4dc148913b7fddbec2cff7f3"
 # p.q (fusion rule 2's one-color case): 80 launches and 38 allreduces
 # where there were 93 and 43, 52 replayed where 62 were, modeled
 # seconds 0.012868180293 -> 0.010938250865.
+# Both moved once more with the program when ``cg`` began to read its
+# ``p·q == 0`` test one body late and a zero start stopped computing a
+# residual (they were c9b5bb73...41b3 and 125cf9f2...9c88 up to
+# d1078ee).  Each of the five CG calls (the outer PCG and four coarse
+# solves) starts from ``r = b.copy()`` with ``‖r₀‖`` taken from
+# ``‖b‖``'s fold, and each body writes ``x + p α`` into a new region.
+# Fused: 79 launches and 37 allreduces where there were 80 and 38,
+# modeled seconds 0.010938250865 -> 0.010309051177.  Eager: 278
+# launches and 57 allreduces where there were 288 and 62, modeled
+# seconds 0.038132024911 -> 0.036325005208.
 # The solution bytes are one digest for all of them.
-GOLDEN_GMG = "c9b5bb737d71ab7dd259205b6c2763f4ff847722584b844222f368ecddfc41b3"
+GOLDEN_GMG = "fdabbc79d89060f6d76c194afbb770808435c2be853bb69147eac1b8436ecd1d"
 GOLDEN_GMG_UNFUSED = (
-    "125cf9f24df7ca19fc6674684d688cbc7c9f95a24f7ac945a49882ea02219c88"
+    "79fde134f3de085bcc7d234b1ff1a8167577ebd936adeb95adeb139f423e928b"
 )
 GOLDEN_GMG_SOLUTION = (
     "a811afa70fc6f5b29cdde7c573db4b150e1dbb15dd41989ed5215f9c5de74a7b"
@@ -116,9 +126,16 @@ OVERHEAD = 1e-3
 # Executed launches charged as replays in the runs below, by fusion:
 # the fig9 CG's four iterations, and the GMG PCG's three (each with a
 # V-cycle and its coarse CG).  A fused group counts once, and only when
-# all its members replay.
-FIG9_REPLAYED = {True: 6, False: 27}
-GMG_REPLAYED = {True: 52, False: 229}
+# all its members replay.  They were {6, 27} and {52, 229} up to
+# d1078ee, when a zero start stopped issuing its SpMV and subtract and
+# a body began to write ``x + p α`` into a new region.  A token is a
+# template with its edges' distances, and both changed the distances
+# in the first two bodies, so more of their launches repeat an earlier
+# token (fused, the first body's multiplies and ``r·z``; eager, the
+# second body's ``x`` update too).  Fig9: 8 of 13 fused, 30 of 46
+# eager; GMG: 54 of 79 fused, 227 of 278 eager.
+FIG9_REPLAYED = {True: 8, False: 30}
+GMG_REPLAYED = {True: 54, False: 227}
 # _lru_program: the second, third and fourth fills, and the last norm
 # (the one before it also read an array written eight launches back).
 # The touches do not: each reads arrays[0] one launch further back.

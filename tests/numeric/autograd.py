@@ -19,13 +19,12 @@ Example (the value-space half of the matrix-factorization gradient)::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
 
 import repro.numeric as rnp
 from repro.numeric.array import Scalar, ndarray
-from repro.numeric.lazy import LazyExpr, evaluate, lazy
+from repro.numeric.lazy import LazyExpr, evaluate
 
 
 class DifferentiationError(ValueError):

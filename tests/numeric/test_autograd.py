@@ -5,7 +5,7 @@ import pytest
 
 import repro.numeric as rnp
 from tests.numeric.autograd import DifferentiationError, grad
-from repro.numeric.lazy import LazyExpr, lazy
+from repro.numeric.lazy import lazy
 
 
 def finite_difference(f, x: np.ndarray, eps=1e-6) -> np.ndarray:
