@@ -39,9 +39,11 @@ echo "== validation smoke (REPRO_VALIDATE=1) =="
 # test_launch_width.py puts narrowed and one-color launches through it;
 # test_chaos.py, test_resilience2.py, test_reset.py and test_spill.py
 # put checkpoints, losses, journal replay and spills (legion/recovery.py)
-# through it.
+# through it; test_cg_spmv_before_wait.py puts CG's lagged checks and
+# one-color groups that resolve a future in their shard through it.
 REPRO_VALIDATE=1 python -m pytest -x -q \
     tests/analysis \
+    tests/core/test_cg_spmv_before_wait.py \
     tests/legion/test_runtime.py \
     tests/legion/test_chaos.py \
     tests/legion/test_resilience2.py \

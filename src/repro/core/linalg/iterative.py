@@ -61,11 +61,11 @@ def _tol(bnrm: Scalar, rtol: float, atol: float) -> Callable[[], float]:
 
 
 def _quotient(num: Scalar, den: Scalar) -> Scalar:
-    """``num / den``, or NaN where ``den == 0``: the step of a body
-    issued before its breakdown test is read.  A body that test
-    discards then computes with quiet NaNs, which propagate without a
-    warning or an error; every other quotient is the same bits as
-    ``num / den``."""
+    """``num / den``, or NaN where ``den == 0``: a step of a body
+    issued before the checks that may discard it (a ``p·q`` breakdown,
+    an exactly zero residual).  Such a body computes with quiet NaNs,
+    which propagate without a warning or an error; every other quotient
+    is the same bits as ``num / den``."""
     return Scalar(
         Future.combine(_divide_or_nan, num.future, den.future), num.runtime
     )
@@ -94,23 +94,29 @@ def cg(
     (§6.1) is paid in full by a launch's first occurrence only.
 
     Issue before check: a host-side check waits only after the work it
-    does not guard is issued.  ``‖r‖`` is formed at the end of the body
-    that updates ``r``, and an iteration issues ``q = A p`` and ``p·q``
-    before it waits on that norm, so one flush runs the last body's
-    tail, the norm's allreduce and the next SpMV together; ``‖b‖``
-    resolves at the first check.  The breakdown test ``p·q == 0`` is
-    read one body late: the body writes a new ``x`` (``x + p α``, not
-    in place) and keeps the old one with its ``p·q`` as a guard, which
-    the next check tests before its callback and its ``‖r‖``.  So the
-    host never blocks on the ``p·q`` allreduce it just issued, and the
-    checks still run in the check-first loop's order (``‖r₀‖``,
-    ``p₀·q₀``, ``‖r₁‖``, …): ``x``, ``info`` and the callbacks are
-    bitwise the same.  A body discarded on a breakdown steps by
-    ``α = NaN`` (:func:`_quotient`), so it neither warns nor raises.
-    The price: a solve that converges issues one SpMV and one ``p·q``
-    allreduce that its last check discards, and one that breaks down
-    also issues a body.  A zero start computes no residual
-    (:func:`_setup`), so ``‖r₀‖`` is ``‖b‖``'s fold.
+    does not guard is issued.  An iteration issues ``q = A p``, ``p·q``
+    and the whole body (``x + p α``, ``r -= q α``, ``z``, ``r·z``,
+    ``p = z + p β``, ``‖r‖``) before it runs its host checks, which
+    read the previous iteration's values: "``p·q`` of the last body is
+    0" (return the ``x`` that body started from, ``-1``), then
+    ``callback(x)``, then "``‖r‖`` of this iteration's start is within
+    tolerance" (return that start).  Those are the check-first loop's
+    checks in its order (``‖r₀‖``, ``p₀·q₀``, ``‖r₁‖``, …), so ``x``,
+    ``info`` and the callbacks are bitwise the same; the body writes
+    its ``x`` out of place, so the one a check returns is still there.
+    The host thus never blocks on an allreduce it has just issued: what
+    a check reads was computed one flush earlier, and on one GPU (a
+    V-cycle's coarse solve) an iteration's reductions feed their
+    consumers inside one fused task (:mod:`repro.legion.fusion`, rule
+    5).
+    ``‖b‖`` resolves at the first check.  A body that a check discards
+    steps by ``α`` and ``β`` through :func:`_quotient`, so a zero
+    ``p·q`` or an exactly zero residual yields quiet NaNs, never a
+    warning or an error.  The price: a solve that converges or breaks
+    down issues one body (with its SpMV, its ``p·q`` and, under a
+    preconditioner, one ``M r``) that its last check discards.  A zero
+    start computes no residual (:func:`_setup`), so ``‖r₀‖`` is
+    ``‖b‖``'s fold.
     """
     x, r, maxiter, bnrm = _setup(A, b, x0, maxiter)
     tol = _tol(bnrm, rtol, atol)
@@ -135,19 +141,18 @@ def cg(
     for _it in range(maxiter):
         q = A @ p
         pq = rnp.vdot(p, q)
-        done = check()
-        if done is not None:
-            return done
         alpha = _quotient(rz, pq)
-        guard = (x, pq)
-        x = x + p * alpha
+        x_next = x + p * alpha
         r -= q * alpha
         z = _apply(M, r)
         rz_next = rnp.vdot(r, z)
-        beta = rz_next / rz
-        p = z + p * beta
-        rnorm = rnp.linalg.norm(r)
-        rz = rz_next
+        p = z + p * _quotient(rz_next, rz)
+        rnorm_next = rnp.linalg.norm(r)
+        done = check()
+        if done is not None:
+            return done
+        guard = (x, pq)
+        x, rz, rnorm = x_next, rz_next, rnorm_next
     return check() or (x, maxiter)
 
 

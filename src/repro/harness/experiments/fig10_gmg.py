@@ -25,6 +25,7 @@ from repro.harness.config import (
     nodes_needed,
     paper_legate,
 )
+from repro.harness.experiments.fig9_cg import iteration_rate
 from repro.harness.figures import FigureResult
 from repro.legion.runtime import Runtime, RuntimeConfig, runtime_scope
 from repro.machine import Machine, ProcessorKind, summit
@@ -67,10 +68,10 @@ def _legate_gmg(
         M = gmg.as_preconditioner()
         # Warm-up: setup (Galerkin SpGEMMs) + staging, then one PCG iter.
         sp.linalg.cg(A, b, rtol=0.0, maxiter=1, M=M)
-        t0 = rt.barrier()
-        sp.linalg.cg(A, b, rtol=0.0, maxiter=iters, M=M)
-        t1 = rt.barrier()
-    return iters / (t1 - t0)
+        return iteration_rate(
+            lambda maxiter: sp.linalg.cg(A, b, rtol=0.0, maxiter=maxiter, M=M),
+            rt.barrier, iters,
+        )
 
 
 def run(machine: Optional[Machine] = None, columns=None) -> FigureResult:

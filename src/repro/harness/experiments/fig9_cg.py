@@ -44,6 +44,19 @@ def _build_grid(n_full: int, procs: int) -> int:
     return max(8, int(math.sqrt(target)))
 
 
+def iteration_rate(solve, barrier, iters: int) -> float:
+    """Iterations per second of a warm solve, ``solve(maxiter)``: a
+    ``maxiter=iters`` solve less a ``maxiter=0`` one of the same kind,
+    so that its set-up (fills, copies, ``‖b‖``, a preconditioner's
+    first application) is not counted as iterations."""
+    t0 = barrier()
+    solve(0)
+    t1 = barrier()
+    solve(iters)
+    t2 = barrier()
+    return iters / ((t2 - t1) - (t1 - t0))
+
+
 def _legate_cg(
     machine: Machine,
     kind: ProcessorKind,
@@ -64,10 +77,10 @@ def _legate_cg(
         b = rnp.ones(n_build)
         # Warm-up solve: staging + instance steady state.
         sp.linalg.cg(A, b, rtol=0.0, maxiter=2)
-        t0 = rt.barrier()
-        sp.linalg.cg(A, b, rtol=0.0, maxiter=iters)
-        t1 = rt.barrier()
-    return iters / (t1 - t0)
+        return iteration_rate(
+            lambda maxiter: sp.linalg.cg(A, b, rtol=0.0, maxiter=maxiter),
+            rt.barrier, iters,
+        )
 
 
 def _petsc_cg(
@@ -84,10 +97,10 @@ def _petsc_cg(
     b = PetscVec(sim, np.ones(n_build))
     ksp = KSP(sim, A)
     ksp.solve_cg(b, rtol=0.0, maxiter=2)
-    t0 = sim.barrier()
-    ksp.solve_cg(b, rtol=0.0, maxiter=iters)
-    t1 = sim.barrier()
-    return iters / (t1 - t0)
+    return iteration_rate(
+        lambda maxiter: ksp.solve_cg(b, rtol=0.0, maxiter=maxiter),
+        sim.barrier, iters,
+    )
 
 
 def run(machine: Optional[Machine] = None, columns=None) -> FigureResult:

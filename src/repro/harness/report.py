@@ -94,8 +94,12 @@ def run_all(fast: bool = False, only: Optional[List[str]] = None) -> List[Figure
 KNOWN_DEVIATIONS = [
     "Absolute throughputs come from the roofline machine model, not "
     "Summit; only relative shapes are claimed.",
-    "Fig. 9: Legate/PETSc = 0.85 at 1 GPU and 0.72 at 192 GPUs vs the "
-    "paper's 0.85/0.65 (0.85/0.75 while both sides' CG computed a zero "
+    "Fig. 9: Legate/PETSc = 0.84 at 1 GPU and 0.72 at 192 GPUs vs the "
+    "paper's 0.85/0.65 (0.85/0.72 while a solve's set-up was timed as "
+    "iterations: each cell of Figs. 9 and 10 is now a warm "
+    "`maxiter = iters` solve less a `maxiter = 0` one, on every system, "
+    "which moved Fig. 9's cells 3-4 % and Fig. 10's 22 % up; "
+    "0.85/0.75 while both sides' CG computed a zero "
     "start's residual with an SpMV and `cg` waited on each `p·q` "
     "breakdown test; 0.83/0.62 while `cg` waited on each convergence "
     "check before issuing the iteration's SpMV); Legate's efficiency "
@@ -107,10 +111,15 @@ KNOWN_DEVIATIONS = [
     "Copies now take the earliest window idle on both NICs (Legate-GPU "
     "47.4 -> 53.9 it/s; the PETSc side books its messages by the same "
     "rule: PETSc-GPU unchanged, PETSc-CPU 5.61 -> 5.65).",
-    "Fig. 10/11: the CuPy single-GPU advantage measures 1.22x (Fig. 10) "
+    "Fig. 10/11: the CuPy single-GPU advantage measures 1.16x (Fig. 10) "
     "and 1.4x (Fig. 11) vs the paper's 1.3x/1.4x; per-GPU problem sizes "
     "were calibrated to put the workloads in the same overhead-vs-kernel "
-    "regime.  Fig. 10 measured 1.34 while `cg` blocked on each "
+    "regime.  Fig. 10 measured 1.22 while `cg` waited on each "
+    "iteration's convergence test before issuing its body: the host now "
+    "issues the body first and reads the test one body late, which the "
+    "V-cycle's small coarse CG gains most from, and Legate more than "
+    "CuPy (Legate-GPU 33.9 -> 35.5 it/s, CuPy 41.2 unchanged, before "
+    "the set-up left the timing).  It measured 1.34 while `cg` blocked on each "
     "iteration's `p·q` breakdown test right after issuing its "
     "allreduce and computed a zero start's residual with an SpMV: "
     "without them the V-cycle's small tasks and allreduces run under "
@@ -139,32 +148,43 @@ BEYOND_THE_PAPER = [
     "Fig. 10, single GPU: §6.1 blames Legate's loss to CuPy on per-task "
     "launch overhead and predicts that task fusion and dynamic tracing "
     "close it.  Measured CuPy/Legate-GPU on the Fig. 10 point "
-    "(`fig10_gmg._legate_gmg`, 1 GPU): 1.22 under `paper_legate` "
-    "(33.9 vs 41.2 it/s, the published shape; 1.34, 29.5 vs 39.5, "
+    "(`fig10_gmg._legate_gmg`, 1 GPU): 1.16 under `paper_legate` "
+    "(43.5 vs 50.3 it/s, the published shape; 1.16, 35.5 vs 41.2, "
+    "while a solve's set-up was timed as iterations; 1.22, 33.9 vs "
+    "41.2, before `cg` read its convergence test one body late; "
+    "1.34, 29.5 vs 39.5, "
     "before `cg` read its `p·q` breakdown test one body late and a zero "
     "start stopped computing a residual; 1.35 and 29.3 before a "
     "one-shard launch became a single task, 1.37, 28.5 vs 39.2, "
     "before `cg` issued each iteration's SpMV ahead of its convergence "
     "wait, which both sides run), 0.95 with the deferred fusion window "
-    "alone (`legate(trace_replay_fraction=1.0)`, 43.4 it/s; 1.00 and "
+    "alone (`legate(trace_replay_fraction=1.0)`, 53.65 it/s; 0.94 and "
+    "43.97 while the set-up was timed, 0.95 and 43.39 before the "
+    "convergence test moved and one-color reductions fed their "
+    "consumers inside the shard, 1.00 and "
     "39.4 before the breakdown test moved, 1.03 and "
     "38.5 before one-shard launches, 1.05 and 37.4 before the SpMV "
     "moved ahead of the wait, 1.06 and 37.1 before generated kernels "
     "joined the window, 1.13 and 34.6 before scalar reductions did), "
     "1.04 with replays alone (`paper_legate(trace_replay_fraction=0.15)`"
-    ", 39.49 it/s; 1.05 and 37.79 before the breakdown test moved, "
+    ", 48.2 it/s; 39.49 while the set-up was timed, as before the "
+    "convergence test moved; 1.05 and 37.79 before the breakdown test "
+    "moved, "
     "37.16 before one-shard launches, 37.10 with the "
     "trace scopes `cg` and the V-cycle used to open, 1.08 and 36.4 "
     "before that) and 0.95 under "
     "`RuntimeConfig.legate()` defaults — fusion plus the launches the "
     "runtime finds repeated itself, replayed launches charged 0.15 of "
-    "the launch overhead (43.54 it/s; 41.50 before the breakdown test "
-    "moved, 40.52 before one-shard launches, "
+    "the launch overhead (54.21 it/s, 0.93; 44.46 while the set-up was "
+    "timed, 43.54 before the convergence test moved, 41.50 before the "
+    "breakdown test moved, 40.52 before one-shard launches, "
     "40.47 with the scopes, 40.3 before that, 39.9 before the SpMVs "
     "joined): the gap closes, as predicted.  A one-shard launch is a "
     "single task: its scalar folds pay no allreduce charge, and at one "
     "color fusion rule 2 lets a group read through an image what it "
-    "wrote through a tile.  "
+    "wrote through a tile, and rule 5 lets a reduction's consumer run "
+    "in the reduction's own task, which resolves the future from its "
+    "one partial.  "
     "When the V-cycle's SpMVs joined the window "
     "the two fusion rows were expected to rise and the `paper_legate` "
     "rows to stay put (they pin fusion off); they rose 0.9 % and 0.8 %, "
@@ -197,7 +217,15 @@ BEYOND_THE_PAPER = [
     "halo exchange and one allreduce shorter: 57.56 -> 59.71 it/s at "
     "192 GPUs under `legate()` and 53.88 -> 57.59 under `paper_legate` "
     "(1 GPU: 93.3 -> 101.9 and 87.9 -> 96.6; `gmg_small_tasks` of "
-    "`bench/`: modeled seconds -14.5 %, `cg_wide` -0.65 %).",
+    "`bench/`: modeled seconds -14.5 %, `cg_wide` -0.65 %).  Since "
+    "`cg` issues each body before the convergence test that reads the "
+    "last one, the host waits on no allreduce it has just issued: "
+    "57.56 -> 60.22 it/s at 192 GPUs under `legate()`, `paper_legate` "
+    "unchanged at 57.59 (1 GPU: 101.9 -> 102.0 and 96.6; "
+    "`gmg_small_tasks`, whose one-GPU coarse CG now runs one fused task "
+    "per iteration: modeled seconds -19 %, `cg_wide` unchanged).  "
+    "Timed without the solve's set-up: 64.95 and 59.77 it/s at 192 "
+    "GPUs, 109.7 and 100.1 at 1 GPU.",
     "Fig. 10 and Legate's minimum chunk: the V-cycle runs its coarse CG "
     "on `Runtime.colors_for(n_coarse)` colors, Legate Core's rule on the "
     "modeled volume (`LEGATE_MIN_GPU_CHUNK` = 2^20 elements, "

@@ -51,7 +51,8 @@ Legality rules (checked structurally, per window):
    reaches the one shard, and such a reader is a barrier segment (rule
    3), which runs after every earlier member and before every later
    one.  So the coarse CG of a V-cycle, on one GPU, plans
-   ``{p = z + p*beta, A @ p, p.q}`` as one group.  A replica read is
+   ``p = z + p*beta``, ``A @ p`` and ``p.q`` into one group (rule 5's
+   one-color case adds the rest of the body).  A replica read is
    still checked -- its member is aligned, and :func:`segments` could
    run it ahead of the writer -- and so is every write, against every
    partition the group reached the region through, those reads
@@ -93,7 +94,19 @@ Legality rules (checked structurally, per window):
    pending future.  A launch that takes such a future as a scalar --
    directly or through lazy ``Future.combine``/``map`` arithmetic; its
    ``after`` edges name the producers by window position -- sits in a
-   strictly later group than each of them.
+   strictly later group than each of them: across shards the value is
+   an allreduce of every shard's partial, which no shard has while the
+   group runs.  *One color* is the exception.  There the group's one
+   shard holds the whole value -- the fold of one partial is that
+   partial -- so a one-color consumer may join its producer's group:
+   the shard runs the producer, resolves its future from the partial
+   (ready at the shard's finish, as a one-shard fold is), then runs the
+   consumer.  Such a consumer *fences* the group's segments
+   (:func:`segments`): every segment before it runs first, so no nest
+   and no segment reorder crosses the edge, and it opens a segment
+   that later aligned members join.  So the coarse CG of a V-cycle
+   plans its whole body, ``{x+=, r-=, vdot, norm, p = z + p*beta,
+   A @ p, p.q}``, as one group.
 6. *Hoisting.*  A reduction writes nothing, so it may run earlier than
    issued: it joins the latest group *before* the current one that
    admits it, provided no launch in between writes a region it reads
@@ -128,6 +141,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.legion.future import Future
 from repro.legion.partition import Replicate, Tiling, derivation
 from repro.legion.privilege import Privilege
 from repro.legion.task import Pointwise, Requirement, ShardContext, TaskLaunch
@@ -449,13 +463,23 @@ def _hoist_target(
     return None
 
 
+def _earliest_group(summary: LaunchSummary, group_of: Sequence[int]) -> int:
+    """Rule 5: the first group a launch may join, given the groups of
+    the reductions whose futures it takes.  That is the group after the
+    latest of them, or at one color that group itself (``admits`` keeps
+    a wider producer's group out by its colors)."""
+    later = int(summary.colors != 1)
+    return max((group_of[j] + later for j in summary.after), default=0)
+
+
 def plan_window(summaries: Sequence[LaunchSummary]) -> List[GroupPlan]:
     """Partition a window into groups of compatible launches.
 
     Window members form maximal runs, as issued.  A reduction
     joins the latest earlier group it may hoist into
-    (:func:`_hoist_target`), else the current run.  No launch sits in
-    or before the group of a reduction whose future it takes.
+    (:func:`_hoist_target`), else the current run.  No launch sits
+    before the group of a reduction whose future it takes, nor in it
+    unless the launch has one color (rule 5).
 
     Deterministic and purely structural (see module docs), so callers
     may cache the result by the window's structure.
@@ -464,7 +488,7 @@ def plan_window(summaries: Sequence[LaunchSummary]) -> List[GroupPlan]:
     groups: List[_GroupState] = []
     group_of: List[int] = []  # window index -> position in groups
     for index, summary in enumerate(summaries):
-        floor = max((group_of[j] + 1 for j in summary.after), default=0)
+        floor = _earliest_group(summary, group_of)
         last = len(groups) - 1
         target = None
         if summary.fusible:
@@ -501,17 +525,21 @@ def segments(
 
     Two segments between barriers share no written region (rules 2
     and 3), so running them one after the other instead of interleaved
-    as issued reorders independent launches only.
+    as issued reorders independent launches only.  A member that takes
+    the future of a reduction in the group (rule 5's one-color case) is
+    a fence: the segments before it run first, and it opens the next.
     """
     out: List[Tuple[int, ...]] = []
     by_boundaries: Dict[Optional[Tuple[int, ...]], List[int]] = {}
+    group = set(indices)
     for index in indices:
         summary = summaries[index]
-        if summary.barrier:
+        if summary.barrier or not group.isdisjoint(summary.after):
             out.extend(tuple(members) for members in by_boundaries.values())
-            out.append((index,))
             by_boundaries = {}
-            continue
+            if summary.barrier:
+                out.append((index,))
+                continue
         boundaries = next(
             (
                 acc.boundaries for acc in summary.accesses
@@ -551,6 +579,12 @@ def fuse(
     launch carries their ops and pending futures as tuples
     (``Runtime._reduce`` folds each value on its own).
 
+    At one color a member may take the future of a member reduction
+    before it (rule 5): the launch's ``settles`` names those scalar
+    keys, each member reduction's future is then resolved in the shard
+    as soon as its partial exists (:func:`_settle`), and the members
+    and nests after it read the value from ``ctx.scalars``.
+
     ``parts`` says how the kernel runs when not as one replay: one
     ``(positions, nest)`` per segment of the group (:func:`segments`,
     as positions in ``group``), in order.  A segment with a ``nest`` (a
@@ -581,12 +615,15 @@ def fuse(
             position += 1
         for key, value in task.scalars.items():
             scalars[f"{i}.{key}"] = value
+    settles = _in_shard(group, scalars, requirements)
     runs = [
         (nest.kernel, nest.cost) if nest is not None
-        else _replay(group, positions)
+        else _replay(group, positions, settles)
         for positions, nest in parts or [(range(len(group)), None)]
     ]
-    kernel, cost = runs[0] if len(runs) == 1 else _chain(group, parts, runs)
+    kernel, cost = (
+        runs[0] if len(runs) == 1 else _chain(group, parts, runs, settles)
+    )
     ops: List[str] = []
     for task in group:
         ops.extend(task.pointwise.ops if task.pointwise else (task.name,))
@@ -602,7 +639,31 @@ def fuse(
         pointwise=Pointwise(tuple(ops)),
         future=tuple(task.future for task in reducing) or None,
         structure=_replay(group, shaping)[0] if shaping else None,
+        settles=settles,
     )
+
+
+def _in_shard(
+    group: Sequence[TaskLaunch],
+    scalars: Dict[str, object],
+    requirements: Sequence[Requirement],
+) -> frozenset:
+    """Rule 5's one-color case: the keys of the fused ``scalars`` whose
+    futures wait on a member reduction, which the group's one shard
+    resolves before the member that takes them runs.  Over two or more
+    colors the planner keeps such a consumer out of the group, so there
+    are none."""
+    owed = {task.future for task in group if task.reduction is not None}
+    if not owed:
+        return frozenset()
+    keys = frozenset(
+        key for key, value in scalars.items()
+        if type(value) is Future and value.roots is not None
+        and not owed.isdisjoint(value.roots)
+    )
+    if keys and any(req.partition.color_count != 1 for req in requirements):
+        return frozenset()
+    return keys
 
 
 def _reduces(task: TaskLaunch) -> bool:
@@ -610,12 +671,20 @@ def _reduces(task: TaskLaunch) -> bool:
     return any(req.privilege is Privilege.REDUCE for req in task.requirements)
 
 
-def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
+def _replay(
+    group: Sequence[TaskLaunch],
+    positions: Sequence[int],
+    settles: frozenset = frozenset(),
+):
     """The (kernel, cost) pair that replays the sub-launches at
     ``positions`` in issue order, each on a :class:`ShardContext` under
     its own names.  A member that reduces into a region is not run: the
     shard queues it, on a copy of its sub-context, on the context's
-    ``trailing`` list, which the runtime runs after the last shard."""
+    ``trailing`` list, which the runtime runs after the last shard.
+
+    With ``settles`` (rule 5's one-color case) each member reduction's
+    future is settled from its partial (:func:`_settle`), and a member
+    reads its scalars named there from ``ctx.scalars`` when it runs."""
     subs = [
         (
             task,
@@ -623,6 +692,10 @@ def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
             [(key, f"{i}.{key}") for key in task.scalars],
             {req.name: req.privilege for req in task.requirements},
             _reduces(task),
+            [
+                (key, f"{i}.{key}") for key in task.scalars
+                if f"{i}.{key}" in settles
+            ],
         )
         for i, task in ((i, group[i]) for i in positions)
     ]
@@ -631,7 +704,7 @@ def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
     # same ``ctx.scalars`` dict), and the runtime costs a shard, then
     # runs it, on one context: each member keeps one sub-context per
     # execution, pointed at a shard's color and rects once per shard.
-    # ctx.scalars, ctx, [(task, names, sub, late)]
+    # ctx.scalars, ctx, [(task, names, sub, late, refresh)]
     state: list = [None, None, []]
 
     def sub_contexts(ctx: ShardContext) -> list:
@@ -646,13 +719,13 @@ def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
                     {own: arrays[m] for own, m in names}, {},
                     {own: values[m] for own, m in keys},
                     ctx.config, privileges,
-                ), late)
-                for task, names, keys, privileges, late in subs
+                ), late, refresh)
+                for task, names, keys, privileges, late, refresh in subs
             ]
             state[0] = values
         state[1] = ctx
         color, rects = ctx.color, ctx.rects
-        for _task, names, sub, _late in made:
+        for _task, names, sub, _late, _refresh in made:
             sub.color = color
             own_rects = sub.rects
             for own, m in names:
@@ -661,7 +734,9 @@ def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
 
     def kernel(ctx: ShardContext) -> list:
         partials = []
-        for task, _names, sub, late in sub_contexts(ctx):
+        for task, _names, sub, late, refresh in sub_contexts(ctx):
+            for own, m in refresh:
+                sub.scalars[own] = _settled(ctx.scalars[m])
             if late:
                 ctx.trailing.append((task.kernel, ShardContext(
                     sub.color, sub.colors, sub.arrays, dict(sub.rects),
@@ -671,12 +746,14 @@ def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
             partial = task.kernel(sub)
             if task.reduction is not None:
                 partials.append(partial)
+                if settles:
+                    _settle(task.future, partial, ctx, settles)
         return partials
 
     def cost(ctx: ShardContext) -> tuple:
         flops = 0.0
         nbytes = 0.0
-        for task, _names, sub, _late in sub_contexts(ctx):
+        for task, _names, sub, _late, _refresh in sub_contexts(ctx):
             f, b = task.cost_fn(sub)
             flops += float(f)
             nbytes += float(b)
@@ -685,10 +762,38 @@ def _replay(group: Sequence[TaskLaunch], positions: Sequence[int]):
     return kernel, cost
 
 
-def _chain(group: Sequence[TaskLaunch], parts, runs):
+def _settle(future: Future, partial, ctx: ShardContext, settles) -> None:
+    """Rule 5's one-color case: resolve a member reduction's future from
+    its one partial, which is its fold, ready at the shard's finish --
+    what ``Runtime._reduce`` would resolve it to after the shard -- and
+    put the values that completes into ``ctx.scalars``, where the
+    members and nests after it read them."""
+    if future.roots is None:  # its segment's replay settled it
+        return
+    future.resolve(partial, ctx.finish)
+    scalars = ctx.scalars
+    for key in settles:
+        value = scalars[key]
+        if type(value) is Future and value.roots is None:
+            scalars[key] = value.value
+
+
+def _settled(value):
+    """A scalar a member takes, which an earlier member of its shard
+    must have settled by now."""
+    if type(value) is Future:
+        raise RuntimeError(
+            "a fused member runs before the reduction whose future it "
+            "takes: only a one-color group resolves one in its shard"
+        )
+    return value
+
+
+def _chain(group: Sequence[TaskLaunch], parts, runs, settles: frozenset):
     """The (kernel, cost) pair of a group of several segments: their
     ``runs`` one after the other, costs summed.  Each run returns its
-    own reductions' partials; the group's go back in issue order."""
+    own reductions' partials; the group's go back in issue order.  With
+    ``settles``, each is settled (:func:`_settle`) before the next run."""
     reducing = [i for i, task in enumerate(group) if task.reduction is not None]
     slot = {position: k for k, position in enumerate(reducing)}
     slots = [
@@ -700,6 +805,8 @@ def _chain(group: Sequence[TaskLaunch], parts, runs):
         for (run, _cost), where in zip(runs, slots):
             for k, partial in zip(where, run(ctx) or ()):
                 partials[k] = partial
+                if settles:
+                    _settle(group[reducing[k]].future, partial, ctx, settles)
         return partials
 
     def cost(ctx: ShardContext) -> tuple:

@@ -105,6 +105,20 @@ class Future:
         t = max((f.ready_time for f in futures), default=0.0)
         return Future(fn(*vals), t)
 
+    def settled_ready(self) -> float:
+        """The latest ready time among the resolved values a pending
+        future derives from: what it waits for besides its roots (0.0
+        for a root)."""
+        ready = 0.0
+        stack = [self]
+        while stack:
+            f = stack.pop()
+            if f.roots is None:
+                ready = max(ready, f.ready_time)
+            elif f._thunk is not None:
+                stack.extend(f._thunk[1])
+        return ready
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.roots is not None:
             return f"Future(pending on {len(self.roots)} reduction(s))"

@@ -2,10 +2,10 @@
 
 One :class:`Recovery` component per runtime (``Runtime.recovery``, the
 single hook the runtime keeps) owns the checkpoint/loss/replay
-protocol; the runtime calls it at four points -- the checkpoint
+protocol; the runtime calls it at five points -- the checkpoint
 cadence in ``launch``, loss delivery and journaling in
-``_execute_task``, a freed region in ``free_region`` and a program
-boundary in ``reset_for_program``.  Transient copy and allocation
+``_execute_task``, loss delivery in ``wait``, a freed region in
+``free_region`` and a program boundary in ``reset_for_program``.  Transient copy and allocation
 faults stay where the copy and the mapping happen; they draw from the
 same :class:`~repro.legion.chaos.ChaosInjector`, ``Recovery.chaos``.
 
@@ -20,10 +20,12 @@ The protocol:
   journal.
 * **Journal.**  When a loss is scheduled, every launch executed since
   the last epoch is journaled (in execution order).
-* **Recovery.**  A delivered GPU/node loss wipes the lost memories and
-  charges detection and restart; every protected piece the replay
-  will not re-write (:func:`journal_write_coverage`) is re-sourced
-  into each surviving store from the cheapest surviving copy
+* **Recovery.**  A loss is delivered at its own time: one that falls
+  while the host issues a launch or waits on a future is acted on
+  before that launch issues or that wait returns.  It wipes the lost
+  memories and charges detection and restart; every protected piece
+  the replay will not re-write (:func:`journal_write_coverage`) is
+  re-sourced into each surviving store from the cheapest surviving copy
   (:meth:`Recovery.plan_recovery`, ranked by the runtime's routes);
   then the journal replays through the runtime's one execution path
   with ``replay=True``: re-mapped, re-staged and re-timed, kernels
@@ -185,6 +187,22 @@ class Recovery:
         due = self.chaos.take_losses(self.runtime.issue_time)
         if due:
             self._recover(due)
+
+    def recover_until(self, t: float) -> None:
+        """Recover from every loss due by ``t``, each at its own time.
+
+        A host that waits until ``t`` (``Runtime.wait``), or issues a
+        launch until then, notices a loss that falls meanwhile when it
+        happens: the issue clock moves to the loss, and recovery starts
+        there, not at the first launch past it."""
+        if self.journal is None or self.active:
+            return
+        pending = self.chaos.pending_losses
+        while pending and pending[0].at_time <= t:
+            rt = self.runtime
+            rt.issue_time = max(rt.issue_time, pending[0].at_time)
+            self.recover_due()
+            pending = self.chaos.pending_losses
 
     def reset(self) -> None:
         """A program boundary: journaled work is covered by a

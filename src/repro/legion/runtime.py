@@ -669,6 +669,7 @@ class Runtime:
         self.flush_window()
         if future.roots is not None:
             self._force(future)
+        self.recovery.recover_until(future.ready_time)
         self.issue_time = max(self.issue_time, future.ready_time)
         return future.value
 
@@ -1137,21 +1138,24 @@ class Runtime:
         recovery = self.recovery
         chaos = recovery.chaos
         journaled = recovery.journal is not None
-        if journaled and not replay and not recovery.active:
-            recovery.recover_due()
-        colors = task.color_count
-        procs = self.scope.processors
-        self.profiler.record_task(task.name, colors)
-        log = self.event_log
         config = self.config
-        validate = config.validate
-        launch_id = log.record_task(task.name, colors) if log is not None else 0
         overhead = config.launch_overhead
         # Journal replay after a loss is no trace replay: it pays the
         # full overhead and re-derives everything below.
         recovering = replay or recovery.active
         if task.replayed and not recovering:
             overhead *= config.trace_replay_fraction
+        if journaled and not recovering:
+            # A loss due before this launch would finish issuing is
+            # acted on at its time; the launch issues after recovery.
+            recovery.recover_until(self.issue_time + overhead)
+        colors = task.color_count
+        procs = self.scope.processors
+        self.profiler.record_task(task.name, colors)
+        log = self.event_log
+        validate = config.validate
+        launch_id = log.record_task(task.name, colors) if log is not None else 0
+        if task.replayed and not recovering:
             self.profiler.launches_replayed += 1
         issued = self.issue_time
         self.issue_time = issued + overhead
@@ -1165,12 +1169,20 @@ class Runtime:
 
         scalar_ready = 0.0
         scalar_values: Dict[str, Any] = {}
+        settles = task.settles
         for key, val in task.scalars.items():
             if isinstance(val, Future):
                 # Plain attributes: a consumer's group runs after its
                 # producer's, so only a future owed from outside this
-                # window can still be pending here.
+                # window can still be pending here -- or one the fused
+                # shard resolves itself (fusion rule 5): passed on
+                # unforced, and waited for only in what else it derives
+                # from.
                 if val.roots is not None:
+                    if key in settles:
+                        scalar_ready = max(scalar_ready, val.settled_ready())
+                        scalar_values[key] = val
+                        continue
                     self._force(val)
                 scalar_ready = max(scalar_ready, val.ready_time)
                 scalar_values[key] = val.value
@@ -1360,6 +1372,7 @@ class Runtime:
                 )
 
             if run_kernel:
+                ctx.finish = finish
                 partial = task.kernel(ctx)
             elif structure is not None:
                 structure(ctx)
@@ -1474,7 +1487,8 @@ class Runtime:
             len(partials), times, "+".join(ops), 8 * len(ops)
         )
         for future, value in zip(task.future, values):
-            future.resolve(value, ready)
+            if future.roots is not None:  # else its shard resolved it
+                future.resolve(value, ready)
         return None
 
     def _stage_reads(

@@ -10,7 +10,7 @@ into their region arguments with global bounds (paper Fig. 7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class ShardContext:
 
     __slots__ = (
         "color", "colors", "arrays", "rects", "scalars", "config", "privileges",
-        "trailing",
+        "trailing", "finish",
     )
 
     def __init__(
@@ -112,6 +112,10 @@ class ShardContext:
         # A fused task's trailing phase: ``(kernel, context)`` pairs its
         # shards queue for the runtime to run after the last one.
         self.trailing: Optional[list] = None
+        # The shard's modeled finish time, set by the runtime before the
+        # kernel runs: the ready time of a future a one-color fused
+        # task resolves inside its shard (fusion rule 5).
+        self.finish = 0.0
 
     def view(self, name: str) -> np.ndarray:
         """The shard's slice of a region (global array, shard rect).
@@ -198,6 +202,11 @@ class TaskLaunch:
     # reductions whose pending futures this launch takes as scalars.
     future: Optional[Any] = None
     after: Tuple[int, ...] = ()
+    # A one-color fused launch's scalar keys whose futures wait on one
+    # of its member reductions: its shard resolves them before the
+    # member that takes one runs (fusion rule 5), so the runtime passes
+    # them on unforced.
+    settles: FrozenSet[str] = frozenset()
     # The kernel a dry run still calls, or None: a launch that writes
     # only sparse structure computed from ``pos``/``crd`` (row
     # expansion) declares its kernel here, and a fused group carries

@@ -1,27 +1,30 @@
 """CG issues before it checks: same bits as the check-first loop.
 
-``cg`` issues an iteration's SpMV and ``p·q`` before it waits on the
-previous body's ``‖r‖``, reads the ``p·q == 0`` breakdown test one body
-late, and ``_setup`` leaves ``‖b‖`` deferred until the first check.  The
-contract:
+``cg`` issues an iteration's SpMV, its ``p·q`` and its whole body before
+it runs the iteration's host checks, which read the values one body
+back: the previous ``p·q == 0`` breakdown test, the callback, then the
+``‖r_k‖`` convergence test.  ``_setup`` leaves ``‖b‖`` deferred until
+the first check.  The contract:
 
 * **values** -- ``x``, ``info`` and every callback are bitwise those of
   the check-first loop, kept verbatim below as ``reference_cg``: over
-  convergence at iteration 0, at iteration k and never, ``b = 0``, a
-  given ``x0``, ``maxiter = 0``, a ``p·q == 0`` breakdown and a
-  preconditioner, fused and eager, on one and two GPUs.  A breakdown is
-  silent: the body it discards raises no ``RuntimeWarning``;
+  convergence at iteration 0, at iteration k and never, ``b = 0``, an
+  exactly zero residual after one step, a given ``x0``, ``maxiter = 0``,
+  a ``p·q == 0`` breakdown and a preconditioner, fused and eager, on
+  one and two GPUs.  A stop is silent: the bodies it discards raise no
+  ``RuntimeWarning``;
 * **the clock** -- nothing waits before the first iteration's SpMV is
-  issued; an iteration (from its SpMV to the next) issues its SpMV and
-  ``p·q``, checks, then issues its body without waiting; and body k's
-  ``r -= q α`` is issued while the allreduce of ``p_k·q_k`` is still
-  running.
+  issued; an iteration (from its SpMV to the next) issues its SpMV,
+  ``p·q`` and body, then checks; body k's ``r -= q α`` is issued before
+  the host waits on ``‖r_k‖``, and while the allreduce of ``p_k·q_k``
+  is still running.
 
-Mutants each test catches: the norm check moved back to the top of the
-body and ``_setup`` blocking on ``‖b‖`` again fail the first clock test;
-the breakdown test read right after ``‖r‖`` (the old placement) fails
-the second; returning the updated ``x`` on a late breakdown fails the
-breakdown case of the differential test.
+Mutants each test catches: the checks moved back between ``p·q`` and
+the body (the loop before the convergence check was lagged) fail the
+first clock test and the ``‖r_k‖`` one; the norm check at the top of
+the body and ``_setup`` blocking on ``‖b‖`` fail the first clock test;
+returning the updated ``x`` on a late breakdown fails the breakdown case
+of the differential test.
 """
 
 from typing import Callable, Optional, Tuple
@@ -122,6 +125,9 @@ CASES = {
     "x0": dict(seed=5, rtol=1e-8, maxiter=40, x0=True),
     "maxiter-0": dict(seed=6, rtol=1e-6, maxiter=0),
     "breakdown": dict(seed=0, rtol=1e-8, maxiter=20, singular=True),
+    # A = 2 I: the first step lands on r = 0 exactly, and the body the
+    # next check discards divides 0 by 0.
+    "exact-zero-residual": dict(seed=9, rtol=1e-12, maxiter=20, doubled=True),
     "jacobi": dict(seed=7, rtol=1e-8, maxiter=40, M=jacobi),
 }
 
@@ -135,6 +141,9 @@ def _solve(solver, case: dict, gpus: int, fusion: bool):
         n = 48
         if case.get("singular"):
             host_A, host_b = singular_system(n)
+        elif case.get("doubled"):
+            host_A = (2.0 * sps.eye(n)).tocsr()
+            host_b = np.random.default_rng(case["seed"]).random(n)
         else:
             host_A, host_b = spd_system(n, case["seed"])
         if case.get("b_zero"):
@@ -178,6 +187,8 @@ def test_cases_reach_every_exit():
     assert infos["b-zero"] == (0, [])
     assert infos["maxiter-0"] == (0, [])
     assert infos["breakdown"] == (-1, [])
+    assert infos["exact-zero-residual"][0] == 0
+    assert len(infos["exact-zero-residual"][1]) == 1
 
 
 # ----------------------------------------------------------------------
@@ -247,16 +258,25 @@ def test_spmv_is_issued_before_the_first_wait(monkeypatch):
     # Set-up does not block: the first wait of the solve comes after
     # the first iteration's SpMV.
     assert _first(events, "launch", SPMV) < _first(events, "wait")
-    for k, it in enumerate(iterations):
-        # SpMV and p·q, then the check's waits, then the body: no wait
-        # between the body's first launch and the next SpMV.  The last
-        # iteration ends with the check after the loop.
+    for it in iterations:
+        # SpMV, p·q and the body, then the checks: no launch between an
+        # iteration's first wait and the next SpMV.  The last iteration
+        # ends with the check after the loop.
         checked = _first(it, "wait")
-        body = checked + _first(it[checked:], "launch")
-        rest = it[body:]
-        if k == len(iterations) - 1:
-            rest = rest[:_first(rest, "wait")]
-        assert rest and all(ev[0] == "launch" for ev in rest), it
+        assert all(ev[0] == "launch" for ev in it[:checked]), it
+        assert all(ev[0] != "launch" for ev in it[checked:]), it
+        assert [ev[1] for ev in it[:checked]][-1] == "norm2", it
+
+
+def test_body_is_issued_before_its_start_is_checked(monkeypatch):
+    """Body k's ``r -= q α`` is issued before the host waits on
+    ``‖r_k‖``: an iteration's last wait is its convergence test, and
+    the ``subtract`` comes before every wait of the iteration."""
+    iterations = _iterations(_issue_order(sp.linalg.cg, monkeypatch))
+    for it in iterations:
+        update = _first(it, "launch", "subtract")
+        waits = [i for i, ev in enumerate(it) if ev[0] == "wait"]
+        assert waits and update < waits[0], it
 
 
 def test_r_update_is_issued_before_p_q_is_ready(monkeypatch):

@@ -191,18 +191,31 @@ class TestLossRecovery:
             _cg_run(chaos)
 
     def test_denser_checkpoints_shorten_replay(self):
-        """The journal resets each epoch: more checkpoints, less replay."""
+        """The journal resets each epoch: more checkpoints, less replay.
+
+        At one loss time either cadence may have just checkpointed, so
+        the cadences are compared over a sweep of loss times across the
+        middle of the solve.  At each, a loss replays fewer launches
+        than the cadence (a checkpoint flushes the window, and a fused
+        task holds at least one issued launch) and fewer than a solve
+        with no checkpoint in it."""
         _, _, t0, t1 = _cg_run(None)
-        t_mid = (t0 + t1) / 2
-        reexec = {}
+        reexec = {12: [], 24: [], 10**6: []}
+        for k in range(3, 8):
+            t_loss = t0 + (t1 - t0) * k / 10
+            for every, counts in reexec.items():
+                chaos = ChaosConfig(
+                    checkpoint_every=every,
+                    losses=(LossSchedule("gpu", 1, t_loss),),
+                )
+                _, rt, _, _ = _cg_run(chaos)
+                counts.append(rt.profiler.tasks_reexecuted)
+        assert 0 < sum(reexec[12]) < sum(reexec[24])
+        assert max(reexec[12]) < max(reexec[24])
         for every in (12, 24):
-            chaos = ChaosConfig(
-                checkpoint_every=every,
-                losses=(LossSchedule("gpu", 1, t_mid),),
-            )
-            _, rt, _, _ = _cg_run(chaos)
-            reexec[every] = rt.profiler.tasks_reexecuted
-        assert 0 < reexec[12] < reexec[24]
+            for count, unbounded in zip(reexec[every], reexec[10**6]):
+                assert count < every
+                assert count < unbounded
 
 
 class TestTimelineComposition:
@@ -374,6 +387,48 @@ class TestReplicatedStores:
         assert check_log(rt.event_log) == []
 
 
+def _vdot_wait(chaos):
+    """A 2-GPU ``vdot`` the host waits on; returns the runtime, the
+    issue clock when the launch has issued and the value's ready time."""
+    from repro.legion.timeline import drain_timelines
+
+    drain_timelines()
+    try:
+        machine = summit(nodes=1)
+        rt = Runtime(
+            machine.scope(ProcessorKind.GPU, 2, per_node=2),
+            RuntimeConfig.legate(chaos=chaos, profile=True),
+        )
+        with runtime_scope(rt):
+            a = rnp.ones(GRID * GRID)
+            rt.barrier()
+            s = rnp.vdot(a, a)
+            rt.flush_window()
+            issued = rt.issue_time
+            ready = s.future.ready_time
+            assert float(s) == GRID * GRID
+    finally:
+        drain_timelines()
+    return rt, issued, ready
+
+
+def test_a_loss_during_a_wait_is_acted_on_at_its_time():
+    """The host waits on the vdot's allreduce; a GPU lost meanwhile is
+    recovered from at the loss time, not at the next launch."""
+    _, issued, ready = _vdot_wait(None)
+    assert issued < ready
+    t_loss = (issued + ready) / 2
+    rt, _, _ = _vdot_wait(
+        ChaosConfig(checkpoint_every=16, losses=(LossSchedule("gpu", 1, t_loss),))
+    )
+    assert rt.profiler.recoveries == 1
+    (recovery,) = [
+        s for s in rt.timeline.spans
+        if s.category == "recovery" and s.resource == "issue"
+    ]
+    assert recovery.start == t_loss
+
+
 class TestFailureDetection:
     """Modeled detection: losses are suspected, then confirmed, on the clock."""
 
@@ -383,12 +438,28 @@ class TestFailureDetection:
         base = dict(checkpoint_every=16, losses=(LossSchedule("gpu", 1, t_mid),))
         _, rt0, i0, i1 = _cg_run(ChaosConfig(**base))
         slow = ChaosConfig(heartbeat_period=1e-3, detection_timeout=2e-3, **base)
-        _, rt, d0, d1 = _cg_run(slow)
+        from repro.legion.timeline import drain_timelines
+
+        drain_timelines()
+        try:
+            _, rt, d0, d1 = _cg_run(slow, profile=True)
+        finally:
+            drain_timelines()
         assert rt.profiler.detections == 1
         # Latency >= the timeout (plus the wait for a heartbeat tick),
         # and the stall is charged on the simulated clock.
         assert rt.profiler.detection_seconds >= 2e-3
         assert (d1 - d0) >= (i1 - i0) + 2e-3
+        # The stall runs on the issue row from the loss, noticed at its
+        # own time even inside a host wait, to its confirmation.
+        (stall,) = [
+            s for s in rt.timeline.spans
+            if s.category == "detection" and s.resource == "issue"
+        ]
+        assert stall.start == pytest.approx(t_mid, abs=1e-15)
+        assert stall.finish == pytest.approx(
+            t_mid + rt.profiler.detection_seconds, abs=1e-15
+        )
 
     def test_detection_event_recorded_with_ordered_transitions(self):
         from repro.analysis.events import DetectionEvent

@@ -230,6 +230,46 @@ class TestReductionPlanning:
         ]
         assert groups(window) == [(0,), (1, 2)]
 
+    def test_a_one_color_consumer_joins_its_producers_group(self):
+        """Rule 5's one-color case: the shard resolves the vdot's future
+        from its partial before the consumer runs."""
+        window = [
+            summ("vdot", acc(2), acc(4), reduction="sum", colors=1),
+            summ("p=", acc(3, priv=W), acc(4), after=(0,), colors=1),
+            summ("q=", acc(5, priv=W), acc(3), colors=1),
+        ]
+        assert groups(window) == [(0, 1, 2)]
+        # A wider producer's group is still closed to it.
+        window[0] = summ("vdot", acc(2), acc(4), reduction="sum", colors=2)
+        assert groups(window) == [(0,), (1, 2)]
+
+    def test_a_one_color_consumer_fences_the_segments(self):
+        """No nest holds the consumer with its producer, and no segment
+        moves across it; it is no barrier, so the members after it
+        still form a segment with it."""
+        def summary(name, colors, *accesses, reduction=None, after=()):
+            return fusion.summarize(
+                name, colors,
+                [
+                    (f"r{i}", region, Tiling.create(region, colors), privilege)
+                    for i, (region, privilege) in enumerate(accesses)
+                ],
+                pointwise=Pointwise((name,)), reduction=reduction, after=after,
+            )
+
+        r, z, p, q, y = (Region((8,), np.float64) for _ in range(5))
+        window = [
+            summary("y=", 1, (y, W), (r, R)),
+            summary("vdot", 1, (r, R), (z, R), reduction="sum"),
+            summary("p=", 1, (p, W), (z, R), after=(1,)),
+            summary("q=", 1, (q, W), (p, R)),
+        ]
+        assert not window[2].barrier
+        assert groups(window) == [(0, 1, 2, 3)]
+        assert fusion.segments(window, (0, 1, 2, 3)) == [(0, 1), (2, 3)]
+        # A producer in another group fences nothing.
+        assert fusion.segments(window, (2, 3)) == [(2, 3)]
+
     def test_the_cg_tail_hoists_the_norm_beside_the_vdot(self):
         window = [
             summ("x+=", acc(1, priv=W), acc(3)),
@@ -468,9 +508,12 @@ class TestOneColor:
         assert not np.array_equal(self._replica_program(), np.full(6, 36.0))
 
     def test_the_coarse_cg_fuses_its_direction_update_with_a_at_p(self):
-        """The fused GMG PCG, validated: every coarse iteration's
-        ``p = z + p*beta`` shares a group with ``A @ p`` and ``p.q``
-        (the coarse CG runs on one GPU), the log checks clean and the
+        """The fused GMG PCG, validated: the coarse CG runs on one GPU,
+        so each of its iterations is one group -- ``A @ p`` and ``p.q``,
+        then the body, whose ``x``/``r`` updates take ``α`` from that
+        ``p.q`` and whose ``p = z + p*beta`` takes ``β`` from its
+        ``r.z`` (rule 5's one-color case; ``p = z + p*beta`` shares the
+        group with ``A @ p`` by rule 2's).  The log checks clean and the
         solution is the golden one."""
         from tests.legion.test_trace_replay import (
             GOLDEN_GMG_SOLUTION, _gmg_pcg, _sha,
@@ -479,7 +522,14 @@ class TestOneColor:
         rt, _modeled, solution = _gmg_pcg(1.0, validate=True)
         spmv = "csr:y(i)=A(i,j)*x(j):gpu"
         names = [names for names, _elided, _label in rt.fusion_log]
-        assert ("multiply", "add", spmv, "vdot") in names
+        iteration = (
+            spmv, "vdot", "multiply", "add", "multiply", "subtract",
+            "vdot", "multiply", "add", "norm2",
+        )
+        # Four coarse solves (the PCG's set-up and its three bodies) of
+        # three iterations; each solve's first shares its set-up's group.
+        assert names.count(iteration) == 4 * 2
+        assert ("multiply", "add", spmv, "vdot") not in names
         assert check_log(rt.event_log) == []
         assert _sha(solution) == GOLDEN_GMG_SOLUTION
 

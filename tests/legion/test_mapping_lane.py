@@ -652,16 +652,27 @@ def test_lane_hit_without_the_lru_tick_fails_every_walk(monkeypatch):
 # waits on the ``p·q`` it just issued.  The solve is shorter again, so
 # the loss at half of it lands elsewhere: the journal a loss replays
 # holds 2 launches where it held 4 (8 where it held 9 unfused).  The
-# recovered solution is still the fault-free one.  GOLDEN_SPILL has no
-# reduction in it.
+# recovered solution is still the fault-free one.  Three moved once
+# more when ``cg`` began to issue each body before the checks that read
+# the last one (they were 22b997eb...dcd6, 5a44bc9b...55ea and
+# 34d344db...3612 up to e7f113c): the same launches run, and the host
+# no longer waits between an iteration's ``p·q`` and its body, so they
+# run at other times.  The loss at half the solve still finds 2
+# launches to replay (8 unfused); GOLDEN_NODE_LOSS_UNFUSED did not
+# move.  All four moved with the runtime when a loss began to be acted
+# on at its own time (they were 8b792371...0d3b, 0cbe1461...77f3,
+# a7e7d7a8...e3de and 724e0a01...eb50): the loss at half the solve falls
+# inside a launch's issue span, and recovery now runs before that
+# launch instead of at the next one, so the journal holds one launch
+# fewer (1 fused, 7 unfused).  GOLDEN_SPILL has no reduction in it.
 GOLDEN_SPILL = "e53588cbe18d1fc71ea5991dae5a194a888a6f4166da79a081d660f0ee64c18d"
-GOLDEN_GPU_LOSS = "22b997eb9f04a46b8143e1f29832154ea6c7f7e185ed03ccef282d388507dcd6"
-GOLDEN_NODE_LOSS = "5a44bc9b74c23411dbb4001587de9e3b8790a395ba356d82b7ce0b233cab55ea"
+GOLDEN_GPU_LOSS = "6e702b1192cf93ec22b7d2b7af7b0c4df4cd616abcaaddfb1b6592923fbdfe8d"
+GOLDEN_NODE_LOSS = "dbb68607c632b364987e57cef6b62059940a05c631916b38b64cbedb466593a9"
 GOLDEN_GPU_LOSS_UNFUSED = (
-    "34d344db14df24b726641942a8d48fa85dcc8ddbc526008bd77be23b30843612"
+    "2b9f7ae945a68c43cc70e42e76dd6bac62a75749cc68af0d6ae67ecc234129d3"
 )
 GOLDEN_NODE_LOSS_UNFUSED = (
-    "724e0a01fd0ba79a0d7d78b73bd1cebb575fe84dcdc9d25cd781945c5f18eb50"
+    "94b05dd7fdd60020d35a36d50a33343476b48b33fb90a7464139e3f3cacc0cd0"
 )
 
 VARIANTS = [
@@ -745,7 +756,7 @@ def _assert_loss_replay_matches(kind, nodes, golden, validate, fusion=True):
     )
     rt, _, end, recovered = _cg(nodes, validate, chaos, fusion)
     assert rt.profiler.faults_injected[f"{kind}-loss"] == 1
-    assert rt.profiler.tasks_reexecuted == (2 if fusion else 8)
+    assert rt.profiler.tasks_reexecuted == (1 if fusion else 7)
     assert np.array_equal(recovered, fault_free)
     if validate:
         assert check_log(rt.event_log) == []
@@ -858,7 +869,10 @@ def test_gpu_loss_mid_batch_replays_fused_sparse_groups():
     fault_free, _, _, _ = _train()
     _, (start, end), _, none = _train(loss_at=1e9)
     assert none == []
-    recovered, _, delta, (journal,) = _train(start + 0.55 * (end - start))
+    # The gathers' group issues over about 0.42-0.85 of the batch; a
+    # loss is acted on before the launch whose issue it falls in, so
+    # one at 0.88 finds that group journaled.
+    recovered, _, delta, (journal,) = _train(start + 0.88 * (end - start))
     assert delta.faults_injected["gpu-loss"] == 1
     assert delta.tasks_reexecuted == len(journal) > 0
     # The replayed journal holds the 16-member group of the gathers,
@@ -904,8 +918,12 @@ def test_gpu_loss_mid_batch_replays_passed_launches():
     assert clean.launches_passed == 3
     _, (start, end), _, none = _journaled(_passing_program, 1e9)
     assert none == []
+    # The three scatters issue first, then the deferred SpMV groups (the
+    # first over about 0.49-0.72 of the run); a loss is acted on before
+    # the launch whose issue it falls in, so one at 0.75 finds the
+    # first group journaled behind the scatters.
     recovered, _, delta, (journal,) = _journaled(
-        _passing_program, start + 0.55 * (end - start)
+        _passing_program, start + 0.75 * (end - start)
     )
     assert delta.faults_injected["gpu-loss"] == 1
     assert delta.tasks_reexecuted == len(journal) > 0
@@ -1117,8 +1135,11 @@ def test_calls_per_replayed_launch_fit_the_budget():
     # iterations, 16 launches fewer than the 92 before that.  Each of
     # the five CG calls starts from r = b.copy() with ||r0|| taken from
     # ||b||'s fold, so it issues no SpMV, subtract or ||r||: 10 issued
-    # fewer, and 2 executed (313 and 76 before that).
-    assert (issued[0], launched) == (303, 74)
+    # fewer, and 2 executed (313 and 76 before that).  Each coarse
+    # iteration's body then joined its A @ p and p.q (fusion rule 5's
+    # one-color case, with the checks one body late): four V-cycles'
+    # coarse solves run 22 fused launches fewer (74 before that).
+    assert (issued[0], launched) == (303, 52)
     # Every launch replays: the warm-up solve issued each with the same
     # template and dependence edges, set-up and after-loop tail too.
     assert replayed == launched, (replayed, launched)

@@ -13,6 +13,7 @@ named hazards, and against mutants of the planner and of the hazard
 test that each break it.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -342,16 +343,117 @@ def _groups(rt):
     return [names for names, _, _ in rt.fusion_log]
 
 
-def test_consumer_of_an_in_window_future_runs_in_a_later_group():
-    def program():
-        a, b = _vectors()
-        s = rnp.vdot(a, b)
-        c = a * s  # takes the pending future as a scalar
-        d = c + b  # no future of its own: joins the consumer's group
-        return [s.value, c.to_numpy(), d.to_numpy()]
+def _consumer_program():
+    a, b = _vectors()
+    s = rnp.vdot(a, b)
+    c = a * s  # takes the pending future as a scalar
+    d = c + b  # no future of its own: joins the consumer's group
+    return [s.value, c.to_numpy(), d.to_numpy()]
 
-    rt = _both(program)
+
+def _consumer_runs_in_a_later_group(procs: int) -> None:
+    rt = _both(_consumer_program, procs)
     assert _groups(rt)[-2:] == [("vdot",), ("multiply", "add")]
+
+
+def test_consumer_of_an_in_window_future_runs_in_a_later_group():
+    for procs in (2, 3):
+        _consumer_runs_in_a_later_group(procs)
+
+
+def test_a_one_color_consumer_shares_its_producers_group():
+    """Rule 5's one-color case: the one shard holds the whole fold, so
+    the vdot, its consumer and the consumer's reader run as one task --
+    bitwise the eager run."""
+    rt = _both(_consumer_program, procs=1)
+    assert _groups(rt)[-1] == ("vdot", "multiply", "add")
+
+
+def _mixed_roots_program():
+    """One GPU.  ``s0 = sum(x)`` runs in the window's first group and
+    ``s1 = sum(y)`` in its second (``y`` reads ``x`` through a replica,
+    which rule 2 keeps out of the group that writes ``x``); ``z`` takes
+    ``10 s0 + s1``, a lazy scalar over both, and joins the second
+    group.  When that group runs, the scalar still waits for ``s1``,
+    which its own shard resolves, and no longer for ``s0``."""
+    rt = get_runtime()
+    x = rt.create_region((8,), np.float64, data=np.arange(8.0))
+    y = rt.create_region((8,), np.float64)
+    z = rt.create_region((8,), np.float64)
+    tile = Tiling.create
+    wd = Privilege.WRITE_DISCARD
+
+    def member(name, kernel, *reqs, reduction=None, scalars=None):
+        return rt.launch(
+            TaskLaunch(
+                name, [Requirement(*req) for req in reqs], kernel,
+                scalars=scalars or {}, reduction=reduction,
+                pointwise=Pointwise((name,)),
+            )
+        )
+
+    def inc(ctx):
+        ctx.view("x")[...] += 1.0
+
+    def spread(ctx):
+        ctx.view("y")[...] = ctx.view("x").sum()
+
+    def put(ctx):
+        ctx.view("z")[...] = ctx.scalar("s")
+
+    member("x+=", inc, ("x", x, tile(x, 1), Privilege.WRITE))
+    s0 = member(
+        "sum(x)", lambda ctx: ctx.view("x").sum(),
+        ("x", x, tile(x, 1), Privilege.READ), reduction="sum",
+    )
+    member(
+        "y=", spread, ("y", y, tile(y, 1), wd),
+        ("x", x, Replicate(x, 1), Privilege.READ),
+    )
+    s1 = member(
+        "sum(y)", lambda ctx: ctx.view("y").sum(),
+        ("y", y, tile(y, 1), Privilege.READ), reduction="sum",
+    )
+    both = Future.combine(lambda a, b: 10.0 * a + b, s0, s1)
+    member("z=", put, ("z", z, tile(z, 1), wd), scalars={"s": both})
+    rt.barrier()
+    return [both.value, x.data.copy(), y.data.copy(), z.data.copy()]
+
+
+def test_a_scalar_over_an_earlier_group_and_its_own_is_resolved_in_the_shard():
+    rt = _both(_mixed_roots_program, procs=1)
+    assert _groups(rt)[-2:] == [("x+=", "sum(x)"), ("y=", "sum(y)", "z=")]
+    (value, _x, _y, z), _rt = _run(1, True, False, _mixed_roots_program)
+    assert value == 10.0 * 36.0 + 8.0 * 36.0
+    assert z.tolist() == [value] * 8
+
+
+def test_an_in_shard_consumer_waits_for_its_scalars_other_inputs():
+    """A one-color consumer of ``vdot * late``, where ``late`` is a
+    value ready at 0.25 s: the fused task that resolves the vdot in its
+    shard starts only when ``late`` is ready, as the eager consumer
+    does."""
+    def program():
+        rt = get_runtime()
+        a, b = _vectors()
+        rt.barrier()
+        s = rnp.vdot(a, b)
+        late = Future(2.0, 0.25)
+        c = a * Scalar(Future.combine(lambda x, y: x * y, s.future, late), rt)
+        return [c.to_numpy()]
+
+    rt = _both(program, procs=1)
+    assert _groups(rt)[-1] == ("vdot", "multiply")
+    assert rt.elapsed() >= 0.25
+
+
+def test_a_scalar_waits_for_what_it_derives_from_besides_its_roots():
+    root = Future.pending(None)
+    ready = Future(3.0, 0.5)
+    lazy = Future.combine(lambda a, b: a + b, root, ready).map(abs)
+    assert (root.settled_ready(), lazy.settled_ready()) == (0.0, 0.5)
+    root.resolve(1.0, 2.0)
+    assert lazy.settled_ready() == lazy.ready_time == 2.0
 
 
 def test_lazy_arithmetic_carries_the_dependence():
@@ -914,12 +1016,52 @@ def test_mutant_hoisting_past_a_writer_is_caught(monkeypatch):
 
 def test_mutant_consumer_in_its_producers_group_is_caught(monkeypatch):
     """Without the reduction constraint's edges the consumer joins the
-    group that produces its scalar -- and finds the future pending."""
+    group that produces its scalar -- and finds the future pending.
+    Only over two or more colors: at one color that group is where rule
+    5 lets the consumer run, so the mutant's plans are legal there."""
     monkeypatch.setattr(runtime_module, "pending_roots", lambda scalars: ())
-    with pytest.raises((AssertionError, RuntimeError)):
-        test_consumer_of_an_in_window_future_runs_in_a_later_group()
     errors = (AssertionError, RuntimeError)
-    assert _failures(errors, window_only=True) >= len(SEEDS) // 2
+    for procs in (2, 3):
+        with pytest.raises(errors):
+            _consumer_runs_in_a_later_group(procs)
+        assert _failures(errors, procs, window_only=True) >= len(SEEDS) // 2
+
+
+def test_mutant_without_the_one_color_fence_is_caught(monkeypatch):
+    """A consumer in its producer's segment: the nest that merges the
+    two reads the scalar before the vdot's epilogue computes it."""
+    from repro.analysis import depend
+
+    def unfenced(summaries, indices):
+        return fusion.segments(
+            [
+                dataclasses.replace(summary, after=())
+                for summary in summaries
+            ],
+            indices,
+        )
+
+    monkeypatch.setattr(depend, "segments", unfenced)
+    with pytest.raises((AssertionError, RuntimeError, TypeError)):
+        _both(_consumer_program, procs=1)
+    for log in active_logs():
+        log.clear()
+
+
+def test_mutant_waiving_rule_5_at_two_colors_is_caught(monkeypatch):
+    """Rule 5's one-color case taken at any width: over two shards no
+    shard holds the fold a consumer's scalar needs, so a consumer in
+    its producer's group finds the future pending."""
+    monkeypatch.setattr(
+        fusion, "_earliest_group",
+        lambda summary, group_of: max(
+            (group_of[j] for j in summary.after), default=0
+        ),
+    )
+    with pytest.raises((AssertionError, RuntimeError)):
+        _consumer_runs_in_a_later_group(2)
+    errors = (AssertionError, RuntimeError)
+    assert _failures(errors, 2, window_only=True) >= len(SEEDS) // 2
 
 
 def test_mutant_admitting_an_aliased_write_is_caught(monkeypatch):

@@ -112,10 +112,20 @@ GOLDEN_LRU = "f91d0af19df869e6812c6eb498354d96c20e638d4dc148913b7fddbec2cff7f3"
 # modeled seconds 0.010938250865 -> 0.010309051177.  Eager: 278
 # launches and 57 allreduces where there were 288 and 62, modeled
 # seconds 0.038132024911 -> 0.036325005208.
+# Both moved once more when ``cg`` began to issue each body before the
+# checks that read the last one, and a one-color launch began to take a
+# future its own group resolves (fusion rule 5's one-color case; they
+# were fdabbc79...cd1d and 79fde134...928b up to e7f113c).  Fused, each
+# coarse iteration is one group where it was two (``{x+=, r-=, vdot,
+# norm} | {p=, A@p, p.q}``): 61 launches and 23 allreduces where there
+# were 79 and 37, modeled seconds 0.010309051177 -> 0.008017164741.
+# Eager: the same 278 launches and 57 allreduces in the same order and
+# the same modeled seconds, 0.036325005208; the host issues a body
+# before it waits, which moves times inside the log.
 # The solution bytes are one digest for all of them.
-GOLDEN_GMG = "fdabbc79d89060f6d76c194afbb770808435c2be853bb69147eac1b8436ecd1d"
+GOLDEN_GMG = "894c31caf8e765c215e977718503cb52238bb150a994e17ba4cb890fc74b7766"
 GOLDEN_GMG_UNFUSED = (
-    "79fde134f3de085bcc7d234b1ff1a8167577ebd936adeb95adeb139f423e928b"
+    "b3aa80e1f6481282558d7c86bffa8b69685b22179f3d0b769a5a37c2339803d2"
 )
 GOLDEN_GMG_SOLUTION = (
     "a811afa70fc6f5b29cdde7c573db4b150e1dbb15dd41989ed5215f9c5de74a7b"
@@ -133,9 +143,11 @@ OVERHEAD = 1e-3
 # in the first two bodies, so more of their launches repeat an earlier
 # token (fused, the first body's multiplies and ``r·z``; eager, the
 # second body's ``x`` update too).  Fig9: 8 of 13 fused, 30 of 46
-# eager; GMG: 54 of 79 fused, 227 of 278 eager.
+# eager; GMG: 54 of 79 fused, 227 of 278 eager.  GMG's fused count was
+# 54 up to e7f113c: each coarse iteration became one group of ten
+# launches, so 38 of 61 replay.
 FIG9_REPLAYED = {True: 8, False: 30}
-GMG_REPLAYED = {True: 54, False: 227}
+GMG_REPLAYED = {True: 38, False: 227}
 # _lru_program: the second, third and fourth fills, and the last norm
 # (the one before it also read an array written eight launches back).
 # The touches do not: each reads arrays[0] one launch further back.
