@@ -52,7 +52,8 @@ bench-smoke:
 # The evidence for a host-time claim: PAIRS alternating runs of one
 # workload on the PARENT commit (git-archived into artifacts/parent/)
 # and on the working tree, with the median / quartiles / wins table of
-# choosing-metrics section 8.  Ten pairs of cg_wide take about 8 minutes.
+# choosing-metrics section 8.  Ten pairs of cg_wide take about 8 minutes;
+# WORKLOAD=all runs every workload of BENCHMARK.json in turn.
 PARENT ?= HEAD~1
 WORKLOAD ?= cg_wide
 PAIRS ?= 10

@@ -2,8 +2,12 @@
 # Alternating parent/change pairs of one bench/run.py workload: the
 # evidence a performance claim needs (choosing-metrics section 8).
 #
-#   sh scripts/bench_pairs.sh <parent-sha> [workload] [pairs] [seed]
+#   sh scripts/bench_pairs.sh <parent-sha> [workload|all] [pairs] [seed]
 #   make bench-pairs PARENT=<sha> WORKLOAD=cg_wide PAIRS=10 SEED=0
+#
+# WORKLOAD=all runs every workload BENCHMARK.json lists, one after
+# another, each with its own pairs, log and table, so the evidence for
+# a change covers all of them at the same pair count.
 #
 # The parent commit is unpacked with `git archive` into the ignored
 # artifacts/parent/; the change is the working tree.  Each pair runs the
@@ -20,7 +24,7 @@
 set -eu
 
 cd "$(dirname "$0")/.."
-parent=${1:?usage: bench_pairs.sh <parent-sha> [workload] [pairs] [seed]}
+parent=${1:?usage: bench_pairs.sh <parent-sha> [workload|all] [pairs] [seed]}
 workload=${2:-cg_wide}
 pairs=${3:-10}
 seed=${4:-0}
@@ -28,28 +32,35 @@ seed=${4:-0}
 rm -rf artifacts/parent
 mkdir -p artifacts/parent
 git archive "$parent" | tar -x -C artifacts/parent
-log="artifacts/bench_pairs_${workload}_seed${seed}.jsonl"
-: > "$log"
+
+if [ "$workload" = all ]; then
+    workloads=$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+else
+    workloads=$workload
+fi
 
 run_side() {
-    # $1: side name; prints the harness's one-line JSON result.
+    # $1: side name, $2: workload; prints the harness's one-line JSON result.
     if [ "$1" = parent ]; then dir=artifacts/parent; else dir=.; fi
-    (cd "$dir" && python3 bench/run.py --workload "$workload" \
+    (cd "$dir" && python3 bench/run.py --workload "$2" \
         --seed "$seed" --trace 0 | tail -n 1)
 }
 
-pair=0
-while [ "$pair" -lt "$pairs" ]; do
-    if [ $((pair % 2)) -eq 0 ]; then order="parent change"; else order="change parent"; fi
-    for side in $order; do
-        printf '{"pair": %d, "side": "%s", "result": %s}\n' \
-            "$pair" "$side" "$(run_side "$side")" >> "$log"
+for workload in $workloads; do
+    log="artifacts/bench_pairs_${workload}_seed${seed}.jsonl"
+    : > "$log"
+    pair=0
+    while [ "$pair" -lt "$pairs" ]; do
+        if [ $((pair % 2)) -eq 0 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            printf '{"pair": %d, "side": "%s", "result": %s}\n' \
+                "$pair" "$side" "$(run_side "$side" "$workload")" >> "$log"
+        done
+        pair=$((pair + 1))
+        echo "$workload: pair $pair/$pairs done ($order)" >&2
     done
-    pair=$((pair + 1))
-    echo "pair $pair/$pairs done ($order)" >&2
-done
-
-python3 - "$log" "$parent" "$workload" "$seed" <<'EOF'
+    python3 - "$log" "$parent" "$workload" "$seed" <<'EOF'
 import json
 import statistics
 import sys
@@ -99,3 +110,4 @@ for name, meta in spec.items():
           f"| {ratio} | {wins}/{len(a)} | {a3 - a1:.3g} | {verdict} |")
 print(f"failed operations: parent {failed['parent']}, change {failed['change']}")
 EOF
+done

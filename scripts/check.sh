@@ -39,8 +39,12 @@ echo "== validation smoke (REPRO_VALIDATE=1) =="
 # test_launch_width.py puts narrowed and one-color launches through it;
 # test_chaos.py, test_resilience2.py, test_reset.py and test_spill.py
 # put checkpoints, losses, journal replay and spills (legion/recovery.py)
-# through it; test_cg_spmv_before_wait.py puts CG's lagged checks and
-# one-color groups that resolve a future in their shard through it.
+# through it; test_cg_spmv_before_wait.py puts CG's lagged checks,
+# one-color groups that resolve a future in their shard, and one-GPU
+# solves that issue up to eight bodies ahead of their checks (groups
+# spanning bodies, up to eight discarded bodies) through it, and
+# test_runtime.py's TestWait puts waits that leave the window open and
+# waits that flush it before they stall through it.
 REPRO_VALIDATE=1 python -m pytest -x -q \
     tests/analysis \
     tests/core/test_cg_spmv_before_wait.py \

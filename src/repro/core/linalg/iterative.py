@@ -10,6 +10,7 @@ convergence, ``> 0`` is the iteration count at which the solver gave up,
 from __future__ import annotations
 
 import functools
+from collections import deque
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -75,6 +76,10 @@ def _divide_or_nan(a, b):
     return a / b if b != 0 else a * np.nan
 
 
+# The most bodies a one-GPU CG issues ahead of its oldest host check.
+_AHEAD = 8
+
+
 def cg(
     A,
     b: ndarray,
@@ -96,27 +101,37 @@ def cg(
     Issue before check: a host-side check waits only after the work it
     does not guard is issued.  An iteration issues ``q = A p``, ``p·q``
     and the whole body (``x + p α``, ``r -= q α``, ``z``, ``r·z``,
-    ``p = z + p β``, ``‖r‖``) before it runs its host checks, which
-    read the previous iteration's values: "``p·q`` of the last body is
-    0" (return the ``x`` that body started from, ``-1``), then
-    ``callback(x)``, then "``‖r‖`` of this iteration's start is within
-    tolerance" (return that start).  Those are the check-first loop's
-    checks in its order (``‖r₀‖``, ``p₀·q₀``, ``‖r₁‖``, …), so ``x``,
-    ``info`` and the callbacks are bitwise the same; the body writes
-    its ``x`` out of place, so the one a check returns is still there.
-    The host thus never blocks on an allreduce it has just issued: what
-    a check reads was computed one flush earlier, and on one GPU (a
-    V-cycle's coarse solve) an iteration's reductions feed their
-    consumers inside one fused task (:mod:`repro.legion.fusion`, rule
-    5).
-    ``‖b‖`` resolves at the first check.  A body that a check discards
-    steps by ``α`` and ``β`` through :func:`_quotient`, so a zero
-    ``p·q`` or an exactly zero residual yields quiet NaNs, never a
-    warning or an error.  The price: a solve that converges or breaks
-    down issues one body (with its SpMV, its ``p·q`` and, under a
-    preconditioner, one ``M r``) that its last check discards.  A zero
-    start computes no residual (:func:`_setup`), so ``‖r₀‖`` is
-    ``‖b‖``'s fold.
+    ``p = z + p β``, ``‖r‖``) before it runs the host checks of the
+    body's start ``x_j``: "``p·q`` of the body before is 0" (return the
+    ``x`` that body started from, ``-1``), then ``callback(x_j)``, then
+    "``‖r_j‖`` is within tolerance" (return ``x_j``).  Those are the
+    check-first loop's checks in its order (``‖r₀‖``, ``p₀·q₀``,
+    ``‖r₁‖``, …), so ``x``, ``info`` and the callbacks are bitwise the
+    same; each body writes its ``x`` out of place, so the one a check
+    returns is still there.  ``‖b‖`` resolves at the first check.
+
+    The checks wait in a FIFO of ``(x_j, guard_j, ‖r_j‖)``.  After a
+    body is issued, the oldest check is read, and the next, until one
+    would stall the host in a one-color fusing scope
+    (:meth:`~repro.legion.runtime.Runtime.issues_ahead_of`) while fewer
+    than ``_AHEAD`` bodies are outstanding; after the loop the FIFO
+    drains in order.  On one GPU (a V-cycle's coarse solve) the host
+    thus issues up to ``_AHEAD`` bodies ahead of a check whose values
+    are still being computed, and consecutive bodies plan as one fused
+    group whose reductions feed their consumers inside the shard
+    (:mod:`repro.legion.fusion`, rule 5).  Everywhere else no check
+    defers: an iteration reads its own checks, which read values
+    computed one flush earlier, so the host never blocks on an
+    allreduce it has just issued.
+
+    A body that a check discards steps by ``α`` and ``β`` through
+    :func:`_quotient`, so a zero ``p·q`` or an exactly zero residual
+    yields quiet NaNs, never a warning or an error.  The price: a solve
+    that converges or breaks down issues bodies (each with its SpMV, its
+    ``p·q`` and, under a preconditioner, one ``M r``) that its last
+    check discards -- one, or up to ``_AHEAD`` on one GPU.  A zero start
+    computes no residual (:func:`_setup`), so ``‖r₀‖`` is ``‖b‖``'s
+    fold.
     """
     x, r, maxiter, bnrm = _setup(A, b, x0, maxiter)
     tol = _tol(bnrm, rtol, atol)
@@ -124,19 +139,31 @@ def cg(
     p = z.copy()
     rz = rnp.vdot(r, z)
     rnorm = bnrm if x0 is None else rnp.linalg.norm(r)
+    runtime = bnrm.runtime
     guard = None
+    checks: deque = deque()
 
-    def check():
+    def check(x_j, guard_j, rnorm_j):
         """The host checks of the check-first loop, in its order."""
-        if guard is not None:
-            x_before, pq_before = guard
+        if guard_j is not None:
+            x_before, pq_before = guard_j
             if complex(pq_before) == 0:
                 return x_before, -1
             if callback is not None:
-                callback(x)
-        if float(rnorm) <= tol():
-            return x, 0
+                callback(x_j)
+        if float(rnorm_j) <= tol():
+            return x_j, 0
         return None
+
+    def defers() -> bool:
+        """Whether the oldest check waits for another body."""
+        if len(checks) >= _AHEAD:
+            return False
+        _x_j, guard_j, rnorm_j = checks[0]
+        futures = (rnorm_j.future, bnrm.future)
+        if guard_j is not None:
+            futures += (guard_j[1].future,)
+        return runtime.issues_ahead_of(*futures)
 
     for _it in range(maxiter):
         q = A @ p
@@ -148,12 +175,19 @@ def cg(
         rz_next = rnp.vdot(r, z)
         p = z + p * _quotient(rz_next, rz)
         rnorm_next = rnp.linalg.norm(r)
-        done = check()
-        if done is not None:
-            return done
+        checks.append((x, guard, rnorm))
+        while checks and not defers():
+            done = check(*checks.popleft())
+            if done is not None:
+                return done
         guard = (x, pq)
         x, rz, rnorm = x_next, rz_next, rnorm_next
-    return check() or (x, maxiter)
+    checks.append((x, guard, rnorm))
+    while checks:
+        done = check(*checks.popleft())
+        if done is not None:
+            return done
+    return x, maxiter
 
 
 def cgs(

@@ -663,15 +663,45 @@ class Runtime:
     def wait(self, future: Future) -> Any:
         """Block the issuing program on a future (control-flow sync).
 
-        The flush executes the window, which resolves every reduction
-        pending in it -- and, through them, every lazy scalar expression
-        built on top."""
-        self.flush_window()
+        A wait that would stall (:meth:`_stalls`) flushes the window
+        first, so its launches issue before the host idles; the flush
+        resolves every reduction pending in it -- and, through them,
+        every lazy scalar expression built on top.  In a one-color scope
+        a wait on a future resolved and ready by the issue clock returns
+        its value and leaves the window deferred: nothing the window
+        holds can change a resolved value, and the launches issued next
+        plan with it as one group.  At more colors every wait flushes: a
+        window left open there grows across the next CG body until its
+        capacity cuts one mid-body, which splits it into more launches
+        (four iterations of a 2-GPU CG on a 16 x 16 grid: 17 -> 18
+        launches, +7.7 % modeled seconds)."""
+        if self.launch_colors != 1 or self._stalls(future):
+            self.flush_window()
         if future.roots is not None:
             self._force(future)
         self.recovery.recover_until(future.ready_time)
         self.issue_time = max(self.issue_time, future.ready_time)
         return future.value
+
+    def _stalls(self, future: Future) -> bool:
+        """Whether a wait on ``future`` would idle the host: it is still
+        pending in a window, or ready after the issue clock."""
+        return future.roots is not None or future.ready_time > self.issue_time
+
+    def issues_ahead_of(self, *futures: Future) -> bool:
+        """Whether the program should issue more work before it waits on
+        ``futures``: in a one-color fusing scope (``fusion`` on and
+        ``launch_colors == 1``), when a wait on one of them would stall.
+        There consecutive launches plan as one group whose reductions
+        resolve in the shard, so issuing ahead widens the group at no
+        allreduce.  Elsewhere, False: a wider group pays an allreduce per
+        reduction whatever the window holds, and without fusion nothing
+        waits for a later launch."""
+        return (
+            self.config.fusion
+            and self.launch_colors == 1
+            and any(self._stalls(f) for f in futures)
+        )
 
     def _force(self, future: Future) -> None:
         """Resolve a future this runtime's flush left pending: one that

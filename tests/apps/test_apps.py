@@ -103,6 +103,18 @@ class TestMultigrid:
         )
         assert info == 0
 
+    def test_fullweight_restriction_converges_where_injection_stalls(self, rt):
+        """``R = P.T / 4`` keeps the V-cycle symmetric, so PCG converges
+        at k = 47 (7 iterations) where the default injection, which is
+        not a multiple of ``P.T``, runs to ``maxiter = 200``."""
+        k = 47
+        x, info, iters = gmg_preconditioned_cg(
+            poisson2d(k), rnp.ones(k * k), k, rtol=1e-8, maxiter=10,
+            restriction="fullweight",
+        )
+        assert info == 0
+        assert iters <= 10
+
     def test_even_grid_rejected(self, rt):
         with pytest.raises(ValueError):
             TwoLevelGMG(poisson2d(7), 8)

@@ -1,30 +1,39 @@
 """CG issues before it checks: same bits as the check-first loop.
 
 ``cg`` issues an iteration's SpMV, its ``p·q`` and its whole body before
-it runs the iteration's host checks, which read the values one body
-back: the previous ``p·q == 0`` breakdown test, the callback, then the
-``‖r_k‖`` convergence test.  ``_setup`` leaves ``‖b‖`` deferred until
-the first check.  The contract:
+it runs the host checks of the body's start, which read the values one
+body back: the previous ``p·q == 0`` breakdown test, the callback, then
+the ``‖r_k‖`` convergence test.  ``_setup`` leaves ``‖b‖`` deferred
+until the first check.  On one GPU with fusion on, a check that would
+stall the host waits in a FIFO while fewer than ``_AHEAD`` bodies are
+outstanding.  The contract:
 
 * **values** -- ``x``, ``info`` and every callback are bitwise those of
   the check-first loop, kept verbatim below as ``reference_cg``: over
   convergence at iteration 0, at iteration k and never, ``b = 0``, an
   exactly zero residual after one step, a given ``x0``, ``maxiter = 0``,
   a ``p·q == 0`` breakdown and a preconditioner, fused and eager, on
-  one and two GPUs.  A stop is silent: the bodies it discards raise no
-  ``RuntimeWarning``;
+  one and two GPUs, with ``b`` ready and still being computed.
+  A stop is silent: the bodies it discards raise no ``RuntimeWarning``;
 * **the clock** -- nothing waits before the first iteration's SpMV is
   issued; an iteration (from its SpMV to the next) issues its SpMV,
   ``p·q`` and body, then checks; body k's ``r -= q α`` is issued before
   the host waits on ``‖r_k‖``, and while the allreduce of ``p_k·q_k``
-  is still running.
+  is still running;
+* **issuing ahead** -- a one-GPU solve whose right-hand side is still
+  being computed issues ``min(maxiter, _AHEAD)`` bodies before its first
+  wait, which stalls; at two and six GPUs, and with fusion off, the
+  launch/wait sequence is the lagged loop's (``lagged_cg``, verbatim
+  from before the FIFO).
 
 Mutants each test catches: the checks moved back between ``p·q`` and
 the body (the loop before the convergence check was lagged) fail the
 first clock test and the ``‖r_k‖`` one; the norm check at the top of
 the body and ``_setup`` blocking on ``‖b‖`` fail the first clock test;
 returning the updated ``x`` on a late breakdown fails the breakdown case
-of the differential test.
+of the differential test; reading the oldest check after every body
+fails the issue-ahead test, and issuing ahead at any width fails the
+sequence test.
 """
 
 from typing import Callable, Optional, Tuple
@@ -35,12 +44,13 @@ import scipy.sparse as sps
 
 import repro.numeric as rnp
 import repro.sparse as sp
-from repro.core.linalg.iterative import _apply
+from repro.core.linalg import iterative
+from repro.core.linalg.iterative import _apply, _quotient, _setup, _tol
 from repro.core.linalg.preconditioners import jacobi
-from repro.legion import Runtime, RuntimeConfig
+from repro.legion import Future, Runtime, RuntimeConfig
 from repro.legion.runtime import runtime_scope
-from repro.machine import ProcessorKind, laptop
-from repro.numeric.array import ndarray
+from repro.machine import ProcessorKind, laptop, summit
+from repro.numeric.array import Scalar, ndarray
 
 
 # ----------------------------------------------------------------------
@@ -98,6 +108,56 @@ def reference_cg(
     return x, maxiter
 
 
+def lagged_cg(
+    A,
+    b: ndarray,
+    x0: Optional[ndarray] = None,
+    *,
+    rtol: float = 1e-5,
+    atol: float = 0.0,
+    maxiter: Optional[int] = None,
+    M=None,
+    callback: Optional[Callable] = None,
+) -> Tuple[ndarray, int]:
+    """The loop before the FIFO: every iteration reads its own checks."""
+    x, r, maxiter, bnrm = _setup(A, b, x0, maxiter)
+    tol = _tol(bnrm, rtol, atol)
+    z = _apply(M, r)
+    p = z.copy()
+    rz = rnp.vdot(r, z)
+    rnorm = bnrm if x0 is None else rnp.linalg.norm(r)
+    guard = None
+
+    def check():
+        """The host checks of the check-first loop, in its order."""
+        if guard is not None:
+            x_before, pq_before = guard
+            if complex(pq_before) == 0:
+                return x_before, -1
+            if callback is not None:
+                callback(x)
+        if float(rnorm) <= tol():
+            return x, 0
+        return None
+
+    for _it in range(maxiter):
+        q = A @ p
+        pq = rnp.vdot(p, q)
+        alpha = _quotient(rz, pq)
+        x_next = x + p * alpha
+        r -= q * alpha
+        z = _apply(M, r)
+        rz_next = rnp.vdot(r, z)
+        p = z + p * _quotient(rz_next, rz)
+        rnorm_next = rnp.linalg.norm(r)
+        done = check()
+        if done is not None:
+            return done
+        guard = (x, pq)
+        x, rz, rnorm = x_next, rz_next, rnorm_next
+    return check() or (x, maxiter)
+
+
 # ----------------------------------------------------------------------
 # Values: bitwise the reference
 # ----------------------------------------------------------------------
@@ -130,6 +190,11 @@ CASES = {
     "exact-zero-residual": dict(seed=9, rtol=1e-12, maxiter=20, doubled=True),
     "jacobi": dict(seed=7, rtol=1e-8, maxiter=40, M=jacobi),
 }
+# Each case again with ``b`` still being computed when the solve starts
+# (scaled by 1.0, ready 1 ms later): on one GPU, fused, the solve then
+# keeps min(maxiter + 1, _AHEAD) checks outstanding, and a stop discards
+# up to _AHEAD bodies, silently.  Otherwise a few while ``‖b‖`` resolves.
+CASES.update({f"{name}-late-b": dict(case, late=True) for name, case in CASES.items()})
 
 
 def _solve(solver, case: dict, gpus: int, fusion: bool):
@@ -150,6 +215,8 @@ def _solve(solver, case: dict, gpus: int, fusion: bool):
             host_b = np.zeros(n)
         A = sp.csr_matrix(host_A)
         b = rnp.array(host_b)
+        if case.get("late"):
+            b = b * Scalar(Future(1.0, rt.issue_time + 1e-3), rt)
         x0 = rnp.array(np.linspace(-1.0, 1.0, n)) if case.get("x0") else None
         M = case["M"](A) if case.get("M") else None
         seen = []
@@ -197,11 +264,17 @@ def test_cases_reach_every_exit():
 SPMV = "A(i,j)*x(j)"
 
 
-def _issue_order(solver, monkeypatch) -> list:
-    """``("launch", name, clock, future)``, ``("wait",)`` and
+def _issue_order(
+    solver, monkeypatch, gpus=2, fusion=True, maxiter=4, rhs_pending=False
+) -> list:
+    """``("launch", name, clock, future)``, ``("wait", "", stalls)`` and
     ``("end",)`` (a callback) in the order ``solver`` makes them, over a
-    warm solve of four iterations; ``clock`` is the host's issue clock
-    when the launch is issued and ``future`` what the launch returned."""
+    warm solve of ``maxiter`` iterations; ``clock`` is the host's issue
+    clock when the launch is issued, ``future`` what the launch
+    returned, and ``stalls`` whether the wait's future was pending or
+    ready after that clock.  With ``rhs_pending`` the solve's ``b`` is
+    still being computed: it scales by a value ready 1 ms after the
+    solve starts.  Six GPUs are a summit node's, fewer a laptop's."""
     events = []
     launch, wait = Runtime.launch, Runtime.wait
 
@@ -212,19 +285,25 @@ def _issue_order(solver, monkeypatch) -> list:
         return future
 
     def logged_wait(self, future):
-        events.append(("wait",))
+        stalls = future.roots is not None or future.ready_time > self.issue_time
+        events.append(("wait", "", stalls))
         return wait(self, future)
 
-    rt = Runtime(laptop().scope(ProcessorKind.GPU, 2), RuntimeConfig.legate())
+    machine = summit(nodes=1) if gpus > 2 else laptop()
+    rt = Runtime(
+        machine.scope(ProcessorKind.GPU, gpus), RuntimeConfig.legate(fusion=fusion)
+    )
     with runtime_scope(rt):
         host_A, host_b = spd_system(64, seed=8)
         A, b = sp.csr_matrix(host_A), rnp.array(host_b)
-        solver(A, b, rtol=0.0, maxiter=4)  # warm-up
+        solver(A, b, rtol=0.0, maxiter=maxiter)  # warm-up
         rt.barrier()
+        if rhs_pending:
+            b = b * Scalar(Future(2.0, rt.issue_time + 1e-3), rt)
         monkeypatch.setattr(Runtime, "launch", logged_launch)
         monkeypatch.setattr(Runtime, "wait", logged_wait)
         solver(
-            A, b, rtol=0.0, maxiter=4,
+            A, b, rtol=0.0, maxiter=maxiter,
             callback=lambda xk: events.append(("end",)),
         )
         monkeypatch.undo()
@@ -296,3 +375,52 @@ def test_check_first_loop_fails_the_clock_test(monkeypatch):
     test above rejects."""
     events = _issue_order(reference_cg, monkeypatch)
     assert _first(events, "wait") < _first(events, "launch", SPMV)
+
+
+# ----------------------------------------------------------------------
+# Issuing ahead: one GPU only
+# ----------------------------------------------------------------------
+def _spmvs_before_the_first_wait(events) -> int:
+    first = _first(events, "wait")
+    assert events[first][2], "the first wait does not stall"
+    return sum(ev[0] == "launch" and SPMV in ev[1] for ev in events[:first])
+
+
+@pytest.mark.parametrize("maxiter", [4, 12])
+def test_a_one_gpu_solve_issues_ahead_of_its_right_hand_side(monkeypatch, maxiter):
+    """``b`` and so ``‖b‖`` are still being computed, so the first check
+    would stall: the solve issues bodies until ``_AHEAD`` are
+    outstanding (or the loop ends) before it waits, and that wait
+    stalls; the callbacks still come once per iteration.  The lagged
+    loop stalls after one body."""
+    events = _issue_order(
+        sp.linalg.cg, monkeypatch, gpus=1, maxiter=maxiter, rhs_pending=True
+    )
+    assert _spmvs_before_the_first_wait(events) == min(maxiter, iterative._AHEAD)
+    assert events.count(("end",)) == maxiter
+    lagged = _issue_order(
+        lagged_cg, monkeypatch, gpus=1, maxiter=maxiter, rhs_pending=True
+    )
+    assert _spmvs_before_the_first_wait(lagged) == 1
+
+
+def _sequence(events) -> list:
+    return [ev[:2] for ev in events]
+
+
+@pytest.mark.parametrize(
+    "gpus, fusion", [(2, True), (6, True), (1, False)],
+    ids=["p2", "p6", "p1-eager"],
+)
+def test_elsewhere_the_sequence_is_the_lagged_loops(monkeypatch, gpus, fusion):
+    """At more than one color, or with fusion off, no check waits in the
+    FIFO: launches, waits and callbacks come in the lagged loop's
+    order, a pending right-hand side included."""
+    for rhs_pending in (False, True):
+        got, want = (
+            _sequence(_issue_order(
+                solver, monkeypatch, gpus, fusion, 12, rhs_pending
+            ))
+            for solver in (sp.linalg.cg, lagged_cg)
+        )
+        assert got == want

@@ -1138,8 +1138,11 @@ def test_calls_per_replayed_launch_fit_the_budget():
     # fewer, and 2 executed (313 and 76 before that).  Each coarse
     # iteration's body then joined its A @ p and p.q (fusion rule 5's
     # one-color case, with the checks one body late): four V-cycles'
-    # coarse solves run 22 fused launches fewer (74 before that).
-    assert (issued[0], launched) == (303, 52)
+    # coarse solves run 22 fused launches fewer (74 before that).  The
+    # coarse CG then began to issue ahead of its host checks, so its
+    # windows fill to the 16-launch capacity across bodies: four fewer
+    # (52 before that).
+    assert (issued[0], launched) == (303, 48)
     # Every launch replays: the warm-up solve issued each with the same
     # template and dependence edges, set-up and after-loop tail too.
     assert replayed == launched, (replayed, launched)

@@ -294,6 +294,97 @@ class TestAllreduce:
         assert gpu2.issue_time >= 42.0
 
 
+class TestWait:
+    """When a wait flushes the deferred window: a wait that would stall
+    the host flushes it first, and in a one-color scope a wait on a
+    future resolved and ready by the issue clock leaves it deferred."""
+
+    @staticmethod
+    def _deferred(gpus=1, **config):
+        """A runtime with one fusible launch pending in its window, and
+        what has run so far: ``(rt, region, log length, launches)``."""
+        rt = Runtime(
+            laptop().scope(ProcessorKind.GPU, gpus),
+            RuntimeConfig.legate(**config),
+        )
+        inp = rt.create_region((8,), np.float64, data=np.arange(8.0))
+        out = rt.create_region((8,), np.float64)
+        rt.launch(
+            TaskLaunch(
+                "double",
+                [
+                    Requirement("out", out, Tiling.create(out, gpus), Privilege.WRITE_DISCARD),
+                    Requirement("inp", inp, Tiling.create(inp, gpus), Privilege.READ),
+                ],
+                double_kernel,
+                pointwise=Pointwise(("double",)),
+            )
+        )
+        return rt, out, len(rt.fusion_log), rt.profiler.tasks_launched
+
+    def test_a_ready_future_leaves_the_window_deferred(self):
+        rt, out, logged, launched = self._deferred()
+        assert len(rt._window) == 1
+        assert rt.wait(Future(3.0, ready_time=rt.issue_time)) == 3.0
+        assert len(rt._window) == 1
+        assert len(rt.fusion_log) == logged
+        assert rt.profiler.tasks_launched == launched
+        rt.barrier()
+        assert len(rt.fusion_log) == logged + 1
+        assert rt.profiler.tasks_launched == launched + 1
+        np.testing.assert_array_equal(out.data, 2.0 * np.arange(8.0))
+
+    def test_a_wait_that_stalls_flushes_then_advances_the_clock(self):
+        rt, _out, _logged, launched = self._deferred()
+        clock = rt.issue_time
+        late = Future(3.0, ready_time=clock + 1.0)
+        assert rt.wait(late) == 3.0
+        assert not rt._window
+        assert rt.profiler.tasks_launched == launched + 1
+        # The launch issued at the clock the host had before it idled.
+        assert max(rt._proc_busy.values()) < late.ready_time
+        assert rt.issue_time == late.ready_time
+
+    def test_a_pending_future_flushes(self):
+        rt, _out, logged, _launched = self._deferred()
+        x = rt.create_region((8,), np.float64, data=np.arange(8.0))
+        pending = rt.launch(
+            TaskLaunch(
+                "sum",
+                [Requirement("x", x, Tiling.create(x, 1), Privilege.READ)],
+                lambda ctx: float(ctx.view("x").sum()),
+                reduction="sum",
+                pointwise=Pointwise(("sum",)),
+            )
+        )
+        assert pending.roots is not None and len(rt._window) == 2
+        assert rt.wait(pending) == 28.0
+        assert not rt._window
+        assert len(rt.fusion_log) > logged
+
+    def test_at_two_colors_every_wait_flushes(self):
+        rt, _out, _logged, launched = self._deferred(gpus=2)
+        rt.wait(Future(3.0, ready_time=rt.issue_time))
+        assert not rt._window
+        assert rt.profiler.tasks_launched == launched + 1
+
+    def test_issues_ahead_only_of_a_stall_in_a_one_color_fusing_scope(self):
+        rt, _out, _logged, _launched = self._deferred()
+        clock = rt.issue_time
+        ready, late = Future(1.0, clock), Future(1.0, clock + 1.0)
+        assert not rt.issues_ahead_of(ready)
+        assert rt.issues_ahead_of(late)
+        assert rt.issues_ahead_of(ready, Future.pending(rt))
+        for other in (
+            self._deferred(gpus=2)[0],
+            self._deferred(fusion=False)[0],
+        ):
+            assert not other.issues_ahead_of(Future(1.0, other.issue_time + 1.0))
+        wide = self._deferred(gpus=2)[0]
+        with wide.narrow(1):
+            assert wide.issues_ahead_of(Future(1.0, wide.issue_time + 1.0))
+
+
 class TestFill:
     def test_fill_value(self, gpu2):
         r = gpu2.create_region((10,), np.float64)

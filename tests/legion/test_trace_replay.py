@@ -122,8 +122,16 @@ GOLDEN_LRU = "f91d0af19df869e6812c6eb498354d96c20e638d4dc148913b7fddbec2cff7f3"
 # Eager: the same 278 launches and 57 allreduces in the same order and
 # the same modeled seconds, 0.036325005208; the host issues a body
 # before it waits, which moves times inside the log.
+# GOLDEN_GMG moved once more when the one-GPU coarse CG began to issue
+# ahead of host checks that would stall, and a wait on a ready future
+# at one color stopped flushing the window (it was 894c31ca...7766 up
+# to c6688af).  The coarse windows fill to the 16-launch capacity
+# across bodies instead of closing at each body's checks, so each
+# coarse solve's groups span bodies: still 61 launches, 23 allreduces,
+# 38 replayed and 4 passed, modeled seconds 0.008017164741 ->
+# 0.007993038380.  The eager run issues no body ahead: unchanged.
 # The solution bytes are one digest for all of them.
-GOLDEN_GMG = "894c31caf8e765c215e977718503cb52238bb150a994e17ba4cb890fc74b7766"
+GOLDEN_GMG = "4bc1064c32257851282936f01c82f78b2a3b9e3a979ba27e17dfb34f65660f99"
 GOLDEN_GMG_UNFUSED = (
     "b3aa80e1f6481282558d7c86bffa8b69685b22179f3d0b769a5a37c2339803d2"
 )
