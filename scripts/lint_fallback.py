@@ -5,10 +5,12 @@
 It covers two of the Pyflakes rules ``pyproject.toml`` selects, each
 narrowed so that it flags only what ruff flags too:
 
-* **F401** -- an import no code of its module reads.  A name counts as
-  read wherever it is loaded in the module (in any scope, in an
-  annotation, in a quoted annotation) or listed in ``__all__``.
-  ``import a.b`` binds ``a``; ``import x as x`` and
+* **F401** -- an import no code of its scope reads.  A module-level
+  name counts as read wherever it is loaded in the module (in any
+  scope, in an annotation, in a quoted annotation) or listed in
+  ``__all__``.  A name imported inside a function counts as read only
+  where that function, or a function, class or lambda nested in it,
+  loads it.  ``import a.b`` binds ``a``; ``import x as x`` and
   ``from m import x as x`` are explicit re-exports; ``__future__``
   imports are never unused.
 * **F821** -- a name loaded but bound nowhere in its module (no
@@ -17,7 +19,8 @@ narrowed so that it flags only what ruff flags too:
   star import is skipped.
 
 Both read scopes loosely: a name bound in one function and loaded in
-another counts as bound and read.  So they miss what ruff's scope
+another counts as bound, and a module-level import loaded only in a
+scope that shadows it counts as read.  So they miss what ruff's scope
 analysis finds there.  Every other selected rule (the rest of F,
 E4/E7/E9, B, SIM) is ruff's alone.
 
@@ -121,24 +124,46 @@ def _bound_names(tree: ast.AST) -> Set[str]:
     return bound
 
 
+def _reads(tree: ast.AST) -> Set[str]:
+    """Names loaded anywhere in ``tree``, quoted annotations included."""
+    names = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for annotation in _annotations(tree):
+        names.update(_annotation_names(annotation))
+    return names
+
+
+def _imports(tree: ast.AST, reads: Set[str]) -> Iterator[Tuple[ast.AST, Set[str]]]:
+    """Every import under ``tree`` with the names its scope reads: a
+    function's own reads for an import in its body (unless the function
+    declares the name ``global`` or ``nonlocal``), else ``reads``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node, reads
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            declared = {
+                name for sub in ast.walk(node)
+                if isinstance(sub, (ast.Global, ast.Nonlocal))
+                for name in sub.names
+            }
+            yield from _imports(node, _reads(node) | (reads & declared))
+        else:
+            yield from _imports(node, reads)
+
+
 def check_source(source: str, path: Path) -> List[Finding]:
     """The findings in one module's source, before suppression."""
     tree = ast.parse(source, filename=str(path))
-    loaded: Set[str] = set()
-    loads: List[ast.Name] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            loaded.add(node.id)
-            loads.append(node)
-    for annotation in _annotations(tree):
-        loaded.update(_annotation_names(annotation))
-    loaded |= _dunder_all(tree)
+    loads = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    ]
 
     findings: List[Finding] = []
-    for node in ast.walk(tree):
+    for node, loaded in _imports(tree, _reads(tree) | _dunder_all(tree)):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         for alias in node.names:
             if alias.name == "*":

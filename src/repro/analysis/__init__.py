@@ -56,7 +56,7 @@ from repro.analysis.recorder import (
 
 # Advisor symbols resolved lazily (see the module docstring).
 _LAZY_ADVISOR = {
-    "advisor", "Advice", "AdvisorConfig", "Finding", "advise", "analyze",
+    "advisor", "Advice", "Finding", "advise", "analyze",
     "trace",
 }
 
@@ -77,7 +77,6 @@ class ValidationError(RuntimeError):
 
 __all__ = [
     "Advice",
-    "AdvisorConfig",
     "AllreduceEvent",
     "CheckpointEvent",
     "CopyEvent",

@@ -73,27 +73,28 @@ def _compile_cache_stats() -> Dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# Configuration and report types
+# Lint thresholds (all byte thresholds compare *scaled* bytes)
 # ----------------------------------------------------------------------
-@dataclass
-class AdvisorConfig:
-    """Lint thresholds (all byte thresholds compare *scaled* bytes)."""
+# Implicit densification: always reported; escalates to an error when
+# the materialized dense array reaches this many bytes.
+DENSIFY_ERROR_BYTES = 1 << 30
+# Replicated (broadcast) read operands are flagged once the extra volume
+# (operand bytes x (colors - 1)) reaches this threshold.
+BROADCAST_WARN_BYTES = 8 << 20
+# A fragment staged into the same memory this many times or more is
+# reported as redundant staging (data ping-pong).
+RESTAGE_WARN_COUNT = 4
+RESTAGE_WARN_BYTES = 1 << 20
+# Peak footprint at or above this fraction of a memory's budget
+# (capacity - reservation) is flagged even when it fits.
+PRESSURE_WARN_FRACTION = 0.85
+# Keep at most this many findings per rule (volume guard).
+MAX_FINDINGS_PER_RULE = 16
 
-    # Implicit densification: always reported; escalates to an error
-    # when the materialized dense array reaches this many bytes.
-    densify_error_bytes: int = 1 << 30
-    # Replicated (broadcast) read operands are flagged once the extra
-    # volume (operand bytes x (colors - 1)) reaches this threshold.
-    broadcast_warn_bytes: int = 8 << 20
-    # A fragment staged into the same memory this many times or more is
-    # reported as redundant staging (data ping-pong).
-    restage_warn_count: int = 4
-    restage_warn_bytes: int = 1 << 20
-    # Peak footprint at or above this fraction of a memory's budget
-    # (capacity - reservation) is flagged even when it fits.
-    pressure_warn_fraction: float = 0.85
-    # Keep at most this many findings per rule (volume guard).
-    max_findings_per_rule: int = 16
+
+# ----------------------------------------------------------------------
+# Report types
+# ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -339,23 +340,22 @@ def _fmt_bytes(n: float) -> str:
 class _Report:
     """The findings and aggregates of one analysis of a dry run."""
 
-    def __init__(self, plan: PlanTrace, options: AdvisorConfig):
+    def __init__(self, plan: PlanTrace):
         self.plan = plan
         self.runtime = plan.runtime
         self.config = plan.config
         self.machine: Machine = plan.scope.machine
-        self.options = options
         self.log: EventLog = self.runtime.event_log
         self.findings: List[Finding] = []
         self._finding_counts: Counter = Counter()
 
     def _finding(self, severity: str, rule: str, message: str) -> None:
         self._finding_counts[rule] += 1
-        if self._finding_counts[rule] == self.options.max_findings_per_rule + 1:
+        if self._finding_counts[rule] == MAX_FINDINGS_PER_RULE + 1:
             self.findings.append(
                 Finding("note", rule, "further findings suppressed")
             )
-        if self._finding_counts[rule] <= self.options.max_findings_per_rule:
+        if self._finding_counts[rule] <= MAX_FINDINGS_PER_RULE:
             self.findings.append(Finding(severity, rule, message))
 
     def traffic(self) -> Dict[str, Dict[str, float]]:
@@ -437,7 +437,6 @@ def _mem_name(memory) -> str:
 # ----------------------------------------------------------------------
 def _lint_notes(report: _Report) -> None:
     """Densification and conversion-churn findings from library notes."""
-    options = report.options
     scale = report.config.data_scale
     ancestry: Dict[int, List[str]] = {}  # object id -> format chain
     seen_conversions: Counter = Counter()
@@ -445,9 +444,7 @@ def _lint_notes(report: _Report) -> None:
         info = note.info
         if note.category == "densify":
             nbytes = float(info.get("nbytes", 0)) * scale
-            severity = (
-                "error" if nbytes >= options.densify_error_bytes else "warning"
-            )
+            severity = "error" if nbytes >= DENSIFY_ERROR_BYTES else "warning"
             report._finding(
                 severity, "densify",
                 f"{info.get('where', 'operation')} materializes a dense "
@@ -515,7 +512,7 @@ def _lint_broadcast(report: _Report) -> None:
             if not arg.privilege.reads:
                 continue
             extra = arg.nbytes * (op.colors - 1) * report.config.data_scale
-            if extra >= report.options.broadcast_warn_bytes:
+            if extra >= BROADCAST_WARN_BYTES:
                 report._finding(
                     "warning", "broadcast",
                     f"op {op.name!r}: argument {arg.name!r} "
@@ -528,7 +525,6 @@ def _lint_broadcast(report: _Report) -> None:
 
 def _lint_restaging(report: _Report) -> None:
     """The same fragment staged into the same memory many times."""
-    options = report.options
     counts: Counter = Counter()
     volumes: Counter = Counter()
     names: Dict[tuple, str] = {}
@@ -540,10 +536,10 @@ def _lint_restaging(report: _Report) -> None:
         volumes[key] += ev.nbytes
         names[key] = ev.region_name
     for key, count in counts.most_common():
-        if count < options.restage_warn_count:
+        if count < RESTAGE_WARN_COUNT:
             break
         total = volumes[key] * report.config.effective_comm_scale
-        if total < options.restage_warn_bytes:
+        if total < RESTAGE_WARN_BYTES:
             continue
         region, rect, dst = key
         report._finding(
@@ -558,7 +554,6 @@ def _lint_capacity_pressure(
     report: _Report, memories: List[MemoryReport]
 ) -> None:
     """Overflow, what graceful degradation paid, and near-full memories."""
-    options = report.options
     error = report.plan.error
     if error is not None:
         # The dry run died where a real run would, with the runtime's
@@ -582,14 +577,14 @@ def _lint_capacity_pressure(
             f"eviction, then dirty spill)",
         )
     for memory in memories:
-        if memory.budget > 0 and memory.pressure >= options.pressure_warn_fraction:
+        if memory.budget > 0 and memory.pressure >= PRESSURE_WARN_FRACTION:
             report._finding(
                 "warning", "memory-pressure",
                 f"memory {memory.memory} peaks at "
                 f"{_fmt_bytes(memory.peak_bytes)} of "
                 f"{_fmt_bytes(memory.budget)} budget "
                 f"({memory.pressure:.0%}) — allocator churn territory "
-                f"(threshold {options.pressure_warn_fraction:.0%})",
+                f"(threshold {PRESSURE_WARN_FRACTION:.0%})",
             )
 
 
@@ -841,14 +836,11 @@ def trace(
     )
 
 
-def analyze(
-    plan: PlanTrace, options: Optional[AdvisorConfig] = None
-) -> Advice:
+def analyze(plan: PlanTrace) -> Advice:
     """Report on a finished dry run and run the lint battery over it."""
     if plan.runtime is None:
         raise ValueError("plan is unbound: trace via advisor.trace()")
-    options = options or AdvisorConfig()
-    report = _Report(plan, options)
+    report = _Report(plan)
     runtime = plan.runtime
     scope = plan.scope
     config = plan.config
@@ -904,7 +896,6 @@ def advise(
     procs: Optional[int] = None,
     per_node: Optional[int] = None,
     config=None,
-    options: Optional[AdvisorConfig] = None,
     **kwargs,
 ) -> Advice:
     """Dry-run ``fn`` and analyze the run in one call."""
@@ -912,4 +903,4 @@ def advise(
         fn, *args, machine=machine, kind=kind, procs=procs,
         per_node=per_node, config=config, **kwargs
     )
-    return analyze(plan, options=options)
+    return analyze(plan)

@@ -81,7 +81,6 @@ def solve_partitions(
     stores: Iterable[Store],
     constraints: Iterable[object],
     colors: int,
-    reuse_partitions: bool = True,
     exact_images: bool = False,
     image_cache=None,
 ) -> Dict[int, Partition]:
@@ -141,9 +140,7 @@ def solve_partitions(
             raise ConstraintError(
                 f"aligned stores must agree on dimension 0: {names}"
             )
-        partition = _choose_group_partition(
-            group, colors, reuse_partitions, image_cache
-        )
+        partition = _choose_group_partition(group, colors, image_cache)
         for store in group:
             solution[store.region.uid] = _retarget(partition, store)
 
@@ -176,7 +173,7 @@ def solve_partitions(
         uid = store.region.uid
         if uid in solution:
             continue
-        key = usable_key(store, colors, image_cache) if reuse_partitions else None
+        key = usable_key(store, colors, image_cache)
         solution[uid] = key or Tiling.create(store.region, colors)
     return solution
 
@@ -302,15 +299,14 @@ def rebuild_solution(
 
 
 def _choose_group_partition(
-    group: List[Store], colors: int, reuse: bool, image_cache=None
+    group: List[Store], colors: int, image_cache=None
 ) -> Partition:
-    if reuse:
-        keyed = [
-            (s, key) for s in group
-            for key in (usable_key(s, colors, image_cache),) if key is not None
-        ]
-        if keyed:
-            return max(keyed, key=lambda pair: pair[0].nbytes)[1]
+    keyed = [
+        (s, key) for s in group
+        for key in (usable_key(s, colors, image_cache),) if key is not None
+    ]
+    if keyed:
+        return max(keyed, key=lambda pair: pair[0].nbytes)[1]
     largest = max(group, key=lambda s: s.nbytes)
     return Tiling.create(largest.region, colors)
 

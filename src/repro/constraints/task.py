@@ -271,7 +271,6 @@ class AutoTask:
                 stores,
                 self._constraints,
                 colors,
-                reuse_partitions=rt.config.reuse_partitions,
                 exact_images=rt.config.exact_images,
                 image_cache=rt._image_cache,
             )

@@ -23,6 +23,10 @@ from repro.machine import Memory, MemoryKind
 
 _instance_uid = itertools.count()
 
+# Two views of a region that do not overlap still coalesce while their
+# hull is at most this many times their combined volume.
+COALESCE_SLACK = 2.0
+
 
 @dataclass
 class Instance:
@@ -61,15 +65,11 @@ class MemoryState:
         self,
         memory: Memory,
         reserved_bytes: int = 0,
-        coalesce_slack: float = 2.0,
-        coalescing: bool = True,
         data_scale: float = 1.0,
         inflight_window: int = 0,
     ):
         self.memory = memory
         self.reserved_bytes = int(reserved_bytes)
-        self.coalesce_slack = float(coalesce_slack)
-        self.coalescing = coalescing
         self.data_scale = float(data_scale)
         self.used_bytes = 0.0
         self.peak_bytes = 0.0
@@ -152,7 +152,7 @@ class MemoryState:
         self._use_tick += 1
 
         insts = self.instances.setdefault(region_uid, [])
-        if self.coalescing and insts:
+        if insts:
             best: Optional[Instance] = None
             best_overlap = -1
             for inst in insts:
@@ -164,7 +164,7 @@ class MemoryState:
             # Coalesce when the merged allocation is not much larger than
             # the two views combined (the §4.2 heuristic: overlapping part
             # sufficiently larger than the non-overlapping parts).
-            if best_overlap > 0 or hull.volume() <= self.coalesce_slack * (
+            if best_overlap > 0 or hull.volume() <= COALESCE_SLACK * (
                 best.rect.volume() + rect.volume()
             ):
                 old_bytes = best.nbytes
@@ -301,14 +301,10 @@ class InstanceManager:
     def __init__(
         self,
         reserved_fb_bytes: int = 0,
-        coalesce_slack: float = 2.0,
-        coalescing: bool = True,
         data_scale: float = 1.0,
         inflight_window: int = 0,
     ):
         self.reserved_fb_bytes = int(reserved_fb_bytes)
-        self.coalesce_slack = coalesce_slack
-        self.coalescing = coalescing
         self.data_scale = float(data_scale)
         self.inflight_window = int(inflight_window)
         self._states: Dict[int, MemoryState] = {}
@@ -327,8 +323,6 @@ class InstanceManager:
             st = MemoryState(
                 memory,
                 reserved_bytes=reserved,
-                coalesce_slack=self.coalesce_slack,
-                coalescing=self.coalescing,
                 data_scale=self.data_scale,
                 inflight_window=self.inflight_window,
             )

@@ -96,9 +96,6 @@ class RuntimeConfig:
     # Framebuffer bytes reserved by the runtime and external CUDA
     # libraries (why Legate cannot run ML-25M on one GPU in Fig. 12).
     reserved_fb_bytes: int = int(2.5 * 2**30)
-    # Mapper behaviour (ablatable).
-    coalescing: bool = True
-    reuse_partitions: bool = True
     # Cost penalty for reshaping global-format local pieces into the
     # layouts external local libraries (cuSPARSE/MKL) accept (§3).
     local_reshape_penalty: bool = True
@@ -116,10 +113,6 @@ class RuntimeConfig:
     # the small-task overhead gap (§6.1) — off for the comparison
     # systems, which have no such runtime.
     fusion: bool = True
-    # Deferred window capacity: the window flushes when full (and on
-    # future waits, non-fusible launches that depend on a member,
-    # barriers and scope exits).
-    fusion_window: int = 16
     # Kernel slowdown once a memory fills past 85 % — the "CuPy runs
     # close to the GPU memory limit" effect on ML-25M (Fig. 12):
     # allocator churn and fragmented, uncoalesced buffers.
@@ -207,6 +200,11 @@ class RuntimeConfig:
         defaults.update(overrides)
         return cls(**defaults)
 
+
+# Deferred window capacity: the window flushes when full (and on future
+# waits, non-fusible launches that depend on a member, barriers and scope
+# exits).
+WINDOW_CAPACITY = 16
 
 # The partition kinds whose rects a source region's data decides.
 _IMAGES = (ImageByRange, ImageByCoordinate)
@@ -418,7 +416,6 @@ class Runtime:
         self.profiler = Profiler()
         self.instances = InstanceManager(
             reserved_fb_bytes=self.config.reserved_fb_bytes,
-            coalescing=self.config.coalescing,
             data_scale=self.config.data_scale,
             # Deferred instance collection: recycled allocations for
             # this many in-flight tasks stay charged (see instance.py).
@@ -900,9 +897,7 @@ class Runtime:
             template = task.template = self._template(
                 launch_fingerprint(task, {})
             )
-        task.replayed = self._history.issue(
-            task, template, self.config.fusion_window
-        )
+        task.replayed = self._history.issue(task, template, WINDOW_CAPACITY)
         if not self.config.fusion:
             fusible = False
         elif template is None:
@@ -947,7 +942,7 @@ class Runtime:
             refs[uid] = refs.get(uid, 0) + 1
             if req.privilege.writes:
                 writers[uid] = writers.get(uid, 0) + 1
-        if len(window) >= self.config.fusion_window:
+        if len(window) >= WINDOW_CAPACITY:
             self.flush_window()
         return future
 

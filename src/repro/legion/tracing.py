@@ -13,8 +13,9 @@ launch a *token*:
   pinned by its rects, regions numbered within the launch;
 * per requirement, its dependence edges: how many launches back the
   region's last writer was issued and, for a writing privilege, its
-  last user.  An edge further back than ``fusion_window`` launches is
-  dropped: that launch has executed, nothing about it is pending.
+  last user.  An edge further back than the deferred window's capacity
+  (``runtime.WINDOW_CAPACITY``, 16 launches) is dropped: that launch
+  has executed, nothing about it is pending.
 
 A launch whose token was issued before in the current *template epoch*
 is a replay, charged ``RuntimeConfig.trace_replay_fraction`` of the

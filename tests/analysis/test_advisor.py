@@ -8,7 +8,7 @@ import scipy.sparse as sps
 
 import repro.sparse as sp
 from repro.analysis import advise
-from repro.analysis.advisor import AdvisorConfig, _fmt_bytes, parse_machine
+from repro.analysis.advisor import MAX_FINDINGS_PER_RULE, _fmt_bytes, parse_machine
 from repro.legion import Runtime, RuntimeConfig
 from repro.legion.exceptions import OutOfMemoryError
 from repro.legion.runtime import runtime_scope
@@ -198,20 +198,15 @@ def test_clean_program_has_no_errors():
 def test_finding_cap_suppresses_floods():
     def workload():
         A = sp.csr_matrix(tridiag(50))
-        for _ in range(40):
+        for _ in range(MAX_FINDINGS_PER_RULE + 4):
             A.toarray()
 
-    advice = advise(
-        workload,
-        machine=laptop(),
-        procs=2,
-        options=AdvisorConfig(max_findings_per_rule=4),
-    )
+    advice = advise(workload, machine=laptop(), procs=2)
     densify = [
         f for f in advice.findings
         if f.rule == "densify" and "suppressed" not in f.message
     ]
-    assert len(densify) == 4
+    assert len(densify) == MAX_FINDINGS_PER_RULE
     assert any("suppressed" in f.message for f in advice.findings)
 
 

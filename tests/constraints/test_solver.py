@@ -58,12 +58,6 @@ class TestAlignment:
         sol = solve_partitions([small, big], [Align(small, big)], colors=2)
         assert sol[big.region.uid].boundaries == (0, 9, 10)
 
-    def test_reuse_disabled_retiles(self, rt):
-        a = Store.create((10,), np.float64, runtime=rt)
-        a.set_key_partition(Tiling(a.region, (0, 1, 10)))
-        sol = solve_partitions([a], [], colors=2, reuse_partitions=False)
-        assert sol[a.region.uid].boundaries == (0, 5, 10)
-
     def test_stale_key_partition_ignored(self, rt):
         a = Store.create((10,), np.float64, runtime=rt)
         a.set_key_partition(Tiling.create(a.region, 4))  # wrong color count

@@ -159,9 +159,9 @@ class TestComposedPipelines:
 
 class TestDeterminism:
     def test_results_identical_across_processor_counts(self, rt2):
-        """The same Poisson solve on 1..4 processors is bitwise stable
-        to solver tolerance — distribution is semantically transparent."""
-        import scipy.sparse as sps
+        """The same Poisson solve on 1, 2 and 4 processors agrees to
+        solver tolerance.  The solutions are not bitwise equal: a dot
+        product's fold order follows the tiling (ROADMAP item 24)."""
         from repro.apps.poisson import poisson2d_scipy
         from repro.machine import summit
 

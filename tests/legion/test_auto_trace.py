@@ -2,9 +2,10 @@
 
 A launch's token is its template object and, per requirement, how many
 launches back the region's last writer was issued (and, for a writing
-privilege, its last user), edges beyond ``fusion_window`` launches
-dropped.  A token issued before in the current template epoch is a
-replay, charged ``trace_replay_fraction`` of the launch overhead.
+privilege, its last user), edges beyond the window capacity
+(``WINDOW_CAPACITY`` launches) dropped.  A token issued before in the
+current template epoch is a replay, charged ``trace_replay_fraction``
+of the launch overhead.
 
 * **first and second** -- a first occurrence is charged in full, a
   repeat is a replay;
@@ -31,7 +32,7 @@ import repro.numeric as rnp
 import repro.sparse as sp
 from repro.legion import Runtime, RuntimeConfig
 from repro.legion.privilege import Privilege
-from repro.legion.runtime import runtime_scope
+from repro.legion.runtime import WINDOW_CAPACITY, runtime_scope
 from repro.legion.tracing import History
 from repro.machine import ProcessorKind, laptop
 
@@ -138,9 +139,9 @@ def test_a_write_edge_tells_a_last_reader_apart(rt):
 
 
 def test_an_edge_beyond_the_window_drops(rt):
-    """A writer more than ``fusion_window`` launches back has executed:
-    its distance is no part of the token."""
-    window = rt.config.fusion_window
+    """A writer more than ``WINDOW_CAPACITY`` launches back has
+    executed: its distance is no part of the token."""
+    window = WINDOW_CAPACITY
     a = rnp.ones(N)
     for _ in range(window):
         rnp.zeros(N)

@@ -32,7 +32,7 @@ from repro.legion import (
 )
 from repro.legion.partition import ExplicitPartition, ImageByRange
 from repro.legion.region import Region
-from repro.legion.runtime import runtime_scope
+from repro.legion.runtime import WINDOW_CAPACITY, runtime_scope
 from repro.machine import ProcessorKind, laptop
 
 
@@ -620,7 +620,7 @@ class TestWindowMechanics:
         x = rnp.ones(32)
         rt.barrier()
         before = len(rt.fusion_log)
-        for _ in range(rt.config.fusion_window + 1):
+        for _ in range(WINDOW_CAPACITY + 1):
             x = x + 1.0
         assert len(rt.fusion_log) > before  # overflow forced a flush
         assert len(rt._window) >= 1  # the remainder is still deferred

@@ -71,16 +71,6 @@ class TestCoalescing:
         assert move == 0
         assert st.used_bytes == 80
 
-    def test_coalescing_disabled(self):
-        st = MemoryState(make_memory(), coalescing=False)
-        st.ensure(1, R(0, 6), 8)
-        inst, move, _ = st.ensure(1, R(4, 10), 8)
-        assert move == 0
-        assert inst.rect == R(4, 10)
-        # Overlap stored twice: this is the memory cost the paper's
-        # coalescing step avoids.
-        assert st.used_bytes == (6 + 6) * 8
-
     def test_steady_state_no_more_moves(self):
         st = MemoryState(make_memory())
         st.ensure(1, R(0, 6), 8)

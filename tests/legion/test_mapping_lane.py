@@ -47,7 +47,12 @@ from repro.legion import coherence as coherence_module
 from repro.legion.chaos import ChaosConfig, LossSchedule
 from repro.legion.coherence import RegionCoherence, ValidPiece, _covers, _disjoint
 from repro.legion.exceptions import OutOfMemoryError
-from repro.legion.instance import Instance, MemoryState, _instance_uid
+from repro.legion.instance import (
+    COALESCE_SLACK,
+    Instance,
+    MemoryState,
+    _instance_uid,
+)
 from repro.legion.runtime import runtime_scope
 from repro.machine import Machine, ProcessorKind, summit
 from repro.machine.model import MachineConfig
@@ -423,7 +428,7 @@ class OldMemoryState(MemoryState):
             return existing, 0, False
 
         insts = self.instances.setdefault(region_uid, [])
-        if self.coalescing and insts:
+        if insts:
             best: Optional[Instance] = None
             best_overlap = -1
             for inst in insts:
@@ -432,7 +437,7 @@ class OldMemoryState(MemoryState):
                     best, best_overlap = inst, overlap
             assert best is not None
             hull = best.rect.union_hull(rect)
-            if best_overlap > 0 or hull.volume() <= self.coalesce_slack * (
+            if best_overlap > 0 or hull.volume() <= COALESCE_SLACK * (
                 best.rect.volume() + rect.volume()
             ):
                 old_bytes = best.nbytes

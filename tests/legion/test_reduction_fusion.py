@@ -37,7 +37,7 @@ from repro.legion import (
 )
 from repro.legion import runtime as runtime_module
 from repro.legion.partition import ExplicitPartition
-from repro.legion.runtime import get_runtime, runtime_scope
+from repro.legion.runtime import WINDOW_CAPACITY, get_runtime, runtime_scope
 from repro.machine import ProcessorKind, summit
 from repro.numeric.array import Scalar
 from repro.numeric.indexing import scatter_add
@@ -563,20 +563,32 @@ def test_a_region_under_two_tilings_still_splits():
 
 
 def test_a_capacity_flush_mid_chain_resolves_the_future():
+    """More launches than the window holds, and no wait among them: the
+    window flushes when full, and every future it held resolves."""
+    steps = WINDOW_CAPACITY // 3 + 2
+
     def program():
         a, b = _vectors()
+        rt = a.runtime
         out = []
-        for _ in range(3):
+        for _ in range(steps):
             s = rnp.vdot(a, b)
             a = a * (s / (abs(s) + 1.0))
             b = b + a
             out.append(s)
+        if rt.config.fusion:
+            # Nothing waited, yet the window flushed on its own: every
+            # future issued before the capacity flush is resolved.
+            assert rt.fusion_log and rt.profiler.hazard_flushes == 0
+            flushed = sum(len(names) for names in _groups(rt))
+            assert flushed == WINDOW_CAPACITY
+            assert [s.future.roots is None for s in out] == [
+                3 * i < flushed for i in range(steps)
+            ]
         return [s.value for s in out] + [a.to_numpy(), b.to_numpy()]
 
-    rt = _both(program, fusion_window=4)
-    # Nine launches through a window of four: it flushed on its own.
-    assert len(_groups(rt)) >= 3
-    assert sum(len(names) for names in _groups(rt)) == 9
+    rt = _both(program)
+    assert sum(len(names) for names in _groups(rt)) == 3 * steps
 
 
 def test_destroy_of_a_region_a_pending_reduction_reads_flushes_first():

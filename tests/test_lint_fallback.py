@@ -1,11 +1,15 @@
 """scripts/lint_fallback.py: the lint gate where ruff is not installed.
 
-A seeded package holds one instance of each finding the fallback
-reports (F401, F821) next to the forms it must pass: a name read in
-another scope or in a quoted annotation, ``__all__``, ``x as x``
-re-exports, ``__future__``, ``# noqa`` and ``pyproject.toml``'s
-per-file ignores.  The repository itself must come out clean, which is
-what ``scripts/check.sh`` asserts when ruff is missing.
+A seeded package holds the findings the fallback reports -- an unused
+module-level import, an import a function binds and never reads
+(F401), an undefined name (F821) -- next to forms it must pass: a
+module-level name read in a function or in a quoted annotation, a
+function's import read only by a function nested in it, ``__all__``,
+``x as x`` re-exports, ``__future__``, ``# noqa`` and
+``pyproject.toml``'s per-file ignores.  The command's exit codes are
+checked, and ``src`` and ``tests`` must come out clean, as
+``scripts/check.sh`` requires when ruff is missing.  Agreement with
+ruff itself is not checked here.
 """
 
 import importlib.util
@@ -39,6 +43,20 @@ def f(x: "Optional[int]") -> int:
 
 def g():
     return os.sep
+
+
+def h():
+    import json
+    return 0
+
+
+def outer():
+    from math import sqrt
+
+    def inner():
+        return sqrt(2.0)
+
+    return inner
 '''
 
 PYPROJECT = '''\
@@ -66,6 +84,7 @@ def test_seeded_findings(tmp_path):
         ("mod.py", 5, "F401", "`collections.abc` imported but unused"),
         ("mod.py", 10, "F401", "`math.e` imported but unused"),
         ("mod.py", 16, "F821", "undefined name `typo`"),
+        ("mod.py", 24, "F401", "`json` imported but unused"),
     ]
 
 
