@@ -10,7 +10,8 @@ BLAS single-threaded as in ``bench/``.  *Reach* is ``workload``,
     make census                            # writes artifacts/pr42/census.json
     python3 scripts/census.py --keep DIR   # and keeps the raw run in DIR
     python3 scripts/census.py --reuse DIR  # re-classify a kept raw run
-    python3 scripts/census.py --reuse artifacts/pr45/census.json  # or an earlier result
+    python3 scripts/census.py --reuse artifacts/pr51/census.json  # or an earlier result
+                                           # of this very tree (else it exits 1)
 """
 
 import argparse
@@ -198,9 +199,19 @@ def census(src: Path, raw: Path) -> dict:
 
 def reclassify(src: Path, records: list) -> dict:
     """Re-apply the rules to the reach an earlier census recorded.  Its "called
-    by" keeps stand: the caller rows that decided them are not in its file."""
+    by" keeps stand: the caller rows that decided them are not in its file.
+    Reach is keyed by ``file:line``, so records of another tree would pass stale
+    reach on: exits non-zero, listing each (file, name, line) not in both."""
+    defs = list(definitions(src))
+    tree = {(rel, name, line) for rel, name, line, _, _ in defs}
+    recorded = {(r["file"], r["name"], r["line"]) for r in records}
+    if tree != recorded:
+        raise SystemExit("census: the records are not of this tree; re-run the census\n" + "\n".join(
+            f"  only in the {side}: {rel}:{line} {name}"
+            for side, rows in (("tree", tree - recorded), ("records", recorded - tree))
+            for rel, name, line in sorted(rows, key=lambda row: (row[0], row[2]))))
     refs, raised = names_read(src)
-    abstract = {(rel, name): a for rel, name, _, _, a in definitions(src)}
+    abstract = {(rel, name): a for rel, name, _, _, a in defs}
     used = {(r["file"], owner) for r in records if r["reach"] == "workload"
             for owner in (r["name"].rpartition(".")[0], "")}
     for r in records:

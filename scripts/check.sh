@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Repository gate: lint (ruff, or its stdlib fallback), tier-1 suite,
-# validation smoke, bench/run.py smoke and self-test, and the
-# kernel-fusion, profile and advisor smokes.
+# validation smoke, profile slice, bench/run.py smoke and self-test, and
+# the kernel-fusion, profile and advisor smokes.
 #
 #   make check          # or: sh scripts/check.sh
 #
@@ -33,9 +33,9 @@ echo "== tier-1 tests =="
 python -m pytest -x -q
 
 echo "== validation smoke (REPRO_VALIDATE=1) =="
-# test_fastpath.py and test_trace_replay.py put launches served from the
-# solve memo, the window-plan cache and trace templates through the
-# checker (about 3 s of the slice's 15 s on a 2-vCPU VM);
+# test_host_analysis.py and test_trace_replay.py put launches served
+# from the solve memo, the window-plan cache and trace templates through
+# the checker (about 3 s of the slice's 15 s on a 2-vCPU VM);
 # test_launch_width.py puts narrowed and one-color launches through it;
 # test_chaos.py, test_resilience2.py, test_reset.py and test_spill.py
 # put checkpoints, losses, journal replay and spills (legion/recovery.py)
@@ -55,12 +55,21 @@ REPRO_VALIDATE=1 python -m pytest -x -q \
     tests/legion/test_spill.py \
     tests/legion/test_coherence.py \
     tests/legion/test_exact_images.py \
-    tests/legion/test_fastpath.py \
+    tests/legion/test_host_analysis.py \
     tests/legion/test_fusion.py \
     tests/legion/test_launch_width.py \
     tests/legion/test_reduction_fusion.py \
     tests/legion/test_trace_replay.py \
     tests/integration
+
+echo "== profile slice (REPRO_PROFILE=1) =="
+# Retry, backoff, spill, checkpoint and restore spans (Runtime._copy and
+# Recovery.retry) go through the timeline under the fault, spill and
+# replica tests.
+REPRO_PROFILE=1 python -m pytest -x -q \
+    tests/legion/test_chaos.py \
+    tests/legion/test_spill.py \
+    tests/legion/test_resilience2.py
 
 echo "== end-to-end bench smoke (bench/run.py: four workloads, every check on) =="
 # bench/run.py is the harness for performance claims (BENCHMARK.json);

@@ -87,7 +87,7 @@ def solve_partitions(
     """Assign a partition to every store; keys are region uids.
 
     ``image_cache`` is the runtime's
-    :class:`repro.legion.fastpath.ImagePartitionCache` (None in unit
+    :class:`repro.legion.partition.ImagePartitionCache` (None in unit
     solves, which recompute every image and reuse no image key): image
     constraints re-read source region data on every solve, and the
     cache skips that read when the source has not been written since

@@ -18,6 +18,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.geometry import Rect, RectSet
+from repro.legion.partition import Tiling
+from repro.legion.privilege import Privilege
 
 # The hull of a memory that holds nothing: it overlaps no query.
 _NO_LO = np.iinfo(np.int64).max
@@ -413,8 +415,8 @@ class RegionCoherence:
         ``writes`` is ``(memory_uid, rect, time)`` per color, in color
         order, empty rects omitted, where the rects are the tiles of a
         disjoint partition covering the whole region (the runtime's
-        eligibility check, :func:`repro.legion.fastpath
-        .eligible_write_reqs`, guarantees this).  Under that geometry
+        eligibility check, :func:`eligible_write_reqs`, guarantees
+        this).  Under that geometry
         the sequential calls converge to a state independent of
         prior validity — every pre-existing piece is subtracted away
         tile by tile, each written memory ends holding exactly its own
@@ -480,3 +482,65 @@ class RegionCoherence:
         """Forget all placement (data stays exact)."""
         self.valid.clear()
         self._index = _HullIndex()
+
+
+def eligible_write_reqs(task, replay: bool, freed_uids) -> dict:
+    """Requirements whose per-color writes may be batched, by name.
+
+    A write requirement is eligible when deferring its ``mark_written``
+    calls to one end-of-launch :meth:`RegionCoherence.write_complete`
+    is provably identical to the sequential per-color calls:
+
+    * exclusive write privilege (WRITE / WRITE_DISCARD — REDUCE folds
+      interleave with copies and are batched separately by the fold
+      path), and it is the region's only writer in this task;
+    * the partition is a :class:`Tiling` of the requirement's own
+      region — disjoint full-width row bands covering the region, so
+      the final coherence state is the tiles themselves regardless of
+      prior validity, and mid-launch queries restricted to later bands
+      cannot observe earlier bands' deferred writes;
+    * every other requirement touching the same region is a READ under
+      a Tiling with *identical boundaries* — color ``c`` then only ever
+      reads band ``c``, which no other color writes, so deferring the
+      earlier bands' writes is unobservable.  (Fused tasks routinely
+      carry such read/write pairs for their chained temporaries.)  Any
+      other companion — a Replicate broadcast, a differently-cut
+      tiling, an image — could legally observe an earlier color's
+      write, so the region is ineligible;
+    * not a journal-replay of a since-freed region (those writes are
+      skipped entirely).
+    """
+    by_uid: Dict[int, list] = {}
+    for req in task.requirements:
+        by_uid.setdefault(req.region.uid, []).append(req)
+    eligible = {}
+    for uid, reqs in by_uid.items():
+        if replay and uid in freed_uids:
+            continue
+        writer = None
+        boundaries = None
+        ok = True
+        for req in reqs:
+            part = req.partition
+            if type(part) is not Tiling or part.region.uid != uid:
+                ok = False
+                break
+            if boundaries is None:
+                boundaries = part.boundaries
+            elif part.boundaries != boundaries:
+                ok = False
+                break
+            priv = req.privilege
+            if priv is Privilege.READ:
+                continue
+            if priv is Privilege.WRITE or priv is Privilege.WRITE_DISCARD:
+                if writer is not None:  # two writers: order matters
+                    ok = False
+                    break
+                writer = req
+            else:  # REDUCE folds are handled by the fold path
+                ok = False
+                break
+        if ok and writer is not None:
+            eligible[writer.name] = writer
+    return eligible

@@ -418,6 +418,50 @@ def derivation(part: Partition, ids: Optional[Dict[int, int]] = None) -> Optiona
     return out
 
 
+class ImagePartitionCache:
+    """Memo of image-partition geometry keyed by source-data epoch.
+
+    Images read region *data* at construction — the data-dependent
+    communication analysis of the paper — so they cannot be memoized
+    structurally like tilings.  Instead the runtime calls :meth:`bump`
+    for every region a task writes; a cache key embeds the source
+    region's epoch, so any write to the source invalidates its images
+    for free.  Values are tuples of :class:`Rect` (plain int geometry
+    — never partition or region objects, which would pin regions past
+    their last program reference); hits rebuild fresh partition objects
+    around the current regions
+    (:func:`repro.constraints.solver._image_cached`).  Bounded: cleared
+    whole when full.
+    """
+
+    __slots__ = ("_entries", "epochs")
+
+    MAX_ENTRIES = 512
+
+    def __init__(self) -> None:
+        self._entries: Dict[tuple, Tables] = {}
+        # Live region uid -> number of task writes observed (0 if never);
+        # the runtime drops a region's entry when it frees the region.
+        self.epochs: Dict[int, int] = {}
+
+    def get(self, key: tuple) -> Optional[Tables]:
+        """The memoized geometry for a key, or None."""
+        return self._entries.get(key)
+
+    def put(self, key: tuple, value: Tables) -> None:
+        """Memoize an image's geometry."""
+        if len(self._entries) >= self.MAX_ENTRIES:
+            self._entries.clear()
+        self._entries[key] = value
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def bump(self, uid: int) -> None:
+        """Record a write to a region (invalidates its images)."""
+        self.epochs[uid] = self.epochs.get(uid, 0) + 1
+
+
 def _whole_pieces(rects: Sequence[Rect]) -> Tuple[Tuple[Rect, ...], ...]:
     """Per color, the rect as its own single piece (none when empty)."""
     return tuple(() if rect.is_empty() else (rect,) for rect in rects)

@@ -82,7 +82,7 @@ class Profiler:
     copy_count: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     copy_bytes: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     task_counts: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    # Host-side analysis (repro.legion.fastpath): wall-clock seconds
+    # Host-side analysis (docs/ARCHITECTURE.md): wall-clock seconds
     # the host process spent per runtime phase ("window-flush",
     # "dependence", "constraint-solve", "mapping", "event-advance") and
     # counters (solve_hits/solve_misses for the constraint-solve memo,

@@ -5,9 +5,14 @@ single hook the runtime keeps) owns the checkpoint/loss/replay
 protocol; the runtime calls it at five points -- the checkpoint
 cadence in ``launch``, loss delivery and journaling in
 ``_execute_task``, loss delivery in ``wait``, a freed region in
-``free_region`` and a program boundary in ``reset_for_program``.  Transient copy and allocation
-faults stay where the copy and the mapping happen; they draw from the
-same :class:`~repro.legion.chaos.ChaosInjector`, ``Recovery.chaos``.
+``free_region`` and a program boundary in ``reset_for_program``.
+Transient copy and allocation faults are drawn where the copy and the
+mapping happen (``Runtime._copy``, ``Runtime._map_instance``), from
+the same :class:`~repro.legion.chaos.ChaosInjector`,
+``Recovery.chaos``; both then follow one retry rule,
+:meth:`Recovery.retry`.  Checkpoint and restore copies take the
+runtime's one copy path, ``Runtime._copy``, as staging, fold and spill
+copies do.
 
 The protocol:
 
@@ -243,7 +248,6 @@ class Recovery:
         manifest = CheckpointManifest()
         primary_uid = stores[0].uid
         scale = rt.config.effective_comm_scale
-        log = rt.event_log
         total = 0
         replicated = 0
         nregions = 0
@@ -260,18 +264,11 @@ class Recovery:
                         rect, exclude=store.uid
                     ):
                         nbytes = frag.volume() * itemsize
-                        finish = rt._copy(
+                        rt._copy(
                             rt._memory_by_uid(src_uid), store, nbytes,
                             max(rt.issue_time, t_src),
-                            label=f"ckpt:{name or uid}",
-                            category="checkpoint",
+                            uid, name, frag, "checkpoint", coh,
                         )
-                        if log is not None:
-                            log.record_copy(
-                                uid, name, frag, src_uid, store.uid,
-                                nbytes, why="checkpoint",
-                            )
-                        coh.mark_valid(store.uid, frag, finish)
                         scaled = int(nbytes * scale)
                         total += scaled
                         if store.uid != primary_uid:
@@ -283,8 +280,8 @@ class Recovery:
         rt.profiler.record_checkpoint(total)
         if replicated:
             rt.profiler.record_replication(replicated)
-        if log is not None:
-            log.record_checkpoint(total, nregions)
+        if rt.event_log is not None:
+            rt.event_log.record_checkpoint(total, nregions)
         if self.journal:
             self.journal.clear()
         self.freed.clear()
@@ -432,24 +429,48 @@ class Recovery:
         restored = 0
         steps = self.plan_recovery(rewritten, stores)
         for step in steps:
-            coh = rt._coherence[step.region_uid]
-            finish = rt._copy(
+            rt._copy(
                 rt._memory_by_uid(step.src_uid),
                 rt._memory_by_uid(step.dst_uid),
                 step.nbytes,
                 max(rt.issue_time, step.ready),
-                label=f"restore:{step.region_name or step.region_uid}",
-                category="checkpoint",
+                step.region_uid, step.region_name, step.rect, "restore",
+                rt._coherence[step.region_uid],
             )
-            if rt.event_log is not None:
-                rt.event_log.record_copy(
-                    step.region_uid, step.region_name, step.rect,
-                    step.src_uid, step.dst_uid, step.nbytes, why="restore",
-                )
-            coh.mark_valid(step.dst_uid, step.rect, finish)
             restored += int(step.nbytes * rt.config.effective_comm_scale)
         if steps:
             rt.profiler.record_restore(restored, len(steps))
+
+    def retry(
+        self, kind: str, attempt: int, detail: str, what: str,
+        lanes: Sequence[str], label: str, at: float,
+    ) -> float:
+        """The retry rule of a transient ``kind`` fault (copy or alloc).
+
+        Counts and logs the fault of ``attempt``; past
+        ``ChaosConfig.max_retries`` the fault is deemed permanent and
+        raises :class:`FaultError` naming ``what``.  Otherwise returns
+        the exponential backoff pause, recorded as a retry and drawn
+        from ``at`` as a ``backoff`` span on each of ``lanes``.  The
+        caller draws the fault itself, so each path keeps its place in
+        the chaos stream.
+        """
+        rt = self.runtime
+        rt.profiler.record_fault(kind)
+        if rt.event_log is not None:
+            rt.event_log.record_fault(kind, detail=detail)
+        if attempt > self.chaos.config.max_retries:
+            raise FaultError(f"{what} still failing after {attempt - 1} retries")
+        pause = self.chaos.backoff(attempt)
+        rt.profiler.record_retry(pause)
+        tl = rt.timeline
+        if tl is not None:
+            for lane in lanes:
+                tl.record(
+                    "backoff", lane, f"{label}!backoff{attempt}",
+                    at, at + pause,
+                )
+        return pause
 
     def plan_recovery(
         self, rewritten: Dict[int, RectSet], stores: Sequence[Memory]

@@ -45,14 +45,15 @@ from repro.analysis.recorder import validation_default as _validation_default
 from repro.analysis.sanitizer import poison as _poison
 from repro.analysis.sanitizer import readonly_view as _readonly_view
 from repro.geometry import Rect
-from repro.legion import fastpath as _fastpath
 from repro.legion import fusion
 from repro.legion.chaos import ChaosConfig, chaos_default
-from repro.legion.coherence import RegionCoherence
-from repro.legion.exceptions import FaultError, OutOfMemoryError
+from repro.legion.coherence import RegionCoherence, eligible_write_reqs
+from repro.legion.exceptions import OutOfMemoryError
 from repro.legion.future import Future, pending_roots
 from repro.legion.instance import InstanceManager
-from repro.legion.partition import ImageByCoordinate, ImageByRange, Partition, Tiling
+from repro.legion.partition import (
+    ImageByCoordinate, ImageByRange, ImagePartitionCache, Partition, Tiling,
+)
 from repro.legion.privilege import Privilege
 from repro.legion.profiler import Profiler
 from repro.legion.recovery import Recovery
@@ -61,7 +62,9 @@ from repro.legion.task import Pointwise, Requirement, ShardContext, TaskLaunch
 from repro.legion.timeline import Timeline
 from repro.legion.timeline import profile_default as _profile_default
 from repro.legion.timeline import register as _register_timeline
-from repro.legion.tracing import History, launch_fingerprint, window_fingerprint
+from repro.legion.tracing import (
+    BoundedMemo, History, Template, launch_fingerprint, window_fingerprint,
+)
 from repro.machine import MIN_CHUNK, MachineScope, Memory, MemoryKind, reserve
 
 
@@ -209,6 +212,12 @@ WINDOW_CAPACITY = 16
 # The partition kinds whose rects a source region's data decides.
 _IMAGES = (ImageByRange, ImageByCoordinate)
 
+# The timeline category of each kind of copy (Runtime._copy's ``why``).
+_COPY_CATEGORY = {
+    "stage": "copy", "fold": "copy", "spill": "spill",
+    "checkpoint": "checkpoint", "restore": "checkpoint",
+}
+
 
 class _RowShape:
     """What of a requirement is the same for every launch with its
@@ -246,7 +255,7 @@ class _LaunchShape:
     """The execution template of a launch: its row shapes, the
     privileges handed to every shard, which requirements write and
     which of those batch their coherence writes
-    (:func:`repro.legion.fastpath.eligible_write_reqs`).  Derived once
+    (:func:`repro.legion.coherence.eligible_write_reqs`).  Derived once
     per template: per structural key, or per planned group.
 
     ``images`` keeps the rect tables of the image requirements it was
@@ -287,7 +296,7 @@ class _LaunchShape:
         # Tiling over that region) defer their writes and apply them in
         # one batch after the color loop -- turning the O(colors^2)
         # incremental invalidation into one linear pass.
-        eligible = _fastpath.eligible_write_reqs(task, replay, freed_uids)
+        eligible = eligible_write_reqs(task, replay, freed_uids)
         self.eligible = tuple(
             i for req in eligible.values()
             for i in self.writers if reqs[i] is req
@@ -468,7 +477,7 @@ class Runtime:
         # The key carries body IR and dtypes, so windows computing
         # other expressions or casting to other types never share a
         # verdict or a nest; a distinct window pays the planning once.
-        self._fusion_cache = _fastpath.BoundedMemo()
+        self._fusion_cache = BoundedMemo()
         # Every executed window group, in order: (sub-launch names,
         # number of elided temporaries, verdict label) where the label
         # is depend.verdict_label — "single", "merged" or
@@ -486,15 +495,16 @@ class Runtime:
         # Region metadata the spill/checkpoint paths need after mapping
         # (uid -> (name, itemsize)); dropped on free.
         self._region_meta: Dict[int, Tuple[str, int]] = {}
-        # Host-side analysis state (repro.legion.fastpath): the
-        # image-geometry cache, the launch templates by structural key
-        # (see _template), per-region-uid reference and writer counts
-        # over the deferred window (what free_region and pass_window
-        # check), and the in-flight batched-write map (requirement name
-        # -> (coherence, [(mem_uid, rect, t)])) that _execute_task
-        # defers per-color mark_written calls into.
-        self._image_cache = _fastpath.ImagePartitionCache()
-        self._templates = _fastpath.BoundedMemo()
+        # Host-side analysis state: the image-geometry cache
+        # (partition.ImagePartitionCache), the launch templates by
+        # structural key (tracing.Template, see _template), per-region-uid
+        # reference and writer counts over the deferred window (what
+        # free_region and pass_window check), and the in-flight
+        # batched-write map (requirement name -> (coherence, [(mem_uid,
+        # rect, t)])) that _execute_task and _fold_reduction defer
+        # per-color mark_written calls into.
+        self._image_cache = ImagePartitionCache()
+        self._templates = BoundedMemo()
         self._window_refs: Dict[int, int] = {}
         self._window_writers: Dict[int, int] = {}
         self._pending_writes: Optional[dict] = None
@@ -560,14 +570,14 @@ class Runtime:
         epoch, in which nothing issued so far replays."""
         self._history.clear()
 
-    def _template(self, key: Optional[tuple]) -> Optional[_fastpath.Template]:
+    def _template(self, key: Optional[tuple]) -> Optional[Template]:
         """The template of a structural key, made on first use; None
         for a launch without a key."""
         if key is None:
             return None
         template = self._templates.get(key)
         if template is None:
-            template = _fastpath.Template(key)
+            template = Template(key)
             self._templates.put(key, template)
         return template
 
@@ -757,76 +767,80 @@ class Runtime:
         dst: Memory,
         nbytes: int,
         ready: float,
-        label: str = "",
-        category: str = "copy",
+        region_uid: int,
+        name: str,
+        rect: Rect,
+        why: str,
+        coh: Optional[RegionCoherence],
     ) -> float:
-        """Schedule a copy between memories; returns its finish time.
+        """Copy ``rect`` of a region between memories; returns its finish.
+
+        The copy engine's one entry: it books the route, retries
+        transient faults, records the copy to the profiler, the timeline
+        and the event log, and marks ``rect`` valid in ``dst`` in
+        ``coh`` (None for a fold, whose owner tile is written once every
+        contribution has landed).  ``why`` is stage, fold, spill,
+        checkpoint or restore: the event log's reason, the span label
+        ``f"{why}:{name or region_uid}"`` and, through
+        ``_COPY_CATEGORY``, the span category.  ``nbytes`` is unscaled.
 
         The copy takes the earliest window, from ``max(ready,
         issue_time)`` on, in which every channel of its route is idle
         (:func:`repro.machine.model.reserve`): it may fill a gap that
         earlier copies left open, but never one that closed before its
-        launch was issued.
+        launch was issued.  A copy that fits no gap goes past every
+        channel's tail and starts at ``max(ready, busy_until)``, which
+        may precede the issue clock (ROADMAP item 17).
 
         Under chaos injection a copy attempt may hit a transient link
         error: the doomed attempt still occupies its window, then the
         runtime backs off exponentially (on the simulated clock) and
-        retries, up to ``ChaosConfig.max_retries`` — after which the
-        fault is deemed permanent and raises :class:`FaultError`.
-        Numerics are untouched: only modeled time is lost.
-
-        ``label``/``category`` name the timeline span when profiling
-        (category "copy", or "spill"/"checkpoint" for those paths).
+        retries (:meth:`Recovery.retry`), up to
+        ``ChaosConfig.max_retries`` — after which the fault is deemed
+        permanent and raises :class:`FaultError`.  Numerics are
+        untouched: only modeled time is lost.
         """
-        nbytes = int(nbytes * self.config.effective_comm_scale)
+        scaled = int(nbytes * self.config.effective_comm_scale)
         channels, latency, bandwidth = self._route(src, dst)
-        cost = nbytes / bandwidth
+        cost = scaled / bandwidth
         clock = self.issue_time
         start, finish = reserve(channels, ready, clock, latency, cost)
         tl = self.timeline
+        label = "" if tl is None else f"{why}:{name or region_uid}"
         chaos = self.recovery.chaos
         if chaos is not None:
             attempt = 0
             while chaos.copy_fault():
                 attempt += 1
-                self.profiler.record_fault("copy")
-                if self.event_log is not None:
-                    self.event_log.record_fault(
-                        "copy", detail=f"attempt {attempt}"
-                    )
                 if tl is not None:
                     for chan in channels:
                         tl.record(
-                            "retry", chan.name,
-                            f"{label or 'copy'}!attempt{attempt}",
-                            start, finish, nbytes=nbytes,
+                            "retry", chan.name, f"{label}!attempt{attempt}",
+                            start, finish, nbytes=scaled,
                         )
-                if attempt > chaos.config.max_retries:
-                    raise FaultError(
-                        f"copy of {nbytes} bytes ({src.kind.value}[{src.uid}]"
-                        f" -> {dst.kind.value}[{dst.uid}]) still failing "
-                        f"after {attempt - 1} retries"
-                    )
                 # The failed attempt held its window; back off, retry.
-                pause = chaos.backoff(attempt)
-                self.profiler.record_retry(pause)
-                if tl is not None:
-                    for chan in channels:
-                        tl.record(
-                            "backoff", chan.name,
-                            f"{label or 'copy'}!backoff{attempt}",
-                            finish, finish + pause,
-                        )
+                pause = self.recovery.retry(
+                    "copy", attempt, f"attempt {attempt}",
+                    f"copy of {scaled} bytes ({src.kind.value}[{src.uid}]"
+                    f" -> {dst.kind.value}[{dst.uid}])",
+                    [chan.name for chan in channels], label, finish,
+                )
                 start, finish = reserve(
                     channels, finish + pause, clock, latency, cost
                 )
         for chan in channels:
-            self.profiler.record_copy(chan.name, nbytes)
+            self.profiler.record_copy(chan.name, scaled)
             if tl is not None:
                 tl.record(
-                    category, chan.name, label or category,
-                    start, finish, nbytes=nbytes,
+                    _COPY_CATEGORY[why], chan.name, label,
+                    start, finish, nbytes=scaled,
                 )
+        if self.event_log is not None:
+            self.event_log.record_copy(
+                region_uid, name, rect, src.uid, dst.uid, nbytes, why
+            )
+        if coh is not None:
+            coh.mark_valid(dst.uid, rect, finish)
         return finish
 
     def _route(
@@ -849,6 +863,7 @@ class Runtime:
         self, memory: Memory, nbytes: int, ready: float, kind: str, row: _PlanRow
     ) -> float:
         """Charge a within-memory migration (``kind``: resize or dup)."""
+        self.profiler.record_resize(nbytes)
         nbytes = int(nbytes * self.config.data_scale)
         route, latency, bandwidth = self._route(memory, memory)
         chan = route[0]
@@ -1132,10 +1147,10 @@ class Runtime:
         try:
             return self._execute_task(task, replay)
         except BaseException:
-            # A shard failure mid-launch must not leave batched
-            # coherence writes dangling: replay them sequentially so
-            # the region tree holds the partial state per-color
-            # mark_written calls would have left.
+            # A failure mid-launch (a shard's, or a fold copy's) must
+            # not leave batched coherence writes dangling: replay them
+            # sequentially so the region tree holds the partial state
+            # per-color mark_written calls would have left.
             self._flush_pending_writes()
             raise
 
@@ -1332,7 +1347,6 @@ class Runtime:
                         memory, row, rect, task, t_input
                     )
                     if resize_bytes:
-                        self.profiler.record_resize(resize_bytes)
                         t_input = self._intra_copy(
                             memory, resize_bytes, t_input, "resize", row
                         )
@@ -1350,7 +1364,6 @@ class Runtime:
                     )
                     dup = (rect.volume() - missing) * row.itemsize
                     if dup > 0:
-                        self.profiler.record_resize(dup)
                         t_input = self._intra_copy(
                             memory, dup, t_input, "dup", row
                         )
@@ -1537,22 +1550,11 @@ class Runtime:
         missing = coh.missing(memory.uid, rect)
         for piece in missing:
             for src_uid, frag, t_src in coh.find_source(piece, exclude=memory.uid):
-                src_mem = self._memory_by_uid(src_uid)
-                nbytes = frag.volume() * region.itemsize
                 finish = self._copy(
-                    src_mem, memory, nbytes, t_src,
-                    label=(
-                        "" if self.timeline is None
-                        else f"stage:{region.name}" if region.name
-                        else "stage"
-                    ),
+                    self._memory_by_uid(src_uid), memory,
+                    frag.volume() * region.itemsize, t_src,
+                    region.uid, region.name, frag, "stage", coh,
                 )
-                if self.event_log is not None:
-                    self.event_log.record_copy(
-                        region.uid, region.name, frag,
-                        src_uid, memory.uid, nbytes,
-                    )
-                coh.mark_valid(memory.uid, frag, finish)
                 t_input = max(t_input, finish)
         if self.config.validate and not replay:
             # Online stale-read assertion: after staging, every piece of
@@ -1590,27 +1592,12 @@ class Runtime:
         while True:
             if chaos is not None and chaos.alloc_fault():
                 attempt += 1
-                self.profiler.record_fault("alloc")
-                if self.event_log is not None:
-                    self.event_log.record_fault(
-                        "alloc", detail=f"task {task.name!r} attempt {attempt}"
-                    )
-                if attempt > chaos.config.max_retries:
-                    raise FaultError(
-                        f"allocation for task {task.name!r} in "
-                        f"{memory.kind.value}[{memory.uid}] still failing "
-                        f"after {attempt - 1} retries"
-                    )
-                pause = chaos.backoff(attempt)
-                self.profiler.record_retry(pause)
-                if self.timeline is not None:
-                    self.timeline.record(
-                        "backoff",
-                        f"{memory.kind.value}[{memory.uid}]",
-                        f"alloc:{task.name}!backoff{attempt}",
-                        t_input, t_input + pause,
-                    )
-                t_input += pause
+                lane = f"{memory.kind.value}[{memory.uid}]"
+                t_input += self.recovery.retry(
+                    "alloc", attempt, f"task {task.name!r} attempt {attempt}",
+                    f"allocation for task {task.name!r} in {lane}",
+                    (lane,), f"alloc:{task.name}", t_input,
+                )
                 continue
             try:
                 _, resize_bytes, fresh = self.instances.ensure(
@@ -1710,15 +1697,8 @@ class Runtime:
                     finish = self._copy(
                         memory, host, nbytes,
                         max(t, coh.ready_time(memory.uid, rect)),
-                        label=f"spill:{name or inst.region_uid}",
-                        category="spill",
+                        inst.region_uid, name, rect, "spill", coh,
                     )
-                    if self.event_log is not None:
-                        self.event_log.record_copy(
-                            inst.region_uid, name, rect,
-                            memory.uid, host.uid, nbytes, why="spill",
-                        )
-                    coh.mark_valid(host.uid, rect, finish)
                     self.profiler.record_spill(
                         int(nbytes * self.config.effective_comm_scale)
                     )
@@ -1735,40 +1715,21 @@ class Runtime:
         colors: int,
         launch_id: int = 0,
     ) -> None:
-        """Fold per-shard REDUCE contributions onto owner tiles."""
+        """Fold per-shard REDUCE contributions onto owner tiles.
+
+        The fold reads no coherence, and a Tiling owner covers the
+        region with disjoint tiles, so the per-color ``mark_written``
+        calls batch into one ``write_complete``.  The batch waits in
+        ``_pending_writes``, where a failure mid-fold finds it
+        (:meth:`_execute` replays it).
+        """
         owner = req.owner or Tiling.create(req.region, colors)
         coh = self.coherence(req.region)
         procs = self.scope.processors
-        # The fold loop reads no coherence, and a Tiling owner covers
-        # the region with disjoint tiles, so the per-color mark_written
-        # calls can be batched into one write_complete.
         batch: Optional[List[Tuple[int, Rect, float]]] = None
         if type(owner) is Tiling and owner.region.uid == req.region.uid:
             batch = []
-        try:
-            self._fold_loop(
-                task, req, writes, owner, coh, procs, launch_id, batch
-            )
-        except BaseException:
-            if batch:
-                for mem_uid, tile, t in batch:
-                    coh.mark_written(mem_uid, tile, t)
-            raise
-        if batch:
-            coh.write_complete(batch)
-            self.profiler.fastpath_counters["batched_writes"] += len(batch)
-
-    def _fold_loop(
-        self,
-        task: TaskLaunch,
-        req: Requirement,
-        writes: List[Tuple[Rect, Memory, float]],
-        owner: Partition,
-        coh: RegionCoherence,
-        procs,
-        launch_id: int,
-        batch: Optional[List[Tuple[int, Rect, float]]],
-    ) -> None:
+            self._pending_writes = {req.name: (coh, batch)}
         for color in range(owner.color_count):
             proc = procs[color % len(procs)]
             memory = proc.memory
@@ -1784,13 +1745,8 @@ class Runtime:
                 if src_mem.uid != memory.uid:
                     t_arrive = self._copy(
                         src_mem, memory, nbytes, t_write,
-                        label=f"fold:{req.region.name or req.name}",
+                        req.region.uid, req.region.name, overlap, "fold", None,
                     )
-                    if self.event_log is not None:
-                        self.event_log.record_copy(
-                            req.region.uid, req.region.name, overlap,
-                            src_mem.uid, memory.uid, nbytes, why="fold",
-                        )
                 else:
                     t_arrive = t_write
                 # Read-modify-write fold on the owner processor.
@@ -1816,6 +1772,11 @@ class Runtime:
                     launch_id, task.name, req.region.uid, req.region.name,
                     tile, memory.uid,
                 )
+        if batch is not None:
+            self._pending_writes = None
+            if batch:
+                coh.write_complete(batch)
+                self.profiler.fastpath_counters["batched_writes"] += len(batch)
 
     def _mem_scale(self, region: Region):
         if region.mem_scale is not None:

@@ -189,7 +189,7 @@ class TaskLaunch:
     # Rect-local marker: set on launches eligible for the deferred
     # fusion window (repro.legion.fusion); None means execute eagerly.
     pointwise: Optional[Pointwise] = None
-    # The launch's host template: the runtime's fastpath.Template for
+    # The launch's host template: the runtime's tracing.Template for
     # its structural key (set by the issuer or on launch), or the
     # runtime's _Group for a fused launch.  None when it has no key.
     template: Optional[Any] = None

@@ -7,7 +7,7 @@ its issued stream itself, without annotations (as Apophenia, Yadav et
 al., ASPLOS '25, does for Legion).  :class:`History` gives every issued
 launch a *token*:
 
-* its :class:`repro.legion.fastpath.Template` object -- the launch's
+* its :class:`Template` object -- the launch's
   structural key: task name, color count, body IR and, per argument,
   privilege, region shape and dtype and partition geometry, an image
   pinned by its rects, regions numbered within the launch;
@@ -28,9 +28,11 @@ the window-plan cache); only the modeled charge differs, so with
 ``trace_replay_fraction=1.0`` a run is bit-for-bit one without replays.
 ``Profiler.launches_replayed`` counts the discounted launches.
 
-The module also holds the two structural fingerprints the runtime's
-caches are keyed by: :func:`launch_fingerprint` (templates) and
-:func:`window_fingerprint` (window plans).
+The module also holds the runtime's two structural caches and the
+fingerprints that key them: one :class:`Template` per launch key in a
+:class:`BoundedMemo` keyed by :func:`launch_fingerprint` (or
+``AutoTask._fingerprint``), and window plans in another keyed by
+:func:`window_fingerprint`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,55 @@ from repro.legion.partition import (
     derivation,
 )
 from repro.legion.task import TaskLaunch
+
+
+class Template:
+    """The host half of a launch, shared by every launch with its key.
+
+    Keys number regions within the launch, so launches over fresh
+    regions share a template, and a repartition (a store's key
+    partition changing) changes the key instead of requiring explicit
+    invalidation.  A template holds ints, tuples, rects and plans —
+    never a region or partition: one kept alive by a cache entry would
+    never reach the destructor that recycles its instances into the
+    allocation pool.
+    """
+
+    __slots__ = ("key", "plan", "fusible", "shape")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        # repro.constraints.solver.solution_plan recipe (AutoTask
+        # launches); a hit rebuilds partitions from the current stores.
+        self.plan: Optional[tuple] = None
+        # Whether the launch enters the deferred window (Runtime.launch).
+        self.fusible: Optional[bool] = None
+        # The launch's Runtime._LaunchShape (Runtime._execute_task).
+        self.shape = None
+
+
+class BoundedMemo:
+    """A memo cleared whole when it reaches ``MAX_ENTRIES``."""
+
+    __slots__ = ("_entries",)
+
+    MAX_ENTRIES = 1024
+
+    def __init__(self) -> None:
+        self._entries: Dict[tuple, Any] = {}
+
+    def get(self, key: tuple) -> Any:
+        """The memoized value for a key, or None."""
+        return self._entries.get(key)
+
+    def put(self, key: tuple, value: Any) -> None:
+        """Memoize a value."""
+        if len(self._entries) >= self.MAX_ENTRIES:
+            self._entries.clear()
+        self._entries[key] = value
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def launch_fingerprint(

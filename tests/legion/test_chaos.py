@@ -141,9 +141,12 @@ class TestTransientFaults:
         assert rt.profiler.backoff_seconds > 0
         assert f1 - f0 >= t1 - t0
 
-    def test_exhausted_retries_raise_fault_error(self):
-        chaos = ChaosConfig(seed=0, copy_fault_rate=0.99, max_retries=2)
-        with pytest.raises(FaultError):
+    @pytest.mark.parametrize("kind", ["copy", "alloc"])
+    def test_exhausted_retries_raise_fault_error(self, kind):
+        chaos = ChaosConfig(
+            seed=0, max_retries=2, **{f"{kind}_fault_rate": 0.99}
+        )
+        with pytest.raises(FaultError, match="still failing after 2 retries"):
             _cg_run(chaos)
 
 

@@ -1,11 +1,13 @@
 """Host-side analysis machinery: each mechanism against its reference.
 
-``repro.legion.fastpath`` is pure host-side mechanism — batched
-coherence writes, launch templates (solve plan, window verdict, launch
-shape) keyed by the launch's structural key, a bounded window-plan
-cache and an epoch-keyed image-partition cache — that the runtime
-always uses.  Everything here pins down the two properties the design
-hangs on:
+The runtime always uses this pure host-side mechanism: batched
+coherence writes (``coherence.eligible_write_reqs``,
+``RegionCoherence.write_complete``), launch templates (solve plan,
+window verdict, launch shape) keyed by the launch's structural key
+(``tracing.Template``), a bounded window-plan cache
+(``tracing.BoundedMemo``) and an epoch-keyed image-partition cache
+(``partition.ImagePartitionCache``).  Everything here pins down the
+two properties the design hangs on:
 
 * **bitwise neutrality, unit by unit** — ``write_complete`` lands the
   state of the sequential ``mark_written`` loop, a rebuilt solve plan
@@ -42,13 +44,12 @@ from repro.constraints.solver import (
 from repro.geometry import Rect, RectSet
 from repro.legion import Replicate, Runtime, RuntimeConfig, Tiling
 from repro.legion import runtime as runtime_module
-from repro.legion.coherence import RegionCoherence
-from repro.legion.fastpath import (
-    BoundedMemo, ImagePartitionCache, eligible_write_reqs,
-)
+from repro.legion.coherence import RegionCoherence, eligible_write_reqs
+from repro.legion.partition import ImagePartitionCache
 from repro.legion.privilege import Privilege
 from repro.legion.runtime import runtime_scope
 from repro.legion.task import Requirement
+from repro.legion.tracing import BoundedMemo
 from repro.machine import ProcessorKind, laptop
 
 from tests.legion.test_coherence_index import _canonical_log

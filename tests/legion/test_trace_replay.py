@@ -45,7 +45,7 @@ from tests.legion.test_coherence_index import (
     GOLDEN_LOG, GOLDEN_LOG_SHAPE, GOLDEN_LOG_UNFUSED, GOLDEN_LOG_UNFUSED_SHAPE,
     GOLDEN_SOLUTION, GPUS, GRID, _canonical_log,
 )
-from tests.legion import test_fastpath as fastpath_tests
+from tests.legion import test_host_analysis as host_tests
 from tests.legion.test_mapping_lane import GOLDEN_SPILL
 
 # The same two digests of _lru_program below, recorded at fb01e37: the
@@ -492,7 +492,7 @@ def test_a_body_that_stops_early_keeps_the_capture():
 def _temporaries_loop():
     rt = _runtime()
     refs = []
-    with fastpath_tests.counting_shapes() as builds, runtime_scope(rt):
+    with host_tests.counting_shapes() as builds, runtime_scope(rt):
         A = sp.csr_matrix(poisson2d_scipy(12))
         x = rnp.ones(144)
         for _ in range(4):
@@ -561,11 +561,11 @@ def test_fingerprint_blind_to_partitions_fails(monkeypatch):
         with pytest.raises(AssertionError):
             test_repartitioned_operand_does_not_replay()
         with pytest.raises(AssertionError):
-            fastpath_tests.test_untraced_templates_match_fresh_ones()
+            host_tests.test_untraced_templates_match_fresh_ones()
     monkeypatch.setattr(tracing, "launch_fingerprint", blind_launch)
     monkeypatch.setattr(runtime_module, "launch_fingerprint", blind_launch)
     with pytest.raises(AssertionError):
-        fastpath_tests.test_image_templates_match_fresh_ones()
+        host_tests.test_image_templates_match_fresh_ones()
 
 
 def test_lane_without_the_lru_tick_fails(monkeypatch):

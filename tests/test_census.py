@@ -4,6 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "census.py"
 spec = importlib.util.spec_from_file_location("census", SCRIPT)
 census = importlib.util.module_from_spec(spec)
@@ -87,3 +89,13 @@ def test_census_classifies_a_toy_package(tmp_path):
     # Re-classifying the recorded reach gives back the same verdicts.
     again = census.reclassify(src, [dict(r) for r in result["definitions"]])
     assert again == result
+    # A moved definition makes the records stale (reach is keyed by
+    # file:line): re-classifying them exits non-zero, naming both sides.
+    (src / "mod.py").write_text("\n\n" + TOY)
+    with pytest.raises(SystemExit) as stale:
+        census.reclassify(src, [dict(r) for r in result["definitions"]])
+    message = str(stale.value.code)
+    assert "only in the tree: mod.py:4 used" in message
+    assert "only in the records: mod.py:2 used" in message
+    assert "only in the tree: mod.py:9 Box.unused" in message
+    assert "extra.py" not in message
