@@ -71,7 +71,8 @@ overhead:
 # Call census: runs the examples, check.sh's CLIs, the bench workloads,
 # smoke and self-test, scripts/overhead.py, benchmarks/ and report --fast,
 # then tier-1, each under a chained profile hook; writes every
-# definition's reach and verdict to artifacts/pr42/census.json.
+# definition's reach and verdict to the ignored artifacts/census.json
+# (`python3 scripts/census.py --out PATH` keeps one elsewhere).
 # Evidence, not a gate (about 10 minutes on 2 vCPUs).
 census:
 	python3 scripts/census.py

@@ -87,7 +87,7 @@ def probe(root: Path) -> dict:
             delta = rt.profiler.since(snap)
             labels.update(label for _, _, label in rt.fusion_log[logged:])
             launches += delta.tasks_launched
-            passed += delta.launches_passed
+            passed += getattr(delta, "launches_passed", 0)
             flushes += delta.hazard_flushes
             allreduces += delta.allreduces
             copies.update(delta.copy_count)

@@ -78,7 +78,10 @@ def probe(root: Path, program: str) -> dict:
     def on_free(real):
         def free_region(self, region):
             counts["free_region_calls"] += 1
-            if self._window_refs.get(region.uid, 0) > 0:
+            if any(
+                req.region.uid == region.uid
+                for task in self._window for req in task.requirements
+            ):
                 counts["frees_naming_pending"] += 1
             return real(self, region)
         return free_region
@@ -161,7 +164,7 @@ def probe(root: Path, program: str) -> dict:
     )
     for rt in runtimes:
         for key in totals:
-            totals[key] += getattr(rt.profiler, key)
+            totals[key] += getattr(rt.profiler, key, 0)
     row = dict(counts)
     row.update(totals)
     row["fusion_log_sha256"] = log_hash.hexdigest()

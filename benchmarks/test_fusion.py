@@ -106,7 +106,6 @@ def _matfact_batches(fusion: bool) -> dict:
             sha.update(a.to_numpy().tobytes())
     return {
         "tasks_launched": delta.tasks_launched,
-        "launches_passed": delta.launches_passed,
         "modeled_launch_overhead_s": delta.launch_overhead_seconds,
         "modeled_time_s": modeled,
         "model_sha256": sha.hexdigest(),

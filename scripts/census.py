@@ -7,7 +7,7 @@ program's own ``sys.setprofile`` (whose ``None`` uninstalls only that one),
 BLAS single-threaded as in ``bench/``.  *Reach* is ``workload``,
 ``test-only`` or ``none``; ``verdict`` states the rule.  Evidence, not a gate.
 
-    make census                            # writes artifacts/pr42/census.json
+    make census                            # writes artifacts/census.json (ignored)
     python3 scripts/census.py --keep DIR   # and keeps the raw run in DIR
     python3 scripts/census.py --reuse DIR  # re-classify a kept raw run
     python3 scripts/census.py --reuse artifacts/pr51/census.json  # or an earlier result
@@ -226,7 +226,7 @@ def reclassify(src: Path, records: list) -> dict:
 
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--out", default=str(ROOT / "artifacts" / "pr42" / "census.json"))
+    ap.add_argument("--out", default=str(ROOT / "artifacts" / "census.json"))
     ap.add_argument("--reuse", help="classify a raw run kept with --keep, or re-classify "
                     "an earlier census.json, instead of running")
     ap.add_argument("--keep", help="keep the raw run in this directory")

@@ -44,12 +44,15 @@ echo "== validation smoke (REPRO_VALIDATE=1) =="
 # solves that issue up to eight bodies ahead of their checks (groups
 # spanning bodies, up to eight discarded bodies) through it, and
 # test_runtime.py's TestWait puts waits that leave the window open and
-# waits that flush it before they stall through it.
+# waits that flush it before they stall through it; test_copy_log.py
+# puts every kind of copy (stage, fold, spill, checkpoint, restore)
+# through it.
 REPRO_VALIDATE=1 python -m pytest -x -q \
     tests/analysis \
     tests/core/test_cg_spmv_before_wait.py \
     tests/legion/test_runtime.py \
     tests/legion/test_chaos.py \
+    tests/legion/test_copy_log.py \
     tests/legion/test_resilience2.py \
     tests/legion/test_reset.py \
     tests/legion/test_spill.py \

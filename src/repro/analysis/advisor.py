@@ -169,10 +169,9 @@ class Advice:
     fusion_groups: List[Tuple[Tuple[str, ...], int, str]] = field(
         default_factory=list
     )
-    # Why its windows ended, or did not (``Runtime.pass_window``):
-    # non-fusible launches that ran ahead of a non-empty window, and
-    # those that flushed it because they depend on a member.
-    launches_passed: int = 0
+    # Windows flushed by a launch that cannot join them: a non-fusible
+    # launch, or a solve whose image reads a pending write
+    # (``Profiler.hazard_flushes``).
     hazard_flushes: int = 0
     # Process-wide codegen reuse counters
     # (:func:`repro.distal.codegen.compile_cache_stats`), reported next
@@ -230,7 +229,6 @@ class Advice:
                 {"names": list(names), "elided": elided, "verdict": verdict}
                 for names, elided, verdict in self.fusion_groups
             ],
-            "launches_passed": self.launches_passed,
             "hazard_flushes": self.hazard_flushes,
             "caches": self.caches,
             "errors": len(self.errors),
@@ -305,9 +303,8 @@ class Advice:
             )
         if self.fusion_groups:
             lines.append(
-                f"deferred window: {self.launches_passed} non-fusible "
-                f"launch(es) passed it, {self.hazard_flushes} flushed it "
-                f"on a hazard"
+                f"deferred window: {self.hazard_flushes} flushed by a "
+                f"launch that cannot join it"
             )
             lines.append("")
         if self.findings:
@@ -882,7 +879,6 @@ def analyze(plan: PlanTrace) -> Advice:
         comm_scale=config.effective_comm_scale,
         predicted=report.log,
         fusion_groups=list(runtime.fusion_log),
-        launches_passed=runtime.profiler.launches_passed,
         hazard_flushes=runtime.profiler.hazard_flushes,
         caches={"compile": _compile_cache_stats()},
     )

@@ -238,13 +238,13 @@ class AutoTask:
         partitions, so repartitions miss instead of going stale.  The
         deferred window is flushed before the solve only if a member
         writes an image source (``Runtime.order_solve``); the launch
-        then joins the window or passes it (``Runtime.launch``).
+        then joins the window or flushes it (``Runtime.launch``).
         """
         rt = self.runtime
         colors = self.colors if self.colors is not None else rt.launch_colors
         # An image partition reads its source's data at solve time:
         # deferred launches that still owe writes to a source run first.
-        # The launch itself -- joining the window or passing it -- is
+        # The launch itself -- joining the window or flushing it -- is
         # ordered by Runtime.launch.  An explicit partition must have
         # the launch's width (LaunchWidthError).
         sources = []

@@ -20,13 +20,9 @@ Legality rules (checked structurally, per window):
    tilings or disjoint images (``numeric.reductions``), every generated
    kernel (``distal.registry.launch``, REDUCE ones included), row
    expansion and row gathers.  It enters the window.  Any other launch -- a
-   slice write, a random draw, ``scatter_add``, a raw launch -- runs
-   at once, ordered against the window by a *hazard test*
-   (``Runtime.pass_window``): the window is flushed first only if the
-   launch touches a region a member writes or reduces into, writes a
-   region a member touches, or takes a scalar a member reduction still
-   owes.  Otherwise it *passes*: it runs ahead of the members, which
-   stay deferred -- independent launches reordered, so no value moves.
+   slice write, a random draw, ``scatter_add``, a raw launch -- flushes
+   a non-empty window, then runs (``Runtime.launch``): it runs after
+   every launch issued before it, as the unfused program does.
 2. *One dependence rule, per region* (Diffuse's).  The fused kernel
    runs shard by shard, so shard *i* of a later member runs before
    shard *j > i* of an earlier one.  Every member of a group has the
@@ -52,13 +48,11 @@ Legality rules (checked structurally, per window):
    3), which runs after every earlier member and before every later
    one.  So the coarse CG of a V-cycle, on one GPU, plans
    ``p = z + p*beta``, ``A @ p`` and ``p.q`` into one group (rule 5's
-   one-color case adds the rest of the body).  A replica read is
-   still checked -- its member is aligned, and :func:`segments` could
-   run it ahead of the writer -- and so is every write, against every
-   partition the group reached the region through, those reads
-   included.  Such a write would be safe after the read (the read runs
-   first on the one shard), but admitting it changes the V-cycle's
-   plans, a change to be measured on its own.
+   one-color case adds the rest of the body).  Such a read is not
+   recorded against its region either, so a later member of the group
+   may write what it read: the one shard runs the read first.  A
+   replica read is still checked -- its member is aligned, and
+   :func:`segments` could run it ahead of the writer.
 3. *Segments.*  An *aligned* member (tiles and replicas only) also
    keeps one tile boundary set: its own tiled requirements agree, and
    so does each tiled region it shares with the group's other aligned
@@ -305,12 +299,10 @@ class _GroupState:
         # members use for it (rule 3).
         self.boundaries: Dict[int, Tuple[int, ...]] = {}
         # Local region id -> every (kind, boundaries) partition the
-        # group reaches it through (rule 2), but for one-color reads
-        # through an image or explicit partition, kept apart: only a
-        # write is checked against those (kept, not proven necessary:
-        # lifting it changes GMG's plans).
+        # group reaches it through (rule 2), one-color reads through an
+        # image or explicit partition aside: the one shard runs them in
+        # place, so no later write need match them.
         self.parts: Dict[int, set] = {}
-        self.read_in_place: Dict[int, set] = {}
         self.written: set = set()  # local region ids written in group
         # Rule 4: local region ids a member reduces into, and those a
         # reducing member reads -- both at the group's end.
@@ -343,10 +335,6 @@ class _GroupState:
                 part = (acc.part_kind, acc.boundaries)
                 if any(seen != part for seen in self.parts.get(lid, ())):
                     return False
-                if acc.privilege.writes and any(
-                    seen != part for seen in self.read_in_place.get(lid, ())
-                ):
-                    return False
         return True
 
     def add(self, index: int, summary: LaunchSummary, ids: Dict[int, int]) -> None:
@@ -365,11 +353,10 @@ class _GroupState:
                 self.reduce_reads.add(lid)
             if not summary.barrier and acc.part_kind == "tile":
                 self.boundaries[lid] = acc.boundaries
-            parts = (
-                self.read_in_place if _reads_in_place(acc, summary.colors)
-                else self.parts
-            )
-            parts.setdefault(lid, set()).add((acc.part_kind, acc.boundaries))
+            if not _reads_in_place(acc, summary.colors):
+                self.parts.setdefault(lid, set()).add(
+                    (acc.part_kind, acc.boundaries)
+                )
             if acc.privilege.writes:
                 self.written.add(lid)
 

@@ -32,10 +32,9 @@ class Profiler:
     fused_tasks: int = 0
     tasks_fused_away: int = 0
     regions_elided: int = 0
-    # Why a window ended, or did not (Runtime.pass_window): non-fusible
-    # launches that ran ahead of a non-empty window, and those that
-    # flushed it because they depend on a member.
-    launches_passed: int = 0
+    # Windows flushed by a launch that cannot join them: a non-fusible
+    # launch (Runtime.launch), or a solve whose image reads a region a
+    # member still owes a write to (Runtime.order_solve).
     hazard_flushes: int = 0
     # Kernel fusion (repro.analysis.depend): segments of fused groups
     # the dependence analyzer proved merge-safe, each executed as one
@@ -226,10 +225,10 @@ class Profiler:
                 f"({self.tasks_fused_away} launches merged away, "
                 f"{self.regions_elided} temporaries elided)"
             )
-        if self.launches_passed or self.hazard_flushes:
+        if self.hazard_flushes:
             lines.append(
-                f"deferred window:  {self.launches_passed} launches passed "
-                f"it, {self.hazard_flushes} flushed it on a hazard"
+                f"deferred window:  {self.hazard_flushes} flushed by a "
+                f"launch that cannot join it"
             )
         if self.kernel_merges:
             lines.append(

@@ -566,11 +566,11 @@ class Recovery:
     def _replay_journal(self, journal) -> List[LossSchedule]:
         """Replay the epoch's journal; return losses falling due mid-pass.
 
-        Journal order is *execution* order, not issue order: a launch
-        that passed the deferred window (``Runtime.pass_window``) was
-        journaled when it ran, ahead of the members issued before it,
-        and those follow once their flush has run them -- the order in
-        which coherence saw the writes, which is what a replay restores.
+        Journal order is *execution* order, not issue order: a deferred
+        window member is journaled when its flush runs it, in the order
+        of the planned groups (a hoisted reduction ahead of members
+        issued before it) -- the order in which coherence saw the
+        writes, which is what a replay restores.
 
         A non-empty return means the pass aborted: the caller re-wipes,
         re-plans from surviving replicas and replays again from the

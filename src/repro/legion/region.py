@@ -23,7 +23,7 @@ class Region:
     """A logical region backed by a NumPy array."""
 
     __slots__ = (
-        "uid", "shape", "dtype", "data", "name", "_runtime", "mem_scale",
+        "uid", "shape", "dtype", "data", "name", "_runtime",
         "_rect", "_nbytes", "__weakref__",
     )
 
@@ -56,11 +56,6 @@ class Region:
         # Memoized full-index rect (shape is immutable after init).
         self._rect = Rect.from_shape(self.shape)
         self._nbytes = None
-        # Per-region memory magnification override; None uses the
-        # runtime's data_scale.  Benchmarks use this when different
-        # problem axes (ratings vs. users vs. items) shrink by
-        # different factors in the reduced build.
-        self.mem_scale = None
 
     @property
     def ndim(self) -> int:

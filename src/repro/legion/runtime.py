@@ -459,8 +459,10 @@ class Runtime:
         self._proc_label = {
             p.uid: f"{p.kind.value}[{p.uid}]" for p in scope.processors
         }
-        # Memory-magnification overrides keyed by region dim-0 extent;
-        # see Region.mem_scale.
+        # Memory-magnification overrides keyed by region dim-0 extent,
+        # in place of config.data_scale: benchmarks whose problem axes
+        # (ratings vs. users vs. items) shrink by different factors in
+        # the reduced build set them.
         self.mem_scale_by_extent: Dict[int, float] = {}
         # Automatic tracing (repro.legion.tracing): the replay history
         # of the current template epoch.
@@ -497,16 +499,12 @@ class Runtime:
         self._region_meta: Dict[int, Tuple[str, int]] = {}
         # Host-side analysis state: the image-geometry cache
         # (partition.ImagePartitionCache), the launch templates by
-        # structural key (tracing.Template, see _template), per-region-uid
-        # reference and writer counts over the deferred window (what
-        # free_region and pass_window check), and the in-flight
-        # batched-write map (requirement name -> (coherence, [(mem_uid,
-        # rect, t)])) that _execute_task and _fold_reduction defer
-        # per-color mark_written calls into.
+        # structural key (tracing.Template, see _template), and the
+        # in-flight batched-write map (requirement name -> (coherence,
+        # [(mem_uid, rect, t)])) that _execute_task and _fold_reduction
+        # defer per-color mark_written calls into.
         self._image_cache = ImagePartitionCache()
         self._templates = BoundedMemo()
-        self._window_refs: Dict[int, int] = {}
-        self._window_writers: Dict[int, int] = {}
         self._pending_writes: Optional[dict] = None
         # (src uid, dst uid) -> (channels, summed latency, narrowest
         # bandwidth): a machine's channel objects and rates are fixed,
@@ -620,10 +618,8 @@ class Runtime:
         A pending window launch holds its regions, so only an explicit
         ``destroy()`` can free one the window still names: that free
         flushes the window first, like a host read."""
-        # launch() counts each pending launch's region uids into
-        # _window_refs (cleared when the window swaps out for flushing).
         uid = region.uid
-        if self._window_refs.get(uid, 0) > 0:
+        if self._window_names((uid,)):
             self.flush_window()
         recovery = self.recovery
         if recovery.journal is not None:
@@ -889,17 +885,16 @@ class Runtime:
         the deferred window, where the planner orders them against the
         members by its per-region rule (a fused group runs a member
         that reduces into a region after its last shard).  Any other
-        launch executes at once, after
-        :meth:`pass_window` has ordered it against the window: flushed
-        first if the two are dependent, left deferred behind the launch
-        if not.  A reduction issued into the window returns a *pending*
-        future, which the flush resolves.  Numerics are unaffected by
-        the deferral: anything that could observe a pending result —
-        future waits, barriers, host reads of store data, a non-fusible
-        launch that touches what the window writes, a solve that reads
-        it for an image partition (:meth:`order_solve`) — flushes
-        first.  With ``fusion`` off nothing is deferred and every
-        returned future is resolved.
+        launch flushes a non-empty window, then executes: non-fusible
+        launches run in program order, after every launch issued before
+        them, which also keeps the runtime generator's draws in order.
+        A reduction issued into the window returns a *pending* future,
+        which the flush resolves.  Numerics are unaffected by the
+        deferral: anything that could observe a pending result — future
+        waits, barriers, host reads of store data, a non-fusible launch,
+        a solve that reads a pending write for an image partition
+        (:meth:`order_solve`) — flushes first.  With ``fusion`` off
+        nothing is deferred and every returned future is resolved.
         """
         plan = self.plan_trace
         if plan is not None:
@@ -923,13 +918,8 @@ class Runtime:
                 fusible = template.fusible = fusion.fusible(task)
         if not fusible:
             if self._window:
-                self.pass_window(
-                    [
-                        (req.region.uid, req.privilege.writes)
-                        for req in task.requirements
-                    ],
-                    task.scalars,
-                )
+                self.profiler.hazard_flushes += 1
+                self.flush_window()
             return self._execute(task)
         window = self._window
         roots = self._window_roots
@@ -950,80 +940,35 @@ class Runtime:
                 future.value = plan.deferred_scalar(task.name)
             roots[future] = len(window)
         window.append(task)
-        refs = self._window_refs
-        writers = self._window_writers
-        for req in task.requirements:
-            uid = req.region.uid
-            refs[uid] = refs.get(uid, 0) + 1
-            if req.privilege.writes:
-                writers[uid] = writers.get(uid, 0) + 1
         if len(window) >= WINDOW_CAPACITY:
             self.flush_window()
         return future
-
-    def pass_window(self, accesses, scalars) -> None:
-        """Order a launch that will not join the deferred window against it.
-
-        ``accesses`` are ``(region uid, writes)`` pairs for everything
-        the launch touches; ``scalars`` are its scalar arguments.  On a
-        *hazard* the window is flushed, so its members run first, as
-        issued:
-
-        * the launch touches a region a member writes or reduces into
-          (RAW, WAW);
-        * it writes -- REDUCE included, as ``scatter_add`` does -- a
-          region a member touches (WAR, WAW);
-        * it takes a scalar that derives from a reduction still pending
-          in the window.
-
-        Otherwise the launch *passes*: it runs now, ahead of the
-        members, which stay deferred and may go on fusing with what is
-        issued after it.  The two orders differ only in independent
-        launches, so every value is the unfused one.  Non-fusible
-        launches never reorder among themselves (each runs when
-        issued), which keeps the runtime generator's draws in program
-        order.  The test reads the window's per-region counts: it is
-        O(arguments), whatever the window holds.
-        """
-        if not self._window:
-            return
-        if self._hazard(accesses, scalars):
-            self.profiler.hazard_flushes += 1
-            self.flush_window()
-        else:
-            self.profiler.launches_passed += 1
 
     def order_solve(self, sources) -> None:
         """Flush the window before a solve that reads the data of the
         ``sources`` (region uids: image sources, ``pos``/``crd``) if a
         member still owes a write to one.  Whatever else the launch
         touches, :meth:`launch` orders afterwards."""
-        writers = self._window_writers
-        for uid in sources:
-            if uid in writers:
-                self.profiler.hazard_flushes += 1
-                self.flush_window()
-                return
+        if self._window_names(sources, writers=True):
+            self.profiler.hazard_flushes += 1
+            self.flush_window()
 
-    def _hazard(self, accesses, scalars) -> bool:
-        refs = self._window_refs
-        writers = self._window_writers
-        for uid, writes in accesses:
-            if uid in writers or (writes and uid in refs):
-                return True
-        roots = self._window_roots
-        return bool(roots) and any(
-            root in roots for root in pending_roots(scalars)
-        )
+    def _window_names(self, uids, writers: bool = False) -> bool:
+        """Whether a pending window member touches -- or, with
+        ``writers``, writes or reduces into -- a region of ``uids``."""
+        for task in self._window:
+            for req in task.requirements:
+                if req.region.uid in uids and (
+                    not writers or req.privilege.writes
+                ):
+                    return True
+        return False
 
     def flush_window(self) -> None:
         """Plan and execute every launch buffered in the window."""
         if not self._window:
             return
         window, self._window = self._window, []
-        if self._window_refs:
-            self._window_refs.clear()
-            self._window_writers.clear()
         if self._window_roots:
             self._window_roots.clear()
         t0 = _perf()
@@ -1278,7 +1223,7 @@ class Runtime:
                 row_shape,
                 req.region,
                 replay and req.region.uid in freed,
-                self._mem_scale(req.region),
+                self.mem_scale_by_extent.get(req.region.shape[0]),
             )
             for row_shape, req in zip(shape.shapes, reqs)
         ]
@@ -1777,11 +1722,6 @@ class Runtime:
             if batch:
                 coh.write_complete(batch)
                 self.profiler.fastpath_counters["batched_writes"] += len(batch)
-
-    def _mem_scale(self, region: Region):
-        if region.mem_scale is not None:
-            return region.mem_scale
-        return self.mem_scale_by_extent.get(region.shape[0])
 
     def _memory_by_uid(self, uid: int) -> Memory:
         return self._memories[uid]

@@ -232,24 +232,24 @@ def test_report_structure_and_json():
     assert "predicted peak memory" in text
 
 
-def test_report_counts_window_passes_and_hazard_flushes():
+def test_report_counts_hazard_flushes():
     def workload():
         import repro.numeric as rnp
 
         A = sp.csr_matrix(tridiag(256))
         x = rnp.ones(256)
         u = rnp.ones(64)
-        x[0:4] = 2.0                # writes the x the window owes: a flush
+        x[0:4] = 2.0                # cannot join: flushes both fills
         v = u * 2.0                 # deferred ...
-        x[4:8] = 3.0                # ... and passed by an independent write
+        x[4:8] = 3.0                # ... and flushed by an independent write
         return v + 1.0, A @ x
 
     advice = advise(workload, machine=summit(nodes=1), procs=2)
-    assert (advice.launches_passed, advice.hazard_flushes) == (1, 1)
+    assert advice.hazard_flushes == 2
     d = advice.to_dict()
-    assert (d["launches_passed"], d["hazard_flushes"]) == (1, 1)
+    assert d["hazard_flushes"] == 2
     assert (
-        "deferred window: 1 non-fusible launch(es) passed it, 1 flushed it"
+        "deferred window: 2 flushed by a launch that cannot join it"
         in advice.format_text()
     )
 

@@ -73,7 +73,7 @@ def _run(chaos, validate=False, profile=False):
     return rt, t0, t1, out
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def logged():
     """The validated, profiled run with node 1 lost mid-phase."""
     _, t0, t1, baseline = _run(None)

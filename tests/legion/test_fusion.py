@@ -434,16 +434,23 @@ class TestOneColor:
         assert window[1].fusible
         assert groups(window) == [(0,), (1,)]
 
-    def test_a_write_after_an_in_place_read_is_checked(self):
-        """The read runs before the write on the shard, so the write
-        could join; it is still checked (lifting the check changes
-        GMG's plans) and goes to the next group."""
+    def test_a_write_after_an_in_place_read_joins_its_group(self):
+        """The one shard runs the read before the write, so the write
+        joins the reader's group; the log checks clean and the values
+        are the unfused ones, bit for bit."""
         x, y = Region((8,), np.float64), Region((8,), np.float64)
         window = [
             self.summary("y=A@x", 1, (y, "tile", W), (x, "image", R)),
             self.summary("x=", 1, (x, "tile", Privilege.WRITE_DISCARD)),
         ]
-        assert groups(window) == [(0,), (1,)]
+        assert groups(window) == [(0, 1)]
+        read = TestValidatedDiscard._read_then_discard
+        y, x, runtime = read(1, in_place=True, validate=True)
+        assert [names for names, _, _ in runtime.fusion_log] == [("dbl", "five")]
+        assert check_log(runtime.event_log) == []
+        want_y, want_x, _ = read(1, in_place=True, fusion=False)
+        assert (y.tobytes(), x.tobytes()) == (want_y.tobytes(), want_x.tobytes())
+        np.testing.assert_array_equal(y, 2.0 * np.arange(8.0))
 
     @staticmethod
     def _replica_program() -> np.ndarray:
@@ -549,10 +556,11 @@ class TestValidatedDiscard:
     region's contents, not the sanitizer's NaN poison."""
 
     @staticmethod
-    def _read_then_discard(procs, **config):
+    def _read_then_discard(procs, in_place=False, **config):
         """``y = 2 * x``, then ``x = 5`` through the same tiling as a
-        WRITE_DISCARD: one group ``(dbl, five)``.  Returns ``(y, x,
-        fusion_log)``."""
+        WRITE_DISCARD: one group ``(dbl, five)``.  With ``in_place``,
+        ``x`` is read through an explicit partition of one rect (rule
+        2's one-color read).  Returns ``(y, x, runtime)``."""
         runtime = Runtime(
             laptop().scope(ProcessorKind.GPU, procs),
             RuntimeConfig.legate(**config),
@@ -570,7 +578,8 @@ class TestValidatedDiscard:
         for name, kernel, reqs in (
             ("dbl", dbl, [
                 ("y", y, y_tiles, Privilege.WRITE_DISCARD),
-                ("x", x, x_tiles, Privilege.READ),
+                ("x", x, ExplicitPartition(x, [x.rect]) if in_place
+                 else x_tiles, Privilege.READ),
             ]),
             ("five", five, [("x", x, x_tiles, Privilege.WRITE_DISCARD)]),
         ):
@@ -583,12 +592,12 @@ class TestValidatedDiscard:
                 )
             )
         runtime.barrier()
-        return y.data.copy(), x.data.copy(), list(runtime.fusion_log)
+        return y.data.copy(), x.data.copy(), runtime
 
     @pytest.mark.parametrize("procs", [1, 2])
     def test_an_earlier_reader_sees_the_discarded_contents(self, procs):
-        y, x, log = self._read_then_discard(procs, validate=True)
-        assert [names for names, _, _ in log] == [("dbl", "five")]
+        y, x, runtime = self._read_then_discard(procs, validate=True)
+        assert [names for names, _, _ in runtime.fusion_log] == [("dbl", "five")]
         np.testing.assert_array_equal(y, 2.0 * np.arange(8.0))
         np.testing.assert_array_equal(x, np.full(8, 5.0))
         for reference in ({"fusion": False}, {"validate": False}):
@@ -634,24 +643,44 @@ class TestWindowMechanics:
         want[2:5] = 7.0
         np.testing.assert_array_equal(x.to_numpy(), want)
 
-    def test_independent_launch_passes_the_window(self, rt):
-        x = rnp.array(np.arange(32.0))
-        u = rnp.array(np.ones(16))
-        rt.barrier()
-        snap = rt.profiler.snapshot()
-        v = u * 3.0                 # deferred
-        x[2:5] = 7.0                # non-fusible, touches nothing the window does
-        assert [t.name for t in rt._window] == ["multiply"]
-        w = v + 1.0                 # joins the launch the write passed
-        rt.barrier()
-        delta = rt.profiler.since(snap)
-        assert (delta.launches_passed, delta.hazard_flushes) == (1, 0)
-        assert rt.fusion_log[-1][0] == ("multiply", "add")
+    @staticmethod
+    def _independent_write(**config):
+        """A deferred ``v = u * 3``, a slice write into an unrelated
+        ``x``, then ``w = v + 1``.  Returns ``(x, w, runtime, delta)``."""
+        runtime = Runtime(
+            laptop().scope(ProcessorKind.GPU, 2), RuntimeConfig.legate(**config)
+        )
+        with runtime_scope(runtime):
+            x = rnp.array(np.arange(32.0))
+            u = rnp.array(np.ones(16))
+            runtime.barrier()
+            snap = runtime.profiler.snapshot()
+            v = u * 3.0             # deferred
+            x[2:5] = 7.0            # non-fusible: flushes the window, then runs
+            if runtime.config.fusion:
+                assert runtime._window == []
+            w = v + 1.0             # opens the next window
+            runtime.barrier()
+            delta = runtime.profiler.since(snap)
+            return x.to_numpy(), w.to_numpy(), runtime, delta
+
+    def test_an_independent_launch_flushes_the_window(self):
+        x, w, runtime, delta = self._independent_write(validate=True)
+        assert delta.hazard_flushes == 1
+        assert [names for names, _, _ in runtime.fusion_log][-2:] == [
+            ("multiply",), ("add",)
+        ]
+        assert check_log(runtime.event_log) == []
         want = np.arange(32.0)
         want[2:5] = 7.0
-        np.testing.assert_array_equal(x.to_numpy(), want)
-        np.testing.assert_array_equal(w.to_numpy(), np.full(16, 4.0))
-        assert "1 launches passed" in rt.profiler.format_summary()
+        np.testing.assert_array_equal(x, want)
+        np.testing.assert_array_equal(w, np.full(16, 4.0))
+        want_x, want_w, _, _ = self._independent_write(fusion=False)
+        assert (x.tobytes(), w.tobytes()) == (want_x.tobytes(), want_w.tobytes())
+        assert (
+            "deferred window:  1 flushed by a launch that cannot join it"
+            in runtime.profiler.format_summary()
+        )
 
     def test_a_generated_kernel_joins_the_window(self, rt):
         """An SpMV declares it touches only its tile and image rects: it
@@ -668,7 +697,7 @@ class TestWindowMechanics:
         assert [t.name for t in rt._window] == ["multiply", spmv, "add"]
         rt.barrier()
         delta = rt.profiler.since(snap)
-        assert (delta.tasks_launched, delta.launches_passed) == (1, 0)
+        assert (delta.tasks_launched, delta.hazard_flushes) == (1, 0)
         # v is a temporary of the group; y, a barrier's output, is not.
         assert rt.fusion_log[-1] == (
             ("multiply", spmv, "add"), 1, "replay:opaque-kernel"
@@ -737,17 +766,9 @@ class TestWindowMechanics:
         assert rt._window == [] and rt.profiler.hazard_flushes == 1
         assert b.to_numpy()[:5].tolist() == [120.0] * 4 + [0.0]
 
-    def test_one_hazard_test_per_launch(self, rt, monkeypatch):
-        """Asked once, by launch(), and never for a launch that joins the
-        window."""
-        calls = []
-        real = Runtime.pass_window
-
-        def counted(self, accesses, scalars):
-            calls.append(len(self._window))
-            return real(self, accesses, scalars)
-
-        monkeypatch.setattr(Runtime, "pass_window", counted)
+    def test_only_a_launch_that_cannot_join_flushes(self, rt, monkeypatch):
+        """A launch that joins the window flushes nothing; a hand-built
+        one flushes it once, whatever it touches, then runs."""
         flushes = []
         real_flush = Runtime.flush_window
 
@@ -759,12 +780,12 @@ class TestWindowMechanics:
         A = sp.eye(32, format="csr")
         x = rnp.array(np.arange(32.0))
         rt.barrier()
-        del calls[:], flushes[:]
-        z = x * 2.0                 # fusible: no test
+        del flushes[:]
+        z = x * 2.0                 # fusible: joins
         y = A @ z                   # joins too: its solve reads no member's write
-        assert calls == [] and flushes == []
+        assert flushes == []
         region = rt.create_region((8,), np.float64, name="r")
-        task = TaskLaunch(          # hand-built, not fusible: launch() asks
+        task = TaskLaunch(          # hand-built, not fusible: flushes
             "opaque",
             [Requirement("r", region, Tiling.create(region, 2),
                          Privilege.WRITE_DISCARD)],
@@ -772,7 +793,8 @@ class TestWindowMechanics:
         )
         w = z + 1.0
         rt.launch(task)
-        assert calls == [3] and flushes == []  # passed: no flush
+        assert flushes == [3] and rt._window == []
+        assert rt.profiler.hazard_flushes == 1
         np.testing.assert_array_equal(y.to_numpy(), np.arange(32.0) * 2.0)
         np.testing.assert_array_equal(w.to_numpy(), np.arange(32.0) * 2.0 + 1.0)
 

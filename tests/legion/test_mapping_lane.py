@@ -866,8 +866,8 @@ def test_warm_train_batch_launch_count():
     _, _, delta, _ = _train()
     assert delta.tasks_launched <= 4
     # Flushed only before the first gather's solve (its image reads the
-    # rows the expansion still owes); nothing passes it.
-    assert (delta.launches_passed, delta.hazard_flushes) == (0, 1)
+    # rows the expansion still owes).
+    assert delta.hazard_flushes == 1
 
 
 def test_gpu_loss_mid_batch_replays_fused_sparse_groups():
@@ -892,9 +892,10 @@ def test_gpu_loss_mid_batch_replays_fused_sparse_groups():
     assert recovered == fault_free
 
 
-def _passing_program(rt):
+def _scatter_program(rt):
     """Three SpMV steps, each with a ``scatter_add`` into a vector no
-    window member touches: the REDUCE passes the deferred window."""
+    window member touches: the REDUCE, which cannot join the deferred
+    window, flushes it, then runs."""
     from repro.numeric.indexing import scatter_add
 
     data = np.random.default_rng(3)
@@ -918,25 +919,24 @@ def _passing_program(rt):
     return bits, (start, end), rt.profiler.since(before)
 
 
-def test_gpu_loss_mid_batch_replays_passed_launches():
-    fault_free, _, clean, _ = _journaled(_passing_program, None)
-    assert clean.launches_passed == 3
-    _, (start, end), _, none = _journaled(_passing_program, 1e9)
+def test_gpu_loss_mid_batch_replays_flushed_launches():
+    fault_free, _, clean, _ = _journaled(_scatter_program, None)
+    assert clean.hazard_flushes == 3
+    _, (start, end), _, none = _journaled(_scatter_program, 1e9)
     assert none == []
-    # The three scatters issue first, then the deferred SpMV groups (the
-    # first over about 0.49-0.72 of the run); a loss is acted on before
-    # the launch whose issue it falls in, so one at 0.75 finds the
-    # first group journaled behind the scatters.
+    # Each scatter runs after the deferred SpMV group issued before it,
+    # which it flushed; a loss is acted on before the launch whose issue
+    # it falls in, so one at 0.75 of the run finds the first step's
+    # group, scatter and add, and the second group, journaled.
     recovered, _, delta, (journal,) = _journaled(
-        _passing_program, start + 0.75 * (end - start)
+        _scatter_program, start + 0.75 * (end - start)
     )
     assert delta.faults_injected["gpu-loss"] == 1
     assert delta.tasks_reexecuted == len(journal) > 0
-    # Execution order: a scatter ran -- and was journaled -- ahead of
-    # the SpMV issued before it, which was still deferred.
+    # Execution order is issue order: the SpMV ran -- and was
+    # journaled -- ahead of the scatter issued after it.
     first = journal.index("scatter_add")
-    assert any("csr:y(i)=A(i,j)*x(j)" in name for name in journal[first:])
-    assert delta.launches_passed >= 1
+    assert any("csr:y(i)=A(i,j)*x(j)" in name for name in journal[:first])
     assert recovered == fault_free
 
 

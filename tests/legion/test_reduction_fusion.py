@@ -8,9 +8,9 @@ after the last shard (rule 4).  The contract is differential -- every
 future and every array of a program run with ``fusion=True`` is
 *bitwise* what ``fusion=False`` produces -- and is checked here on
 seeded random programs (which also hold launches that never join the
-window: they pass it or flush it, see ``Runtime.pass_window``), on the
-named hazards, and against mutants of the planner and of the hazard
-test that each break it.
+window: each flushes it, then runs, see ``Runtime.launch``), on the
+named hazards, and against mutants of the planner and of that flush
+that each break it.
 """
 
 import dataclasses
@@ -287,12 +287,11 @@ def test_random_windows_match_under_validation(seed, procs):
     _assert_differential(seed, procs, validate=True)
 
 
-def test_random_programs_hold_passes_hazards_and_mixed_groups():
+def test_random_programs_hold_hazards_and_mixed_groups():
     """What the differential test claims to cover, counted."""
-    passed = flushed = mixed = sparse = reducing = 0
+    flushed = mixed = sparse = reducing = 0
     for seed in SEEDS:
         _, rt = _run(3, True, False, lambda: _random_program(seed))
-        passed += rt.profiler.launches_passed
         flushed += rt.profiler.hazard_flushes
         # More nests than merged groups: a group ran several segments.
         merged = sum(label == "merged" for _, _, label in rt.fusion_log)
@@ -307,7 +306,7 @@ def test_random_programs_hold_passes_hazards_and_mixed_groups():
         reducing += sum(
             len(names) > 1 and COLSUM in names for names, _, _ in rt.fusion_log
         )
-    assert passed >= 5 * len(SEEDS) and flushed >= 5 * len(SEEDS)
+    assert flushed >= 10 * len(SEEDS)
     assert mixed >= len(SEEDS) // 2
     assert sparse >= 5 * len(SEEDS)
     assert reducing >= len(SEEDS)
@@ -899,7 +898,6 @@ def test_an_abandoned_reduction_raises_a_named_error():
         (a,) = _vectors(count=1)
         s = rnp.sum(a)
         rt._window.clear()  # what flush_window does when a launch raises
-        rt._window_refs.clear()
         rt._window_roots.clear()
         with pytest.raises(RuntimeError, match="never resolved"):
             s.value
@@ -943,7 +941,8 @@ def test_one_allreduce_carries_every_value_of_its_group():
 
 
 # ----------------------------------------------------------------------
-# The tests above can fail: mutants of the planner and of the hazard test
+# The tests above can fail: mutants of the planner and of the flush
+# ahead of a non-fusible launch
 # ----------------------------------------------------------------------
 def _failures(errors=(AssertionError,), procs=3, window_only=False):
     failures = 0
@@ -964,29 +963,64 @@ def test_window_only_programs_match_too():
     assert _failures((AssertionError, RuntimeError), window_only=True) == 0
 
 
+def _passing(monkeypatch, hazard):
+    """Patch out the flush ahead of a non-fusible launch: one for which
+    ``hazard(window, roots, task)`` is false runs at once, ahead of the
+    members, which stay deferred."""
+    real = Runtime.launch
+
+    def launch(self, task):
+        window, roots = self._window, self._window_roots
+        if not window or fusion.fusible(task) or hazard(window, roots, task):
+            return real(self, task)
+        self._window, self._window_roots = [], {}
+        try:
+            return real(self, task)
+        finally:
+            self._window, self._window_roots = window, roots
+
+    monkeypatch.setattr(Runtime, "launch", launch)
+
+
+def _touched(window, writes=False):
+    return {
+        req.region.uid
+        for member in window for req in member.requirements
+        if req.privilege.writes or not writes
+    }
+
+
+def _takes_pending(roots, task):
+    return any(
+        root in roots for root in runtime_module.pending_roots(task.scalars)
+    )
+
+
 def test_mutant_passing_a_write_after_read_is_caught(monkeypatch):
     """A launch that writes what a deferred member still has to read
     must not run first."""
-    def forgetful(self, accesses, scalars):
-        roots = self._window_roots
-        return any(uid in self._window_writers for uid, _ in accesses) or any(
-            root in roots for root in runtime_module.pending_roots(scalars)
+    def forgetful(window, roots, task):
+        written = _touched(window, writes=True)
+        return _takes_pending(roots, task) or any(
+            req.region.uid in written for req in task.requirements
         )
 
-    monkeypatch.setattr(Runtime, "_hazard", forgetful)
+    _passing(monkeypatch, forgetful)
     assert _failures() >= len(SEEDS) // 2
 
 
 def test_mutant_passing_a_pending_scalar_is_caught(monkeypatch):
-    """A launch that takes a scalar the window still owes and passes
-    anyway finds the future unresolved when it runs."""
-    def forgetful(self, accesses, scalars):
+    """A launch that takes a scalar the window still owes and runs
+    first finds the future unresolved: a named error."""
+    def forgetful(window, roots, task):
+        touched, written = _touched(window), _touched(window, writes=True)
         return any(
-            uid in self._window_writers or (writes and uid in self._window_refs)
-            for uid, writes in accesses
+            req.region.uid in written
+            or (req.privilege.writes and req.region.uid in touched)
+            for req in task.requirements
         )
 
-    monkeypatch.setattr(Runtime, "_hazard", forgetful)
+    _passing(monkeypatch, forgetful)
     assert _failures((AssertionError, RuntimeError)) >= len(SEEDS) // 2
 
 

@@ -52,7 +52,6 @@ def test_reset_flushes_the_deferred_window():
         # ...but a program boundary is a sync point: nothing buffered
         # may flush into the next program.
         assert rt._window == []
-        assert rt._window_refs == {}
         assert rt._pending_writes is None
         # The computed value was not lost by the flush.
         np.testing.assert_allclose(y.to_numpy(), _host_matrix() @ np.ones(N))

@@ -135,20 +135,6 @@ class TestPerRegionMemScale:
             used = rt.instances.used_bytes(mem)
             assert used == pytest.approx(77 * 8 * 2.0, rel=0.01)
 
-    def test_region_attribute_override(self):
-        machine = summit(nodes=1)
-        rt = Runtime(
-            machine.scope(ProcessorKind.GPU, 1),
-            RuntimeConfig.legate(data_scale=1000.0),
-        )
-        with runtime_scope(rt):
-            arr = rnp.empty(50)
-            arr.store.region.mem_scale = 3.0
-            arr.fill(1.0)
-            rt.barrier()
-            mem = rt.scope.processors[0].memory
-            assert rt.instances.used_bytes(mem) == pytest.approx(50 * 8 * 3.0, rel=0.01)
-
 
 class TestClocks:
     def _runtime(self):
