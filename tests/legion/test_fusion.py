@@ -745,6 +745,21 @@ class TestWindowMechanics:
         assert rt._window == [] and rt.profiler.hazard_flushes == 1
         np.testing.assert_array_equal(b.to_numpy(), np.arange(16.0) + 1.0)
 
+    def test_only_a_destroy_of_a_region_the_window_names_flushes(self, rt):
+        """Freeing a region no pending member touches leaves the window
+        open; freeing one a member reads runs that member first.  Neither
+        is a hazard flush."""
+        a = rnp.array(np.arange(16.0))
+        other = rnp.array(np.ones(8))
+        rt.barrier()
+        b = a + 1.0                 # deferred reader of a
+        other.store.destroy()
+        assert [t.name for t in rt._window] == ["add"]
+        a.store.destroy()
+        assert rt._window == [] and rt.profiler.hazard_flushes == 0
+        assert rt.fusion_log[-1][0] == ("add",)
+        np.testing.assert_array_equal(b.to_numpy(), np.arange(16.0) + 1.0)
+
     def test_a_reduce_into_a_deferred_fill_joins_its_group(self, rt):
         """Column sums: the REDUCE joins the zero fill it adds into and
         runs after the group's last shard, so nothing flushes."""
